@@ -1,8 +1,9 @@
 // Command oagrid demonstrates the paper's Figure-9 protocol end to end on a
-// loopback deployment of the DIET-like middleware: it starts a master agent
-// and one server daemon per cluster profile, submits an experiment, and
-// prints every protocol step — performance vectors, the Algorithm-1
-// repartition, and each cluster's execution report.
+// loopback deployment of the DIET-like middleware: it starts the scheduler
+// daemon and one server daemon per cluster profile, submits an experiment
+// through the public client, and prints the protocol as the campaign's event
+// stream reports it — the Algorithm-1 repartition, then each cluster's
+// execution report.
 //
 // Usage:
 //
@@ -10,14 +11,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
-	"text/tabwriter"
+	"time"
 
-	"oagrid/internal/core"
-	"oagrid/internal/diet"
-	"oagrid/internal/exec"
+	"oagrid"
+	"oagrid/internal/grid"
 	"oagrid/internal/platform"
 )
 
@@ -27,7 +28,7 @@ func main() {
 		procs     = flag.Int("procs", 44, "processors per cluster")
 		ns        = flag.Int("ns", 10, "scenarios (NS)")
 		nm        = flag.Int("nm", 1800, "months per scenario (NM)")
-		heuristic = flag.String("heuristic", core.NameKnapsack, "per-cluster heuristic")
+		heuristic = flag.String("heuristic", oagrid.KnapsackName, "per-cluster heuristic")
 	)
 	flag.Parse()
 	if *nClusters < 1 || *nClusters > 5 {
@@ -35,57 +36,54 @@ func main() {
 	}
 
 	// Boot the middleware.
-	ma, err := diet.StartMasterAgent("127.0.0.1:0")
+	fabric, err := grid.StartFabric(grid.Config{Addr: "127.0.0.1:0"}, *nClusters, *procs, 100*time.Millisecond)
 	if err != nil {
 		fail(err)
 	}
-	defer ma.Close()
-	fmt.Printf("master agent listening on %s\n", ma.Addr())
-
-	profiles := platform.FiveClusters()[:*nClusters]
-	for _, cl := range profiles {
-		cl.Procs = *procs
-		sed, err := diet.StartSeD("127.0.0.1:0", cl, exec.Options{})
-		if err != nil {
-			fail(err)
-		}
-		defer sed.Close()
-		if err := sed.RegisterWith(ma.Addr()); err != nil {
-			fail(err)
-		}
+	defer fabric.Close()
+	if err := fabric.WaitAlive(*nClusters, 5*time.Second); err != nil {
+		fail(err)
+	}
+	fmt.Printf("scheduler listening on %s\n", fabric.Sched.Addr())
+	for _, sed := range fabric.SeDs {
+		cl := sed.Cluster()
 		t11, _ := cl.Timing.MainSeconds(platform.MaxGroup)
-		fmt.Printf("SeD %-12s registered at %s (%d procs, T[11]=%.0fs)\n", cl.Name, sed.Addr(), cl.Procs, t11)
+		fmt.Printf("SeD %-12s alive at %s (%d procs, T[11]=%.0fs)\n", cl.Name, sed.Addr(), cl.Procs, t11)
 	}
 
-	// Steps 1–6.
-	app := core.Application{Scenarios: *ns, Months: *nm}
-	fmt.Printf("\n(1) client request: %d scenarios × %d months, heuristic %q\n", *ns, *nm, *heuristic)
-	client := &diet.Client{MAAddr: ma.Addr()}
-	res, err := client.Submit(app, *heuristic)
+	ctx := context.Background()
+	runner, err := oagrid.Dial(ctx, fabric.Sched.Addr())
 	if err != nil {
 		fail(err)
 	}
+	defer runner.Close()
 
-	fmt.Println("(2,3) performance vectors (makespan of 1..NS scenarios, hours):")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	for _, name := range res.Clusters {
-		fmt.Fprintf(w, "  %s\t", name)
-		for _, v := range res.Vectors[name] {
-			fmt.Fprintf(w, "%.0f\t", v/3600)
+	// Steps 1–6: the daemon gathers the performance vectors (2,3) itself; the
+	// stream reports the repartition it computed from them and each report.
+	campaign := oagrid.NewCampaign(*ns, *nm)
+	campaign.Heuristic = *heuristic
+	fmt.Printf("\n(1) client request: %d scenarios × %d months, heuristic %q\n", *ns, *nm, *heuristic)
+	h, err := runner.Run(ctx, campaign)
+	if err != nil {
+		fail(err)
+	}
+	for ev := range h.Events() {
+		switch ev := ev.(type) {
+		case oagrid.EventPlanned:
+			fmt.Println("(4) repartition (Algorithm 1):")
+			for _, s := range ev.Shares {
+				fmt.Printf("  %-12s %d scenario(s)\n", s.Cluster, s.Scenarios)
+			}
+			fmt.Println("(5,6) execution reports:")
+		case oagrid.EventChunkDone:
+			r := ev.Report
+			fmt.Printf("  %-12s %d scenario(s)  groups %v post=%d  makespan %.0f h\n",
+				r.Cluster, r.Scenarios, r.Allocation.Groups, r.Allocation.PostProcs, r.Makespan/3600)
 		}
-		fmt.Fprintln(w)
 	}
-	w.Flush()
-
-	fmt.Println("(4) repartition (Algorithm 1):")
-	for i, name := range res.Clusters {
-		fmt.Printf("  %-12s %d scenario(s)\n", name, res.Repartition.Counts[i])
-	}
-
-	fmt.Println("(5,6) execution reports:")
-	for _, r := range res.Reports {
-		fmt.Printf("  %-12s %d scenario(s)  groups %v post=%d  makespan %.0f h\n",
-			r.Cluster, r.Scenarios, r.Allocation.Groups, r.Allocation.PostProcs, r.Makespan/3600)
+	res, err := h.Wait()
+	if err != nil {
+		fail(err)
 	}
 	fmt.Printf("\nglobal makespan: %.0f hours (%.1f days)\n", res.Makespan/3600, res.Makespan/86400)
 }

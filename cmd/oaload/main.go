@@ -85,9 +85,8 @@ type loadReport struct {
 	Verified       bool    `json:"verified_bit_identical"`
 	WallSeconds    float64 `json:"wall_seconds"`
 	ThroughputCPS  float64 `json:"throughput_cps"`
-	// Wire gauges over the injection window, across both codecs (the
-	// self-hosted run counts client, daemon and SeD traffic in one process).
-	Proto         string  `json:"proto"`
+	// Wire gauges over the injection window (the self-hosted run counts
+	// client, daemon and SeD traffic in one process).
 	BytesTx       uint64  `json:"bytes_tx"`
 	BytesRx       uint64  `json:"bytes_rx"`
 	FramesPerSec  float64 `json:"frames_per_sec"`
@@ -186,7 +185,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "arrival-schedule random seed")
 		timeout   = flag.Duration("timeout", 2*time.Minute, "per-campaign client deadline")
 		out       = flag.String("out", "BENCH_grid.json", "benchmark artifact path (empty = skip writing)")
-		proto     = flag.String("proto", "binary", "wire codec: binary (v4 framing when the peer speaks it) or legacy (force the pre-v4 codec)")
 		tenants   = flag.String("tenants", "", "fairness workload as name=weight[,name=weight...]: campaigns get round-robin tenant labels and cycling priorities; the self-hosted daemon gets the weights")
 
 		profile       = flag.String("profile", "", "arrival profile: burst (warm quarter at -rate, peak half at -rate x -peak-mult, cool quarter back at -rate; overrides -arrival, phase-tagged percentiles and fleet-size samples in the report)")
@@ -218,14 +216,6 @@ func main() {
 	}
 	sort.Strings(tenantNames)
 
-	switch *proto {
-	case "binary":
-	case "legacy":
-		diet.ForceLegacyCodec(true)
-	default:
-		fail(fmt.Errorf("oaload: unknown -proto %q (want binary or legacy)", *proto))
-	}
-
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 
@@ -235,7 +225,6 @@ func main() {
 	report := loadReport{
 		Campaigns:  *campaigns,
 		Arrival:    *arrival,
-		Proto:      *proto,
 		RatePerSec: *rate,
 		Scenarios:  *ns,
 		Months:     *months,
@@ -654,8 +643,8 @@ func main() {
 		completed, *campaigns, report.WallSeconds, report.ThroughputCPS)
 	fmt.Printf("latency p50 %.1fms  p95 %.1fms  p99 %.1fms   max queue depth %d  rejections %d  requeues %d\n",
 		report.P50Ms, report.P95Ms, report.P99Ms, report.MaxQueueDepth, report.Rejections, report.Requeues)
-	fmt.Printf("wire (%s): %d B tx, %d B rx, %.0f frames/s\n",
-		report.Proto, report.BytesTx, report.BytesRx, report.FramesPerSec)
+	fmt.Printf("wire: %d B tx, %d B rx, %.0f frames/s\n",
+		report.BytesTx, report.BytesRx, report.FramesPerSec)
 	if len(tenantNames) > 0 {
 		for _, name := range tenantNames {
 			tr := report.Tenants[name]

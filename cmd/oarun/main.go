@@ -44,7 +44,6 @@ import (
 	"oagrid/internal/climate/field"
 	"oagrid/internal/climate/pipeline"
 	"oagrid/internal/core"
-	"oagrid/internal/diet"
 	"oagrid/internal/figures"
 	"oagrid/internal/grid"
 	"oagrid/internal/platform"
@@ -74,7 +73,6 @@ func main() {
 		hbEvery  = flag.Duration("hb", 500*time.Millisecond, "SeD heartbeat interval")
 		evict    = flag.Duration("evict", 3*time.Second, "daemon heartbeat eviction deadline")
 		state    = flag.String("state", "", "daemon state dir: journal campaigns and recover them on restart (empty = in-memory only)")
-		proto    = flag.String("proto", "binary", "wire codec: binary (v4 framing when the peer speaks it) or legacy (force the pre-v4 codec; debugging escape hatch)")
 		ringSpec = flag.String("ring", "", "comma-separated ring member addresses (this daemon's -addr included): shard one campaign namespace across several daemons with consistent-hash ownership and WAL-replay failover; requires -state and concrete addresses")
 		ringHb   = flag.Duration("ring-hb", time.Second, "ring membership ping and WAL replication interval")
 		ringDead = flag.Duration("ring-dead", 0, "silence after which a ring peer is declared dead and its campaigns failed over (0 = 4x -ring-hb)")
@@ -88,15 +86,6 @@ func main() {
 		tenantQuota = flag.Int("tenant-quota", 0, "per-tenant cap on queued campaigns; beyond it a tenant's submissions get the retryable quota-exceeded rejection (0 = no per-tenant cap)")
 	)
 	flag.Parse()
-
-	switch *proto {
-	case "binary":
-	case "legacy":
-		diet.ForceLegacyCodec(true)
-	default:
-		fmt.Fprintf(os.Stderr, "oarun: unknown -proto %q (want binary or legacy)\n", *proto)
-		os.Exit(2)
-	}
 
 	if *daemon {
 		weights, err := parseTenantWeights(*tenantWts)

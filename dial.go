@@ -19,11 +19,10 @@ type remoteRunner struct {
 // Dial builds a Runner over a live grid scheduler daemon (cmd/oarun
 // -daemon). It verifies a daemon answers before returning — ctx bounds
 // that probe. Each campaign then streams on its own connection: admission
-// verdict, per-campaign progress frames (protocol v2; a v1 daemon simply
-// sends none), and the final result, with the frame deadline refreshed on
-// every frame so campaigns may outlive any single timeout. At default
-// options a dialed campaign's Result is bit-identical to a Local run over
-// the same cluster profiles.
+// verdict, per-campaign progress frames, and the final result, with the
+// frame deadline refreshed on every frame so campaigns may outlive any
+// single timeout. At default options a dialed campaign's Result is
+// bit-identical to a Local run over the same cluster profiles.
 //
 // addr may list several comma-separated addresses ("a:7714,b:7714,c:7714")
 // when the daemons form a sharded ring (oarun -daemon -ring): the first is
@@ -64,8 +63,8 @@ func splitAddrs(addr string) (string, []string) {
 	return all[0], all[1:]
 }
 
-// Run implements Runner. Submit options travel to the daemon on the wire
-// (protocol v3): priority orders its admission queue, labels tag the
+// Run implements Runner. Submit options travel to the daemon on the wire:
+// priority orders its admission queue, labels tag the
 // campaign for List, a deadline overrides its campaign timeout.
 func (r *remoteRunner) Run(ctx context.Context, c Campaign, opts ...SubmitOption) (*Handle, error) {
 	app := core.Application(c.Experiment)

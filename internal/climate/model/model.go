@@ -11,7 +11,7 @@
 package model
 
 import (
-	"encoding/gob"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -96,7 +96,7 @@ type Restart struct {
 
 // RestartPath returns the canonical restart file name for a month.
 func RestartPath(dir string, scenario, month int) string {
-	return filepath.Join(dir, fmt.Sprintf("restart-s%02d-m%04d.gob", scenario, month))
+	return filepath.Join(dir, fmt.Sprintf("restart-s%02d-m%04d.json", scenario, month))
 }
 
 // RawDiagPath returns the canonical raw-diagnostics file name (the input of
@@ -176,12 +176,18 @@ func Run(cfg Config) (*Diagnostics, error) {
 		return nil, err
 	}
 
+	// Checked before persisting: a blown-up state must not enter the restart
+	// chain, and the JSON files cannot carry NaN or Inf anyway.
+	if !atm.T.IsFinite() || !ocn.SST.IsFinite() {
+		return nil, fmt.Errorf("model: numerical blow-up in scenario %d month %d", cfg.Scenario, cfg.Month)
+	}
+
 	// Persist the restart chain.
 	if err := saveRestart(RestartPath(cfg.WorkDir, cfg.Scenario, cfg.Month), cfg, atm, ocn, riv); err != nil {
 		return nil, err
 	}
 
-	// Raw diagnostics: monthly fields dumped in the model's native (gob)
+	// Raw diagnostics: monthly fields dumped in the model's native (JSON)
 	// layout; convert_output_format turns them into SDF.
 	precip := atm.PrecipDiagnostic()
 	diagFields := []*field.Field{atm.T.Copy(), ocn.SST.Copy(), ocn.Ice.Copy(), precip}
@@ -198,9 +204,6 @@ func Run(cfg Config) (*Diagnostics, error) {
 		IceFraction: ocn.Ice.Mean(),
 		WallClock:   time.Since(start),
 		Fields:      diagFields,
-	}
-	if !atm.T.IsFinite() || !ocn.SST.IsFinite() {
-		return nil, fmt.Errorf("model: numerical blow-up in scenario %d month %d", cfg.Scenario, cfg.Month)
 	}
 	return d, nil
 }
@@ -222,7 +225,7 @@ func saveRestart(path string, cfg Config, atm *arpege.Model, ocn *opa.Model, riv
 		AtmosGrid:    cfg.AtmosGrid,
 		OceanGrid:    cfg.OceanGrid,
 	}
-	if err := gob.NewEncoder(f).Encode(&r); err != nil {
+	if err := json.NewEncoder(f).Encode(&r); err != nil {
 		return fmt.Errorf("model: encoding restart: %w", err)
 	}
 	return f.Close()
@@ -236,7 +239,7 @@ func loadRestart(path string, cfg Config, atm *arpege.Model, ocn *opa.Model, riv
 	}
 	defer f.Close()
 	var r Restart
-	if err := gob.NewDecoder(f).Decode(&r); err != nil {
+	if err := json.NewDecoder(f).Decode(&r); err != nil {
 		return fmt.Errorf("model: decoding restart %s: %w", path, err)
 	}
 	if r.AtmosGrid != cfg.AtmosGrid || r.OceanGrid != cfg.OceanGrid {
@@ -254,7 +257,7 @@ func loadRestart(path string, cfg Config, atm *arpege.Model, ocn *opa.Model, riv
 	return nil
 }
 
-// rawDump is the gob container of the native diagnostic dump.
+// rawDump is the JSON container of the native diagnostic dump.
 type rawDump struct {
 	Scenario, Month int
 	Names           []string
@@ -276,7 +279,7 @@ func saveRaw(path string, cfg Config, fields []*field.Field) error {
 		d.Grids = append(d.Grids, fl.Grid)
 		d.Data = append(d.Data, fl.Data)
 	}
-	if err := gob.NewEncoder(f).Encode(&d); err != nil {
+	if err := json.NewEncoder(f).Encode(&d); err != nil {
 		return fmt.Errorf("model: encoding raw diagnostics: %w", err)
 	}
 	return f.Close()
@@ -291,7 +294,7 @@ func LoadRaw(path string) (scenario, month int, fields []*field.Field, err error
 	}
 	defer f.Close()
 	var d rawDump
-	if err := gob.NewDecoder(f).Decode(&d); err != nil {
+	if err := json.NewDecoder(f).Decode(&d); err != nil {
 		return 0, 0, nil, fmt.Errorf("model: decoding raw diagnostics %s: %w", path, err)
 	}
 	for i := range d.Names {

@@ -13,68 +13,6 @@ import (
 	"oagrid/internal/platform"
 )
 
-// MasterAgent is the registry the client queries for server daemons, the MA
-// of the DIET hierarchy (the LA layer of real DIET is collapsed into it).
-type MasterAgent struct {
-	ln net.Listener
-
-	mu   sync.Mutex
-	seds []SeDInfo
-}
-
-// StartMasterAgent listens on addr ("127.0.0.1:0" for an ephemeral port).
-func StartMasterAgent(addr string) (*MasterAgent, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("diet: master agent listen: %w", err)
-	}
-	ma := &MasterAgent{ln: ln}
-	go acceptLoop(ln, ma.handle)
-	return ma, nil
-}
-
-// Addr returns the agent's listen address.
-func (ma *MasterAgent) Addr() string { return ma.ln.Addr().String() }
-
-// Close stops the agent.
-func (ma *MasterAgent) Close() error { return ma.ln.Close() }
-
-// SeDs returns a snapshot of the registered daemons. The slice is a copy
-// taken under the mutex: callers may range over it while other SeDs keep
-// registering concurrently without racing the registry's internal slice.
-func (ma *MasterAgent) SeDs() []SeDInfo {
-	ma.mu.Lock()
-	defer ma.mu.Unlock()
-	return append([]SeDInfo(nil), ma.seds...)
-}
-
-func (ma *MasterAgent) handle(req *Request) *Response {
-	switch req.Kind {
-	case KindRegister:
-		if req.Register == nil {
-			return &Response{Err: "register: empty payload"}
-		}
-		ma.mu.Lock()
-		replaced := false
-		for i := range ma.seds {
-			if ma.seds[i].Cluster == req.Register.Cluster {
-				ma.seds[i] = SeDInfo(*req.Register)
-				replaced = true
-				break
-			}
-		}
-		if !replaced {
-			ma.seds = append(ma.seds, SeDInfo(*req.Register))
-		}
-		ma.mu.Unlock()
-		return &Response{Register: &RegisterResponse{Accepted: true}}
-	case KindList:
-		return &Response{List: &ListResponse{SeDs: ma.SeDs()}}
-	default:
-		return &Response{Err: fmt.Sprintf("master agent: unsupported request %q", req.Kind)}
-	}
-}
-
 // SeD is the per-cluster server daemon: it computes performance vectors
 // (protocol step 2) and executes assigned scenario sets (step 6) on its
 // cluster, using the event-driven executor as the cluster's compute fabric.
@@ -122,7 +60,7 @@ func StartSeDSpeed(addr string, cluster *platform.Cluster, opts exec.Options, sp
 		return nil, fmt.Errorf("diet: SeD %s listen: %w", cluster.Name, err)
 	}
 	s := &SeD{cluster: cluster, opts: opts, ln: ln, speed: speed}
-	go acceptLoop(ln, s.handle)
+	go Serve(ln, s.handle)
 	return s, nil
 }
 
@@ -203,7 +141,7 @@ func (s *SeD) StopHeartbeats() {
 // beat sends one heartbeat; delivery is best-effort, the scheduler's
 // deadline eviction handles sustained silence.
 func (s *SeD) beat(schedAddr string) {
-	_, _ = roundTrip(schedAddr, &Request{Kind: KindHeartbeat, Heartbeat: &HeartbeatRequest{
+	_, _ = RoundTrip(schedAddr, &Request{Kind: KindHeartbeat, Heartbeat: &HeartbeatRequest{
 		Cluster:  s.cluster.Name,
 		Addr:     s.Addr(),
 		Procs:    s.cluster.Procs,
@@ -211,22 +149,6 @@ func (s *SeD) beat(schedAddr string) {
 		Speed:    s.speed,
 		Draining: s.Draining(),
 	}})
-}
-
-// RegisterWith announces the daemon to a master agent.
-func (s *SeD) RegisterWith(maAddr string) error {
-	resp, err := roundTrip(maAddr, &Request{Kind: KindRegister, Register: &RegisterRequest{
-		Cluster: s.cluster.Name,
-		Addr:    s.Addr(),
-		Procs:   s.cluster.Procs,
-	}})
-	if err != nil {
-		return err
-	}
-	if resp.Register == nil || !resp.Register.Accepted {
-		return fmt.Errorf("diet: master agent rejected registration of %s", s.cluster.Name)
-	}
-	return nil
 }
 
 func (s *SeD) handle(req *Request) *Response {
@@ -304,116 +226,4 @@ func (s *SeD) handleExec(req *ExecRequest) *Response {
 		Allocation: alloc,
 		Scenarios:  len(req.ScenarioIDs),
 	}}
-}
-
-// Client drives the six-step protocol against a master agent.
-type Client struct {
-	MAAddr string
-}
-
-// SubmitResult reports one full protocol run.
-type SubmitResult struct {
-	// Vectors maps cluster name to its performance vector (steps 2–3).
-	Vectors map[string][]float64
-	// Repartition is the Algorithm-1 outcome (step 4), with Counts in the
-	// order of Clusters.
-	Repartition core.RepartitionResult
-	// Clusters lists cluster names in the order the repartition indexes them.
-	Clusters []string
-	// Reports holds each cluster's execution answer (step 6).
-	Reports []ExecResponse
-	// Makespan is the global result: the slowest cluster's makespan.
-	Makespan float64
-}
-
-// Submit runs the whole Figure-9 protocol for one experiment.
-func (c *Client) Submit(app core.Application, heuristic string) (*SubmitResult, error) {
-	if err := app.Validate(); err != nil {
-		return nil, err
-	}
-	// Discover the clusters.
-	resp, err := roundTrip(c.MAAddr, &Request{Kind: KindList, List: &ListRequest{}})
-	if err != nil {
-		return nil, err
-	}
-	if resp.List == nil || len(resp.List.SeDs) == 0 {
-		return nil, fmt.Errorf("diet: no SeD registered at %s", c.MAAddr)
-	}
-	seds := resp.List.SeDs
-
-	// Steps 1–3: gather performance vectors concurrently.
-	type vecOrErr struct {
-		i   int
-		vec []float64
-		err error
-	}
-	ch := make(chan vecOrErr, len(seds))
-	for i, sed := range seds {
-		go func(i int, sed SeDInfo) {
-			r, err := roundTrip(sed.Addr, &Request{Kind: KindPerf, Perf: &PerfRequest{
-				Scenarios: app.Scenarios,
-				Months:    app.Months,
-				Heuristic: heuristic,
-			}})
-			if err != nil {
-				ch <- vecOrErr{i: i, err: err}
-				return
-			}
-			if r.Perf == nil {
-				ch <- vecOrErr{i: i, err: fmt.Errorf("diet: SeD %s returned no vector", sed.Cluster)}
-				return
-			}
-			ch <- vecOrErr{i: i, vec: r.Perf.Vector}
-		}(i, sed)
-	}
-	perf := make([][]float64, len(seds))
-	for range seds {
-		v := <-ch
-		if v.err != nil {
-			return nil, v.err
-		}
-		perf[v.i] = v.vec
-	}
-
-	// Step 4: the repartition.
-	rep, err := core.Repartition(perf)
-	if err != nil {
-		return nil, err
-	}
-
-	// Step 5–6: dispatch each cluster's share and gather reports.
-	out := &SubmitResult{
-		Vectors:     make(map[string][]float64, len(seds)),
-		Repartition: rep,
-	}
-	for i, sed := range seds {
-		out.Vectors[sed.Cluster] = perf[i]
-		out.Clusters = append(out.Clusters, sed.Cluster)
-	}
-	// Scenario IDs per cluster, in assignment order.
-	ids := make([][]int, len(seds))
-	for scenario, cl := range rep.Assignment {
-		ids[cl] = append(ids[cl], scenario)
-	}
-	for i, sed := range seds {
-		if len(ids[i]) == 0 {
-			continue
-		}
-		r, err := roundTrip(sed.Addr, &Request{Kind: KindExec, Exec: &ExecRequest{
-			ScenarioIDs: ids[i],
-			Months:      app.Months,
-			Heuristic:   heuristic,
-		}})
-		if err != nil {
-			return nil, err
-		}
-		if r.Exec == nil {
-			return nil, fmt.Errorf("diet: SeD %s returned no execution report", sed.Cluster)
-		}
-		out.Reports = append(out.Reports, *r.Exec)
-		if r.Exec.Makespan > out.Makespan {
-			out.Makespan = r.Exec.Makespan
-		}
-	}
-	return out, nil
 }

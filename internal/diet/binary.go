@@ -1,15 +1,11 @@
-// Protocol v4: length-prefixed binary framing.
+// The wire codec: length-prefixed binary framing.
 //
-// Versions 1-3 encode every frame with the legacy self-describing codec
-// (gob), which re-transmits type definitions on every connection and burns
-// the grid's hot path in reflection and per-frame allocations. Version 4
-// replaces the wire *encoding* without touching the wire *semantics*: the
-// same Request/Response envelopes travel as length-prefixed binary frames
-// with a fixed 12-byte header and hand-rolled little-endian payloads for
-// the hot frame kinds (submit, exec, perf, heartbeat, progress, chunk and
-// campaign results). Cold control-plane kinds (cancel, info, stats, ...)
-// ride inside a JSON-envelope frame — self-contained, codec-stateless, and
-// off the hot path by construction.
+// Request/Response envelopes travel as length-prefixed binary frames with a
+// fixed 12-byte header and hand-rolled little-endian payloads for the hot
+// frame kinds (submit, exec, perf, heartbeat, progress, chunk and campaign
+// results). Cold control-plane kinds (cancel, info, stats, ...) ride inside
+// a JSON-envelope frame — self-contained, codec-stateless, and off the hot
+// path by construction.
 //
 // Frame layout (all integers little-endian):
 //
@@ -20,12 +16,9 @@
 //	offset 8:  length  uint32   payload byte count (<= MaxFramePayload)
 //	offset 12: payload
 //
-// A v4 connection carries the magic in its very first bytes, so a server
-// distinguishes binary peers from legacy gob peers by peeking 4 bytes —
-// no extra negotiation round trip. Whether a client may *open* a binary
-// connection at all is decided by the existing min-version machinery: it
-// speaks binary only to peers it has already seen answer with version >= 4
-// (see PeerVersion in wire.go).
+// Every connection carries the magic in its very first bytes and a version
+// of at least ProtocolV4 in every header; a frame failing either is
+// malformed (ErrBadFrame) — there is no second codec to fall back to.
 //
 // Within a payload: strings are u32 length + bytes, []int is u32 count +
 // count x u64 (two's-complement int64), []float64 is u32 count + count x
@@ -56,9 +49,10 @@ const (
 	MaxFramePayload = 16 << 20
 )
 
-// frameMagic opens every v4 frame. The first byte is deliberately outside
-// ASCII so text protocols and legacy gob streams (whose first byte is a
-// small varint message length) cannot collide with it by accident.
+// frameMagic opens every frame. The first byte is deliberately outside
+// ASCII so text protocols (and the retired gob streams of protocol v1-v3,
+// whose first byte is a small varint message length) cannot collide with it
+// by accident.
 var frameMagic = [4]byte{0xF7, 'O', 'A', '4'}
 
 // Frame kinds. Requests and responses use disjoint ranges so a decoder can
@@ -71,7 +65,7 @@ const (
 	fkAttachReq    = 0x05
 	fkResultReq    = 0x06
 	// fkJSONReq wraps the full Request envelope as JSON: the escape hatch
-	// for cold request kinds (register, list, stats, cancel, info, ...).
+	// for cold request kinds (stats, cancel, info, the ring kinds, ...).
 	fkJSONReq = 0x1F
 
 	fkErr            = 0x21
@@ -88,25 +82,21 @@ const (
 
 // Typed decode errors. ErrFrameTooLarge is the verdict on a hostile or
 // corrupt length prefix; ErrBadFrame covers every other malformed frame
-// (bad magic, truncated payload, unknown kind, trailing garbage).
+// (bad magic, a version below ProtocolV4, truncated payload, unknown kind,
+// trailing garbage).
 var (
 	ErrFrameTooLarge = errors.New("diet: frame exceeds size bound")
-	ErrBadFrame      = errors.New("diet: malformed v4 frame")
+	ErrBadFrame      = errors.New("diet: malformed frame")
+
+	errBadMagic = fmt.Errorf("%w: bad magic", ErrBadFrame)
 )
 
-// FrameHeader is one parsed v4 frame header.
+// FrameHeader is one parsed frame header.
 type FrameHeader struct {
 	Version byte
 	Kind    byte
 	Flags   uint16
 	Length  uint32
-}
-
-// IsBinaryMagic reports whether b opens with the v4 frame magic.
-//
-//oalint:hotpath
-func IsBinaryMagic(b []byte) bool {
-	return len(b) >= 4 && b[0] == frameMagic[0] && b[1] == frameMagic[1] && b[2] == frameMagic[2] && b[3] == frameMagic[3]
 }
 
 // parseFrameHeader validates the fixed header. It does not look at the
@@ -118,8 +108,8 @@ func parseFrameHeader(b []byte) (FrameHeader, error) {
 	if len(b) < frameHeaderSize {
 		return h, fmt.Errorf("%w: short header (%d bytes)", ErrBadFrame, len(b))
 	}
-	if !IsBinaryMagic(b) {
-		return h, fmt.Errorf("%w: bad magic % x", ErrBadFrame, b[:4])
+	if [4]byte(b[:4]) != frameMagic {
+		return h, fmt.Errorf("%w % x", errBadMagic, b[:4])
 	}
 	h.Version = b[4]
 	h.Kind = b[5]
@@ -127,6 +117,9 @@ func parseFrameHeader(b []byte) (FrameHeader, error) {
 	h.Length = binary.LittleEndian.Uint32(b[8:12])
 	if h.Length > MaxFramePayload {
 		return h, fmt.Errorf("%w: length prefix %d (max %d)", ErrFrameTooLarge, h.Length, MaxFramePayload)
+	}
+	if h.Version < ProtocolV4 {
+		return h, fmt.Errorf("%w (frame stamped v%d)", errVersionTooOld, h.Version)
 	}
 	return h, nil
 }
@@ -231,7 +224,7 @@ func appendExecResponse(b []byte, e *ExecResponse) []byte {
 	return b
 }
 
-// AppendRequestFrame appends req encoded as one v4 frame to buf and returns
+// AppendRequestFrame appends req encoded as one frame to buf and returns
 // the extended slice. Hot request kinds get the hand-rolled layout; every
 // other kind travels as a JSON envelope frame. The append never aliases
 // req: buf is the only memory written.
@@ -314,9 +307,9 @@ func AppendRequestFrame(buf []byte, req *Request) ([]byte, error) {
 	}
 }
 
-// AppendResponseFrame appends resp encoded as one v4 frame to buf. An error
-// response becomes an fkErr frame whatever else the envelope carries,
-// mirroring the legacy codec's Err-field-wins contract.
+// AppendResponseFrame appends resp encoded as one frame to buf. An error
+// response becomes an fkErr frame whatever else the envelope carries: the
+// Err field wins.
 //
 //oalint:hotpath
 func AppendResponseFrame(buf []byte, resp *Response) ([]byte, error) {
@@ -521,7 +514,7 @@ func (r *byteReader) done() error {
 // peer cannot grow it without bound; past the cap strings just allocate.
 const maxInternedStrings = 1024
 
-// FrameDecoder decodes v4 frames. It is NOT safe for concurrent use.
+// FrameDecoder decodes frames. It is NOT safe for concurrent use.
 //
 // In scratch mode (Retain == false) decoded envelopes, payload structs and
 // slices live in the decoder and are overwritten by the next Decode/Read
@@ -766,7 +759,7 @@ func (d *FrameDecoder) DecodeRequestFrame(hdr FrameHeader, payload []byte) (*Req
 
 // DecodeResponseFrame decodes one response frame payload. Scratch-mode
 // ownership rules match DecodeRequestFrame. An fkErr frame decodes into a
-// Response with Err set, like the legacy codec's error envelope.
+// Response with Err set.
 //
 //oalint:hotpath
 func (d *FrameDecoder) DecodeResponseFrame(hdr FrameHeader, payload []byte) (*Response, error) {

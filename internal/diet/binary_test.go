@@ -3,12 +3,16 @@ package diet
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
+	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"oagrid/internal/core"
+	"oagrid/internal/exec"
 )
 
 // hotRequests covers every hand-rolled request layout.
@@ -70,7 +74,7 @@ func coldEnvelopes() ([]*Request, []*Response) {
 		{Version: ProtocolV4, Kind: KindListCampaigns, ListCampaigns: &ListCampaignsRequest{
 			Status: CampaignDone, Labels: map[string]string{"team": "ocean"},
 		}},
-		{Version: ProtocolV4, Kind: KindRegister, Register: &RegisterRequest{Cluster: "grillon", Addr: "a", Procs: 8}},
+		{Version: ProtocolV4, Kind: KindInfo, Info: &InfoRequest{ID: 3}},
 	}
 	resps := []*Response{
 		{Version: ProtocolV4, Stats: &StatsResponse{QueueDepth: 1, Completed: 5}},
@@ -192,7 +196,7 @@ func TestBinaryScratchReuse(t *testing.T) {
 	}
 }
 
-// TestZeroAllocHotKinds locks in the tentpole's allocation contract: a v4
+// TestZeroAllocHotKinds locks in the codec's allocation contract: a
 // hot-kind encode + decode round trip costs zero allocations per operation
 // once the buffers and the intern table are warm.
 func TestZeroAllocHotKinds(t *testing.T) {
@@ -393,6 +397,99 @@ func TestTruncatedAndTrailingPayloads(t *testing.T) {
 	}
 	if _, _, err := ParseFrame([]byte("GET / HTTP/1.1\r\n")); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("bad magic: got %v, want ErrBadFrame", err)
+	}
+}
+
+// gobRequestPrefix is the recorded opening of a protocol-v3 connection: the
+// first bytes of a gob-encoded Request (its type definition, field names
+// Version, Kind, Register, List). No build speaks that codec any more; the
+// bytes stand in for an old peer knocking.
+var gobRequestPrefix = []byte{
+	0xff, 0xe0, 0x7f, 0x03, 0x01, 0x01, 0x07, 0x52, 0x65, 0x71, 0x75, 0x65, 0x73, 0x74, 0x01, 0xff,
+	0x80, 0x00, 0x01, 0x11, 0x01, 0x07, 0x56, 0x65, 0x72, 0x73, 0x69, 0x6f, 0x6e, 0x01, 0x04, 0x00,
+	0x01, 0x04, 0x4b, 0x69, 0x6e, 0x64, 0x01, 0x0c, 0x00, 0x01, 0x08, 0x52, 0x65, 0x67, 0x69, 0x73,
+	0x74, 0x65, 0x72, 0x01, 0xff, 0x82, 0x00, 0x01, 0x04, 0x4c, 0x69, 0x73, 0x74, 0x01, 0xff, 0x84,
+}
+
+// restamp returns a copy of frame with its header version byte replaced.
+func restamp(frame []byte, ver byte) []byte {
+	out := append([]byte{}, frame...)
+	out[4] = ver
+	return out
+}
+
+// TestSubV4Refused pins the protocol floor. A frame stamped v0-v3 is
+// malformed wherever it is parsed, and a served connection opening with one
+// — in the header or inside the JSON envelope — gets exactly one error frame
+// naming the minimum and is counted; a peer without the frame magic is
+// counted and closed without an answer.
+func TestSubV4Refused(t *testing.T) {
+	hot, err := AppendRequestFrame(nil, hotRequests()[2]) // perf
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ver := byte(0); ver < ProtocolV4; ver++ {
+		if _, _, err := ParseFrame(restamp(hot, ver)); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("header version %d: got %v, want ErrBadFrame", ver, err)
+		}
+		if _, err := NegotiateVersion(int(ver), ProtocolVersion); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("negotiating v%d: got %v, want ErrBadFrame", ver, err)
+		}
+	}
+	if ver, err := NegotiateVersion(ProtocolVersion+7, ProtocolV5); err != nil || ver != ProtocolV5 {
+		t.Fatalf("future peer under a v5 cap negotiated %d, %v", ver, err)
+	}
+
+	sed, err := StartSeD("127.0.0.1:0", smallClusters()[0], exec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sed.Close()
+	// exchange writes raw bytes and returns everything the SeD answers
+	// before it closes the connection.
+	exchange := func(raw []byte) []byte {
+		t.Helper()
+		conn, err := net.Dial("tcp", sed.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		_ = conn.SetDeadline(time.Now().Add(dialTimeout))
+		if _, err := conn.Write(raw); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.(*net.TCPConn).CloseWrite() // nothing more is coming
+		answer, _ := io.ReadAll(conn)
+		return answer
+	}
+	envelope, err := AppendRequestFrame(nil, &Request{Version: 3, Kind: KindStats, Stats: &StatsRequest{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := WireStats().Refused
+	for i, raw := range [][]byte{restamp(hot, 0), restamp(hot, 3), envelope} {
+		answer := exchange(raw)
+		hdr, payload, err := ParseFrame(answer)
+		if err != nil || int(hdr.Length)+frameHeaderSize != len(answer) {
+			t.Fatalf("case %d: answer is not exactly one frame: %v (% x)", i, err, answer)
+		}
+		resp, err := (&FrameDecoder{}).DecodeResponseFrame(hdr, payload)
+		if err != nil || !strings.Contains(resp.Err, "v4 minimum") {
+			t.Fatalf("case %d: answer %+v, %v; want an error naming the v4 minimum", i, resp, err)
+		}
+	}
+	if answer := exchange(gobRequestPrefix); len(answer) != 0 {
+		t.Fatalf("gob peer was answered % x, want a silent close", answer)
+	}
+	if got := WireStats().Refused - before; got != 4 {
+		t.Fatalf("refused counter moved by %d, want 4", got)
+	}
+	// A truncated-but-v4 frame is malformed, not an old peer: not counted.
+	if answer := exchange(hot[:len(hot)-1]); len(answer) != 0 {
+		t.Fatalf("truncated frame was answered % x", answer)
+	}
+	if got := WireStats().Refused - before; got != 4 {
+		t.Fatalf("truncated frame counted as refused (%d)", got)
 	}
 }
 

@@ -1,37 +1,15 @@
 package diet
 
 import (
+	"errors"
 	"math"
 	"strings"
-	"sync"
 	"testing"
 
 	"oagrid/internal/core"
 	"oagrid/internal/exec"
 	"oagrid/internal/platform"
 )
-
-// startGrid boots a master agent plus one SeD per given cluster, all on
-// loopback ephemeral ports, and registers the SeDs.
-func startGrid(t *testing.T, clusters []*platform.Cluster) *MasterAgent {
-	t.Helper()
-	ma, err := StartMasterAgent("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ma.Close() })
-	for _, cl := range clusters {
-		sed, err := StartSeD("127.0.0.1:0", cl, exec.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { sed.Close() })
-		if err := sed.RegisterWith(ma.Addr()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return ma
-}
 
 func smallClusters() []*platform.Cluster {
 	profiles := platform.FiveClusters()[:3]
@@ -41,216 +19,107 @@ func smallClusters() []*platform.Cluster {
 	return profiles
 }
 
-func TestRegistration(t *testing.T) {
-	ma := startGrid(t, smallClusters())
-	seds := ma.SeDs()
-	if len(seds) != 3 {
-		t.Fatalf("registered %d SeDs, want 3", len(seds))
-	}
-	names := map[string]bool{}
-	for _, s := range seds {
-		names[s.Cluster] = true
-		if s.Addr == "" || s.Procs != 30 {
-			t.Fatalf("bad SeD info %+v", s)
-		}
-	}
-	if !names["sagittaire"] || !names["capricorne"] || !names["chicon"] {
-		t.Fatalf("unexpected cluster set %v", names)
-	}
-}
-
-func TestReRegistrationReplaces(t *testing.T) {
-	clusters := smallClusters()[:1]
-	ma := startGrid(t, clusters)
-	// A second daemon for the same cluster replaces the entry.
-	sed, err := StartSeD("127.0.0.1:0", clusters[0], exec.Options{})
+// startSeD boots one SeD for the cluster on a loopback ephemeral port.
+func startSeD(t *testing.T, cl *platform.Cluster) *SeD {
+	t.Helper()
+	sed, err := StartSeD("127.0.0.1:0", cl, exec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sed.Close()
-	if err := sed.RegisterWith(ma.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(ma.SeDs()); got != 1 {
-		t.Fatalf("%d entries after re-registration, want 1", got)
-	}
-	if ma.SeDs()[0].Addr != sed.Addr() {
-		t.Fatal("re-registration did not update the address")
-	}
+	t.Cleanup(func() { sed.Close() })
+	return sed
 }
 
-// TestSubmitMatchesDirectComputation: the distributed protocol must land on
-// exactly the repartition and makespan a direct in-process computation gives.
+// TestSubmitMatchesDirectComputation: what a SeD answers over the wire —
+// the performance vector of step (3) and the execution report of step (6) —
+// is bit for bit what a direct in-process computation gives.
 func TestSubmitMatchesDirectComputation(t *testing.T) {
-	clusters := smallClusters()
-	ma := startGrid(t, clusters)
+	cl := smallClusters()[0]
+	sed := startSeD(t, cl)
 	app := core.Application{Scenarios: 6, Months: 24}
 
-	client := &Client{MAAddr: ma.Addr()}
-	res, err := client.Submit(app, core.NameKnapsack)
+	resp, err := RoundTrip(sed.Addr(), &Request{Kind: KindPerf, Perf: &PerfRequest{
+		Scenarios: app.Scenarios, Months: app.Months, Heuristic: core.NameKnapsack,
+	}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	want, err := core.PerformanceVector(app, cl.Timing, cl.Procs, core.Knapsack{}, exec.Evaluator(exec.Options{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Perf == nil || len(resp.Perf.Vector) != len(want) {
+		t.Fatalf("perf response %+v, want a %d-entry vector", resp.Perf, len(want))
+	}
+	for k := range want {
+		if math.Float64bits(resp.Perf.Vector[k]) != math.Float64bits(want[k]) {
+			t.Fatalf("vector[%d] = %g over the wire, %g direct", k, resp.Perf.Vector[k], want[k])
+		}
 	}
 
-	// Direct computation with the same evaluator.
-	ev := exec.Evaluator(exec.Options{})
-	perf := make([][]float64, len(clusters))
-	for i, cl := range clusters {
-		vec, err := core.PerformanceVector(app, cl.Timing, cl.Procs, core.Knapsack{}, ev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		perf[i] = vec
-	}
-	// The SeD order at the MA matches registration order.
-	want, err := core.Repartition(perf)
+	resp, err = RoundTrip(sed.Addr(), &Request{Kind: KindExec, Exec: &ExecRequest{
+		ScenarioIDs: []int{0, 1, 2}, Months: app.Months, Heuristic: core.NameKnapsack,
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(res.Makespan-want.Makespan) > 1e-6*want.Makespan {
-		t.Fatalf("protocol makespan %g != direct %g", res.Makespan, want.Makespan)
+	if resp.Exec == nil || resp.Exec.Cluster != cl.Name || resp.Exec.Scenarios != 3 {
+		t.Fatalf("exec response %+v", resp.Exec)
 	}
-	total := 0
-	for i, c := range res.Repartition.Counts {
-		if c != want.Counts[i] {
-			t.Fatalf("repartition counts %v != direct %v", res.Repartition.Counts, want.Counts)
-		}
-		total += c
-	}
-	if total != app.Scenarios {
-		t.Fatalf("assigned %d scenarios, want %d", total, app.Scenarios)
-	}
-	// The slowest executing cluster defines the global makespan.
-	maxReport := 0.0
-	for _, r := range res.Reports {
-		if r.Makespan > maxReport {
-			maxReport = r.Makespan
-		}
-	}
-	if maxReport != res.Makespan {
-		t.Fatalf("makespan %g not the max report %g", res.Makespan, maxReport)
+	// The makespan of k scenarios is entry k-1 of the performance vector.
+	if math.Float64bits(resp.Exec.Makespan) != math.Float64bits(want[2]) {
+		t.Fatalf("exec makespan %g, direct %g", resp.Exec.Makespan, want[2])
 	}
 }
 
 func TestSubmitVectorsComplete(t *testing.T) {
-	ma := startGrid(t, smallClusters())
 	app := core.Application{Scenarios: 4, Months: 12}
-	res, err := (&Client{MAAddr: ma.Addr()}).Submit(app, core.NameBasic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Vectors) != 3 {
-		t.Fatalf("got %d vectors, want 3", len(res.Vectors))
-	}
-	for name, vec := range res.Vectors {
-		if len(vec) != app.Scenarios {
-			t.Fatalf("cluster %s vector has %d entries, want %d", name, len(vec), app.Scenarios)
+	for _, cl := range smallClusters() {
+		resp, err := RoundTrip(startSeD(t, cl).Addr(), &Request{Kind: KindPerf, Perf: &PerfRequest{
+			Scenarios: app.Scenarios, Months: app.Months, Heuristic: core.NameBasic,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vec := resp.Perf.Vector
+		if resp.Perf.Cluster != cl.Name || len(vec) != app.Scenarios {
+			t.Fatalf("cluster %s answered %+v, want %d entries", cl.Name, resp.Perf, app.Scenarios)
 		}
 		for k := 1; k < len(vec); k++ {
 			if vec[k] < vec[k-1]-1e-9 {
-				t.Fatalf("cluster %s vector not monotone: %v", name, vec)
+				t.Fatalf("cluster %s vector not monotone: %v", cl.Name, vec)
 			}
 		}
 	}
 }
 
 func TestSubmitErrors(t *testing.T) {
-	ma, err := StartMasterAgent("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	sed := startSeD(t, smallClusters()[0])
+	var remote *RemoteError
+	if _, err := RoundTrip(sed.Addr(), &Request{Kind: KindPerf, Perf: &PerfRequest{Heuristic: core.NameBasic}}); !errors.As(err, &remote) {
+		t.Fatalf("invalid application: got %v, want a RemoteError", err)
 	}
-	defer ma.Close()
-	client := &Client{MAAddr: ma.Addr()}
-	if _, err := client.Submit(core.Application{Scenarios: 2, Months: 2}, core.NameBasic); err == nil {
-		t.Fatal("submit succeeded with no SeD registered")
+	if _, err := RoundTrip(sed.Addr(), &Request{Kind: KindPerf}); !errors.As(err, &remote) {
+		t.Fatalf("empty perf payload: got %v, want a RemoteError", err)
 	}
-	if _, err := client.Submit(core.Application{}, core.NameBasic); err == nil {
-		t.Fatal("invalid application accepted")
-	}
-	if _, err := (&Client{MAAddr: "127.0.0.1:1"}).Submit(core.Application{Scenarios: 1, Months: 1}, core.NameBasic); err == nil {
-		t.Fatal("dead master agent address accepted")
+	_, err := RoundTrip("127.0.0.1:1", &Request{Kind: KindPerf, Perf: &PerfRequest{Scenarios: 1, Months: 1, Heuristic: core.NameBasic}})
+	if err == nil || errors.As(err, &remote) {
+		t.Fatalf("dead address: got %v, want a transport error", err)
 	}
 }
 
 func TestUnknownHeuristicRejectedRemotely(t *testing.T) {
-	ma := startGrid(t, smallClusters()[:1])
-	_, err := (&Client{MAAddr: ma.Addr()}).Submit(core.Application{Scenarios: 2, Months: 4}, "nope")
+	sed := startSeD(t, smallClusters()[0])
+	_, err := RoundTrip(sed.Addr(), &Request{Kind: KindPerf, Perf: &PerfRequest{Scenarios: 2, Months: 4, Heuristic: "nope"}})
 	if err == nil || !strings.Contains(err.Error(), "unknown heuristic") {
 		t.Fatalf("unknown heuristic not rejected: %v", err)
 	}
 }
 
-// TestConcurrentRegistrationAndListing hammers the registry from many
-// goroutines while readers iterate the SeD table. SeDs() must hand out a
-// copy taken under the mutex: under `go test -race` this test fails if the
-// registry ever leaks its internal slice to a reader.
-func TestConcurrentRegistrationAndListing(t *testing.T) {
-	ma, err := StartMasterAgent("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ma.Close()
-
-	clusters := platform.FiveClusters()
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for round := 0; round < 10; round++ {
-				for _, cl := range clusters {
-					_, err := roundTrip(ma.Addr(), &Request{Kind: KindRegister, Register: &RegisterRequest{
-						Cluster: cl.Name,
-						Addr:    "127.0.0.1:1",
-						Procs:   10 + i + round,
-					}})
-					if err != nil {
-						t.Error(err)
-						return
-					}
-				}
-			}
-		}(i)
-	}
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for round := 0; round < 50; round++ {
-				for _, info := range ma.SeDs() {
-					if info.Cluster == "" || info.Procs < 10 {
-						t.Errorf("torn SeD entry %+v", info)
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if got := len(ma.SeDs()); got != len(clusters) {
-		t.Fatalf("registry holds %d entries after churn, want %d", got, len(clusters))
-	}
-}
-
 func TestSeDRejectsUnsupportedKind(t *testing.T) {
-	cl := smallClusters()[0]
-	sed, err := StartSeD("127.0.0.1:0", cl, exec.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sed.Close()
-	if _, err := roundTrip(sed.Addr(), &Request{Kind: KindList, List: &ListRequest{}}); err == nil {
-		t.Fatal("SeD answered a master-agent request")
-	}
-}
-
-func TestMasterAgentRejectsPerf(t *testing.T) {
-	ma, err := StartMasterAgent("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ma.Close()
-	if _, err := roundTrip(ma.Addr(), &Request{Kind: KindPerf, Perf: &PerfRequest{Scenarios: 1, Months: 1, Heuristic: core.NameBasic}}); err == nil {
-		t.Fatal("master agent answered a SeD request")
+	sed := startSeD(t, smallClusters()[0])
+	var remote *RemoteError
+	if _, err := RoundTrip(sed.Addr(), &Request{Kind: KindStats, Stats: &StatsRequest{}}); !errors.As(err, &remote) {
+		t.Fatalf("SeD answered a scheduler request: %v", err)
 	}
 }

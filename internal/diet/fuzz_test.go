@@ -48,6 +48,15 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Add(mid)
 	}
 
+	// Below the floor: header versions 0-3 over a well-formed payload, and
+	// what a retired gob peer opens a connection with.
+	if frame, err := AppendRequestFrame(nil, hotRequests()[0]); err == nil {
+		for ver := byte(0); ver < ProtocolV4; ver++ {
+			f.Add(restamp(frame, ver))
+		}
+	}
+	f.Add(gobRequestPrefix)
+
 	typed := func(t *testing.T, err error) {
 		if err == nil || errors.Is(err, ErrBadFrame) || errors.Is(err, ErrFrameTooLarge) {
 			return

@@ -1,7 +1,6 @@
 // Package diet is a loopback reimplementation of the grid middleware layer
-// the paper deploys on (DIET): a master agent where per-cluster server
-// daemons (SeDs) register, and a client that runs the six-step protocol of
-// the paper's Figure 9 —
+// the paper deploys on (DIET): per-cluster server daemons (SeDs) and the
+// messages of the six-step protocol of the paper's Figure 9 —
 //
 //	(1) the client sends the request (NS, NM) to the clusters;
 //	(2) each cluster computes its performance vector with the knapsack model;
@@ -10,81 +9,63 @@
 //	(5) the client sends each cluster its share of the simulations;
 //	(6) each cluster executes its share.
 //
-// Transport is TCP with two codecs: versions 1-3 speak the legacy
-// self-describing codec (gob), version 4 speaks length-prefixed binary
-// frames (see binary.go). The original study ran this over Grid'5000; here
-// the "clusters" are simulated executors on loopback sockets, which
-// preserves every protocol step and message shape.
+// The scheduler that drives the steps lives in internal/grid. Transport is
+// TCP with one codec: length-prefixed binary frames (see binary.go). The
+// original study ran this over Grid'5000; here the "clusters" are simulated
+// executors on loopback sockets, which preserves every protocol step and
+// message shape.
 package diet
 
 import (
-	"bufio"
 	"context"
-	"encoding/gob"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"time"
 
 	"oagrid/internal/core"
 )
 
-// Protocol versions. Version 1 is the PR-2 wire format: envelopes without a
-// Version field (gob decodes them with Version == 0, which reads as v1) and
-// submit-wait connections that stream exactly two frames, the admission
-// verdict and the final result. Version 2 adds per-campaign progress frames
-// on submit-wait connections. Version 3 is the control plane: per-campaign
-// submit options (priority, labels, deadline) plus the cancel / info /
-// list-campaigns request kinds and the "cancelled" terminal status.
+// Protocol versions. ProtocolV4 is the floor: the first version on binary
+// framing, and the oldest this build negotiates. It carries the streamed
+// campaign (verdict, progress frames, result on one submit-wait or attach
+// connection) and the control plane (per-campaign submit options, cancel,
+// info, list-campaigns, the "cancelled" terminal status). Versions 1-3
+// spoke a different codec and are gone; a peer that opens a connection with
+// anything but the frame magic is closed, and a request stamped below v4
+// is answered with one error frame naming the minimum.
 //
-// Version 4 changes the encoding, not the semantics: envelopes travel as
-// length-prefixed binary frames (binary.go) instead of gob. A v4 peer is
-// one that understands binary framing; every binary connection is
-// therefore v4 or later by construction, and v1-v3 peers keep the legacy
-// codec end to end.
-//
-// Version 5 adds the SubmitResponse.Code rejection classifier. On the
-// legacy gob and JSON-envelope codecs the field is a plain optional
-// addition old peers ignore; on binary framing it is a trailing field of
-// the fkSubmitResp payload, encoded and decoded only when the frame's
-// negotiated version is >= 5 — the binary decoder rejects trailing bytes,
-// so a v4 peer must keep seeing byte-exact v4 frames.
+// Version 5 adds the SubmitResponse.Code rejection classifier: a trailing
+// field of the fkSubmitResp payload, encoded and decoded only when the
+// frame's negotiated version is >= 5 — the binary decoder rejects trailing
+// bytes, so a v4 peer must keep seeing byte-exact v4 frames. (On the JSON
+// cold-kind envelope new fields are plain optional additions old peers
+// ignore.)
 //
 // Negotiation is min(client, server): the client states its version in the
 // Request, the server answers every frame with the effective version, and
 // features above the effective version stay off the wire. Old clients never
 // see frames they cannot parse; new clients detect old servers from the
-// verdict frame's version. A v2 client against a v3 server keeps the exact
-// v2 behaviour: it cannot set the new submit fields, never receives the
-// cancelled status for its own campaigns unless an operator cancels them,
-// and the new request kinds simply do not appear on its wire. Codec choice
-// rides the same machinery, sideways: servers accept both codecs on one
-// port by sniffing the first bytes of a connection for the v4 frame magic,
-// and clients open binary connections only to peers whose answered version
-// was v4 or later (the per-address cache in wire.go) — the first exchange
-// to any peer is always legacy-coded, so a v3 server never sees a frame it
-// cannot parse.
+// verdict frame's version.
+//
 // Version 6 adds the scheduler-ring kinds: forwarded-request envelopes
 // (KindForward), ownership redirects (KindRedirect), ring membership pings
 // (KindRingPing) and WAL segment shipping (KindSegment). None of them are
-// hot-path frames, so on binary framing they ride the JSON cold-kind
-// envelope — no new binary encodings, and a connection negotiated below v6
-// never sees them: a daemon refuses the ring kinds outright below v6, which
-// is also how a ring refuses membership to a pre-v6 peer.
+// hot-path frames, so they ride the JSON cold-kind envelope — no new binary
+// encodings, and a connection negotiated below v6 never sees them: a daemon
+// refuses the ring kinds outright below v6, which is also how a ring
+// refuses membership to a pre-v6 peer.
 //
 // Version 7 adds the elastic-fleet heartbeat fields: Speed (the SeD's
 // relative speed factor, scaling its advertised performance vectors so
 // placement is speed-aware) and Draining (the SeD has stopped accepting new
-// chunks and is finishing in-flight work before deregistering). On the
-// legacy gob and JSON-envelope codecs both are plain optional additions old
-// peers ignore; on binary framing they are trailing fields of the
-// fkHeartbeatReq payload, encoded and decoded only when the frame's
-// negotiated version is >= 7 — the same retrofit discipline as the v5
-// SubmitResponse.Code, because the strict decoder rejects trailing bytes.
-// A beat without them (any pre-v7 peer) reads as Speed 1.0, not draining.
+// chunks and is finishing in-flight work before deregistering). They are
+// trailing fields of the fkHeartbeatReq payload, encoded and decoded only
+// when the frame's negotiated version is >= 7 — the same retrofit
+// discipline as the v5 SubmitResponse.Code. A beat without them (any pre-v7
+// peer) reads as Speed 1.0, not draining.
 const (
-	ProtocolV1 = 1
-	ProtocolV2 = 2
-	ProtocolV3 = 3
 	ProtocolV4 = 4
 	ProtocolV5 = 5
 	ProtocolV6 = 6
@@ -93,24 +74,25 @@ const (
 	ProtocolVersion = ProtocolV7
 )
 
-// NegotiateVersion resolves the effective version of a connection from the
-// version a peer announced (0 means a pre-versioning peer, i.e. v1).
-func NegotiateVersion(peer int) int {
-	if peer <= 0 {
-		return ProtocolV1
+// errVersionTooOld is the verdict on a peer below ProtocolV4. It wraps
+// ErrBadFrame: on the wire a sub-v4 stamp is a malformed frame.
+var errVersionTooOld = fmt.Errorf("%w: protocol version below the v%d minimum", ErrBadFrame, ProtocolV4)
+
+// NegotiateVersion resolves a connection's effective version: the lower of
+// what the peer announced and max, the highest this side speaks. A peer
+// below ProtocolV4 is refused with errVersionTooOld — there is no older
+// codec to fall back to.
+func NegotiateVersion(peer, max int) (int, error) {
+	if peer < ProtocolV4 {
+		return 0, fmt.Errorf("%w (peer announced v%d)", errVersionTooOld, peer)
 	}
-	if peer > ProtocolVersion {
-		return ProtocolVersion
-	}
-	return peer
+	return min(peer, max), nil
 }
 
 // Message kinds.
 const (
-	KindRegister = "register"
-	KindList     = "list"
-	KindPerf     = "perf"
-	KindExec     = "exec"
+	KindPerf = "perf"
+	KindExec = "exec"
 
 	// Online-scheduler kinds (served by internal/grid.Scheduler).
 	KindHeartbeat = "heartbeat"
@@ -119,14 +101,13 @@ const (
 	KindStats     = "stats"
 	// KindAttach reconnects to a previously admitted campaign by ID and
 	// streams like a submit-wait connection: verdict, replayed + live
-	// progress frames (protocol v2), final result.
+	// progress frames, final result.
 	KindAttach = "attach"
 
-	// Control-plane kinds (protocol v3). KindCancel aborts a campaign by ID
-	// server-side; KindInfo fetches one campaign's control-plane snapshot;
+	// Control-plane kinds. KindCancel aborts a campaign by ID server-side;
+	// KindInfo fetches one campaign's control-plane snapshot;
 	// KindListCampaigns enumerates the scheduler's campaign table with an
-	// optional status/label filter. (The SeD directory already owns the name
-	// "list", hence the longer kind string.)
+	// optional status/label filter.
 	KindCancel        = "cancel"
 	KindInfo          = "info"
 	KindListCampaigns = "list-campaigns"
@@ -155,12 +136,10 @@ func RingKind(kind string) bool {
 
 // Request is the envelope every connection carries exactly one of.
 type Request struct {
-	// Version is the protocol version the client speaks (0 reads as v1, the
-	// pre-versioning wire format).
+	// Version is the protocol version the client speaks (ProtocolV4 or
+	// later; RoundTrip fills in this build's newest when left 0).
 	Version   int
 	Kind      string
-	Register  *RegisterRequest
-	List      *ListRequest
 	Perf      *PerfRequest
 	Exec      *ExecRequest
 	Heartbeat *HeartbeatRequest
@@ -169,7 +148,7 @@ type Request struct {
 	Stats     *StatsRequest
 	Attach    *AttachRequest
 
-	// Control plane (protocol v3).
+	// Control plane.
 	Cancel        *CancelRequest
 	Info          *InfoRequest
 	ListCampaigns *ListCampaignsRequest
@@ -182,16 +161,13 @@ type Request struct {
 
 // Response is the reply envelope. A Submit connection with Wait set is the
 // one place the protocol streams: the scheduler writes a Submit frame
-// (admission verdict), then — at protocol v2 with SubmitRequest.Progress
-// set — any number of Progress frames, and finally a Result frame on the
-// same connection.
+// (admission verdict), then — with SubmitRequest.Progress set — any number
+// of Progress frames, and finally a Result frame on the same connection.
 type Response struct {
 	// Version is the effective protocol version the server negotiated for
-	// this connection (0 reads as v1: a pre-versioning server).
+	// this connection.
 	Version   int
 	Err       string
-	Register  *RegisterResponse
-	List      *ListResponse
 	Perf      *PerfResponse
 	Exec      *ExecResponse
 	Heartbeat *HeartbeatResponse
@@ -201,7 +177,7 @@ type Response struct {
 	Stats     *StatsResponse
 	Attach    *AttachResponse
 
-	// Control plane (protocol v3).
+	// Control plane.
 	Cancel        *CancelResponse
 	Info          *CampaignInfo
 	ListCampaigns *ListCampaignsResponse
@@ -284,28 +260,12 @@ type SegmentResponse struct {
 	Reset      bool
 }
 
-// RegisterRequest is a SeD announcing itself to the master agent.
-type RegisterRequest struct {
-	Cluster string
-	Addr    string
-	Procs   int
-}
-
-// RegisterResponse acknowledges a registration.
-type RegisterResponse struct{ Accepted bool }
-
-// ListRequest asks the master agent for the registered SeDs.
-type ListRequest struct{}
-
-// SeDInfo describes one registered server daemon.
+// SeDInfo describes one server daemon as the scheduler's table knows it.
 type SeDInfo struct {
 	Cluster string
 	Addr    string
 	Procs   int
 }
-
-// ListResponse carries the SeD directory.
-type ListResponse struct{ SeDs []SeDInfo }
 
 // PerfRequest is protocol step (1): the experiment parameters.
 type PerfRequest struct {
@@ -411,19 +371,16 @@ type SubmitRequest struct {
 	// verdict immediately and the campaign result when it completes.
 	Wait bool
 	// Progress asks for per-campaign progress frames between the verdict and
-	// the result. Honored only on Wait connections at protocol v2 or later;
-	// a v1 server ignores the field entirely.
+	// the result. Honored only on Wait connections.
 	Progress bool
-	// Priority orders the admission queue (protocol v3): higher-priority
-	// campaigns dispatch first, ties run in admission order. Pre-v3 servers
-	// ignore the field (everything is priority 0, plain FIFO).
+	// Priority orders the admission queue: higher-priority campaigns
+	// dispatch first, ties run in admission order.
 	Priority int
 	// Labels are the campaign's operator-facing tags, matched as a subset by
-	// KindListCampaigns filters (protocol v3). Pre-v3 servers drop them.
+	// KindListCampaigns filters.
 	Labels map[string]string
 	// Deadline overrides the scheduler's per-campaign timeout for this one
-	// campaign (protocol v3; 0 keeps the daemon default). Pre-v3 servers
-	// ignore it.
+	// campaign (0 keeps the daemon default).
 	Deadline time.Duration
 }
 
@@ -440,8 +397,8 @@ type SubmitResponse struct {
 	// admission quota was. Both are transient verdicts worth retrying; the
 	// quota code tells a multi-tenant client that backing off will not help
 	// until its own earlier campaigns drain. Empty on acceptance, from
-	// pre-v5 daemons, and on binary connections negotiated below v5 (treat
-	// a codeless rejection as queue-full).
+	// pre-v5 daemons, and on connections negotiated below v5 (treat a
+	// codeless rejection as queue-full).
 	Code string
 }
 
@@ -462,7 +419,7 @@ type ResultRequest struct{ ID uint64 }
 type AttachRequest struct {
 	ID uint64
 	// Progress asks for progress frames (replayed history plus live updates)
-	// between the verdict and the result. Honored at protocol v2 or later.
+	// between the verdict and the result.
 	Progress bool
 }
 
@@ -484,13 +441,13 @@ const (
 	CampaignDone    = "done"
 	CampaignFailed  = "failed"
 	// CampaignCancelled is the terminal state of a campaign aborted by
-	// KindCancel (protocol v3): admission-queue removal or cooperative abort
+	// KindCancel: admission-queue removal or cooperative abort
 	// of in-flight work, journaled terminally — a cancelled campaign is
 	// never re-admitted by a journal replay.
 	CampaignCancelled = "cancelled"
 )
 
-// CancelRequest aborts a campaign by ID (protocol v3). A queued campaign is
+// CancelRequest aborts a campaign by ID. A queued campaign is
 // removed before it ever dispatches; a running campaign stops at the next
 // chunk boundary — in-flight SeD exchanges are abandoned and their reports
 // discarded, so no chunk frame follows the cancel verdict.
@@ -507,7 +464,7 @@ type CancelResponse struct {
 	Status string
 }
 
-// InfoRequest fetches one campaign's control-plane snapshot (protocol v3).
+// InfoRequest fetches one campaign's control-plane snapshot.
 type InfoRequest struct{ ID uint64 }
 
 // CampaignInfo is the control-plane view of one campaign: the submit options
@@ -549,10 +506,10 @@ type CampaignInfo struct {
 	WaitMs float64
 }
 
-// ListCampaignsRequest enumerates the scheduler's campaign table (protocol
-// v3). Status, when non-empty, keeps only campaigns in that state; Labels,
-// when non-empty, keeps only campaigns whose label set contains every given
-// pair (subset match).
+// ListCampaignsRequest enumerates the scheduler's campaign table. Status,
+// when non-empty, keeps only campaigns in that state; Labels, when
+// non-empty, keeps only campaigns whose label set contains every given pair
+// (subset match).
 type ListCampaignsRequest struct {
 	Status string
 	Labels map[string]string
@@ -613,7 +570,7 @@ type PlannedChunk struct {
 	Scenarios int
 }
 
-// ProgressUpdate is one v2 progress frame: a campaign's state transition.
+// ProgressUpdate is one progress frame: a campaign's state transition.
 // Done/Total count scenarios with a finished chunk report, so clients can
 // render completion without understanding the stages.
 type ProgressUpdate struct {
@@ -640,7 +597,7 @@ type SeDStatus struct {
 	Procs   int
 	Alive   bool
 	// InFlight is the load the daemon itself reported on its last
-	// heartbeat — it includes requests from legacy direct clients the
+	// heartbeat — it includes requests from direct clients the
 	// scheduler never sees.
 	InFlight int
 	// Outstanding is the scheduler's own view: perf/exec requests it
@@ -691,7 +648,7 @@ type StatsResponse struct {
 	Running       int
 	Completed     uint64
 	Failed        uint64
-	// Cancelled counts campaigns terminated by KindCancel (protocol v3).
+	// Cancelled counts campaigns terminated by KindCancel.
 	Cancelled uint64
 	Rejected  uint64
 	Requeues  uint64
@@ -725,22 +682,15 @@ func (e *RemoteError) Error() string {
 // dialTimeout bounds every protocol round trip.
 const dialTimeout = 5 * time.Second
 
-// roundTrip dials addr, sends req and decodes the response, announcing this
-// build's protocol version when the caller left it unset — in-package
-// callers (SeD heartbeats, the Figure-9 client) always speak the newest
-// dialect they can.
-func roundTrip(addr string, req *Request) (*Response, error) {
+// RoundTrip dials addr, sends req and decodes the single response, with the
+// protocol's default deadline, announcing this build's protocol version when
+// the caller left it unset. It is the one-shot client primitive the
+// scheduler layer (internal/grid) builds on.
+func RoundTrip(addr string, req *Request) (*Response, error) {
 	if req.Version == 0 {
 		req.Version = ProtocolVersion
 	}
 	return RoundTripTimeout(addr, req, dialTimeout)
-}
-
-// RoundTrip dials addr, sends req and decodes the single response, with the
-// protocol's default deadline. It is the one-shot client primitive the
-// scheduler layer (internal/grid) builds on.
-func RoundTrip(addr string, req *Request) (*Response, error) {
-	return roundTrip(addr, req)
 }
 
 // RoundTripTimeout is RoundTrip with an explicit deadline for the whole
@@ -751,14 +701,11 @@ func RoundTripTimeout(addr string, req *Request, d time.Duration) (*Response, er
 }
 
 // RoundTripContext is RoundTripTimeout under a context: cancelling ctx
-// aborts the dial and unblocks an in-flight read or write immediately.
-// The exchange uses binary framing when the peer is known to speak v4
-// (see UseBinary) and the legacy codec otherwise; either way a successful
-// response updates the peer-version cache.
+// aborts the dial and unblocks an in-flight read or write immediately. One
+// request frame out, one response frame back. Decoding retains, because
+// round-trip callers keep what they get (perf vectors, chunk reports).
+// Exchanges are not retried here: submit is not idempotent.
 func RoundTripContext(ctx context.Context, addr string, req *Request, d time.Duration) (*Response, error) {
-	if UseBinary(addr, req.Version) {
-		return roundTripBinary(ctx, addr, req, d)
-	}
 	dialer := net.Dialer{Timeout: d}
 	conn, err := dialer.DialContext(ctx, "tcp", addr)
 	if err != nil {
@@ -771,26 +718,25 @@ func RoundTripContext(ctx context.Context, addr string, req *Request, d time.Dur
 		return nil, err
 	}
 	cc := CountConn(conn)
-	if err := gob.NewEncoder(cc).Encode(req); err != nil {
+	if err := WriteRequestFrame(cc, req); err != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
 		return nil, fmt.Errorf("diet: encoding %s request to %s: %w", req.Kind, addr, err)
 	}
-	wireTxFrames.Add(1)
-	var resp Response
-	if err := gob.NewDecoder(cc).Decode(&resp); err != nil {
+	dec := GetFrameDecoder(true)
+	defer PutFrameDecoder(dec)
+	resp, err := dec.ReadResponse(cc)
+	if err != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
 		return nil, fmt.Errorf("diet: decoding %s response from %s: %w", req.Kind, addr, err)
 	}
-	wireRxFrames.Add(1)
-	RecordPeerVersion(addr, resp.Version)
 	if resp.Err != "" {
 		return nil, &RemoteError{Kind: req.Kind, Msg: resp.Err}
 	}
-	return &resp, nil
+	return resp, nil
 }
 
 // AbortOnDone ties a connection to a context: when ctx is cancelled the
@@ -824,46 +770,71 @@ func AbortOnDone(ctx context.Context, conn net.Conn) (stop func()) {
 	return func() { close(quit) }
 }
 
-// serveConn handles one connection with the given dispatcher. The codec is
-// sniffed from the connection's first bytes: the v4 frame magic selects
-// binary framing, anything else falls through to the legacy gob decoder.
+// AcceptRequest reads the request frame that opens a served connection and
+// negotiates its version under max, the highest version the server speaks.
+// Peers this build has no codec for are refused and counted (WireCounters
+// Refused): a connection that does not open with the frame magic is simply
+// dropped — such a peer could not parse an answer — and a request stamped
+// below ProtocolV4 is told the minimum in one error frame. The caller closes
+// the connection on any error.
+func (d *FrameDecoder) AcceptRequest(rw io.ReadWriter, max int) (*Request, int, error) {
+	req, ver, err := d.acceptRequest(rw, max)
+	switch {
+	case errors.Is(err, errVersionTooOld):
+		wireRefused.Add(1)
+		_ = WriteResponseFrame(rw, &Response{Err: err.Error()})
+	case errors.Is(err, errBadMagic):
+		wireRefused.Add(1)
+	}
+	return req, ver, err
+}
+
+func (d *FrameDecoder) acceptRequest(r io.Reader, max int) (*Request, int, error) {
+	h, p, err := d.readFrame(r)
+	if err != nil {
+		if errors.Is(err, errVersionTooOld) {
+			// Consume the refused frame's payload, so that closing does not
+			// reset the connection under the error frame.
+			_, _ = io.CopyN(io.Discard, r, int64(h.Length))
+		}
+		return nil, 0, err
+	}
+	req, err := d.DecodeRequestFrame(h, p)
+	if err != nil {
+		return nil, 0, err
+	}
+	ver, err := NegotiateVersion(req.Version, max)
+	if err != nil {
+		return nil, 0, err
+	}
+	return req, ver, nil
+}
+
+// serveConn serves one connection of a plain request/response agent: one
+// request frame in, one response frame out. Scratch-mode decoding is safe
+// because the decoder is returned only after the handler ran to completion.
 func serveConn(conn net.Conn, handle func(*Request) *Response) {
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(dialTimeout))
 	cc := CountConn(conn)
-	br := bufio.NewReader(cc)
-	peek, err := br.Peek(4)
+	dec := GetFrameDecoder(false)
+	defer PutFrameDecoder(dec)
+	req, ver, err := dec.AcceptRequest(cc, ProtocolVersion)
 	if err != nil {
 		return
 	}
-	if IsBinaryMagic(peek) {
-		if LegacyCodecForced() {
-			return // binary disabled: drop, peer self-heals via version cache
-		}
-		serveBinaryConn(conn, br, cc, handle)
-		return
-	}
-	var req Request
-	if err := gob.NewDecoder(br).Decode(&req); err != nil {
-		return // malformed request: drop silently, client times out
-	}
-	wireRxFrames.Add(1)
-	resp := handle(&req)
-	// Stamp the negotiated version so clients learn this peer's capability
-	// even from handlers that leave the envelope's version zero.
-	if resp.Version == 0 {
-		resp.Version = NegotiateVersion(req.Version)
-	}
+	resp := handle(req)
+	resp.Version = ver
 	// The handler may have burned wall clock on a loaded box (perf vectors,
 	// executor runs); give the write its own fresh deadline.
 	_ = conn.SetDeadline(time.Now().Add(dialTimeout))
-	if gob.NewEncoder(cc).Encode(resp) == nil {
-		wireTxFrames.Add(1)
-	}
+	_ = WriteResponseFrame(cc, resp)
 }
 
-// acceptLoop serves until the listener closes.
-func acceptLoop(ln net.Listener, handle func(*Request) *Response) {
+// Serve runs the accept loop of a plain request/response agent until the
+// listener closes. The grid scheduler streams on some connections and
+// therefore brings its own connection handler.
+func Serve(ln net.Listener, handle func(*Request) *Response) {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -871,12 +842,4 @@ func acceptLoop(ln net.Listener, handle func(*Request) *Response) {
 		}
 		go serveConn(conn, handle)
 	}
-}
-
-// Serve exposes the accept loop to sibling packages that reuse the diet
-// transport for their own agents (the grid scheduler streams on some
-// connections and therefore brings its own connection handler; plain
-// request/response agents can use this).
-func Serve(ln net.Listener, handle func(*Request) *Response) {
-	acceptLoop(ln, handle)
 }

@@ -1,13 +1,11 @@
 package diet
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // ---- wire accounting ------------------------------------------------------
@@ -17,16 +15,21 @@ var (
 	wireRxBytes  atomic.Uint64
 	wireTxFrames atomic.Uint64
 	wireRxFrames atomic.Uint64
+	wireRefused  atomic.Uint64
 )
 
-// WireCounters is a snapshot of the process-wide transport counters, across
-// both codecs: bytes on every counted connection, frames at every encode and
-// decode site. The load injector diffs two snapshots to report wire rates.
+// WireCounters is a snapshot of the process-wide transport counters: bytes
+// on every counted connection, frames at every encode and decode site. The
+// load injector diffs two snapshots to report wire rates.
 type WireCounters struct {
 	BytesTx  uint64
 	BytesRx  uint64
 	FramesTx uint64
 	FramesRx uint64
+	// Refused counts served connections closed because the peer opened with
+	// something other than the frame magic or stamped a version below
+	// ProtocolV4 (see FrameDecoder.AcceptRequest).
+	Refused uint64
 }
 
 // WireStats snapshots the transport counters.
@@ -36,17 +39,7 @@ func WireStats() WireCounters {
 		BytesRx:  wireRxBytes.Load(),
 		FramesTx: wireTxFrames.Load(),
 		FramesRx: wireRxFrames.Load(),
-	}
-}
-
-// CountFrames adds to the frame counters on behalf of codec sites outside
-// this package (the scheduler's gob streaming paths).
-func CountFrames(tx, rx uint64) {
-	if tx != 0 {
-		wireTxFrames.Add(tx)
-	}
-	if rx != 0 {
-		wireRxFrames.Add(rx)
+		Refused:  wireRefused.Load(),
 	}
 }
 
@@ -67,80 +60,6 @@ func (c countingConn) Write(p []byte) (int, error) {
 // CountConn wraps a connection so its traffic lands in the wire counters.
 // Wrap once per connection, not per operation.
 func CountConn(conn net.Conn) net.Conn { return countingConn{conn} }
-
-// ---- codec selection ------------------------------------------------------
-
-var forceLegacy atomic.Bool
-
-// ForceLegacyCodec pins the whole process to the legacy gob codec: outbound
-// exchanges never open binary connections and inbound binary connections are
-// dropped on sniff. The -proto=legacy escape hatch on oarun/oaload for
-// debugging wire issues or talking around a broken middlebox.
-func ForceLegacyCodec(v bool) { forceLegacy.Store(v) }
-
-// LegacyCodecForced reports whether ForceLegacyCodec is in effect.
-func LegacyCodecForced() bool { return forceLegacy.Load() }
-
-// maxPeerVersions bounds the capability cache the same way the scheduler
-// bounds its tenant table (maxDynamicTenants): the cache is an optimization,
-// not state, so a load injector sweeping thousands of ephemeral addresses —
-// or a large ring — must not grow it without limit. At the cap an arbitrary
-// entry is evicted; the victim's next exchange simply re-probes over the
-// legacy codec and re-learns the peer's version from the response.
-const maxPeerVersions = 1024
-
-// peerVersions caches the highest protocol version each peer address has
-// answered with, bounded by maxPeerVersions. Binary framing is opt-in per
-// peer: the first exchange to an unknown address always uses the legacy
-// codec (safe against any version), and the response's negotiated version
-// unlocks binary for the follow-ups. A binary exchange that dies before its
-// first response frame downgrades the entry, so a peer replaced by an older
-// build self-heals on the next (legacy) exchange.
-var (
-	peerVersionsMu sync.Mutex
-	peerVersions   = make(map[string]int)
-)
-
-// PeerVersion returns the cached protocol version for addr (0 if the peer
-// has not answered yet, or its entry was evicted).
-func PeerVersion(addr string) int {
-	peerVersionsMu.Lock()
-	defer peerVersionsMu.Unlock()
-	return peerVersions[addr]
-}
-
-// RecordPeerVersion caches the protocol version addr answered with. A new
-// address arriving at the cap evicts an arbitrary existing entry first;
-// updates to known addresses never evict.
-func RecordPeerVersion(addr string, ver int) {
-	if ver < 0 {
-		ver = 0
-	}
-	peerVersionsMu.Lock()
-	defer peerVersionsMu.Unlock()
-	if _, known := peerVersions[addr]; !known && len(peerVersions) >= maxPeerVersions {
-		for victim := range peerVersions {
-			if victim != addr {
-				delete(peerVersions, victim)
-				break
-			}
-		}
-	}
-	peerVersions[addr] = ver
-}
-
-// PeerVersionCacheLen reports the capability cache's current size (tests).
-func PeerVersionCacheLen() int {
-	peerVersionsMu.Lock()
-	defer peerVersionsMu.Unlock()
-	return len(peerVersions)
-}
-
-// UseBinary reports whether an exchange announcing version ver should open
-// a binary connection to addr.
-func UseBinary(addr string, ver int) bool {
-	return ver >= ProtocolV4 && !forceLegacy.Load() && PeerVersion(addr) >= ProtocolV4
-}
 
 // ---- pooled buffers and decoders ------------------------------------------
 
@@ -279,68 +198,4 @@ func WriteRawFrame(w io.Writer, frame []byte) error {
 	}
 	wireTxFrames.Add(1)
 	return nil
-}
-
-// roundTripBinary is the v4 one-shot exchange: one request frame out, one
-// response frame back. Decoding retains, because round-trip callers keep
-// what they get (perf vectors, chunk reports). A connection that dies before
-// its response frame downgrades the peer-version cache so the next exchange
-// re-probes over the legacy codec; the error still surfaces — exchanges are
-// not retried here because submit is not idempotent.
-func roundTripBinary(ctx context.Context, addr string, req *Request, d time.Duration) (*Response, error) {
-	dialer := net.Dialer{Timeout: d}
-	conn, err := dialer.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("diet: dialing %s: %w", addr, err)
-	}
-	defer conn.Close()
-	stop := AbortOnDone(ctx, conn)
-	defer stop()
-	if err := conn.SetDeadline(time.Now().Add(d)); err != nil {
-		return nil, err
-	}
-	cc := CountConn(conn)
-	if err := WriteRequestFrame(cc, req); err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		RecordPeerVersion(addr, ProtocolV3)
-		return nil, fmt.Errorf("diet: encoding %s request to %s: %w", req.Kind, addr, err)
-	}
-	dec := GetFrameDecoder(true)
-	defer PutFrameDecoder(dec)
-	resp, err := dec.ReadResponse(cc)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		// No response frame at all: the peer may no longer speak binary.
-		RecordPeerVersion(addr, ProtocolV3)
-		return nil, fmt.Errorf("diet: decoding %s response from %s: %w", req.Kind, addr, err)
-	}
-	RecordPeerVersion(addr, resp.Version)
-	if resp.Err != "" {
-		return nil, &RemoteError{Kind: req.Kind, Msg: resp.Err}
-	}
-	return resp, nil
-}
-
-// serveBinaryConn serves one sniffed v4 connection for a plain
-// request/response agent: one request frame in, one response frame out.
-// Scratch-mode decoding is safe here because the handler runs to completion
-// before the decoder is reused or returned.
-func serveBinaryConn(conn net.Conn, r io.Reader, w io.Writer, handle func(*Request) *Response) {
-	dec := GetFrameDecoder(false)
-	req, err := dec.ReadRequest(r)
-	if err != nil {
-		PutFrameDecoder(dec)
-		return
-	}
-	resp := handle(req)
-	PutFrameDecoder(dec)
-	if resp.Version == 0 {
-		resp.Version = NegotiateVersion(req.Version)
-	}
-	_ = conn.SetDeadline(time.Now().Add(dialTimeout))
-	_ = WriteResponseFrame(w, resp)
 }

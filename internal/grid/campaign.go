@@ -73,12 +73,8 @@ type campaign struct {
 }
 
 // progressFrame is one published (or journal-replayed) progress update,
-// serialized at most once however many subscribers receive it. Before this
-// existed every subscriber re-encoded every replayed history frame on
-// Attach; now binary streams share the one cached encoding and legacy gob
-// streams share the one ProgressUpdate struct (gob must re-encode per
-// connection — its streams are stateful — but no longer re-copies frames
-// per subscriber).
+// serialized at most once however many subscribers receive it: every stream
+// and every Attach replay shares the one cached encoding.
 type progressFrame struct {
 	u      diet.ProgressUpdate
 	once   sync.Once
@@ -86,11 +82,10 @@ type progressFrame struct {
 	encErr error
 }
 
-// encoded returns the frame's v4 wire bytes, computing them on first use.
-// Binary connections negotiate v4 or later, the progress layout is
-// identical across those versions, and decoders accept any frame stamped
-// at or below their own version — so the one v4 encoding serves every
-// binary subscriber whatever it negotiated.
+// encoded returns the frame's wire bytes, computing them on first use. The
+// progress layout is identical across v4-v7 and decoders accept any frame
+// stamped at or below their own version — so the one v4 encoding serves
+// every subscriber whatever it negotiated.
 func (f *progressFrame) encoded() ([]byte, error) {
 	f.once.Do(func() {
 		f.enc, f.encErr = diet.AppendResponseFrame(nil, &diet.Response{Version: diet.ProtocolV4, Progress: &f.u})

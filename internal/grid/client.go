@@ -2,7 +2,6 @@ package grid
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -66,9 +65,7 @@ type Client struct {
 	// received frame (verdict, progress, result) gets this long. The deadline
 	// is refreshed on every frame, so a streamed campaign may run arbitrarily
 	// long as a whole — it dies only when the daemon goes silent for Timeout
-	// (default 2m, matching the daemon's campaign timeout; against a v1
-	// daemon, which sends no progress frames, this is also the whole-campaign
-	// bound).
+	// (default 2m, matching the daemon's campaign timeout).
 	Timeout time.Duration
 }
 
@@ -81,9 +78,9 @@ type routeKey struct {
 	id   uint64
 }
 
-// maxRingRoutes bounds the learned-route cache the same way the transport
-// bounds its peer-version cache: routes are an optimization, not state — an
-// evicted victim's next exchange just eats one extra redirect hop.
+// maxRingRoutes bounds the learned-route cache: routes are an optimization,
+// not state — an evicted victim's next exchange just eats one extra redirect
+// hop.
 const maxRingRoutes = 4096
 
 var (
@@ -179,7 +176,7 @@ func (c *Client) ringRoundTrip(ctx context.Context, id uint64, req *diet.Request
 					return nil, target, err
 				}
 				forgetRoute(c.Addr, id)
-				lastErr = err
+				lastErr = wireError(target, err)
 				break // transport failure: rotate to the next member
 			}
 			if resp.Redirect != nil && resp.Redirect.Owner != "" && resp.Redirect.Owner != target {
@@ -197,6 +194,16 @@ func (c *Client) ringRoundTrip(ctx context.Context, id uint64, req *diet.Request
 	return nil, "", fmt.Errorf("%w: %s for campaign %d: %w", ErrUnreachable, req.Kind, id, lastErr)
 }
 
+// wireError types a failed exchange: an answer that is not a well-formed
+// frame (no frame magic, a version below v4, a corrupt payload) is a protocol
+// violation; anything else stays the transport's own error.
+func wireError(addr string, err error) error {
+	if errors.Is(err, diet.ErrBadFrame) || errors.Is(err, diet.ErrFrameTooLarge) {
+		return fmt.Errorf("%w: %s: %w", ErrProtocol, addr, err)
+	}
+	return err
+}
+
 func (c *Client) timeout() time.Duration {
 	if c.Timeout > 0 {
 		return c.Timeout
@@ -207,7 +214,7 @@ func (c *Client) timeout() time.Duration {
 // SubmitMeta is the per-campaign option set of the control plane: priority
 // orders the daemon's admission queue, labels tag the campaign for
 // List filters, and a non-zero deadline overrides the daemon's per-campaign
-// timeout. The zero value is a plain v2-era submission.
+// timeout. The zero value is a plain submission.
 type SubmitMeta struct {
 	Priority int
 	Labels   map[string]string
@@ -221,28 +228,20 @@ func (c *Client) Run(app core.Application, heuristic string) (*diet.CampaignResu
 }
 
 // campaignStream is one open streaming connection: submit-wait or attach.
-// The codec is fixed at open time: binary framing when the daemon is known
-// to speak v4, the legacy gob codec otherwise (fdec nil).
 type campaignStream struct {
 	addr string // the member this stream dialed (ring clients rotate)
 	conn net.Conn
 	cc   net.Conn // counted wrapper around conn
-	dec  *gob.Decoder
-	fdec *diet.FrameDecoder
-	// sawFrame flips after the first decoded frame; a binary stream dying
-	// before it downgrades the peer-version cache (the daemon may have been
-	// replaced by a pre-v4 build, which drops binary connections on sniff).
-	sawFrame bool
-	stop     func()
+	// dec retains what it decodes: progress frames and results outlive the
+	// stream (the dial layer republishes them as client events).
+	dec  *diet.FrameDecoder
+	stop func()
 }
 
 func (st *campaignStream) close() {
 	st.stop()
 	st.conn.Close()
-	if st.fdec != nil {
-		diet.PutFrameDecoder(st.fdec)
-		st.fdec = nil
-	}
+	diet.PutFrameDecoder(st.dec)
 }
 
 // openStreamAt dials one member, ties the connection to ctx, and sends req.
@@ -254,30 +253,17 @@ func (c *Client) openStreamAt(ctx context.Context, addr string, req *diet.Reques
 	}
 	stop := diet.AbortOnDone(ctx, conn)
 	cc := diet.CountConn(conn)
-	st := &campaignStream{addr: addr, conn: conn, cc: cc, stop: stop}
+	st := &campaignStream{addr: addr, conn: conn, cc: cc, dec: diet.GetFrameDecoder(true), stop: stop}
 	if err := conn.SetDeadline(time.Now().Add(c.timeout())); err != nil {
 		st.close()
 		return nil, err
 	}
-	var encErr error
-	if diet.UseBinary(addr, req.Version) {
-		// Retained decoding: progress frames and results outlive the stream
-		// (the dial layer republishes them as client events).
-		st.fdec = diet.GetFrameDecoder(true)
-		encErr = diet.WriteRequestFrame(cc, req)
-	} else {
-		st.dec = gob.NewDecoder(cc)
-		encErr = gob.NewEncoder(cc).Encode(req)
-		if encErr == nil {
-			diet.CountFrames(1, 0)
-		}
-	}
-	if encErr != nil {
+	if err := diet.WriteRequestFrame(cc, req); err != nil {
 		st.close()
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		return nil, fmt.Errorf("grid: encoding %s to %s: %w", req.Kind, addr, encErr)
+		return nil, fmt.Errorf("grid: encoding %s to %s: %w", req.Kind, addr, err)
 	}
 	return st, nil
 }
@@ -293,27 +279,13 @@ func (c *Client) nextFrame(ctx context.Context, st *campaignStream) (*diet.Respo
 		return nil, err
 	}
 	_ = st.conn.SetDeadline(time.Now().Add(c.timeout()))
-	var resp *diet.Response
-	var err error
-	if st.fdec != nil {
-		resp, err = st.fdec.ReadResponse(st.cc)
-	} else {
-		resp = &diet.Response{}
-		if err = st.dec.Decode(resp); err == nil {
-			diet.CountFrames(0, 1)
-		}
-	}
+	resp, err := st.dec.ReadResponse(st.cc)
 	if err != nil {
-		if st.fdec != nil && !st.sawFrame {
-			diet.RecordPeerVersion(st.addr, diet.ProtocolV3)
-		}
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		return nil, err
+		return nil, wireError(st.addr, err)
 	}
-	st.sawFrame = true
-	diet.RecordPeerVersion(st.addr, resp.Version)
 	return resp, ctx.Err()
 }
 
@@ -347,11 +319,11 @@ func (c *Client) streamResult(ctx context.Context, st *campaignStream, id uint64
 }
 
 // RunContext submits a campaign and streams on one connection until the
-// result arrives. meta carries the per-campaign submit options (protocol
-// v3; a pre-v3 daemon ignores them). The admission verdict's campaign ID is
+// result arrives. meta carries the per-campaign submit options. The
+// admission verdict's campaign ID is
 // delivered to onAdmit when non-nil — hold on to it: it is the handle for
 // polling, for Attach after a cut, and for CancelContext. Progress frames
-// (protocol v2) are delivered to onProgress when non-nil; they double as
+// are delivered to onProgress when non-nil; they double as
 // liveness, refreshing the frame deadline. A full queue returns an error
 // wrapping ErrRejected; a campaign the daemon reports as failed returns its
 // snapshot and an error wrapping ErrCampaignFailed; one cancelled

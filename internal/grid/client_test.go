@@ -1,9 +1,11 @@
 package grid
 
 import (
+	"bytes"
 	"context"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -28,16 +30,14 @@ func fakeDaemon(t *testing.T, frames []*diet.Response, pause time.Duration) stri
 			return
 		}
 		defer conn.Close()
-		var req diet.Request
-		if err := gob.NewDecoder(conn).Decode(&req); err != nil {
+		if _, err := (&diet.FrameDecoder{}).ReadRequest(conn); err != nil {
 			return
 		}
-		enc := gob.NewEncoder(conn)
 		for i, frame := range frames {
 			if i > 0 {
 				time.Sleep(pause)
 			}
-			if err := enc.Encode(frame); err != nil {
+			if err := diet.WriteResponseFrame(conn, frame); err != nil {
 				return
 			}
 		}
@@ -53,15 +53,15 @@ func fakeDaemon(t *testing.T, frames []*diet.Response, pause time.Duration) stri
 // because every received frame refreshes the deadline.
 func TestClientSurvivesCampaignLongerThanTimeout(t *testing.T) {
 	mkProgress := func(done int) *diet.Response {
-		return &diet.Response{Version: diet.ProtocolV2, Progress: &diet.ProgressUpdate{
+		return &diet.Response{Version: diet.ProtocolV4, Progress: &diet.ProgressUpdate{
 			ID: 1, Stage: diet.StageChunk, Done: done, Total: 4,
 			Chunk: &diet.ExecResponse{Cluster: "c", Scenarios: 1, Makespan: 1},
 		}}
 	}
 	frames := []*diet.Response{
-		{Version: diet.ProtocolV2, Submit: &diet.SubmitResponse{ID: 1, Accepted: true}},
+		{Version: diet.ProtocolV4, Submit: &diet.SubmitResponse{ID: 1, Accepted: true}},
 		mkProgress(1), mkProgress(2), mkProgress(3), mkProgress(4),
-		{Version: diet.ProtocolV2, Result: &diet.CampaignResult{ID: 1, Status: diet.CampaignDone, Makespan: 1}},
+		{Version: diet.ProtocolV4, Result: &diet.CampaignResult{ID: 1, Status: diet.CampaignDone, Makespan: 1}},
 	}
 	// 5 inter-frame pauses of 120ms ≈ 600ms total stream against a 250ms
 	// frame timeout: the old single-deadline client dies mid-stream, the
@@ -86,7 +86,7 @@ func TestClientSurvivesCampaignLongerThanTimeout(t *testing.T) {
 // fails the campaign within roughly one frame timeout, not never.
 func TestClientTimesOutOnSilentDaemon(t *testing.T) {
 	frames := []*diet.Response{
-		{Version: diet.ProtocolV2, Submit: &diet.SubmitResponse{ID: 1, Accepted: true}},
+		{Version: diet.ProtocolV4, Submit: &diet.SubmitResponse{ID: 1, Accepted: true}},
 		// ... then silence.
 	}
 	addr := fakeDaemon(t, frames, 0)
@@ -105,7 +105,7 @@ func TestClientTimesOutOnSilentDaemon(t *testing.T) {
 // parked on a silent connection immediately and surfaces ctx.Err().
 func TestClientContextCancelMidStream(t *testing.T) {
 	frames := []*diet.Response{
-		{Version: diet.ProtocolV2, Submit: &diet.SubmitResponse{ID: 1, Accepted: true}},
+		{Version: diet.ProtocolV4, Submit: &diet.SubmitResponse{ID: 1, Accepted: true}},
 	}
 	addr := fakeDaemon(t, frames, 0)
 	c := &Client{Addr: addr, Timeout: time.Minute}
@@ -124,9 +124,11 @@ func TestClientContextCancelMidStream(t *testing.T) {
 	}
 }
 
-// submitRaw opens a raw submit-wait connection at the given protocol
-// version and returns every frame the daemon streams back.
-func submitRaw(t *testing.T, addr string, version int, req *diet.SubmitRequest) []diet.Response {
+// submitRaw opens a raw submit-wait connection stamped with the given
+// protocol version and returns every frame the daemon streams back. Each
+// frame must be byte-exact: re-encoding what it decodes to, at the version
+// it is stamped with, reproduces the wire bytes.
+func submitRaw(t *testing.T, addr string, version int, req *diet.SubmitRequest) []*diet.Response {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -134,15 +136,32 @@ func submitRaw(t *testing.T, addr string, version int, req *diet.SubmitRequest) 
 	}
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(30 * time.Second))
-	if err := gob.NewEncoder(conn).Encode(&diet.Request{Version: version, Kind: diet.KindSubmit, Submit: req}); err != nil {
+	if err := diet.WriteRequestFrame(conn, &diet.Request{Version: version, Kind: diet.KindSubmit, Submit: req}); err != nil {
 		t.Fatal(err)
 	}
-	dec := gob.NewDecoder(conn)
-	var frames []diet.Response
+	dec := &diet.FrameDecoder{Retain: true}
+	var frames []*diet.Response
 	for {
-		var resp diet.Response
-		if err := dec.Decode(&resp); err != nil {
+		raw := make([]byte, 12) // the fixed frame header
+		if _, err := io.ReadFull(conn, raw); err != nil {
 			return frames
+		}
+		if n := binary.LittleEndian.Uint32(raw[8:]); n <= diet.MaxFramePayload {
+			raw = append(raw, make([]byte, n)...)
+			if _, err := io.ReadFull(conn, raw[12:]); err != nil {
+				t.Fatalf("frame %d: reading %d-byte payload: %v", len(frames), n, err)
+			}
+		}
+		hdr, payload, err := diet.ParseFrame(raw)
+		if err != nil {
+			t.Fatalf("frame %d: %v", len(frames), err)
+		}
+		resp, err := dec.DecodeResponseFrame(hdr, payload)
+		if err != nil {
+			t.Fatalf("frame %d: %v", len(frames), err)
+		}
+		if again, err := diet.AppendResponseFrame(nil, resp); err != nil || !bytes.Equal(again, raw) {
+			t.Fatalf("frame %d is not byte-exact at v%d (%v):\n wire % x\nagain % x", len(frames), hdr.Version, err, raw, again)
 		}
 		frames = append(frames, resp)
 		if resp.Err != "" || resp.Result != nil {
@@ -151,41 +170,28 @@ func submitRaw(t *testing.T, addr string, version int, req *diet.SubmitRequest) 
 	}
 }
 
-// TestProtocolVersionNegotiation: a v1 client gets the PR-2 wire behaviour
-// (verdict + result, no progress frames, even if it asks) while a v2 client
-// gets the streamed campaign; both against the same daemon.
+// TestProtocolVersionNegotiation: a raw peer at the protocol floor gets the
+// streamed campaign — verdict, planned and chunk progress frames, result —
+// stamped with its own version; a peer from the future negotiates down to
+// the daemon's; a wait without progress keeps the two-frame shape.
 func TestProtocolVersionNegotiation(t *testing.T) {
 	f := startFabric(t, testConfig(), 3)
 	req := func() *diet.SubmitRequest {
 		return &diet.SubmitRequest{Scenarios: 6, Months: 12, Heuristic: core.NameKnapsack, Wait: true, Progress: true}
 	}
 
-	// Version 0 (a pre-versioning client) and 1 negotiate down to v1.
-	for _, v := range []int{0, diet.ProtocolV1} {
-		frames := submitRaw(t, f.Sched.Addr(), v, req())
-		if len(frames) != 2 {
-			t.Fatalf("v%d client got %d frames, want verdict + result only", v, len(frames))
-		}
-		if frames[0].Version != diet.ProtocolV1 || frames[1].Version != diet.ProtocolV1 {
-			t.Fatalf("v%d client saw negotiated versions %d, %d, want %d", v, frames[0].Version, frames[1].Version, diet.ProtocolV1)
-		}
-		if frames[1].Result == nil || frames[1].Result.Status != diet.CampaignDone {
-			t.Fatalf("v%d client campaign did not complete: %+v", v, frames[1])
-		}
-	}
-
-	// A v2 client on the same daemon streams progress between the frames.
-	frames := submitRaw(t, f.Sched.Addr(), diet.ProtocolV2, req())
+	frames := submitRaw(t, f.Sched.Addr(), diet.ProtocolV4, req())
 	if len(frames) < 4 { // verdict + planned + ≥1 chunk + result
-		t.Fatalf("v2 client got only %d frames", len(frames))
+		t.Fatalf("v4 client got only %d frames", len(frames))
+	}
+	final := frames[len(frames)-1]
+	if frames[0].Version != diet.ProtocolV4 || final.Version != diet.ProtocolV4 {
+		t.Fatalf("v4 client saw negotiated versions %d, %d", frames[0].Version, final.Version)
 	}
 	var planned, chunks int
 	for _, fr := range frames[1 : len(frames)-1] {
-		if fr.Version != diet.ProtocolV2 {
-			t.Fatalf("v2 frame carried version %d", fr.Version)
-		}
 		if fr.Progress == nil {
-			t.Fatalf("v2 mid-stream frame without progress: %+v", fr)
+			t.Fatalf("mid-stream frame without progress: %+v", fr)
 		}
 		switch fr.Progress.Stage {
 		case diet.StagePlanned:
@@ -195,13 +201,12 @@ func TestProtocolVersionNegotiation(t *testing.T) {
 		}
 	}
 	if planned == 0 || chunks == 0 {
-		t.Fatalf("v2 stream missed stages: %d planned, %d chunk frames", planned, chunks)
+		t.Fatalf("stream missed stages: %d planned, %d chunk frames", planned, chunks)
 	}
-	final := frames[len(frames)-1]
 	if final.Result == nil || final.Result.Status != diet.CampaignDone {
-		t.Fatalf("v2 campaign did not complete: %+v", final)
+		t.Fatalf("campaign did not complete: %+v", final)
 	}
-	if last := frames[len(frames)-2]; last.Progress != nil && last.Progress.Done != 6 {
+	if last := frames[len(frames)-2]; last.Progress.Done != 6 {
 		t.Fatalf("last progress frame reports %d/6 scenarios", last.Progress.Done)
 	}
 
@@ -211,17 +216,17 @@ func TestProtocolVersionNegotiation(t *testing.T) {
 		t.Fatalf("future client negotiated %d, want %d", frames[0].Version, diet.ProtocolVersion)
 	}
 
-	// A versioned no-progress wait keeps the two-frame shape.
+	// A no-progress wait keeps the two-frame shape.
 	noProg := req()
 	noProg.Progress = false
-	frames = submitRaw(t, f.Sched.Addr(), diet.ProtocolV2, noProg)
+	frames = submitRaw(t, f.Sched.Addr(), diet.ProtocolV4, noProg)
 	if len(frames) != 2 {
-		t.Fatalf("v2 no-progress wait got %d frames, want 2", len(frames))
+		t.Fatalf("no-progress wait got %d frames, want 2", len(frames))
 	}
 }
 
 // TestRunContextStreamsBitIdenticalResult: the ctx client against a real
-// fabric returns the same bit-identical reports the legacy Run did, plus a
+// fabric returns the same bit-identical reports Run does, plus a
 // gapless progress stream ending at Done == Total.
 func TestRunContextStreamsBitIdenticalResult(t *testing.T) {
 	f := startFabric(t, testConfig(), 3)

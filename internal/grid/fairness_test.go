@@ -414,6 +414,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`oagrid_tenant_queue_wait_seconds_count{tenant="ocean"} 1`,
 		"oagrid_sed_alive",
 		"oagrid_wire_tx_bytes_total",
+		"oagrid_wire_refused_total",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metrics output missing %q:\n%s", want, text)

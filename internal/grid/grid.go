@@ -3,8 +3,8 @@
 // service instead of answering one-shot registry queries.
 //
 // The paper submits ocean-atmosphere campaigns through a DIET MA/SeD tree;
-// internal/diet reproduces the six-step protocol of its Figure 9 for a
-// single client-driven run. This package turns the master agent into a
+// internal/diet carries the messages of the six-step protocol of its
+// Figure 9 and the per-cluster SeDs. This package is the master agent as a
 // service under load:
 //
 //	client ──submit──▶ bounded queue ──▶ dispatchers ──▶ SeD pool
@@ -21,13 +21,12 @@
 // SeD performs goes through internal/engine's batched sweep, which keeps
 // results bit-identical to a serial run.
 //
-// The scheduler speaks the internal/diet gob-over-TCP protocol and is a
-// strict superset of the passive MasterAgent: register/list still work, so
-// the legacy diet.Client can run its one-shot protocol against a live
-// daemon unchanged.
+// The scheduler speaks the internal/diet binary-frame protocol (v4-v7) over
+// TCP; SeDs join by heartbeat.
 package grid
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -84,9 +83,8 @@ type Config struct {
 	// scheduler purely in-memory.
 	StateDir string
 	// TenantKey is the label key that names a campaign's fair-queueing
-	// tenant (default "team"). Campaigns without the label — including
-	// everything submitted by pre-v3 peers, whose labels are stripped —
-	// share the DefaultTenant. The tenant table is bounded: beyond
+	// tenant (default "team"). Campaigns without the label share the
+	// DefaultTenant. The tenant table is bounded: beyond
 	// maxDynamicTenants distinct unconfigured names, new ones fold into
 	// the OverflowTenant (see canonicalTenant).
 	TenantKey string
@@ -116,11 +114,15 @@ type Config struct {
 	// wire-level byte counters.
 	MetricsAddr string
 	// MaxProtocol caps the protocol version this daemon negotiates (0 means
-	// the build's newest). A daemon capped below v4 also refuses binary
-	// connections, exactly like a real pre-v4 build — the staged-rollout
-	// knob, and how tests stand up an old-generation daemon.
+	// the build's newest): the mixed-version stand-in the compat tests use
+	// for a v4-v6 daemon. A non-zero value below diet.ProtocolV4, the
+	// protocol floor, is ErrInvalidConfig.
 	MaxProtocol int
 }
+
+// ErrInvalidConfig reports a Config the daemon cannot start with. Fix the
+// configuration; retrying cannot succeed.
+var ErrInvalidConfig = errors.New("grid: invalid configuration")
 
 func (c Config) withDefaults() Config {
 	if c.QueueCap <= 0 {
@@ -364,6 +366,9 @@ func (s *Scheduler) quotaFor(name string) int {
 // journal found there is replayed first: terminal campaigns come back
 // pollable, non-terminal campaigns are re-admitted ahead of new traffic.
 func Start(cfg Config) (*Scheduler, error) {
+	if cfg.MaxProtocol != 0 && cfg.MaxProtocol < diet.ProtocolV4 {
+		return nil, fmt.Errorf("%w: MaxProtocol %d is below the v%d floor", ErrInvalidConfig, cfg.MaxProtocol, diet.ProtocolV4)
+	}
 	cfg = cfg.withDefaults()
 
 	var st *store.Store

@@ -269,24 +269,6 @@ func TestHeartbeatEvictionAndRejoin(t *testing.T) {
 	verifyReports(t, f, app, core.NameKnapsack, res)
 }
 
-// TestLegacyClientAgainstScheduler: the scheduler is a drop-in superset of
-// the passive MasterAgent, so the one-shot Figure-9 client must work
-// against it unchanged.
-func TestLegacyClientAgainstScheduler(t *testing.T) {
-	f := startFabric(t, testConfig(), 2)
-	app := core.Application{Scenarios: 3, Months: 8}
-	res, err := (&diet.Client{MAAddr: f.Sched.Addr()}).Submit(app, core.NameKnapsack)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Vectors) != 2 {
-		t.Fatalf("legacy client saw %d vectors, want 2", len(res.Vectors))
-	}
-	if res.Makespan <= 0 {
-		t.Fatalf("legacy client makespan %g", res.Makespan)
-	}
-}
-
 // TestResultPolling covers the non-streaming path: submit without wait,
 // poll until done.
 func TestResultPolling(t *testing.T) {

@@ -2,8 +2,12 @@ package grid
 
 import (
 	"context"
+	"errors"
+	"io"
 	"math"
+	"math/rand"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -31,64 +35,58 @@ func sameCampaignOutcome(t *testing.T, tag string, got, want *diet.CampaignResul
 	}
 }
 
-// TestCrossVersionMatrix runs the same campaign through every client
-// generation against a v4 daemon — a pre-versioning (v0) client, raw v1,
-// v2 and v3 gob clients, and the real v4 client on the binary codec — and
-// demands every combination negotiates its own version and produces a
+// TestCrossVersionMatrix runs the same campaign through every supported
+// pairing of generations — the current client against daemons capped at
+// each of protocol v4..v7, and raw peers stamping v4..v7 against the current
+// daemon — and demands every pairing negotiates min(client, daemon), keeps
+// byte-exact frames (submitRaw re-encodes each one) and produces a
 // bit-identical campaign.
 func TestCrossVersionMatrix(t *testing.T) {
-	f := startFabric(t, testConfig(), 3)
-	addr := f.Sched.Addr()
 	app := core.Application{Scenarios: 6, Months: 12}
-
-	// Baseline: the v4 client, twice — the first submit-wait exchange runs
-	// over the legacy codec (unknown peer), learns the daemon speaks v4,
-	// and the second runs on binary framing end to end.
-	client := &Client{Addr: addr}
-	want, err := client.RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil)
+	submit := func() *diet.SubmitRequest {
+		return &diet.SubmitRequest{
+			Scenarios: app.Scenarios, Months: app.Months, Heuristic: core.NameKnapsack,
+			Wait: true, Progress: true,
+		}
+	}
+	cur := startFabric(t, testConfig(), 3)
+	want, err := (&Client{Addr: cur.Sched.Addr()}).RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	verifyReports(t, f, app, core.NameKnapsack, want)
-	if got := diet.PeerVersion(addr); got < diet.ProtocolV4 {
-		t.Fatalf("after a v4 exchange the peer cache holds %d, want >= %d", got, diet.ProtocolV4)
-	}
-	binRes, err := client.RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil)
-	if err != nil {
-		t.Fatalf("binary-codec campaign: %v", err)
-	}
-	sameCampaignOutcome(t, "v4-binary vs v4-legacy", binRes, want)
+	verifyReports(t, cur, app, core.NameKnapsack, want)
 
-	// Every legacy generation against the same daemon.
-	for _, v := range []int{0, diet.ProtocolV1, diet.ProtocolV2, diet.ProtocolV3} {
-		frames := submitRaw(t, addr, v, &diet.SubmitRequest{
-			Scenarios: app.Scenarios, Months: app.Months, Heuristic: core.NameKnapsack,
-			Wait: true, Progress: true,
-		})
-		if len(frames) < 2 {
-			t.Fatalf("v%d client got %d frames", v, len(frames))
+	for max := diet.ProtocolV4; max <= diet.ProtocolVersion; max++ {
+		tag := "current client vs v" + string(rune('0'+max)) + " daemon"
+		cfg := testConfig()
+		cfg.MaxProtocol = max
+		f := startFabric(t, cfg, 3)
+		res, err := (&Client{Addr: f.Sched.Addr(), Timeout: 30 * time.Second}).RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tag, err)
 		}
-		wantVer := v
-		if v == 0 {
-			wantVer = diet.ProtocolV1
+		sameCampaignOutcome(t, tag, res, want)
+		if frames := submitRaw(t, f.Sched.Addr(), diet.ProtocolVersion, submit()); frames[0].Version != max {
+			t.Fatalf("%s: negotiated %d, want %d", tag, frames[0].Version, max)
 		}
-		if frames[0].Version != wantVer {
-			t.Fatalf("v%d client negotiated %d, want %d", v, frames[0].Version, wantVer)
-		}
+	}
+
+	for v := diet.ProtocolV4; v <= diet.ProtocolVersion; v++ {
+		tag := "v" + string(rune('0'+v)) + " peer vs current daemon"
+		frames := submitRaw(t, cur.Sched.Addr(), v, submit())
 		final := frames[len(frames)-1]
 		if final.Result == nil || final.Result.Status != diet.CampaignDone {
-			t.Fatalf("v%d campaign did not complete: %+v", v, final)
+			t.Fatalf("%s: campaign did not complete: %+v", tag, final)
 		}
-		sameCampaignOutcome(t, "v"+string(rune('0'+v))+" vs v4", final.Result, want)
-		// Pre-v2 clients must see no progress frames at all.
-		if wantVer < diet.ProtocolV2 && len(frames) != 2 {
-			t.Fatalf("v%d client got %d frames, want verdict + result", v, len(frames))
+		if frames[0].Version != v || final.Version != v {
+			t.Fatalf("%s: negotiated %d (verdict), %d (result), want %d", tag, frames[0].Version, final.Version, v)
 		}
+		sameCampaignOutcome(t, tag, final.Result, want)
 	}
 }
 
-// TestBinaryConnSpeaksV4 proves the daemon really serves the binary codec
-// on its one port: a raw frame exchange negotiates v4 and answers stats.
+// TestBinaryConnSpeaksV4 proves the daemon serves a raw frame exchange: it
+// negotiates the build's version and answers stats.
 func TestBinaryConnSpeaksV4(t *testing.T) {
 	f := startFabric(t, testConfig(), 1)
 	conn, err := net.Dial("tcp", f.Sched.Addr())
@@ -117,10 +115,9 @@ func TestBinaryConnSpeaksV4(t *testing.T) {
 
 // TestSubmitCompatAcrossV4V5 pins the staged-rollout rows the v5 Code
 // field could break: a current client against a daemon capped at protocol
-// v4, and a raw v4 binary client against a current daemon. In both mixed
-// pairings the submit verdict must round-trip over binary framing — the
-// v5 field stays off the wire, because the strict binary decoder rejects
-// any trailing bytes.
+// v4, and a raw v4 client against a current daemon. In both mixed pairings
+// the submit verdict must round-trip — the v5 field stays off the wire,
+// because the strict decoder rejects any trailing bytes.
 func TestSubmitCompatAcrossV4V5(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxProtocol = diet.ProtocolV4
@@ -128,26 +125,17 @@ func TestSubmitCompatAcrossV4V5(t *testing.T) {
 	addr := f.Sched.Addr()
 	app := core.Application{Scenarios: 6, Months: 12}
 
-	// Current client, v4-capped daemon. The first campaign runs over legacy
-	// gob (unknown peer) and caches the daemon's v4 answer; the second runs
-	// on binary framing, where the daemon must emit byte-exact v4 submit
-	// verdicts a strict reader accepts.
+	// Current client, v4-capped daemon: the daemon must emit byte-exact v4
+	// submit verdicts a strict reader accepts.
 	client := &Client{Addr: addr, Timeout: 30 * time.Second}
-	want, err := client.RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil)
+	res, err := client.RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("campaign against a v4-capped daemon: %v", err)
 	}
-	if got := diet.PeerVersion(addr); got != diet.ProtocolV4 {
-		t.Fatalf("peer cache holds %d after talking to a v4-capped daemon, want %d", got, diet.ProtocolV4)
-	}
-	binRes, err := client.RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil)
-	if err != nil {
-		t.Fatalf("binary campaign against a v4-capped daemon: %v", err)
-	}
-	sameCampaignOutcome(t, "current client vs v4 daemon", binRes, want)
+	verifyReports(t, f, app, core.NameKnapsack, res)
 
-	// Raw v4 binary client, current daemon: the negotiated version is v4, so
-	// the verdict frame must end at QueueDepth — a smuggled Code field would
+	// Raw v4 client, current daemon: the negotiated version is v4, so the
+	// verdict frame must end at QueueDepth — a smuggled Code field would
 	// fail this strict decode with trailing payload bytes.
 	f2 := startFabric(t, testConfig(), 1)
 	conn, err := net.Dial("tcp", f2.Sched.Addr())
@@ -166,72 +154,120 @@ func TestSubmitCompatAcrossV4V5(t *testing.T) {
 	dec := &diet.FrameDecoder{Retain: true}
 	resp, err := dec.ReadResponse(conn)
 	if err != nil {
-		t.Fatalf("v4 binary client decoding a current daemon's verdict: %v", err)
+		t.Fatalf("v4 client decoding a current daemon's verdict: %v", err)
 	}
 	if resp.Version != diet.ProtocolV4 {
-		t.Fatalf("v4 binary submit negotiated %d, want %d", resp.Version, diet.ProtocolV4)
+		t.Fatalf("v4 submit negotiated %d, want %d", resp.Version, diet.ProtocolV4)
 	}
 	if resp.Submit == nil || !resp.Submit.Accepted {
-		t.Fatalf("v4 binary submit rejected: %+v", resp)
+		t.Fatalf("v4 submit rejected: %+v", resp)
 	}
 	if resp.Submit.Code != "" {
 		t.Fatalf("v4 verdict carried code %q", resp.Submit.Code)
 	}
 }
 
-// TestV4ClientAgainstV3Daemon covers the downgrade row of the matrix: a
-// daemon capped at protocol v3 (a stand-in for a pre-v4 build — it refuses
-// binary connections outright) serves a current client, which negotiates
-// down, stays on the legacy codec, and gets a bit-identical campaign. Then
-// a poisoned version cache (claiming the daemon speaks v4) self-heals: the
-// dropped binary connection downgrades the cache and the retry succeeds.
-func TestV4ClientAgainstV3Daemon(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxProtocol = diet.ProtocolV3
-	f := startFabric(t, cfg, 3)
-	addr := f.Sched.Addr()
-	app := core.Application{Scenarios: 6, Months: 12}
+// gobRequestPrefix is the recorded opening of a protocol-v3 connection: the
+// first bytes of a gob-encoded diet.Request (its type definition, field
+// names Version, Kind, Register, List). No build speaks that codec any more.
+var gobRequestPrefix = []byte{
+	0xff, 0xe0, 0x7f, 0x03, 0x01, 0x01, 0x07, 0x52, 0x65, 0x71, 0x75, 0x65, 0x73, 0x74, 0x01, 0xff,
+	0x80, 0x00, 0x01, 0x11, 0x01, 0x07, 0x56, 0x65, 0x72, 0x73, 0x69, 0x6f, 0x6e, 0x01, 0x04, 0x00,
+	0x01, 0x04, 0x4b, 0x69, 0x6e, 0x64, 0x01, 0x0c, 0x00, 0x01, 0x08, 0x52, 0x65, 0x67, 0x69, 0x73,
+	0x74, 0x65, 0x72, 0x01, 0xff, 0x82, 0x00, 0x01, 0x04, 0x4c, 0x69, 0x73, 0x74, 0x01, 0xff, 0x84,
+}
 
-	client := &Client{Addr: addr, Timeout: 10 * time.Second}
-	var verdictVer int
-	res, err := client.RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil)
+// TestDaemonRefusesPreV4Peers: a peer that opens with anything but a frame —
+// a retired gob client, or plain garbage — is closed without an answer well
+// inside frameTimeout, counted, costs the daemon no goroutine, and does not
+// disturb the next well-formed submit.
+func TestDaemonRefusesPreV4Peers(t *testing.T) {
+	f := startFabric(t, testConfig(), 2)
+	garbage := make([]byte, 4096)
+	rand.New(rand.NewSource(1)).Read(garbage)
+	garbage[0] = 'G' // never the frame magic
+
+	goroutines := runtime.NumGoroutine()
+	refused := diet.WireStats().Refused
+	for name, raw := range map[string][]byte{"gob request": gobRequestPrefix, "garbage": garbage} {
+		conn, err := net.Dial("tcp", f.Sched.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		_ = conn.SetDeadline(start.Add(frameTimeout))
+		// The daemon may close before the last byte is out: a write error is
+		// the refusal arriving early, not a test failure.
+		_, _ = conn.Write(raw)
+		answer, err := io.ReadAll(conn)
+		conn.Close()
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			t.Fatalf("%s: connection still open after %v", name, time.Since(start))
+		}
+		if len(answer) != 0 {
+			t.Fatalf("%s: daemon answered % x, want a silent close", name, answer)
+		}
+	}
+	if got := diet.WireStats().Refused - refused; got != 2 {
+		t.Fatalf("refused counter moved by %d, want 2", got)
+	}
+	// Heartbeat exchanges come and go, so poll for the count to settle back.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before the refused peers, %d after", goroutines, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	app := core.Application{Scenarios: 3, Months: 8}
+	res, err := (&Client{Addr: f.Sched.Addr()}).Run(app, core.NameKnapsack)
+	if err != nil {
+		t.Fatalf("submit after the refused peers: %v", err)
+	}
+	verifyReports(t, f, app, core.NameKnapsack, res)
+}
+
+// TestClientRejectsNonFrameAnswer: a listener that answers with bytes that
+// are not a frame is a protocol violation on the very first call — there is
+// no per-peer state to learn from and no second codec to retry on.
+func TestClientRejectsNonFrameAnswer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	verifyReports(t, f, app, core.NameKnapsack, res)
-	if got := diet.PeerVersion(addr); got != diet.ProtocolV3 {
-		t.Fatalf("peer cache holds %d after talking to a v3 daemon, want %d", got, diet.ProtocolV3)
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			// Read the whole request first, so the close below cannot reset
+			// the connection under the answer.
+			_, _ = (&diet.FrameDecoder{}).ReadRequest(conn)
+			_, _ = io.WriteString(conn, "HTTP/1.1 400 Bad Request\r\n\r\n")
+			conn.Close()
+		}
+	}()
+	c := &Client{Addr: ln.Addr().String(), Timeout: 5 * time.Second}
+	if _, err := c.RunContext(context.Background(), core.Application{Scenarios: 2, Months: 6}, core.NameKnapsack, SubmitMeta{}, nil, nil); !errors.Is(err, ErrProtocol) {
+		t.Fatalf("streamed submit: got %v, want ErrProtocol", err)
 	}
+	if _, err := c.StatsContext(context.Background()); !errors.Is(err, ErrProtocol) {
+		t.Fatalf("one-shot stats: got %v, want ErrProtocol", err)
+	}
+}
 
-	// Reference outcome from a raw v3 client.
-	frames := submitRaw(t, addr, diet.ProtocolV3, &diet.SubmitRequest{
-		Scenarios: app.Scenarios, Months: app.Months, Heuristic: core.NameKnapsack, Wait: true,
-	})
-	final := frames[len(frames)-1]
-	if final.Result == nil {
-		t.Fatalf("raw v3 campaign returned no result: %+v", final)
-	}
-	verdictVer = frames[0].Version
-	if verdictVer != diet.ProtocolV3 {
-		t.Fatalf("v3 daemon answered version %d", verdictVer)
-	}
-	sameCampaignOutcome(t, "v4-client vs v3-client on v3 daemon", res, final.Result)
-
-	// Poison the cache: claim the daemon speaks v4. The next exchange opens
-	// a binary connection, which the capped daemon drops on sniff; the
-	// failure must downgrade the cache so the follow-up heals onto gob.
-	diet.RecordPeerVersion(addr, diet.ProtocolV4)
-	_, err = client.StatsContext(context.Background())
-	if err == nil {
-		t.Fatal("binary exchange against a v3 daemon unexpectedly succeeded")
-	}
-	if got := diet.PeerVersion(addr); got >= diet.ProtocolV4 {
-		t.Fatalf("failed binary exchange left the cache at %d", got)
-	}
-	if _, err := client.StatsContext(context.Background()); err != nil {
-		t.Fatalf("exchange after self-heal: %v", err)
-	}
-	if _, err := client.RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil); err != nil {
-		t.Fatalf("campaign after self-heal: %v", err)
+// TestMaxProtocolBelowFloorRejected: the version cap can stand in for a
+// v4-v6 daemon, never for one below the floor.
+func TestMaxProtocolBelowFloorRejected(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxProtocol = diet.ProtocolV4 - 1
+	if s, err := Start(cfg); !errors.Is(err, ErrInvalidConfig) {
+		if s != nil {
+			s.Close()
+		}
+		t.Fatalf("Start with MaxProtocol 3: got %v, want ErrInvalidConfig", err)
 	}
 }

@@ -192,6 +192,8 @@ func (s *Scheduler) writeMetrics(w io.Writer) {
 	mw.sample("oagrid_wire_tx_frames_total", float64(wire.FramesTx))
 	mw.family("oagrid_wire_rx_frames_total", "counter", "Process-wide wire frames received.")
 	mw.sample("oagrid_wire_rx_frames_total", float64(wire.FramesRx))
+	mw.family("oagrid_wire_refused_total", "counter", "Connections closed for a missing frame magic or a protocol version below v4.")
+	mw.sample("oagrid_wire_refused_total", float64(wire.Refused))
 
 	if sm := s.shardManager(); sm != nil {
 		s.writeRingMetrics(mw, sm)
@@ -216,11 +218,11 @@ func (s *Scheduler) writeRingMetrics(mw *metricsWriter, sm *shardManager) {
 		}
 		mw.sample("oagrid_ring_peer_alive", alive, "peer", ps.Addr)
 	}
-	mw.family("oagrid_ring_forwarded_total", "counter", "Requests forwarded to their owning shard for legacy clients.")
+	mw.family("oagrid_ring_forwarded_total", "counter", "Requests forwarded to their owning shard for pre-v6 clients.")
 	mw.sample("oagrid_ring_forwarded_total", float64(sm.forwarded.Load()))
 	mw.family("oagrid_ring_redirects_total", "counter", "Ownership redirects answered to v6 clients.")
 	mw.sample("oagrid_ring_redirects_total", float64(sm.redirected.Load()))
-	mw.family("oagrid_ring_proxied_total", "counter", "Attach streams relayed to their owning shard for legacy clients.")
+	mw.family("oagrid_ring_proxied_total", "counter", "Attach streams relayed to their owning shard for pre-v6 clients.")
 	mw.sample("oagrid_ring_proxied_total", float64(sm.proxied.Load()))
 	mw.family("oagrid_ring_fanouts_total", "counter", "List/stats requests fanned out over the alive peer set.")
 	mw.sample("oagrid_ring_fanouts_total", float64(sm.fanouts.Load()))

@@ -15,7 +15,7 @@ import (
 // kinds are served here — the membership ping, the WAL segment pull, and the
 // forwarded-request envelope — plus the ownership routing that decides, per
 // client request, whether this shard serves, redirects (v6 clients), or
-// forwards/proxies on the client's behalf (legacy clients).
+// forwards/proxies on the client's behalf (pre-v6 clients).
 
 // serveRingPing answers the ring membership handshake. Every daemon answers
 // — membership needs no prior ring state on the responder — but only a
@@ -115,7 +115,7 @@ func ringCampaignID(req *diet.Request) (uint64, bool) {
 // forwarded, or proxied); false means the caller should serve it locally —
 // either this shard owns the campaign, already holds it (adopted from a dead
 // peer), or the kind does not route.
-func (s *Scheduler) routeRing(sm *shardManager, send respSender, ver int, req *diet.Request) bool {
+func (s *Scheduler) routeRing(sm *shardManager, send *sender, req *diet.Request) bool {
 	switch req.Kind {
 	case diet.KindStats:
 		_ = send.send(s.fanoutStats(sm))
@@ -132,7 +132,7 @@ func (s *Scheduler) routeRing(sm *shardManager, send respSender, ver int, req *d
 	if owner == sm.ring.Self() || s.lookup(id) != nil {
 		return false
 	}
-	if ver >= diet.ProtocolV6 {
+	if send.ver >= diet.ProtocolV6 {
 		// Redirect fast path: tell the client which shard owns the campaign
 		// and let it retry direct; its route cache makes the detour one-time.
 		sm.redirected.Add(1)
@@ -141,10 +141,10 @@ func (s *Scheduler) routeRing(sm *shardManager, send respSender, ver int, req *d
 	}
 	if req.Kind == diet.KindAttach {
 		sm.proxied.Add(1)
-		s.proxyAttach(send, ver, owner, req.Attach)
+		s.proxyAttach(send, owner, req.Attach)
 		return true
 	}
-	// Legacy one-shot: forward server-side so pre-v6 clients see a single
+	// Pre-v6 one-shot: forward server-side so those clients see a single
 	// campaign namespace without ever learning the ring exists.
 	sm.forwarded.Add(1)
 	resp, err := sm.forwardTo(owner, req)
@@ -279,12 +279,12 @@ func (s *Scheduler) fanoutList(sm *shardManager, filter *diet.ListCampaignsReque
 	return &diet.Response{ListCampaigns: &diet.ListCampaignsResponse{Campaigns: all}}
 }
 
-// proxyAttach relays an attach stream for a legacy (pre-v6) client: this
+// proxyAttach relays an attach stream for a pre-v6 client: this
 // shard attaches to the owner with the in-package client and replays the
 // verdict, progress frames, and result onto the client's connection. A v6
 // client would get a one-frame redirect instead; the proxy exists so the
 // ring is invisible to clients that predate it.
-func (s *Scheduler) proxyAttach(send respSender, ver int, owner string, req *diet.AttachRequest) {
+func (s *Scheduler) proxyAttach(send *sender, owner string, req *diet.AttachRequest) {
 	if req == nil {
 		_ = send.send(&diet.Response{Err: "attach: empty payload"})
 		return
@@ -300,7 +300,7 @@ func (s *Scheduler) proxyAttach(send respSender, ver int, owner string, req *die
 		}
 	}
 	var onProgress func(*diet.ProgressUpdate)
-	if req.Progress && ver >= diet.ProtocolV2 {
+	if req.Progress {
 		onProgress = func(u *diet.ProgressUpdate) {
 			if send.sendProgress(&progressFrame{u: *u}) != nil {
 				cancel()

@@ -1,11 +1,8 @@
 package grid
 
 import (
-	"bufio"
-	"encoding/gob"
 	"fmt"
 	"net"
-	"sort"
 	"time"
 
 	"oagrid/internal/diet"
@@ -28,107 +25,44 @@ func (s *Scheduler) acceptLoop() {
 	}
 }
 
-// respSender writes response frames on one connection, hiding the codec
-// from the streaming logic. sendProgress exists so the binary sender can
-// write a published frame's cached encoding instead of re-encoding it.
-type respSender interface {
-	send(*diet.Response) error
-	sendProgress(*progressFrame) error
-}
-
-// gobSender streams legacy-codec responses. gob streams are stateful (type
-// definitions travel once per connection), so frames cannot be byte-shared
-// across connections — but progress frames still share the one
-// ProgressUpdate struct per published frame instead of a per-subscriber
-// copy.
-type gobSender struct {
-	conn net.Conn
-	enc  *gob.Encoder
+// sender writes response frames on one served connection, stamped with the
+// version the connection negotiated.
+type sender struct {
+	conn net.Conn // counted (diet.CountConn)
 	ver  int
 }
 
-func (g *gobSender) send(resp *diet.Response) error {
-	resp.Version = g.ver
-	_ = g.conn.SetDeadline(time.Now().Add(frameTimeout))
-	err := g.enc.Encode(resp)
-	if err == nil {
-		diet.CountFrames(1, 0)
-	}
-	return err
-}
-
-func (g *gobSender) sendProgress(f *progressFrame) error {
-	return g.send(&diet.Response{Progress: &f.u})
-}
-
-// binSender streams v4 binary frames.
-type binSender struct {
-	conn net.Conn
-	w    net.Conn // counted writer (CountConn over conn)
-	ver  int
-}
-
-func (b *binSender) send(resp *diet.Response) error {
+func (b *sender) send(resp *diet.Response) error {
 	resp.Version = b.ver
 	_ = b.conn.SetDeadline(time.Now().Add(frameTimeout))
-	return diet.WriteResponseFrame(b.w, resp)
+	return diet.WriteResponseFrame(b.conn, resp)
 }
 
-func (b *binSender) sendProgress(f *progressFrame) error {
+// sendProgress writes a published frame's cached encoding instead of
+// re-encoding it per subscriber.
+func (b *sender) sendProgress(f *progressFrame) error {
 	enc, err := f.encoded()
 	if err != nil {
 		return err
 	}
 	_ = b.conn.SetDeadline(time.Now().Add(frameTimeout))
-	return diet.WriteRawFrame(b.w, enc)
+	return diet.WriteRawFrame(b.conn, enc)
 }
 
-// serveConn sniffs the codec from the connection's first bytes (the v4
-// frame magic selects binary framing, anything else the legacy gob codec)
-// and serves one request. maxVersion caps what the scheduler will
-// negotiate: a daemon capped below v4 refuses binary connections outright —
-// the client's version cache then self-heals onto the legacy codec.
+// serveConn reads the one request frame a connection opens with and serves
+// it. Peers below the protocol floor — no frame magic, or a version under
+// v4 — are refused by AcceptRequest.
 func (s *Scheduler) serveConn(conn net.Conn) {
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(frameTimeout))
 	cc := diet.CountConn(conn)
-	br := bufio.NewReader(cc)
-	peek, err := br.Peek(4)
+	dec := diet.GetFrameDecoder(false)
+	defer diet.PutFrameDecoder(dec)
+	req, ver, err := dec.AcceptRequest(cc, s.maxVersion())
 	if err != nil {
 		return
 	}
-	if diet.IsBinaryMagic(peek) {
-		if diet.LegacyCodecForced() || s.maxVersion() < diet.ProtocolV4 {
-			return // binary refused: drop, peer re-probes over gob
-		}
-		dec := diet.GetFrameDecoder(false)
-		defer diet.PutFrameDecoder(dec)
-		req, err := dec.ReadRequest(br)
-		if err != nil {
-			return
-		}
-		ver := s.negotiate(req.Version)
-		s.dispatch(&binSender{conn: conn, w: cc, ver: ver}, ver, req)
-		return
-	}
-	dec := gob.NewDecoder(br)
-	var req diet.Request
-	if err := dec.Decode(&req); err != nil {
-		return
-	}
-	diet.CountFrames(0, 1)
-	ver := s.negotiate(req.Version)
-	s.dispatch(&gobSender{conn: conn, enc: gob.NewEncoder(cc), ver: ver}, ver, &req)
-}
-
-// negotiate resolves a connection's effective version under the daemon's
-// version cap.
-func (s *Scheduler) negotiate(peer int) int {
-	ver := diet.NegotiateVersion(peer)
-	if max := s.maxVersion(); ver > max {
-		ver = max
-	}
-	return ver
+	s.dispatch(&sender{conn: cc, ver: ver}, req)
 }
 
 // maxVersion is the highest protocol version this daemon speaks
@@ -144,26 +78,26 @@ func (s *Scheduler) maxVersion() int {
 // The ring kinds come first — they are daemon-to-daemon and never route —
 // then ring ownership gets a chance to redirect, forward, or fan the request
 // out before the local paths serve it.
-func (s *Scheduler) dispatch(send respSender, ver int, req *diet.Request) {
+func (s *Scheduler) dispatch(send *sender, req *diet.Request) {
 	switch req.Kind {
 	case diet.KindRingPing:
-		_ = send.send(s.serveRingPing(ver))
+		_ = send.send(s.serveRingPing(send.ver))
 		return
 	case diet.KindForward:
-		_ = send.send(s.serveForward(ver, req.Forward))
+		_ = send.send(s.serveForward(send.ver, req.Forward))
 		return
 	case diet.KindSegment:
-		_ = send.send(s.serveSegment(ver, req.Segment))
+		_ = send.send(s.serveSegment(send.ver, req.Segment))
 		return
 	}
-	if sm := s.shardManager(); sm != nil && s.routeRing(sm, send, ver, req) {
+	if sm := s.shardManager(); sm != nil && s.routeRing(sm, send, req) {
 		return
 	}
 	switch req.Kind {
 	case diet.KindSubmit:
-		s.serveSubmit(send, ver, req.Submit)
+		s.serveSubmit(send, req.Submit)
 	case diet.KindAttach:
-		s.serveAttach(send, ver, req.Attach)
+		s.serveAttach(send, req.Attach)
 	default:
 		resp := s.handle(req)
 		_ = send.send(resp)
@@ -171,23 +105,17 @@ func (s *Scheduler) dispatch(send respSender, ver int, req *diet.Request) {
 }
 
 // serveSubmit answers a campaign submission. With Wait set the connection
-// streams: the admission verdict goes out immediately; at protocol v2 with
-// Progress set, per-campaign progress frames follow; the campaign result
+// streams: the admission verdict goes out immediately; with Progress set,
+// per-campaign progress frames follow; the campaign result
 // closes the stream when the run completes. Every frame write refreshes the
 // connection deadline, so a stream stays alive exactly as long as its
 // campaign — and a client gone mid-stream fails a frame write, which
 // releases this goroutine without touching the dispatcher that runs the
 // campaign.
-func (s *Scheduler) serveSubmit(send respSender, ver int, req *diet.SubmitRequest) {
+func (s *Scheduler) serveSubmit(send *sender, req *diet.SubmitRequest) {
 	if req == nil {
 		_ = send.send(&diet.Response{Err: "submit: empty payload"})
 		return
-	}
-	// Features above the negotiated version stay off the wire in both
-	// directions: a peer announcing v2 gets v2 semantics even if it smuggled
-	// v3 submit fields into the envelope.
-	if ver < diet.ProtocolV3 {
-		req.Priority, req.Labels, req.Deadline = 0, nil, 0
 	}
 	c, verdict, err := s.admit(req)
 	if err != nil {
@@ -201,7 +129,7 @@ func (s *Scheduler) serveSubmit(send respSender, ver int, req *diet.SubmitReques
 	// first planned frame (the history replay makes even that race benign,
 	// but late frames would reorder around the verdict).
 	var sub chan *progressFrame
-	if c != nil && req.Wait && req.Progress && ver >= diet.ProtocolV2 {
+	if c != nil && req.Wait && req.Progress {
 		sub = c.subscribe()
 		defer c.unsubscribe(sub)
 	}
@@ -215,11 +143,11 @@ func (s *Scheduler) serveSubmit(send respSender, ver int, req *diet.SubmitReques
 }
 
 // serveAttach reconnects a client to a campaign by ID: the attach verdict
-// goes out first, then — at protocol v2 with Progress set — the campaign's
-// full replayed history followed by live frames, and finally the result.
+// goes out first, then — with Progress set — the campaign's full replayed
+// history followed by live frames, and finally the result.
 // Attaching to a finished campaign replays its history and closes with the
 // stored result immediately.
-func (s *Scheduler) serveAttach(send respSender, ver int, req *diet.AttachRequest) {
+func (s *Scheduler) serveAttach(send *sender, req *diet.AttachRequest) {
 	if req == nil {
 		_ = send.send(&diet.Response{Err: "attach: empty payload"})
 		return
@@ -233,7 +161,7 @@ func (s *Scheduler) serveAttach(send respSender, ver int, req *diet.AttachReques
 	// the replay inside subscribe() pins the history point the live stream
 	// continues from.
 	var sub chan *progressFrame
-	if req.Progress && ver >= diet.ProtocolV2 {
+	if req.Progress {
 		sub = c.subscribe()
 		defer c.unsubscribe(sub)
 	}
@@ -252,11 +180,11 @@ func (s *Scheduler) serveAttach(send respSender, ver int, req *diet.AttachReques
 
 // streamCampaign pumps a campaign's progress frames into send until the
 // campaign ends, then closes the stream with the result. sub may be nil
-// (a plain v1 wait): the loop then only waits for completion.
-func (s *Scheduler) streamCampaign(send respSender, c *campaign, sub chan *progressFrame) {
+// (a wait without progress): the loop then only waits for completion.
+func (s *Scheduler) streamCampaign(send *sender, c *campaign, sub chan *progressFrame) {
 	for {
 		select {
-		case f := <-sub: // nil sub: never ready, plain v1 wait
+		case f := <-sub: // nil sub: never ready, plain wait
 			if err := send.sendProgress(f); err != nil {
 				return
 			}
@@ -283,19 +211,9 @@ func (s *Scheduler) streamCampaign(send respSender, c *campaign, sub chan *progr
 	}
 }
 
-// handle serves the one-shot request kinds. Register and list keep the
-// passive MasterAgent contract, so legacy diet clients work against a live
-// scheduler unchanged.
+// handle serves the one-shot request kinds.
 func (s *Scheduler) handle(req *diet.Request) *diet.Response {
 	switch req.Kind {
-	case diet.KindRegister:
-		if req.Register == nil {
-			return &diet.Response{Err: "register: empty payload"}
-		}
-		// The legacy register kind predates speed and drain: reference
-		// factor, not draining.
-		s.register(diet.SeDInfo(*req.Register), 0, 1.0, false)
-		return &diet.Response{Register: &diet.RegisterResponse{Accepted: true}}
 	case diet.KindHeartbeat:
 		if req.Heartbeat == nil {
 			return &diet.Response{Err: "heartbeat: empty payload"}
@@ -303,8 +221,6 @@ func (s *Scheduler) handle(req *diet.Request) *diet.Response {
 		hb := req.Heartbeat
 		s.register(diet.SeDInfo{Cluster: hb.Cluster, Addr: hb.Addr, Procs: hb.Procs}, hb.InFlight, hb.Speed, hb.Draining)
 		return &diet.Response{Heartbeat: &diet.HeartbeatResponse{OK: true}}
-	case diet.KindList:
-		return &diet.Response{List: &diet.ListResponse{SeDs: s.listSeDs()}}
 	case diet.KindResult:
 		if req.Result == nil {
 			return &diet.Response{Err: "result: empty payload"}
@@ -336,18 +252,4 @@ func (s *Scheduler) handle(req *diet.Request) *diet.Response {
 	default:
 		return &diet.Response{Err: fmt.Sprintf("grid: scheduler: unsupported request %q", req.Kind)}
 	}
-}
-
-// listSeDs exposes the live daemons in the MasterAgent's list format.
-func (s *Scheduler) listSeDs() []diet.SeDInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]diet.SeDInfo, 0, len(s.seds))
-	for _, st := range s.seds {
-		if st.alive {
-			out = append(out, st.info)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Cluster < out[j].Cluster })
-	return out
 }

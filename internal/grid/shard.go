@@ -37,9 +37,9 @@ type shardManager struct {
 	wg   sync.WaitGroup
 
 	// Shard gauges, exposed on /metrics.
-	forwarded  atomic.Uint64 // requests forwarded to the owner for legacy clients
+	forwarded  atomic.Uint64 // requests forwarded to the owner for pre-v6 clients
 	redirected atomic.Uint64 // v6 clients pointed at the owner to retry direct
-	proxied    atomic.Uint64 // attach streams relayed to the owner for legacy clients
+	proxied    atomic.Uint64 // attach streams relayed to the owner for pre-v6 clients
 	fanouts    atomic.Uint64 // list/stats fan-outs over the alive peer set
 	served     atomic.Uint64 // forwarded requests served on a peer's behalf
 	adopted    atomic.Uint64 // campaigns adopted from dead peers' replicas

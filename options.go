@@ -103,7 +103,7 @@ func WithTimeout(d time.Duration) RunnerOption {
 // SubmitOption configures one campaign at submission (Runner.Run) — the
 // per-campaign half of the option surface, next to the per-runner
 // RunnerOption. Submit options travel with the campaign: a remote runner
-// sends them to the daemon on the wire (protocol v3), a durable runner
+// sends them to the daemon on the wire, a durable runner
 // journals them with the admission record, and both report them back
 // through Runner.Info and Runner.List.
 type SubmitOption func(*submitConfig)

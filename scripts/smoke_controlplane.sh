@@ -74,6 +74,10 @@ grep -q done "$workdir/info.txt"
 "$workdir/oasched" -addr "$addr" -cancel 1 >"$workdir/cancel.txt"
 grep -q "campaign 1: done" "$workdir/cancel.txt"
 
+# A peer that does not speak the frame protocol (here: an HTTP client on the
+# wire port) is closed without an answer — and counted, asserted below.
+curl -s -m 5 "http://$addr/" >/dev/null 2>&1 || true
+
 # /metrics: Prometheus text with the queue, per-tenant and SeD families.
 # The completed counter settles just after the campaign's result frame, so
 # the first assertion retries briefly.
@@ -98,6 +102,7 @@ grep -q 'oagrid_tenant_admitted_total{tenant="ocean"} 1' "$metrics_out"
 grep -q 'oagrid_tenant_queue_wait_seconds_count{tenant="ocean"} 1' "$metrics_out"
 grep -q '^oagrid_sed_alive' "$metrics_out"
 grep -q '^oagrid_wire_tx_bytes_total ' "$metrics_out"
+grep -q '^oagrid_wire_refused_total 1$' "$metrics_out"
 curl -fsSI "http://$metrics_addr/metrics" >"$workdir/headers.txt"
 grep -qi '^content-type: text/plain' "$workdir/headers.txt"
 
