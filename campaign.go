@@ -34,11 +34,14 @@ func NewCampaign(scenarios, months int) Campaign {
 // typed errors (ErrRejected, ErrCampaignFailed, ErrCampaignCancelled,
 // ErrProtocol).
 //
-// Cancelling ctx stops only this client's involvement: a local run stops
-// its worker pool between evaluations, a remote run releases its connection
-// while the daemon-side campaign keeps running to its own deadline. Either
-// way the handle resolves with ctx's error. Cancel, by contrast, stops the
-// campaign itself, wherever it runs.
+// Cancelling ctx stops only this client's involvement, and never ends the
+// campaign: a remote run releases its connection while the daemon-side
+// campaign keeps running to its own deadline; a local run — where this
+// process is also the one evaluating — pauses, stopping its worker pool
+// between evaluations and leaving the journal non-terminal, so the next
+// runner on the state dir resumes it. Either way the handle resolves with
+// ctx's error. Cancel, by contrast, stops the campaign itself, wherever it
+// runs.
 //
 // Local and Dial implement every method with identical semantics, so a
 // program written against Runner moves between in-process and grid
@@ -121,8 +124,8 @@ type CampaignInfo struct {
 	Err string
 	// Tenant is the fair-queueing tenant the campaign runs under — the
 	// value of the daemon's tenant label key (default "team"), "default"
-	// when the campaign carries none. Local runners derive it the same way
-	// so Info stays runner-agnostic.
+	// when the campaign carries none. Local runners derive it with the same
+	// code, so Info stays runner-agnostic.
 	Tenant string
 	// QueuePos is the campaign's 1-based dispatch position within its
 	// tenant's queue while queued, 0 after dispatch (and always 0 on local
@@ -245,18 +248,6 @@ type CampaignResult struct {
 	Requeues int
 }
 
-// resultMakespan folds chunk reports into the campaign makespan: rounds run
-// sequentially, so it is the sum of per-round chunk maxima. It delegates to
-// the one shared fold (diet.CampaignMakespan), so local and remote results
-// stay bit-identical.
-func resultMakespan(reports []ClusterReport) float64 {
-	folded := make([]diet.ExecResponse, 0, len(reports))
-	for _, r := range reports {
-		folded = append(folded, diet.ExecResponse{Makespan: r.Makespan, Round: r.Round})
-	}
-	return diet.CampaignMakespan(folded)
-}
-
 // Handle is a running campaign. Events streams typed progress; Wait blocks
 // for the final result. Both may be used together or alone — events buffer
 // internally, so a caller that only Waits never blocks the runner, and a
@@ -306,13 +297,6 @@ func (h *Handle) setScenarios(n int) {
 		h.scenarios = n
 	}
 	h.mu.Unlock()
-}
-
-// finished reports whether the campaign reached its terminal event.
-func (h *Handle) finished() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.ended
 }
 
 // publish appends one event to the stream and wakes all subscribers; it

@@ -9,11 +9,26 @@ import (
 	"oagrid/internal/grid"
 )
 
-// remoteRunner drives campaigns against a grid scheduler daemon over the
-// versioned diet wire protocol.
-type remoteRunner struct {
-	client grid.Client
-	cfg    runnerConfig
+// service is what a runner drives campaigns through: the five call shapes
+// grid.Client (a daemon, over the wire) and grid.Local (the same campaign
+// core, in-process) share, all in diet wire types — so the frame-to-event
+// mapping below is the only one.
+type service interface {
+	RunContext(ctx context.Context, app core.Application, heuristic string, meta grid.SubmitMeta, onAdmit func(uint64), onProgress func(*diet.ProgressUpdate)) (*diet.CampaignResult, error)
+	AttachContext(ctx context.Context, id uint64, onAttach func(*diet.AttachResponse), onProgress func(*diet.ProgressUpdate)) (*diet.CampaignResult, error)
+	CancelContext(ctx context.Context, id uint64) (string, error)
+	InfoContext(ctx context.Context, id uint64) (*diet.CampaignInfo, error)
+	ListCampaignsContext(ctx context.Context, filter *diet.ListCampaignsRequest) ([]diet.CampaignInfo, error)
+}
+
+// runner is the one Runner implementation. It holds no campaign state: the
+// lifecycle lives behind the service, in a daemon or in the in-process core.
+type runner struct {
+	service service
+	// local is the service again when it is in-process, nil for a daemon:
+	// the core this runner owns and must close.
+	local *grid.Local
+	cfg   runnerConfig
 }
 
 // Dial builds a Runner over a live grid scheduler daemon (cmd/oarun
@@ -36,14 +51,11 @@ func Dial(ctx context.Context, addr string, opts ...RunnerOption) (Runner, error
 		return nil, err
 	}
 	primary, fallbacks := splitAddrs(addr)
-	r := &remoteRunner{
-		client: grid.Client{Addr: primary, Addrs: fallbacks, Timeout: cfg.timeout},
-		cfg:    cfg,
-	}
-	if _, err := r.client.StatsContext(ctx); err != nil {
+	client := &grid.Client{Addr: primary, Addrs: fallbacks, Timeout: cfg.timeout}
+	if _, err := client.StatsContext(ctx); err != nil {
 		return nil, err
 	}
-	return r, nil
+	return &runner{service: client, cfg: cfg}, nil
 }
 
 // splitAddrs parses Dial's address argument: a comma-separated member list
@@ -63,10 +75,14 @@ func splitAddrs(addr string) (string, []string) {
 	return all[0], all[1:]
 }
 
-// Run implements Runner. Submit options travel to the daemon on the wire:
-// priority orders its admission queue, labels tag the
-// campaign for List, a deadline overrides its campaign timeout.
-func (r *remoteRunner) Run(ctx context.Context, c Campaign, opts ...SubmitOption) (*Handle, error) {
+// Run implements Runner. Submit options travel with the campaign — to the
+// daemon on the wire, into the journal on a durable runner: priority orders
+// a daemon's admission queue, labels tag the campaign for List, a deadline
+// bounds it. A remote Run returns before the admission verdict (the handle
+// carries it); a local one returns once the campaign is admitted — its
+// admission is one journal append, not a network round trip — so the handle
+// already has its ID, and an admission the journal refused is Run's error.
+func (r *runner) Run(ctx context.Context, c Campaign, opts ...SubmitOption) (*Handle, error) {
 	app := core.Application(c.Experiment)
 	if err := app.Validate(); err != nil {
 		return nil, err
@@ -84,21 +100,33 @@ func (r *remoteRunner) Run(ctx context.Context, c Campaign, opts ...SubmitOption
 	}
 	handle := newHandle(app.Scenarios)
 	meta := grid.SubmitMeta{Priority: sub.priority, Labels: sub.labels, Deadline: sub.deadline}
-	go r.run(ctx, handle, app, name, meta)
+	if r.local == nil {
+		go r.run(ctx, handle, app, name, meta, nil)
+		return handle, nil
+	}
+	admitted := make(chan struct{})
+	go r.run(ctx, handle, app, name, meta, admitted)
+	select {
+	case <-admitted:
+	case <-handle.done:
+		if handle.ID() == 0 {
+			return nil, handle.err
+		}
+	}
 	return handle, nil
 }
 
-// Cancel implements Runner: the daemon journals the cancellation before the
+// Cancel implements Runner: the cancellation is journaled before the
 // verdict returns, so it survives any restart. An unknown ID is
 // ErrUnknownCampaign; a campaign that finished first is a no-op.
-func (r *remoteRunner) Cancel(ctx context.Context, id uint64) error {
-	_, err := r.client.CancelContext(ctx, id)
+func (r *runner) Cancel(ctx context.Context, id uint64) error {
+	_, err := r.service.CancelContext(ctx, id)
 	return err
 }
 
-// List implements Runner: the daemon's campaign table in admission order.
-func (r *remoteRunner) List(ctx context.Context, filter ListFilter) ([]CampaignInfo, error) {
-	infos, err := r.client.ListCampaignsContext(ctx, &diet.ListCampaignsRequest{
+// List implements Runner: the campaign table in admission order.
+func (r *runner) List(ctx context.Context, filter ListFilter) ([]CampaignInfo, error) {
+	infos, err := r.service.ListCampaignsContext(ctx, &diet.ListCampaignsRequest{
 		Status: filter.Status,
 		Labels: filter.Labels,
 	})
@@ -113,8 +141,8 @@ func (r *remoteRunner) List(ctx context.Context, filter ListFilter) ([]CampaignI
 }
 
 // Info implements Runner.
-func (r *remoteRunner) Info(ctx context.Context, id uint64) (*CampaignInfo, error) {
-	wi, err := r.client.InfoContext(ctx, id)
+func (r *runner) Info(ctx context.Context, id uint64) (*CampaignInfo, error) {
+	wi, err := r.service.InfoContext(ctx, id)
 	if err != nil {
 		return nil, err
 	}
@@ -144,16 +172,18 @@ func infoFromWire(wi *diet.CampaignInfo) CampaignInfo {
 	}
 }
 
-// Attach implements Runner: it reconnects to a daemon-side campaign by ID
-// over a KindAttach stream. The handle replays the campaign's full progress
+// Attach implements Runner: it reconnects to a campaign by ID — over a
+// KindAttach stream to a daemon, straight to the core in-process. The
+// returned handle is a fresh one that replays the campaign's full progress
 // history — including everything published before a network cut or a
-// daemon restart on a state dir — then follows it live to the result.
-// Attach blocks until the attach verdict (one dial plus one frame, bounded
-// by WithTimeout) or the failure that precedes it: the verdict carries the
-// campaign shape that sizes event-subscription buffers, so a handle
-// returned earlier could hand Events() an undersized channel and strand an
-// abandoning consumer's delivery goroutine.
-func (r *remoteRunner) Attach(ctx context.Context, id uint64) (*Handle, error) {
+// restart on a state dir — then follows it live to the result. An unknown
+// ID resolves the handle with ErrUnknownCampaign, so callers can always go
+// straight to Wait. Attach blocks until the attach verdict (remotely: one
+// dial plus one frame, bounded by WithTimeout) or the failure that precedes
+// it: the verdict carries the campaign shape that sizes event-subscription
+// buffers, so a handle returned earlier could hand Events() an undersized
+// channel and strand an abandoning consumer's delivery goroutine.
+func (r *runner) Attach(ctx context.Context, id uint64) (*Handle, error) {
 	handle := newHandle(0) // shape arrives with the attach verdict
 	ready := make(chan struct{})
 	go r.attach(ctx, handle, id, ready)
@@ -164,52 +194,61 @@ func (r *remoteRunner) Attach(ctx context.Context, id uint64) (*Handle, error) {
 	return handle, nil
 }
 
-// Close implements Runner. Campaigns dial their own connections, so there
-// is nothing to release.
-func (r *remoteRunner) Close() error { return nil }
+// Close implements Runner. Remote campaigns dial their own connections, so
+// there is nothing to release. A local runner pauses the campaigns still
+// running — they stay non-terminal in the journal and resume on the next
+// open, like a daemon shutdown, and their handles resolve with
+// ErrCampaignFailed — and then releases the journal.
+func (r *runner) Close() error {
+	if r.local != nil {
+		return r.local.Close()
+	}
+	return nil
+}
 
-func (r *remoteRunner) run(ctx context.Context, handle *Handle, app core.Application, heuristic string, meta grid.SubmitMeta) {
-	res, err := r.client.RunContext(ctx, app, heuristic, meta,
+func (r *runner) run(ctx context.Context, handle *Handle, app core.Application, heuristic string, meta grid.SubmitMeta, admitted chan<- struct{}) {
+	res, err := r.service.RunContext(ctx, app, heuristic, meta,
 		func(id uint64) {
 			handle.setID(id)
 			handle.publish(EventAdmitted{ID: id})
-		},
-		func(u *diet.ProgressUpdate) {
-			for _, ev := range progressEvents(u) {
-				handle.publish(ev)
+			if admitted != nil {
+				close(admitted)
 			}
-		})
-	if err != nil {
-		if ctx.Err() != nil {
-			err = ctx.Err()
-		}
-		handle.finish(nil, err)
-		return
-	}
-	handle.finish(fromWire(res), nil)
+		},
+		handle.progress)
+	handle.resolve(ctx, res, err)
 }
 
-func (r *remoteRunner) attach(ctx context.Context, handle *Handle, id uint64, ready chan<- struct{}) {
-	res, err := r.client.AttachContext(ctx, id,
+func (r *runner) attach(ctx context.Context, handle *Handle, id uint64, ready chan<- struct{}) {
+	res, err := r.service.AttachContext(ctx, id,
 		func(v *diet.AttachResponse) {
 			handle.setID(v.ID)
 			handle.setScenarios(v.Total)
 			handle.publish(EventAdmitted{ID: v.ID})
 			close(ready)
 		},
-		func(u *diet.ProgressUpdate) {
-			for _, ev := range progressEvents(u) {
-				handle.publish(ev)
-			}
-		})
-	if err != nil {
-		if ctx.Err() != nil {
-			err = ctx.Err()
-		}
-		handle.finish(nil, err)
-		return
+		handle.progress)
+	handle.resolve(ctx, res, err)
+}
+
+// progress republishes one wire progress frame as typed events.
+func (h *Handle) progress(u *diet.ProgressUpdate) {
+	for _, ev := range progressEvents(u) {
+		h.publish(ev)
 	}
-	handle.finish(fromWire(res), nil)
+}
+
+// resolve finishes the handle with a campaign stream's outcome. A stream
+// that broke because the caller's ctx ended resolves with ctx's error.
+func (h *Handle) resolve(ctx context.Context, res *diet.CampaignResult, err error) {
+	switch {
+	case err == nil:
+		h.finish(fromWire(res), nil)
+	case ctx.Err() != nil:
+		h.finish(nil, ctx.Err())
+	default:
+		h.finish(nil, err)
+	}
 }
 
 // progressEvents maps one wire progress frame onto the typed event stream.
@@ -239,8 +278,9 @@ func progressEvents(u *diet.ProgressUpdate) []Event {
 	}
 }
 
-// reportFromWire maps one wire chunk report onto the public shape. The full
-// backend Result does not travel the wire (or the journal), so it stays nil.
+// reportFromWire maps one chunk report onto the public shape. The full
+// backend Result travels neither wire nor journal: it is set only on a
+// report the in-process core evaluated in this process.
 func reportFromWire(rep diet.ExecResponse) ClusterReport {
 	return ClusterReport{
 		Cluster:    rep.Cluster,
@@ -248,10 +288,11 @@ func reportFromWire(rep diet.ExecResponse) ClusterReport {
 		Makespan:   rep.Makespan,
 		Allocation: rep.Allocation,
 		Round:      rep.Round,
+		Result:     rep.Result,
 	}
 }
 
-// fromWire maps the daemon's campaign result onto the public shape.
+// fromWire maps a campaign result onto the public shape.
 func fromWire(res *diet.CampaignResult) *CampaignResult {
 	out := &CampaignResult{Makespan: res.Makespan, Requeues: res.Requeues}
 	for _, rep := range res.Reports {

@@ -1,6 +1,7 @@
 package diet
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"sync"
@@ -164,20 +165,57 @@ func (s *SeD) handle(req *Request) *Response {
 	}
 }
 
+// PerfVector is protocol step 2 on one cluster: the makespans of 1..n
+// scenarios of the given length, planned by the named heuristic and
+// evaluated on ev as one batched sweep (the plan cache and memoized timing
+// are shared across the k values; the sweep is bit-identical to a serial
+// loop whatever the worker count). A SeD answers KindPerf with it and the
+// in-process campaign executor calls it directly, so the two cannot drift.
+func PerfVector(ctx context.Context, ev engine.Evaluator, cluster *platform.Cluster, n, months int, heuristic string, opts engine.Options, workers int) ([]float64, error) {
+	h, err := core.ByName(heuristic)
+	if err != nil {
+		return nil, err
+	}
+	app := core.Application{Scenarios: n, Months: months}
+	vecs, err := engine.PerformanceVectorsContext(ctx, ev, app, []*platform.Cluster{cluster}, h, opts, workers)
+	if err != nil {
+		return nil, err
+	}
+	return vecs[0], nil
+}
+
+// ExecChunk is protocol step 6 on one cluster: plan the chunk's scenarios
+// with the named heuristic and evaluate the plan on ev. The backend's full
+// report comes back beside the wire-shaped one because it never travels
+// the wire: a SeD drops it, the in-process executor hangs it on
+// ExecResponse.Result.
+func ExecChunk(ctx context.Context, ev engine.Evaluator, cluster *platform.Cluster, ids []int, months int, heuristic string, opts engine.Options) (ExecResponse, engine.Result, error) {
+	h, err := core.ByName(heuristic)
+	if err != nil {
+		return ExecResponse{}, engine.Result{}, err
+	}
+	app := core.Application{Scenarios: len(ids), Months: months}
+	alloc, err := h.Plan(app, cluster.Timing, cluster.Procs)
+	if err != nil {
+		return ExecResponse{}, engine.Result{}, err
+	}
+	res, err := engine.EvaluateContext(ctx, ev, app, cluster, alloc, opts)
+	if err != nil {
+		return ExecResponse{}, engine.Result{}, err
+	}
+	return ExecResponse{
+		Cluster:    cluster.Name,
+		Makespan:   res.Makespan,
+		Allocation: alloc,
+		Scenarios:  len(ids),
+	}, res, nil
+}
+
 func (s *SeD) handlePerf(req *PerfRequest) *Response {
 	if req == nil {
 		return &Response{Err: "perf: empty payload"}
 	}
-	h, err := core.ByName(req.Heuristic)
-	if err != nil {
-		return &Response{Err: err.Error()}
-	}
-	// One perf request is NS plan+evaluate jobs (k = 1..NS); answer it as a
-	// single batched engine.Sweep so the plan cache and memoized timing are
-	// shared across the k values. The sweep is bit-identical to the serial
-	// loop it replaced, whatever the worker count.
-	app := core.Application{Scenarios: req.Scenarios, Months: req.Months}
-	vec, err := engine.PerformanceVector(engine.DES{}, app, s.cluster, h, engine.Options{Exec: s.opts}, 0)
+	vec, err := PerfVector(context.Background(), engine.DES{}, s.cluster, req.Scenarios, req.Months, req.Heuristic, engine.Options{Exec: s.opts}, 0)
 	if err != nil {
 		return &Response{Err: err.Error()}
 	}
@@ -207,23 +245,9 @@ func (s *SeD) handleExec(req *ExecRequest) *Response {
 	if len(req.ScenarioIDs) == 0 {
 		return &Response{Exec: &ExecResponse{Cluster: s.cluster.Name}}
 	}
-	h, err := core.ByName(req.Heuristic)
+	resp, _, err := ExecChunk(context.Background(), engine.DES{}, s.cluster, req.ScenarioIDs, req.Months, req.Heuristic, engine.Options{Exec: s.opts})
 	if err != nil {
 		return &Response{Err: err.Error()}
 	}
-	app := core.Application{Scenarios: len(req.ScenarioIDs), Months: req.Months}
-	alloc, err := h.Plan(app, s.cluster.Timing, s.cluster.Procs)
-	if err != nil {
-		return &Response{Err: err.Error()}
-	}
-	res, err := exec.Run(app, s.cluster.Timing, s.cluster.Procs, alloc, s.opts)
-	if err != nil {
-		return &Response{Err: err.Error()}
-	}
-	return &Response{Exec: &ExecResponse{
-		Cluster:    s.cluster.Name,
-		Makespan:   res.Makespan,
-		Allocation: alloc,
-		Scenarios:  len(req.ScenarioIDs),
-	}}
+	return &Response{Exec: &resp}
 }

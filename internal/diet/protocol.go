@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"oagrid/internal/core"
+	"oagrid/internal/engine"
 )
 
 // Protocol versions. ProtocolV4 is the floor: the first version on binary
@@ -307,6 +308,11 @@ type ExecResponse struct {
 	// ordering deterministic when the same cluster serves equal-sized chunks
 	// in two rounds.
 	FirstScenario int
+	// Result is the evaluating backend's full report (utilization, trace).
+	// It exists only in the memory of the process that ran the evaluation:
+	// no frame encodes it, the journal skips it, and it is nil on every
+	// report that crossed a wire or came back from a replay.
+	Result *engine.Result `json:"-"`
 }
 
 // CampaignMakespan folds chunk reports into a campaign's completion time:
@@ -315,7 +321,7 @@ type ExecResponse struct {
 // per-round chunk maxima — not the global max over all reports, which
 // undercounts every campaign that survived a failure. Summation runs in
 // ascending round order: float addition is not associative, and every
-// accounting site (scheduler, verifier, local runner) must agree bit for
+// accounting site (campaign lifecycle, verifier) must agree bit for
 // bit, which is why this is the one shared implementation.
 func CampaignMakespan(reports []ExecResponse) float64 {
 	maxByRound := make(map[int]float64)

@@ -1,7 +1,6 @@
 package grid
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -12,10 +11,10 @@ import (
 	"oagrid/internal/store"
 )
 
-// campaign is one submitted protocol round moving through the queue. The
-// progress fields (remaining, reports, round, ...) live on the campaign
+// campaign is one submitted protocol round moving through its lifecycle. The
+// progress fields (remaining, reports, rounds, ...) live on the campaign
 // rather than in runCampaign's frame so a journal replay can rebuild a
-// half-finished campaign and the dispatcher can resume it mid-flight.
+// half-finished campaign and the run loop can resume it mid-flight.
 type campaign struct {
 	id        uint64
 	app       core.Application
@@ -32,16 +31,24 @@ type campaign struct {
 	tenant     string
 	enqueuedAt time.Time
 
-	// cancelCh closes when a cancel claims the campaign: in-flight SeD round
-	// trips abort on it and the dispatcher stops at the next chunk boundary.
-	cancelCh chan struct{}
+	// abortCh closes when the campaign turns terminal. When that happens
+	// from outside its run loop — a cancel, or an in-process pause or
+	// deadline — the exchanges in flight abort on it and the run loop stops
+	// at the next chunk boundary. Only the winner of the terminal claim
+	// closes it (see lifecycle.end).
+	abortCh chan struct{}
 
 	mu sync.Mutex
 	// claimed marks the terminal transition as owned: exactly one path —
 	// completion, failure, or cancel — wins claim() and drives the campaign
 	// terminal; every frame publish after the claim is dropped, so a cancel
 	// verdict is never followed by a chunk frame.
-	claimed  bool
+	claimed bool
+	// paused marks a campaign this process stopped serving without ending
+	// it (a shutdown, a caller's ctx): terminal here, non-terminal in the
+	// journal, so the next open resumes it — and a later Cancel still owes
+	// the journal its terminal record.
+	paused   bool
 	status   string
 	makespan float64
 	reports  []diet.ExecResponse
@@ -49,9 +56,11 @@ type campaign struct {
 	errMsg   string
 	// remaining lists the scenario IDs with no completed chunk, ascending.
 	remaining []int
-	// round is the next repartition round's index; rounds run sequentially,
-	// so the campaign makespan is the sum of per-round chunk maxima.
-	round int
+	// rounds counts the repartition rounds started — stamped when a round's
+	// planned record is journaled — and is therefore the next round's
+	// index. Rounds run sequentially, so the campaign makespan is the sum of
+	// per-round chunk maxima.
+	rounds int
 	// scenariosDone counts scenarios with a finished chunk report, the Done
 	// gauge of progress frames.
 	scenariosDone int
@@ -109,7 +118,7 @@ func newCampaign(id uint64, app core.Application, heuristic string, meta submitM
 		priority:  meta.priority,
 		labels:    meta.labels,
 		deadline:  meta.deadline,
-		cancelCh:  make(chan struct{}),
+		abortCh:   make(chan struct{}),
 		status:    diet.CampaignQueued,
 		remaining: make([]int, app.Scenarios),
 		done:      make(chan struct{}),
@@ -129,14 +138,14 @@ func recoveredCampaign(rc *store.Campaign) *campaign {
 		priority:      rc.Priority,
 		labels:        rc.Labels,
 		deadline:      rc.Deadline,
-		cancelCh:      make(chan struct{}),
+		abortCh:       make(chan struct{}),
 		status:        diet.CampaignQueued,
 		makespan:      rc.Makespan,
 		reports:       rc.Reports,
 		requeues:      rc.Requeues,
 		errMsg:        rc.Err,
 		remaining:     rc.Remaining,
-		round:         rc.Rounds,
+		rounds:        rc.Rounds,
 		scenariosDone: rc.ScenariosDone,
 		done:          make(chan struct{}),
 	}
@@ -150,9 +159,7 @@ func recoveredCampaign(rc *store.Campaign) *campaign {
 		sortReports(c.reports)
 		c.status = rc.Status
 		c.claimed = true
-		if rc.Status == diet.CampaignCancelled {
-			close(c.cancelCh)
-		}
+		close(c.abortCh)
 		close(c.done)
 	}
 	return c
@@ -170,21 +177,38 @@ func (c *campaign) claim() bool {
 	return true
 }
 
-// signalCancel aborts the campaign's in-flight work: SeD round trips tied to
-// cancelCh return immediately and the dispatcher stops at the next chunk
-// boundary. Only the cancel path (which holds the terminal claim) calls it.
-func (c *campaign) signalCancel() {
-	close(c.cancelCh)
-}
-
-// cancelledNow reports whether a cancel has claimed the campaign.
-func (c *campaign) cancelledNow() bool {
+// aborted reports whether a terminal transition has ended the campaign's
+// work; the run loop, which only checks between its own steps, reads it as
+// "ended from outside".
+func (c *campaign) aborted() bool {
 	select {
-	case <-c.cancelCh:
+	case <-c.abortCh:
 		return true
 	default:
 		return false
 	}
+}
+
+// takePause consumes the paused flag for a late Cancel: the campaign flips
+// to cancelled exactly once, and the caller owes the journal the terminal
+// record.
+func (c *campaign) takePause() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.paused {
+		return false
+	}
+	c.paused = false
+	c.status = diet.CampaignCancelled
+	c.errMsg = ""
+	return true
+}
+
+// timedOut words the failure of a campaign whose deadline passed.
+func (c *campaign) timedOut() string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return fmt.Sprintf("grid: campaign %d timed out with %d scenarios unplaced", c.id, len(c.remaining))
 }
 
 // info snapshots the campaign's control-plane view.
@@ -209,7 +233,7 @@ func (c *campaign) info() diet.CampaignInfo {
 		Months:    c.app.Months,
 		Done:      c.scenariosDone,
 		Total:     c.app.Scenarios,
-		Rounds:    c.round,
+		Rounds:    c.rounds,
 		Requeues:  c.requeues,
 		Makespan:  c.makespan,
 		Err:       c.errMsg,
@@ -314,300 +338,14 @@ func (c *campaign) complete(status string, makespan float64, reports []diet.Exec
 	close(c.done)
 }
 
-// dispatchLoop pops campaigns off the priority queue and runs them. A
-// campaign cancelled while still queued is popped as a corpse: its terminal
-// transition already happened on the cancel path, so the dispatcher only
-// releases the queue slot.
-func (s *Scheduler) dispatchLoop() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.done:
-			s.drainQueue()
-			return
-		case <-s.tokens:
-			c := s.dequeue()
-			if c.cancelledNow() {
-				continue
-			}
-			s.noteDispatched(c)
-			c.setStatus(diet.CampaignRunning)
-			if !s.runCampaign(c) {
-				// Cancelled mid-run: the cancel path owned the terminal
-				// transition and the retention bookkeeping; release only the
-				// running gauges.
-				s.releaseRunning(c)
-			}
-		}
-	}
-}
-
-// drainQueue fails everything still queued at shutdown.
-func (s *Scheduler) drainQueue() {
-	for {
-		select {
-		case <-s.tokens:
-			c := s.dequeue()
-			if c.cancelledNow() {
-				continue
-			}
-			// Not a dispatch: enter the running gauges (failCampaign's finish
-			// decrements them) but record no queue wait — a shutdown drain
-			// must not inflate the fairness wait moments.
-			s.bumpRunning(c)
-			if !s.failCampaign(c, "grid: scheduler shut down", false) {
-				s.releaseRunning(c)
-			}
-		default:
-			return
-		}
-	}
-}
-
-// failCampaign drives a campaign to the failed state. journal records the
-// failure as terminal; shutdown failures pass false, because with a state
-// dir a shutdown is a pause — the journal keeps the campaign non-terminal
-// and a restarted daemon re-admits it. It reports false when a cancel beat
-// it to the terminal claim: the campaign is already cancelled and the
-// caller backs out of its gauges.
-func (s *Scheduler) failCampaign(c *campaign, msg string, journal bool) bool {
-	if !c.claim() {
-		return false
-	}
-	c.mu.Lock()
-	reports := append([]diet.ExecResponse(nil), c.reports...)
-	requeues := c.requeues
-	c.mu.Unlock()
-	// Sort the partial reports like the success path does, so a failed
-	// snapshot — and its journal-recovered twin — have one canonical order.
-	sortReports(reports)
-	if journal {
-		s.journal(store.Record{Kind: store.KindDone, ID: c.id, Status: diet.CampaignFailed, Requeues: requeues, Err: msg})
-	}
-	c.complete(diet.CampaignFailed, 0, reports, requeues, msg)
-	s.finish(c, true)
-	return true
-}
-
-// chunkReport is one dispatched chunk's outcome.
-type chunkReport struct {
-	ref  sedRef
-	ids  []int
-	resp *diet.ExecResponse
-	err  error
-}
-
-// runCampaign drives one campaign to a terminal state: repartition the
-// remaining scenarios over the live SeDs, dispatch the chunks under the
-// per-SeD in-flight limits, and requeue chunks lost to dead daemons until
-// nothing remains or the campaign deadline passes. Recovered campaigns
-// resume here with their journaled remaining set and completed reports.
-// It reports false when a cancel claimed the campaign out from under the
-// dispatcher: in-flight chunks were abandoned, their reports discarded, and
-// the caller releases the running gauge.
-func (s *Scheduler) runCampaign(c *campaign) bool {
-	timeout := c.deadline
-	if timeout <= 0 {
-		timeout = s.cfg.CampaignTimeout
-	}
-	deadline := time.Now().Add(timeout)
-
-	// abortCtx aborts in-flight SeD round trips the moment the campaign is
-	// cancelled — cancellation propagates to the wire, not just to the
-	// dispatch loop's checkpoints. Scheduler shutdown deliberately does NOT
-	// abort in-flight exchanges: a graceful Close lets them finish and bank
-	// their chunks (shutdown is a pause), and aborting would shunt healthy
-	// SeDs onto the death/requeue path.
-	abortCtx, abort := context.WithCancel(context.Background())
-	defer abort()
-	go func() {
-		select {
-		case <-c.cancelCh:
-			abort()
-		case <-abortCtx.Done():
-		}
-	}()
-
-	for {
-		c.mu.Lock()
-		remaining := append([]int(nil), c.remaining...)
-		round := c.round
-		c.mu.Unlock()
-		if len(remaining) == 0 {
-			break
-		}
-		if c.cancelledNow() {
-			return false
-		}
-		select {
-		case <-s.done:
-			return s.failCampaign(c, "grid: scheduler shut down", false)
-		default:
-		}
-		if time.Now().After(deadline) {
-			return s.failCampaign(c, fmt.Sprintf("grid: campaign %d timed out with %d scenarios unplaced", c.id, len(remaining)), true)
-		}
-
-		if cont, ok := s.runRound(abortCtx, c, remaining, round); !cont {
-			return ok
-		}
-	}
-
-	if !c.claim() {
-		// A cancel won the race against the last chunk boundary.
-		return false
-	}
-	c.mu.Lock()
-	reports := append([]diet.ExecResponse(nil), c.reports...)
-	requeues := c.requeues
-	c.mu.Unlock()
-
-	sortReports(reports)
-	makespan := diet.CampaignMakespan(reports)
-	s.journal(store.Record{Kind: store.KindDone, ID: c.id, Status: diet.CampaignDone, Makespan: makespan, Requeues: requeues})
-	c.complete(diet.CampaignDone, makespan, reports, requeues, "")
-	s.finish(c, false)
-	return true
-}
-
-// runRound runs one repartition-and-dispatch round for c over the current
-// live fleet. It returns (true, _) when the outer loop should continue —
-// after a completed round or an empty-pool retry backoff — and (false, ok)
-// when runCampaign must return ok. The fleet snapshot is leased for exactly
-// this round: the deferred releaseSeDs is what lets a draining SeD know
-// when the last round that might still dispatch to it has fully processed
-// its results, so scale-down can deregister without orphaning a chunk.
-func (s *Scheduler) runRound(abortCtx context.Context, c *campaign, remaining []int, round int) (cont, ok bool) {
-	// Steps 1-3: performance vectors from every live SeD. A daemon that
-	// fails the exchange drops out of this attempt's pool.
-	seds := s.aliveSeDs()
-	defer s.releaseSeDs(seds)
-	var pool []sedRef
-	var perf [][]float64
-	for _, ref := range seds {
-		vec, err := s.vector(ref, len(remaining), c.app.Months, c.heuristic)
-		if err != nil {
-			s.markDead(ref.st, ref.info.Addr)
-			continue
-		}
-		pool = append(pool, ref)
-		perf = append(perf, vec)
-	}
-	if len(pool) == 0 {
-		select {
-		case <-s.done:
-			return false, s.failCampaign(c, "grid: scheduler shut down", false)
-		case <-c.cancelCh:
-			return false, false
-		case <-time.After(s.cfg.RetryEvery):
-		}
-		return true, false
-	}
-
-	// Step 4: Algorithm-1 repartition of the remaining scenarios.
-	rep, err := core.Repartition(perf)
-	if err != nil {
-		return false, s.failCampaign(c, err.Error(), true)
-	}
-	chunks := make([][]int, len(pool))
-	for slot, cl := range rep.Assignment {
-		chunks[cl] = append(chunks[cl], remaining[slot])
-	}
-	planned := make([]diet.PlannedChunk, 0, len(pool))
-	for i, ref := range pool {
-		if len(chunks[i]) > 0 {
-			planned = append(planned, diet.PlannedChunk{Cluster: ref.info.Cluster, Scenarios: len(chunks[i])})
-		}
-	}
-	s.journal(store.Record{Kind: store.KindPlanned, ID: c.id, Round: round, Planned: planned})
-	c.publish(diet.ProgressUpdate{Stage: diet.StagePlanned, Planned: planned})
-
-	// Steps 5-6: dispatch every chunk concurrently, each behind its
-	// SeD's in-flight semaphore.
-	results := make(chan chunkReport, len(pool))
-	launched := 0
-	for i, ref := range pool {
-		if len(chunks[i]) == 0 {
-			continue
-		}
-		launched++
-		go s.dispatchChunk(abortCtx, c, ref, chunks[i], results)
-	}
-	cancelled := false
-	for ; launched > 0; launched-- {
-		r := <-results
-		if c.cancelledNow() {
-			// Cancelled mid-round: drain the remaining chunks (their
-			// round trips abort on abortCtx) and discard everything —
-			// including genuine results, which must not surface as chunk
-			// frames after the cancel verdict. The SeD is not marked
-			// dead for an abort-induced error.
-			cancelled = true
-			continue
-		}
-		if r.err != nil {
-			// The chunk's scenarios stay on the campaign's plate and
-			// will be re-repartitioned over the survivors. WAL first:
-			// the requeue is fsynced before it shows up in snapshots.
-			s.markDead(r.ref.st, r.ref.info.Addr)
-			s.journal(store.Record{Kind: store.KindRequeue, ID: c.id, Requeued: len(r.ids)})
-			c.mu.Lock()
-			if c.claimed {
-				c.mu.Unlock()
-				cancelled = true
-				continue
-			}
-			c.requeues++
-			c.mu.Unlock()
-			s.mu.Lock()
-			s.requeues++
-			s.mu.Unlock()
-			c.publish(diet.ProgressUpdate{Stage: diet.StageRequeue, Requeued: len(r.ids)})
-			continue
-		}
-		// Stamp the chunk with its provenance: the round (makespan
-		// accounting) and its lowest scenario ID (the report-order
-		// tiebreak). IDs are dispatched ascending, so ids[0] is the
-		// minimum. WAL discipline: the chunk is fsynced before it
-		// becomes visible to snapshots or subscribers, so progress a
-		// polling client observed can never regress across a restart.
-		// The acceptance is claim-guarded under c.mu: once a cancel owns
-		// the campaign, snapshots are frozen — a straggler's journal
-		// record is harmless on replay (terminal status wins), but its
-		// report must never surface after the cancel verdict.
-		r.resp.Round = round
-		r.resp.FirstScenario = r.ids[0]
-		s.journal(store.Record{Kind: store.KindChunk, ID: c.id, Chunk: r.resp, IDs: r.ids})
-		c.mu.Lock()
-		if c.claimed {
-			c.mu.Unlock()
-			cancelled = true
-			continue
-		}
-		c.reports = append(c.reports, *r.resp)
-		c.scenariosDone += r.resp.Scenarios
-		c.remaining = store.Without(c.remaining, r.ids)
-		c.mu.Unlock()
-		c.publish(diet.ProgressUpdate{Stage: diet.StageChunk, Chunk: r.resp})
-	}
-	if cancelled || c.cancelledNow() {
-		return false, false
-	}
-	c.mu.Lock()
-	c.round++
-	c.mu.Unlock()
-	return true, false
-}
-
 // sortReports puts chunk reports in their stable, deterministic final
 // order, whatever the arrival interleaving was. The sort must be stable
 // with a total-order key: the same cluster can serve equal-sized chunks in
 // two rounds, and an unstable (Cluster, Scenarios) sort would order those
 // ties by interleaving — flaking the bit-identity tests. Round is the
-// public tiebreak (a cluster serves at most one chunk per round, and the
-// Local runner sorts its reports the same way); FirstScenario — unique
-// across completed chunks, whose scenario sets are disjoint — backstops
-// the key into a total order.
+// public tiebreak (a cluster serves at most one chunk per round);
+// FirstScenario — unique across completed chunks, whose scenario sets are
+// disjoint — backstops the key into a total order.
 //
 //oalint:deterministic
 func sortReports(reports []diet.ExecResponse) {
@@ -623,35 +361,4 @@ func sortReports(reports []diet.ExecResponse) {
 		}
 		return reports[i].FirstScenario < reports[j].FirstScenario
 	})
-}
-
-// dispatchChunk sends one cluster its scenario share (protocol step 5) and
-// reports the execution answer (step 6). ctx aborts the round trip when the
-// campaign is cancelled or the scheduler shuts down, so a cancel never waits
-// out a slow SeD.
-func (s *Scheduler) dispatchChunk(ctx context.Context, c *campaign, ref sedRef, ids []int, out chan<- chunkReport) {
-	select {
-	case ref.st.sem <- struct{}{}:
-		defer func() { <-ref.st.sem }()
-	case <-ctx.Done():
-		out <- chunkReport{ref: ref, ids: ids, err: fmt.Errorf("grid: chunk dispatch aborted: %w", ctx.Err())}
-		return
-	case <-s.done:
-		out <- chunkReport{ref: ref, ids: ids, err: fmt.Errorf("grid: scheduler shut down")}
-		return
-	}
-	resp, err := diet.RoundTripContext(ctx, ref.info.Addr, &diet.Request{Version: diet.ProtocolVersion, Kind: diet.KindExec, Exec: &diet.ExecRequest{
-		ScenarioIDs: ids,
-		Months:      c.app.Months,
-		Heuristic:   c.heuristic,
-	}}, sedCallTimeout)
-	if err != nil {
-		out <- chunkReport{ref: ref, ids: ids, err: err}
-		return
-	}
-	if resp.Exec == nil {
-		out <- chunkReport{ref: ref, ids: ids, err: fmt.Errorf("grid: SeD %s returned no execution report", ref.info.Cluster)}
-		return
-	}
-	out <- chunkReport{ref: ref, ids: ids, resp: resp.Exec}
 }

@@ -305,13 +305,7 @@ func (c *Client) streamResult(ctx context.Context, st *campaignStream, id uint64
 				onProgress(frame.Progress)
 			}
 		case frame.Result != nil:
-			if frame.Result.Status == diet.CampaignFailed {
-				return frame.Result, fmt.Errorf("%w: campaign %d: %s", ErrCampaignFailed, frame.Result.ID, frame.Result.Err)
-			}
-			if frame.Result.Status == diet.CampaignCancelled {
-				return frame.Result, fmt.Errorf("%w: campaign %d", ErrCampaignCancelled, frame.Result.ID)
-			}
-			return frame.Result, nil
+			return frame.Result, resultErr(frame.Result)
 		default:
 			return nil, fmt.Errorf("%w: %s sent an empty frame for campaign %d", ErrProtocol, st.addr, id)
 		}

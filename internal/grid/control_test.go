@@ -22,7 +22,7 @@ func queueScheduler(cfg Config) *Scheduler {
 		tokens:    make(chan struct{}, 1024),
 		done:      make(chan struct{}),
 		tenants:   make(map[string]*tenantState),
-		campaigns: make(map[uint64]*campaign),
+		lifecycle: lifecycle{campaigns: make(map[uint64]*campaign)},
 	}
 }
 

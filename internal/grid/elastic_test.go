@@ -121,41 +121,39 @@ func TestRegisterInvalidatesVectorCache(t *testing.T) {
 	t.Cleanup(func() { sched.Close() })
 
 	info := diet.SeDInfo{Cluster: "c", Addr: "127.0.0.1:1111", Procs: 30}
-	seed := func() *sedState {
+	seed := func() {
 		t.Helper()
 		sched.register(info, 0, 1.0, false)
 		sched.mu.Lock()
-		st := sched.seds["c"]
-		st.vectors[vecKey{months: 12, heuristic: "knapsack"}] = []float64{1, 2, 3, 4}
+		sched.vectors["c"] = map[vecKey][]float64{{months: 12, heuristic: "knapsack"}: {1, 2, 3, 4}}
 		sched.mu.Unlock()
-		return st
 	}
-	cached := func(st *sedState) int {
+	cached := func() int {
 		sched.mu.Lock()
 		defer sched.mu.Unlock()
-		return len(st.vectors)
+		return len(sched.vectors["c"])
 	}
 
-	st := seed()
+	seed()
 	sched.register(info, 0, 1.0, false)
-	if cached(st) != 1 {
+	if cached() != 1 {
 		t.Fatal("an unchanged heartbeat dropped the vector cache")
 	}
 	sched.register(info, 0, 0.5, false)
-	if cached(st) != 0 {
+	if cached() != 0 {
 		t.Fatal("a speed change kept the stale vector cache")
 	}
 
-	st = seed()
+	seed()
 	sched.register(diet.SeDInfo{Cluster: "c", Addr: "127.0.0.1:2222", Procs: 30}, 0, 1.0, false)
-	if cached(st) != 0 {
+	if cached() != 0 {
 		t.Fatal("an address change kept the stale vector cache")
 	}
 
 	info = diet.SeDInfo{Cluster: "c", Addr: "127.0.0.1:2222", Procs: 30}
-	st = seed()
+	seed()
 	sched.register(diet.SeDInfo{Cluster: "c", Addr: "127.0.0.1:2222", Procs: 64}, 0, 1.0, false)
-	if cached(st) != 0 {
+	if cached() != 0 {
 		t.Fatal("a processor-count change kept the stale vector cache")
 	}
 }

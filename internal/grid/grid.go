@@ -23,9 +23,17 @@
 //
 // The scheduler speaks the internal/diet binary-frame protocol (v4-v7) over
 // TCP; SeDs join by heartbeat.
+//
+// The life of a campaign around that round — admission record, journal,
+// terminal transitions, recovery, round loop, vector cache, retention — is
+// one state machine (lifecycle) run against an executor seam. Scheduler is
+// the lifecycle behind the daemon drawn above, executing on the SeD pool;
+// Local is the same lifecycle executing on the in-process engine, with
+// nothing in front of it.
 package grid
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -38,7 +46,6 @@ import (
 
 	"oagrid/internal/core"
 	"oagrid/internal/diet"
-	"oagrid/internal/store"
 )
 
 // Config tunes the scheduler daemon. The zero value of each field picks the
@@ -179,15 +186,6 @@ const OverflowTenant = "other"
 // always tracked and do not count against the cap.
 const maxDynamicTenants = 64
 
-// vecKey identifies a cached performance vector. Entry k-1 of a vector is
-// the makespan of k scenarios — independent of how many scenarios the
-// campaign that fetched it had — so the cache keys on (months, heuristic)
-// and keeps the longest vector seen per SeD.
-type vecKey struct {
-	months    int
-	heuristic string
-}
-
 // sedState is the scheduler's view of one server daemon.
 type sedState struct {
 	info     diet.SeDInfo
@@ -195,8 +193,8 @@ type sedState struct {
 	lastBeat time.Time
 	inFlight int
 	// speed is the daemon's advertised relative speed factor (1.0 for every
-	// pre-v7 daemon). A change invalidates the vector cache: the cached
-	// advertisements were scaled by the old factor.
+	// pre-v7 daemon). A change invalidates the daemon's cached vectors: the
+	// cached advertisements were scaled by the old factor.
 	speed float64
 	// draining marks a daemon gracefully leaving the fleet: it keeps
 	// serving (and banking) the chunks it holds, but aliveSeDs excludes it
@@ -210,8 +208,7 @@ type sedState struct {
 	leases int
 	// sem enforces the per-SeD in-flight limit; it survives re-registration
 	// so tokens held across an eviction/rejoin stay accounted.
-	sem     chan struct{}
-	vectors map[vecKey][]float64
+	sem chan struct{}
 }
 
 // tenantState is one tenant's slice of the weighted-fair queue: its queued
@@ -245,11 +242,13 @@ type tenantState struct {
 	waitMax   time.Duration
 }
 
-// Scheduler is the online master agent.
+// Scheduler is the online master agent: the campaign lifecycle behind a
+// listener, a weighted-fair admission queue and a dispatcher pool, with the
+// SeD table as its executor (see lease, perf, run and lost).
 type Scheduler struct {
-	cfg   Config
-	ln    net.Listener
-	store *store.Store // nil without a StateDir
+	lifecycle
+	cfg Config
+	ln  net.Listener
 
 	// tokens carries one signal per enqueued campaign; the campaign itself
 	// sits in its tenant's queue under mu. A dispatcher first takes a
@@ -272,7 +271,7 @@ type Scheduler struct {
 	// while the subsystem installs it after Start.
 	metricsHook atomic.Pointer[func(io.Writer)]
 
-	mu      sync.Mutex
+	// The fields below are guarded by the lifecycle's mu.
 	tenants map[string]*tenantState
 	// dynamicTenants counts the tenant entries created for unconfigured
 	// names — the population maxDynamicTenants bounds.
@@ -281,9 +280,6 @@ type Scheduler struct {
 	// start tag of the last dispatched campaign.
 	vtime     float64
 	seds      map[string]*sedState
-	campaigns map[uint64]*campaign
-	doneOrder []uint64
-	nextID    uint64
 	queueLen  int
 	maxQueue  int
 	running   int
@@ -291,16 +287,12 @@ type Scheduler struct {
 	failed    uint64
 	cancelled uint64
 	rejected  uint64
-	requeues  uint64
 	evicted   uint64
 }
 
 // tenantName resolves a campaign's tenant from its labels.
 func (s *Scheduler) tenantName(labels map[string]string) string {
-	if name := labels[s.cfg.TenantKey]; name != "" {
-		return name
-	}
-	return DefaultTenant
+	return tenantOf(labels, s.cfg.TenantKey)
 }
 
 // tenant returns (creating on first use) a tenant's state. Callers hold
@@ -371,62 +363,53 @@ func Start(cfg Config) (*Scheduler, error) {
 	}
 	cfg = cfg.withDefaults()
 
-	var st *store.Store
-	var byID map[uint64]*store.Campaign
+	s := &Scheduler{
+		lifecycle: lifecycle{
+			keepFinished: cfg.KeepFinished,
+			timeout:      cfg.CampaignTimeout,
+			retryEvery:   cfg.RetryEvery,
+			campaigns:    make(map[uint64]*campaign),
+			vectors:      make(map[string]map[vecKey][]float64),
+		},
+		cfg:     cfg,
+		done:    make(chan struct{}),
+		tenants: make(map[string]*tenantState),
+		seds:    make(map[string]*sedState),
+	}
+	s.exec = s
+	s.onSettle = s.countOutcome
+	var recovered []*campaign
 	if cfg.StateDir != "" {
 		var err error
-		st, byID, err = store.Open(cfg.StateDir)
-		if err != nil {
+		if recovered, err = s.recover(cfg.StateDir, cfg.RotateBytes, cfg.TenantKey); err != nil {
 			return nil, err
 		}
 	}
-	recovered := store.ByID(byID)
 
+	// The journal is compacted by now; only then may the listener open —
+	// appends racing the compaction would be lost.
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
-		if st != nil {
-			st.Close()
+		if s.store != nil {
+			s.store.Close()
 		}
 		return nil, fmt.Errorf("grid: scheduler listen: %w", err)
 	}
+	s.ln = ln
 
 	// Size the queue to hold the recovered backlog on top of the admission
 	// bound: re-admission must never block startup, even after a crash with
 	// a full queue.
-	live := 0
-	for _, rc := range recovered {
-		if !rc.Terminal() {
-			live++
-		}
-	}
-	s := &Scheduler{
-		cfg:       cfg,
-		ln:        ln,
-		store:     st,
-		tokens:    make(chan struct{}, cfg.QueueCap+live),
-		done:      make(chan struct{}),
-		tenants:   make(map[string]*tenantState),
-		seds:      make(map[string]*sedState),
-		campaigns: make(map[uint64]*campaign),
-	}
-	s.nextID = store.MaxID(byID)
+	s.tokens = make(chan struct{}, cfg.QueueCap+len(recovered))
 
-	// Rebuild the campaign table and re-admit the unfinished backlog in
-	// original admission order, before the dispatchers start. Recovered
-	// campaigns keep their journaled priority and labels — and with them
-	// their tenant; among equal priorities their lower IDs put them ahead
-	// of any new traffic of the same tenant. Re-admission bypasses tenant
-	// quotas: a backlog the daemon already accepted must never block
-	// startup.
+	// Re-admit the unfinished backlog in original admission order, before
+	// the dispatchers start. Recovered campaigns keep their journaled
+	// priority and labels — and with them their tenant; among equal
+	// priorities their lower IDs put them ahead of any new traffic of the
+	// same tenant. Re-admission bypasses tenant quotas: a backlog the daemon
+	// already accepted must never block startup.
 	now := time.Now()
-	for _, rc := range recovered {
-		c := recoveredCampaign(rc)
-		c.tenant = s.tenantName(c.labels)
-		s.campaigns[c.id] = c
-		if rc.Terminal() {
-			s.doneOrder = append(s.doneOrder, c.id)
-			continue
-		}
+	for _, c := range recovered {
 		// Re-admitted campaigns go through the same tenant fold as live
 		// submissions, so a hostile label set in the journal cannot blow the
 		// tenant table either. Safe without s.mu: nothing else runs yet.
@@ -439,42 +422,13 @@ func Start(cfg Config) (*Scheduler, error) {
 		s.tenant(c.tenant).queued++
 		s.enqueue(c)
 	}
-	// Apply the retention cap to the recovered terminal set, then compact
-	// the journal down to what survived: without this, replay would
-	// resurrect campaigns pruned before the restart and the WAL would grow
-	// without bound across restarts. Compaction must happen before the
-	// listener opens — it rewrites the journal from the recovered records,
-	// so appends racing it would be lost.
-	for len(s.doneOrder) > cfg.KeepFinished {
-		delete(s.campaigns, s.doneOrder[0])
-		s.doneOrder = s.doneOrder[1:]
-	}
-	if st != nil && len(recovered) > 0 {
-		kept := make([]*store.Campaign, 0, len(s.campaigns))
-		for _, rc := range recovered {
-			if _, ok := s.campaigns[rc.ID]; ok {
-				kept = append(kept, rc)
-			}
-		}
-		// Best-effort: a failed compaction leaves the previous journal in
-		// place, which replays to at least this state.
-		_ = st.Compact(kept)
-	}
-	// Online rotation: once the live segment outgrows the threshold, the
-	// journal is checkpointed down to the campaigns still in the table —
-	// retention prunes the table, rotation prunes the file. The retain
-	// snapshot takes s.mu, which is safe because the scheduler never appends
-	// to the journal while holding it.
-	if st != nil && cfg.RotateBytes > 0 {
-		st.AutoRotate(cfg.RotateBytes, s.retainedIDs)
-	}
 
 	if cfg.MetricsAddr != "" {
 		m, err := startMetrics(cfg.MetricsAddr, s)
 		if err != nil {
 			ln.Close()
-			if st != nil {
-				st.Close()
+			if s.store != nil {
+				s.store.Close()
 			}
 			return nil, err
 		}
@@ -488,19 +442,6 @@ func Start(cfg Config) (*Scheduler, error) {
 		go s.dispatchLoop()
 	}
 	return s, nil
-}
-
-// journal appends one record to the campaign WAL; a no-op without a state
-// dir. Mid-run append failures are swallowed: losing a journal line only
-// costs re-execution of the affected scenarios after a restart, while
-// failing the live campaign would turn a disk hiccup into lost work now.
-// The admission record is the exception — admit checks its error, because
-// an ID the client holds must always be recoverable.
-func (s *Scheduler) journal(rec store.Record) {
-	if s.store == nil {
-		return
-	}
-	_ = s.store.Append(rec)
 }
 
 // Addr returns the daemon's listen address.
@@ -591,10 +532,7 @@ func (s *Scheduler) register(info diet.SeDInfo, inFlight int, speed float64, dra
 			// flag only ever updates an existing entry.
 			return
 		}
-		st = &sedState{
-			sem:     make(chan struct{}, s.cfg.PerSeDInFlight),
-			vectors: make(map[vecKey][]float64),
-		}
+		st = &sedState{sem: make(chan struct{}, s.cfg.PerSeDInFlight)}
 		s.seds[info.Cluster] = st
 	}
 	if st.info.Addr != "" && (st.info.Addr != info.Addr || st.info.Procs != info.Procs || st.speed != speed) {
@@ -602,7 +540,7 @@ func (s *Scheduler) register(info diet.SeDInfo, inFlight int, speed float64, dra
 		// replacement process, a resized cluster, or a new speed factor.
 		// Cached vectors describe the old capability, so serving them would
 		// misplace every chunk until the key aged out: invalidate.
-		st.vectors = make(map[vecKey][]float64)
+		delete(s.vectors, info.Cluster)
 	}
 	if st.info.Addr != "" && st.info.Addr != info.Addr {
 		// A replacement daemon is a fresh process: an old drain flag (or a
@@ -634,6 +572,7 @@ func (s *Scheduler) DeregisterSeD(cluster, addr string) bool {
 		return false
 	}
 	delete(s.seds, cluster)
+	delete(s.vectors, cluster)
 	return true
 }
 
@@ -644,6 +583,9 @@ type sedRef struct {
 	st   *sedState
 	info diet.SeDInfo
 }
+
+// cluster implements target.
+func (r *sedRef) cluster() string { return r.info.Cluster }
 
 // aliveSeDs snapshots the dispatchable daemons in deterministic (cluster
 // name) order, so repartition tie-breaks do not depend on map iteration.
@@ -677,6 +619,25 @@ func (s *Scheduler) releaseSeDs(refs []sedRef) {
 	}
 }
 
+// lease implements executor over the SeD table: the targets are the leased
+// snapshot's daemons.
+func (s *Scheduler) lease() ([]target, func()) {
+	refs := s.aliveSeDs()
+	targets := make([]target, len(refs))
+	for i := range refs {
+		targets[i] = &refs[i]
+	}
+	return targets, func() { s.releaseSeDs(refs) }
+}
+
+// lost implements executor: a SeD that failed an exchange is always taken
+// for dead, and its work requeued.
+func (s *Scheduler) lost(t target, _ error) bool {
+	ref := t.(*sedRef)
+	s.markDead(ref.st, ref.info.Addr)
+	return true
+}
+
 // markDead records a failed exchange with a SeD: it leaves the pool until a
 // heartbeat revives it.
 func (s *Scheduler) markDead(st *sedState, addr string) {
@@ -690,35 +651,47 @@ func (s *Scheduler) markDead(st *sedState, addr string) {
 	}
 }
 
-// vector returns the SeD's performance vector for at least n scenarios,
-// serving from the per-SeD cache when possible.
-func (s *Scheduler) vector(ref sedRef, n, months int, heuristic string) ([]float64, error) {
-	key := vecKey{months: months, heuristic: heuristic}
-	s.mu.Lock()
-	if v := ref.st.vectors[key]; len(v) >= n {
-		s.mu.Unlock()
-		return v[:n:n], nil
-	}
-	s.mu.Unlock()
-
+// perf implements executor: one KindPerf exchange with the SeD. A cancel
+// does not abort it — a vector is short, cacheable work, and an aborted
+// exchange would read as a dead daemon.
+func (s *Scheduler) perf(_ context.Context, t target, n, months int, heuristic string) ([]float64, error) {
+	ref := t.(*sedRef)
 	resp, err := diet.RoundTripTimeout(ref.info.Addr, &diet.Request{Version: diet.ProtocolVersion, Kind: diet.KindPerf, Perf: &diet.PerfRequest{
 		Scenarios: n,
 		Months:    months,
 		Heuristic: heuristic,
 	}}, sedCallTimeout)
+	if err != nil || resp.Perf == nil {
+		return nil, err // an answer without a vector reads as a short one
+	}
+	return resp.Perf.Vector, nil
+}
+
+// run implements executor: one KindExec exchange behind the SeD's in-flight
+// semaphore. ctx aborts the round trip when the campaign is cancelled, so a
+// cancel never waits out a slow SeD.
+func (s *Scheduler) run(ctx context.Context, t target, ids []int, months int, heuristic string) (*diet.ExecResponse, error) {
+	ref := t.(*sedRef)
+	select {
+	case ref.st.sem <- struct{}{}:
+		defer func() { <-ref.st.sem }()
+	case <-ctx.Done():
+		return nil, fmt.Errorf("grid: chunk dispatch aborted: %w", ctx.Err())
+	case <-s.done:
+		return nil, errors.New(shutdownMsg)
+	}
+	resp, err := diet.RoundTripContext(ctx, ref.info.Addr, &diet.Request{Version: diet.ProtocolVersion, Kind: diet.KindExec, Exec: &diet.ExecRequest{
+		ScenarioIDs: ids,
+		Months:      months,
+		Heuristic:   heuristic,
+	}}, sedCallTimeout)
 	if err != nil {
 		return nil, err
 	}
-	if resp.Perf == nil || len(resp.Perf.Vector) < n {
-		return nil, fmt.Errorf("grid: SeD %s returned a short vector", ref.info.Cluster)
+	if resp.Exec == nil {
+		return nil, fmt.Errorf("grid: SeD %s returned no execution report", ref.info.Cluster)
 	}
-	vec := resp.Perf.Vector
-	s.mu.Lock()
-	if len(vec) > len(ref.st.vectors[key]) {
-		ref.st.vectors[key] = vec
-	}
-	s.mu.Unlock()
-	return vec[:n:n], nil
+	return resp.Exec, nil
 }
 
 // sedCallTimeout bounds one scheduler→SeD exchange. Evaluations are virtual
@@ -857,25 +830,14 @@ func (s *Scheduler) admit(req *diet.SubmitRequest) (*campaign, *diet.SubmitRespo
 	// admission could journal its terminal record ahead of the admitted one,
 	// and replay (which drops records of unknown campaigns) would resurrect
 	// the campaign as live.
-	if s.store != nil {
-		if err := s.store.Append(store.Record{
-			Kind:      store.KindAdmitted,
-			ID:        c.id,
-			Scenarios: app.Scenarios,
-			Months:    app.Months,
-			Heuristic: req.Heuristic,
-			Priority:  req.Priority,
-			Labels:    req.Labels,
-			Deadline:  req.Deadline,
-		}); err != nil {
-			s.mu.Lock()
-			s.queueLen--
-			s.rejected++
-			t.queued--
-			t.admitted--
-			s.mu.Unlock()
-			return nil, nil, fmt.Errorf("grid: journaling admission: %w", err)
-		}
+	if err := s.journalAdmission(c); err != nil {
+		s.mu.Lock()
+		s.queueLen--
+		s.rejected++
+		t.queued--
+		t.admitted--
+		s.mu.Unlock()
+		return nil, nil, fmt.Errorf("grid: journaling admission: %w", err)
 	}
 	s.mu.Lock()
 	s.campaigns[c.id] = c
@@ -984,19 +946,8 @@ func (s *Scheduler) noteDispatched(c *campaign) {
 	s.mu.Unlock()
 }
 
-// bumpRunning moves a popped campaign into the running gauges without
-// recording a queue wait: the shutdown drain's pops are not dispatches,
-// and counting their waits would skew the per-tenant fairness moments
-// (waitMax especially) with services that never happened.
-func (s *Scheduler) bumpRunning(c *campaign) {
-	s.mu.Lock()
-	s.running++
-	s.tenant(c.tenant).running++
-	s.mu.Unlock()
-}
-
-// releaseRunning backs a campaign out of the running gauges — the
-// dispatcher's bookkeeping when a cancel owned the terminal transition.
+// releaseRunning takes a campaign out of the running gauges once its run
+// loop returned, whichever path drove it terminal.
 func (s *Scheduler) releaseRunning(c *campaign) {
 	s.mu.Lock()
 	s.running--
@@ -1004,92 +955,59 @@ func (s *Scheduler) releaseRunning(c *campaign) {
 	s.mu.Unlock()
 }
 
-// retainedIDs snapshots the campaign table's keys — the journal rotation's
-// retention set. Runs under the store's lock; safe because the scheduler
-// never journals while holding s.mu.
-func (s *Scheduler) retainedIDs() []uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return store.IDs(s.campaigns)
-}
-
-// lookup returns a campaign by ID.
-func (s *Scheduler) lookup(id uint64) *campaign {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.campaigns[id]
-}
-
-// finish moves a campaign out of the running gauges and prunes the oldest
-// finished entries beyond the retention cap.
-func (s *Scheduler) finish(c *campaign, failed bool) {
-	s.mu.Lock()
-	s.running--
+// countOutcome is the lifecycle's onSettle hook: the outcome counters of the
+// daemon and of the campaign's tenant. Called with s.mu held.
+func (s *Scheduler) countOutcome(c *campaign, status string) {
 	t := s.tenant(c.tenant)
-	t.running--
-	if failed {
-		s.failed++
-		t.failed++
-	} else {
+	switch status {
+	case diet.CampaignDone:
 		s.completed++
 		t.completed++
-	}
-	s.retire(c)
-	s.mu.Unlock()
-}
-
-// retire appends a terminal campaign to the retention order and prunes past
-// the cap. Callers hold s.mu.
-func (s *Scheduler) retire(c *campaign) {
-	s.doneOrder = append(s.doneOrder, c.id)
-	for len(s.doneOrder) > s.cfg.KeepFinished {
-		delete(s.campaigns, s.doneOrder[0])
-		s.doneOrder = s.doneOrder[1:]
+	case diet.CampaignFailed:
+		s.failed++
+		t.failed++
+	case diet.CampaignCancelled:
+		s.cancelled++
+		t.cancelled++
 	}
 }
 
-// Cancel aborts a campaign by ID: a queued campaign never dispatches, a
-// running one stops cooperatively at the next chunk boundary — its in-flight
-// SeD exchanges are abandoned and their reports discarded, so no chunk frame
-// follows the verdict. The cancellation is journaled terminally before the
-// verdict is returned (WAL-before-ack): a cancelled campaign stays cancelled
-// across a kill -9 restart and is never re-admitted by replay. found=false
-// means the scheduler does not know the ID; status is the campaign's state
-// after the verdict — cancelling an already-terminal campaign is a no-op
-// that reports the terminal state that won.
-func (s *Scheduler) Cancel(id uint64) (found bool, status string) {
-	c := s.lookup(id)
-	if c == nil {
-		return false, ""
+// dispatchLoop pops campaigns off the priority queue and runs them. A
+// campaign cancelled while still queued is popped as a corpse: its terminal
+// transition already happened on the cancel path, so the dispatcher only
+// releases the queue slot.
+func (s *Scheduler) dispatchLoop() {
+	defer s.wg.Done()
+	for {
+		select {
+		case <-s.done:
+			s.drainQueue()
+			return
+		case <-s.tokens:
+			c := s.dequeue()
+			if c.aborted() {
+				continue
+			}
+			s.noteDispatched(c)
+			c.setStatus(diet.CampaignRunning)
+			s.runCampaign(c, s.done)
+			s.releaseRunning(c)
+		}
 	}
-	if !c.claim() {
-		// Some other terminal transition (completion, failure, or an earlier
-		// cancel) owns the campaign; its status is the verdict. The loser of
-		// a claim race may observe the winner's fields only after complete()
-		// runs, so wait for the terminal state.
-		<-c.done
-		return true, c.snapshot().Status
+}
+
+// drainQueue pauses everything still queued at shutdown. Not a dispatch:
+// the campaigns never enter the running gauges and record no queue wait, so
+// a shutdown drain cannot inflate the fairness wait moments.
+func (s *Scheduler) drainQueue() {
+	for {
+		select {
+		case <-s.tokens:
+			s.end(s.dequeue(), diet.CampaignFailed, shutdownMsg, false)
+		default:
+			return
+		}
 	}
-	// Stop work first — in-flight SeD round trips abort on the closed cancel
-	// channel — then make the cancellation durable, then publish it.
-	c.signalCancel()
-	s.journal(store.Record{Kind: store.KindCancelled, ID: c.id})
-	c.mu.Lock()
-	reports := append([]diet.ExecResponse(nil), c.reports...)
-	requeues := c.requeues
-	c.mu.Unlock()
-	sortReports(reports)
-	c.complete(diet.CampaignCancelled, 0, reports, requeues, "")
-	// Gauge discipline: a still-queued campaign keeps its queue slot until a
-	// dispatcher pops the corpse and skips it (see dispatchLoop); a running
-	// campaign's dispatcher notices the lost claim and backs out of the
-	// running gauge itself. Cancel only counts and retires.
-	s.mu.Lock()
-	s.cancelled++
-	s.tenant(c.tenant).cancelled++
-	s.retire(c)
-	s.mu.Unlock()
-	return true, diet.CampaignCancelled
 }
 
 // queuePositions snapshots every queued campaign's 1-based dispatch
@@ -1168,25 +1086,5 @@ func (s *Scheduler) CampaignInfo(id uint64) *diet.CampaignInfo {
 // ListCampaigns enumerates the campaign table in admission (ID) order,
 // filtered by status and label subset when the request carries them.
 func (s *Scheduler) ListCampaigns(req *diet.ListCampaignsRequest) []diet.CampaignInfo {
-	s.mu.Lock()
-	all := make([]*campaign, 0, len(s.campaigns))
-	for _, c := range s.campaigns {
-		all = append(all, c)
-	}
-	s.mu.Unlock()
-	sort.Slice(all, func(i, j int) bool { return all[i].id < all[j].id })
-	pos := s.queuePositions()
-	out := make([]diet.CampaignInfo, 0, len(all))
-	for _, c := range all {
-		info := c.info()
-		info.QueuePos = pos[c.id]
-		if req != nil && req.Status != "" && info.Status != req.Status {
-			continue
-		}
-		if req != nil && !diet.LabelsMatch(info.Labels, req.Labels) {
-			continue
-		}
-		out = append(out, info)
-	}
-	return out
+	return s.list(req, s.queuePositions())
 }

@@ -181,6 +181,8 @@ func (s *Scheduler) writeMetrics(w io.Writer) {
 	if s.store != nil {
 		mw.family("oagrid_wal_bytes", "gauge", "Live campaign-journal segment size.")
 		mw.sample("oagrid_wal_bytes", float64(s.store.Size()))
+		mw.family("oagrid_wal_errors_total", "counter", "Mid-run journal appends that failed and were swallowed; the affected scenarios re-run after a restart.")
+		mw.sample("oagrid_wal_errors_total", float64(s.walErrors.Load()))
 	}
 
 	wire := diet.WireStats()

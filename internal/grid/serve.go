@@ -190,22 +190,17 @@ func (s *Scheduler) streamCampaign(send *sender, c *campaign, sub chan *progress
 			}
 		case <-c.done:
 			// Drain progress frames published before completion so the
-			// stream is gapless, then close with the result.
-			for {
-				select {
-				case f := <-sub:
-					if err := send.sendProgress(f); err != nil {
-						return
-					}
-					continue
-				default:
+			// stream is gapless (this is sub's only receiver, so len is a
+			// safe bound), then close with the result.
+			for len(sub) > 0 {
+				if err := send.sendProgress(<-sub); err != nil {
+					return
 				}
-				break
 			}
 			_ = send.send(&diet.Response{Result: c.snapshot()})
 			return
 		case <-s.done:
-			_ = send.send(&diet.Response{Err: "grid: scheduler shut down"})
+			_ = send.send(&diet.Response{Err: shutdownMsg})
 			return
 		}
 	}

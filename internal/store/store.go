@@ -293,7 +293,7 @@ func (s *Store) Append(rec Record) error {
 // via temp-file + rename, exactly like the startup compaction, and drops
 // everything else. The owner's advisory lock travels with the live segment.
 // retain runs with the store's internal lock held: it may take the owner's
-// own locks only because neither owner (scheduler, local runner) ever
+// own locks only because the owner (grid's campaign lifecycle) never
 // journals while holding them — and it must not call back into the store.
 // IDs it returns that the journal does not know are ignored. Arm rotation
 // before the first Append: records appended while rotation is off are not
@@ -442,17 +442,6 @@ func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.f.Close()
-}
-
-// IDs returns a campaign table's keys, whatever the table holds — the
-// retain-snapshot shape AutoRotate consumes, shared by the scheduler's and
-// the local runner's retention callbacks.
-func IDs[V any](m map[uint64]V) []uint64 {
-	out := make([]uint64, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	return out
 }
 
 // MaxID returns the highest campaign ID in the recovered set — the floor for

@@ -1,823 +1,50 @@
 package oagrid
 
 import (
-	"context"
 	"fmt"
-	"sort"
-	"sync"
-	"time"
 
 	"oagrid/internal/core"
-	"oagrid/internal/diet"
 	"oagrid/internal/engine"
+	"oagrid/internal/exec"
 	"oagrid/internal/grid"
-	"oagrid/internal/store"
 )
 
-// localRunner drives campaigns through the in-process engine: performance
-// vectors, Algorithm-1 repartition and per-cluster evaluation all run on the
-// engine's deterministic parallel sweep pool. With WithStateDir it is also
-// durable: campaign transitions are journaled to the same WAL format the
-// grid daemon uses, finished campaigns stay attachable across process
-// restarts, and half-finished ones are resumed on construction. It
-// implements the full control plane — Cancel, List, Info — with the same
-// semantics as a Dial runner, minus the queue: a local campaign dispatches
-// immediately, so priority is recorded and reported but never reorders.
-type localRunner struct {
-	clusters []*Cluster
-	cfg      runnerConfig
-	store    *store.Store // nil without WithStateDir
-
-	// ctx governs runner-owned goroutines (journal-recovered campaign
-	// resumes); Close cancels it and waits for them, so no evaluation or
-	// journal append outlives the store. Campaigns started through Run run
-	// under the caller's context instead — their lifecycle is the caller's.
-	ctx     context.Context
-	cancel  context.CancelFunc
-	resumes sync.WaitGroup
-
-	mu        sync.Mutex
-	nextID    uint64
-	campaigns map[uint64]*localCampaign
-	// order tracks insertion so pruning drops the oldest finished campaigns
-	// first (mirroring the daemon's KeepFinished retention) and List
-	// enumerates in admission order.
-	order []uint64
-}
-
-// localCampaign is the runner's control-plane record of one campaign: its
-// handle, its submit options, and the gauges Info and List report.
-type localCampaign struct {
-	handle    *Handle
-	priority  int
-	labels    map[string]string
-	deadline  time.Duration
-	heuristic string
-	scenarios int
-	months    int
-
-	// cancel aborts the campaign's evaluation context; nil for campaigns
-	// recovered in a terminal state.
-	cancel context.CancelFunc
-
-	mu sync.Mutex
-	// claimed marks the terminal transition as owned — by Cancel or by the
-	// run goroutine's completion/failure path, whichever wins; the loser
-	// backs off, so the handle resolves exactly once and the journal gets
-	// exactly one terminal record.
-	claimed   bool
-	cancelled bool
-	// paused marks a campaign this process gave up on via ctx cancellation:
-	// terminal here, non-terminal in the journal (a future open resumes it).
-	paused   bool
-	status   string
-	done     int
-	rounds   int
-	requeues int
-	makespan float64
-	errMsg   string
-}
-
-// claim reserves the campaign's terminal transition; exactly one caller
-// wins.
-func (lc *localCampaign) claim() bool {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	if lc.claimed {
-		return false
-	}
-	lc.claimed = true
-	return true
-}
-
-// markCancelled flags the campaign as cancelled (the claim winner on the
-// cancel path calls it before aborting the evaluation context).
-func (lc *localCampaign) markCancelled() {
-	lc.mu.Lock()
-	lc.cancelled = true
-	lc.status = StatusCancelled
-	lc.mu.Unlock()
-}
-
-// cancelledNow reports whether a cancel owns the campaign.
-func (lc *localCampaign) cancelledNow() bool {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	return lc.cancelled
-}
-
-// setTerminal records the campaign's final gauges.
-func (lc *localCampaign) setTerminal(status string, makespan float64, errMsg string) {
-	lc.mu.Lock()
-	lc.status = status
-	lc.makespan = makespan
-	lc.errMsg = errMsg
-	lc.mu.Unlock()
-}
-
-// setPaused records a ctx-cancel pause: terminal for this process (the
-// handle resolved with ctx's error, and the daemon reports the matching
-// drain as failed), but non-terminal in the journal — the next runner on
-// the state dir resumes the campaign.
-func (lc *localCampaign) setPaused(errMsg string) {
-	lc.mu.Lock()
-	lc.paused = true
-	lc.status = StatusFailed
-	lc.errMsg = errMsg
-	lc.mu.Unlock()
-}
-
-// takePause consumes the paused flag for a late Cancel: the campaign flips
-// to cancelled exactly once, and the caller owes the journal the terminal
-// record.
-func (lc *localCampaign) takePause() bool {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	if !lc.paused {
-		return false
-	}
-	lc.paused = false
-	lc.cancelled = true
-	lc.status = StatusCancelled
-	lc.errMsg = ""
-	return true
-}
-
-// addProgress folds one finished chunk (n scenarios) into the gauges. It
-// reports false — and folds nothing — once a cancel owns the campaign: the
-// gauges freeze at the cancel claim, and the caller discards the chunk
-// instead of publishing it after the verdict.
-func (lc *localCampaign) addProgress(n int) bool {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	if lc.claimed {
-		return false
-	}
-	lc.done += n
-	return true
-}
-
-// startRound records that repartition round r was planned.
-func (lc *localCampaign) startRound(r int) {
-	lc.mu.Lock()
-	if r+1 > lc.rounds {
-		lc.rounds = r + 1
-	}
-	lc.mu.Unlock()
-}
-
-// info snapshots the campaign's control-plane view.
-func (lc *localCampaign) info(id uint64) CampaignInfo {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	return CampaignInfo{
-		ID:        id,
-		Status:    lc.status,
-		Priority:  lc.priority,
-		Labels:    lc.labels,
-		Heuristic: lc.heuristic,
-		Scenarios: lc.scenarios,
-		Months:    lc.months,
-		Done:      lc.done,
-		Total:     lc.scenarios,
-		Rounds:    lc.rounds,
-		Requeues:  lc.requeues,
-		Makespan:  lc.makespan,
-		Err:       lc.errMsg,
-		// Tenant parity with the daemon: derive from the same default label
-		// key. A local runner has no admission queue, so QueuePos and
-		// WaitMs stay zero.
-		Tenant: localTenant(lc.labels),
-	}
-}
-
-// localTenant mirrors the daemon's tenant derivation (grid.DefaultTenantKey)
-// for local campaigns.
-func localTenant(labels map[string]string) string {
-	if name := labels[grid.DefaultTenantKey]; name != "" {
-		return name
-	}
-	return grid.DefaultTenant
-}
-
-// keepLocalHandles caps how many campaign records a local runner retains:
-// beyond it, the oldest finished campaigns are dropped (running campaigns
-// are never pruned). The daemon's Config.KeepFinished default, for the same
-// reason: a long-lived embedder must not accumulate every event stream ever.
-const keepLocalHandles = 4096
-
-// register indexes a campaign for Attach/List/Info and prunes past the
-// retention cap. Callers hold no lock.
-func (r *localRunner) register(id uint64, lc *localCampaign) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.campaigns[id] = lc
-	r.order = append(r.order, id)
-	for len(r.campaigns) > keepLocalHandles {
-		pruned := false
-		for i, oid := range r.order {
-			if c := r.campaigns[oid]; c != nil && c.handle.finished() {
-				delete(r.campaigns, oid)
-				r.order = append(r.order[:i], r.order[i+1:]...)
-				pruned = true
-				break
-			}
-		}
-		if !pruned {
-			return // everything old is still running; try again next insert
-		}
-	}
-}
-
-// Local builds a Runner over the in-process engine and the given clusters —
-// the same pipeline a grid daemon's SeD fleet runs, minus the wire. Clusters
-// are ordered by name internally (the daemon's tie-break order), so a Local
-// run of a campaign is bit-identical to a Dial run against a daemon serving
-// the same cluster profiles, at default options.
+// Local builds a Runner over the in-process engine and the given clusters:
+// the grid scheduler's own campaign core — same admission record, journal,
+// round loop, vector cache and report order, the same code — with an
+// executor that evaluates on the engine instead of dispatching to SeDs, and
+// with no listener or admission queue in front: a campaign runs the moment
+// it is admitted. Clusters are ordered by name internally (the daemon's
+// tie-break order), so a Local run of a campaign is bit-identical to a Dial
+// run against a daemon serving the same cluster profiles, at default
+// options.
 //
 // With WithStateDir, Local replays the journal found there first: terminal
 // campaigns come back attachable under their original IDs with their full
 // event history (a cancelled campaign stays cancelled), and non-terminal
-// campaigns (a previous process died mid-run) are re-admitted in the
-// background, re-running only the scenarios without a completed chunk.
-// Records live for the runner's lifetime.
+// campaigns (a previous process died mid-run, or its caller's ctx ended)
+// are resumed in the background, re-running only the scenarios without a
+// completed chunk. Records live for the runner's lifetime.
 func Local(clusters []*Cluster, opts ...RunnerOption) (Runner, error) {
 	if len(clusters) == 0 {
 		return nil, fmt.Errorf("%w: Local needs at least one cluster", ErrInvalidConfig)
-	}
-	sorted := make([]*Cluster, len(clusters))
-	copy(sorted, clusters)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
-	for _, cl := range sorted {
-		if err := cl.Validate(); err != nil {
-			return nil, err
-		}
 	}
 	cfg := newRunnerConfig(opts)
 	if _, err := core.ByName(cfg.heuristic); err != nil {
 		return nil, err
 	}
-	r := &localRunner{clusters: sorted, cfg: cfg, campaigns: make(map[uint64]*localCampaign)}
-	r.ctx, r.cancel = context.WithCancel(context.Background())
-	if cfg.stateDir != "" {
-		st, byID, err := store.Open(cfg.stateDir)
-		if err != nil {
-			return nil, err
-		}
-		r.store = st
-		r.nextID = store.MaxID(byID)
-		recovered := store.ByID(byID)
-		// Phase 1: rebuild every campaign (terminal ones resolve immediately)
-		// and collect the campaigns that need resuming.
-		var jobs []resumeJob
-		for _, rc := range recovered {
-			if job, ok := r.recover(rc); ok {
-				jobs = append(jobs, job)
-			}
-		}
-		// Compact the journal down to what recovery retained, exactly like
-		// the daemon does at startup: pruned campaigns stay pruned across
-		// reopens and the WAL stays bounded. Must run before any new append
-		// — which is why resumes launch only afterwards.
-		if len(recovered) > 0 {
-			kept := make([]*store.Campaign, 0, len(recovered))
-			r.mu.Lock()
-			for _, rc := range recovered {
-				if _, ok := r.campaigns[rc.ID]; ok {
-					kept = append(kept, rc)
-				}
-			}
-			r.mu.Unlock()
-			_ = st.Compact(kept) // best-effort: the old journal replays the same
-		}
-		// Online rotation between restarts: once the live segment outgrows
-		// the threshold, the journal is checkpointed down to the campaigns
-		// still registered. Safe because the runner never journals while
-		// holding r.mu.
-		st.AutoRotate(localRotateBytes, r.retainedIDs)
-		// Phase 2: resume the interrupted campaigns under the runner's own
-		// lifecycle context, each behind its own cancel func so Runner.Cancel
-		// aborts a resumed campaign's evaluation exactly like a fresh one's.
-		for _, job := range jobs {
-			runCtx, cancel := context.WithCancel(r.ctx)
-			job.lc.cancel = cancel
-			r.resumes.Add(1)
-			go func(job resumeJob, runCtx context.Context, cancel context.CancelFunc) {
-				defer r.resumes.Done()
-				defer cancel()
-				r.run(runCtx, job.lc, job.handle, job.app, job.h, job.p)
-			}(job, runCtx, cancel)
-		}
-	}
-	return r, nil
-}
-
-// localRotateBytes is the local runner's WAL rotation threshold, matching
-// the daemon's Config.RotateBytes default.
-const localRotateBytes = 4 << 20
-
-// retainedIDs snapshots the campaign table's keys — the journal rotation's
-// retention set. Runs under the store's lock; safe because the runner
-// never journals while holding r.mu.
-func (r *localRunner) retainedIDs() []uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return store.IDs(r.campaigns)
-}
-
-// resumeJob is one journal-recovered campaign waiting to continue.
-type resumeJob struct {
-	lc     *localCampaign
-	handle *Handle
-	app    core.Application
-	h      core.Heuristic
-	p      localProgress
-}
-
-// recover rebuilds one journaled campaign: its handle replays the full
-// event history. Terminal campaigns resolve immediately; for a campaign
-// without a terminal record it returns the resume job the caller launches
-// once the journal is compacted.
-func (r *localRunner) recover(rc *store.Campaign) (resumeJob, bool) {
-	handle := newHandle(rc.Scenarios)
-	handle.setID(rc.ID)
-	lc := &localCampaign{
-		handle:    handle,
-		priority:  rc.Priority,
-		labels:    rc.Labels,
-		deadline:  rc.Deadline,
-		heuristic: rc.Heuristic,
-		scenarios: rc.Scenarios,
-		months:    rc.Months,
-		status:    StatusRunning,
-		done:      rc.ScenariosDone,
-		rounds:    rc.Rounds,
-		requeues:  rc.Requeues,
-	}
-	r.register(rc.ID, lc)
-	handle.publish(EventAdmitted{ID: rc.ID})
-	for i := range rc.History {
-		for _, ev := range progressEvents(&rc.History[i]) {
-			handle.publish(ev)
-		}
-	}
-	if rc.Terminal() {
-		lc.claimed = true
-		switch rc.Status {
-		case diet.CampaignDone:
-			lc.setTerminal(StatusDone, rc.Makespan, "")
-			res := &CampaignResult{Makespan: rc.Makespan, Requeues: rc.Requeues}
-			for _, rep := range rc.Reports {
-				res.Reports = append(res.Reports, reportFromWire(rep))
-			}
-			// Chunk records are journaled in arrival order; the result the
-			// original process returned was sorted.
-			sortClusterReports(res.Reports)
-			handle.finish(res, nil)
-		case diet.CampaignCancelled:
-			lc.cancelled = true
-			lc.setTerminal(StatusCancelled, 0, "")
-			handle.finish(nil, fmt.Errorf("%w: %d", ErrCampaignCancelled, rc.ID))
-		default:
-			lc.setTerminal(StatusFailed, 0, rc.Err)
-			handle.finish(nil, fmt.Errorf("%w: %s", ErrCampaignFailed, rc.Err))
-		}
-		return resumeJob{}, false
-	}
-	app := core.Application{Scenarios: rc.Scenarios, Months: rc.Months}
-	h, err := core.ByName(rc.Heuristic)
-	if err != nil {
-		lc.claimed = true
-		lc.setTerminal(StatusFailed, 0, err.Error())
-		handle.finish(nil, campaignErr(context.Background(), err))
-		return resumeJob{}, false
-	}
-	reports := make([]ClusterReport, 0, len(rc.Reports))
-	for _, rep := range rc.Reports {
-		reports = append(reports, reportFromWire(rep))
-	}
-	return resumeJob{lc: lc, handle: handle, app: app, h: h, p: localProgress{
-		round:     rc.Rounds,
-		remaining: rc.Remaining,
-		reports:   reports,
-		done:      rc.ScenariosDone,
-	}}, true
-}
-
-// Run implements Runner.
-func (r *localRunner) Run(ctx context.Context, c Campaign, opts ...SubmitOption) (*Handle, error) {
-	app := core.Application(c.Experiment)
-	if err := app.Validate(); err != nil {
-		return nil, err
-	}
-	sub := newSubmitConfig(opts)
-	name := sub.heuristic
-	if name == "" {
-		name = c.Heuristic
-	}
-	if name == "" {
-		name = r.cfg.heuristic
-	}
-	h, err := core.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	r.nextID++
-	id := r.nextID
-	r.mu.Unlock()
-	// The admission record must be durable before the handle exists: an ID
-	// the caller holds has to survive a crash, or Attach after a restart
-	// would deny a campaign this runner accepted. The submit options ride
-	// along so recovery keeps them.
-	if r.store != nil {
-		if err := r.store.Append(store.Record{
-			Kind:      store.KindAdmitted,
-			ID:        id,
-			Scenarios: app.Scenarios,
-			Months:    app.Months,
-			Heuristic: name,
-			Priority:  sub.priority,
-			Labels:    sub.labels,
-			Deadline:  sub.deadline,
-		}); err != nil {
-			return nil, err
-		}
-	}
-	handle := newHandle(app.Scenarios)
-	handle.setID(id)
-	runCtx, cancel := context.WithCancel(ctx)
-	lc := &localCampaign{
-		handle:    handle,
-		priority:  sub.priority,
-		labels:    sub.labels,
-		deadline:  sub.deadline,
-		heuristic: name,
-		scenarios: app.Scenarios,
-		months:    app.Months,
-		cancel:    cancel,
-		// No admission queue in-process: the campaign dispatches immediately.
-		status: StatusRunning,
-	}
-	r.register(id, lc)
-	handle.publish(EventAdmitted{ID: id})
-	remaining := make([]int, app.Scenarios)
-	for i := range remaining {
-		remaining[i] = i
-	}
-	go func() {
-		defer cancel()
-		r.run(runCtx, lc, handle, app, h, localProgress{remaining: remaining})
-	}()
-	return handle, nil
-}
-
-// Attach implements Runner: it returns the handle of a campaign this runner
-// started or recovered from its state dir. Handles replay their full event
-// stream to every subscriber, so attaching late loses nothing. An unknown
-// ID resolves the handle with ErrUnknownCampaign — the same shape the
-// remote runner has, so callers can always go straight to Wait.
-func (r *localRunner) Attach(ctx context.Context, id uint64) (*Handle, error) {
-	r.mu.Lock()
-	lc := r.campaigns[id]
-	r.mu.Unlock()
-	if lc == nil {
-		handle := newHandle(0)
-		handle.finish(nil, fmt.Errorf("%w: %d", ErrUnknownCampaign, id))
-		return handle, nil
-	}
-	return lc.handle, nil
-}
-
-// Cancel implements Runner: it stops a campaign this runner owns. The
-// cancellation is journaled terminally before Cancel returns (on a durable
-// runner), the evaluation context is aborted — sweep workers stop between
-// evaluations — and the handle resolves with ErrCampaignCancelled. An
-// already-finished campaign is a no-op; an unknown ID is ErrUnknownCampaign.
-func (r *localRunner) Cancel(ctx context.Context, id uint64) error {
-	r.mu.Lock()
-	lc := r.campaigns[id]
-	r.mu.Unlock()
-	if lc == nil {
-		return fmt.Errorf("%w: %d", ErrUnknownCampaign, id)
-	}
-	if !lc.claim() {
-		// Already terminal in this process — a no-op, except for a
-		// ctx-paused campaign, which is terminal only here: its journal is
-		// non-terminal and the next open would resume it. The cancel must
-		// still make the stop durable.
-		if lc.takePause() {
-			r.journal(store.Record{Kind: store.KindCancelled, ID: id})
-		}
-		return nil
-	}
-	lc.markCancelled()
-	// WAL before ack: the cancellation must survive a crash that lands
-	// between this return and the run goroutine noticing.
-	r.journal(store.Record{Kind: store.KindCancelled, ID: id})
-	if lc.cancel != nil {
-		lc.cancel()
-	}
-	return nil
-}
-
-// List implements Runner: the campaign table in admission order, filtered.
-func (r *localRunner) List(ctx context.Context, filter ListFilter) ([]CampaignInfo, error) {
-	r.mu.Lock()
-	ids := append([]uint64(nil), r.order...)
-	table := make(map[uint64]*localCampaign, len(r.campaigns))
-	for id, lc := range r.campaigns {
-		table[id] = lc
-	}
-	r.mu.Unlock()
-	out := make([]CampaignInfo, 0, len(ids))
-	for _, id := range ids {
-		lc := table[id]
-		if lc == nil {
-			continue
-		}
-		info := lc.info(id)
-		if filter.Status != "" && info.Status != filter.Status {
-			continue
-		}
-		if !diet.LabelsMatch(info.Labels, filter.Labels) {
-			continue
-		}
-		out = append(out, info)
-	}
-	return out, nil
-}
-
-// Info implements Runner.
-func (r *localRunner) Info(ctx context.Context, id uint64) (*CampaignInfo, error) {
-	r.mu.Lock()
-	lc := r.campaigns[id]
-	r.mu.Unlock()
-	if lc == nil {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownCampaign, id)
-	}
-	info := lc.info(id)
-	return &info, nil
-}
-
-// Close implements Runner: it stops the runner-owned resume goroutines
-// (their campaigns stay non-terminal in the journal and continue on the
-// next open — Close is a pause, like a daemon shutdown) and then releases
-// the journal. Handles already returned stay valid; handles of interrupted
-// resumes resolve with context.Canceled.
-func (r *localRunner) Close() error {
-	r.cancel()
-	r.resumes.Wait()
-	if r.store != nil {
-		return r.store.Close()
-	}
-	return nil
-}
-
-// journal appends one record to the campaign WAL; a no-op without a state
-// dir. Mid-run append failures are swallowed — losing a journal line only
-// costs re-execution of the affected scenarios after a restart.
-func (r *localRunner) journal(rec store.Record) {
-	if r.store == nil {
-		return
-	}
-	_ = r.store.Append(rec)
-}
-
-// errCampaignDeadline is the cancellation cause of a campaign's own
-// WithDeadline timer, distinguishing it from the caller's ctx dying.
-var errCampaignDeadline = fmt.Errorf("oagrid: campaign deadline exceeded")
-
-// localProgress is a campaign's resumable position: the next round index,
-// the scenario IDs still to run, and the chunk reports already banked. A
-// fresh campaign starts at round 0 with everything remaining; a recovered
-// one starts wherever the journal left off.
-type localProgress struct {
-	round     int
-	remaining []int
-	reports   []ClusterReport
-	done      int
-}
-
-// run is the campaign body: the Figure-9 protocol against in-process
-// clusters, one repartition round over p.remaining. Cancellation is
-// cooperative between sweep jobs; a ctx-cancelled campaign resolves with
-// ctx's error (pause semantics: the journal stays non-terminal), while a
-// Runner.Cancel resolves with ErrCampaignCancelled after the cancel path
-// journaled the terminal record.
-func (r *localRunner) run(ctx context.Context, lc *localCampaign, handle *Handle, app core.Application, h core.Heuristic, p localProgress) {
-	opts := r.cfg.engineOptions()
-	id := handle.ID()
-	// WithDeadline bounds the campaign itself, requeue rounds included —
-	// the local equivalent of the daemon's per-campaign timeout. The cause
-	// sentinel tells the campaign's own timer apart from a deadline the
-	// caller's ctx brought along, which keeps pause semantics.
-	if lc.deadline > 0 {
-		var stop context.CancelFunc
-		ctx, stop = context.WithTimeoutCause(ctx, lc.deadline, errCampaignDeadline)
-		defer stop()
-	}
-	fail := func(err error) {
-		if lc.cancelledNow() {
-			// Runner.Cancel owns the terminal transition and already
-			// journaled it; resolve the handle with the typed error.
-			handle.finish(nil, fmt.Errorf("%w: %d", ErrCampaignCancelled, id))
-			return
-		}
-		if !lc.claim() {
-			handle.finish(nil, fmt.Errorf("%w: %d", ErrCampaignCancelled, id))
-			return
-		}
-		if context.Cause(ctx) == errCampaignDeadline {
-			// The campaign's own deadline fired — a terminal failure, like
-			// the daemon's campaign timeout (unlike a caller's ctx
-			// cancellation or deadline, which is a pause).
-			msg := fmt.Sprintf("campaign %d exceeded its %s deadline", id, lc.deadline)
-			r.journal(store.Record{Kind: store.KindDone, ID: id, Status: diet.CampaignFailed, Err: msg})
-			lc.setTerminal(StatusFailed, 0, msg)
-			handle.finish(nil, fmt.Errorf("%w: %s", ErrCampaignFailed, msg))
-			return
-		}
-		err = campaignErr(ctx, err)
-		// Cancellation is this process giving up, not the campaign failing:
-		// like a daemon shutdown, it stays non-terminal in the journal, so
-		// the next runner on the state dir resumes it — a clean ^C must
-		// never destroy work that a kill -9 would have preserved. The pause
-		// flag lets a later Runner.Cancel still journal the stop terminally.
-		if ctx.Err() == nil {
-			r.journal(store.Record{Kind: store.KindDone, ID: id, Status: diet.CampaignFailed, Err: err.Error()})
-			lc.setTerminal(StatusFailed, 0, err.Error())
-		} else {
-			lc.setPaused(err.Error())
-		}
-		handle.finish(nil, err)
-	}
-	succeed := func(res *CampaignResult) {
-		if !lc.claim() {
-			// A cancel won the race against the last chunk boundary: the
-			// result is discarded, the campaign is cancelled.
-			handle.finish(nil, fmt.Errorf("%w: %d", ErrCampaignCancelled, id))
-			return
-		}
-		r.journal(store.Record{Kind: store.KindDone, ID: id, Status: diet.CampaignDone, Makespan: res.Makespan})
-		lc.setTerminal(StatusDone, res.Makespan, "")
-		handle.finish(res, nil)
-	}
-
-	// Nothing remaining: a crash landed between the last chunk record and
-	// the terminal record — every scenario already has a completed chunk, so
-	// finalize straight from the banked reports.
-	if len(p.remaining) == 0 {
-		res := &CampaignResult{Reports: p.reports}
-		sortClusterReports(res.Reports)
-		res.Makespan = resultMakespan(res.Reports)
-		succeed(res)
-		return
-	}
-
-	// Steps 1-3: every cluster's performance vector for the remaining
-	// scenarios, one batched sweep.
-	sub := core.Application{Scenarios: len(p.remaining), Months: app.Months}
-	vecs, err := engine.PerformanceVectorsContext(ctx, r.cfg.backend, sub, r.clusters, h, opts, r.cfg.workers)
-	if err != nil {
-		fail(err)
-		return
-	}
-
-	// Step 4: Algorithm-1 repartition of the remaining scenario IDs, slots
-	// assigned in ascending ID order — the same mapping the grid scheduler
-	// uses, so chunk provenance matches a daemon run bit for bit.
-	rep, err := core.Repartition(vecs)
-	if err != nil {
-		fail(err)
-		return
-	}
-	ids := make([][]int, len(r.clusters))
-	for slot, cl := range rep.Assignment {
-		ids[cl] = append(ids[cl], p.remaining[slot])
-	}
-	var shares []PlannedShare
-	var planned []diet.PlannedChunk
-	for i, cl := range r.clusters {
-		if len(ids[i]) > 0 {
-			shares = append(shares, PlannedShare{Cluster: cl.Name, Scenarios: len(ids[i])})
-			planned = append(planned, diet.PlannedChunk{Cluster: cl.Name, Scenarios: len(ids[i])})
-		}
-	}
-	r.journal(store.Record{Kind: store.KindPlanned, ID: id, Round: p.round, Planned: planned})
-	lc.startRound(p.round)
-	handle.publish(EventPlanned{Shares: shares})
-
-	// Steps 5-6: evaluate each loaded cluster's share concurrently, one
-	// goroutine per chunk (campaigns load at most a handful of clusters).
-	// Chunk events stream as evaluations complete — the same live,
-	// arrival-ordered progress a daemon campaign shows — while the final
-	// report list is sorted, so the Result stays deterministic.
-	type chunkOut struct {
-		report ClusterReport
-		ids    []int
-		err    error
-	}
-	var launched int
-	outs := make(chan chunkOut)
-	for i := range r.clusters {
-		if len(ids[i]) == 0 {
-			continue
-		}
-		launched++
-		go func(cl *Cluster, chunk []int) {
-			sub := core.Application{Scenarios: len(chunk), Months: app.Months}
-			alloc, err := h.Plan(sub, cl.Timing, cl.Procs)
-			if err != nil {
-				outs <- chunkOut{err: err}
-				return
-			}
-			result, err := engine.EvaluateContext(ctx, r.cfg.backend, sub, cl, alloc, opts)
-			if err != nil {
-				outs <- chunkOut{err: err}
-				return
-			}
-			outs <- chunkOut{report: ClusterReport{
-				Cluster:    cl.Name,
-				Scenarios:  len(chunk),
-				Makespan:   result.Makespan,
-				Allocation: alloc,
-				Round:      p.round,
-				Result:     &result,
-			}, ids: chunk}
-		}(r.clusters[i], ids[i])
-	}
-
-	res := &CampaignResult{Reports: p.reports}
-	done := p.done
-	var firstErr error
-	cancelled := false
-	for ; launched > 0; launched-- {
-		out := <-outs
-		if lc.cancelledNow() {
-			// Cancelled mid-round: drain and discard — a chunk that slipped
-			// through must not surface as an event after the cancel verdict.
-			cancelled = true
-			continue
-		}
-		if out.err != nil {
-			if firstErr == nil {
-				firstErr = out.err
-			}
-			continue
-		}
-		r.journal(store.Record{Kind: store.KindChunk, ID: id, IDs: out.ids, Chunk: &diet.ExecResponse{
-			Cluster:       out.report.Cluster,
-			Makespan:      out.report.Makespan,
-			Allocation:    out.report.Allocation,
-			Scenarios:     out.report.Scenarios,
-			Round:         out.report.Round,
-			FirstScenario: out.ids[0],
-		}})
-		if !lc.addProgress(out.report.Scenarios) {
-			cancelled = true
-			continue
-		}
-		done += out.report.Scenarios
-		handle.publish(EventChunkDone{Report: out.report, Done: done, Total: app.Scenarios})
-		handle.publish(EventProgress{Done: done, Total: app.Scenarios})
-		res.Reports = append(res.Reports, out.report)
-	}
-	if cancelled || lc.cancelledNow() {
-		handle.finish(nil, fmt.Errorf("%w: %d", ErrCampaignCancelled, id))
-		return
-	}
-	if firstErr != nil {
-		fail(firstErr)
-		return
-	}
-	sortClusterReports(res.Reports)
-	res.Makespan = resultMakespan(res.Reports)
-	succeed(res)
-}
-
-// sortClusterReports puts reports in the stable report order whatever the
-// arrival interleaving — the daemon's ordering. Round breaks (cluster,
-// scenarios) ties: a resumed campaign can land equal-sized chunks on the
-// same cluster in two rounds, and a cluster appears at most once per round.
-func sortClusterReports(reports []ClusterReport) {
-	sort.SliceStable(reports, func(i, j int) bool {
-		if reports[i].Cluster != reports[j].Cluster {
-			return reports[i].Cluster < reports[j].Cluster
-		}
-		if reports[i].Scenarios != reports[j].Scenarios {
-			return reports[i].Scenarios < reports[j].Scenarios
-		}
-		return reports[i].Round < reports[j].Round
+	local, err := grid.NewLocal(clusters, grid.LocalConfig{
+		Backend: cfg.backend,
+		Options: engine.Options{Exec: exec.Options{
+			Jitter:      cfg.jitter,
+			Seed:        cfg.seed,
+			RecordTrace: cfg.trace,
+		}},
+		Workers:  cfg.workers,
+		StateDir: cfg.stateDir,
 	})
-}
-
-// campaignErr maps a campaign failure onto the error taxonomy: context
-// cancellation stays the context's error, everything else wraps
-// ErrCampaignFailed.
-func campaignErr(ctx context.Context, err error) error {
-	if ctx.Err() != nil {
-		return ctx.Err()
+	if err != nil {
+		return nil, err
 	}
-	return fmt.Errorf("%w: %v", ErrCampaignFailed, err)
+	return &runner{service: local, local: local, cfg: cfg}, nil
 }

@@ -1,11 +1,6 @@
 package oagrid
 
-import (
-	"time"
-
-	"oagrid/internal/engine"
-	"oagrid/internal/exec"
-)
+import "time"
 
 // RunnerOption configures a Runner at construction (Local, Dial). Options
 // that have no meaning for a runner flavour are documented as such and
@@ -36,20 +31,14 @@ func newRunnerConfig(opts []RunnerOption) runnerConfig {
 	return cfg
 }
 
-// engineOptions assembles the evaluation options a local runner passes to
-// the engine.
-func (cfg runnerConfig) engineOptions() engine.Options {
-	return engine.Options{Exec: exec.Options{
-		Jitter:      cfg.jitter,
-		Seed:        cfg.seed,
-		RecordTrace: cfg.trace,
-	}}
-}
-
 // WithBackend selects the evaluator a Local runner uses (ModelBackend,
 // DESBackend, or a realrun backend). The default is DESBackend, the
 // event-driven ground truth. Remote runners ignore it: the daemon's SeDs
-// own their backend.
+// own their backend. A Local runner caches each cluster's performance
+// vector per (months, heuristic), exactly as the daemon does per SeD: for
+// ModelBackend and DESBackend a vector is a pure function of the cluster
+// and the runner's fixed options, so the cache is invisible; for a realrun
+// backend a cached vector is a remembered measurement, not a fresh one.
 func WithBackend(ev Evaluator) RunnerOption {
 	return func(cfg *runnerConfig) {
 		if ev != nil {
@@ -127,8 +116,8 @@ func newSubmitConfig(opts []SubmitOption) submitConfig {
 // WithPriority orders the campaign in the scheduler's admission queue:
 // higher-priority campaigns dispatch first, ties run in admission order.
 // The default is 0; negative priorities yield to everything. A Local runner
-// records the priority (Info/List report it) but dispatches immediately —
-// it has no admission queue to order.
+// is the scheduler's campaign core without the queue in front: it records
+// the priority (Info/List report it) and runs the campaign at once.
 func WithPriority(p int) SubmitOption {
 	return func(cfg *submitConfig) { cfg.priority = p }
 }
@@ -165,9 +154,10 @@ func WithCampaignHeuristic(name string) SubmitOption {
 	return func(cfg *submitConfig) { cfg.heuristic = name }
 }
 
-// WithStateDir makes a Local runner durable: every campaign transition is
-// journaled to an append-only WAL under dir before it is acknowledged, and
-// a new Local runner opened on the same directory replays the journal —
+// WithStateDir makes a Local runner durable, by the same code that makes
+// the daemon durable: every campaign transition is journaled to an
+// append-only WAL under dir before it is acknowledged, and a new Local
+// runner (or a daemon) opened on the same directory replays the journal —
 // finished campaigns stay attachable (Runner.Attach) under their original
 // IDs with their full event history, and campaigns a crash cut short are
 // automatically resumed, re-running only the scenarios without a completed
