@@ -47,13 +47,13 @@ import (
 	"os/signal"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
 	"time"
 
 	"oagrid"
+	"oagrid/cmd/internal/cliflag"
 	"oagrid/internal/autoscale"
 	"oagrid/internal/diet"
 	"oagrid/internal/grid"
@@ -195,15 +195,15 @@ func main() {
 	)
 	flag.Parse()
 
-	tenantWeights, err := parseTenantWeights(*tenants)
+	tenantWeights, err := cliflag.TenantWeights("tenants", *tenants)
 	if err != nil {
 		fail(err)
 	}
-	asMin, asMax, err := parseAutoscale(*autoscaleSpec)
+	asMin, asMax, err := cliflag.Autoscale(*autoscaleSpec)
 	if err != nil {
 		fail(err)
 	}
-	speeds, err := parseSpeeds(*sedSpeeds)
+	speeds, err := cliflag.Speeds(*sedSpeeds)
 	if err != nil {
 		fail(err)
 	}
@@ -243,7 +243,7 @@ func main() {
 
 	// Self-hosted fabric unless pointed at an external daemon or ring.
 	target := *addr
-	ringMembers := splitRing(*ringSpec)
+	ringMembers := cliflag.List(*ringSpec)
 	if len(ringMembers) > 0 {
 		if target != "" {
 			fail(errors.New("oaload: -addr and -ring are mutually exclusive"))
@@ -704,20 +704,6 @@ func main() {
 	fmt.Printf("wrote %s\n", *out)
 }
 
-// splitRing parses the -ring member list: whitespace trimmed, empties dropped.
-func splitRing(spec string) []string {
-	if spec == "" {
-		return nil
-	}
-	var out []string
-	for _, p := range strings.Split(spec, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // defaultClusters rebuilds the cluster map a self-hosted fabric (and an oarun
 // -daemon with default flags) serves: the paper's five Grid'5000 profiles,
 // capped to n and with procs processors each. It feeds the serial verifier
@@ -824,41 +810,6 @@ func phaseBreakdown(tags []string, outcomes []campaignOutcome, latencies []time.
 	return out
 }
 
-// parseAutoscale parses the -autoscale "min:max" fleet bounds; an empty
-// spec (autoscaling off) parses to (0, 0).
-func parseAutoscale(spec string) (min, max int, err error) {
-	if spec == "" {
-		return 0, 0, nil
-	}
-	lo, hi, ok := strings.Cut(spec, ":")
-	if ok {
-		min, err = strconv.Atoi(strings.TrimSpace(lo))
-		if err == nil {
-			max, err = strconv.Atoi(strings.TrimSpace(hi))
-		}
-	}
-	if !ok || err != nil || min < 1 || max < min {
-		return 0, 0, fmt.Errorf("oaload: bad -autoscale %q (want min:max with 1 <= min <= max)", spec)
-	}
-	return min, max, nil
-}
-
-// parseSpeeds parses the -sed-speeds factor list.
-func parseSpeeds(spec string) ([]float64, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var out []float64
-	for _, p := range strings.Split(spec, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("oaload: bad -sed-speeds entry %q (want a positive factor)", p)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
 // schedule precomputes the deterministic arrival offsets of every campaign.
 func schedule(pattern string, n int, rate float64, burst int, gap time.Duration, seed int64) ([]time.Duration, error) {
 	if n <= 0 {
@@ -910,26 +861,6 @@ func percentileMs(sorted []time.Duration, p float64) float64 {
 		rank = len(sorted) - 1
 	}
 	return float64(sorted[rank]) / float64(time.Millisecond)
-}
-
-// parseTenantWeights parses "gold=10,silver=1" into a weight map.
-func parseTenantWeights(spec string) (map[string]float64, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	out := make(map[string]float64)
-	for _, pair := range strings.Split(spec, ",") {
-		name, val, ok := strings.Cut(strings.TrimSpace(pair), "=")
-		if !ok || name == "" {
-			return nil, fmt.Errorf("oaload: bad -tenants entry %q (want name=weight)", pair)
-		}
-		w, err := strconv.ParseFloat(val, 64)
-		if err != nil || w <= 0 {
-			return nil, fmt.Errorf("oaload: bad -tenants weight %q for tenant %q (want a positive number)", val, name)
-		}
-		out[name] = w
-	}
-	return out, nil
 }
 
 // tenantBreakdown folds the per-campaign outcomes into per-tenant service

@@ -35,11 +35,11 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
+	"oagrid/cmd/internal/cliflag"
 	"oagrid/internal/autoscale"
 	"oagrid/internal/climate/field"
 	"oagrid/internal/climate/pipeline"
@@ -88,17 +88,17 @@ func main() {
 	flag.Parse()
 
 	if *daemon {
-		weights, err := parseTenantWeights(*tenantWts)
+		weights, err := cliflag.TenantWeights("tenant-weights", *tenantWts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "oarun: %v\n", err)
 			os.Exit(2)
 		}
-		asMin, asMax, err := parseAutoscale(*autoscaleSpec)
+		asMin, asMax, err := cliflag.Autoscale(*autoscaleSpec)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "oarun: %v\n", err)
 			os.Exit(2)
 		}
-		speeds, err := parseSpeeds(*sedSpeeds)
+		speeds, err := cliflag.Speeds(*sedSpeeds)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "oarun: %v\n", err)
 			os.Exit(2)
@@ -205,73 +205,6 @@ func main() {
 	fmt.Printf("outputs in %s\n", cfg.Dir())
 }
 
-// splitRing parses the -ring member list, trimming whitespace and dropping
-// empty entries.
-func splitRing(spec string) []string {
-	var out []string
-	for _, p := range strings.Split(spec, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// parseTenantWeights parses "gold=10,silver=1" into a weight map.
-func parseTenantWeights(spec string) (map[string]float64, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	out := make(map[string]float64)
-	for _, pair := range strings.Split(spec, ",") {
-		name, val, ok := strings.Cut(strings.TrimSpace(pair), "=")
-		if !ok || name == "" {
-			return nil, fmt.Errorf("bad -tenant-weights entry %q (want name=weight)", pair)
-		}
-		w, err := strconv.ParseFloat(val, 64)
-		if err != nil || w <= 0 {
-			return nil, fmt.Errorf("bad -tenant-weights weight %q for tenant %q (want a positive number)", val, name)
-		}
-		out[name] = w
-	}
-	return out, nil
-}
-
-// parseAutoscale parses the -autoscale "min:max" fleet bounds; an empty
-// spec (autoscaling off) parses to (0, 0).
-func parseAutoscale(spec string) (min, max int, err error) {
-	if spec == "" {
-		return 0, 0, nil
-	}
-	lo, hi, ok := strings.Cut(spec, ":")
-	if ok {
-		min, err = strconv.Atoi(strings.TrimSpace(lo))
-		if err == nil {
-			max, err = strconv.Atoi(strings.TrimSpace(hi))
-		}
-	}
-	if !ok || err != nil || min < 1 || max < min {
-		return 0, 0, fmt.Errorf("bad -autoscale %q (want min:max with 1 <= min <= max)", spec)
-	}
-	return min, max, nil
-}
-
-// parseSpeeds parses the -sed-speeds factor list.
-func parseSpeeds(spec string) ([]float64, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var out []float64
-	for _, p := range strings.Split(spec, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad -sed-speeds entry %q (want a positive factor)", p)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
 // daemonConfig bundles the -daemon flag set.
 type daemonConfig struct {
 	addr, state        string
@@ -320,7 +253,7 @@ func runDaemon(dc daemonConfig) {
 		fmt.Printf("durable: campaign journal under %s (restart on the same -state to recover)\n", dc.state)
 	}
 	if dc.ring != "" {
-		members := splitRing(dc.ring)
+		members := cliflag.List(dc.ring)
 		if err := sched.JoinRing(dc.addr, members, dc.ringHb, dc.ringDead); err != nil {
 			fail(err)
 		}

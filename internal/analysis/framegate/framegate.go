@@ -3,29 +3,28 @@
 // class behind protocol v5: PR 7 appended SubmitResponse.Code to the
 // fkSubmitResp frame unconditionally, which broke every mixed-version
 // submit in both directions against the strict trailing-bytes decoder, and
-// had to be retrofitted as `if ver >= ProtocolV5` / `if hdr.Version >=
-// ProtocolV5` guards (the fix that became protocol v5).
+// had to be retrofitted behind a `>= ProtocolV5` guard (the fix that became
+// protocol v5).
 //
-// The analyzer works against a committed wire schema (schema.go): for every
-// fk* frame kind it knows the base (v4) field layout and the
-// version-gated fields with their minimum negotiated version. Encoder
-// scopes are the case bodies that call beginFrame(..., fkX); decoder
-// scopes are the case bodies of a switch over a frame header's .Kind
-// field; shared layout helpers (appendExecResponse, decodeExecResponse)
-// are scopes of their own. Within a scope it flags:
+// The codec states each hot payload's layout once, in that type's
+// `wire(*coder)` method, which both encodes and decodes. The analyzer checks
+// every such method against a committed wire schema (schema.go) that knows,
+// per payload type, the base (v4) fields and the version-gated fields with
+// their minimum negotiated version. Within a wire method it flags:
 //
-//   - a schema-gated field encoded or decoded without its `ver >=
-//     ProtocolVN` / `hdr.Version >= N` guard — the exact v5 Code bug;
+//   - a schema-gated field coded without its `c.ver >= ProtocolVN` guard —
+//     the exact v5 Code bug;
 //   - a field that is in neither the base layout nor the gated set —
 //     a brand-new ungated frame field, the bug about to be reintroduced;
-//   - a gate at the wrong version, which would desynchronize the encoder
-//     and decoder halves (both sides check against the same schema entry);
+//   - a gate at another version than the schema's, or a gated field the
+//     schema does not know;
 //   - a base-layout field moved under a version guard (old peers would
 //     stop receiving it) and a base or gated field that vanished from the
-//     scope entirely (old peers would mis-parse what remains).
+//     method entirely (old peers would mis-parse what remains);
+//   - a wire method for a type the schema does not list.
 //
-// Changing the wire layout therefore takes two deliberate edits — the
-// codec and the schema — and the schema diff is the reviewable statement
+// Changing the wire layout therefore takes two deliberate edits — the wire
+// method and the schema — and the schema diff is the reviewable statement
 // of what the frame now says on the wire.
 package framegate
 
@@ -43,212 +42,54 @@ import (
 // Analyzer is the framegate checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "framegate",
-	Doc:  "flags frame fields encoded/decoded without their negotiated-version gate in the binary codec",
+	Doc:  "flags frame fields coded without their negotiated-version gate in the binary codec's wire methods",
 	Run:  run,
 }
 
-// ref is one field reference inside a scope.
+// ref is one field reference inside a wire method.
 type ref struct {
 	field string // "Type.Field"
 	gate  int    // 0 = unconditional, else the guard's minimum version
 	pos   token.Pos
 }
 
-// scopeKind distinguishes encoder and decoder scopes in diagnostics and
-// schema keys.
-const (
-	encScope = "enc"
-	decScope = "dec"
-)
-
 func run(pass *analysis.Pass) error {
-	scopes := map[string][]ref{}      // schema key -> field references
-	anchors := map[string]token.Pos{} // schema key -> scope position for whole-scope diagnostics
-
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
+			if !ok || fn.Body == nil || fn.Recv == nil || fn.Name.Name != "wire" {
 				continue
 			}
-			if Schema.Helpers[fn.Name.Name] {
-				key := "hlp:" + fn.Name.Name
-				anchors[key] = fn.Pos()
-				collectStmts(pass, fn.Body.List, 0, key, scopes)
-				continue
+			if payload, ok := namedStruct(pass.TypesInfo.TypeOf(fn.Recv.List[0].Type)); ok {
+				var refs []ref
+				collect(pass, fn.Body, 0, &refs)
+				enforce(pass, payload, fn.Pos(), refs)
 			}
-			collectCases(pass, fn, scopes, anchors)
 		}
 	}
-	enforce(pass, scopes, anchors)
 	return nil
 }
 
-// collectCases finds the encoder and decoder case bodies inside fn and
-// collects their field references.
-func collectCases(pass *analysis.Pass, fn *ast.FuncDecl, scopes map[string][]ref, anchors map[string]token.Pos) {
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		sw, ok := n.(*ast.SwitchStmt)
-		if !ok {
-			return true
-		}
-		decoder := isKindSwitch(sw)
-		for _, clause := range sw.Body.List {
-			cc, ok := clause.(*ast.CaseClause)
-			if !ok {
-				continue
-			}
-			var key string
-			if decoder {
-				kind := caseKindName(cc)
-				if kind == "" {
-					continue
-				}
-				key = decScope + ":" + kind
-			} else {
-				kind := beginFrameKind(cc)
-				if kind == "" {
-					continue
-				}
-				key = encScope + ":" + kind
-			}
-			anchors[key] = cc.Pos()
-			if _, ok := scopes[key]; !ok {
-				scopes[key] = nil // scope exists even when it references no fields
-			}
-			collectStmts(pass, cc.Body, 0, key, scopes)
-		}
-		return true
-	})
-}
-
-// isKindSwitch reports whether sw switches over a frame header's Kind.
-func isKindSwitch(sw *ast.SwitchStmt) bool {
-	sel, ok := sw.Tag.(*ast.SelectorExpr)
-	return ok && sel.Sel.Name == "Kind"
-}
-
-// caseKindName returns the fk* constant a decoder case matches ("" when the
-// clause is a default or matches something else).
-func caseKindName(cc *ast.CaseClause) string {
-	for _, e := range cc.List {
-		if id, ok := e.(*ast.Ident); ok && strings.HasPrefix(id.Name, "fk") {
-			return id.Name
-		}
-	}
-	return ""
-}
-
-// beginFrameKind returns the fk* constant the clause passes to beginFrame
-// ("" when the clause opens no frame).
-func beginFrameKind(cc *ast.CaseClause) string {
-	kind := ""
-	for _, stmt := range cc.Body {
-		ast.Inspect(stmt, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || kind != "" {
-				return kind == ""
-			}
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "beginFrame" && len(call.Args) == 3 {
-				if k, ok := call.Args[2].(*ast.Ident); ok {
-					kind = k.Name
-				}
-			}
-			return kind == ""
-		})
-		if kind != "" {
-			break
-		}
-	}
-	return kind
-}
-
-// collectStmts walks statements, tracking the active version gate: entering
-// the body of `if ver >= ProtocolVN` (or `hdr.Version >= N`) sets the gate
-// to N; everything else inherits.
-func collectStmts(pass *analysis.Pass, stmts []ast.Stmt, gate int, key string, scopes map[string][]ref) {
-	for _, stmt := range stmts {
-		collectStmt(pass, stmt, gate, key, scopes)
-	}
-}
-
-func collectStmt(pass *analysis.Pass, stmt ast.Stmt, gate int, key string, scopes map[string][]ref) {
-	switch s := stmt.(type) {
-	case *ast.IfStmt:
-		if s.Init != nil {
-			collectStmt(pass, s.Init, gate, key, scopes)
-		}
-		if v := guardVersion(pass, s.Cond); v > 0 {
-			collectStmts(pass, s.Body.List, v, key, scopes)
-		} else {
-			collectExpr(pass, s.Cond, gate, key, scopes)
-			collectStmts(pass, s.Body.List, gate, key, scopes)
-		}
-		if s.Else != nil {
-			collectStmt(pass, s.Else, gate, key, scopes)
-		}
-	case *ast.BlockStmt:
-		collectStmts(pass, s.List, gate, key, scopes)
-	case *ast.ForStmt:
-		if s.Init != nil {
-			collectStmt(pass, s.Init, gate, key, scopes)
-		}
-		if s.Cond != nil {
-			collectExpr(pass, s.Cond, gate, key, scopes)
-		}
-		if s.Post != nil {
-			collectStmt(pass, s.Post, gate, key, scopes)
-		}
-		collectStmts(pass, s.Body.List, gate, key, scopes)
-	case *ast.RangeStmt:
-		collectExpr(pass, s.X, gate, key, scopes)
-		collectStmts(pass, s.Body.List, gate, key, scopes)
-	case *ast.SwitchStmt:
-		// A nested switch inside a case body (none today) keeps the gate.
-		if s.Tag != nil {
-			collectExpr(pass, s.Tag, gate, key, scopes)
-		}
-		for _, clause := range s.Body.List {
-			if cc, ok := clause.(*ast.CaseClause); ok {
-				for _, e := range cc.List {
-					collectExpr(pass, e, gate, key, scopes)
-				}
-				collectStmts(pass, cc.Body, gate, key, scopes)
-			}
-		}
-	default:
-		ast.Inspect(stmt, func(n ast.Node) bool {
-			if e, ok := n.(ast.Expr); ok {
-				collectExpr(pass, e, gate, key, scopes)
-				return false
-			}
-			return true
-		})
-	}
-}
-
-// collectExpr records every wire-struct field the expression touches.
-func collectExpr(pass *analysis.Pass, e ast.Expr, gate int, key string, scopes map[string][]ref) {
-	ast.Inspect(e, func(n ast.Node) bool {
+// collect records every wire-struct field n touches, tracking the active
+// version gate: the body of `if c.ver >= ProtocolVN` is gated at N,
+// everything else inherits.
+func collect(pass *analysis.Pass, n ast.Node, gate int, refs *[]ref) {
+	ast.Inspect(n, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.IfStmt:
+			v := guardVersion(pass, n.Cond)
+			if v == 0 {
+				return true
+			}
+			collect(pass, n.Body, v, refs)
+			if n.Else != nil {
+				collect(pass, n.Else, gate, refs)
+			}
+			return false
 		case *ast.SelectorExpr:
-			if field, ok := fieldOf(pass, n); ok {
-				scopes[key] = append(scopes[key], ref{field: field, gate: gate, pos: n.Sel.Pos()})
-			}
-		case *ast.CompositeLit:
-			tv, ok := pass.TypesInfo.Types[n]
-			if !ok || tv.Type == nil {
-				return true
-			}
-			name, isStruct := namedStruct(tv.Type)
-			if !isStruct || Schema.Ignore[name] {
-				return true
-			}
-			for _, elt := range n.Elts {
-				if kv, ok := elt.(*ast.KeyValueExpr); ok {
-					if id, ok := kv.Key.(*ast.Ident); ok {
-						scopes[key] = append(scopes[key], ref{field: name + "." + id.Name, gate: gate, pos: id.Pos()})
-					}
+			if s, ok := pass.TypesInfo.Selections[n]; ok && s.Kind() == types.FieldVal {
+				if owner, ok := namedStruct(s.Recv()); ok && !Schema.Ignore[owner] {
+					*refs = append(*refs, ref{field: owner + "." + n.Sel.Name, gate: gate, pos: n.Sel.Pos()})
 				}
 			}
 		}
@@ -256,35 +97,14 @@ func collectExpr(pass *analysis.Pass, e ast.Expr, gate int, key string, scopes m
 	})
 }
 
-// fieldOf resolves a selector to "Type.Field" when it selects a struct
-// field of a non-ignored named type.
-func fieldOf(pass *analysis.Pass, sel *ast.SelectorExpr) (string, bool) {
-	s, ok := pass.TypesInfo.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
-		return "", false
-	}
-	name, isStruct := namedStruct(s.Recv())
-	if !isStruct || Schema.Ignore[name] {
-		return "", false
-	}
-	return name + "." + sel.Sel.Name, true
-}
-
-// namedStruct unwraps pointers and reports the named struct type's name.
+// namedStruct unwraps one pointer and reports the named struct type's name.
 func namedStruct(t types.Type) (string, bool) {
 	if ptr, ok := t.Underlying().(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
 	named, ok := t.(*types.Named)
 	if !ok {
-		if ptr, ok := t.(*types.Pointer); ok {
-			named, ok = ptr.Elem().(*types.Named)
-			if !ok {
-				return "", false
-			}
-		} else {
-			return "", false
-		}
+		return "", false
 	}
 	if _, ok := named.Underlying().(*types.Struct); !ok {
 		return "", false
@@ -292,11 +112,11 @@ func namedStruct(t types.Type) (string, bool) {
 	return named.Obj().Name(), true
 }
 
-// guardVersion recognizes a negotiated-version guard in a condition: any
-// conjunct of the shape `<version-expr> >= <const>` where the left side is
-// an identifier named ver/version or a selector ending .Version, and the
-// right side is an integer constant (ProtocolVN or a literal). Returns the
-// version, or 0 when the condition guards something else.
+// guardVersion recognizes a negotiated-version guard: a condition with a
+// conjunct `<version> >= <const>`, where the left side is an identifier or
+// field named ver or version and the right side an integer constant
+// (ProtocolVN or a literal). Returns the version, or 0 when the condition
+// guards something else.
 func guardVersion(pass *analysis.Pass, cond ast.Expr) int {
 	version := 0
 	ast.Inspect(cond, func(n ast.Node) bool {
@@ -319,80 +139,62 @@ func guardVersion(pass *analysis.Pass, cond ast.Expr) int {
 	return version
 }
 
-// isVersionExpr matches the codec's version spellings: `ver`, `version`, a
-// selector ending in .Version, or a conversion of either.
+// isVersionExpr matches the codec's version spellings: `ver`, `c.ver`,
+// `hdr.Version`.
 func isVersionExpr(e ast.Expr) bool {
+	name := ""
 	switch e := e.(type) {
 	case *ast.Ident:
-		n := strings.ToLower(e.Name)
-		return n == "ver" || n == "version"
+		name = e.Name
 	case *ast.SelectorExpr:
-		return e.Sel.Name == "Version"
-	case *ast.CallExpr: // int(hdr.Version)
-		if len(e.Args) == 1 {
-			return isVersionExpr(e.Args[0])
-		}
-	case *ast.ParenExpr:
-		return isVersionExpr(e.X)
+		name = e.Sel.Name
 	}
-	return false
+	name = strings.ToLower(name)
+	return name == "ver" || name == "version"
 }
 
-// enforce checks every collected scope against the schema.
-func enforce(pass *analysis.Pass, scopes map[string][]ref, anchors map[string]token.Pos) {
-	keys := make([]string, 0, len(scopes))
-	for k := range scopes {
-		keys = append(keys, k)
+// enforce checks one wire method's field references against the schema.
+func enforce(pass *analysis.Pass, payload string, anchor token.Pos, refs []ref) {
+	base, baseKnown := Schema.Base[payload]
+	gated := Schema.Gated[payload]
+	if !baseKnown {
+		pass.Reportf(anchor, "%s has a wire layout but is not in the committed framegate schema (internal/analysis/framegate/schema.go); new payload types must be added there deliberately", payload)
+		return
 	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		base, baseKnown := Schema.Base[key]
-		gated := Schema.Gated[key]
-		if !baseKnown && gated == nil {
-			pass.Reportf(anchors[key], "frame scope %s is not in the committed framegate schema (internal/analysis/framegate/schema.go); new frame kinds and layout helpers must be added there deliberately", key)
-			continue
+	baseSet := map[string]bool{}
+	for _, f := range base {
+		baseSet[f] = true
+	}
+	seen := map[string]bool{}
+	for _, r := range refs {
+		seen[r.field] = true // present, even if misgated: don't also report it missing
+		switch want := gated[r.field]; {
+		case r.gate == 0 && baseSet[r.field], r.gate > 0 && r.gate == want:
+		case r.gate == 0 && want > 0:
+			pass.Reportf(r.pos, "%s is a v%d field of %s coded without its negotiated-version gate; wrap it in `if c.ver >= ProtocolV%d` — this is the protocol-v5 SubmitResponse.Code bug pattern", r.field, want, payload, want)
+		case r.gate == 0:
+			pass.Reportf(r.pos, "%s is not part of %s's committed wire layout; an ungated new frame field breaks every pre-existing peer (the v5 Code incident) — gate it behind the next protocol version and add it to the framegate schema", r.field, payload)
+		case want > 0:
+			pass.Reportf(r.pos, "%s is gated at v%d here but the schema pins it to v%d; peers negotiate on the schema's version", r.field, r.gate, want)
+		case baseSet[r.field]:
+			pass.Reportf(r.pos, "%s is part of %s's base layout but sits behind a v%d gate; pre-v%d peers would stop receiving it and mis-parse the rest of the frame", r.field, payload, r.gate, r.gate)
+		default:
+			pass.Reportf(r.pos, "%s is version-gated but absent from the framegate schema; add it to Gated[%q] at v%d", r.field, payload, r.gate)
 		}
-		baseSet := map[string]bool{}
-		for _, f := range base {
-			baseSet[f] = true
+	}
+	for _, f := range base {
+		if !seen[f] {
+			pass.Reportf(anchor, "%s's base-layout field %s is no longer coded; removing or reordering base fields breaks every existing peer (update the schema only with a protocol bump)", payload, f)
 		}
-		seenBase := map[string]bool{}
-		seenGated := map[string]bool{}
-		for _, r := range scopes[key] {
-			switch {
-			case r.gate == 0 && baseSet[r.field]:
-				seenBase[r.field] = true
-			case r.gate == 0 && gated[r.field] > 0:
-				pass.Reportf(r.pos, "%s is a v%d field of %s encoded/decoded without its negotiated-version gate; wrap it in `if ver >= ProtocolV%d` (encoder) / `if hdr.Version >= ProtocolV%d` (decoder) — this is the protocol-v5 SubmitResponse.Code bug pattern", r.field, gated[r.field], key, gated[r.field], gated[r.field])
-				seenGated[r.field] = true // present, just misgated: don't also report it missing
-			case r.gate == 0:
-				pass.Reportf(r.pos, "%s is not part of %s's committed wire layout; an ungated new frame field breaks every pre-existing peer (the v5 Code incident) — gate it behind the next protocol version and add it to the framegate schema", r.field, key)
-			case gated[r.field] > 0 && gated[r.field] != r.gate:
-				pass.Reportf(r.pos, "%s is gated at v%d here but the schema (and the other codec half) pin it to v%d; mismatched gates desynchronize encoder and decoder", r.field, r.gate, gated[r.field])
-				seenGated[r.field] = true
-			case gated[r.field] > 0:
-				seenGated[r.field] = true
-			case baseSet[r.field]:
-				pass.Reportf(r.pos, "%s is part of %s's base layout but sits behind a v%d gate; pre-v%d peers would stop receiving it and mis-parse the rest of the frame", r.field, key, r.gate, r.gate)
-				seenBase[r.field] = true
-			default:
-				pass.Reportf(r.pos, "%s is version-gated but absent from the framegate schema; add it to Gated[%q] so both codec halves agree on v%d", r.field, key, r.gate)
-			}
+	}
+	missing := make([]string, 0, len(gated))
+	for f := range gated {
+		if !seen[f] {
+			missing = append(missing, f)
 		}
-		for _, f := range base {
-			if !seenBase[f] {
-				pass.Reportf(anchors[key], "%s's base-layout field %s is no longer encoded/decoded unconditionally; removing or reordering base fields breaks every existing peer (update the schema only with a protocol bump)", key, f)
-			}
-		}
-		gatedFields := make([]string, 0, len(gated))
-		for f := range gated {
-			gatedFields = append(gatedFields, f)
-		}
-		sort.Strings(gatedFields)
-		for _, f := range gatedFields {
-			if !seenGated[f] {
-				pass.Reportf(anchors[key], "%s's gated field %s (v%d) is missing its guarded encode/decode; peers at or above v%d expect it", key, f, gated[f], gated[f])
-			}
-		}
+	}
+	sort.Strings(missing)
+	for _, f := range missing {
+		pass.Reportf(anchor, "%s's gated field %s (v%d) is missing its guarded coding; peers at or above v%d expect it", payload, f, gated[f], gated[f])
 	}
 }

@@ -1,16 +1,15 @@
 package framegate
 
 // WireSchema is the committed statement of the binary codec's frame
-// layouts. Scope keys are "enc:<fk kind>" / "dec:<fk kind>" for the
-// encoder/decoder case bodies and "hlp:<func>" for shared layout helpers.
-// Base lists the fields every peer at the scope's floor version (v4)
-// encodes and decodes unconditionally, in no particular order; Gated maps
-// later fields to the negotiated version that introduced them. A scope
-// present in Base with an empty field list is a known frame whose payload
-// carries no schema-tracked fields (error strings, JSON envelopes,
-// helper-delegated bodies).
+// layouts, keyed by hot payload type — the receiver of a `wire(*coder)`
+// method in internal/diet/binary.go. Base lists the "Type.Field" references
+// every peer at the floor version (v4) codes unconditionally, in no
+// particular order (byte order is pinned by internal/diet's golden frames);
+// fields of nested structs coded inline are listed under the type whose wire
+// method codes them. Gated maps later fields to the negotiated version that
+// introduced them.
 //
-// Editing the codec's layout without editing this file is a framegate
+// Editing a wire method's layout without editing this file is a framegate
 // finding by design: the schema diff is the reviewable record of what
 // changed on the wire, exactly the review signal whose absence let the
 // ungated SubmitResponse.Code append ship in PR 7.
@@ -18,117 +17,65 @@ type WireSchema struct {
 	// Ignore names the bookkeeping struct types whose fields are not wire
 	// payload: envelopes, headers and codec state.
 	Ignore map[string]bool
-	// Helpers names the functions that encode/decode a shared layout and
-	// therefore form scopes of their own.
-	Helpers map[string]bool
-	// Base maps scope -> unconditional "Type.Field" layout.
+	// Base maps payload type -> unconditional "Type.Field" layout.
 	Base map[string][]string
-	// Gated maps scope -> "Type.Field" -> minimum negotiated version.
+	// Gated maps payload type -> "Type.Field" -> minimum negotiated version.
 	Gated map[string]map[string]int
 }
 
-// Schema is the active schema. A package variable rather than a constant
-// structure so the golden tests can swap in fixture schemas; production use
-// (cmd/oalint) always runs the committed default below.
+// Schema is the committed schema; cmd/oalint and the fixture tests both run
+// against it.
 var Schema = WireSchema{
 	Ignore: map[string]bool{
 		"Request":      true,
 		"Response":     true,
 		"FrameHeader":  true,
 		"FrameDecoder": true,
-		"byteReader":   true,
-	},
-	Helpers: map[string]bool{
-		"appendExecResponse": true,
-		"decodeExecResponse": true,
+		"coder":        true,
 	},
 	Base: map[string][]string{
 		// ---- requests ----
-		"enc:fkSubmitReq":    submitReqLayout,
-		"dec:fkSubmitReq":    submitReqLayout,
-		"enc:fkExecReq":      execReqLayout,
-		"dec:fkExecReq":      execReqLayout,
-		"enc:fkPerfReq":      perfReqLayout,
-		"dec:fkPerfReq":      perfReqLayout,
-		"enc:fkHeartbeatReq": heartbeatReqLayout,
-		"dec:fkHeartbeatReq": heartbeatReqLayout,
-		"enc:fkAttachReq":    attachReqLayout,
-		"dec:fkAttachReq":    attachReqLayout,
-		"enc:fkResultReq":    resultReqLayout,
-		"dec:fkResultReq":    resultReqLayout,
-		"enc:fkJSONReq":      {},
-		"dec:fkJSONReq":      {},
+		"SubmitRequest": {
+			"SubmitRequest.Scenarios", "SubmitRequest.Months", "SubmitRequest.Heuristic",
+			"SubmitRequest.Wait", "SubmitRequest.Progress", "SubmitRequest.Priority",
+			"SubmitRequest.Deadline", "SubmitRequest.Labels",
+		},
+		"ExecRequest":      {"ExecRequest.Months", "ExecRequest.Heuristic", "ExecRequest.ScenarioIDs"},
+		"PerfRequest":      {"PerfRequest.Scenarios", "PerfRequest.Months", "PerfRequest.Heuristic"},
+		"HeartbeatRequest": {"HeartbeatRequest.Cluster", "HeartbeatRequest.Addr", "HeartbeatRequest.Procs", "HeartbeatRequest.InFlight"},
+		"AttachRequest":    {"AttachRequest.ID", "AttachRequest.Progress"},
+		"ResultRequest":    {"ResultRequest.ID"},
 
 		// ---- responses ----
-		"enc:fkErr":        {},
-		"dec:fkErr":        {},
-		"enc:fkSubmitResp": submitRespLayout,
-		"dec:fkSubmitResp": submitRespLayout,
-		// The exec payload is entirely delegated to the helpers below.
-		"enc:fkExecResp":       {},
-		"dec:fkExecResp":       {},
-		"enc:fkPerfResp":       perfRespLayout,
-		"dec:fkPerfResp":       perfRespLayout,
-		"enc:fkHeartbeatResp":  {"HeartbeatResponse.OK"},
-		"dec:fkHeartbeatResp":  {"HeartbeatResponse.OK"},
-		"enc:fkAttachResp":     attachRespLayout,
-		"dec:fkAttachResp":     attachRespLayout,
-		"enc:fkProgress":       progressLayout,
-		"dec:fkProgress":       progressLayout,
-		"enc:fkCampaignResult": campaignResultLayout,
-		"dec:fkCampaignResult": campaignResultLayout,
-		"enc:fkJSONResp":       {},
-		"dec:fkJSONResp":       {},
-
-		// ---- shared layout helpers ----
-		"hlp:appendExecResponse": execRespLayout,
-		"hlp:decodeExecResponse": execRespLayout,
+		"SubmitResponse": {
+			"SubmitResponse.ID", "SubmitResponse.Accepted", "SubmitResponse.Reason", "SubmitResponse.QueueDepth",
+		},
+		"ExecResponse": {
+			"ExecResponse.Cluster", "ExecResponse.Makespan", "ExecResponse.Scenarios", "ExecResponse.Round",
+			"ExecResponse.FirstScenario", "ExecResponse.Allocation",
+			"Allocation.Groups", "Allocation.PostProcs", "Allocation.Heuristic",
+		},
+		"PerfResponse":      {"PerfResponse.Cluster", "PerfResponse.Procs", "PerfResponse.Vector"},
+		"HeartbeatResponse": {"HeartbeatResponse.OK"},
+		"AttachResponse":    {"AttachResponse.ID", "AttachResponse.Found", "AttachResponse.Status", "AttachResponse.Done", "AttachResponse.Total"},
+		"ProgressUpdate": {
+			"ProgressUpdate.ID", "ProgressUpdate.Stage", "ProgressUpdate.Done", "ProgressUpdate.Total",
+			"ProgressUpdate.Requeued", "ProgressUpdate.Planned", "ProgressUpdate.Chunk",
+			"PlannedChunk.Cluster", "PlannedChunk.Scenarios",
+		},
+		"CampaignResult": {
+			"CampaignResult.ID", "CampaignResult.Status", "CampaignResult.Makespan", "CampaignResult.Requeues",
+			"CampaignResult.Done", "CampaignResult.Total", "CampaignResult.Err", "CampaignResult.Reports",
+		},
 	},
 	Gated: map[string]map[string]int{
-		// Protocol v5: the SubmitResponse reject-code field. Encoded only
-		// when the negotiated version is >= 5 and decoded only when the
-		// frame header says >= 5 — the retrofit that fixed the PR 7 break.
-		"enc:fkSubmitResp": {"SubmitResponse.Code": 5},
-		"dec:fkSubmitResp": {"SubmitResponse.Code": 5},
+		// Protocol v5: the SubmitResponse reject-code field, coded only when
+		// the negotiated version is >= 5 — the retrofit that fixed the PR 7
+		// break.
+		"SubmitResponse": {"SubmitResponse.Code": 5},
 		// Protocol v7: the elastic-fleet heartbeat fields — the SeD's speed
 		// factor and its graceful-drain flag — gated exactly like the v5
 		// retrofit so pre-v7 peers keep byte-exact v4 heartbeat frames.
-		"enc:fkHeartbeatReq": {"HeartbeatRequest.Speed": 7, "HeartbeatRequest.Draining": 7},
-		"dec:fkHeartbeatReq": {"HeartbeatRequest.Speed": 7, "HeartbeatRequest.Draining": 7},
+		"HeartbeatRequest": {"HeartbeatRequest.Speed": 7, "HeartbeatRequest.Draining": 7},
 	},
 }
-
-// Shared layouts, spelled once so the encoder and decoder halves cannot
-// drift apart in this file either.
-var (
-	submitReqLayout = []string{
-		"SubmitRequest.Scenarios", "SubmitRequest.Months", "SubmitRequest.Heuristic",
-		"SubmitRequest.Wait", "SubmitRequest.Progress", "SubmitRequest.Priority",
-		"SubmitRequest.Deadline", "SubmitRequest.Labels",
-	}
-	execReqLayout      = []string{"ExecRequest.Months", "ExecRequest.Heuristic", "ExecRequest.ScenarioIDs"}
-	perfReqLayout      = []string{"PerfRequest.Scenarios", "PerfRequest.Months", "PerfRequest.Heuristic"}
-	heartbeatReqLayout = []string{"HeartbeatRequest.Cluster", "HeartbeatRequest.Addr", "HeartbeatRequest.Procs", "HeartbeatRequest.InFlight"}
-	attachReqLayout    = []string{"AttachRequest.ID", "AttachRequest.Progress"}
-	resultReqLayout    = []string{"ResultRequest.ID"}
-
-	submitRespLayout = []string{
-		"SubmitResponse.ID", "SubmitResponse.Accepted", "SubmitResponse.Reason", "SubmitResponse.QueueDepth",
-	}
-	perfRespLayout   = []string{"PerfResponse.Cluster", "PerfResponse.Procs", "PerfResponse.Vector"}
-	attachRespLayout = []string{"AttachResponse.ID", "AttachResponse.Found", "AttachResponse.Status", "AttachResponse.Done", "AttachResponse.Total"}
-	progressLayout   = []string{
-		"ProgressUpdate.ID", "ProgressUpdate.Stage", "ProgressUpdate.Done", "ProgressUpdate.Total",
-		"ProgressUpdate.Requeued", "ProgressUpdate.Planned", "ProgressUpdate.Chunk",
-		"PlannedChunk.Cluster", "PlannedChunk.Scenarios",
-	}
-	campaignResultLayout = []string{
-		"CampaignResult.ID", "CampaignResult.Status", "CampaignResult.Makespan", "CampaignResult.Requeues",
-		"CampaignResult.Done", "CampaignResult.Total", "CampaignResult.Err", "CampaignResult.Reports",
-	}
-	execRespLayout = []string{
-		"ExecResponse.Cluster", "ExecResponse.Makespan", "ExecResponse.Scenarios", "ExecResponse.Round",
-		"ExecResponse.FirstScenario", "ExecResponse.Allocation",
-		"Allocation.Groups", "Allocation.PostProcs", "Allocation.Heuristic",
-	}
-)

@@ -1,29 +1,31 @@
-// Package gated is the correctly-gated extract of internal/diet's
-// fkSubmitResp codec: the shape the framegate analyzer must accept without
-// a single diagnostic. The v5 Code field is guarded on both halves exactly
-// as the production codec guards it.
+// Package gated is the correctly-gated extract of internal/diet's codec:
+// the shape the framegate analyzer must accept without a single diagnostic.
+// Each payload states its layout once, in its wire method; the v5 and v7
+// fields sit behind their guards exactly as production has them, and the
+// nested report reaches its fields through its own wire method.
 package gated
 
-// Protocol versions, as in internal/diet/wire.go.
+// Protocol versions, as in internal/diet/protocol.go.
 const (
-	ProtocolV4 = 4
 	ProtocolV5 = 5
+	ProtocolV7 = 7
 )
 
-// Frame kinds under test.
-const (
-	fkErr        = 0x21
-	fkSubmitResp = 0x22
-)
-
-// Response is the envelope (bookkeeping; ignored by the schema).
-type Response struct {
-	Version int
-	Err     string
-	Submit  *SubmitResponse
+// coder stands in for the bidirectional payload walker (bookkeeping;
+// ignored by the schema). The analyzer only needs it to type-check.
+type coder struct {
+	ver int
+	enc bool
 }
 
-// SubmitResponse is the wire struct whose layout the schema commits.
+func (c *coder) u64(v *uint64, what string)   {}
+func (c *coder) int(v *int, what string)      {}
+func (c *coder) f64(v *float64, what string)  {}
+func (c *coder) bool(v *bool, what string)    {}
+func (c *coder) str(v *string, what string)   {}
+func (c *coder) count(n int, what string) int { return n }
+
+// SubmitResponse carries the v5 field.
 type SubmitResponse struct {
 	ID         uint64
 	Accepted   bool
@@ -32,64 +34,78 @@ type SubmitResponse struct {
 	Code       string
 }
 
-// FrameHeader mirrors the parsed v4 header (bookkeeping; ignored).
-type FrameHeader struct {
-	Version byte
-	Kind    byte
-}
-
-// AppendResponseFrame is the encoder half, gates intact.
-func AppendResponseFrame(buf []byte, resp *Response) ([]byte, error) {
-	ver := resp.Version
-	if ver < ProtocolV4 {
-		ver = ProtocolV4
-	}
-	switch {
-	case resp.Err != "":
-		b, start := beginFrame(buf, byte(ver), fkErr)
-		b = appendStr(b, resp.Err)
-		return finishFrame(b, start)
-	case resp.Submit != nil:
-		b, start := beginFrame(buf, byte(ver), fkSubmitResp)
-		r := resp.Submit
-		b = appendU64(b, r.ID)
-		b = appendBool(b, r.Accepted)
-		b = appendStr(b, r.Reason)
-		b = appendInt(b, r.QueueDepth)
-		// Code is a v5 field: a frame stamped with a lower negotiated
-		// version must stay byte-exact for pre-v5 peers.
-		if ver >= ProtocolV5 {
-			b = appendStr(b, r.Code)
-		}
-		return finishFrame(b, start)
-	default:
-		return buf, nil
+func (x *SubmitResponse) wire(c *coder) {
+	c.u64(&x.ID, "submit id")
+	c.bool(&x.Accepted, "submit accepted")
+	c.str(&x.Reason, "submit reason")
+	c.int(&x.QueueDepth, "submit queue depth")
+	// Code is a v5 field: a frame negotiated lower must stay byte-exact for
+	// pre-v5 peers.
+	if c.ver >= ProtocolV5 {
+		c.str(&x.Code, "submit reject code")
 	}
 }
 
-// DecodeResponseFrame is the decoder half, gates intact.
-func DecodeResponseFrame(d *FrameDecoder, hdr FrameHeader, payload []byte) (*Response, error) {
-	resp := &Response{Version: int(hdr.Version)}
-	r := &byteReader{b: payload}
-	switch hdr.Kind {
-	case fkErr:
-		resp.Err = d.str(r, "error message")
-	case fkSubmitResp:
-		s := &SubmitResponse{
-			ID:       r.u64("submit id"),
-			Accepted: r.bool("submit accepted"),
-			Reason:   d.str(r, "submit reason"),
-		}
-		s.QueueDepth = r.int("submit queue depth")
-		// Mirror the encoder's version gate: a v4 daemon's frame ends at
-		// QueueDepth.
-		if hdr.Version >= ProtocolV5 {
-			s.Code = d.str(r, "submit reject code")
-		}
-		resp.Submit = s
-	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return resp, nil
+// HeartbeatRequest carries the two v7 fields.
+type HeartbeatRequest struct {
+	Cluster  string
+	Addr     string
+	Procs    int
+	InFlight int
+	Speed    float64
+	Draining bool
 }
+
+func (x *HeartbeatRequest) wire(c *coder) {
+	c.str(&x.Cluster, "heartbeat cluster")
+	c.str(&x.Addr, "heartbeat addr")
+	c.int(&x.Procs, "heartbeat procs")
+	c.int(&x.InFlight, "heartbeat inflight")
+	if c.ver >= ProtocolV7 {
+		c.f64(&x.Speed, "heartbeat speed")
+		c.bool(&x.Draining, "heartbeat draining")
+	}
+}
+
+// HeartbeatResponse is the one-field payload.
+type HeartbeatResponse struct{ OK bool }
+
+func (x *HeartbeatResponse) wire(c *coder) { c.bool(&x.OK, "heartbeat ok") }
+
+// CampaignResult nests a list of payloads that bring their own layout, and
+// sizes it in a decode-only branch that touches no new wire field.
+type CampaignResult struct {
+	ID       uint64
+	Status   string
+	Makespan float64
+	Requeues int
+	Done     int
+	Total    int
+	Err      string
+	Reports  []HeartbeatResponse
+}
+
+func (x *CampaignResult) wire(c *coder) {
+	c.u64(&x.ID, "result id")
+	c.str(&x.Status, "result status")
+	c.f64(&x.Makespan, "result makespan")
+	c.int(&x.Requeues, "result requeues")
+	c.int(&x.Done, "result done")
+	c.int(&x.Total, "result total")
+	c.str(&x.Err, "result error")
+	n := c.count(len(x.Reports), "result reports")
+	if !c.enc {
+		x.Reports = make([]HeartbeatResponse, n)
+	}
+	for i := range x.Reports {
+		x.Reports[i].wire(c)
+	}
+}
+
+// A wire method on a non-struct type and a free function of the same name
+// are not payload layouts.
+type kind byte
+
+func (k *kind) wire(c *coder) {}
+
+func wire(c *coder, x *SubmitResponse) { c.str(&x.Code, "not a layout") }

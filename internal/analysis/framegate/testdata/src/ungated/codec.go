@@ -1,32 +1,28 @@
-// Package ungated reproduces the protocol-v5 incident verbatim — the PR 7
-// change that appended SubmitResponse.Code to the fkSubmitResp frame with
-// no negotiated-version gate, breaking every pre-v5 peer whose strict
-// decoder rejects trailing payload bytes — plus the neighboring gate
-// mistakes framegate must catch: a base field moved behind a gate, a gate
-// pinned at the wrong version, a never-committed field, a dropped base
-// field and a frame kind missing from the schema entirely.
+// Package ungated reproduces the protocol-v5 incident verbatim, in the
+// codec's present shape — the PR 7 change that coded SubmitResponse.Code with
+// no negotiated-version gate, breaking every pre-v5 peer whose strict decoder
+// rejects trailing payload bytes — plus the neighboring gate mistakes
+// framegate must catch: a base field moved behind a gate, a gate pinned at
+// the wrong version, a never-committed field (gated and not), a dropped base
+// field, a dropped gated field and a payload type missing from the schema
+// entirely.
 package ungated
 
-// Protocol versions, as in internal/diet/wire.go.
+// Protocol versions, as in internal/diet/protocol.go.
 const (
-	ProtocolV4 = 4
 	ProtocolV5 = 5
+	ProtocolV7 = 7
 )
 
-// Frame kinds under test. fkTrace is deliberately absent from the schema.
-const (
-	fkErr        = 0x21
-	fkSubmitResp = 0x22
-	fkTrace      = 0x29
-)
+// coder stands in for the bidirectional payload walker (bookkeeping;
+// ignored by the schema). The analyzer only needs it to type-check.
+type coder struct{ ver int }
 
-// Response is the envelope (bookkeeping; ignored by the schema).
-type Response struct {
-	Version int
-	Err     string
-	Submit  *SubmitResponse
-	Trace   *TraceFrame
-}
+func (c *coder) u64(v *uint64, what string)  {}
+func (c *coder) int(v *int, what string)     {}
+func (c *coder) f64(v *float64, what string) {}
+func (c *coder) bool(v *bool, what string)   {}
+func (c *coder) str(v *string, what string)  {}
 
 // SubmitResponse carries one never-committed field (Station) on top of the
 // production layout.
@@ -39,78 +35,48 @@ type SubmitResponse struct {
 	Station    string
 }
 
-// TraceFrame is the payload of the unscheduled frame kind.
-type TraceFrame struct {
-	Span string
-}
-
-// FrameHeader mirrors the parsed v4 header (bookkeeping; ignored).
-type FrameHeader struct {
-	Version byte
-	Kind    byte
-}
-
-// AppendResponseFrame is the encoder half with the gates wrong.
-func AppendResponseFrame(buf []byte, resp *Response) ([]byte, error) {
-	ver := resp.Version
-	if ver < ProtocolV4 {
-		ver = ProtocolV4
+func (x *SubmitResponse) wire(c *coder) {
+	c.u64(&x.ID, "submit id")
+	c.bool(&x.Accepted, "submit accepted")
+	c.str(&x.Reason, "submit reason")
+	// A base field moved behind a gate: pre-v5 peers stop receiving it.
+	if c.ver >= ProtocolV5 {
+		c.int(&x.QueueDepth, "submit queue depth") // want `SubmitResponse\.QueueDepth is part of SubmitResponse's base layout but sits behind a v5 gate`
 	}
-	switch {
-	case resp.Err != "":
-		b, start := beginFrame(buf, byte(ver), fkErr)
-		b = appendStr(b, resp.Err)
-		return finishFrame(b, start)
-	case resp.Submit != nil:
-		b, start := beginFrame(buf, byte(ver), fkSubmitResp)
-		r := resp.Submit
-		b = appendU64(b, r.ID)
-		b = appendBool(b, r.Accepted)
-		b = appendStr(b, r.Reason)
-		// A base field moved behind a gate: pre-v5 peers stop receiving it.
-		if ver >= ProtocolV5 {
-			b = appendInt(b, r.QueueDepth) // want `SubmitResponse\.QueueDepth is part of enc:fkSubmitResp's base layout but sits behind a v5 gate`
-		}
-		// The PR 7 bug, verbatim: the v5 field appended unconditionally.
-		b = appendStr(b, r.Code) // want `SubmitResponse\.Code is a v5 field of enc:fkSubmitResp encoded/decoded without its negotiated-version gate`
-		// A field nobody committed to the schema.
-		b = appendStr(b, r.Station) // want `SubmitResponse\.Station is not part of enc:fkSubmitResp's committed wire layout`
-		return finishFrame(b, start)
-	case resp.Trace != nil: // want `frame scope enc:fkTrace is not in the committed framegate schema`
-		b, start := beginFrame(buf, byte(ver), fkTrace)
-		b = appendStr(b, resp.Trace.Span)
-		return finishFrame(b, start)
-	default:
-		return buf, nil
+	// The PR 7 bug, verbatim: the v5 field coded unconditionally.
+	c.str(&x.Code, "submit reject code") // want `SubmitResponse\.Code is a v5 field of SubmitResponse coded without its negotiated-version gate`
+	// A field nobody committed to the schema.
+	c.str(&x.Station, "submit station") // want `SubmitResponse\.Station is not part of SubmitResponse's committed wire layout`
+}
+
+// HeartbeatRequest carries one never-committed field (Zone) on top of the
+// production layout.
+type HeartbeatRequest struct {
+	Cluster  string
+	Addr     string
+	Procs    int
+	InFlight int
+	Speed    float64
+	Draining bool
+	Zone     string
+}
+
+func (x *HeartbeatRequest) wire(c *coder) { // want `HeartbeatRequest's base-layout field HeartbeatRequest\.Addr is no longer coded` `HeartbeatRequest's gated field HeartbeatRequest\.Draining \(v7\) is missing its guarded coding`
+	c.str(&x.Cluster, "heartbeat cluster")
+	// Addr dropped: old peers' payload offsets shift under them.
+	c.int(&x.Procs, "heartbeat procs")
+	c.int(&x.InFlight, "heartbeat inflight")
+	// Gate pinned at the wrong version; Draining dropped with it.
+	if c.ver >= 6 {
+		c.f64(&x.Speed, "heartbeat speed") // want `HeartbeatRequest\.Speed is gated at v6 here but the schema pins it to v7`
+	}
+	// Version-gated, but never committed to the schema.
+	if c.ver >= ProtocolV7 {
+		c.str(&x.Zone, "heartbeat zone") // want `HeartbeatRequest\.Zone is version-gated but absent from the framegate schema`
 	}
 }
 
-// DecodeResponseFrame is the decoder half with its own gate mistakes.
-func DecodeResponseFrame(d *FrameDecoder, hdr FrameHeader, payload []byte) (*Response, error) {
-	resp := &Response{Version: int(hdr.Version)}
-	r := &byteReader{b: payload}
-	switch hdr.Kind {
-	case fkErr:
-		resp.Err = d.str(r, "error message")
-	case fkSubmitResp: // want `dec:fkSubmitResp's base-layout field SubmitResponse\.Reason is no longer encoded/decoded unconditionally`
-		s := &SubmitResponse{
-			ID:       r.u64("submit id"),
-			Accepted: r.bool("submit accepted"),
-			// Reason dropped: old peers' payload offsets shift under them.
-		}
-		s.QueueDepth = r.int("submit queue depth")
-		// Gate pinned at the wrong version: desynchronized codec halves.
-		if hdr.Version >= 6 {
-			s.Code = d.str(r, "submit reject code") // want `SubmitResponse\.Code is gated at v6 here but the schema \(and the other codec half\) pin it to v5`
-		}
-		// Version-gated, but never committed to the schema.
-		if hdr.Version >= 7 {
-			s.Station = d.str(r, "submit station") // want `SubmitResponse\.Station is version-gated but absent from the framegate schema`
-		}
-		resp.Submit = s
-	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return resp, nil
-}
+// TraceFrame is a payload type the schema has never heard of.
+type TraceFrame struct{ Span string }
+
+func (x *TraceFrame) wire(c *coder) { c.str(&x.Span, "trace span") } // want `TraceFrame has a wire layout but is not in the committed framegate schema`

@@ -29,10 +29,12 @@ type SeD struct {
 	// makespan, which keeps results bit-identical to serial replay.
 	speed float64
 
-	inFlight int64 // gauge of requests currently being served
-	// draining is nonzero once Drain() ran: the daemon advertises the flag
-	// on every beat so the scheduler stops placing new chunks on it.
-	draining int32
+	// inFlight gauges the requests currently being served. A typed atomic:
+	// a bare int64 field here is not 64-bit aligned on 32-bit platforms.
+	inFlight atomic.Int64
+	// draining is set once Drain() ran: the daemon advertises the flag on
+	// every beat so the scheduler stops placing new chunks on it.
+	draining atomic.Bool
 
 	hbMu   sync.Mutex
 	hbStop chan struct{}
@@ -78,13 +80,13 @@ func (s *SeD) Close() error {
 func (s *SeD) Cluster() *platform.Cluster { return s.cluster }
 
 // InFlight reports how many requests the daemon is serving right now.
-func (s *SeD) InFlight() int { return int(atomic.LoadInt64(&s.inFlight)) }
+func (s *SeD) InFlight() int { return int(s.inFlight.Load()) }
 
 // Speed reports the daemon's relative speed factor.
 func (s *SeD) Speed() float64 { return s.speed }
 
 // Draining reports whether Drain() has run.
-func (s *SeD) Draining() bool { return atomic.LoadInt32(&s.draining) != 0 }
+func (s *SeD) Draining() bool { return s.draining.Load() }
 
 // Drain flips the daemon into graceful-drain mode: every subsequent
 // heartbeat carries the Draining flag, so the scheduler stops placing new
@@ -92,7 +94,7 @@ func (s *SeD) Draining() bool { return atomic.LoadInt32(&s.draining) != 0 }
 // immediately — a scale-down must not wait out the ticker interval to take
 // effect. The daemon keeps serving until Close.
 func (s *SeD) Drain() {
-	atomic.StoreInt32(&s.draining, 1)
+	s.draining.Store(true)
 	s.hbMu.Lock()
 	addr := s.hbAddr
 	s.hbMu.Unlock()
@@ -153,8 +155,8 @@ func (s *SeD) beat(schedAddr string) {
 }
 
 func (s *SeD) handle(req *Request) *Response {
-	atomic.AddInt64(&s.inFlight, 1)
-	defer atomic.AddInt64(&s.inFlight, -1)
+	s.inFlight.Add(1)
+	defer s.inFlight.Add(-1)
 	switch req.Kind {
 	case KindPerf:
 		return s.handlePerf(req.Perf)

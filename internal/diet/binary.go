@@ -1,11 +1,21 @@
 // The wire codec: length-prefixed binary framing.
 //
 // Request/Response envelopes travel as length-prefixed binary frames with a
-// fixed 12-byte header and hand-rolled little-endian payloads for the hot
-// frame kinds (submit, exec, perf, heartbeat, progress, chunk and campaign
-// results). Cold control-plane kinds (cancel, info, stats, ...) ride inside
-// a JSON-envelope frame — self-contained, codec-stateless, and off the hot
+// fixed 12-byte header and little-endian payloads for the hot frame kinds
+// (submit, exec, perf, heartbeat, progress, chunk and campaign results).
+// Cold control-plane kinds (cancel, info, stats, ...) ride inside a
+// JSON-envelope frame — self-contained, codec-stateless, and off the hot
 // path by construction.
+//
+// Every hot payload type states its layout once, in its wire method: a list
+// of coder primitive calls, each of which appends the field when the coder
+// encodes and reads it when the coder decodes. The encoder and the decoder
+// are the same code run in two directions, so they cannot drift apart; the
+// exported entry points only map envelopes to frame kinds. The layouts are
+// pinned from outside twice: testdata/frames holds the bytes of every hot
+// frame at every negotiated version (TestGoldenFrames), and
+// internal/analysis/framegate checks each wire method against its committed
+// schema entry.
 //
 // Frame layout (all integers little-endian):
 //
@@ -34,9 +44,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
-
-	"oagrid/internal/core"
 )
 
 // Frame header geometry.
@@ -139,172 +146,427 @@ func ParseFrame(b []byte) (FrameHeader, []byte, error) {
 	return h, b[frameHeaderSize : frameHeaderSize+int(h.Length)], nil
 }
 
-// ---- append-style encoding primitives -------------------------------------
+// ---- the coder ------------------------------------------------------------
 
-//oalint:hotpath
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+// coder walks one frame payload in one direction. Encoding (enc set), b is
+// the frame being appended to and every primitive appends *v; decoding, b is
+// the payload, off the read position, and every primitive bounds-checks,
+// reads into *v and advances. The first decode failure latches err and later
+// reads leave their targets alone, so a layout reads straight through and
+// the caller checks done once. ver is the negotiated version the layouts
+// gate their later fields on; d lends the intern table and the scratch
+// arenas when decoding and is nil when encoding.
+type coder struct {
+	b     []byte
+	off   int
+	start int // encoding: where this frame's header sits in b
+	ver   int
+	enc   bool
+	err   error
+	d     *FrameDecoder
 }
 
 //oalint:hotpath
-func appendU64(b []byte, v uint64) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-//oalint:hotpath
-func appendInt(b []byte, v int) []byte { return appendU64(b, uint64(int64(v))) }
-
-//oalint:hotpath
-func appendF64(b []byte, v float64) []byte { return appendU64(b, math.Float64bits(v)) }
-
-//oalint:hotpath
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
+func (c *coder) fail(what string) {
+	if c.err == nil {
+		c.err = fmt.Errorf("%w: truncated %s at offset %d", ErrBadFrame, what, c.off)
 	}
-	return append(b, 0)
 }
 
-//oalint:hotpath
-func appendStr(b []byte, s string) []byte {
-	b = appendU32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-//oalint:hotpath
-func appendInts(b []byte, v []int) []byte {
-	b = appendU32(b, uint32(len(v)))
-	for _, x := range v {
-		b = appendInt(b, x)
-	}
-	return b
-}
-
-//oalint:hotpath
-func appendFloats(b []byte, v []float64) []byte {
-	b = appendU32(b, uint32(len(v)))
-	for _, x := range v {
-		b = appendF64(b, x)
-	}
-	return b
-}
-
-// beginFrame reserves a header at the end of b; finishFrame patches the
-// length once the payload is appended.
+// fits reports whether n more payload bytes are there to decode. It is the
+// codec's one bounds check, done in 64 bits: a hostile u32 length or count
+// cannot wrap it negative, not even where int is 32 bits wide.
 //
 //oalint:hotpath
-func beginFrame(b []byte, ver, kind byte) ([]byte, int) {
-	start := len(b)
-	b = append(b, frameMagic[0], frameMagic[1], frameMagic[2], frameMagic[3],
-		ver, kind, 0, 0, 0, 0, 0, 0)
-	return b, start
+func (c *coder) fits(n uint64) bool { return c.err == nil && n <= uint64(len(c.b)-c.off) }
+
+// take consumes n payload bytes, or latches the failure and returns nil.
+//
+//oalint:hotpath
+func (c *coder) take(n uint32, what string) []byte {
+	if !c.fits(uint64(n)) {
+		c.fail(what)
+		return nil
+	}
+	p := c.b[c.off : c.off+int(n)]
+	c.off += int(n)
+	return p
 }
 
 //oalint:hotpath
-func finishFrame(b []byte, start int) ([]byte, error) {
-	payload := len(b) - start - frameHeaderSize
+func (c *coder) u32(v *uint32, what string) {
+	if c.enc {
+		c.b = binary.LittleEndian.AppendUint32(c.b, *v)
+	} else if p := c.take(4, what); p != nil {
+		*v = binary.LittleEndian.Uint32(p)
+	}
+}
+
+//oalint:hotpath
+func (c *coder) u64(v *uint64, what string) {
+	if c.enc {
+		c.b = binary.LittleEndian.AppendUint64(c.b, *v)
+	} else if p := c.take(8, what); p != nil {
+		*v = binary.LittleEndian.Uint64(p)
+	}
+}
+
+// i64 codes a two's-complement int64, the wire form of every signed
+// integer and of durations (nanoseconds).
+//
+//oalint:hotpath
+func (c *coder) i64(v *int64, what string) {
+	if c.enc {
+		c.b = binary.LittleEndian.AppendUint64(c.b, uint64(*v))
+	} else if p := c.take(8, what); p != nil {
+		*v = int64(binary.LittleEndian.Uint64(p))
+	}
+}
+
+//oalint:hotpath
+func (c *coder) int(v *int, what string) {
+	if c.enc {
+		c.b = binary.LittleEndian.AppendUint64(c.b, uint64(int64(*v)))
+	} else if p := c.take(8, what); p != nil {
+		*v = int(int64(binary.LittleEndian.Uint64(p)))
+	}
+}
+
+// f64 codes the IEEE-754 bits, so makespans cross the wire bit-exactly.
+//
+//oalint:hotpath
+func (c *coder) f64(v *float64, what string) {
+	if c.enc {
+		c.b = binary.LittleEndian.AppendUint64(c.b, math.Float64bits(*v))
+	} else if p := c.take(8, what); p != nil {
+		*v = math.Float64frombits(binary.LittleEndian.Uint64(p))
+	}
+}
+
+//oalint:hotpath
+func (c *coder) bool(v *bool, what string) { c.flags(what, v) }
+
+// flags packs up to eight bools into one byte, bit i for flags[i]. Bits
+// beyond the ones named are written zero and ignored when read.
+//
+//oalint:hotpath
+func (c *coder) flags(what string, flags ...*bool) {
+	if c.enc {
+		var bits byte
+		for i, f := range flags {
+			if *f {
+				bits |= 1 << i
+			}
+		}
+		c.b = append(c.b, bits)
+	} else if p := c.take(1, what); p != nil {
+		for i, f := range flags {
+			*f = p[0]&(1<<i) != 0
+		}
+	}
+}
+
+// str codes u32 length + bytes. Decoded strings are interned, so repeated
+// cluster, heuristic and status names cost nothing after the first sighting.
+//
+//oalint:hotpath
+func (c *coder) str(v *string, what string) {
+	if c.enc {
+		c.b = append(binary.LittleEndian.AppendUint32(c.b, uint32(len(*v))), *v...)
+	} else {
+		var n uint32
+		c.u32(&n, what)
+		*v = c.d.intern(c.take(n, what))
+	}
+}
+
+// count codes a collection length as u32: n when encoding, the decoded
+// length otherwise — sanity-capped against the bytes remaining (elemSize is a
+// lower bound on one element's encoding), so a corrupt count costs an error,
+// not a huge preallocation.
+//
+//oalint:hotpath
+func (c *coder) count(n, elemSize int, what string) int {
+	u := uint32(n)
+	c.u32(&u, what)
+	if c.enc {
+		return n
+	}
+	if !c.fits(uint64(u) * uint64(elemSize)) {
+		c.fail(what)
+		return 0
+	}
+	return int(u)
+}
+
+// ints codes []int as count + count x i64.
+//
+//oalint:hotpath
+func (c *coder) ints(v *[]int, what string) {
+	n := c.count(len(*v), 8, what)
+	if !c.enc {
+		*v = carve(c.d, &c.d.ints, n)
+	}
+	for i := range *v {
+		c.int(&(*v)[i], what)
+	}
+}
+
+// floats codes []float64 as count + count x f64.
+//
+//oalint:hotpath
+func (c *coder) floats(v *[]float64, what string) {
+	n := c.count(len(*v), 8, what)
+	if !c.enc {
+		*v = carve(c.d, &c.d.floats, n)
+	}
+	for i := range *v {
+		c.f64(&(*v)[i], what)
+	}
+}
+
+// strmap codes a map as count + key/value string pairs, in map-iteration
+// order. A decoded map is always freshly allocated, never decoder scratch:
+// the scheduler keeps a campaign's labels for its lifetime.
+//
+//oalint:hotpath
+func (c *coder) strmap(v *map[string]string, what string) {
+	n := c.count(len(*v), 8, what)
+	if c.enc {
+		for k, val := range *v {
+			c.str(&k, what)
+			c.str(&val, what)
+		}
+		return
+	}
+	if n > 0 {
+		*v = make(map[string]string, n)
+	}
+	for i := 0; i < n; i++ {
+		var k, val string
+		c.str(&k, what)
+		c.str(&val, what)
+		(*v)[k] = val
+	}
+}
+
+// done demands the payload was consumed exactly; trailing garbage means a
+// framing bug or a tampered frame, and silently ignoring it would let two
+// peers disagree about what was said.
+//
+//oalint:hotpath
+func (c *coder) done() error {
+	if c.err != nil {
+		return c.err
+	}
+	if c.off != len(c.b) {
+		return fmt.Errorf("%w: %d trailing payload bytes", ErrBadFrame, len(c.b)-c.off)
+	}
+	return nil
+}
+
+// ---- layouts --------------------------------------------------------------
+//
+// One wire method per hot payload type: the only place its fields and its
+// version gates are written. Fields go in wire order. A field added after v4
+// sits at the end, behind `if c.ver >= ProtocolVN`: a frame negotiated below
+// N must stay byte-exact for older peers, whose decoder rejects trailing
+// payload bytes. Adding one is that line, its framegate schema entry, and
+// golden frames for the new version.
+
+//oalint:hotpath
+func (x *SubmitRequest) wire(c *coder) {
+	c.int(&x.Scenarios, "submit scenarios")
+	c.int(&x.Months, "submit months")
+	c.str(&x.Heuristic, "submit heuristic")
+	c.flags("submit flags", &x.Wait, &x.Progress)
+	c.int(&x.Priority, "submit priority")
+	c.i64((*int64)(&x.Deadline), "submit deadline")
+	c.strmap(&x.Labels, "submit labels")
+}
+
+//oalint:hotpath
+func (x *ExecRequest) wire(c *coder) {
+	c.int(&x.Months, "exec months")
+	c.str(&x.Heuristic, "exec heuristic")
+	c.ints(&x.ScenarioIDs, "exec scenario ids")
+}
+
+//oalint:hotpath
+func (x *PerfRequest) wire(c *coder) {
+	c.int(&x.Scenarios, "perf scenarios")
+	c.int(&x.Months, "perf months")
+	c.str(&x.Heuristic, "perf heuristic")
+}
+
+//oalint:hotpath
+func (x *HeartbeatRequest) wire(c *coder) {
+	c.str(&x.Cluster, "heartbeat cluster")
+	c.str(&x.Addr, "heartbeat addr")
+	c.int(&x.Procs, "heartbeat procs")
+	c.int(&x.InFlight, "heartbeat inflight")
+	if c.ver >= ProtocolV7 {
+		c.f64(&x.Speed, "heartbeat speed")
+		c.bool(&x.Draining, "heartbeat draining")
+	}
+}
+
+//oalint:hotpath
+func (x *AttachRequest) wire(c *coder) {
+	c.u64(&x.ID, "attach id")
+	c.bool(&x.Progress, "attach progress")
+}
+
+//oalint:hotpath
+func (x *ResultRequest) wire(c *coder) { c.u64(&x.ID, "result id") }
+
+//oalint:hotpath
+func (x *SubmitResponse) wire(c *coder) {
+	c.u64(&x.ID, "submit id")
+	c.bool(&x.Accepted, "submit accepted")
+	c.str(&x.Reason, "submit reason")
+	c.int(&x.QueueDepth, "submit queue depth")
+	if c.ver >= ProtocolV5 {
+		c.str(&x.Code, "submit reject code")
+	}
+}
+
+//oalint:hotpath
+func (x *ExecResponse) wire(c *coder) {
+	c.str(&x.Cluster, "exec cluster")
+	c.f64(&x.Makespan, "exec makespan")
+	c.int(&x.Scenarios, "exec scenarios")
+	c.int(&x.Round, "exec round")
+	c.int(&x.FirstScenario, "exec first scenario")
+	c.ints(&x.Allocation.Groups, "exec groups")
+	c.int(&x.Allocation.PostProcs, "exec post procs")
+	c.str(&x.Allocation.Heuristic, "exec alloc heuristic")
+}
+
+//oalint:hotpath
+func (x *PerfResponse) wire(c *coder) {
+	c.str(&x.Cluster, "perf cluster")
+	c.int(&x.Procs, "perf procs")
+	c.floats(&x.Vector, "perf vector")
+}
+
+//oalint:hotpath
+func (x *HeartbeatResponse) wire(c *coder) { c.bool(&x.OK, "heartbeat ok") }
+
+//oalint:hotpath
+func (x *AttachResponse) wire(c *coder) {
+	c.u64(&x.ID, "attach id")
+	c.bool(&x.Found, "attach found")
+	c.str(&x.Status, "attach status")
+	c.int(&x.Done, "attach done")
+	c.int(&x.Total, "attach total")
+}
+
+//oalint:hotpath
+func (x *ProgressUpdate) wire(c *coder) {
+	c.u64(&x.ID, "progress id")
+	c.str(&x.Stage, "progress stage")
+	c.int(&x.Done, "progress done")
+	c.int(&x.Total, "progress total")
+	c.int(&x.Requeued, "progress requeued")
+	n := c.count(len(x.Planned), 12, "progress planned")
+	if !c.enc {
+		x.Planned = carve(c.d, &c.d.planned, n)
+	}
+	for i := range x.Planned {
+		c.str(&x.Planned[i].Cluster, "planned cluster")
+		c.int(&x.Planned[i].Scenarios, "planned scenarios")
+	}
+	chunk := x.Chunk != nil
+	c.bool(&chunk, "progress has chunk")
+	if chunk {
+		if !c.enc {
+			x.Chunk = &carve(c.d, &c.d.reports, 1)[0]
+		}
+		x.Chunk.wire(c)
+	}
+}
+
+//oalint:hotpath
+func (x *CampaignResult) wire(c *coder) {
+	c.u64(&x.ID, "result id")
+	c.str(&x.Status, "result status")
+	c.f64(&x.Makespan, "result makespan")
+	c.int(&x.Requeues, "result requeues")
+	c.int(&x.Done, "result done")
+	c.int(&x.Total, "result total")
+	c.str(&x.Err, "result error")
+	n := c.count(len(x.Reports), 52, "result reports")
+	if !c.enc {
+		x.Reports = carve(c.d, &c.d.reports, n)
+	}
+	for i := range x.Reports {
+		x.Reports[i].wire(c)
+	}
+}
+
+// ---- encoding -------------------------------------------------------------
+
+// begin turns c into the encoder of one frame appended to buf: it reserves
+// the header, stamped with the envelope's version (v4 when that names none a
+// header can carry); finish patches in the kind and the payload length once
+// the payload is appended.
+//
+//oalint:hotpath
+func (c *coder) begin(buf []byte, ver int) {
+	if ver < ProtocolV4 || ver > 0xFF {
+		ver = ProtocolV4
+	}
+	c.enc, c.ver, c.start = true, ver, len(buf)
+	c.b = append(buf, frameMagic[0], frameMagic[1], frameMagic[2], frameMagic[3], byte(ver), 0, 0, 0, 0, 0, 0, 0)
+}
+
+//oalint:hotpath
+func (c *coder) finish(kind byte) ([]byte, error) {
+	payload := len(c.b) - c.start - frameHeaderSize
 	if payload > MaxFramePayload {
 		return nil, fmt.Errorf("%w: encoding %d-byte payload", ErrFrameTooLarge, payload)
 	}
-	binary.LittleEndian.PutUint32(b[start+8:start+12], uint32(payload))
-	return b, nil
-}
-
-//oalint:hotpath
-func appendExecResponse(b []byte, e *ExecResponse) []byte {
-	b = appendStr(b, e.Cluster)
-	b = appendF64(b, e.Makespan)
-	b = appendInt(b, e.Scenarios)
-	b = appendInt(b, e.Round)
-	b = appendInt(b, e.FirstScenario)
-	b = appendInts(b, e.Allocation.Groups)
-	b = appendInt(b, e.Allocation.PostProcs)
-	b = appendStr(b, e.Allocation.Heuristic)
-	return b
+	c.b[c.start+5] = kind
+	binary.LittleEndian.PutUint32(c.b[c.start+8:], uint32(payload))
+	return c.b, nil
 }
 
 // AppendRequestFrame appends req encoded as one frame to buf and returns
-// the extended slice. Hot request kinds get the hand-rolled layout; every
+// the extended slice. Hot request kinds get their binary layout; every
 // other kind travels as a JSON envelope frame. The append never aliases
 // req: buf is the only memory written.
 //
 //oalint:hotpath
 func AppendRequestFrame(buf []byte, req *Request) ([]byte, error) {
-	ver := req.Version
-	if ver < ProtocolV4 || ver > 0xFF {
-		ver = ProtocolV4
-	}
+	var c coder
+	c.begin(buf, req.Version)
 	switch {
 	case req.Kind == KindSubmit && req.Submit != nil:
-		b, start := beginFrame(buf, byte(ver), fkSubmitReq)
-		r := req.Submit
-		b = appendInt(b, r.Scenarios)
-		b = appendInt(b, r.Months)
-		b = appendStr(b, r.Heuristic)
-		var bits byte
-		if r.Wait {
-			bits |= 1
-		}
-		if r.Progress {
-			bits |= 2
-		}
-		b = append(b, bits)
-		b = appendInt(b, r.Priority)
-		b = appendU64(b, uint64(r.Deadline))
-		b = appendU32(b, uint32(len(r.Labels)))
-		for k, v := range r.Labels {
-			b = appendStr(b, k)
-			b = appendStr(b, v)
-		}
-		return finishFrame(b, start)
+		req.Submit.wire(&c)
+		return c.finish(fkSubmitReq)
 	case req.Kind == KindExec && req.Exec != nil:
-		b, start := beginFrame(buf, byte(ver), fkExecReq)
-		r := req.Exec
-		b = appendInt(b, r.Months)
-		b = appendStr(b, r.Heuristic)
-		b = appendInts(b, r.ScenarioIDs)
-		return finishFrame(b, start)
+		req.Exec.wire(&c)
+		return c.finish(fkExecReq)
 	case req.Kind == KindPerf && req.Perf != nil:
-		b, start := beginFrame(buf, byte(ver), fkPerfReq)
-		r := req.Perf
-		b = appendInt(b, r.Scenarios)
-		b = appendInt(b, r.Months)
-		b = appendStr(b, r.Heuristic)
-		return finishFrame(b, start)
+		req.Perf.wire(&c)
+		return c.finish(fkPerfReq)
 	case req.Kind == KindHeartbeat && req.Heartbeat != nil:
-		b, start := beginFrame(buf, byte(ver), fkHeartbeatReq)
-		r := req.Heartbeat
-		b = appendStr(b, r.Cluster)
-		b = appendStr(b, r.Addr)
-		b = appendInt(b, r.Procs)
-		b = appendInt(b, r.InFlight)
-		// Speed and Draining are v7 fields: a frame stamped with a lower
-		// negotiated version must stay byte-exact for pre-v7 peers, whose
-		// strict decoder rejects trailing payload bytes.
-		if ver >= ProtocolV7 {
-			b = appendF64(b, r.Speed)
-			b = appendBool(b, r.Draining)
-		}
-		return finishFrame(b, start)
+		req.Heartbeat.wire(&c)
+		return c.finish(fkHeartbeatReq)
 	case req.Kind == KindAttach && req.Attach != nil:
-		b, start := beginFrame(buf, byte(ver), fkAttachReq)
-		b = appendU64(b, req.Attach.ID)
-		b = appendBool(b, req.Attach.Progress)
-		return finishFrame(b, start)
+		req.Attach.wire(&c)
+		return c.finish(fkAttachReq)
 	case req.Kind == KindResult && req.Result != nil:
-		b, start := beginFrame(buf, byte(ver), fkResultReq)
-		b = appendU64(b, req.Result.ID)
-		return finishFrame(b, start)
-	default:
-		data, err := json.Marshal(req)
-		if err != nil {
-			return nil, fmt.Errorf("diet: encoding %s request envelope: %w", req.Kind, err)
-		}
-		b, start := beginFrame(buf, byte(ver), fkJSONReq)
-		b = append(b, data...)
-		return finishFrame(b, start)
+		req.Result.wire(&c)
+		return c.finish(fkResultReq)
 	}
+	data, err := json.Marshal(req)
+	if err != nil {
+		return nil, fmt.Errorf("diet: encoding %s request envelope: %w", req.Kind, err)
+	}
+	c.b = append(c.b, data...)
+	return c.finish(fkJSONReq)
 }
 
 // AppendResponseFrame appends resp encoded as one frame to buf. An error
@@ -313,202 +575,43 @@ func AppendRequestFrame(buf []byte, req *Request) ([]byte, error) {
 //
 //oalint:hotpath
 func AppendResponseFrame(buf []byte, resp *Response) ([]byte, error) {
-	ver := resp.Version
-	if ver < ProtocolV4 || ver > 0xFF {
-		ver = ProtocolV4
-	}
+	var c coder
+	c.begin(buf, resp.Version)
 	switch {
 	case resp.Err != "":
-		b, start := beginFrame(buf, byte(ver), fkErr)
-		b = appendStr(b, resp.Err)
-		return finishFrame(b, start)
+		c.str(&resp.Err, "error message")
+		return c.finish(fkErr)
 	case resp.Submit != nil:
-		b, start := beginFrame(buf, byte(ver), fkSubmitResp)
-		r := resp.Submit
-		b = appendU64(b, r.ID)
-		b = appendBool(b, r.Accepted)
-		b = appendStr(b, r.Reason)
-		b = appendInt(b, r.QueueDepth)
-		// Code is a v5 field: a frame stamped with a lower negotiated
-		// version must stay byte-exact for pre-v5 peers, whose strict
-		// decoder rejects trailing payload bytes.
-		if ver >= ProtocolV5 {
-			b = appendStr(b, r.Code)
-		}
-		return finishFrame(b, start)
+		resp.Submit.wire(&c)
+		return c.finish(fkSubmitResp)
 	case resp.Exec != nil:
-		b, start := beginFrame(buf, byte(ver), fkExecResp)
-		b = appendExecResponse(b, resp.Exec)
-		return finishFrame(b, start)
+		resp.Exec.wire(&c)
+		return c.finish(fkExecResp)
 	case resp.Perf != nil:
-		b, start := beginFrame(buf, byte(ver), fkPerfResp)
-		r := resp.Perf
-		b = appendStr(b, r.Cluster)
-		b = appendInt(b, r.Procs)
-		b = appendFloats(b, r.Vector)
-		return finishFrame(b, start)
+		resp.Perf.wire(&c)
+		return c.finish(fkPerfResp)
 	case resp.Heartbeat != nil:
-		b, start := beginFrame(buf, byte(ver), fkHeartbeatResp)
-		b = appendBool(b, resp.Heartbeat.OK)
-		return finishFrame(b, start)
+		resp.Heartbeat.wire(&c)
+		return c.finish(fkHeartbeatResp)
 	case resp.Attach != nil:
-		b, start := beginFrame(buf, byte(ver), fkAttachResp)
-		r := resp.Attach
-		b = appendU64(b, r.ID)
-		b = appendBool(b, r.Found)
-		b = appendStr(b, r.Status)
-		b = appendInt(b, r.Done)
-		b = appendInt(b, r.Total)
-		return finishFrame(b, start)
+		resp.Attach.wire(&c)
+		return c.finish(fkAttachResp)
 	case resp.Progress != nil:
-		b, start := beginFrame(buf, byte(ver), fkProgress)
-		u := resp.Progress
-		b = appendU64(b, u.ID)
-		b = appendStr(b, u.Stage)
-		b = appendInt(b, u.Done)
-		b = appendInt(b, u.Total)
-		b = appendInt(b, u.Requeued)
-		b = appendU32(b, uint32(len(u.Planned)))
-		for i := range u.Planned {
-			b = appendStr(b, u.Planned[i].Cluster)
-			b = appendInt(b, u.Planned[i].Scenarios)
-		}
-		if u.Chunk != nil {
-			b = append(b, 1)
-			b = appendExecResponse(b, u.Chunk)
-		} else {
-			b = append(b, 0)
-		}
-		return finishFrame(b, start)
+		resp.Progress.wire(&c)
+		return c.finish(fkProgress)
 	case resp.Result != nil:
-		b, start := beginFrame(buf, byte(ver), fkCampaignResult)
-		r := resp.Result
-		b = appendU64(b, r.ID)
-		b = appendStr(b, r.Status)
-		b = appendF64(b, r.Makespan)
-		b = appendInt(b, r.Requeues)
-		b = appendInt(b, r.Done)
-		b = appendInt(b, r.Total)
-		b = appendStr(b, r.Err)
-		b = appendU32(b, uint32(len(r.Reports)))
-		for i := range r.Reports {
-			b = appendExecResponse(b, &r.Reports[i])
-		}
-		return finishFrame(b, start)
-	default:
-		data, err := json.Marshal(resp)
-		if err != nil {
-			return nil, fmt.Errorf("diet: encoding response envelope: %w", err)
-		}
-		b, start := beginFrame(buf, byte(ver), fkJSONResp)
-		b = append(b, data...)
-		return finishFrame(b, start)
+		resp.Result.wire(&c)
+		return c.finish(fkCampaignResult)
 	}
+	data, err := json.Marshal(resp)
+	if err != nil {
+		return nil, fmt.Errorf("diet: encoding response envelope: %w", err)
+	}
+	c.b = append(c.b, data...)
+	return c.finish(fkJSONResp)
 }
 
 // ---- decoding -------------------------------------------------------------
-
-// byteReader walks a payload with bounds-checked reads. The first failure
-// latches err; subsequent reads return zero values, so decode code reads
-// straight through and checks err once.
-type byteReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-//oalint:hotpath
-func (r *byteReader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: truncated %s at offset %d", ErrBadFrame, what, r.off)
-	}
-}
-
-//oalint:hotpath
-func (r *byteReader) u8(what string) byte {
-	if r.err != nil || r.off+1 > len(r.b) {
-		r.fail(what)
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-//oalint:hotpath
-func (r *byteReader) u32(what string) uint32 {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.fail(what)
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-
-//oalint:hotpath
-func (r *byteReader) u64(what string) uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.fail(what)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-//oalint:hotpath
-func (r *byteReader) int(what string) int { return int(int64(r.u64(what))) }
-
-//oalint:hotpath
-func (r *byteReader) f64(what string) float64 { return math.Float64frombits(r.u64(what)) }
-
-//oalint:hotpath
-func (r *byteReader) bool(what string) bool { return r.u8(what) != 0 }
-
-//oalint:hotpath
-func (r *byteReader) bytes(what string) []byte {
-	n := r.u32(what)
-	if r.err != nil || r.off+int(n) > len(r.b) {
-		r.fail(what)
-		return nil
-	}
-	v := r.b[r.off : r.off+int(n)]
-	r.off += int(n)
-	return v
-}
-
-// count reads a collection length and sanity-caps it against the bytes
-// remaining (elemSize is a lower bound on one element's encoding), so a
-// corrupt count cannot drive a huge preallocation.
-//
-//oalint:hotpath
-func (r *byteReader) count(what string, elemSize int) int {
-	n := r.u32(what)
-	if r.err != nil {
-		return 0
-	}
-	if int(n) > (len(r.b)-r.off)/elemSize {
-		r.fail(what + " count") //oalint:allow hotpath corrupt-frame error branch, never taken on well-formed frames
-		return 0
-	}
-	return int(n)
-}
-
-// done demands the payload was consumed exactly; trailing garbage means a
-// framing bug or a tampered frame, and silently ignoring it would let two
-// peers disagree about what was said.
-//
-//oalint:hotpath
-func (r *byteReader) done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(r.b) {
-		return fmt.Errorf("%w: %d trailing payload bytes", ErrBadFrame, len(r.b)-r.off)
-	}
-	return nil
-}
 
 // maxInternedStrings bounds the decoder's string-intern table so a hostile
 // peer cannot grow it without bound; past the cap strings just allocate.
@@ -549,22 +652,20 @@ type FrameDecoder struct {
 	hbResp     HeartbeatResponse
 	attachResp AttachResponse
 	progress   ProgressUpdate
-	chunk      ExecResponse
 	result     CampaignResult
 
-	ids     []int
-	groups  []int
-	vector  []float64
+	// Scratch arenas the decoded slices are carved from; see carve.
+	ints    []int
+	floats  []float64
 	planned []PlannedChunk
 	reports []ExecResponse
 }
 
-// str decodes a string, interning it so repeated cluster/heuristic/status
-// names cost zero allocations after the first sighting.
+// intern returns b as a string, from the intern table when it was seen
+// before.
 //
 //oalint:hotpath
-func (d *FrameDecoder) str(r *byteReader, what string) string {
-	b := r.bytes(what)
+func (d *FrameDecoder) intern(b []byte) string {
 	if len(b) == 0 {
 		return ""
 	}
@@ -581,70 +682,49 @@ func (d *FrameDecoder) str(r *byteReader, what string) string {
 	return s
 }
 
-//oalint:hotpath
-func (d *FrameDecoder) intSlice(r *byteReader, scratch *[]int, what string) []int {
-	n := r.count(what, 8)
-	if n == 0 {
-		return nil
-	}
-	var out []int
-	if d.Retain || scratch == nil {
-		out = make([]int, 0, n)
-	} else {
-		if cap(*scratch) < n {
-			*scratch = make([]int, 0, n)
-		}
-		out = (*scratch)[:0]
-	}
-	for i := 0; i < n; i++ {
-		out = append(out, r.int(what))
-	}
-	if scratch != nil && !d.Retain {
-		*scratch = out
-	}
-	return out
-}
-
-//oalint:hotpath
-func (d *FrameDecoder) floatSlice(r *byteReader, scratch *[]float64, what string) []float64 {
-	n := r.count(what, 8)
-	if n == 0 {
-		return nil
-	}
-	var out []float64
-	if d.Retain || scratch == nil {
-		out = make([]float64, 0, n)
-	} else {
-		if cap(*scratch) < n {
-			*scratch = make([]float64, 0, n)
-		}
-		out = (*scratch)[:0]
-	}
-	for i := 0; i < n; i++ {
-		out = append(out, r.f64(what))
-	}
-	if scratch != nil && !d.Retain {
-		*scratch = out
-	}
-	return out
-}
-
-// decodeExecResponse fills e from r. groups selects the scratch slice for
-// the allocation's processor groups (nil forces a fresh allocation, used
-// where several ExecResponses share one frame).
+// carve returns n zeroed elements for a decoded slice (nil for none): freshly
+// allocated when the decoder retains, else cut from arena, which every decode
+// rewinds — so several slices of one frame never alias and a warm decoder
+// allocates nothing. An arena that must grow mid-frame leaves the slices
+// already cut on the old array, where they stay valid.
 //
 //oalint:hotpath
-func (d *FrameDecoder) decodeExecResponse(r *byteReader, e *ExecResponse, groups *[]int) {
-	e.Cluster = d.str(r, "exec cluster")
-	e.Makespan = r.f64("exec makespan")
-	e.Scenarios = r.int("exec scenarios")
-	e.Round = r.int("exec round")
-	e.FirstScenario = r.int("exec first scenario")
-	e.Allocation = core.Allocation{
-		Groups:    d.intSlice(r, groups, "exec groups"),
-		PostProcs: r.int("exec post procs"),
-		Heuristic: d.str(r, "exec alloc heuristic"),
+func carve[T any](d *FrameDecoder, arena *[]T, n int) []T {
+	a := *arena
+	switch {
+	case n == 0:
+		return nil
+	case d.Retain:
+		return make([]T, n)
+	case cap(a)-len(a) < n:
+		a = make([]T, 0, max(n, 2*cap(a)))
 	}
+	*arena = a[:len(a)+n]
+	s := a[len(a) : len(a)+n : len(a)+n]
+	clear(s)
+	return s
+}
+
+// fresh returns the zeroed struct a frame decodes into: a new one when the
+// decoder retains, else the decoder's scratch.
+//
+//oalint:hotpath
+func fresh[T any](d *FrameDecoder, scratch *T) *T {
+	if d.Retain {
+		return new(T)
+	}
+	var zero T
+	*scratch = zero
+	return scratch
+}
+
+// decoding returns the coder for one frame's payload and hands the scratch
+// arenas back: what the last decode carved from them is now overwritten.
+//
+//oalint:hotpath
+func (d *FrameDecoder) decoding(hdr FrameHeader, b []byte) coder {
+	d.ints, d.floats, d.planned, d.reports = d.ints[:0], d.floats[:0], d.planned[:0], d.reports[:0]
+	return coder{b: b, ver: int(hdr.Version), d: d}
 }
 
 // DecodeRequestFrame decodes one request frame payload. In scratch mode the
@@ -652,106 +732,42 @@ func (d *FrameDecoder) decodeExecResponse(r *byteReader, e *ExecResponse, groups
 // valid only until the next decode.
 //
 //oalint:hotpath
-func (d *FrameDecoder) DecodeRequestFrame(hdr FrameHeader, payload []byte) (*Request, error) {
-	req := &d.req
-	if d.Retain {
-		req = &Request{}
-	}
-	*req = Request{Version: int(hdr.Version)}
-	r := &byteReader{b: payload}
+func (d *FrameDecoder) DecodeRequestFrame(hdr FrameHeader, b []byte) (*Request, error) {
+	req := fresh(d, &d.req)
+	req.Version = int(hdr.Version)
+	c := d.decoding(hdr, b)
 	switch hdr.Kind {
 	case fkSubmitReq:
-		s := &d.submitReq
-		if d.Retain {
-			s = &SubmitRequest{}
-		}
-		*s = SubmitRequest{
-			Scenarios: r.int("submit scenarios"),
-			Months:    r.int("submit months"),
-			Heuristic: d.str(r, "submit heuristic"),
-		}
-		bits := r.u8("submit flags")
-		s.Wait = bits&1 != 0
-		s.Progress = bits&2 != 0
-		s.Priority = r.int("submit priority")
-		s.Deadline = time.Duration(r.u64("submit deadline"))
-		// Labels are retained by the scheduler for the campaign's lifetime,
-		// so they are always freshly allocated, never decoder scratch.
-		if n := r.count("submit labels", 8); n > 0 {
-			s.Labels = make(map[string]string, n)
-			for i := 0; i < n; i++ {
-				k := d.str(r, "submit label key")
-				s.Labels[k] = d.str(r, "submit label value")
-			}
-		}
-		req.Kind, req.Submit = KindSubmit, s
+		req.Kind, req.Submit = KindSubmit, fresh(d, &d.submitReq)
+		req.Submit.wire(&c)
 	case fkExecReq:
-		e := &d.execReq
-		if d.Retain {
-			e = &ExecRequest{}
-		}
-		*e = ExecRequest{
-			Months:    r.int("exec months"),
-			Heuristic: d.str(r, "exec heuristic"),
-		}
-		e.ScenarioIDs = d.intSlice(r, &d.ids, "exec scenario ids")
-		req.Kind, req.Exec = KindExec, e
+		req.Kind, req.Exec = KindExec, fresh(d, &d.execReq)
+		req.Exec.wire(&c)
 	case fkPerfReq:
-		p := &d.perfReq
-		if d.Retain {
-			p = &PerfRequest{}
-		}
-		*p = PerfRequest{
-			Scenarios: r.int("perf scenarios"),
-			Months:    r.int("perf months"),
-			Heuristic: d.str(r, "perf heuristic"),
-		}
-		req.Kind, req.Perf = KindPerf, p
+		req.Kind, req.Perf = KindPerf, fresh(d, &d.perfReq)
+		req.Perf.wire(&c)
 	case fkHeartbeatReq:
-		h := &d.hbReq
-		if d.Retain {
-			h = &HeartbeatRequest{}
-		}
-		*h = HeartbeatRequest{
-			Cluster:  d.str(r, "heartbeat cluster"),
-			Addr:     d.str(r, "heartbeat addr"),
-			Procs:    r.int("heartbeat procs"),
-			InFlight: r.int("heartbeat inflight"),
-		}
-		// Mirror the encoder's version gate: a pre-v7 peer's frame ends at
-		// InFlight, and reading past it would fail the exhausted payload.
-		if hdr.Version >= ProtocolV7 {
-			h.Speed = r.f64("heartbeat speed")
-			h.Draining = r.bool("heartbeat draining")
-		}
-		req.Kind, req.Heartbeat = KindHeartbeat, h
+		req.Kind, req.Heartbeat = KindHeartbeat, fresh(d, &d.hbReq)
+		req.Heartbeat.wire(&c)
 	case fkAttachReq:
-		a := &d.attachReq
-		if d.Retain {
-			a = &AttachRequest{}
-		}
-		*a = AttachRequest{ID: r.u64("attach id"), Progress: r.bool("attach progress")}
-		req.Kind, req.Attach = KindAttach, a
+		req.Kind, req.Attach = KindAttach, fresh(d, &d.attachReq)
+		req.Attach.wire(&c)
 	case fkResultReq:
-		rr := &d.resultReq
-		if d.Retain {
-			rr = &ResultRequest{}
-		}
-		*rr = ResultRequest{ID: r.u64("result id")}
-		req.Kind, req.Result = KindResult, rr
+		req.Kind, req.Result = KindResult, fresh(d, &d.resultReq)
+		req.Result.wire(&c)
 	case fkJSONReq:
-		fresh := &Request{}
-		if err := json.Unmarshal(payload, fresh); err != nil {
+		env := &Request{}
+		if err := json.Unmarshal(b, env); err != nil {
 			return nil, fmt.Errorf("%w: request envelope: %v", ErrBadFrame, err)
 		}
-		if fresh.Version == 0 {
-			fresh.Version = int(hdr.Version)
+		if env.Version == 0 {
+			env.Version = int(hdr.Version)
 		}
-		return fresh, nil
+		return env, nil
 	default:
 		return nil, fmt.Errorf("%w: unknown request frame kind 0x%02x", ErrBadFrame, hdr.Kind)
 	}
-	if err := r.done(); err != nil {
+	if err := c.done(); err != nil {
 		return nil, err
 	}
 	return req, nil
@@ -762,161 +778,47 @@ func (d *FrameDecoder) DecodeRequestFrame(hdr FrameHeader, payload []byte) (*Req
 // Response with Err set.
 //
 //oalint:hotpath
-func (d *FrameDecoder) DecodeResponseFrame(hdr FrameHeader, payload []byte) (*Response, error) {
-	resp := &d.resp
-	if d.Retain {
-		resp = &Response{}
-	}
-	*resp = Response{Version: int(hdr.Version)}
-	r := &byteReader{b: payload}
+func (d *FrameDecoder) DecodeResponseFrame(hdr FrameHeader, b []byte) (*Response, error) {
+	resp := fresh(d, &d.resp)
+	resp.Version = int(hdr.Version)
+	c := d.decoding(hdr, b)
 	switch hdr.Kind {
 	case fkErr:
-		resp.Err = d.str(r, "error message")
+		c.str(&resp.Err, "error message")
 	case fkSubmitResp:
-		s := &d.submitResp
-		if d.Retain {
-			s = &SubmitResponse{}
-		}
-		*s = SubmitResponse{
-			ID:       r.u64("submit id"),
-			Accepted: r.bool("submit accepted"),
-			Reason:   d.str(r, "submit reason"),
-		}
-		s.QueueDepth = r.int("submit queue depth")
-		// Mirror the encoder's version gate: a v4 daemon's frame ends at
-		// QueueDepth, and reading past it would fail the exhausted payload.
-		if hdr.Version >= ProtocolV5 {
-			s.Code = d.str(r, "submit reject code")
-		}
-		resp.Submit = s
+		resp.Submit = fresh(d, &d.submitResp)
+		resp.Submit.wire(&c)
 	case fkExecResp:
-		e := &d.execResp
-		if d.Retain {
-			e = &ExecResponse{}
-		}
-		d.decodeExecResponse(r, e, &d.groups)
-		resp.Exec = e
+		resp.Exec = fresh(d, &d.execResp)
+		resp.Exec.wire(&c)
 	case fkPerfResp:
-		p := &d.perfResp
-		if d.Retain {
-			p = &PerfResponse{}
-		}
-		*p = PerfResponse{
-			Cluster: d.str(r, "perf cluster"),
-			Procs:   r.int("perf procs"),
-		}
-		p.Vector = d.floatSlice(r, &d.vector, "perf vector")
-		resp.Perf = p
+		resp.Perf = fresh(d, &d.perfResp)
+		resp.Perf.wire(&c)
 	case fkHeartbeatResp:
-		h := &d.hbResp
-		if d.Retain {
-			h = &HeartbeatResponse{}
-		}
-		*h = HeartbeatResponse{OK: r.bool("heartbeat ok")}
-		resp.Heartbeat = h
+		resp.Heartbeat = fresh(d, &d.hbResp)
+		resp.Heartbeat.wire(&c)
 	case fkAttachResp:
-		a := &d.attachResp
-		if d.Retain {
-			a = &AttachResponse{}
-		}
-		*a = AttachResponse{
-			ID:     r.u64("attach id"),
-			Found:  r.bool("attach found"),
-			Status: d.str(r, "attach status"),
-		}
-		a.Done = r.int("attach done")
-		a.Total = r.int("attach total")
-		resp.Attach = a
+		resp.Attach = fresh(d, &d.attachResp)
+		resp.Attach.wire(&c)
 	case fkProgress:
-		u := &d.progress
-		if d.Retain {
-			u = &ProgressUpdate{}
-		}
-		*u = ProgressUpdate{
-			ID:    r.u64("progress id"),
-			Stage: d.str(r, "progress stage"),
-		}
-		u.Done = r.int("progress done")
-		u.Total = r.int("progress total")
-		u.Requeued = r.int("progress requeued")
-		if n := r.count("progress planned", 12); n > 0 {
-			var out []PlannedChunk
-			if d.Retain {
-				out = make([]PlannedChunk, 0, n)
-			} else {
-				if cap(d.planned) < n {
-					d.planned = make([]PlannedChunk, 0, n)
-				}
-				out = d.planned[:0]
-			}
-			for i := 0; i < n; i++ {
-				out = append(out, PlannedChunk{
-					Cluster:   d.str(r, "planned cluster"),
-					Scenarios: r.int("planned scenarios"),
-				})
-			}
-			if !d.Retain {
-				d.planned = out
-			}
-			u.Planned = out
-		}
-		if r.bool("progress has chunk") {
-			c := &d.chunk
-			if d.Retain {
-				c = &ExecResponse{}
-			}
-			d.decodeExecResponse(r, c, &d.groups)
-			u.Chunk = c
-		}
-		resp.Progress = u
+		resp.Progress = fresh(d, &d.progress)
+		resp.Progress.wire(&c)
 	case fkCampaignResult:
-		res := &d.result
-		if d.Retain {
-			res = &CampaignResult{}
-		}
-		*res = CampaignResult{
-			ID:       r.u64("result id"),
-			Status:   d.str(r, "result status"),
-			Makespan: r.f64("result makespan"),
-		}
-		res.Requeues = r.int("result requeues")
-		res.Done = r.int("result done")
-		res.Total = r.int("result total")
-		res.Err = d.str(r, "result error")
-		if n := r.count("result reports", 13); n > 0 {
-			var out []ExecResponse
-			if d.Retain {
-				out = make([]ExecResponse, n)
-			} else {
-				if cap(d.reports) < n {
-					d.reports = make([]ExecResponse, n)
-				}
-				out = d.reports[:n]
-			}
-			for i := range out {
-				// Each report keeps its own groups slice: a shared scratch
-				// would alias across reports within the one frame.
-				d.decodeExecResponse(r, &out[i], nil)
-			}
-			if !d.Retain {
-				d.reports = out
-			}
-			res.Reports = out
-		}
-		resp.Result = res
+		resp.Result = fresh(d, &d.result)
+		resp.Result.wire(&c)
 	case fkJSONResp:
-		fresh := &Response{}
-		if err := json.Unmarshal(payload, fresh); err != nil {
+		env := &Response{}
+		if err := json.Unmarshal(b, env); err != nil {
 			return nil, fmt.Errorf("%w: response envelope: %v", ErrBadFrame, err)
 		}
-		if fresh.Version == 0 {
-			fresh.Version = int(hdr.Version)
+		if env.Version == 0 {
+			env.Version = int(hdr.Version)
 		}
-		return fresh, nil
+		return env, nil
 	default:
 		return nil, fmt.Errorf("%w: unknown response frame kind 0x%02x", ErrBadFrame, hdr.Kind)
 	}
-	if err := r.done(); err != nil {
+	if err := c.done(); err != nil {
 		return nil, err
 	}
 	return resp, nil

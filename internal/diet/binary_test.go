@@ -194,6 +194,26 @@ func TestBinaryScratchReuse(t *testing.T) {
 	if s1 != s2 {
 		t.Fatal("scratch mode should hand back the same envelope")
 	}
+
+	// A pooled decoder keeps its warm scratch, but not what one giant frame
+	// grew it to: the arenas are bounded like the read buffer.
+	PutFrameDecoder(scratch)
+	if cap(scratch.ints) == 0 {
+		t.Fatal("a small frame's scratch should survive the pool")
+	}
+	big, err := AppendRequestFrame(nil, &Request{Version: ProtocolV4, Kind: KindExec,
+		Exec: &ExecRequest{ScenarioIDs: make([]int, maxPooledBuf/8+1), Months: 12}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := scratch.ReadRequest(bytes.NewReader(big)); err != nil {
+		t.Fatal(err)
+	}
+	PutFrameDecoder(scratch)
+	if cap(scratch.payload) != 0 || cap(scratch.ints) != 0 || scratch.execReq.ScenarioIDs != nil {
+		t.Fatalf("pooled decoder still pins a giant frame's scratch: payload %d, ints %d, ids %d",
+			cap(scratch.payload), cap(scratch.ints), cap(scratch.execReq.ScenarioIDs))
+	}
 }
 
 // TestZeroAllocHotKinds locks in the codec's allocation contract: a
@@ -378,7 +398,7 @@ func TestOversizedFrameRejected(t *testing.T) {
 }
 
 func TestTruncatedAndTrailingPayloads(t *testing.T) {
-	frame, err := AppendResponseFrame(nil, hotResponses()[2]) // exec response
+	frame, err := AppendResponseFrame(nil, hotResponses()[2]) // v5 submit verdict, gated Code included
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,6 +417,35 @@ func TestTruncatedAndTrailingPayloads(t *testing.T) {
 	}
 	if _, _, err := ParseFrame([]byte("GET / HTTP/1.1\r\n")); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("bad magic: got %v, want ErrBadFrame", err)
+	}
+	for i, frame := range hostileLengthFrames() {
+		hdr, payload, err := ParseFrame(frame)
+		if err != nil {
+			t.Fatalf("hostile frame %d: %v", i, err)
+		}
+		for _, d := range []*FrameDecoder{dec, {Retain: true}} {
+			if _, err := d.DecodeRequestFrame(hdr, payload); !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("hostile frame %d as a request: got %v, want ErrBadFrame", i, err)
+			}
+			if _, err := d.DecodeResponseFrame(hdr, payload); !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("hostile frame %d as a response: got %v, want ErrBadFrame", i, err)
+			}
+		}
+	}
+}
+
+// hostileLengthFrames are well-framed payloads whose inner u32 prefix is
+// 0xFFFFFFFF: an fkErr with that string length and an fkExecReq with that
+// scenario-id count. Converted to a 32-bit int the prefix is -1, which a
+// bounds check done in int lets through to a slice expression or a make: a
+// remote panic, or a silently accepted frame, on GOARCH=386 (CI runs it).
+func hostileLengthFrames() [][]byte {
+	return [][]byte{
+		{0xF7, 'O', 'A', '4', 4, fkErr, 0, 0, 4, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF},
+		{0xF7, 'O', 'A', '4', 4, fkExecReq, 0, 0, 16, 0, 0, 0,
+			12, 0, 0, 0, 0, 0, 0, 0, // months
+			0, 0, 0, 0, // empty heuristic
+			0xFF, 0xFF, 0xFF, 0xFF}, // scenario-id count
 	}
 }
 

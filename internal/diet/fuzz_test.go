@@ -41,6 +41,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(frameMagic[:])
 	f.Add([]byte{0xF7, 'O', 'A', '4', 4, fkExecResp, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{0xF7, 'O', 'A', '4', 4, fkSubmitReq, 0, 0, 8, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	for _, frame := range hostileLengthFrames() {
+		f.Add(frame)
+	}
 	if frame, err := AppendResponseFrame(nil, hotResponses()[8]); err == nil { // campaign result
 		f.Add(frame[:len(frame)-3])
 		mid := append([]byte{}, frame...)

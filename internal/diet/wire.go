@@ -6,6 +6,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // ---- wire accounting ------------------------------------------------------
@@ -95,10 +96,18 @@ func GetFrameDecoder(retain bool) *FrameDecoder {
 }
 
 // PutFrameDecoder returns a decoder to the pool. The caller must be done
-// with every scratch-mode value the decoder handed out.
+// with every scratch-mode value the decoder handed out. A decoder that one
+// giant frame grew past maxPooledBuf — read buffer and scratch arenas
+// together — goes back empty: its scratch structs still point into the
+// arenas, so dropping less would keep them pinned.
 func PutFrameDecoder(d *FrameDecoder) {
-	if cap(d.payload) > maxPooledBuf {
-		d.payload = nil
+	pinned := uintptr(cap(d.payload)) +
+		uintptr(cap(d.ints))*unsafe.Sizeof(int(0)) +
+		uintptr(cap(d.floats))*unsafe.Sizeof(float64(0)) +
+		uintptr(cap(d.planned))*unsafe.Sizeof(PlannedChunk{}) +
+		uintptr(cap(d.reports))*unsafe.Sizeof(ExecResponse{})
+	if pinned > maxPooledBuf {
+		*d = FrameDecoder{}
 	}
 	decPool.Put(d)
 }
