@@ -21,6 +21,10 @@ type SeD struct {
 	cluster *platform.Cluster
 	opts    exec.Options
 	ln      net.Listener
+	// srv tracks the connections the daemon keeps open for the scheduler;
+	// transport keeps the one its heartbeats ride.
+	srv       Server
+	transport *Transport
 	// speed is the daemon's relative speed factor: 1.0 is the reference,
 	// 0.5 advertises every performance-vector entry doubled so the
 	// repartition hands this daemon proportionally smaller chunks.
@@ -32,6 +36,8 @@ type SeD struct {
 	// inFlight gauges the requests currently being served. A typed atomic:
 	// a bare int64 field here is not 64-bit aligned on 32-bit platforms.
 	inFlight atomic.Int64
+	// served counts the requests ever handed to handle.
+	served atomic.Uint64
 	// draining is set once Drain() ran: the daemon advertises the flag on
 	// every beat so the scheduler stops placing new chunks on it.
 	draining atomic.Bool
@@ -62,18 +68,23 @@ func StartSeDSpeed(addr string, cluster *platform.Cluster, opts exec.Options, sp
 	if err != nil {
 		return nil, fmt.Errorf("diet: SeD %s listen: %w", cluster.Name, err)
 	}
-	s := &SeD{cluster: cluster, opts: opts, ln: ln, speed: speed}
-	go Serve(ln, s.handle)
+	s := &SeD{cluster: cluster, opts: opts, ln: ln, speed: speed, transport: NewTransport(1)}
+	go s.srv.serve(ln, s.handle)
 	return s, nil
 }
 
 // Addr returns the daemon's listen address.
 func (s *SeD) Addr() string { return s.ln.Addr().String() }
 
-// Close stops the daemon and its heartbeat loop.
+// Close stops the daemon and its heartbeat loop. Connections the scheduler
+// had kept open are closed with the listener: a closed daemon answers
+// nothing, it does not linger as a zombie until heartbeat eviction.
 func (s *SeD) Close() error {
 	s.StopHeartbeats()
-	return s.ln.Close()
+	err := s.ln.Close()
+	s.srv.Close()
+	s.transport.Close()
+	return err
 }
 
 // Cluster returns the served cluster.
@@ -81,6 +92,9 @@ func (s *SeD) Cluster() *platform.Cluster { return s.cluster }
 
 // InFlight reports how many requests the daemon is serving right now.
 func (s *SeD) InFlight() int { return int(s.inFlight.Load()) }
+
+// Served reports how many requests the daemon has taken up since it started.
+func (s *SeD) Served() uint64 { return s.served.Load() }
 
 // Speed reports the daemon's relative speed factor.
 func (s *SeD) Speed() float64 { return s.speed }
@@ -144,19 +158,20 @@ func (s *SeD) StopHeartbeats() {
 // beat sends one heartbeat; delivery is best-effort, the scheduler's
 // deadline eviction handles sustained silence.
 func (s *SeD) beat(schedAddr string) {
-	_, _ = RoundTrip(schedAddr, &Request{Kind: KindHeartbeat, Heartbeat: &HeartbeatRequest{
+	_, _ = s.transport.RoundTrip(context.Background(), schedAddr, &Request{Kind: KindHeartbeat, Heartbeat: &HeartbeatRequest{
 		Cluster:  s.cluster.Name,
 		Addr:     s.Addr(),
 		Procs:    s.cluster.Procs,
 		InFlight: s.InFlight(),
 		Speed:    s.speed,
 		Draining: s.Draining(),
-	}})
+	}}, dialTimeout)
 }
 
 func (s *SeD) handle(req *Request) *Response {
 	s.inFlight.Add(1)
 	defer s.inFlight.Add(-1)
+	s.served.Add(1)
 	switch req.Kind {
 	case KindPerf:
 		return s.handlePerf(req.Perf)

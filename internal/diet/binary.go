@@ -22,7 +22,8 @@
 //	offset 0:  magic   [4]byte  0xF7 'O' 'A' '4'
 //	offset 4:  version uint8    negotiated protocol version (>= 4)
 //	offset 5:  kind    uint8    frame kind (fk* constants)
-//	offset 6:  flags   uint16   reserved, zero; receivers ignore unknown bits
+//	offset 6:  flags   uint16   bit 0: keep-alive (flagKeepAlive); the rest
+//	                            reserved, zero; receivers ignore unknown bits
 //	offset 8:  length  uint32   payload byte count (<= MaxFramePayload)
 //	offset 12: payload
 //
@@ -55,6 +56,15 @@ const (
 	// reserve unbounded memory.
 	MaxFramePayload = 16 << 20
 )
+
+// flagKeepAlive is bit 0 of the header's flags field. On a request it says
+// the requester would send another request on this connection after the
+// answer; on the answer, that the responder will read one. It travels in the
+// header, never in a payload, so every payload layout — and every golden
+// frame — is what it was: a build that predates the bit writes zero and
+// ignores it, and is served one exchange per connection as before (see
+// transport.go).
+const flagKeepAlive = 1 << 0
 
 // frameMagic opens every frame. The first byte is deliberately outside
 // ASCII so text protocols (and the retired gob streams of protocol v1-v3,
@@ -509,16 +519,20 @@ func (x *CampaignResult) wire(c *coder) {
 
 // begin turns c into the encoder of one frame appended to buf: it reserves
 // the header, stamped with the envelope's version (v4 when that names none a
-// header can carry); finish patches in the kind and the payload length once
-// the payload is appended.
+// header can carry) and its keep-alive flag; finish patches in the kind and
+// the payload length once the payload is appended.
 //
 //oalint:hotpath
-func (c *coder) begin(buf []byte, ver int) {
+func (c *coder) begin(buf []byte, ver int, keepAlive bool) {
 	if ver < ProtocolV4 || ver > 0xFF {
 		ver = ProtocolV4
 	}
+	var flags byte
+	if keepAlive {
+		flags = flagKeepAlive
+	}
 	c.enc, c.ver, c.start = true, ver, len(buf)
-	c.b = append(buf, frameMagic[0], frameMagic[1], frameMagic[2], frameMagic[3], byte(ver), 0, 0, 0, 0, 0, 0, 0)
+	c.b = append(buf, frameMagic[0], frameMagic[1], frameMagic[2], frameMagic[3], byte(ver), 0, flags, 0, 0, 0, 0, 0)
 }
 
 //oalint:hotpath
@@ -540,7 +554,7 @@ func (c *coder) finish(kind byte) ([]byte, error) {
 //oalint:hotpath
 func AppendRequestFrame(buf []byte, req *Request) ([]byte, error) {
 	var c coder
-	c.begin(buf, req.Version)
+	c.begin(buf, req.Version, req.KeepAlive)
 	switch {
 	case req.Kind == KindSubmit && req.Submit != nil:
 		req.Submit.wire(&c)
@@ -576,7 +590,7 @@ func AppendRequestFrame(buf []byte, req *Request) ([]byte, error) {
 //oalint:hotpath
 func AppendResponseFrame(buf []byte, resp *Response) ([]byte, error) {
 	var c coder
-	c.begin(buf, resp.Version)
+	c.begin(buf, resp.Version, resp.KeepAlive)
 	switch {
 	case resp.Err != "":
 		c.str(&resp.Err, "error message")
@@ -735,6 +749,7 @@ func (d *FrameDecoder) decoding(hdr FrameHeader, b []byte) coder {
 func (d *FrameDecoder) DecodeRequestFrame(hdr FrameHeader, b []byte) (*Request, error) {
 	req := fresh(d, &d.req)
 	req.Version = int(hdr.Version)
+	req.KeepAlive = hdr.Flags&flagKeepAlive != 0
 	c := d.decoding(hdr, b)
 	switch hdr.Kind {
 	case fkSubmitReq:
@@ -763,6 +778,7 @@ func (d *FrameDecoder) DecodeRequestFrame(hdr FrameHeader, b []byte) (*Request, 
 		if env.Version == 0 {
 			env.Version = int(hdr.Version)
 		}
+		env.KeepAlive = req.KeepAlive
 		return env, nil
 	default:
 		return nil, fmt.Errorf("%w: unknown request frame kind 0x%02x", ErrBadFrame, hdr.Kind)
@@ -781,6 +797,7 @@ func (d *FrameDecoder) DecodeRequestFrame(hdr FrameHeader, b []byte) (*Request, 
 func (d *FrameDecoder) DecodeResponseFrame(hdr FrameHeader, b []byte) (*Response, error) {
 	resp := fresh(d, &d.resp)
 	resp.Version = int(hdr.Version)
+	resp.KeepAlive = hdr.Flags&flagKeepAlive != 0
 	c := d.decoding(hdr, b)
 	switch hdr.Kind {
 	case fkErr:
@@ -814,6 +831,7 @@ func (d *FrameDecoder) DecodeResponseFrame(hdr FrameHeader, b []byte) (*Response
 		if env.Version == 0 {
 			env.Version = int(hdr.Version)
 		}
+		env.KeepAlive = resp.KeepAlive
 		return env, nil
 	default:
 		return nil, fmt.Errorf("%w: unknown response frame kind 0x%02x", ErrBadFrame, hdr.Kind)

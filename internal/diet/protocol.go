@@ -10,18 +10,17 @@
 //	(6) each cluster executes its share.
 //
 // The scheduler that drives the steps lives in internal/grid. Transport is
-// TCP with one codec: length-prefixed binary frames (see binary.go). The
+// TCP with one codec — length-prefixed binary frames (see binary.go) — on
+// connections the daemons keep open between exchanges (see transport.go). The
 // original study ran this over Grid'5000; here the "clusters" are simulated
 // executors on loopback sockets, which preserves every protocol step and
 // message shape.
 package diet
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"time"
 
 	"oagrid/internal/core"
@@ -135,7 +134,8 @@ func RingKind(kind string) bool {
 	return false
 }
 
-// Request is the envelope every connection carries exactly one of.
+// Request is the envelope a connection opens with — and, on a kept-alive
+// connection (see transport.go), carries again after each single answer.
 type Request struct {
 	// Version is the protocol version the client speaks (ProtocolV4 or
 	// later; RoundTrip fills in this build's newest when left 0).
@@ -158,6 +158,11 @@ type Request struct {
 	Forward *ForwardRequest  `json:",omitempty"`
 	Ring    *RingPingRequest `json:",omitempty"`
 	Segment *SegmentRequest  `json:",omitempty"`
+
+	// KeepAlive is the frame header's keep-alive flag, not payload: the
+	// requester would send its next request on this connection. Transport
+	// sets it; callers leave it alone.
+	KeepAlive bool `json:"-"`
 }
 
 // Response is the reply envelope. A Submit connection with Wait set is the
@@ -187,6 +192,12 @@ type Response struct {
 	Redirect *RedirectInfo     `json:",omitempty"`
 	Ring     *RingPingResponse `json:",omitempty"`
 	Segment  *SegmentResponse  `json:",omitempty"`
+
+	// KeepAlive is the frame header's keep-alive flag, not payload: the
+	// responder will read another request on this connection. Set only on
+	// the answer to a request that carried the flag, by Server.ServeConn's
+	// answer callback.
+	KeepAlive bool `json:"-"`
 }
 
 // ForwardRequest is the daemon-to-daemon envelope of the scheduler ring
@@ -685,98 +696,7 @@ func (e *RemoteError) Error() string {
 	return fmt.Sprintf("diet: %s: remote error: %s", e.Kind, e.Msg)
 }
 
-// dialTimeout bounds every protocol round trip.
-const dialTimeout = 5 * time.Second
-
-// RoundTrip dials addr, sends req and decodes the single response, with the
-// protocol's default deadline, announcing this build's protocol version when
-// the caller left it unset. It is the one-shot client primitive the
-// scheduler layer (internal/grid) builds on.
-func RoundTrip(addr string, req *Request) (*Response, error) {
-	if req.Version == 0 {
-		req.Version = ProtocolVersion
-	}
-	return RoundTripTimeout(addr, req, dialTimeout)
-}
-
-// RoundTripTimeout is RoundTrip with an explicit deadline for the whole
-// exchange. Long-poll exchanges (Submit with Wait) need deadlines sized to
-// the campaign, not to the transport.
-func RoundTripTimeout(addr string, req *Request, d time.Duration) (*Response, error) {
-	return RoundTripContext(context.Background(), addr, req, d)
-}
-
-// RoundTripContext is RoundTripTimeout under a context: cancelling ctx
-// aborts the dial and unblocks an in-flight read or write immediately. One
-// request frame out, one response frame back. Decoding retains, because
-// round-trip callers keep what they get (perf vectors, chunk reports).
-// Exchanges are not retried here: submit is not idempotent.
-func RoundTripContext(ctx context.Context, addr string, req *Request, d time.Duration) (*Response, error) {
-	dialer := net.Dialer{Timeout: d}
-	conn, err := dialer.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("diet: dialing %s: %w", addr, err)
-	}
-	defer conn.Close()
-	stop := AbortOnDone(ctx, conn)
-	defer stop()
-	if err := conn.SetDeadline(time.Now().Add(d)); err != nil {
-		return nil, err
-	}
-	cc := CountConn(conn)
-	if err := WriteRequestFrame(cc, req); err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, fmt.Errorf("diet: encoding %s request to %s: %w", req.Kind, addr, err)
-	}
-	dec := GetFrameDecoder(true)
-	defer PutFrameDecoder(dec)
-	resp, err := dec.ReadResponse(cc)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, fmt.Errorf("diet: decoding %s response from %s: %w", req.Kind, addr, err)
-	}
-	if resp.Err != "" {
-		return nil, &RemoteError{Kind: req.Kind, Msg: resp.Err}
-	}
-	return resp, nil
-}
-
-// AbortOnDone ties a connection to a context: when ctx is cancelled the
-// connection's deadline is forced into the past, which unblocks any reader
-// or writer parked on it with a timeout error. The past deadline is
-// re-asserted until stop is called, so a caller that refreshes the deadline
-// concurrently with the cancellation (a per-frame refresh racing the abort)
-// still aborts within milliseconds instead of re-arming the connection. The
-// returned stop function releases the watcher; callers must invoke it
-// before closing the connection.
-func AbortOnDone(ctx context.Context, conn net.Conn) (stop func()) {
-	if ctx.Done() == nil {
-		return func() {}
-	}
-	quit := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-		case <-quit:
-			return
-		}
-		for {
-			_ = conn.SetDeadline(time.Unix(1, 0))
-			select {
-			case <-quit:
-				return
-			case <-time.After(5 * time.Millisecond):
-			}
-		}
-	}()
-	return func() { close(quit) }
-}
-
-// AcceptRequest reads the request frame that opens a served connection and
+// AcceptRequest reads one request frame on a served connection and
 // negotiates its version under max, the highest version the server speaks.
 // Peers this build has no codec for are refused and counted (WireCounters
 // Refused): a connection that does not open with the frame magic is simply
@@ -814,38 +734,4 @@ func (d *FrameDecoder) acceptRequest(r io.Reader, max int) (*Request, int, error
 		return nil, 0, err
 	}
 	return req, ver, nil
-}
-
-// serveConn serves one connection of a plain request/response agent: one
-// request frame in, one response frame out. Scratch-mode decoding is safe
-// because the decoder is returned only after the handler ran to completion.
-func serveConn(conn net.Conn, handle func(*Request) *Response) {
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(dialTimeout))
-	cc := CountConn(conn)
-	dec := GetFrameDecoder(false)
-	defer PutFrameDecoder(dec)
-	req, ver, err := dec.AcceptRequest(cc, ProtocolVersion)
-	if err != nil {
-		return
-	}
-	resp := handle(req)
-	resp.Version = ver
-	// The handler may have burned wall clock on a loaded box (perf vectors,
-	// executor runs); give the write its own fresh deadline.
-	_ = conn.SetDeadline(time.Now().Add(dialTimeout))
-	_ = WriteResponseFrame(cc, resp)
-}
-
-// Serve runs the accept loop of a plain request/response agent until the
-// listener closes. The grid scheduler streams on some connections and
-// therefore brings its own connection handler.
-func Serve(ln net.Listener, handle func(*Request) *Response) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		go serveConn(conn, handle)
-	}
 }

@@ -17,6 +17,9 @@ var (
 	wireTxFrames atomic.Uint64
 	wireRxFrames atomic.Uint64
 	wireRefused  atomic.Uint64
+	wireDials    atomic.Uint64
+	wireReused   atomic.Uint64
+	wireIdle     atomic.Int64
 )
 
 // WireCounters is a snapshot of the process-wide transport counters: bytes
@@ -31,6 +34,13 @@ type WireCounters struct {
 	// something other than the frame magic or stamped a version below
 	// ProtocolV4 (see FrameDecoder.AcceptRequest).
 	Refused uint64
+	// Dials counts connections opened by the transport (one-shot round trips
+	// and kept-alive Transports alike); Reused counts exchanges a Transport
+	// started on an idle connection instead of dialing. IdleConns is a gauge:
+	// connections sitting idle in Transport pools right now.
+	Dials     uint64
+	Reused    uint64
+	IdleConns int64
 }
 
 // WireStats snapshots the transport counters.
@@ -41,6 +51,10 @@ func WireStats() WireCounters {
 		FramesTx: wireTxFrames.Load(),
 		FramesRx: wireRxFrames.Load(),
 		Refused:  wireRefused.Load(),
+
+		Dials:     wireDials.Load(),
+		Reused:    wireReused.Load(),
+		IdleConns: wireIdle.Load(),
 	}
 }
 

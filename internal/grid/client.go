@@ -235,7 +235,7 @@ type campaignStream struct {
 	// dec retains what it decodes: progress frames and results outlive the
 	// stream (the dial layer republishes them as client events).
 	dec  *diet.FrameDecoder
-	stop func()
+	stop func() bool // disarms the ctx abort
 }
 
 func (st *campaignStream) close() {
@@ -244,20 +244,24 @@ func (st *campaignStream) close() {
 	diet.PutFrameDecoder(st.dec)
 }
 
-// openStreamAt dials one member, ties the connection to ctx, and sends req.
+// openStreamAt dials one member, ties the connection to ctx — cancelling it
+// forces the deadline into the past, which unblocks a parked read or write —
+// and sends req. A stream is the one exchange that never rides the daemons'
+// kept-alive transport: a submit must not be replayed, so it gets a fresh
+// connection of its own, used once.
 func (c *Client) openStreamAt(ctx context.Context, addr string, req *diet.Request) (*campaignStream, error) {
 	dialer := net.Dialer{Timeout: c.timeout()}
 	conn, err := dialer.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("grid: dialing %s: %w", addr, err)
 	}
-	stop := diet.AbortOnDone(ctx, conn)
-	cc := diet.CountConn(conn)
-	st := &campaignStream{addr: addr, conn: conn, cc: cc, dec: diet.GetFrameDecoder(true), stop: stop}
 	if err := conn.SetDeadline(time.Now().Add(c.timeout())); err != nil {
-		st.close()
+		conn.Close()
 		return nil, err
 	}
+	stop := context.AfterFunc(ctx, func() { _ = conn.SetDeadline(time.Unix(1, 0)) })
+	cc := diet.CountConn(conn)
+	st := &campaignStream{addr: addr, conn: conn, cc: cc, dec: diet.GetFrameDecoder(true), stop: stop}
 	if err := diet.WriteRequestFrame(cc, req); err != nil {
 		st.close()
 		if ctx.Err() != nil {
@@ -269,16 +273,15 @@ func (c *Client) openStreamAt(ctx context.Context, addr string, req *diet.Reques
 }
 
 // nextFrame refreshes the deadline before every decode: the stream stays
-// alive as long as the daemon keeps talking, however long the campaign.
-// The explicit ctx checks bracket the refresh so a cancellation landing
-// between decodes is honored instead of silently re-armed away (the
-// AbortOnDone watcher keeps re-asserting the past deadline as a backstop
-// for the refresh race).
+// alive as long as the daemon keeps talking, however long the campaign. The
+// ctx check comes after the refresh: a cancellation that landed before it is
+// seen here, and one that lands later forces its past deadline over the
+// refreshed one — either way the refresh cannot re-arm a cancelled stream.
 func (c *Client) nextFrame(ctx context.Context, st *campaignStream) (*diet.Response, error) {
+	_ = st.conn.SetDeadline(time.Now().Add(c.timeout()))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	_ = st.conn.SetDeadline(time.Now().Add(c.timeout()))
 	resp, err := st.dec.ReadResponse(st.cc)
 	if err != nil {
 		if ctx.Err() != nil {

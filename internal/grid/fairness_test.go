@@ -415,6 +415,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"oagrid_sed_alive",
 		"oagrid_wire_tx_bytes_total",
 		"oagrid_wire_refused_total",
+		"oagrid_wire_dials_total",
+		"oagrid_wire_reused_total",
+		"oagrid_wire_idle_conns",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metrics output missing %q:\n%s", want, text)

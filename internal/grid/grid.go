@@ -249,6 +249,11 @@ type Scheduler struct {
 	lifecycle
 	cfg Config
 	ln  net.Listener
+	// srv tracks the connections kept open for SeDs and ring peers;
+	// transport keeps the scheduler's own to its SeDs, at most PerSeDInFlight
+	// idle per daemon — the same bound as exchanges in flight.
+	srv       diet.Server
+	transport *diet.Transport
 
 	// tokens carries one signal per enqueued campaign; the campaign itself
 	// sits in its tenant's queue under mu. A dispatcher first takes a
@@ -371,10 +376,11 @@ func Start(cfg Config) (*Scheduler, error) {
 			campaigns:    make(map[uint64]*campaign),
 			vectors:      make(map[string]map[vecKey][]float64),
 		},
-		cfg:     cfg,
-		done:    make(chan struct{}),
-		tenants: make(map[string]*tenantState),
-		seds:    make(map[string]*sedState),
+		cfg:       cfg,
+		transport: diet.NewTransport(cfg.PerSeDInFlight),
+		done:      make(chan struct{}),
+		tenants:   make(map[string]*tenantState),
+		seds:      make(map[string]*sedState),
 	}
 	s.exec = s
 	s.onSettle = s.countOutcome
@@ -468,10 +474,11 @@ func (s *Scheduler) SetMetricsHook(hook func(io.Writer)) {
 	s.metricsHook.Store(&hook)
 }
 
-// Close stops the daemon: the listener closes, queued and running campaigns
-// fail with a shutdown error, and the worker goroutines drain. With a state
-// dir the shutdown failures are not journaled as terminal — a scheduler
-// restarted on the same directory re-admits and finishes them.
+// Close stops the daemon: the listener and the connections kept open for
+// SeDs and ring peers close, queued and running campaigns fail with a
+// shutdown error, and the worker goroutines drain. With a state dir the
+// shutdown failures are not journaled as terminal — a scheduler restarted on
+// the same directory re-admits and finishes them.
 func (s *Scheduler) Close() error {
 	err := s.ln.Close()
 	select {
@@ -479,10 +486,12 @@ func (s *Scheduler) Close() error {
 	default:
 		close(s.done)
 	}
+	s.srv.Close()
 	if sm := s.shard.Load(); sm != nil {
 		sm.close()
 	}
 	s.wg.Wait()
+	s.transport.Close()
 	if s.metrics != nil {
 		s.metrics.close()
 	}
@@ -508,6 +517,7 @@ func (s *Scheduler) evictLoop() {
 			if st.alive && now.Sub(st.lastBeat) > s.cfg.EvictAfter {
 				st.alive = false
 				s.evicted++
+				s.transport.Drop(st.info.Addr)
 			}
 		}
 		s.mu.Unlock()
@@ -544,8 +554,10 @@ func (s *Scheduler) register(info diet.SeDInfo, inFlight int, speed float64, dra
 	}
 	if st.info.Addr != "" && st.info.Addr != info.Addr {
 		// A replacement daemon is a fresh process: an old drain flag (or a
-		// straggling beat from the drained predecessor) must not shadow it.
+		// straggling beat from the drained predecessor) must not shadow it,
+		// and connections kept to the old address serve nobody.
 		st.draining = false
+		s.transport.Drop(st.info.Addr)
 	}
 	st.info = info
 	st.alive = true
@@ -573,6 +585,7 @@ func (s *Scheduler) DeregisterSeD(cluster, addr string) bool {
 	}
 	delete(s.seds, cluster)
 	delete(s.vectors, cluster)
+	s.transport.Drop(addr)
 	return true
 }
 
@@ -648,6 +661,7 @@ func (s *Scheduler) markDead(st *sedState, addr string) {
 	if st.alive && st.info.Addr == addr {
 		st.alive = false
 		s.evicted++
+		s.transport.Drop(addr)
 	}
 }
 
@@ -656,7 +670,7 @@ func (s *Scheduler) markDead(st *sedState, addr string) {
 // exchange would read as a dead daemon.
 func (s *Scheduler) perf(_ context.Context, t target, n, months int, heuristic string) ([]float64, error) {
 	ref := t.(*sedRef)
-	resp, err := diet.RoundTripTimeout(ref.info.Addr, &diet.Request{Version: diet.ProtocolVersion, Kind: diet.KindPerf, Perf: &diet.PerfRequest{
+	resp, err := s.transport.RoundTrip(context.Background(), ref.info.Addr, &diet.Request{Kind: diet.KindPerf, Perf: &diet.PerfRequest{
 		Scenarios: n,
 		Months:    months,
 		Heuristic: heuristic,
@@ -680,7 +694,7 @@ func (s *Scheduler) run(ctx context.Context, t target, ids []int, months int, he
 	case <-s.done:
 		return nil, errors.New(shutdownMsg)
 	}
-	resp, err := diet.RoundTripContext(ctx, ref.info.Addr, &diet.Request{Version: diet.ProtocolVersion, Kind: diet.KindExec, Exec: &diet.ExecRequest{
+	resp, err := s.transport.RoundTrip(ctx, ref.info.Addr, &diet.Request{Kind: diet.KindExec, Exec: &diet.ExecRequest{
 		ScenarioIDs: ids,
 		Months:      months,
 		Heuristic:   heuristic,
@@ -694,7 +708,9 @@ func (s *Scheduler) run(ctx context.Context, t target, ids []int, months int, he
 	return resp.Exec, nil
 }
 
-// sedCallTimeout bounds one scheduler→SeD exchange. Evaluations are virtual
+// sedCallTimeout bounds one scheduler→SeD exchange. A SeD that stays silent
+// that long reads as dead (lost); a kept-alive connection the SeD had closed
+// does not — the transport redials those itself. Evaluations are virtual
 // time and fast, but a loaded box (CI under the race detector) can stall a
 // goroutine well past the transport's 5s default.
 const sedCallTimeout = 30 * time.Second

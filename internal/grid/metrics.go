@@ -196,6 +196,12 @@ func (s *Scheduler) writeMetrics(w io.Writer) {
 	mw.sample("oagrid_wire_rx_frames_total", float64(wire.FramesRx))
 	mw.family("oagrid_wire_refused_total", "counter", "Connections closed for a missing frame magic or a protocol version below v4.")
 	mw.sample("oagrid_wire_refused_total", float64(wire.Refused))
+	mw.family("oagrid_wire_dials_total", "counter", "Process-wide connections opened by the transport: one per one-shot round trip, one per kept-alive connection.")
+	mw.sample("oagrid_wire_dials_total", float64(wire.Dials))
+	mw.family("oagrid_wire_reused_total", "counter", "Process-wide exchanges started on an idle kept-alive connection instead of a dial.")
+	mw.sample("oagrid_wire_reused_total", float64(wire.Reused))
+	mw.family("oagrid_wire_idle_conns", "gauge", "Process-wide kept-alive connections idle in a daemon's pool.")
+	mw.sample("oagrid_wire_idle_conns", float64(wire.IdleConns))
 
 	if sm := s.shardManager(); sm != nil {
 		s.writeRingMetrics(mw, sm)

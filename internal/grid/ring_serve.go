@@ -164,11 +164,10 @@ func (s *Scheduler) routeRing(sm *shardManager, send *sender, req *diet.Request)
 // forwardTo wraps inner in the daemon-to-daemon envelope and round-trips it
 // to peer p.
 func (sm *shardManager) forwardTo(p string, inner *diet.Request) (*diet.Response, error) {
-	return diet.RoundTripTimeout(p, &diet.Request{
-		Version: diet.ProtocolVersion,
+	return sm.call(p, &diet.Request{
 		Kind:    diet.KindForward,
 		Forward: &diet.ForwardRequest{From: sm.ring.Self(), Inner: inner},
-	}, ringCallTimeout)
+	})
 }
 
 // fanoutStats merges this shard's gauges with every alive peer's into one

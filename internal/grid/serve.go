@@ -25,15 +25,18 @@ func (s *Scheduler) acceptLoop() {
 	}
 }
 
-// sender writes response frames on one served connection, stamped with the
-// version the connection negotiated.
+// sender writes the response frames of one request on a served connection,
+// stamped with the version the connection negotiated.
 type sender struct {
 	conn net.Conn // counted (diet.CountConn)
 	ver  int
+	// keep marks a single-answer request whose sender asked for keep-alive:
+	// the answer echoes the bit and the connection reads another request.
+	keep bool
 }
 
 func (b *sender) send(resp *diet.Response) error {
-	resp.Version = b.ver
+	resp.Version, resp.KeepAlive = b.ver, b.keep
 	_ = b.conn.SetDeadline(time.Now().Add(frameTimeout))
 	return diet.WriteResponseFrame(b.conn, resp)
 }
@@ -49,20 +52,18 @@ func (b *sender) sendProgress(f *progressFrame) error {
 	return diet.WriteRawFrame(b.conn, enc)
 }
 
-// serveConn reads the one request frame a connection opens with and serves
-// it. Peers below the protocol floor — no frame magic, or a version under
-// v4 — are refused by AcceptRequest.
+// serveConn serves the request a connection opens with, and — for a daemon
+// peer that asked to keep the connection (a SeD's heartbeats, a ring
+// member's pings, pulls and forwards) — the requests that follow it. The
+// streaming kinds answer with more than one frame and always end their
+// connection. Peers below the protocol floor — no frame magic, or a version
+// under v4 — are refused by AcceptRequest.
 func (s *Scheduler) serveConn(conn net.Conn) {
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(frameTimeout))
-	cc := diet.CountConn(conn)
-	dec := diet.GetFrameDecoder(false)
-	defer diet.PutFrameDecoder(dec)
-	req, ver, err := dec.AcceptRequest(cc, s.maxVersion())
-	if err != nil {
-		return
-	}
-	s.dispatch(&sender{conn: cc, ver: ver}, req)
+	s.srv.ServeConn(conn, s.maxVersion(), func(w net.Conn, req *diet.Request, ver int) bool {
+		send := &sender{conn: w, ver: ver, keep: req.KeepAlive && req.Kind != diet.KindSubmit && req.Kind != diet.KindAttach}
+		s.dispatch(send, req)
+		return send.keep
+	})
 }
 
 // maxVersion is the highest protocol version this daemon speaks

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -32,6 +33,9 @@ type shardManager struct {
 	ring    *ring.Ring
 	members *ring.Members
 	hbEvery time.Duration
+	// transport keeps the connections to ring peers: pings and segment pulls
+	// from the loop, forwards and fan-outs from serving goroutines.
+	transport *diet.Transport
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -102,6 +106,7 @@ func (s *Scheduler) JoinRing(self string, members []string, hbEvery, deadAfter t
 		ring:       r,
 		members:    ring.NewMembers(r, deadAfter),
 		hbEvery:    hbEvery,
+		transport:  diet.NewTransport(s.cfg.PerSeDInFlight),
 		stop:       make(chan struct{}),
 		tails:      make(map[string]*replicaTail),
 		failedOver: make(map[string]bool),
@@ -149,7 +154,8 @@ func (sm *shardManager) owner(id uint64) string {
 	return sm.ring.Owner(id, sm.members.AliveFn())
 }
 
-// close stops the ring loop and waits it out.
+// close stops the ring loop, waits it out, and closes the connections kept
+// to peers.
 func (sm *shardManager) close() {
 	select {
 	case <-sm.stop:
@@ -157,6 +163,12 @@ func (sm *shardManager) close() {
 		close(sm.stop)
 	}
 	sm.wg.Wait()
+	sm.transport.Close()
+}
+
+// call makes one exchange with ring peer p on the kept-alive transport.
+func (sm *shardManager) call(p string, req *diet.Request) (*diet.Response, error) {
+	return sm.transport.RoundTrip(context.Background(), p, req, ringCallTimeout)
 }
 
 // loop is the shard heartbeat: every hbEvery it pings each peer, tails the
@@ -225,11 +237,10 @@ func (sm *shardManager) tick() {
 // pre-ring build) is recorded as refused — it keeps serving plain client
 // traffic, it just cannot be a ring member.
 func (sm *shardManager) ping(p string) {
-	resp, err := diet.RoundTripTimeout(p, &diet.Request{
-		Version: diet.ProtocolVersion,
-		Kind:    diet.KindRingPing,
-		Ring:    &diet.RingPingRequest{From: sm.ring.Self(), Members: sm.ring.Members()},
-	}, ringCallTimeout)
+	resp, err := sm.call(p, &diet.Request{
+		Kind: diet.KindRingPing,
+		Ring: &diet.RingPingRequest{From: sm.ring.Self(), Members: sm.ring.Members()},
+	})
 	if err != nil {
 		sm.members.ObservePing(p, 0, false, err)
 		return
@@ -257,11 +268,10 @@ func (sm *shardManager) pull(p string) {
 		return
 	}
 	for i := 0; i < maxPullsPerTick; i++ {
-		resp, err := diet.RoundTripTimeout(p, &diet.Request{
-			Version: diet.ProtocolVersion,
+		resp, err := sm.call(p, &diet.Request{
 			Kind:    diet.KindSegment,
 			Segment: &diet.SegmentRequest{From: sm.ring.Self(), Generation: tail.gen, Offset: tail.off},
-		}, ringCallTimeout)
+		})
 		if err != nil || resp.Segment == nil {
 			return
 		}

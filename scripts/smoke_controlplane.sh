@@ -103,6 +103,11 @@ grep -q 'oagrid_tenant_queue_wait_seconds_count{tenant="ocean"} 1' "$metrics_out
 grep -q '^oagrid_sed_alive' "$metrics_out"
 grep -q '^oagrid_wire_tx_bytes_total ' "$metrics_out"
 grep -q '^oagrid_wire_refused_total 1$' "$metrics_out"
+# Daemon-to-daemon exchanges ride kept-alive connections: by now the SeDs'
+# heartbeats and the campaign's exec have each reused one.
+grep -q '^oagrid_wire_dials_total [1-9]' "$metrics_out"
+grep -q '^oagrid_wire_reused_total [1-9]' "$metrics_out"
+grep -q '^oagrid_wire_idle_conns [1-9]' "$metrics_out"
 curl -fsSI "http://$metrics_addr/metrics" >"$workdir/headers.txt"
 grep -qi '^content-type: text/plain' "$workdir/headers.txt"
 
