@@ -11,10 +11,12 @@ import (
 	"oagrid/internal/store"
 )
 
-// campaign is one submitted protocol round moving through its lifecycle. The
-// progress fields (remaining, reports, rounds, ...) live on the campaign
-// rather than in runCampaign's frame so a journal replay can rebuild a
-// half-finished campaign and the run loop can resume it mid-flight.
+// campaign is one submitted protocol round moving through its lifecycle. Its
+// progress fields (remaining, reports, rounds, ...) are a fold over the
+// campaign's journal records and change in one place only, apply: the live
+// path journals a record and applies it, recovery and ring adoption apply
+// the records a journal holds, so a resumed campaign is the one that never
+// stopped by construction.
 type campaign struct {
 	id        uint64
 	app       core.Application
@@ -34,15 +36,14 @@ type campaign struct {
 	// abortCh closes when the campaign turns terminal. When that happens
 	// from outside its run loop — a cancel, or an in-process pause or
 	// deadline — the exchanges in flight abort on it and the run loop stops
-	// at the next chunk boundary. Only the winner of the terminal claim
-	// closes it (see lifecycle.end).
+	// at the next chunk boundary. It closes with the terminal claim.
 	abortCh chan struct{}
 
 	mu sync.Mutex
 	// claimed marks the terminal transition as owned: exactly one path —
 	// completion, failure, or cancel — wins claim() and drives the campaign
-	// terminal; every frame publish after the claim is dropped, so a cancel
-	// verdict is never followed by a chunk frame.
+	// terminal; every record applied after the claim but the terminal one is
+	// dropped, so a cancel verdict is never followed by a chunk frame.
 	claimed bool
 	// paused marks a campaign this process stopped serving without ending
 	// it (a shutdown, a caller's ctx): terminal here, non-terminal in the
@@ -129,51 +130,132 @@ func newCampaign(id uint64, app core.Application, heuristic string, meta submitM
 	return c
 }
 
-// recoveredCampaign rebuilds a campaign from its replayed journal state.
+// recoveredCampaign rebuilds a campaign from its journal records: the
+// admission record opens it, apply folds the rest.
 func recoveredCampaign(rc *store.Campaign) *campaign {
-	c := &campaign{
-		id:            rc.ID,
-		app:           core.Application{Scenarios: rc.Scenarios, Months: rc.Months},
-		heuristic:     rc.Heuristic,
-		priority:      rc.Priority,
-		labels:        rc.Labels,
-		deadline:      rc.Deadline,
-		abortCh:       make(chan struct{}),
-		status:        diet.CampaignQueued,
-		makespan:      rc.Makespan,
-		reports:       rc.Reports,
-		requeues:      rc.Requeues,
-		errMsg:        rc.Err,
-		remaining:     rc.Remaining,
-		rounds:        rc.Rounds,
-		scenariosDone: rc.ScenariosDone,
-		done:          make(chan struct{}),
+	recs := rc.Records()
+	adm := &recs[0]
+	c := newCampaign(adm.ID, core.Application{Scenarios: adm.Scenarios, Months: adm.Months}, adm.Heuristic,
+		submitMeta{priority: adm.Priority, labels: adm.Labels, deadline: adm.Deadline})
+	for i := range recs[1:] {
+		c.apply(&recs[1+i])
 	}
-	for i := range rc.History {
-		c.history = append(c.history, &progressFrame{u: rc.History[i]})
-	}
-	if rc.Terminal() {
-		// Chunk records are journaled in arrival order; the terminal result
-		// the original process served was sorted. Re-sort so a recovered
-		// snapshot is byte-for-byte the one clients saw before the restart.
-		sortReports(c.reports)
-		c.status = rc.Status
-		c.claimed = true
-		close(c.abortCh)
+	if c.claimed {
 		close(c.done)
 	}
 	return c
 }
 
-// claim reserves the campaign's terminal transition; exactly one caller
-// wins and must then journal the terminal record and call complete.
+// apply folds one journal record into the campaign. It is the only place
+// that says what a record means: what it does to the campaign's progress
+// and which progress frame it implies — appended to the history and fanned
+// out, without blocking, to whoever is subscribed (nobody, at replay). The
+// terminal claim is the cut: once it is taken — by the live path before it
+// journals the terminal record, or here by a replayed terminal record — no
+// other record has any effect, so a verdict is never followed by a chunk
+// frame and a straggler journaled around a cancel never resurfaces. apply
+// reports whether rec took effect. It leaves c.done to the caller, who
+// settles the campaign table first. Callers hold c.mu (replay works on a
+// campaign nobody else sees yet).
+//
+//oalint:hotpath
+func (c *campaign) apply(rec *store.Record) bool {
+	switch rec.Kind {
+	case store.KindDone, store.KindCancelled:
+		if c.ended() {
+			return false
+		}
+		c.claimLocked()
+		c.makespan, c.errMsg = rec.Makespan, rec.Err
+		switch {
+		case rec.Kind == store.KindCancelled:
+			c.status = diet.CampaignCancelled
+		case rec.Status == diet.CampaignDone:
+			c.status, c.requeues = diet.CampaignDone, rec.Requeues
+		default: // a done record says done or failed
+			c.status, c.requeues = diet.CampaignFailed, rec.Requeues
+		}
+		// Chunk records are journaled in arrival order; a terminal snapshot
+		// has one canonical order, whatever the interleaving and whatever the
+		// outcome.
+		sortReports(c.reports)
+		return true // terminal state travels on the result, not as a frame
+	}
+	if c.claimed {
+		return false
+	}
+	frame := diet.ProgressUpdate{ID: c.id, Total: c.app.Scenarios}
+	switch rec.Kind {
+	case store.KindPlanned:
+		if rec.Round >= c.rounds {
+			c.rounds = rec.Round + 1
+		}
+		frame.Stage = diet.StagePlanned
+		frame.Planned = rec.Planned
+	case store.KindChunk:
+		if rec.Chunk == nil {
+			return false
+		}
+		c.reports = append(c.reports, *rec.Chunk)
+		c.scenariosDone += rec.Chunk.Scenarios
+		c.remaining = without(c.remaining, rec.IDs)
+		frame.Stage = diet.StageChunk
+		frame.Chunk = rec.Chunk
+	case store.KindRequeue:
+		c.requeues++
+		frame.Stage = diet.StageRequeue
+		frame.Requeued = rec.Requeued
+	default:
+		return false
+	}
+	frame.Done = c.scenariosDone
+	f := &progressFrame{u: frame}
+	c.history = append(c.history, f)
+	for ch := range c.subs {
+		select {
+		case ch <- f:
+		default: // slow subscriber: drop the frame, keep the dispatcher live
+		}
+	}
+	return true
+}
+
+// without returns remaining minus ids, preserving order.
+func without(remaining []int, ids []int) []int {
+	drop := make(map[int]bool, len(ids))
+	for _, id := range ids {
+		drop[id] = true
+	}
+	out := remaining[:0]
+	for _, id := range remaining {
+		if !drop[id] {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// ended reports whether a terminal record was applied. Callers hold c.mu.
+func (c *campaign) ended() bool {
+	return c.status == diet.CampaignDone || c.status == diet.CampaignFailed || c.status == diet.CampaignCancelled
+}
+
+// claim reserves the campaign's terminal transition and stops its work:
+// whatever is still in flight aborts on the closed abort channel. Exactly
+// one caller wins and must then journal and apply the terminal record.
 func (c *campaign) claim() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.claimLocked()
+}
+
+// claimLocked is claim for callers that hold c.mu.
+func (c *campaign) claimLocked() bool {
 	if c.claimed {
 		return false
 	}
 	c.claimed = true
+	close(c.abortCh)
 	return true
 }
 
@@ -269,32 +351,6 @@ func (c *campaign) unsubscribe(ch chan *progressFrame) {
 	c.mu.Unlock()
 }
 
-// publish records one progress frame and fans it out without blocking. A
-// frame racing the terminal claim is dropped: once a cancel (or any other
-// terminal transition) owns the campaign, nothing may follow its verdict on
-// any stream.
-//
-//oalint:hotpath
-func (c *campaign) publish(u diet.ProgressUpdate) {
-	u.ID = c.id
-	u.Total = c.app.Scenarios
-	c.mu.Lock()
-	if c.claimed {
-		c.mu.Unlock()
-		return
-	}
-	u.Done = c.scenariosDone
-	f := &progressFrame{u: u}
-	c.history = append(c.history, f)
-	for ch := range c.subs {
-		select {
-		case ch <- f:
-		default: // slow subscriber: drop the frame, keep the dispatcher live
-		}
-	}
-	c.mu.Unlock()
-}
-
 // snapshot copies the campaign's client-visible state, including the
 // scenario-level progress gauges a polling client needs to see motion
 // before the terminal state.
@@ -324,18 +380,6 @@ func (c *campaign) setStatus(status string) {
 		c.status = status
 	}
 	c.mu.Unlock()
-}
-
-// complete publishes the terminal state and wakes every waiter.
-func (c *campaign) complete(status string, makespan float64, reports []diet.ExecResponse, requeues int, errMsg string) {
-	c.mu.Lock()
-	c.status = status
-	c.makespan = makespan
-	c.reports = reports
-	c.requeues = requeues
-	c.errMsg = errMsg
-	c.mu.Unlock()
-	close(c.done)
 }
 
 // sortReports puts chunk reports in their stable, deterministic final

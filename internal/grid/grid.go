@@ -74,13 +74,6 @@ type Config struct {
 	// KeepFinished caps how many finished campaigns stay pollable before
 	// the oldest are forgotten (default 4096).
 	KeepFinished int
-	// RotateBytes arms online WAL rotation: once the live journal segment
-	// grows past this many bytes, the next append checkpoints it down to the
-	// retained campaigns' records — so a long-lived daemon's campaigns.wal
-	// stays bounded between restarts, not just across them. 0 picks the
-	// default (4 MiB); negative disables rotation (append-only until the
-	// next restart's compaction). Ignored without a StateDir.
-	RotateBytes int64
 	// StateDir, when non-empty, makes the scheduler durable: every campaign
 	// transition is journaled to an append-only WAL under the directory
 	// before it is acknowledged, and a scheduler restarted on the same
@@ -152,9 +145,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.KeepFinished <= 0 {
 		c.KeepFinished = 4096
-	}
-	if c.RotateBytes == 0 {
-		c.RotateBytes = 4 << 20
 	}
 	if c.TenantKey == "" {
 		c.TenantKey = DefaultTenantKey
@@ -387,7 +377,7 @@ func Start(cfg Config) (*Scheduler, error) {
 	var recovered []*campaign
 	if cfg.StateDir != "" {
 		var err error
-		if recovered, err = s.recover(cfg.StateDir, cfg.RotateBytes, cfg.TenantKey); err != nil {
+		if recovered, err = s.recover(cfg.StateDir, cfg.TenantKey); err != nil {
 			return nil, err
 		}
 	}
@@ -412,21 +402,9 @@ func Start(cfg Config) (*Scheduler, error) {
 	// the dispatchers start. Recovered campaigns keep their journaled
 	// priority and labels — and with them their tenant; among equal
 	// priorities their lower IDs put them ahead of any new traffic of the
-	// same tenant. Re-admission bypasses tenant quotas: a backlog the daemon
-	// already accepted must never block startup.
-	now := time.Now()
+	// same tenant.
 	for _, c := range recovered {
-		// Re-admitted campaigns go through the same tenant fold as live
-		// submissions, so a hostile label set in the journal cannot blow the
-		// tenant table either. Safe without s.mu: nothing else runs yet.
-		c.tenant = s.canonicalTenant(c.tenant)
-		c.enqueuedAt = now
-		s.queueLen++
-		if s.queueLen > s.maxQueue {
-			s.maxQueue = s.queueLen
-		}
-		s.tenant(c.tenant).queued++
-		s.enqueue(c)
+		s.readmit(c)
 	}
 
 	if cfg.MetricsAddr != "" {
@@ -859,26 +837,53 @@ func (s *Scheduler) admit(req *diet.SubmitRequest) (*campaign, *diet.SubmitRespo
 	s.campaigns[c.id] = c
 	s.enqueue(c)
 	s.mu.Unlock()
+	s.tokens <- struct{}{} // cannot block: queueLen never exceeds cap(tokens) here
 	return c, &diet.SubmitResponse{ID: c.id, Accepted: true, QueueDepth: depth}, nil
 }
 
+// readmit queues a campaign some journal already admitted — this daemon's
+// recovered backlog at startup, a dead ring peer's at adoption. It goes
+// through the same tenant fold as a live submission, so a hostile label set
+// in a journal cannot blow the tenant table either, but bypasses the
+// admission bound and the tenant quotas: a backlog a daemon already accepted
+// must never be dropped or block startup.
+func (s *Scheduler) readmit(c *campaign) {
+	s.mu.Lock()
+	c.tenant = s.canonicalTenant(c.tenant)
+	c.enqueuedAt = time.Now()
+	s.queueLen++
+	if s.queueLen > s.maxQueue {
+		s.maxQueue = s.queueLen
+	}
+	s.tenant(c.tenant).queued++
+	s.enqueue(c)
+	s.mu.Unlock()
+	// Off the lock: adoption may overshoot the admission bound (and with it
+	// the token channel's capacity), and a blocked send must never hold
+	// s.mu. The campaign is already queued, so tokens never outnumber queued
+	// campaigns.
+	select {
+	case s.tokens <- struct{}{}:
+	case <-s.done:
+	}
+}
+
 // enqueue puts a campaign whose queue slots are already reserved (queueLen
-// and its tenant's queued counted) on its tenant's queue and signals a
-// dispatcher. A tenant going idle→backlogged gets its virtual finish tag
+// and its tenant's queued counted) on its tenant's queue; the caller then
+// signals a dispatcher with a token, off the lock. A tenant going
+// idle→backlogged gets its virtual finish tag
 // stamped here, start-time-fair style: max(vtime, old tag) + 1/weight. The
 // max keeps an idle tenant from banking credit while away (it re-enters at
 // the current virtual time, it does not lock out the others), while a
 // backlogged tenant's tag is left alone — it must keep the credit it
 // accumulated waiting, or a heavier tenant would re-shadow it every pop and
-// starve it. Callers hold s.mu; queueLen never exceeds cap(tokens), so the
-// token send cannot block.
+// starve it. Callers hold s.mu.
 func (s *Scheduler) enqueue(c *campaign) {
 	t := s.tenant(c.tenant)
 	if len(t.queue) == 0 {
 		t.vfinish = math.Max(s.vtime, t.vfinish) + 1/t.weight
 	}
 	t.queue = append(t.queue, c)
-	s.tokens <- struct{}{}
 }
 
 // effPriority is a queued campaign's dispatch priority at now: its submit

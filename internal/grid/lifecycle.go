@@ -102,15 +102,21 @@ func tenantOf(labels map[string]string, key string) string {
 	return DefaultTenant
 }
 
+// rotateBytes is the live journal segment's size past which the next append
+// checkpoints it down to the retained campaigns' records, so a long-lived
+// process's campaigns.wal stays bounded between restarts, not just across
+// them.
+const rotateBytes = 4 << 20
+
 // recover opens the journal under dir and replays it into the campaign
 // table: terminal campaigns come back under their original IDs, the
 // retention cap is applied, and the journal is compacted down to what
-// survived and armed for online rotation past rotateBytes. Tenants are
-// re-derived from the journaled labels under tenantKey. It returns the
-// non-terminal campaigns in admission order for the caller to re-admit. It
-// must run before anything can append: compaction rewrites the journal from
-// the replayed records, so a racing append would be lost.
-func (k *lifecycle) recover(dir string, rotateBytes int64, tenantKey string) ([]*campaign, error) {
+// survived and armed for online rotation. Tenants are re-derived from the
+// journaled labels under tenantKey. It returns the non-terminal campaigns in
+// admission order for the caller to re-admit. It must run before anything
+// can append: a campaign admitted while the table is still filling would be
+// missing from the compaction's retention set.
+func (k *lifecycle) recover(dir string, tenantKey string) ([]*campaign, error) {
 	st, byID, err := store.Open(dir)
 	if err != nil {
 		return nil, err
@@ -124,34 +130,21 @@ func (k *lifecycle) recover(dir string, rotateBytes int64, tenantKey string) ([]
 		c.tenant = tenantOf(c.labels, tenantKey)
 		k.campaigns[c.id] = c
 		if rc.Terminal() {
-			k.doneOrder = append(k.doneOrder, c.id)
+			k.retire(c)
 		} else {
 			live = append(live, c)
 		}
 	}
-	// Without the prune, replay would resurrect campaigns forgotten before
-	// the restart; without the compaction the WAL would grow without bound
-	// across restarts.
-	for len(k.doneOrder) > k.keepFinished {
-		delete(k.campaigns, k.doneOrder[0])
-		k.doneOrder = k.doneOrder[1:]
-	}
+	// Retention prunes the table, rotation prunes the file: without the
+	// prune above, replay would resurrect campaigns forgotten before the
+	// restart; without a rotation now, the WAL would grow without bound
+	// across restarts. The retain snapshot takes mu, which is safe because
+	// nothing appends to the journal while holding it.
+	st.AutoRotate(rotateBytes, k.retainedIDs)
 	if len(recovered) > 0 {
-		kept := make([]*store.Campaign, 0, len(k.campaigns))
-		for _, rc := range recovered {
-			if _, ok := k.campaigns[rc.ID]; ok {
-				kept = append(kept, rc)
-			}
-		}
-		// Best-effort: a failed compaction leaves the previous journal in
-		// place, which replays to at least this state.
-		_ = st.Compact(kept)
-	}
-	// Online rotation: retention prunes the table, rotation prunes the
-	// file. The retain snapshot takes mu, which is safe because nothing
-	// appends to the journal while holding it.
-	if rotateBytes > 0 {
-		st.AutoRotate(rotateBytes, k.retainedIDs)
+		// Best-effort: a failed rewrite leaves the previous journal in place,
+		// which replays to at least this state.
+		_ = st.Rotate()
 	}
 	return live, nil
 }
@@ -188,6 +181,19 @@ func (k *lifecycle) journal(rec store.Record) {
 	if err := k.store.Append(rec); err != nil {
 		k.walErrors.Add(1)
 	}
+}
+
+// record is the live path of every transition after admission: WAL first —
+// rec is fsynced before it shows up in snapshots or on any stream, so
+// progress a polling client observed can never regress across a restart —
+// then the one fold. It reports whether rec took effect; false means a
+// terminal transition owns the campaign and rec's journal line is a
+// straggler every replay drops.
+func (k *lifecycle) record(c *campaign, rec store.Record) bool {
+	k.journal(rec)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.apply(&rec)
 }
 
 // retainedIDs snapshots the campaign table's keys — the journal rotation's
@@ -266,38 +272,36 @@ func (k *lifecycle) vector(ctx context.Context, t target, n, months int, heurist
 // end is the one terminal transition: it drives c to status from wherever
 // that was decided — the run loop once nothing remains or at a round
 // boundary, a cancel, an in-process pause or deadline. Exactly one caller
-// per campaign wins the claim. The winner stops the campaign's work first —
-// whatever is still in flight aborts on the closed abort channel — then
-// makes the outcome durable, then publishes it. journal is false for a
-// pause: the process stops serving the campaign but its journal stays
-// non-terminal, so the next open resumes it. end reports false when another
-// terminal transition beat it to the claim.
+// per campaign wins the claim, which stops the campaign's work. The winner
+// makes the outcome durable, settles the campaign table, and only then
+// applies the terminal record and wakes the waiters — so whoever sees the
+// outcome, on a result or in a poll, finds retention already applied.
+// journal is false for a pause: the terminal record is applied but not
+// written, so this process stops serving the campaign while its journal
+// stays non-terminal and the next open resumes it. end reports false when
+// another terminal transition beat it to the claim.
 func (k *lifecycle) end(c *campaign, status, msg string, journal bool) bool {
 	if !c.claim() {
 		return false
 	}
-	close(c.abortCh)
 	c.mu.Lock()
-	c.paused = !journal
-	reports := append([]diet.ExecResponse(nil), c.reports...)
-	requeues := c.requeues
-	c.mu.Unlock()
-	// One canonical report order, whatever the arrival interleaving and
-	// whatever the outcome: a snapshot and its journal-recovered twin agree.
-	sortReports(reports)
-	makespan := 0.0
+	rec := store.Record{Kind: store.KindDone, ID: c.id, Status: status, Requeues: c.requeues, Err: msg}
 	if status == diet.CampaignDone {
-		makespan = diet.CampaignMakespan(reports)
+		rec.Makespan = diet.CampaignMakespan(c.reports)
+	}
+	c.mu.Unlock()
+	if status == diet.CampaignCancelled {
+		rec = store.Record{Kind: store.KindCancelled, ID: c.id}
 	}
 	if journal {
-		rec := store.Record{Kind: store.KindDone, ID: c.id, Status: status, Makespan: makespan, Requeues: requeues, Err: msg}
-		if status == diet.CampaignCancelled {
-			rec = store.Record{Kind: store.KindCancelled, ID: c.id}
-		}
 		k.journal(rec)
 	}
-	c.complete(status, makespan, reports, requeues, msg)
 	k.settle(c, status)
+	c.mu.Lock()
+	c.paused = !journal
+	c.apply(&rec)
+	c.mu.Unlock()
+	close(c.done)
 	return true
 }
 
@@ -320,7 +324,8 @@ func (k *lifecycle) Cancel(id uint64) (found bool, status string) {
 	}
 	// Some other terminal transition owns the campaign; its status is the
 	// verdict. The loser of a claim race may observe the winner's fields
-	// only after complete() runs, so wait for the terminal state.
+	// only after its terminal record is applied, so wait for the terminal
+	// state.
 	<-c.done
 	if c.takePause() {
 		// Terminal only in this process: the journal is non-terminal and the
@@ -526,11 +531,7 @@ func (k *lifecycle) runRound(abortCtx context.Context, c *campaign, pause <-chan
 			planned = append(planned, diet.PlannedChunk{Cluster: t.cluster(), Scenarios: len(chunks[i])})
 		}
 	}
-	k.journal(store.Record{Kind: store.KindPlanned, ID: c.id, Round: round, Planned: planned})
-	c.mu.Lock()
-	c.rounds = round + 1
-	c.mu.Unlock()
-	c.publish(diet.ProgressUpdate{Stage: diet.StagePlanned, Planned: planned})
+	k.record(c, store.Record{Kind: store.KindPlanned, ID: c.id, Round: round, Planned: planned})
 
 	// Steps 5-6: run every chunk concurrently, one goroutine per loaded
 	// target.
@@ -543,7 +544,6 @@ func (k *lifecycle) runRound(abortCtx context.Context, c *campaign, pause <-chan
 		launched++
 		go k.runChunk(abortCtx, c, t, chunks[i], results)
 	}
-	discarded := false
 	for ; launched > 0; launched-- {
 		r := <-results
 		if c.aborted() {
@@ -551,59 +551,32 @@ func (k *lifecycle) runRound(abortCtx context.Context, c *campaign, pause <-chan
 			// abort on abortCtx) and discard everything — including genuine
 			// results, which must not surface as chunk frames after the
 			// verdict. No target is blamed for an abort-induced error.
-			discarded = true
 			continue
 		}
 		if r.err != nil {
 			if !k.exec.lost(r.t, r.err) {
 				k.end(c, diet.CampaignFailed, r.err.Error(), true)
-				discarded = true
 				continue
 			}
 			// The chunk's scenarios stay on the campaign's plate and will be
-			// re-repartitioned over the survivors. WAL first: the requeue is
-			// fsynced before it shows up in snapshots.
-			k.journal(store.Record{Kind: store.KindRequeue, ID: c.id, Requeued: len(r.ids)})
-			c.mu.Lock()
-			if c.claimed {
-				c.mu.Unlock()
-				discarded = true
-				continue
+			// re-repartitioned over the survivors.
+			if k.record(c, store.Record{Kind: store.KindRequeue, ID: c.id, Requeued: len(r.ids)}) {
+				k.mu.Lock()
+				k.requeues++
+				k.mu.Unlock()
 			}
-			c.requeues++
-			c.mu.Unlock()
-			k.mu.Lock()
-			k.requeues++
-			k.mu.Unlock()
-			c.publish(diet.ProgressUpdate{Stage: diet.StageRequeue, Requeued: len(r.ids)})
 			continue
 		}
 		// Stamp the chunk with its provenance: the round (makespan
 		// accounting) and its lowest scenario ID (the report-order
-		// tiebreak). IDs are dispatched ascending, so ids[0] is the
-		// minimum. WAL discipline: the chunk is fsynced before it becomes
-		// visible to snapshots or subscribers, so progress a polling client
-		// observed can never regress across a restart. The acceptance is
-		// claim-guarded under c.mu: once a terminal transition owns the
-		// campaign, snapshots are frozen — a straggler's journal record is
-		// harmless on replay (terminal status wins), but its report must
-		// never surface after the verdict.
+		// tiebreak). IDs are dispatched ascending, so ids[0] is the minimum.
 		r.resp.Round = round
 		r.resp.FirstScenario = r.ids[0]
-		k.journal(store.Record{Kind: store.KindChunk, ID: c.id, Chunk: r.resp, IDs: r.ids})
-		c.mu.Lock()
-		if c.claimed {
-			c.mu.Unlock()
-			discarded = true
-			continue
-		}
-		c.reports = append(c.reports, *r.resp)
-		c.scenariosDone += r.resp.Scenarios
-		c.remaining = store.Without(c.remaining, r.ids)
-		c.mu.Unlock()
-		c.publish(diet.ProgressUpdate{Stage: diet.StageChunk, Chunk: r.resp})
+		k.record(c, store.Record{Kind: store.KindChunk, ID: c.id, Chunk: r.resp, IDs: r.ids})
 	}
-	return !discarded && !c.aborted()
+	// A record dropped because a terminal transition claimed the campaign
+	// closed the abort channel with that claim.
+	return !c.aborted()
 }
 
 // runChunk hands one target its scenario share (protocol step 5) and

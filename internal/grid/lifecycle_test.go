@@ -80,8 +80,15 @@ func newScriptedLocal(t *testing.T, n int, gated bool, stateDir string) (*Local,
 
 func journalPath(dir string) string { return filepath.Join(dir, "campaigns.wal") }
 
+// replayed is a journal's only campaign: its records as the store groups
+// them, and the round count they fold to.
+type replayed struct {
+	*store.Campaign
+	Rounds int
+}
+
 // replayOne replays a journal and returns its only campaign.
-func replayOne(t *testing.T, path string) *store.Campaign {
+func replayOne(t *testing.T, path string) *replayed {
 	t.Helper()
 	byID, err := store.ReplayFile(path)
 	if err != nil {
@@ -91,7 +98,7 @@ func replayOne(t *testing.T, path string) *store.Campaign {
 		t.Fatalf("%s holds %d campaigns, want 1", path, len(byID))
 	}
 	for _, rc := range byID {
-		return rc
+		return &replayed{Campaign: rc, Rounds: recoveredCampaign(rc).info().Rounds}
 	}
 	return nil
 }
@@ -100,7 +107,7 @@ func replayOne(t *testing.T, path string) *store.Campaign {
 // executor: the record kinds in order (chunks complete in arrival order, so
 // they are compared as a set, sorted by FirstScenario) and each record's
 // round, scenario and placement stamps.
-func journalShape(rc *store.Campaign) (kinds []string, stamps []string) {
+func journalShape(rc *replayed) (kinds []string, stamps []string) {
 	var chunks []store.Record
 	for _, rec := range rc.Records() {
 		kinds = append(kinds, rec.Kind)
@@ -201,7 +208,7 @@ func TestJournalsIdenticalLocalAndDaemon(t *testing.T) {
 // writer would have left had it died right after its first chunk record:
 // admission, round-0 plan, and the chunk holding scenario 0 (chunks land in
 // arrival order, so "first" is pinned to the one both writers agree on).
-func cutAfterFirstChunk(t *testing.T, rc *store.Campaign) string {
+func cutAfterFirstChunk(t *testing.T, rc *replayed) string {
 	t.Helper()
 	dir := t.TempDir()
 	st, _, err := store.Open(dir)

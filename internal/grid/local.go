@@ -99,7 +99,7 @@ func newLocal(exec executor, stateDir string) (*Local, error) {
 		vectors:      make(map[string]map[vecKey][]float64),
 	}}
 	if stateDir != "" {
-		recovered, err := l.recover(stateDir, defaults.RotateBytes, defaults.TenantKey)
+		recovered, err := l.recover(stateDir, defaults.TenantKey)
 		if err != nil {
 			return nil, err
 		}

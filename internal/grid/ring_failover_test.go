@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -392,5 +393,61 @@ func TestQueuePositionNoAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Fatalf("queuePosition allocates %.1f objects/op at depth %d, want 0", allocs, depth)
 		}
+	}
+}
+
+// TestDeadRingPeerConnectionsDropped: the tick that first sees a peer dead
+// closes the connections kept to it, instead of leaving them to age out
+// (maxIdleAge) or to be used up one failing ping at a time.
+func TestDeadRingPeerConnectionsDropped(t *testing.T) {
+	// A death deadline below the heartbeat: the first ping that fails finds
+	// the peer already silent for too long, so exactly one kept connection is
+	// spent on noticing the death.
+	members, addrs := startTestRing(t, 2, 300*time.Millisecond, 100*time.Millisecond)
+	victim, sm := addrs[0], members[1].sched.shardManager()
+
+	// Two exchanges at once make the survivor keep two connections to the
+	// victim (testConfig's PerSeDInFlight).
+	ping := &diet.Request{Kind: diet.KindRingPing, Ring: &diet.RingPingRequest{From: addrs[1], Members: addrs}}
+	for attempt := 0; sm.transport.Dials() < 2; attempt++ {
+		if attempt == 200 {
+			t.Fatalf("the survivor opened %d connections to its peer, want 2", sm.transport.Dials())
+		}
+		var wg sync.WaitGroup
+		for i := 0; i < 2; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				req := *ping
+				if _, err := sm.call(victim, &req); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+
+	members[0].close()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		sm.mu.Lock()
+		seenDead := sm.failedOver[victim]
+		sm.mu.Unlock()
+		if seenDead {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the survivor never saw its peer dead")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// Stop the ring loop (the tick that saw the death finishes first): from
+	// here on nothing else touches the transport, so its idle table can be
+	// read without its lock.
+	close(sm.stop)
+	sm.wg.Wait()
+	idle := reflect.ValueOf(sm.transport).Elem().FieldByName("idle")
+	if conns := idle.MapIndex(reflect.ValueOf(victim)); conns.IsValid() {
+		t.Fatalf("%d connection(s) still kept to the dead peer", conns.Len())
 	}
 }

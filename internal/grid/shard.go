@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -227,6 +226,8 @@ func (sm *shardManager) tick() {
 		}
 		sm.mu.Unlock()
 		if !done {
+			// Connections kept to a dead peer serve nobody.
+			sm.transport.Drop(p)
 			sm.failover(p)
 		}
 	}
@@ -352,9 +353,8 @@ func (sm *shardManager) failover(p string) {
 // into this scheduler, exactly as startup recovery would: its journal
 // records are re-appended to our own WAL first (durable before visible),
 // terminal campaigns go straight to the finished table, and non-terminal
-// ones are re-admitted bypassing quotas — a backlog a ring member already
-// accepted must never be dropped by its successor. Reports false when the
-// campaign is already known here.
+// ones are re-admitted. Reports false when the campaign is already known
+// here.
 func (s *Scheduler) adoptCampaign(rc *store.Campaign) bool {
 	if s.lookup(rc.ID) != nil {
 		return false
@@ -367,36 +367,17 @@ func (s *Scheduler) adoptCampaign(rc *store.Campaign) bool {
 	c := recoveredCampaign(rc)
 	c.tenant = s.tenantName(c.labels)
 	s.mu.Lock()
-	if s.campaigns[rc.ID] != nil {
+	if s.campaigns[c.id] != nil {
 		s.mu.Unlock()
 		return false
 	}
-	c.tenant = s.canonicalTenant(c.tenant)
 	s.campaigns[c.id] = c
 	if rc.Terminal() {
 		s.retire(c)
-		s.mu.Unlock()
-		return true
 	}
-	c.enqueuedAt = time.Now()
-	s.queueLen++
-	if s.queueLen > s.maxQueue {
-		s.maxQueue = s.queueLen
-	}
-	t := s.tenant(c.tenant)
-	t.queued++
-	if len(t.queue) == 0 {
-		t.vfinish = math.Max(s.vtime, t.vfinish) + 1/t.weight
-	}
-	t.queue = append(t.queue, c)
 	s.mu.Unlock()
-	// The token send runs off the lock: adoption may overshoot the
-	// admission bound (and with it the token channel's capacity), and a
-	// blocked send must never hold s.mu. The campaign is already queued, so
-	// order holds: tokens never outnumber queued campaigns.
-	select {
-	case s.tokens <- struct{}{}:
-	case <-s.done:
+	if !rc.Terminal() {
+		s.readmit(c)
 	}
 	return true
 }

@@ -19,6 +19,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -82,60 +83,75 @@ type Record struct {
 	Err      string  `json:"err,omitempty"`
 }
 
-// Campaign is the replayed state of one journaled campaign: everything the
-// scheduler needs to either keep serving its result (terminal) or re-admit
-// it with the unfinished scenarios requeued (non-terminal).
+// Campaign is one campaign's share of a journal: its ID and its records, in
+// journal order, from the admission record on. The store groups records and
+// never interprets them — what a record does to a campaign is the owner's
+// one fold (grid's campaign.apply). It holds the records as the file does,
+// encoded, so the copy that feeds rotation and compaction costs what the
+// journal costs on disk.
 type Campaign struct {
-	ID        uint64
-	Scenarios int
-	Months    int
-	Heuristic string
-	// Priority, Labels and Deadline are the campaign's journaled submit
-	// options; re-admission after a restart honors them.
-	Priority int
-	Labels   map[string]string
-	Deadline time.Duration
-
-	// Status is empty while the campaign is live and diet.CampaignDone /
-	// diet.CampaignFailed once a terminal record was journaled.
-	Status   string
-	Makespan float64
-	Err      string
-
-	// Rounds counts repartition rounds started so far — the next round's
-	// index after recovery.
-	Rounds int
-	// Remaining lists the scenario IDs with no completed chunk, ascending.
-	Remaining []int
-	// Reports holds the completed chunk reports, in journal order.
-	Reports []diet.ExecResponse
-	// Requeues counts chunks returned after a failure.
-	Requeues int
-	// ScenariosDone counts scenarios covered by Reports.
-	ScenariosDone int
-	// History is the campaign's reconstructed progress stream, frame for
-	// frame what publish() emitted before the restart, so a subscriber that
-	// attaches after recovery still sees the full story.
-	History []diet.ProgressUpdate
-
-	// records keeps the campaign's raw journal lines so Compact can rewrite
-	// a fresh journal without re-deriving them from the folded state.
-	records []Record
+	ID uint64
+	// lines holds the records' journal lines back to back, each with its
+	// newline, byte for byte what the file holds.
+	lines []byte
+	// terminal is set once lines ends in a done or cancelled record.
+	terminal bool
 }
 
-// Records returns a copy of the campaign's raw journal lines in replay
-// order. The failover path appends them verbatim into the adopting shard's
-// own journal, so an adopted campaign is exactly as durable there as it was
-// on the shard that died.
+// Records decodes the campaign's journal lines, in replay order: the
+// admission record first. Startup recovery folds them into a campaign; the
+// failover path also re-appends them to the adopting shard's own journal, so
+// an adopted campaign is exactly as durable there as it was on the shard
+// that died.
 func (c *Campaign) Records() []Record {
-	return append([]Record(nil), c.records...)
+	var recs []Record
+	for rest := c.lines; len(rest) > 0; {
+		end := bytes.IndexByte(rest, '\n')
+		var rec Record
+		// Cannot fail: a line is filed only after it decoded (replay) or as
+		// the encoding of a Record (Append).
+		_ = json.Unmarshal(rest[:end], &rec)
+		recs = append(recs, rec)
+		rest = rest[end+1:]
+	}
+	return recs
 }
 
-// Terminal reports whether the campaign reached a journaled terminal state.
-// A cancelled campaign is terminal: replay must never re-admit it.
-func (c *Campaign) Terminal() bool {
-	return c.Status == diet.CampaignDone || c.Status == diet.CampaignFailed ||
-		c.Status == diet.CampaignCancelled
+// Terminal reports whether the campaign's records end in a terminal one. A
+// cancelled campaign is terminal: replay must never re-admit it.
+func (c *Campaign) Terminal() bool { return c.terminal }
+
+// journal is a journal's records grouped by campaign, in first-admission
+// order: what replay returns, and what an open Store keeps of its file.
+type journal struct {
+	byID  map[uint64]*Campaign
+	order []uint64
+}
+
+// file puts one encoded record under its campaign; line is the caller's to
+// give away. It holds the two rules that decide what stays in the file at
+// the next rewrite: a record of a campaign with no admission record
+// (compacted away) is dropped, and so is a straggler after the terminal
+// record — a chunk journaled around a cancel claim, which the live campaign
+// never surfaced.
+func (j *journal) file(rec *Record, line []byte) {
+	c := j.byID[rec.ID]
+	switch {
+	case rec.Kind == KindAdmitted:
+		if c == nil {
+			j.order = append(j.order, rec.ID)
+		}
+		j.byID[rec.ID] = &Campaign{ID: rec.ID, lines: line}
+	case c == nil || c.terminal:
+	case rec.Kind == KindDone || rec.Kind == KindCancelled:
+		// The last record a campaign gets: size the lines exactly, they stay
+		// for as long as the campaign is retained.
+		c.lines = append(make([]byte, 0, len(c.lines)+len(line)), c.lines...)
+		c.lines = append(c.lines, line...)
+		c.terminal = true
+	default:
+		c.lines = append(c.lines, line...)
+	}
 }
 
 // Store is an open campaign journal. Append is safe for concurrent use.
@@ -147,16 +163,13 @@ type Store struct {
 	// point when a write fails partway.
 	off int64
 
-	// records mirrors the journal in memory, raw lines grouped per campaign
-	// (replayed at Open, extended by every Append) — the checkpoint a
-	// rotation rewrites the live segment from without re-reading the file.
-	records map[uint64][]Record
-	// order remembers first-append order of campaign IDs so a rotated
-	// journal keeps admission order without sorting on the hot path.
-	order []uint64
+	// mirror is the journal grouped per campaign (replayed at Open, extended
+	// by every Append) — the checkpoint a rotation rewrites the live segment
+	// from without re-reading the file.
+	mirror journal
 	// rotateAt arms online rotation: when the live segment's size crosses
 	// the next threshold, Append checkpoints the retained campaigns into a
-	// fresh segment. 0 leaves the journal append-only between restarts.
+	// fresh segment.
 	rotateAt int64
 	// nextRotate is the size the journal must reach before the next rotation
 	// attempt — re-armed after every rotation so a retained set bigger than
@@ -204,7 +217,7 @@ func Open(dir string) (*Store, map[uint64]*Campaign, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("store: journal %s: %w", path, err)
 	}
-	campaigns, good, err := replay(f)
+	mirror, good, err := replay(f)
 	if err != nil {
 		f.Close()
 		return nil, nil, err
@@ -219,13 +232,16 @@ func Open(dir string) (*Store, map[uint64]*Campaign, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	st := &Store{f: f, path: path, off: good, records: make(map[uint64][]Record),
-		gen: uint64(time.Now().UnixNano())}
-	for _, c := range ByID(campaigns) {
-		st.records[c.ID] = append([]Record(nil), c.records...)
-		st.order = append(st.order, c.ID)
+	// The caller gets its own Campaign values: the mirror's are written under
+	// the store's lock by every Append. The copies share the bytes read so
+	// far, capped so that an append to either side reallocates.
+	campaigns := make(map[uint64]*Campaign, len(mirror.byID))
+	for id, c := range mirror.byID {
+		cp := *c
+		cp.lines = cp.lines[:len(cp.lines):len(cp.lines)]
+		campaigns[id] = &cp
 	}
-	return st, campaigns, nil
+	return &Store{f: f, path: path, off: good, mirror: mirror, gen: uint64(time.Now().UnixNano())}, campaigns, nil
 }
 
 // Path returns the journal's file path.
@@ -233,8 +249,7 @@ func (s *Store) Path() string { return s.path }
 
 // Size returns the live journal segment's acknowledged byte length — the
 // WAL-size gauge exported by the scheduler's /metrics endpoint. Rotation
-// shrinks it; a negative-rotation (append-only) store grows until the next
-// restart's compaction.
+// shrinks it.
 func (s *Store) Size() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -269,20 +284,12 @@ func (s *Store) Append(rec Record) error {
 		return fmt.Errorf("store: syncing %s: %w", s.path, err)
 	}
 	s.off += int64(len(data))
-	// The in-memory mirror exists to feed rotation; without it armed, the
-	// journal is append-only until the next restart's compaction and the
-	// mirror must not grow with it (it stays at whatever Open replayed).
-	if s.rotateAt > 0 {
-		if _, ok := s.records[rec.ID]; !ok {
-			s.order = append(s.order, rec.ID)
-		}
-		s.records[rec.ID] = append(s.records[rec.ID], rec)
-		if s.retain != nil && s.off >= s.nextRotate {
-			// Best-effort: a failed rotation leaves the intact live segment
-			// and re-arms, so a transient disk error costs a bigger journal,
-			// not the record just acknowledged.
-			_ = s.rotateLocked()
-		}
+	s.mirror.file(&rec, data)
+	if s.retain != nil && s.off >= s.nextRotate {
+		// Best-effort: a failed rotation leaves the intact live segment and
+		// re-arms, so a transient disk error costs a bigger journal, not the
+		// record just acknowledged.
+		_ = s.rotateLocked()
 	}
 	return nil
 }
@@ -290,14 +297,12 @@ func (s *Store) Append(rec Record) error {
 // AutoRotate arms online rotation: once the live segment grows past
 // threshold bytes, the next Append checkpoints the journal — the records of
 // the campaigns retain reports, in admission order — into a fresh segment
-// via temp-file + rename, exactly like the startup compaction, and drops
-// everything else. The owner's advisory lock travels with the live segment.
+// and drops everything else. The owner's advisory lock travels with the
+// live segment.
 // retain runs with the store's internal lock held: it may take the owner's
 // own locks only because the owner (grid's campaign lifecycle) never
 // journals while holding them — and it must not call back into the store.
-// IDs it returns that the journal does not know are ignored. Arm rotation
-// before the first Append: records appended while rotation is off are not
-// mirrored, so a later rotation would drop them from the journal.
+// IDs it returns that the journal does not know are ignored.
 func (s *Store) AutoRotate(threshold int64, retain func() []uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -306,10 +311,12 @@ func (s *Store) AutoRotate(threshold int64, retain func() []uint64) {
 	s.retain = retain
 }
 
-// Rotate checkpoints the journal immediately, regardless of size — the
-// explicit counterpart of the AutoRotate threshold, for owners that want a
-// deterministic rotation point (tests, operator-triggered checkpoints). It
-// requires AutoRotate to have armed a retain callback.
+// Rotate checkpoints the journal immediately, regardless of size. The owner
+// calls it once at startup with the campaigns it retained, which bounds
+// journal growth across restarts (records of pruned campaigns do not
+// accumulate forever) and keeps retention consistent: a campaign pruned past
+// the cap stays unknown after a restart instead of being resurrected by
+// replay. It requires AutoRotate to have armed a retain callback.
 func (s *Store) Rotate() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -329,32 +336,23 @@ func (s *Store) rotateLocked() error {
 	for _, id := range s.retain() {
 		keep[id] = true
 	}
-	err := s.rewriteLocked(func(id uint64) bool { return keep[id] || !s.terminalLocked(id) })
+	err := s.rewriteLocked(keep)
 	s.nextRotate = s.off + s.rotateAt
 	return err
 }
 
-// terminalLocked reports whether the mirrored campaign has a terminal
-// record. Rotation never drops a non-terminal campaign, whatever the
-// retain snapshot says: an admission record can be fsynced — and its
-// verdict acknowledged — moments before the campaign enters the owner's
-// table, and pruning it would un-admit a campaign whose ID a client
-// already holds. Owners only ever retire terminal campaigns, so keeping
-// every live one costs rotation nothing of its bound. Callers hold s.mu.
-func (s *Store) terminalLocked(id uint64) bool {
-	for i := range s.records[id] {
-		switch s.records[id][i].Kind {
-		case KindDone, KindCancelled:
-			return true
-		}
-	}
-	return false
-}
-
-// rewriteLocked replaces the live segment with the records of the campaigns
-// keep() admits, in first-admission order, and prunes the in-memory mirror
-// to match. Callers hold s.mu.
-func (s *Store) rewriteLocked(keep func(uint64) bool) error {
+// rewriteLocked replaces the live segment with the lines of the campaigns
+// in keep and of every non-terminal campaign, verbatim and in
+// first-admission order, and prunes the mirror to match. A non-terminal
+// campaign is never dropped, whatever the retain snapshot says: an admission
+// record can be fsynced — and its verdict acknowledged — moments before the
+// campaign enters the owner's table, and pruning it would un-admit a
+// campaign whose ID a client already holds. Owners only ever retire
+// terminal campaigns, so keeping every live one costs rotation nothing of
+// its bound. The rewrite goes through a temp file and a rename, so a crash
+// midway leaves either the old journal or the new one, never a mix. Callers
+// hold s.mu.
+func (s *Store) rewriteLocked(keep map[uint64]bool) error {
 	tmp := s.path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
 	if err != nil {
@@ -371,23 +369,18 @@ func (s *Store) rewriteLocked(keep func(uint64) bool) error {
 		return abort(err)
 	}
 	var off int64
-	kept := make([]uint64, 0, len(s.order))
-	for _, id := range s.order {
-		if !keep(id) {
+	kept := journal{byID: make(map[uint64]*Campaign), order: make([]uint64, 0, len(s.mirror.order))}
+	for _, id := range s.mirror.order {
+		c := s.mirror.byID[id]
+		if !keep[id] && c.terminal {
 			continue
 		}
-		kept = append(kept, id)
-		for i := range s.records[id] {
-			data, err := json.Marshal(&s.records[id][i])
-			if err != nil {
-				return abort(err)
-			}
-			data = append(data, '\n')
-			if _, err := f.Write(data); err != nil {
-				return abort(err)
-			}
-			off += int64(len(data))
+		if _, err := f.Write(c.lines); err != nil {
+			return abort(err)
 		}
+		off += int64(len(c.lines))
+		kept.byID[id] = c
+		kept.order = append(kept.order, id)
 	}
 	if err := f.Sync(); err != nil {
 		return abort(err)
@@ -403,38 +396,8 @@ func (s *Store) rewriteLocked(keep func(uint64) bool) error {
 	s.f = f
 	s.off = off
 	s.gen++
-	for _, id := range s.order {
-		if !keep(id) {
-			delete(s.records, id)
-		}
-	}
-	s.order = kept
+	s.mirror = kept
 	return nil
-}
-
-// Compact atomically rewrites the journal to hold exactly the given
-// campaigns' records, in the given order, dropping everything else. The
-// scheduler calls it once at startup with the campaigns it retained, which
-// bounds journal growth across restarts (records of pruned campaigns do
-// not accumulate forever) and keeps retention consistent: a campaign
-// pruned past the cap stays unknown after a restart instead of being
-// resurrected by replay. The rewrite goes through a temp file and a
-// rename, so a crash mid-compaction leaves either the old journal or the
-// new one, never a mix.
-func (s *Store) Compact(keep []*Campaign) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	kept := make(map[uint64]bool, len(keep))
-	for _, c := range keep {
-		kept[c.ID] = true
-		// Replayed campaigns are already mirrored from Open; merge any the
-		// caller forged independently so the rewrite cannot drop them.
-		if _, ok := s.records[c.ID]; !ok {
-			s.records[c.ID] = append([]Record(nil), c.records...)
-			s.order = append(s.order, c.ID)
-		}
-	}
-	return s.rewriteLocked(func(id uint64) bool { return kept[id] })
 }
 
 // Close releases the journal file.
@@ -469,115 +432,43 @@ func ByID(campaigns map[uint64]*Campaign) []*Campaign {
 	return out
 }
 
-// replay scans the journal and folds every complete record into per-campaign
-// state. It returns the byte offset just past the last complete record;
-// anything after it is for the caller to truncate. Append writes each
-// record and its newline in one Write, and a torn write keeps a prefix —
-// so a line without its terminating '\n' is an unacknowledged append and
-// is dropped, never counted into the good offset (counting it would make
-// the caller's Truncate extend the file past EOF with NUL bytes). A record
-// that fails to decode on a non-final line is real corruption and surfaces
-// as an error rather than silently dropping journaled state.
-func replay(f *os.File) (map[uint64]*Campaign, int64, error) {
-	campaigns := make(map[uint64]*Campaign)
+// replay scans the journal and groups every complete record by campaign. It
+// returns the byte offset just past the last complete record; anything after
+// it is for the caller to truncate. Append writes each record and its
+// newline in one Write, and a torn write keeps a prefix — so a line without
+// its terminating '\n' is an unacknowledged append and is dropped, never
+// counted into the good offset (counting it would make the caller's
+// Truncate extend the file past EOF with NUL bytes). A record that fails to
+// decode on a non-final line is real corruption and surfaces as an error
+// rather than silently dropping journaled state.
+func replay(f *os.File) (journal, int64, error) {
+	j := journal{byID: make(map[uint64]*Campaign)}
 	r := bufio.NewReader(f)
 	var good int64
 	var pendingErr error
 	for {
-		line, err := r.ReadString('\n')
+		line, err := r.ReadBytes('\n')
 		if err == io.EOF {
 			// line, if non-empty, is missing its newline: a torn append.
 			break
 		}
 		if err != nil {
-			return nil, 0, fmt.Errorf("store: reading journal: %w", err)
+			return journal{}, 0, fmt.Errorf("store: reading journal: %w", err)
 		}
 		if pendingErr != nil {
 			// A malformed record with complete records after it: the journal
 			// is corrupt beyond crash-truncation repair.
-			return nil, 0, pendingErr
+			return journal{}, 0, pendingErr
 		}
 		var rec Record
-		if jerr := json.Unmarshal([]byte(line), &rec); jerr != nil {
+		if jerr := json.Unmarshal(line, &rec); jerr != nil {
 			pendingErr = fmt.Errorf("%w: record at offset %d: %v", ErrCorrupt, good, jerr)
 			continue
 		}
-		apply(campaigns, &rec)
+		j.file(&rec, line)
 		good += int64(len(line))
 	}
-	return campaigns, good, nil
-}
-
-// apply folds one record into the replayed state, reconstructing the exact
-// progress frames the scheduler published for it.
-func apply(campaigns map[uint64]*Campaign, rec *Record) {
-	if rec.Kind == KindAdmitted {
-		c := &Campaign{
-			ID:        rec.ID,
-			Scenarios: rec.Scenarios,
-			Months:    rec.Months,
-			Heuristic: rec.Heuristic,
-			Priority:  rec.Priority,
-			Labels:    rec.Labels,
-			Deadline:  rec.Deadline,
-			records:   []Record{*rec},
-		}
-		c.Remaining = make([]int, rec.Scenarios)
-		for i := range c.Remaining {
-			c.Remaining[i] = i
-		}
-		campaigns[rec.ID] = c
-		return
-	}
-	c := campaigns[rec.ID]
-	if c == nil {
-		return // record for a campaign compacted away
-	}
-	if c.Terminal() {
-		// A straggler journaled around a terminal transition (a chunk that
-		// raced a cancel claim and was discarded live): replay must not
-		// resurrect what the live campaign never surfaced, and the terminal
-		// record that won stays won. Dropping it from records also prunes it
-		// at the next compaction/rotation.
-		return
-	}
-	c.records = append(c.records, *rec)
-	frame := diet.ProgressUpdate{ID: c.ID, Total: c.Scenarios}
-	switch rec.Kind {
-	case KindPlanned:
-		if rec.Round >= c.Rounds {
-			c.Rounds = rec.Round + 1
-		}
-		frame.Stage = diet.StagePlanned
-		frame.Planned = rec.Planned
-	case KindChunk:
-		if rec.Chunk == nil {
-			return
-		}
-		c.Reports = append(c.Reports, *rec.Chunk)
-		c.ScenariosDone += rec.Chunk.Scenarios
-		c.Remaining = Without(c.Remaining, rec.IDs)
-		frame.Stage = diet.StageChunk
-		frame.Chunk = rec.Chunk
-	case KindRequeue:
-		c.Requeues++
-		frame.Stage = diet.StageRequeue
-		frame.Requeued = rec.Requeued
-	case KindDone:
-		c.Status = rec.Status
-		c.Makespan = rec.Makespan
-		c.Requeues = rec.Requeues
-		c.Err = rec.Err
-		return // terminal state travels on the result, not as a frame
-	case KindCancelled:
-		c.Status = diet.CampaignCancelled
-		c.Err = rec.Err
-		return // terminal: replay keeps the campaign out of the re-admission queue
-	default:
-		return
-	}
-	frame.Done = c.ScenariosDone
-	c.History = append(c.History, frame)
+	return j, good, nil
 }
 
 // ---- segment export (ring replication) ------------------------------------
@@ -658,7 +549,7 @@ func (s *Store) ReadSegment(gen uint64, off int64) (Segment, error) {
 }
 
 // ReplayFile replays a journal file read-only — no lock, no truncation, no
-// store — and returns the folded campaigns. It is the failover path: a ring
+// store — and returns the campaigns it holds. It is the failover path: a ring
 // shard replays the replica it tailed from a dead peer to adopt that peer's
 // campaigns. A torn final line is ignored exactly as Open would truncate it;
 // mid-file corruption returns ErrCorrupt. A missing file is an empty
@@ -672,25 +563,9 @@ func ReplayFile(path string) (map[uint64]*Campaign, error) {
 		return nil, fmt.Errorf("store: opening replica %s: %w", path, err)
 	}
 	defer f.Close()
-	campaigns, _, err := replay(f)
+	j, _, err := replay(f)
 	if err != nil {
 		return nil, err
 	}
-	return campaigns, nil
-}
-
-// Without returns remaining minus ids, preserving order — the completed-
-// chunk subtraction shared by journal replay and the live scheduler.
-func Without(remaining []int, ids []int) []int {
-	drop := make(map[int]bool, len(ids))
-	for _, id := range ids {
-		drop[id] = true
-	}
-	out := remaining[:0]
-	for _, id := range remaining {
-		if !drop[id] {
-			out = append(out, id)
-		}
-	}
-	return out
+	return j.byID, nil
 }

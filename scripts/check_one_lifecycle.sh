@@ -4,8 +4,13 @@
 # public runners (root package) drive it through grid.Client / grid.Local
 # and hold no campaign state, so the root package's own code must not
 # import the journal, and no non-test code outside internal/grid and
-# internal/store may build a journal record. Tests may forge journals. CI
-# runs this in the lint job; from a checkout:
+# internal/store may build a journal record. Inside it there is one fold:
+# what a record does to a campaign is said by campaign.apply
+# (internal/grid/campaign.go) and nowhere else, so no other non-test file
+# outside internal/store may branch on a record kind, and internal/store —
+# which groups records without interpreting them — may not mention a
+# progress frame at all. Tests may forge journals. CI runs this in the lint
+# job; from a checkout:
 #
 #   ./scripts/check_one_lifecycle.sh
 set -euo pipefail
@@ -25,6 +30,21 @@ literals="$(grep -rn --include='*.go' --exclude='*_test.go' 'store\.Record{' . |
 if [ -n "$literals" ]; then
   echo "one-lifecycle: journal records built outside internal/grid and internal/store:" >&2
   echo "$literals" >&2
+  status=1
+fi
+
+folds="$(grep -rnE --include='*.go' --exclude='*_test.go' '(case|==|!=) *store\.Kind' . |
+  grep -v -e '^\./internal/grid/campaign\.go:' -e '^\./internal/store/' || true)"
+if [ -n "$folds" ]; then
+  echo "one-lifecycle: journal records interpreted outside campaign.apply (internal/grid/campaign.go):" >&2
+  echo "$folds" >&2
+  status=1
+fi
+
+frames="$(grep -rn --include='*.go' 'ProgressUpdate' ./internal/store || true)"
+if [ -n "$frames" ]; then
+  echo "one-lifecycle: internal/store mentions progress frames; it groups records, campaign.apply interprets them:" >&2
+  echo "$frames" >&2
   status=1
 fi
 exit "$status"
