@@ -1,6 +1,6 @@
 // Command oalint is the repo's static-analysis driver: it runs the
-// framegate, deterministic, hotpath and typederr analyzers (see
-// internal/analysis) over the module and reports findings one per line as
+// deterministic, hotpath and typederr analyzers (see internal/analysis)
+// over the module and reports findings one per line as
 //
 //	path/to/file.go:line:col: analyzer: message
 //
@@ -36,18 +36,16 @@ import (
 
 	"oagrid/internal/analysis"
 	"oagrid/internal/analysis/deterministic"
-	"oagrid/internal/analysis/framegate"
 	"oagrid/internal/analysis/hotpath"
 	"oagrid/internal/analysis/typederr"
 )
 
 // version is the -V=full answer; cmd/go hashes it into its action cache
 // key, so bump it when analyzer behavior changes.
-const version = "1.0.0"
+const version = "1.1.0"
 
 // analyzers is the suite, in reporting order.
 var analyzers = []*analysis.Analyzer{
-	framegate.Analyzer,
 	deterministic.Analyzer,
 	hotpath.Analyzer,
 	typederr.Analyzer,

@@ -6,8 +6,8 @@
 // restate exactly, which keeps every checker source-compatible with the
 // upstream API should the dependency ever become available.
 //
-// The analyzers themselves live in subpackages (framegate, deterministic,
-// hotpath, typederr); cmd/oalint is the multichecker driver and
+// The analyzers themselves live in subpackages (deterministic, hotpath,
+// typederr); cmd/oalint is the multichecker driver and
 // analysistest is the golden-fixture harness.
 package analysis
 

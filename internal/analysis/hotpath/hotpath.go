@@ -1,5 +1,5 @@
 // Package hotpath is the source-level half of the repo's zero-allocation
-// discipline. The v4 wire codec, the progress fan-out and the queue-position
+// discipline. The wire codec, the progress fan-out and the queue-position
 // path are pinned at 0 allocs/op by benchmarks and TestZeroAllocHotKinds —
 // but a benchmark only fails after the regression ships and only on the
 // inputs it measures. This analyzer flags the allocating constructs most

@@ -2,7 +2,7 @@
 // oagrid facade and grid.Client promise that every error they return wraps
 // exactly one of the package's typed sentinels (ErrRejected,
 // ErrQuotaExceeded, ErrCampaignFailed, ErrProtocol, ErrUnknownCampaign,
-// ErrCampaignCancelled, ErrUnreachable, ring.ErrIncompatiblePeer, ...) so
+// ErrCampaignCancelled, ErrUnreachable, ...) so
 // callers branch with errors.Is instead of string-matching messages. That
 // contract erodes one fmt.Errorf at a time: a bare, sentinel-free error on
 // an exported path compiles, passes tests that only assert err != nil, and

@@ -12,15 +12,16 @@
 // encodes and reads it when the coder decodes. The encoder and the decoder
 // are the same code run in two directions, so they cannot drift apart; the
 // exported entry points only map envelopes to frame kinds. The layouts are
-// pinned from outside twice: testdata/frames holds the bytes of every hot
-// frame at every negotiated version (TestGoldenFrames), and
-// internal/analysis/framegate checks each wire method against its committed
-// schema entry.
+// pinned from outside by committed bytes: testdata/frames holds every hot
+// frame at every negotiated version (TestGoldenFrames), every field of every
+// wire type is non-zero in at least one of them (TestGoldenFramesComplete),
+// and CI refuses an edit to a file that is already committed
+// (scripts/check_sealed_frames.sh).
 //
 // Frame layout (all integers little-endian):
 //
 //	offset 0:  magic   [4]byte  0xF7 'O' 'A' '4'
-//	offset 4:  version uint8    negotiated protocol version (>= 4)
+//	offset 4:  version uint8    negotiated protocol version (>= ProtocolFloor)
 //	offset 5:  kind    uint8    frame kind (fk* constants)
 //	offset 6:  flags   uint16   bit 0: keep-alive (flagKeepAlive); the rest
 //	                            reserved, zero; receivers ignore unknown bits
@@ -28,7 +29,7 @@
 //	offset 12: payload
 //
 // Every connection carries the magic in its very first bytes and a version
-// of at least ProtocolV4 in every header; a frame failing either is
+// of at least ProtocolFloor in every header; a frame failing either is
 // malformed (ErrBadFrame) — there is no second codec to fall back to.
 //
 // Within a payload: strings are u32 length + bytes, []int is u32 count +
@@ -99,7 +100,7 @@ const (
 
 // Typed decode errors. ErrFrameTooLarge is the verdict on a hostile or
 // corrupt length prefix; ErrBadFrame covers every other malformed frame
-// (bad magic, a version below ProtocolV4, truncated payload, unknown kind,
+// (bad magic, a version below ProtocolFloor, truncated payload, unknown kind,
 // trailing garbage).
 var (
 	ErrFrameTooLarge = errors.New("diet: frame exceeds size bound")
@@ -135,7 +136,7 @@ func parseFrameHeader(b []byte) (FrameHeader, error) {
 	if h.Length > MaxFramePayload {
 		return h, fmt.Errorf("%w: length prefix %d (max %d)", ErrFrameTooLarge, h.Length, MaxFramePayload)
 	}
-	if h.Version < ProtocolV4 {
+	if h.Version < ProtocolFloor {
 		return h, fmt.Errorf("%w (frame stamped v%d)", errVersionTooOld, h.Version)
 	}
 	return h, nil
@@ -378,11 +379,11 @@ func (c *coder) done() error {
 // ---- layouts --------------------------------------------------------------
 //
 // One wire method per hot payload type: the only place its fields and its
-// version gates are written. Fields go in wire order. A field added after v4
-// sits at the end, behind `if c.ver >= ProtocolVN`: a frame negotiated below
-// N must stay byte-exact for older peers, whose decoder rejects trailing
-// payload bytes. Adding one is that line, its framegate schema entry, and
-// golden frames for the new version.
+// version gates are written. Fields go in wire order. A field added after
+// ProtocolFloor sits at the end, behind `if c.ver >= ProtocolVN`: a frame
+// negotiated below N must stay byte-exact for older peers, whose decoder
+// rejects trailing payload bytes. Adding one is that line plus golden frames
+// for the new version; the frames committed for older versions never change.
 
 //oalint:hotpath
 func (x *SubmitRequest) wire(c *coder) {
@@ -415,10 +416,8 @@ func (x *HeartbeatRequest) wire(c *coder) {
 	c.str(&x.Addr, "heartbeat addr")
 	c.int(&x.Procs, "heartbeat procs")
 	c.int(&x.InFlight, "heartbeat inflight")
-	if c.ver >= ProtocolV7 {
-		c.f64(&x.Speed, "heartbeat speed")
-		c.bool(&x.Draining, "heartbeat draining")
-	}
+	c.f64(&x.Speed, "heartbeat speed")
+	c.bool(&x.Draining, "heartbeat draining")
 }
 
 //oalint:hotpath
@@ -436,9 +435,7 @@ func (x *SubmitResponse) wire(c *coder) {
 	c.bool(&x.Accepted, "submit accepted")
 	c.str(&x.Reason, "submit reason")
 	c.int(&x.QueueDepth, "submit queue depth")
-	if c.ver >= ProtocolV5 {
-		c.str(&x.Code, "submit reject code")
-	}
+	c.str(&x.Code, "submit reject code")
 }
 
 //oalint:hotpath
@@ -518,14 +515,15 @@ func (x *CampaignResult) wire(c *coder) {
 // ---- encoding -------------------------------------------------------------
 
 // begin turns c into the encoder of one frame appended to buf: it reserves
-// the header, stamped with the envelope's version (v4 when that names none a
-// header can carry) and its keep-alive flag; finish patches in the kind and
-// the payload length once the payload is appended.
+// the header, stamped with the envelope's version (ProtocolFloor when that
+// is below the floor or more than a header can carry) and its keep-alive
+// flag; finish patches in the kind and the payload length once the payload
+// is appended.
 //
 //oalint:hotpath
 func (c *coder) begin(buf []byte, ver int, keepAlive bool) {
-	if ver < ProtocolV4 || ver > 0xFF {
-		ver = ProtocolV4
+	if ver < ProtocolFloor || ver > 0xFF {
+		ver = ProtocolFloor
 	}
 	var flags byte
 	if keepAlive {

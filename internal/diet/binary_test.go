@@ -3,6 +3,7 @@ package diet
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -18,24 +19,24 @@ import (
 // hotRequests covers every hand-rolled request layout.
 func hotRequests() []*Request {
 	return []*Request{
-		{Version: ProtocolV4, Kind: KindSubmit, Submit: &SubmitRequest{
+		{Version: ProtocolVersion, Kind: KindSubmit, Submit: &SubmitRequest{
 			Scenarios: 10, Months: 12, Heuristic: "knapsack",
 			Wait: true, Progress: true, Priority: -3,
 			Labels:   map[string]string{"team": "ocean", "tier": "a"},
 			Deadline: 90 * time.Second,
 		}},
-		{Version: ProtocolV4, Kind: KindExec, Exec: &ExecRequest{
+		{Version: ProtocolVersion, Kind: KindExec, Exec: &ExecRequest{
 			ScenarioIDs: []int{0, 3, 7, 9}, Months: 12, Heuristic: "knapsack",
 		}},
-		{Version: ProtocolV4, Kind: KindPerf, Perf: &PerfRequest{Scenarios: 10, Months: 12, Heuristic: "knapsack"}},
-		{Version: ProtocolV4, Kind: KindHeartbeat, Heartbeat: &HeartbeatRequest{
+		{Version: ProtocolVersion, Kind: KindPerf, Perf: &PerfRequest{Scenarios: 10, Months: 12, Heuristic: "knapsack"}},
+		{Version: ProtocolVersion, Kind: KindHeartbeat, Heartbeat: &HeartbeatRequest{
 			Cluster: "grillon", Addr: "127.0.0.1:9999", Procs: 56, InFlight: 2,
 		}},
-		{Version: ProtocolV7, Kind: KindHeartbeat, Heartbeat: &HeartbeatRequest{
+		{Version: ProtocolVersion, Kind: KindHeartbeat, Heartbeat: &HeartbeatRequest{
 			Cluster: "grelon", Addr: "127.0.0.1:9998", Procs: 120, InFlight: 1, Speed: 0.5, Draining: true,
 		}},
-		{Version: ProtocolV4, Kind: KindAttach, Attach: &AttachRequest{ID: 42, Progress: true}},
-		{Version: ProtocolV4, Kind: KindResult, Result: &ResultRequest{ID: 7}},
+		{Version: ProtocolVersion, Kind: KindAttach, Attach: &AttachRequest{ID: 42, Progress: true}},
+		{Version: ProtocolVersion, Kind: KindResult, Result: &ResultRequest{ID: 7}},
 	}
 }
 
@@ -46,22 +47,26 @@ func hotResponses() []*Response {
 		Allocation: core.Allocation{Groups: []int{8, 8, 8}, PostProcs: 4, Heuristic: "knapsack"},
 	}
 	return []*Response{
-		{Version: ProtocolV4, Err: "boom"},
-		{Version: ProtocolV4, Submit: &SubmitResponse{ID: 9, Accepted: true, Reason: "", QueueDepth: 3}},
-		{Version: ProtocolV5, Submit: &SubmitResponse{Accepted: false, Reason: "tenant quota exhausted", QueueDepth: 7, Code: RejectQuota}},
-		{Version: ProtocolV4, Exec: &exec},
-		{Version: ProtocolV4, Perf: &PerfResponse{Cluster: "grelon", Procs: 120, Vector: []float64{1.5, 2.25, math.Pi}}},
-		{Version: ProtocolV4, Heartbeat: &HeartbeatResponse{OK: true}},
-		{Version: ProtocolV4, Attach: &AttachResponse{ID: 4, Found: true, Status: CampaignRunning, Done: 2, Total: 10}},
-		{Version: ProtocolV4, Progress: &ProgressUpdate{
+		{Version: ProtocolVersion, Err: "boom"},
+		{Version: ProtocolVersion, Submit: &SubmitResponse{ID: 9, Accepted: true, Reason: "", QueueDepth: 3}},
+		{Version: ProtocolVersion, Submit: &SubmitResponse{Accepted: false, Reason: "tenant quota exhausted", QueueDepth: 7, Code: RejectQuota}},
+		{Version: ProtocolVersion, Exec: &exec},
+		{Version: ProtocolVersion, Perf: &PerfResponse{Cluster: "grelon", Procs: 120, Vector: []float64{1.5, 2.25, math.Pi}}},
+		{Version: ProtocolVersion, Heartbeat: &HeartbeatResponse{OK: true}},
+		{Version: ProtocolVersion, Attach: &AttachResponse{ID: 4, Found: true, Status: CampaignRunning, Done: 2, Total: 10}},
+		{Version: ProtocolVersion, Progress: &ProgressUpdate{
 			ID: 4, Stage: StagePlanned, Done: 2, Total: 10, Requeued: 1,
 			Planned: []PlannedChunk{{Cluster: "grillon", Scenarios: 6}, {Cluster: "grelon", Scenarios: 4}},
 		}},
-		{Version: ProtocolV4, Progress: &ProgressUpdate{ID: 4, Stage: StageChunk, Done: 6, Total: 10, Chunk: &exec}},
-		{Version: ProtocolV4, Result: &CampaignResult{
+		{Version: ProtocolVersion, Progress: &ProgressUpdate{ID: 4, Stage: StageChunk, Done: 6, Total: 10, Chunk: &exec}},
+		{Version: ProtocolVersion, Result: &CampaignResult{
 			ID: 4, Status: CampaignDone, Makespan: 2469.125, Requeues: 1, Done: 10, Total: 10,
 			Reports: []ExecResponse{exec, {Cluster: "grelon", Makespan: 99.5, Scenarios: 6,
 				Allocation: core.Allocation{Groups: []int{10, 10}, PostProcs: 2, Heuristic: "knapsack"}}},
+		}},
+		{Version: ProtocolVersion, Result: &CampaignResult{
+			ID: 5, Status: CampaignFailed, Requeues: 2, Done: 4, Total: 10,
+			Err: "grid: campaign 5: deadline exceeded", Reports: []ExecResponse{exec},
 		}},
 	}
 }
@@ -69,17 +74,17 @@ func hotResponses() []*Response {
 // coldEnvelopes exercises the JSON fallback frames.
 func coldEnvelopes() ([]*Request, []*Response) {
 	reqs := []*Request{
-		{Version: ProtocolV4, Kind: KindStats, Stats: &StatsRequest{}},
-		{Version: ProtocolV4, Kind: KindCancel, Cancel: &CancelRequest{ID: 12}},
-		{Version: ProtocolV4, Kind: KindListCampaigns, ListCampaigns: &ListCampaignsRequest{
+		{Version: ProtocolVersion, Kind: KindStats, Stats: &StatsRequest{}},
+		{Version: ProtocolVersion, Kind: KindCancel, Cancel: &CancelRequest{ID: 12}},
+		{Version: ProtocolVersion, Kind: KindListCampaigns, ListCampaigns: &ListCampaignsRequest{
 			Status: CampaignDone, Labels: map[string]string{"team": "ocean"},
 		}},
-		{Version: ProtocolV4, Kind: KindInfo, Info: &InfoRequest{ID: 3}},
+		{Version: ProtocolVersion, Kind: KindInfo, Info: &InfoRequest{ID: 3}},
 	}
 	resps := []*Response{
-		{Version: ProtocolV4, Stats: &StatsResponse{QueueDepth: 1, Completed: 5}},
-		{Version: ProtocolV4, Cancel: &CancelResponse{ID: 12, Found: true, Status: CampaignCancelled}},
-		{Version: ProtocolV4, Info: &CampaignInfo{ID: 3, Found: true, Status: CampaignRunning}},
+		{Version: ProtocolVersion, Stats: &StatsResponse{QueueDepth: 1, Completed: 5}},
+		{Version: ProtocolVersion, Cancel: &CancelResponse{ID: 12, Found: true, Status: CampaignCancelled}},
+		{Version: ProtocolVersion, Info: &CampaignInfo{ID: 3, Found: true, Status: CampaignRunning}},
 	}
 	return reqs, resps
 }
@@ -145,11 +150,11 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 // returned when Retain is set — and conversely that scratch mode really
 // does reuse memory (the documented volatility).
 func TestBinaryScratchReuse(t *testing.T) {
-	first := &Response{Version: ProtocolV4, Exec: &ExecResponse{
+	first := &Response{Version: ProtocolVersion, Exec: &ExecResponse{
 		Cluster: "a", Makespan: 1, Scenarios: 1,
 		Allocation: core.Allocation{Groups: []int{1, 2, 3}, Heuristic: "knapsack"},
 	}}
-	second := &Response{Version: ProtocolV4, Exec: &ExecResponse{
+	second := &Response{Version: ProtocolVersion, Exec: &ExecResponse{
 		Cluster: "b", Makespan: 2, Scenarios: 2,
 		Allocation: core.Allocation{Groups: []int{9, 9, 9}, Heuristic: "knapsack"},
 	}}
@@ -201,7 +206,7 @@ func TestBinaryScratchReuse(t *testing.T) {
 	if cap(scratch.ints) == 0 {
 		t.Fatal("a small frame's scratch should survive the pool")
 	}
-	big, err := AppendRequestFrame(nil, &Request{Version: ProtocolV4, Kind: KindExec,
+	big, err := AppendRequestFrame(nil, &Request{Version: ProtocolVersion, Kind: KindExec,
 		Exec: &ExecRequest{ScenarioIDs: make([]int, maxPooledBuf/8+1), Months: 12}})
 	if err != nil {
 		t.Fatal(err)
@@ -220,17 +225,17 @@ func TestBinaryScratchReuse(t *testing.T) {
 // hot-kind encode + decode round trip costs zero allocations per operation
 // once the buffers and the intern table are warm.
 func TestZeroAllocHotKinds(t *testing.T) {
-	execReq := &Request{Version: ProtocolV4, Kind: KindExec, Exec: &ExecRequest{
+	execReq := &Request{Version: ProtocolVersion, Kind: KindExec, Exec: &ExecRequest{
 		ScenarioIDs: []int{0, 1, 2, 3, 4, 5}, Months: 12, Heuristic: "knapsack",
 	}}
-	hb := &Request{Version: ProtocolV4, Kind: KindHeartbeat, Heartbeat: &HeartbeatRequest{
+	hb := &Request{Version: ProtocolVersion, Kind: KindHeartbeat, Heartbeat: &HeartbeatRequest{
 		Cluster: "grillon", Addr: "127.0.0.1:9999", Procs: 56, InFlight: 2,
 	}}
-	execResp := &Response{Version: ProtocolV4, Exec: &ExecResponse{
+	execResp := &Response{Version: ProtocolVersion, Exec: &ExecResponse{
 		Cluster: "grillon", Makespan: 1234.5625, Scenarios: 4, Round: 1, FirstScenario: 3,
 		Allocation: core.Allocation{Groups: []int{8, 8, 8}, PostProcs: 4, Heuristic: "knapsack"},
 	}}
-	progress := &Response{Version: ProtocolV4, Progress: &ProgressUpdate{
+	progress := &Response{Version: ProtocolVersion, Progress: &ProgressUpdate{
 		ID: 4, Stage: StageChunk, Done: 6, Total: 10, Chunk: execResp.Exec,
 	}}
 
@@ -269,119 +274,8 @@ func TestZeroAllocHotKinds(t *testing.T) {
 	}
 }
 
-// TestSubmitCodeVersionGate pins the v4/v5 compat contract for the submit
-// verdict's Code field: a frame negotiated at v4 must be byte-identical
-// whether or not the daemon has a code to report (old decoders reject
-// trailing bytes), and a v5 frame must carry it.
-func TestSubmitCodeVersionGate(t *testing.T) {
-	withCode := &Response{Version: ProtocolV4, Submit: &SubmitResponse{
-		Accepted: false, Reason: "queue full", QueueDepth: 64, Code: RejectQueueFull,
-	}}
-	withoutCode := &Response{Version: ProtocolV4, Submit: &SubmitResponse{
-		Accepted: false, Reason: "queue full", QueueDepth: 64,
-	}}
-	f1, err := AppendResponseFrame(nil, withCode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2, err := AppendResponseFrame(nil, withoutCode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(f1, f2) {
-		t.Fatalf("v4 submit frame changed with Code set:\n got % x\nwant % x", f1, f2)
-	}
-	hdr, payload, err := ParseFrame(f1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec := &FrameDecoder{Retain: true}
-	got, err := dec.DecodeResponseFrame(hdr, payload)
-	if err != nil {
-		t.Fatalf("v4 decode of a new daemon's submit verdict: %v", err)
-	}
-	if got.Submit.Code != "" {
-		t.Fatalf("v4 frame smuggled code %q", got.Submit.Code)
-	}
-
-	v5 := &Response{Version: ProtocolV5, Submit: &SubmitResponse{
-		Accepted: false, Reason: "quota", QueueDepth: 2, Code: RejectQuota,
-	}}
-	f5, err := AppendResponseFrame(nil, v5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hdr, payload, err = ParseFrame(f5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = dec.DecodeResponseFrame(hdr, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Submit.Code != RejectQuota {
-		t.Fatalf("v5 frame carried code %q, want %q", got.Submit.Code, RejectQuota)
-	}
-}
-
-// TestHeartbeatSpeedVersionGate pins the v4/v7 compat contract for the
-// elastic-fleet heartbeat fields: a frame negotiated below v7 must be
-// byte-identical whether or not the daemon carries a speed factor or drain
-// flag (old decoders reject trailing bytes), and a v7 frame must carry
-// both.
-func TestHeartbeatSpeedVersionGate(t *testing.T) {
-	withFields := &Request{Version: ProtocolV6, Kind: KindHeartbeat, Heartbeat: &HeartbeatRequest{
-		Cluster: "grillon", Addr: "127.0.0.1:9999", Procs: 56, InFlight: 2, Speed: 0.5, Draining: true,
-	}}
-	withoutFields := &Request{Version: ProtocolV6, Kind: KindHeartbeat, Heartbeat: &HeartbeatRequest{
-		Cluster: "grillon", Addr: "127.0.0.1:9999", Procs: 56, InFlight: 2,
-	}}
-	f1, err := AppendRequestFrame(nil, withFields)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2, err := AppendRequestFrame(nil, withoutFields)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(f1, f2) {
-		t.Fatalf("pre-v7 heartbeat frame changed with Speed/Draining set:\n got % x\nwant % x", f1, f2)
-	}
-	hdr, payload, err := ParseFrame(f1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec := &FrameDecoder{Retain: true}
-	got, err := dec.DecodeRequestFrame(hdr, payload)
-	if err != nil {
-		t.Fatalf("pre-v7 decode of an elastic daemon's heartbeat: %v", err)
-	}
-	if got.Heartbeat.Speed != 0 || got.Heartbeat.Draining {
-		t.Fatalf("pre-v7 frame smuggled speed %v draining %v", got.Heartbeat.Speed, got.Heartbeat.Draining)
-	}
-
-	v7 := &Request{Version: ProtocolV7, Kind: KindHeartbeat, Heartbeat: &HeartbeatRequest{
-		Cluster: "grelon", Addr: "127.0.0.1:9998", Procs: 120, InFlight: 1, Speed: 0.25, Draining: true,
-	}}
-	f7, err := AppendRequestFrame(nil, v7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hdr, payload, err = ParseFrame(f7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = dec.DecodeRequestFrame(hdr, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Heartbeat.Speed != 0.25 || !got.Heartbeat.Draining {
-		t.Fatalf("v7 frame carried speed %v draining %v, want 0.25 true", got.Heartbeat.Speed, got.Heartbeat.Draining)
-	}
-}
-
 func TestOversizedFrameRejected(t *testing.T) {
-	frame, err := AppendResponseFrame(nil, &Response{Version: ProtocolV4, Err: "x"})
+	frame, err := AppendResponseFrame(nil, &Response{Version: ProtocolVersion, Err: "x"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +292,7 @@ func TestOversizedFrameRejected(t *testing.T) {
 }
 
 func TestTruncatedAndTrailingPayloads(t *testing.T) {
-	frame, err := AppendResponseFrame(nil, hotResponses()[2]) // v5 submit verdict, gated Code included
+	frame, err := AppendResponseFrame(nil, hotResponses()[2]) // submit verdict carrying a rejection Code
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,8 +335,8 @@ func TestTruncatedAndTrailingPayloads(t *testing.T) {
 // remote panic, or a silently accepted frame, on GOARCH=386 (CI runs it).
 func hostileLengthFrames() [][]byte {
 	return [][]byte{
-		{0xF7, 'O', 'A', '4', 4, fkErr, 0, 0, 4, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF},
-		{0xF7, 'O', 'A', '4', 4, fkExecReq, 0, 0, 16, 0, 0, 0,
+		{0xF7, 'O', 'A', '4', ProtocolFloor, fkErr, 0, 0, 4, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF},
+		{0xF7, 'O', 'A', '4', ProtocolFloor, fkExecReq, 0, 0, 16, 0, 0, 0,
 			12, 0, 0, 0, 0, 0, 0, 0, // months
 			0, 0, 0, 0, // empty heuristic
 			0xFF, 0xFF, 0xFF, 0xFF}, // scenario-id count
@@ -467,17 +361,17 @@ func restamp(frame []byte, ver byte) []byte {
 	return out
 }
 
-// TestSubV4Refused pins the protocol floor. A frame stamped v0-v3 is
+// TestSubFloorRefused pins the protocol floor. A frame stamped v0-v6 is
 // malformed wherever it is parsed, and a served connection opening with one
 // — in the header or inside the JSON envelope — gets exactly one error frame
 // naming the minimum and is counted; a peer without the frame magic is
 // counted and closed without an answer.
-func TestSubV4Refused(t *testing.T) {
+func TestSubFloorRefused(t *testing.T) {
 	hot, err := AppendRequestFrame(nil, hotRequests()[2]) // perf
 	if err != nil {
 		t.Fatal(err)
 	}
-	for ver := byte(0); ver < ProtocolV4; ver++ {
+	for ver := byte(0); ver < ProtocolFloor; ver++ {
 		if _, _, err := ParseFrame(restamp(hot, ver)); !errors.Is(err, ErrBadFrame) {
 			t.Fatalf("header version %d: got %v, want ErrBadFrame", ver, err)
 		}
@@ -485,8 +379,8 @@ func TestSubV4Refused(t *testing.T) {
 			t.Fatalf("negotiating v%d: got %v, want ErrBadFrame", ver, err)
 		}
 	}
-	if ver, err := NegotiateVersion(ProtocolVersion+7, ProtocolV5); err != nil || ver != ProtocolV5 {
-		t.Fatalf("future peer under a v5 cap negotiated %d, %v", ver, err)
+	if ver, err := NegotiateVersion(ProtocolVersion+7, ProtocolVersion); err != nil || ver != ProtocolVersion {
+		t.Fatalf("future peer negotiated %d, %v", ver, err)
 	}
 
 	sed, err := StartSeD("127.0.0.1:0", smallClusters()[0], exec.Options{})
@@ -511,33 +405,41 @@ func TestSubV4Refused(t *testing.T) {
 		answer, _ := io.ReadAll(conn)
 		return answer
 	}
-	envelope, err := AppendRequestFrame(nil, &Request{Version: 3, Kind: KindStats, Stats: &StatsRequest{}})
+	// The envelope's header is stamped at the floor (begin never stamps
+	// lower); the version below it travels inside the JSON.
+	envelope, err := AppendRequestFrame(nil, &Request{Version: ProtocolFloor - 1, Kind: KindStats, Stats: &StatsRequest{}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	raws := [][]byte{envelope}
+	for ver := byte(0); ver < ProtocolFloor; ver++ {
+		raws = append(raws, restamp(hot, ver))
+	}
 	before := WireStats().Refused
-	for i, raw := range [][]byte{restamp(hot, 0), restamp(hot, 3), envelope} {
+	for i, raw := range raws {
 		answer := exchange(raw)
 		hdr, payload, err := ParseFrame(answer)
 		if err != nil || int(hdr.Length)+frameHeaderSize != len(answer) {
 			t.Fatalf("case %d: answer is not exactly one frame: %v (% x)", i, err, answer)
 		}
 		resp, err := (&FrameDecoder{}).DecodeResponseFrame(hdr, payload)
-		if err != nil || !strings.Contains(resp.Err, "v4 minimum") {
-			t.Fatalf("case %d: answer %+v, %v; want an error naming the v4 minimum", i, resp, err)
+		if err != nil || !strings.Contains(resp.Err, fmt.Sprintf("v%d minimum", ProtocolFloor)) {
+			t.Fatalf("case %d: answer %+v, %v; want an error naming the v%d minimum", i, resp, err, ProtocolFloor)
 		}
 	}
+	refused := uint64(len(raws)) + 1 // and the gob peer
 	if answer := exchange(gobRequestPrefix); len(answer) != 0 {
 		t.Fatalf("gob peer was answered % x, want a silent close", answer)
 	}
-	if got := WireStats().Refused - before; got != 4 {
-		t.Fatalf("refused counter moved by %d, want 4", got)
+	if got := WireStats().Refused - before; got != refused {
+		t.Fatalf("refused counter moved by %d, want %d", got, refused)
 	}
-	// A truncated-but-v4 frame is malformed, not an old peer: not counted.
+	// A truncated frame at a served version is malformed, not an old peer:
+	// not counted.
 	if answer := exchange(hot[:len(hot)-1]); len(answer) != 0 {
 		t.Fatalf("truncated frame was answered % x", answer)
 	}
-	if got := WireStats().Refused - before; got != 4 {
+	if got := WireStats().Refused - before; got != refused {
 		t.Fatalf("truncated frame counted as refused (%d)", got)
 	}
 }

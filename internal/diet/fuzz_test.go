@@ -39,8 +39,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("GET / HTTP/1.1\r\n\r\n"))
 	f.Add(frameMagic[:])
-	f.Add([]byte{0xF7, 'O', 'A', '4', 4, fkExecResp, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
-	f.Add([]byte{0xF7, 'O', 'A', '4', 4, fkSubmitReq, 0, 0, 8, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{0xF7, 'O', 'A', '4', ProtocolFloor, fkExecResp, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{0xF7, 'O', 'A', '4', ProtocolFloor, fkSubmitReq, 0, 0, 8, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	for _, frame := range hostileLengthFrames() {
 		f.Add(frame)
 	}
@@ -51,10 +51,10 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Add(mid)
 	}
 
-	// Below the floor: header versions 0-3 over a well-formed payload, and
+	// Below the floor: header versions 0-6 over a well-formed payload, and
 	// what a retired gob peer opens a connection with.
 	if frame, err := AppendRequestFrame(nil, hotRequests()[0]); err == nil {
-		for ver := byte(0); ver < ProtocolV4; ver++ {
+		for ver := byte(0); ver < ProtocolFloor; ver++ {
 			f.Add(restamp(frame, ver))
 		}
 	}

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"encoding/hex"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -23,7 +27,7 @@ type goldenFrame struct {
 // no stable bytes.
 func goldenFrames() []goldenFrame {
 	var out []goldenFrame
-	for ver := ProtocolV4; ver <= ProtocolVersion; ver++ {
+	for ver := ProtocolFloor; ver <= ProtocolVersion; ver++ {
 		for i, req := range hotRequests() {
 			req.Version = ver
 			if req.Submit != nil {
@@ -64,17 +68,19 @@ func respName(r *Response) string {
 // TestGoldenFrames compares the codec to committed bytes. Every other codec
 // test round-trips through the same build, so a layout change the encoder
 // and decoder agree on passes them all; this one does not. For each hot
-// fixture at each of v4-v7, encoding must equal the committed frame, and
-// decoding the committed frame then re-encoding must reproduce it.
+// fixture at each negotiable version, encoding must equal the committed
+// frame, and decoding the committed frame then re-encoding must reproduce it.
 //
-// The files under testdata/frames were written by the hand-written codec of
-// commit 37b907c (PR 17), the last one before the layouts moved into the
-// per-type wire methods. They are the wire: a codec change that needs them
-// regenerated is a protocol break and wants a new version instead, whose
-// frames are added beside these.
+// The files under testdata/frames are the wire. Each was written once, by
+// the codec of the commit that added it, and is never regenerated: a codec
+// change that needs one rewritten is a protocol break and wants a new
+// version instead, whose frames are added beside these. CI enforces that
+// (scripts/check_sealed_frames.sh); TestGoldenFramesComplete keeps the
+// fixtures covering every field, so no layout change can miss them.
 func TestGoldenFrames(t *testing.T) {
 	frames := goldenFrames()
-	if want := 4 * (len(hotRequests()) + len(hotResponses())); len(frames) != want {
+	versions := ProtocolVersion - ProtocolFloor + 1
+	if want := versions * (len(hotRequests()) + len(hotResponses())); len(frames) != want {
 		t.Fatalf("%d golden fixtures, want %d", len(frames), want)
 	}
 	for _, g := range frames {
@@ -119,4 +125,92 @@ func TestGoldenFrames(t *testing.T) {
 			t.Errorf("%s: decode + re-encode of the committed frame:\n got % x\nwant % x", g.name, again, want)
 		}
 	}
+}
+
+// TestGoldenFramesComplete makes the golden frames the whole judge of the
+// layouts: every type with a wire method must appear in a golden fixture,
+// and every field of it — and of the structs it nests — must be non-zero in
+// at least one. So a field added to a layout, gated or not, lands in some
+// committed frame: TestGoldenFrames catches it moving a sealed version's
+// bytes, and the new version's frames pin where it goes. Fields tagged
+// json:"-" live only in memory, cross no wire, and are exempt.
+func TestGoldenFramesComplete(t *testing.T) {
+	wired := wireTypes(t)
+	if len(wired) == 0 {
+		t.Fatal("found no wire methods in the package source")
+	}
+	// set[T] holds the fields of wire type T (or a struct one nests) seen
+	// non-zero; a key at all means T appeared.
+	set := map[reflect.Type]map[string]bool{}
+	var walk func(v reflect.Value, inWire bool)
+	walk = func(v reflect.Value, inWire bool) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			if !v.IsNil() {
+				walk(v.Elem(), inWire)
+			}
+		case reflect.Slice:
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i), inWire)
+			}
+		case reflect.Struct:
+			typ := v.Type()
+			if inWire = inWire || wired[typ.Name()]; inWire && set[typ] == nil {
+				set[typ] = map[string]bool{}
+			}
+			for i := 0; i < typ.NumField(); i++ {
+				if inWire && !v.Field(i).IsZero() {
+					set[typ][typ.Field(i).Name] = true
+				}
+				walk(v.Field(i), inWire)
+			}
+		}
+	}
+	for _, g := range goldenFrames() {
+		walk(reflect.ValueOf(g.req), false)
+		walk(reflect.ValueOf(g.resp), false)
+	}
+	for typ, nonZero := range set {
+		delete(wired, typ.Name())
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.Tag.Get("json") != "-" && !nonZero[f.Name] {
+				t.Errorf("%s.%s is zero in every golden fixture: add a fixture that sets it", typ, f.Name)
+			}
+		}
+	}
+	for name := range wired {
+		t.Errorf("%s has a wire method but no golden fixture", name)
+	}
+}
+
+// wireTypes names the receiver types of the package's wire methods, read
+// from its non-test source so a new wire type cannot go unnoticed.
+func wireTypes(t *testing.T) map[string]bool {
+	t.Helper()
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]bool{}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Recv == nil || fn.Name.Name != "wire" {
+					continue
+				}
+				recv := fn.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					out[id.Name] = true
+				}
+			}
+		}
+	}
+	return out
 }

@@ -27,63 +27,42 @@ import (
 	"oagrid/internal/engine"
 )
 
-// Protocol versions. ProtocolV4 is the floor: the first version on binary
-// framing, and the oldest this build negotiates. It carries the streamed
-// campaign (verdict, progress frames, result on one submit-wait or attach
-// connection) and the control plane (per-campaign submit options, cancel,
-// info, list-campaigns, the "cancelled" terminal status). Versions 1-3
-// spoke a different codec and are gone; a peer that opens a connection with
-// anything but the frame magic is closed, and a request stamped below v4
-// is answered with one error frame naming the minimum.
+// Protocol versions. ProtocolFloor is the oldest version this build
+// negotiates and ProtocolVersion the newest; today both are v7, so every
+// connection speaks one layout per message. v7 carries the streamed campaign
+// (verdict, progress frames, result on one submit-wait or attach
+// connection), the control plane (per-campaign submit options, cancel, info,
+// list-campaigns), the submit verdict's rejection Code, the scheduler-ring
+// kinds, and the elastic-fleet heartbeat fields (Speed, Draining). Older
+// versions are retired: a peer that opens a connection with anything but the
+// frame magic is closed, and a frame or envelope stamped below the floor is
+// answered with one error frame naming the minimum.
 //
-// Version 5 adds the SubmitResponse.Code rejection classifier: a trailing
-// field of the fkSubmitResp payload, encoded and decoded only when the
-// frame's negotiated version is >= 5 — the binary decoder rejects trailing
-// bytes, so a v4 peer must keep seeing byte-exact v4 frames. (On the JSON
-// cold-kind envelope new fields are plain optional additions old peers
-// ignore.)
-//
-// Negotiation is min(client, server): the client states its version in the
-// Request, the server answers every frame with the effective version, and
-// features above the effective version stay off the wire. Old clients never
-// see frames they cannot parse; new clients detect old servers from the
-// verdict frame's version.
-//
-// Version 6 adds the scheduler-ring kinds: forwarded-request envelopes
-// (KindForward), ownership redirects (KindRedirect), ring membership pings
-// (KindRingPing) and WAL segment shipping (KindSegment). None of them are
-// hot-path frames, so they ride the JSON cold-kind envelope — no new binary
-// encodings, and a connection negotiated below v6 never sees them: a daemon
-// refuses the ring kinds outright below v6, which is also how a ring
-// refuses membership to a pre-v6 peer.
-//
-// Version 7 adds the elastic-fleet heartbeat fields: Speed (the SeD's
-// relative speed factor, scaling its advertised performance vectors so
-// placement is speed-aware) and Draining (the SeD has stopped accepting new
-// chunks and is finishing in-flight work before deregistering). They are
-// trailing fields of the fkHeartbeatReq payload, encoded and decoded only
-// when the frame's negotiated version is >= 7 — the same retrofit
-// discipline as the v5 SubmitResponse.Code. A beat without them (any pre-v7
-// peer) reads as Speed 1.0, not draining.
+// Negotiation is min(client, server) above the floor: the client states its
+// version in the Request, the server answers every frame with the effective
+// version, and features above the effective version stay off the wire. A
+// field added in a later version goes at the end of its layout behind
+// `if c.ver >= ProtocolVN` (see binary.go), because decoders reject trailing
+// payload bytes; on the JSON cold-kind envelope new fields are plain
+// optional additions old peers ignore.
 const (
-	ProtocolV4 = 4
-	ProtocolV5 = 5
-	ProtocolV6 = 6
 	ProtocolV7 = 7
+	// ProtocolFloor is the oldest version this build negotiates.
+	ProtocolFloor = ProtocolV7
 	// ProtocolVersion is the highest version this build speaks.
 	ProtocolVersion = ProtocolV7
 )
 
-// errVersionTooOld is the verdict on a peer below ProtocolV4. It wraps
-// ErrBadFrame: on the wire a sub-v4 stamp is a malformed frame.
-var errVersionTooOld = fmt.Errorf("%w: protocol version below the v%d minimum", ErrBadFrame, ProtocolV4)
+// errVersionTooOld is the verdict on a peer below ProtocolFloor. It wraps
+// ErrBadFrame: on the wire a sub-floor stamp is a malformed frame.
+var errVersionTooOld = fmt.Errorf("%w: protocol version below the v%d minimum", ErrBadFrame, ProtocolFloor)
 
 // NegotiateVersion resolves a connection's effective version: the lower of
 // what the peer announced and max, the highest this side speaks. A peer
-// below ProtocolV4 is refused with errVersionTooOld — there is no older
-// codec to fall back to.
+// below ProtocolFloor is refused with errVersionTooOld — there is no older
+// layout to fall back to.
 func NegotiateVersion(peer, max int) (int, error) {
-	if peer < ProtocolV4 {
+	if peer < ProtocolFloor {
 		return 0, fmt.Errorf("%w (peer announced v%d)", errVersionTooOld, peer)
 	}
 	return min(peer, max), nil
@@ -112,10 +91,10 @@ const (
 	KindInfo          = "info"
 	KindListCampaigns = "list-campaigns"
 
-	// Scheduler-ring kinds (protocol v6). KindForward wraps another request
-	// in a daemon-to-daemon envelope so the shard that owns a campaign
-	// serves it; KindRedirect is the response-only fast path telling a v6
-	// client which shard to talk to directly; KindRingPing is the ring
+	// Scheduler-ring kinds. KindForward wraps another request in a
+	// daemon-to-daemon envelope so a shard can ask a peer for its own view
+	// (the list/stats fan-out); KindRedirect is the response telling a
+	// client which shard owns a campaign; KindRingPing is the ring
 	// membership handshake and liveness beacon; KindSegment pulls a peer's
 	// campaign-journal bytes for failover replay.
 	KindForward  = "ring-forward"
@@ -124,8 +103,8 @@ const (
 	KindSegment  = "ring-segment"
 )
 
-// RingKind reports whether kind is one of the v6 scheduler-ring kinds — the
-// set a daemon must refuse on connections negotiated below ProtocolV6.
+// RingKind reports whether kind is one of the daemon-to-daemon ring kinds —
+// the set a forwarded envelope may not carry.
 func RingKind(kind string) bool {
 	switch kind {
 	case KindForward, KindRingPing, KindSegment:
@@ -137,7 +116,7 @@ func RingKind(kind string) bool {
 // Request is the envelope a connection opens with — and, on a kept-alive
 // connection (see transport.go), carries again after each single answer.
 type Request struct {
-	// Version is the protocol version the client speaks (ProtocolV4 or
+	// Version is the protocol version the client speaks (ProtocolFloor or
 	// later; RoundTrip fills in this build's newest when left 0).
 	Version   int
 	Kind      string
@@ -154,7 +133,7 @@ type Request struct {
 	Info          *InfoRequest
 	ListCampaigns *ListCampaignsRequest
 
-	// Scheduler ring (protocol v6).
+	// Scheduler ring.
 	Forward *ForwardRequest  `json:",omitempty"`
 	Ring    *RingPingRequest `json:",omitempty"`
 	Segment *SegmentRequest  `json:",omitempty"`
@@ -188,7 +167,7 @@ type Response struct {
 	Info          *CampaignInfo
 	ListCampaigns *ListCampaignsResponse
 
-	// Scheduler ring (protocol v6).
+	// Scheduler ring.
 	Redirect *RedirectInfo     `json:",omitempty"`
 	Ring     *RingPingResponse `json:",omitempty"`
 	Segment  *SegmentResponse  `json:",omitempty"`
@@ -200,12 +179,12 @@ type Response struct {
 	KeepAlive bool `json:"-"`
 }
 
-// ForwardRequest is the daemon-to-daemon envelope of the scheduler ring
-// (protocol v6): a shard that receives a request for a campaign it does not
-// own wraps the original request and sends it to the owning shard. A
-// forwarded request is always served locally by the receiver — Forward
-// never nests, so a stale ownership view cannot loop a request around the
-// ring. The response to a KindForward request is the inner response itself.
+// ForwardRequest is the daemon-to-daemon envelope of the scheduler ring: a
+// shard wraps a one-shot request (stats, list) and sends it to a peer, which
+// answers from its own table. A forwarded request is always served locally
+// by the receiver — Forward never nests, so a stale ownership view cannot
+// loop a request around the ring. The response to a KindForward request is
+// the inner response itself.
 type ForwardRequest struct {
 	// From is the forwarding shard's advertised ring address.
 	From string
@@ -214,12 +193,10 @@ type ForwardRequest struct {
 	Inner *Request
 }
 
-// RedirectInfo is the ring's client fast path (protocol v6): a shard that
-// receives a streaming request (Submit-wait, Attach) for a campaign another
-// shard owns answers a single KindRedirect response instead of proxying the
-// stream. A v6 client re-issues the request against Owner and remembers the
-// mapping, so steady-state traffic goes direct; pre-v6 clients never see a
-// redirect — the daemon forwards server-side on their behalf.
+// RedirectInfo is the ring's client routing answer: a shard that receives a
+// request for a campaign another shard owns answers a single KindRedirect
+// response. The client re-issues the request against Owner and remembers the
+// mapping, so steady-state traffic goes direct.
 type RedirectInfo struct {
 	// ID is the campaign the redirect is about (0 for request kinds that
 	// carry no campaign).
@@ -228,8 +205,8 @@ type RedirectInfo struct {
 	Owner string
 }
 
-// RingPingRequest is the ring membership handshake and liveness beacon
-// (protocol v6). From identifies the pinging shard; Members is its
+// RingPingRequest is the ring membership handshake and liveness beacon.
+// From identifies the pinging shard; Members is its
 // configured member list, letting peers cross-check that both sides were
 // started with the same ring.
 type RingPingRequest struct {
@@ -237,12 +214,10 @@ type RingPingRequest struct {
 	Members []string
 }
 
-// RingPingResponse is the handshake verdict. Accepted=false means the
-// responding daemon cannot be a ring member on this connection — in
-// practice because the connection negotiated below protocol v6 (the daemon
-// is version-capped or predates the ring kinds). Version is the negotiated
-// version, so the pinging shard can report precisely why membership was
-// refused while the refusing daemon keeps serving plain client traffic.
+// RingPingResponse is the handshake answer. Version is the negotiated
+// version. Accepted is always true: it stays on the wire because earlier v7
+// builds refuse a peer whose answer lacks it, and no build reads it any more
+// — a peer below the floor fails to decode and is simply never alive.
 type RingPingResponse struct {
 	Accepted bool
 	Version  int
@@ -251,8 +226,8 @@ type RingPingResponse struct {
 	Owned int
 }
 
-// SegmentRequest pulls a peer's campaign-journal bytes (protocol v6) for
-// failover replay. Generation names the journal incarnation the puller has
+// SegmentRequest pulls a peer's campaign-journal bytes for failover
+// replay. Generation names the journal incarnation the puller has
 // seen (journals change generation when rotated or compacted); Offset is
 // the byte position after the puller's last pull within that generation.
 type SegmentRequest struct {
@@ -361,16 +336,15 @@ type HeartbeatRequest struct {
 	Addr     string
 	Procs    int
 	InFlight int
-	// Speed is the daemon's relative speed factor (protocol v7): 1.0 is the
-	// reference, 0.5 means the SeD runs everything twice as slowly and its
-	// advertised performance vectors are scaled accordingly, so the
-	// repartition hands it proportionally smaller chunks. 0 — every pre-v7
-	// beat — reads as 1.0.
+	// Speed is the daemon's relative speed factor: 1.0 is the reference, 0.5
+	// means the SeD runs everything twice as slowly and its advertised
+	// performance vectors are scaled accordingly, so the repartition hands
+	// it proportionally smaller chunks. 0 reads as 1.0.
 	Speed float64
-	// Draining marks a daemon that has stopped accepting new placements
-	// (protocol v7): the scheduler keeps the entry (its in-flight chunks
-	// must finish and bank) but excludes it from new dispatches, so a
-	// graceful scale-down never requeues a chunk.
+	// Draining marks a daemon that has stopped accepting new placements:
+	// the scheduler keeps the entry (its in-flight chunks must finish and
+	// bank) but excludes it from new dispatches, so a graceful scale-down
+	// never requeues a chunk.
 	Draining bool
 }
 
@@ -413,8 +387,7 @@ type SubmitResponse struct {
 	// queue bound was hit, RejectQuota means the submitting tenant's own
 	// admission quota was. Both are transient verdicts worth retrying; the
 	// quota code tells a multi-tenant client that backing off will not help
-	// until its own earlier campaigns drain. Empty on acceptance, from
-	// pre-v5 daemons, and on connections negotiated below v5 (treat a
+	// until its own earlier campaigns drain. Empty on acceptance (treat a
 	// codeless rejection as queue-full).
 	Code string
 }
@@ -623,8 +596,8 @@ type SeDStatus struct {
 	Outstanding int
 	// SinceBeat is the age of the last heartbeat.
 	SinceBeat time.Duration
-	// Speed is the daemon's advertised relative speed factor (1.0 for every
-	// pre-v7 daemon).
+	// Speed is the daemon's advertised relative speed factor (1.0 when it
+	// advertises none).
 	Speed float64
 	// Draining is true while the daemon is gracefully leaving the fleet:
 	// excluded from new dispatches, finishing what it holds.
@@ -676,7 +649,7 @@ type StatsResponse struct {
 	Tenants []TenantStatus
 	// OldestWaitMs is the longest admission-to-now wait among campaigns
 	// still queued — the deadline-pressure signal an autoscaler samples. 0
-	// with an empty queue (and from pre-v7 daemons).
+	// with an empty queue.
 	OldestWaitMs float64
 }
 
@@ -697,14 +670,14 @@ func (e *RemoteError) Error() string {
 }
 
 // AcceptRequest reads one request frame on a served connection and
-// negotiates its version under max, the highest version the server speaks.
+// negotiates its version under ProtocolVersion.
 // Peers this build has no codec for are refused and counted (WireCounters
 // Refused): a connection that does not open with the frame magic is simply
 // dropped — such a peer could not parse an answer — and a request stamped
-// below ProtocolV4 is told the minimum in one error frame. The caller closes
+// below ProtocolFloor is told the minimum in one error frame. The caller closes
 // the connection on any error.
-func (d *FrameDecoder) AcceptRequest(rw io.ReadWriter, max int) (*Request, int, error) {
-	req, ver, err := d.acceptRequest(rw, max)
+func (d *FrameDecoder) AcceptRequest(rw io.ReadWriter) (*Request, int, error) {
+	req, ver, err := d.acceptRequest(rw)
 	switch {
 	case errors.Is(err, errVersionTooOld):
 		wireRefused.Add(1)
@@ -715,7 +688,7 @@ func (d *FrameDecoder) AcceptRequest(rw io.ReadWriter, max int) (*Request, int, 
 	return req, ver, err
 }
 
-func (d *FrameDecoder) acceptRequest(r io.Reader, max int) (*Request, int, error) {
+func (d *FrameDecoder) acceptRequest(r io.Reader) (*Request, int, error) {
 	h, p, err := d.readFrame(r)
 	if err != nil {
 		if errors.Is(err, errVersionTooOld) {
@@ -729,7 +702,7 @@ func (d *FrameDecoder) acceptRequest(r io.Reader, max int) (*Request, int, error
 	if err != nil {
 		return nil, 0, err
 	}
-	ver, err := NegotiateVersion(req.Version, max)
+	ver, err := NegotiateVersion(req.Version, ProtocolVersion)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -380,12 +380,12 @@ type Server struct {
 }
 
 // ServeConn serves conn until it is done with: it reads a request
-// (negotiating its version under max), hands it to answer, and — when answer
+// (negotiating its version), hands it to answer, and — when answer
 // reports that it wrote a single response carrying the keep-alive bit — reads
 // the next request on the same connection, for up to serveIdleTimeout. answer
 // writes to w, the counted connection, and owns its deadlines while it runs.
 // Requests decode into scratch: answer must be done with req when it returns.
-func (sv *Server) ServeConn(conn net.Conn, max int, answer func(w net.Conn, req *Request, ver int) (keep bool)) {
+func (sv *Server) ServeConn(conn net.Conn, answer func(w net.Conn, req *Request, ver int) (keep bool)) {
 	defer conn.Close()
 	defer sv.untrack(conn)
 	cc := CountConn(conn)
@@ -393,7 +393,7 @@ func (sv *Server) ServeConn(conn net.Conn, max int, answer func(w net.Conn, req 
 	defer PutFrameDecoder(dec)
 	_ = conn.SetDeadline(time.Now().Add(dialTimeout))
 	for {
-		req, ver, err := dec.AcceptRequest(cc, max)
+		req, ver, err := dec.AcceptRequest(cc)
 		if err != nil {
 			return
 		}
@@ -456,7 +456,7 @@ func (sv *Server) serve(ln net.Listener, handle func(*Request) *Response) {
 		if err != nil {
 			return
 		}
-		go sv.ServeConn(conn, ProtocolVersion, answer)
+		go sv.ServeConn(conn, answer)
 	}
 }
 

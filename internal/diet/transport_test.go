@@ -178,7 +178,7 @@ func TestKeepAliveIgnoredByOneShotPeer(t *testing.T) {
 			go func() {
 				defer conn.Close()
 				dec := &FrameDecoder{}
-				req, _, err := dec.AcceptRequest(conn, ProtocolVersion)
+				req, _, err := dec.AcceptRequest(conn)
 				if err != nil {
 					return
 				}

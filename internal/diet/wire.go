@@ -32,7 +32,7 @@ type WireCounters struct {
 	FramesRx uint64
 	// Refused counts served connections closed because the peer opened with
 	// something other than the frame magic or stamped a version below
-	// ProtocolV4 (see FrameDecoder.AcceptRequest).
+	// ProtocolFloor (see FrameDecoder.AcceptRequest).
 	Refused uint64
 	// Dials counts connections opened by the transport (one-shot round trips
 	// and kept-alive Transports alike); Reused counts exchanges a Transport

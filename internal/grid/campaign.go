@@ -92,13 +92,14 @@ type progressFrame struct {
 	encErr error
 }
 
-// encoded returns the frame's wire bytes, computing them on first use. The
-// progress layout is identical across v4-v7 and decoders accept any frame
-// stamped at or below their own version — so the one v4 encoding serves
-// every subscriber whatever it negotiated.
+// encoded returns the frame's wire bytes, computing them on first use.
+// ProgressUpdate has no version-gated field, which is why one encoding
+// serves every subscriber. It is stamped with the protocol floor, today the
+// only version a stream can negotiate; once a newer one exists, a stream's
+// header versions agree only with one cached encoding per version.
 func (f *progressFrame) encoded() ([]byte, error) {
 	f.once.Do(func() {
-		f.enc, f.encErr = diet.AppendResponseFrame(nil, &diet.Response{Version: diet.ProtocolV4, Progress: &f.u})
+		f.enc, f.encErr = diet.AppendResponseFrame(nil, &diet.Response{Version: diet.ProtocolFloor, Progress: &f.u})
 	})
 	return f.enc, f.encErr
 }

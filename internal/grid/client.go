@@ -50,7 +50,7 @@ var (
 
 // Client submits campaigns to a scheduler daemon — or to a ring of them:
 // with Addrs set, every exchange can fall back to the other members when the
-// primary is unreachable, and v6 ownership redirects are followed and cached
+// primary is unreachable, and ownership redirects are followed and cached
 // so steady-state traffic goes straight to the owning shard.
 type Client struct {
 	// Addr is the scheduler's address — the primary ring member when Addrs
@@ -195,8 +195,8 @@ func (c *Client) ringRoundTrip(ctx context.Context, id uint64, req *diet.Request
 }
 
 // wireError types a failed exchange: an answer that is not a well-formed
-// frame (no frame magic, a version below v4, a corrupt payload) is a protocol
-// violation; anything else stays the transport's own error.
+// frame (no frame magic, a version below the floor, a corrupt payload) is a
+// protocol violation; anything else stays the transport's own error.
 func wireError(addr string, err error) error {
 	if errors.Is(err, diet.ErrBadFrame) || errors.Is(err, diet.ErrFrameTooLarge) {
 		return fmt.Errorf("%w: %s: %w", ErrProtocol, addr, err)

@@ -53,15 +53,15 @@ func fakeDaemon(t *testing.T, frames []*diet.Response, pause time.Duration) stri
 // because every received frame refreshes the deadline.
 func TestClientSurvivesCampaignLongerThanTimeout(t *testing.T) {
 	mkProgress := func(done int) *diet.Response {
-		return &diet.Response{Version: diet.ProtocolV4, Progress: &diet.ProgressUpdate{
+		return &diet.Response{Version: diet.ProtocolVersion, Progress: &diet.ProgressUpdate{
 			ID: 1, Stage: diet.StageChunk, Done: done, Total: 4,
 			Chunk: &diet.ExecResponse{Cluster: "c", Scenarios: 1, Makespan: 1},
 		}}
 	}
 	frames := []*diet.Response{
-		{Version: diet.ProtocolV4, Submit: &diet.SubmitResponse{ID: 1, Accepted: true}},
+		{Version: diet.ProtocolVersion, Submit: &diet.SubmitResponse{ID: 1, Accepted: true}},
 		mkProgress(1), mkProgress(2), mkProgress(3), mkProgress(4),
-		{Version: diet.ProtocolV4, Result: &diet.CampaignResult{ID: 1, Status: diet.CampaignDone, Makespan: 1}},
+		{Version: diet.ProtocolVersion, Result: &diet.CampaignResult{ID: 1, Status: diet.CampaignDone, Makespan: 1}},
 	}
 	// 5 inter-frame pauses of 120ms ≈ 600ms total stream against a 250ms
 	// frame timeout: the old single-deadline client dies mid-stream, the
@@ -86,7 +86,7 @@ func TestClientSurvivesCampaignLongerThanTimeout(t *testing.T) {
 // fails the campaign within roughly one frame timeout, not never.
 func TestClientTimesOutOnSilentDaemon(t *testing.T) {
 	frames := []*diet.Response{
-		{Version: diet.ProtocolV4, Submit: &diet.SubmitResponse{ID: 1, Accepted: true}},
+		{Version: diet.ProtocolVersion, Submit: &diet.SubmitResponse{ID: 1, Accepted: true}},
 		// ... then silence.
 	}
 	addr := fakeDaemon(t, frames, 0)
@@ -105,7 +105,7 @@ func TestClientTimesOutOnSilentDaemon(t *testing.T) {
 // parked on a silent connection immediately and surfaces ctx.Err().
 func TestClientContextCancelMidStream(t *testing.T) {
 	frames := []*diet.Response{
-		{Version: diet.ProtocolV4, Submit: &diet.SubmitResponse{ID: 1, Accepted: true}},
+		{Version: diet.ProtocolVersion, Submit: &diet.SubmitResponse{ID: 1, Accepted: true}},
 	}
 	addr := fakeDaemon(t, frames, 0)
 	c := &Client{Addr: addr, Timeout: time.Minute}
@@ -126,8 +126,9 @@ func TestClientContextCancelMidStream(t *testing.T) {
 
 // submitRaw opens a raw submit-wait connection stamped with the given
 // protocol version and returns every frame the daemon streams back. Each
-// frame must be byte-exact: re-encoding what it decodes to, at the version
-// it is stamped with, reproduces the wire bytes.
+// frame must be stamped with the negotiated version — min(version, the
+// daemon's) — and be byte-exact: re-encoding what it decodes to reproduces
+// the wire bytes.
 func submitRaw(t *testing.T, addr string, version int, req *diet.SubmitRequest) []*diet.Response {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
@@ -139,6 +140,7 @@ func submitRaw(t *testing.T, addr string, version int, req *diet.SubmitRequest) 
 	if err := diet.WriteRequestFrame(conn, &diet.Request{Version: version, Kind: diet.KindSubmit, Submit: req}); err != nil {
 		t.Fatal(err)
 	}
+	negotiated := min(version, diet.ProtocolVersion)
 	dec := &diet.FrameDecoder{Retain: true}
 	var frames []*diet.Response
 	for {
@@ -156,6 +158,9 @@ func submitRaw(t *testing.T, addr string, version int, req *diet.SubmitRequest) 
 		if err != nil {
 			t.Fatalf("frame %d: %v", len(frames), err)
 		}
+		if int(hdr.Version) != negotiated {
+			t.Fatalf("frame %d stamped v%d on a stream negotiated at v%d", len(frames), hdr.Version, negotiated)
+		}
 		resp, err := dec.DecodeResponseFrame(hdr, payload)
 		if err != nil {
 			t.Fatalf("frame %d: %v", len(frames), err)
@@ -172,21 +177,22 @@ func submitRaw(t *testing.T, addr string, version int, req *diet.SubmitRequest) 
 
 // TestProtocolVersionNegotiation: a raw peer at the protocol floor gets the
 // streamed campaign — verdict, planned and chunk progress frames, result —
-// stamped with its own version; a peer from the future negotiates down to
-// the daemon's; a wait without progress keeps the two-frame shape.
+// stamped with its own version (a peer from the future is a row of
+// TestCrossVersionMatrix); a wait without progress keeps the two-frame
+// shape.
 func TestProtocolVersionNegotiation(t *testing.T) {
 	f := startFabric(t, testConfig(), 3)
 	req := func() *diet.SubmitRequest {
 		return &diet.SubmitRequest{Scenarios: 6, Months: 12, Heuristic: core.NameKnapsack, Wait: true, Progress: true}
 	}
 
-	frames := submitRaw(t, f.Sched.Addr(), diet.ProtocolV4, req())
+	frames := submitRaw(t, f.Sched.Addr(), diet.ProtocolFloor, req())
 	if len(frames) < 4 { // verdict + planned + ≥1 chunk + result
-		t.Fatalf("v4 client got only %d frames", len(frames))
+		t.Fatalf("floor client got only %d frames", len(frames))
 	}
 	final := frames[len(frames)-1]
-	if frames[0].Version != diet.ProtocolV4 || final.Version != diet.ProtocolV4 {
-		t.Fatalf("v4 client saw negotiated versions %d, %d", frames[0].Version, final.Version)
+	if frames[0].Version != diet.ProtocolFloor || final.Version != diet.ProtocolFloor {
+		t.Fatalf("floor client saw negotiated versions %d, %d", frames[0].Version, final.Version)
 	}
 	var planned, chunks int
 	for _, fr := range frames[1 : len(frames)-1] {
@@ -210,16 +216,10 @@ func TestProtocolVersionNegotiation(t *testing.T) {
 		t.Fatalf("last progress frame reports %d/6 scenarios", last.Progress.Done)
 	}
 
-	// A client announcing a future version negotiates down to the server's.
-	frames = submitRaw(t, f.Sched.Addr(), diet.ProtocolVersion+7, req())
-	if frames[0].Version != diet.ProtocolVersion {
-		t.Fatalf("future client negotiated %d, want %d", frames[0].Version, diet.ProtocolVersion)
-	}
-
 	// A no-progress wait keeps the two-frame shape.
 	noProg := req()
 	noProg.Progress = false
-	frames = submitRaw(t, f.Sched.Addr(), diet.ProtocolV4, noProg)
+	frames = submitRaw(t, f.Sched.Addr(), diet.ProtocolFloor, noProg)
 	if len(frames) != 2 {
 		t.Fatalf("no-progress wait got %d frames, want 2", len(frames))
 	}

@@ -15,6 +15,7 @@ import (
 
 	"oagrid/internal/core"
 	"oagrid/internal/diet"
+	"oagrid/internal/ring"
 	"oagrid/internal/store"
 )
 
@@ -390,6 +391,57 @@ func TestGoldenJournalReplays(t *testing.T) {
 	// And the rotated journal replays to the same states again.
 	if got := goldenStates(t, recoverStates(t, dir)); !bytes.Equal(got, want) {
 		t.Fatalf("rotated golden journal replays to\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestNonsenseAdmissionIsCorrupt: an admission record whose shape no
+// campaign can have (negative scenarios) is journal corruption, wherever the
+// journal is replayed. A daemon opening it refuses to start with
+// store.ErrCorrupt, and a ring shard whose dead peer's replica holds it
+// adopts nothing from that replica. Neither may build the campaign:
+// newCampaign cannot size a negative scenario list.
+func TestNonsenseAdmissionIsCorrupt(t *testing.T) {
+	var journal []byte
+	for _, rec := range append(foldRecords(1), store.Record{Kind: store.KindAdmitted, ID: 2, Scenarios: -3, Months: 12, Heuristic: "knapsack"}) {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		journal = append(append(journal, line...), '\n')
+	}
+
+	cfg := testConfig()
+	cfg.StateDir = t.TempDir()
+	if err := os.WriteFile(journalPath(cfg.StateDir), journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := Start(cfg); !errors.Is(err, store.ErrCorrupt) {
+		if s != nil {
+			s.Close()
+		}
+		t.Fatalf("Start on the journal: got %v, want store.ErrCorrupt", err)
+	}
+
+	cfg.StateDir = t.TempDir()
+	s, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const peer = "127.0.0.1:1" // never pinged, so dead: its campaigns are ours
+	r, err := ring.New(s.Addr(), []string{s.Addr(), peer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica := filepath.Join(cfg.StateDir, replicaName(peer))
+	if err := os.WriteFile(replica, journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sm := &shardManager{s: s, ring: r, members: ring.NewMembers(r, time.Second),
+		tails: map[string]*replicaTail{peer: {path: replica}}}
+	sm.failover(peer)
+	if n := sm.adopted.Load(); n != 0 || s.lookup(1) != nil || s.lookup(2) != nil {
+		t.Fatalf("adopted %d campaigns from a corrupt replica", n)
 	}
 }
 

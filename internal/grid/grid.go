@@ -21,7 +21,7 @@
 // SeD performs goes through internal/engine's batched sweep, which keeps
 // results bit-identical to a serial run.
 //
-// The scheduler speaks the internal/diet binary-frame protocol (v4-v7) over
+// The scheduler speaks the internal/diet binary-frame protocol (v7) over
 // TCP; SeDs join by heartbeat.
 //
 // The life of a campaign around that round — admission record, journal,
@@ -113,16 +113,7 @@ type Config struct {
 	// port): queue and per-tenant gauges, SeD utilization, WAL size and
 	// wire-level byte counters.
 	MetricsAddr string
-	// MaxProtocol caps the protocol version this daemon negotiates (0 means
-	// the build's newest): the mixed-version stand-in the compat tests use
-	// for a v4-v6 daemon. A non-zero value below diet.ProtocolV4, the
-	// protocol floor, is ErrInvalidConfig.
-	MaxProtocol int
 }
-
-// ErrInvalidConfig reports a Config the daemon cannot start with. Fix the
-// configuration; retrying cannot succeed.
-var ErrInvalidConfig = errors.New("grid: invalid configuration")
 
 func (c Config) withDefaults() Config {
 	if c.QueueCap <= 0 {
@@ -182,8 +173,8 @@ type sedState struct {
 	alive    bool
 	lastBeat time.Time
 	inFlight int
-	// speed is the daemon's advertised relative speed factor (1.0 for every
-	// pre-v7 daemon). A change invalidates the daemon's cached vectors: the
+	// speed is the daemon's advertised relative speed factor (1.0 when it
+	// advertises none). A change invalidates the daemon's cached vectors: the
 	// cached advertisements were scaled by the old factor.
 	speed float64
 	// draining marks a daemon gracefully leaving the fleet: it keeps
@@ -353,9 +344,6 @@ func (s *Scheduler) quotaFor(name string) int {
 // journal found there is replayed first: terminal campaigns come back
 // pollable, non-terminal campaigns are re-admitted ahead of new traffic.
 func Start(cfg Config) (*Scheduler, error) {
-	if cfg.MaxProtocol != 0 && cfg.MaxProtocol < diet.ProtocolV4 {
-		return nil, fmt.Errorf("%w: MaxProtocol %d is below the v%d floor", ErrInvalidConfig, cfg.MaxProtocol, diet.ProtocolV4)
-	}
 	cfg = cfg.withDefaults()
 
 	s := &Scheduler{
@@ -504,7 +492,8 @@ func (s *Scheduler) evictLoop() {
 
 // register adds or refreshes a SeD entry; beat marks whether the update is a
 // heartbeat (refreshing the liveness deadline and reviving evicted entries).
-// speed <= 0 — every pre-v7 peer — reads as the reference factor 1.0.
+// speed <= 0 — a SeD that advertises none — reads as the reference factor
+// 1.0.
 func (s *Scheduler) register(info diet.SeDInfo, inFlight int, speed float64, draining bool) {
 	if speed <= 0 {
 		speed = 1.0

@@ -3,11 +3,13 @@ package grid
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -35,20 +37,13 @@ func sameCampaignOutcome(t *testing.T, tag string, got, want *diet.CampaignResul
 	}
 }
 
-// TestCrossVersionMatrix runs the same campaign through every supported
-// pairing of generations — the current client against daemons capped at
-// each of protocol v4..v7, and raw peers stamping v4..v7 against the current
-// daemon — and demands every pairing negotiates min(client, daemon), keeps
-// byte-exact frames (submitRaw re-encodes each one) and produces a
-// bit-identical campaign.
+// TestCrossVersionMatrix runs the same campaign from raw peers stamping
+// every version the daemon negotiates, and one from the future, and demands
+// each pairing negotiates min(peer, daemon), streams every frame at that
+// version byte-exact (submitRaw checks both) and produces a campaign
+// bit-identical to the current client's.
 func TestCrossVersionMatrix(t *testing.T) {
 	app := core.Application{Scenarios: 6, Months: 12}
-	submit := func() *diet.SubmitRequest {
-		return &diet.SubmitRequest{
-			Scenarios: app.Scenarios, Months: app.Months, Heuristic: core.NameKnapsack,
-			Wait: true, Progress: true,
-		}
-	}
 	cur := startFabric(t, testConfig(), 3)
 	want, err := (&Client{Addr: cur.Sched.Addr()}).RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil)
 	if err != nil {
@@ -56,30 +51,18 @@ func TestCrossVersionMatrix(t *testing.T) {
 	}
 	verifyReports(t, cur, app, core.NameKnapsack, want)
 
-	for max := diet.ProtocolV4; max <= diet.ProtocolVersion; max++ {
-		tag := "current client vs v" + string(rune('0'+max)) + " daemon"
-		cfg := testConfig()
-		cfg.MaxProtocol = max
-		f := startFabric(t, cfg, 3)
-		res, err := (&Client{Addr: f.Sched.Addr(), Timeout: 30 * time.Second}).RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", tag, err)
-		}
-		sameCampaignOutcome(t, tag, res, want)
-		if frames := submitRaw(t, f.Sched.Addr(), diet.ProtocolVersion, submit()); frames[0].Version != max {
-			t.Fatalf("%s: negotiated %d, want %d", tag, frames[0].Version, max)
-		}
-	}
-
-	for v := diet.ProtocolV4; v <= diet.ProtocolVersion; v++ {
-		tag := "v" + string(rune('0'+v)) + " peer vs current daemon"
-		frames := submitRaw(t, cur.Sched.Addr(), v, submit())
+	for v := diet.ProtocolFloor; v <= diet.ProtocolVersion+1; v++ {
+		tag := fmt.Sprintf("v%d peer vs current daemon", v)
+		frames := submitRaw(t, cur.Sched.Addr(), v, &diet.SubmitRequest{
+			Scenarios: app.Scenarios, Months: app.Months, Heuristic: core.NameKnapsack,
+			Wait: true, Progress: true,
+		})
 		final := frames[len(frames)-1]
 		if final.Result == nil || final.Result.Status != diet.CampaignDone {
 			t.Fatalf("%s: campaign did not complete: %+v", tag, final)
 		}
-		if frames[0].Version != v || final.Version != v {
-			t.Fatalf("%s: negotiated %d (verdict), %d (result), want %d", tag, frames[0].Version, final.Version, v)
+		if n := min(v, diet.ProtocolVersion); frames[0].Version != n || final.Version != n {
+			t.Fatalf("%s: negotiated %d (verdict), %d (result), want %d", tag, frames[0].Version, final.Version, n)
 		}
 		sameCampaignOutcome(t, tag, final.Result, want)
 	}
@@ -113,60 +96,6 @@ func TestBinaryConnSpeaksV4(t *testing.T) {
 	}
 }
 
-// TestSubmitCompatAcrossV4V5 pins the staged-rollout rows the v5 Code
-// field could break: a current client against a daemon capped at protocol
-// v4, and a raw v4 client against a current daemon. In both mixed pairings
-// the submit verdict must round-trip — the v5 field stays off the wire,
-// because the strict decoder rejects any trailing bytes.
-func TestSubmitCompatAcrossV4V5(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxProtocol = diet.ProtocolV4
-	f := startFabric(t, cfg, 3)
-	addr := f.Sched.Addr()
-	app := core.Application{Scenarios: 6, Months: 12}
-
-	// Current client, v4-capped daemon: the daemon must emit byte-exact v4
-	// submit verdicts a strict reader accepts.
-	client := &Client{Addr: addr, Timeout: 30 * time.Second}
-	res, err := client.RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil)
-	if err != nil {
-		t.Fatalf("campaign against a v4-capped daemon: %v", err)
-	}
-	verifyReports(t, f, app, core.NameKnapsack, res)
-
-	// Raw v4 client, current daemon: the negotiated version is v4, so the
-	// verdict frame must end at QueueDepth — a smuggled Code field would
-	// fail this strict decode with trailing payload bytes.
-	f2 := startFabric(t, testConfig(), 1)
-	conn, err := net.Dial("tcp", f2.Sched.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
-	if err := diet.WriteRequestFrame(conn, &diet.Request{
-		Version: diet.ProtocolV4, Kind: diet.KindSubmit, Submit: &diet.SubmitRequest{
-			Scenarios: 2, Months: 6, Heuristic: core.NameKnapsack,
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	dec := &diet.FrameDecoder{Retain: true}
-	resp, err := dec.ReadResponse(conn)
-	if err != nil {
-		t.Fatalf("v4 client decoding a current daemon's verdict: %v", err)
-	}
-	if resp.Version != diet.ProtocolV4 {
-		t.Fatalf("v4 submit negotiated %d, want %d", resp.Version, diet.ProtocolV4)
-	}
-	if resp.Submit == nil || !resp.Submit.Accepted {
-		t.Fatalf("v4 submit rejected: %+v", resp)
-	}
-	if resp.Submit.Code != "" {
-		t.Fatalf("v4 verdict carried code %q", resp.Submit.Code)
-	}
-}
-
 // gobRequestPrefix is the recorded opening of a protocol-v3 connection: the
 // first bytes of a gob-encoded diet.Request (its type definition, field
 // names Version, Kind, Register, List). No build speaks that codec any more.
@@ -179,17 +108,25 @@ var gobRequestPrefix = []byte{
 
 // TestDaemonRefusesPreV4Peers: a peer that opens with anything but a frame —
 // a retired gob client, or plain garbage — is closed without an answer well
-// inside frameTimeout, counted, costs the daemon no goroutine, and does not
-// disturb the next well-formed submit.
+// inside frameTimeout; a submit stamped below the protocol floor gets one
+// error frame naming the minimum. Each is counted, costs the daemon no
+// goroutine, and does not disturb the next well-formed submit.
 func TestDaemonRefusesPreV4Peers(t *testing.T) {
 	f := startFabric(t, testConfig(), 2)
 	garbage := make([]byte, 4096)
 	rand.New(rand.NewSource(1)).Read(garbage)
 	garbage[0] = 'G' // never the frame magic
 
+	subFloor, err := diet.AppendRequestFrame(nil, &diet.Request{Version: diet.ProtocolVersion, Kind: diet.KindSubmit,
+		Submit: &diet.SubmitRequest{Scenarios: 2, Months: 6, Heuristic: core.NameKnapsack, Wait: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	subFloor[4] = diet.ProtocolFloor - 1 // the header's version byte
+
 	goroutines := runtime.NumGoroutine()
 	refused := diet.WireStats().Refused
-	for name, raw := range map[string][]byte{"gob request": gobRequestPrefix, "garbage": garbage} {
+	for name, raw := range map[string][]byte{"gob request": gobRequestPrefix, "garbage": garbage, "sub-floor submit": subFloor} {
 		conn, err := net.Dial("tcp", f.Sched.Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -205,12 +142,23 @@ func TestDaemonRefusesPreV4Peers(t *testing.T) {
 		if errors.As(err, &ne) && ne.Timeout() {
 			t.Fatalf("%s: connection still open after %v", name, time.Since(start))
 		}
-		if len(answer) != 0 {
-			t.Fatalf("%s: daemon answered % x, want a silent close", name, answer)
+		if name != "sub-floor submit" {
+			if len(answer) != 0 {
+				t.Fatalf("%s: daemon answered % x, want a silent close", name, answer)
+			}
+			continue
+		}
+		hdr, payload, err := diet.ParseFrame(answer)
+		if err != nil || int(hdr.Length)+12 != len(answer) {
+			t.Fatalf("%s: answer is not exactly one frame: %v (% x)", name, err, answer)
+		}
+		resp, err := (&diet.FrameDecoder{}).DecodeResponseFrame(hdr, payload)
+		if want := fmt.Sprintf("v%d minimum", diet.ProtocolFloor); err != nil || !strings.Contains(resp.Err, want) {
+			t.Fatalf("%s: answer %+v, %v; want an error naming the %s", name, resp, err, want)
 		}
 	}
-	if got := diet.WireStats().Refused - refused; got != 2 {
-		t.Fatalf("refused counter moved by %d, want 2", got)
+	if got := diet.WireStats().Refused - refused; got != 3 {
+		t.Fatalf("refused counter moved by %d, want 3", got)
 	}
 	// Heartbeat exchanges come and go, so poll for the count to settle back.
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; {
@@ -256,18 +204,5 @@ func TestClientRejectsNonFrameAnswer(t *testing.T) {
 	}
 	if _, err := c.StatsContext(context.Background()); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("one-shot stats: got %v, want ErrProtocol", err)
-	}
-}
-
-// TestMaxProtocolBelowFloorRejected: the version cap can stand in for a
-// v4-v6 daemon, never for one below the floor.
-func TestMaxProtocolBelowFloorRejected(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxProtocol = diet.ProtocolV4 - 1
-	if s, err := Start(cfg); !errors.Is(err, ErrInvalidConfig) {
-		if s != nil {
-			s.Close()
-		}
-		t.Fatalf("Start with MaxProtocol 3: got %v, want ErrInvalidConfig", err)
 	}
 }

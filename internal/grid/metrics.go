@@ -194,7 +194,7 @@ func (s *Scheduler) writeMetrics(w io.Writer) {
 	mw.sample("oagrid_wire_tx_frames_total", float64(wire.FramesTx))
 	mw.family("oagrid_wire_rx_frames_total", "counter", "Process-wide wire frames received.")
 	mw.sample("oagrid_wire_rx_frames_total", float64(wire.FramesRx))
-	mw.family("oagrid_wire_refused_total", "counter", "Connections closed for a missing frame magic or a protocol version below v4.")
+	mw.family("oagrid_wire_refused_total", "counter", "Connections closed for a missing frame magic or a protocol version below the floor.")
 	mw.sample("oagrid_wire_refused_total", float64(wire.Refused))
 	mw.family("oagrid_wire_dials_total", "counter", "Process-wide connections opened by the transport: one per one-shot round trip, one per kept-alive connection.")
 	mw.sample("oagrid_wire_dials_total", float64(wire.Dials))
@@ -212,9 +212,9 @@ func (s *Scheduler) writeMetrics(w io.Writer) {
 }
 
 // writeRingMetrics renders the shard gauges of a ring member: the ring size
-// and per-peer liveness, the routing counters (forwards, redirects, proxied
-// attaches, fan-outs, requests served on peers' behalf), failover adoptions,
-// and each peer replica's on-disk size.
+// and per-peer liveness, the routing counters (redirects, fan-outs, requests
+// served on peers' behalf), failover adoptions, and each peer replica's
+// on-disk size.
 func (s *Scheduler) writeRingMetrics(mw *metricsWriter, sm *shardManager) {
 	mw.family("oagrid_ring_size", "gauge", "Configured ring member count, this shard included.")
 	mw.sample("oagrid_ring_size", float64(len(sm.ring.Members())))
@@ -226,12 +226,8 @@ func (s *Scheduler) writeRingMetrics(mw *metricsWriter, sm *shardManager) {
 		}
 		mw.sample("oagrid_ring_peer_alive", alive, "peer", ps.Addr)
 	}
-	mw.family("oagrid_ring_forwarded_total", "counter", "Requests forwarded to their owning shard for pre-v6 clients.")
-	mw.sample("oagrid_ring_forwarded_total", float64(sm.forwarded.Load()))
-	mw.family("oagrid_ring_redirects_total", "counter", "Ownership redirects answered to v6 clients.")
+	mw.family("oagrid_ring_redirects_total", "counter", "Ownership redirects answered to clients.")
 	mw.sample("oagrid_ring_redirects_total", float64(sm.redirected.Load()))
-	mw.family("oagrid_ring_proxied_total", "counter", "Attach streams relayed to their owning shard for pre-v6 clients.")
-	mw.sample("oagrid_ring_proxied_total", float64(sm.proxied.Load()))
 	mw.family("oagrid_ring_fanouts_total", "counter", "List/stats requests fanned out over the alive peer set.")
 	mw.sample("oagrid_ring_fanouts_total", float64(sm.fanouts.Load()))
 	mw.family("oagrid_ring_served_total", "counter", "Forwarded requests served here on a peer's behalf.")

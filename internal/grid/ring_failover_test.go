@@ -2,8 +2,8 @@ package grid
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"net"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -239,66 +239,114 @@ func TestRingFailoverBitIdentical(t *testing.T) {
 	sameCampaignOutcome(t, "post-failover campaign", res, want)
 }
 
-// TestRingRefusesIncompatiblePeer extends the cross-version matrix to ring
-// membership: a daemon capped at protocol v4 listed as a ring member is
-// refused with the typed ring.ErrIncompatiblePeer — never alive, never a
-// forwarding target — while it keeps serving plain client traffic at its own
-// negotiated version, bit-identically.
-func TestRingRefusesIncompatiblePeer(t *testing.T) {
-	oldCfg := testConfig()
-	oldCfg.MaxProtocol = diet.ProtocolV4
-	oldFabric := startFabric(t, oldCfg, 2)
-	oldAddr := oldFabric.Sched.Addr()
-
-	curCfg := testConfig()
-	curCfg.StateDir = t.TempDir()
-	cur, err := Start(curCfg)
+// subFloorPeer is a fake ring peer of self from before the protocol floor:
+// it answers every request with a well-formed frame stamped v6 — a ping
+// saying accepted, a segment shipping a finished campaign homed on the peer
+// — and counts the requests of each kind it saw. It returns its address and
+// that campaign's ID.
+func subFloorPeer(t *testing.T, self string) (string, uint64, func(kind string) int) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cur.Close()
+	t.Cleanup(func() { ln.Close() })
+	addr := ln.Addr().String()
+	r, err := ring.New(self, []string{self, addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := uint64(1)
+	for r.Home(id) != addr {
+		id++
+	}
+	journal := []byte(fmt.Sprintf(`{"kind":"admitted","id":%d,"scenarios":2,"months":6,"heuristic":"knapsack"}`+"\n"+
+		`{"kind":"done","id":%d,"status":"done","makespan":1}`+"\n", id, id))
+	var mu sync.Mutex
+	seen := map[string]int{}
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				for dec := (&diet.FrameDecoder{}); ; {
+					req, err := dec.ReadRequest(conn)
+					if err != nil {
+						return
+					}
+					mu.Lock()
+					seen[req.Kind]++
+					mu.Unlock()
+					resp := &diet.Response{KeepAlive: req.KeepAlive, Err: "unsupported"}
+					switch req.Kind {
+					case diet.KindRingPing:
+						resp.Err, resp.Ring = "", &diet.RingPingResponse{Accepted: true, Version: 6}
+					case diet.KindSegment:
+						resp.Err, resp.Segment = "", &diet.SegmentResponse{Generation: 1, Offset: int64(len(journal)), Data: journal, Reset: true}
+					}
+					frame, _ := diet.AppendResponseFrame(nil, resp)
+					frame[4] = 6 // the header's version byte
+					if _, err := conn.Write(frame); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return addr, id, func(kind string) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return seen[kind]
+	}
+}
+
+// TestRingRefusesIncompatiblePeer: a ring member whose peer answers every
+// exchange with frames stamped below the protocol floor never counts that
+// peer alive — its pings fail to decode — so the peer is never an owner and
+// its journal is never adopted, however well-formed, and the ring keeps
+// serving campaigns bit-identically. The member's own ping answer still
+// says Accepted at v7, which the previous build's members read.
+func TestRingRefusesIncompatiblePeer(t *testing.T) {
+	cfg := testConfig()
+	cfg.StateDir = t.TempDir()
+	f := startFabric(t, cfg, 2)
+	cur := f.Sched
+	oldAddr, homed, seen := subFloorPeer(t, cur.Addr())
 	if err := cur.JoinRing(cur.Addr(), []string{cur.Addr(), oldAddr}, 25*time.Millisecond, 150*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-
-	// The ping loop must record the typed refusal, not liveness.
 	sm := cur.shardManager()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st, ok := sm.members.Status(oldAddr)
-		if ok && st.Err != nil {
-			if !errors.Is(st.Err, ring.ErrIncompatiblePeer) {
-				t.Fatalf("peer status error = %v, want ring.ErrIncompatiblePeer", st.Err)
-			}
-			if st.Alive {
-				t.Fatal("incompatible peer reported alive")
-			}
-			if st.Version != diet.ProtocolV4 {
-				t.Fatalf("refused peer recorded version %d, want %d", st.Version, diet.ProtocolV4)
-			}
-			break
-		}
+	for deadline := time.Now().Add(5 * time.Second); seen(diet.KindRingPing) < 8; time.Sleep(10 * time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("ring never refused the v4-capped peer (status %+v, ok %v)", st, ok)
+			t.Fatalf("ring pinged the peer only %d times", seen(diet.KindRingPing))
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
 	if sm.members.Alive(oldAddr) {
-		t.Fatal("incompatible peer counted in the alive set")
+		t.Fatal("sub-floor peer counted alive")
+	}
+	if owner := sm.owner(homed); owner != cur.Addr() {
+		t.Fatalf("campaign %d, homed on the sub-floor peer, is owned by %s", homed, owner)
+	}
+	if n := seen(diet.KindSegment); n != 0 {
+		t.Fatalf("the ring pulled the sub-floor peer's journal %d times", n)
+	}
+	if n := sm.adopted.Load(); n != 0 || cur.lookup(homed) != nil {
+		t.Fatalf("adopted %d campaigns from the sub-floor peer", n)
 	}
 
-	// The refused daemon still serves plain client campaigns at its cap.
 	app := core.Application{Scenarios: 4, Months: 12}
-	res, err := (&Client{Addr: oldAddr, Timeout: 30 * time.Second}).Run(app, core.NameKnapsack)
+	res, err := (&Client{Addr: cur.Addr(), Timeout: 30 * time.Second}).Run(app, core.NameKnapsack)
 	if err != nil {
-		t.Fatalf("v4-capped daemon stopped serving plain traffic: %v", err)
+		t.Fatalf("ring member with a sub-floor peer stopped serving: %v", err)
 	}
-	verifyReports(t, oldFabric, app, core.NameKnapsack, res)
-
-	// And the ring member itself keeps answering — the fan-out just skips
-	// the refused peer instead of failing on it.
-	if _, err := (&Client{Addr: cur.Addr(), Timeout: 10 * time.Second}).Stats(); err != nil {
-		t.Fatalf("ring member with a refused peer stopped serving: %v", err)
+	verifyReports(t, f, app, core.NameKnapsack, res)
+	resp, err := diet.RoundTrip(cur.Addr(), &diet.Request{Kind: diet.KindRingPing,
+		Ring: &diet.RingPingRequest{From: oldAddr, Members: []string{cur.Addr(), oldAddr}}})
+	if err != nil || resp.Ring == nil || !resp.Ring.Accepted || resp.Ring.Version != diet.ProtocolV7 {
+		t.Fatalf("ring ping answered %+v, %v; want accepted at v7", resp, err)
 	}
 }
 

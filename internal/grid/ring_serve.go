@@ -1,8 +1,6 @@
 package grid
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"sort"
 
@@ -11,23 +9,23 @@ import (
 
 // ---- ring request serving --------------------------------------------------
 //
-// The wire side of the scheduler ring (protocol v6). Three daemon-to-daemon
-// kinds are served here — the membership ping, the WAL segment pull, and the
+// The wire side of the scheduler ring. Three daemon-to-daemon kinds are
+// served here — the membership ping, the WAL segment pull, and the
 // forwarded-request envelope — plus the ownership routing that decides, per
-// client request, whether this shard serves, redirects (v6 clients), or
-// forwards/proxies on the client's behalf (pre-v6 clients).
+// client request, whether this shard serves it, redirects the client to the
+// owner, or fans it out.
 
 // serveRingPing answers the ring membership handshake. Every daemon answers
-// — membership needs no prior ring state on the responder — but only a
-// connection negotiated at v6 or later is accepted: a version-capped or
-// pre-ring daemon is refused membership while it keeps serving plain client
-// traffic on the same socket.
+// — membership needs no prior ring state on the responder. Accepted is
+// always true: the previous build's members refuse a peer whose answer says
+// otherwise, and a peer below the protocol floor never decodes the answer at
+// all.
 func (s *Scheduler) serveRingPing(ver int) *diet.Response {
 	s.mu.Lock()
 	owned := len(s.campaigns)
 	s.mu.Unlock()
 	return &diet.Response{Ring: &diet.RingPingResponse{
-		Accepted: ver >= diet.ProtocolV6,
+		Accepted: true,
 		Version:  ver,
 		Owned:    owned,
 	}}
@@ -35,10 +33,7 @@ func (s *Scheduler) serveRingPing(ver int) *diet.Response {
 
 // serveSegment ships acknowledged journal bytes to a ring peer tailing this
 // shard's WAL for failover replay.
-func (s *Scheduler) serveSegment(ver int, req *diet.SegmentRequest) *diet.Response {
-	if ver < diet.ProtocolV6 {
-		return &diet.Response{Err: "grid: ring-segment requires protocol v6"}
-	}
+func (s *Scheduler) serveSegment(req *diet.SegmentRequest) *diet.Response {
 	if req == nil {
 		return &diet.Response{Err: "ring-segment: empty payload"}
 	}
@@ -61,11 +56,8 @@ func (s *Scheduler) serveSegment(ver int, req *diet.SegmentRequest) *diet.Respon
 // request locally, whatever this shard's ownership view says — the sender
 // already resolved ownership, and refusing to recurse is what keeps a stale
 // view from looping a request around the ring. Only one-shot kinds travel
-// forwarded; streaming kinds (submit-wait, attach) redirect or proxy instead.
-func (s *Scheduler) serveForward(ver int, req *diet.ForwardRequest) *diet.Response {
-	if ver < diet.ProtocolV6 {
-		return &diet.Response{Err: "grid: ring-forward requires protocol v6"}
-	}
+// forwarded; streaming kinds (submit-wait, attach) redirect instead.
+func (s *Scheduler) serveForward(req *diet.ForwardRequest) *diet.Response {
 	if req == nil || req.Inner == nil {
 		return &diet.Response{Err: "ring-forward: empty payload"}
 	}
@@ -111,10 +103,10 @@ func ringCampaignID(req *diet.Request) (uint64, bool) {
 }
 
 // routeRing applies ring ownership to one client request. It reports true
-// when the request was fully answered here (fanned out, redirected,
-// forwarded, or proxied); false means the caller should serve it locally —
-// either this shard owns the campaign, already holds it (adopted from a dead
-// peer), or the kind does not route.
+// when the request was fully answered here (fanned out or redirected); false
+// means the caller should serve it locally — either this shard owns the
+// campaign, already holds it (adopted from a dead peer), or the kind does
+// not route.
 func (s *Scheduler) routeRing(sm *shardManager, send *sender, req *diet.Request) bool {
 	switch req.Kind {
 	case diet.KindStats:
@@ -132,32 +124,10 @@ func (s *Scheduler) routeRing(sm *shardManager, send *sender, req *diet.Request)
 	if owner == sm.ring.Self() || s.lookup(id) != nil {
 		return false
 	}
-	if send.ver >= diet.ProtocolV6 {
-		// Redirect fast path: tell the client which shard owns the campaign
-		// and let it retry direct; its route cache makes the detour one-time.
-		sm.redirected.Add(1)
-		_ = send.send(&diet.Response{Redirect: &diet.RedirectInfo{ID: id, Owner: owner}})
-		return true
-	}
-	if req.Kind == diet.KindAttach {
-		sm.proxied.Add(1)
-		s.proxyAttach(send, owner, req.Attach)
-		return true
-	}
-	// Pre-v6 one-shot: forward server-side so those clients see a single
-	// campaign namespace without ever learning the ring exists.
-	sm.forwarded.Add(1)
-	resp, err := sm.forwardTo(owner, req)
-	if err != nil {
-		var remote *diet.RemoteError
-		if errors.As(err, &remote) {
-			_ = send.send(&diet.Response{Err: remote.Msg})
-		} else {
-			_ = send.send(&diet.Response{Err: fmt.Sprintf("grid: forwarding %s to %s: %v", req.Kind, owner, err)})
-		}
-		return true
-	}
-	_ = send.send(resp)
+	// Tell the client which shard owns the campaign and let it retry
+	// direct; its route cache makes the detour one-time.
+	sm.redirected.Add(1)
+	_ = send.send(&diet.Response{Redirect: &diet.RedirectInfo{ID: id, Owner: owner}})
 	return true
 }
 
@@ -276,48 +246,4 @@ func (s *Scheduler) fanoutList(sm *shardManager, filter *diet.ListCampaignsReque
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
 	return &diet.Response{ListCampaigns: &diet.ListCampaignsResponse{Campaigns: all}}
-}
-
-// proxyAttach relays an attach stream for a pre-v6 client: this
-// shard attaches to the owner with the in-package client and replays the
-// verdict, progress frames, and result onto the client's connection. A v6
-// client would get a one-frame redirect instead; the proxy exists so the
-// ring is invisible to clients that predate it.
-func (s *Scheduler) proxyAttach(send *sender, owner string, req *diet.AttachRequest) {
-	if req == nil {
-		_ = send.send(&diet.Response{Err: "attach: empty payload"})
-		return
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	relay := &Client{Addr: owner}
-	verdictSent := false
-	onAttach := func(v *diet.AttachResponse) {
-		verdictSent = true
-		if send.send(&diet.Response{Attach: v}) != nil {
-			cancel() // client gone: tear the relay stream down too
-		}
-	}
-	var onProgress func(*diet.ProgressUpdate)
-	if req.Progress {
-		onProgress = func(u *diet.ProgressUpdate) {
-			if send.sendProgress(&progressFrame{u: *u}) != nil {
-				cancel()
-			}
-		}
-	}
-	res, err := relay.AttachContext(ctx, req.ID, onAttach, onProgress)
-	switch {
-	case res != nil:
-		// Terminal snapshot, whatever its status: the client maps
-		// failed/cancelled results to its typed errors itself.
-		_ = send.send(&diet.Response{Result: res})
-	case errors.Is(err, ErrUnknownCampaign):
-		// Mirror serveAttach's unknown-ID verdict (Found unset).
-		_ = send.send(&diet.Response{Attach: &diet.AttachResponse{ID: req.ID}})
-	case err != nil && !verdictSent:
-		_ = send.send(&diet.Response{Err: fmt.Sprintf("grid: proxying attach for campaign %d to %s: %v", req.ID, owner, err)})
-	case err != nil:
-		_ = send.send(&diet.Response{Err: fmt.Sprintf("grid: attach proxy to %s lost: %v", owner, err)})
-	}
 }

@@ -57,38 +57,29 @@ func (b *sender) sendProgress(f *progressFrame) error {
 // member's pings, pulls and forwards) — the requests that follow it. The
 // streaming kinds answer with more than one frame and always end their
 // connection. Peers below the protocol floor — no frame magic, or a version
-// under v4 — are refused by AcceptRequest.
+// under diet.ProtocolFloor — are refused by AcceptRequest.
 func (s *Scheduler) serveConn(conn net.Conn) {
-	s.srv.ServeConn(conn, s.maxVersion(), func(w net.Conn, req *diet.Request, ver int) bool {
+	s.srv.ServeConn(conn, func(w net.Conn, req *diet.Request, ver int) bool {
 		send := &sender{conn: w, ver: ver, keep: req.KeepAlive && req.Kind != diet.KindSubmit && req.Kind != diet.KindAttach}
 		s.dispatch(send, req)
 		return send.keep
 	})
 }
 
-// maxVersion is the highest protocol version this daemon speaks
-// (Config.MaxProtocol; 0 means the build's newest).
-func (s *Scheduler) maxVersion() int {
-	if s.cfg.MaxProtocol > 0 {
-		return s.cfg.MaxProtocol
-	}
-	return diet.ProtocolVersion
-}
-
 // dispatch routes one decoded request to the streaming or one-shot path.
 // The ring kinds come first — they are daemon-to-daemon and never route —
-// then ring ownership gets a chance to redirect, forward, or fan the request
-// out before the local paths serve it.
+// then ring ownership gets a chance to redirect or fan the request out
+// before the local paths serve it.
 func (s *Scheduler) dispatch(send *sender, req *diet.Request) {
 	switch req.Kind {
 	case diet.KindRingPing:
 		_ = send.send(s.serveRingPing(send.ver))
 		return
 	case diet.KindForward:
-		_ = send.send(s.serveForward(send.ver, req.Forward))
+		_ = send.send(s.serveForward(req.Forward))
 		return
 	case diet.KindSegment:
-		_ = send.send(s.serveSegment(send.ver, req.Segment))
+		_ = send.send(s.serveSegment(req.Segment))
 		return
 	}
 	if sm := s.shardManager(); sm != nil && s.routeRing(sm, send, req) {

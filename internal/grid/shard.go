@@ -3,7 +3,6 @@ package grid
 import (
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,7 +16,7 @@ import (
 )
 
 // ringCallTimeout bounds one shard-to-shard exchange: a ring ping, a WAL
-// segment pull, or a forwarded one-shot request. Ring peers are other
+// segment pull, or a forwarded fan-out request. Ring peers are other
 // daemons on the same deployment, so the transport default is generous
 // enough.
 const ringCallTimeout = 5 * time.Second
@@ -40,9 +39,7 @@ type shardManager struct {
 	wg   sync.WaitGroup
 
 	// Shard gauges, exposed on /metrics.
-	forwarded  atomic.Uint64 // requests forwarded to the owner for pre-v6 clients
-	redirected atomic.Uint64 // v6 clients pointed at the owner to retry direct
-	proxied    atomic.Uint64 // attach streams relayed to the owner for pre-v6 clients
+	redirected atomic.Uint64 // clients pointed at the owner to retry direct
 	fanouts    atomic.Uint64 // list/stats fan-outs over the alive peer set
 	served     atomic.Uint64 // forwarded requests served on a peer's behalf
 	adopted    atomic.Uint64 // campaigns adopted from dead peers' replicas
@@ -75,17 +72,16 @@ func replicaName(addr string) string {
 // JoinRing makes this scheduler one shard of a static daemon ring: self is
 // the address peers know this shard by (it must appear in members), members
 // is the full ring list shared by every shard. Campaign IDs are owned by
-// consistent hash — this shard only mints IDs it is home for, forwards or
-// redirects requests for campaigns it does not own, and fans List/Stats out
-// over the alive peers. Every hbEvery it pings each peer (the v6 ring
-// handshake; an incompatible peer is refused membership with
-// ring.ErrIncompatiblePeer in its status) and tails each peer's WAL into a
-// local replica; a peer silent past deadAfter is declared dead and its
-// campaigns — those whose failover owner is this shard — are replayed from
-// the replica, re-admitted, and finished here. Ring membership requires a
-// StateDir: the WAL is both the replication source and the failover
-// substrate. Call after Start; zero durations pick 1s heartbeats and a
-// 4-heartbeat death deadline.
+// consistent hash — this shard only mints IDs it is home for, redirects
+// requests for campaigns it does not own, and fans List/Stats out over the
+// alive peers. Every hbEvery it pings each peer (a peer whose answer does
+// not decode — one below the protocol floor — is never alive) and tails
+// each peer's WAL into a local replica; a peer silent past deadAfter is
+// declared dead and its campaigns — those whose failover owner is this shard
+// — are replayed from the replica, re-admitted, and finished here. Ring
+// membership requires a StateDir: the WAL is both the replication source and
+// the failover substrate. Call after Start; zero durations pick 1s
+// heartbeats and a 4-heartbeat death deadline.
 func (s *Scheduler) JoinRing(self string, members []string, hbEvery, deadAfter time.Duration) error {
 	if s.store == nil {
 		return errors.New("grid: ring membership requires a StateDir (the WAL is the failover substrate)")
@@ -233,24 +229,15 @@ func (sm *shardManager) tick() {
 	}
 }
 
-// ping runs the v6 ring handshake against one peer and folds the outcome
-// into the liveness view. A peer answering below v6 (a version-capped or
-// pre-ring build) is recorded as refused — it keeps serving plain client
-// traffic, it just cannot be a ring member.
+// ping runs the ring handshake against one peer and folds the outcome into
+// the liveness view. A peer answering below the protocol floor fails to
+// decode, which is a failed ping like any other.
 func (sm *shardManager) ping(p string) {
 	resp, err := sm.call(p, &diet.Request{
 		Kind: diet.KindRingPing,
 		Ring: &diet.RingPingRequest{From: sm.ring.Self(), Members: sm.ring.Members()},
 	})
-	if err != nil {
-		sm.members.ObservePing(p, 0, false, err)
-		return
-	}
-	if resp.Ring == nil {
-		sm.members.ObservePing(p, 0, false, fmt.Errorf("grid: ring peer %s sent no ping response", p))
-		return
-	}
-	sm.members.ObservePing(p, resp.Ring.Version, resp.Ring.Accepted, nil)
+	sm.members.ObservePing(p, err == nil && resp.Ring != nil)
 }
 
 // maxPullsPerTick bounds how many segment chunks one tick pulls from one

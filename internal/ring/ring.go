@@ -35,13 +35,6 @@ import (
 	"time"
 )
 
-// ErrIncompatiblePeer is the typed membership refusal: the peer answered
-// the ring handshake below protocol v6 (a version-capped daemon or a
-// pre-ring build). Such a daemon keeps serving plain client traffic — it
-// just cannot carry forwarded requests or ship WAL segments, so the ring
-// refuses it membership rather than degrading around it silently.
-var ErrIncompatiblePeer = errors.New("ring: peer speaks a protocol below v6; membership refused")
-
 // ErrNotMember rejects a ring whose self address is missing from the
 // member list — a misconfiguration that would make every ownership check
 // disagree with the peers'.
@@ -185,69 +178,41 @@ func mix64(z uint64) uint64 {
 // PeerStatus is one peer's membership view, the shard gauges' shape.
 type PeerStatus struct {
 	Addr string
-	// Alive means the peer answered an accepted ring ping within the
-	// deadline.
+	// Alive means the peer answered a ring ping within the deadline.
 	Alive bool
-	// Version is the protocol version the peer last answered with.
-	Version int
-	// Err is the peer's standing membership error: ErrIncompatiblePeer
-	// (wrapped) when the handshake was refused, nil otherwise.
-	Err error
-	// SincePing is the age of the last successful handshake (0 if never).
-	SincePing time.Duration
 }
 
 // Members tracks peer liveness from ring-ping outcomes. A peer is alive
-// while its last accepted handshake is within deadAfter; an incompatible
-// peer (handshake answered below v6) is never alive and carries a typed
-// standing error. Self is always alive.
+// while its last answered handshake is within deadAfter; a peer whose
+// answers never decode (one below the protocol floor) is never alive. Self
+// is always alive.
 type Members struct {
 	self      string
 	deadAfter time.Duration
 
-	mu    sync.Mutex
-	peers map[string]*peerState
-}
-
-type peerState struct {
-	lastOK     time.Time
-	version    int
-	refusedErr error
+	mu sync.Mutex
+	// lastOK is each peer's last answered ping, zero until the first.
+	lastOK map[string]time.Time
 }
 
 // NewMembers builds the liveness tracker for the ring's peer set.
 func NewMembers(r *Ring, deadAfter time.Duration) *Members {
-	m := &Members{self: r.Self(), deadAfter: deadAfter, peers: make(map[string]*peerState)}
+	m := &Members{self: r.Self(), deadAfter: deadAfter, lastOK: make(map[string]time.Time)}
 	for _, p := range r.Peers() {
-		m.peers[p] = &peerState{}
+		m.lastOK[p] = time.Time{}
 	}
 	return m
 }
 
-// ObservePing folds one handshake outcome into the liveness view. accepted
-// and version come from the peer's RingPingResponse; err is the transport
-// outcome (non-nil means no usable answer — the peer keeps its state and
-// goes dead when the deadline passes). An unaccepted answer records the
-// typed incompatibility; a later accepted answer (the peer was upgraded or
-// its cap lifted) clears it.
-func (m *Members) ObservePing(addr string, version int, accepted bool, err error) {
+// ObservePing folds one handshake outcome into the liveness view: answered
+// refreshes the peer; a ping without a usable answer leaves it to go dead
+// when the deadline passes.
+func (m *Members) ObservePing(addr string, answered bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	p := m.peers[addr]
-	if p == nil {
-		return
+	if _, ok := m.lastOK[addr]; ok && answered {
+		m.lastOK[addr] = time.Now()
 	}
-	if err != nil {
-		return
-	}
-	p.version = version
-	if !accepted {
-		p.refusedErr = fmt.Errorf("%w: peer %s answered v%d", ErrIncompatiblePeer, addr, version)
-		p.lastOK = time.Time{}
-		return
-	}
-	p.refusedErr = nil
-	p.lastOK = time.Now()
 }
 
 // Alive reports whether addr is a live ring member right now. Self is
@@ -258,43 +223,25 @@ func (m *Members) Alive(addr string) bool {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	p := m.peers[addr]
-	return p != nil && p.refusedErr == nil && !p.lastOK.IsZero() &&
-		time.Since(p.lastOK) <= m.deadAfter
+	return m.aliveLocked(addr)
+}
+
+func (m *Members) aliveLocked(addr string) bool {
+	t := m.lastOK[addr]
+	return !t.IsZero() && time.Since(t) <= m.deadAfter
 }
 
 // AliveFn returns the liveness predicate Ring.Owner consumes.
 func (m *Members) AliveFn() func(string) bool { return m.Alive }
 
-// Status snapshots one peer's membership view; ok is false for addresses
-// outside the ring.
-func (m *Members) Status(addr string) (PeerStatus, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	p := m.peers[addr]
-	if p == nil {
-		return PeerStatus{}, false
-	}
-	return m.statusLocked(addr, p), true
-}
-
 // Snapshot returns every peer's status, sorted by address.
 func (m *Members) Snapshot() []PeerStatus {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]PeerStatus, 0, len(m.peers))
-	for addr, p := range m.peers {
-		out = append(out, m.statusLocked(addr, p))
+	out := make([]PeerStatus, 0, len(m.lastOK))
+	for addr := range m.lastOK {
+		out = append(out, PeerStatus{Addr: addr, Alive: m.aliveLocked(addr)})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
-}
-
-func (m *Members) statusLocked(addr string, p *peerState) PeerStatus {
-	st := PeerStatus{Addr: addr, Version: p.version, Err: p.refusedErr}
-	if !p.lastOK.IsZero() {
-		st.SincePing = time.Since(p.lastOK)
-		st.Alive = p.refusedErr == nil && st.SincePing <= m.deadAfter
-	}
-	return st
 }

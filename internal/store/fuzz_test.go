@@ -53,6 +53,8 @@ func FuzzOpen(f *testing.F) {
 	huge := append([]byte{}, valid...)
 	huge = append(huge, []byte("{\"kind\":\"admitted\",\"id\":18446744073709551615,\"scenarios\":3}\n")...)
 	f.Add(huge)
+	// An admission no campaign can have: recovery would build it with make.
+	f.Add(append(append([]byte{}, valid...), []byte("{\"kind\":\"admitted\",\"id\":4,\"scenarios\":-3,\"months\":12}\n")...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

@@ -29,6 +29,7 @@ import (
 	"sync"
 	"time"
 
+	"oagrid/internal/core"
 	"oagrid/internal/diet"
 )
 
@@ -133,11 +134,16 @@ type journal struct {
 // the next rewrite: a record of a campaign with no admission record
 // (compacted away) is dropped, and so is a straggler after the terminal
 // record — a chunk journaled around a cancel claim, which the live campaign
-// never surfaced.
-func (j *journal) file(rec *Record, line []byte) {
+// never surfaced. An admission record whose shape no campaign can have is
+// ErrCorrupt: no crash writes one, and filing it would hand recovery a
+// campaign it cannot build.
+func (j *journal) file(rec *Record, line []byte) error {
 	c := j.byID[rec.ID]
 	switch {
 	case rec.Kind == KindAdmitted:
+		if err := (core.Application{Scenarios: rec.Scenarios, Months: rec.Months}).Validate(); err != nil {
+			return fmt.Errorf("%w: campaign %d admitted with %v", ErrCorrupt, rec.ID, err)
+		}
 		if c == nil {
 			j.order = append(j.order, rec.ID)
 		}
@@ -152,6 +158,7 @@ func (j *journal) file(rec *Record, line []byte) {
 	default:
 		c.lines = append(c.lines, line...)
 	}
+	return nil
 }
 
 // Store is an open campaign journal. Append is safe for concurrent use.
@@ -284,7 +291,9 @@ func (s *Store) Append(rec Record) error {
 		return fmt.Errorf("store: syncing %s: %w", s.path, err)
 	}
 	s.off += int64(len(data))
-	s.mirror.file(&rec, data)
+	// Cannot fail: every admission the owner journals passed the same
+	// validation at submit.
+	_ = s.mirror.file(&rec, data)
 	if s.retain != nil && s.off >= s.nextRotate {
 		// Best-effort: a failed rotation leaves the intact live segment and
 		// re-arms, so a transient disk error costs a bigger journal, not the
@@ -465,7 +474,9 @@ func replay(f *os.File) (journal, int64, error) {
 			pendingErr = fmt.Errorf("%w: record at offset %d: %v", ErrCorrupt, good, jerr)
 			continue
 		}
-		j.file(&rec, line)
+		if err := j.file(&rec, line); err != nil {
+			return journal{}, 0, err
+		}
 		good += int64(len(line))
 	}
 	return j, good, nil
