@@ -1,5 +1,6 @@
-// Package cliflag parses the list- and pair-valued flags oarun and oaload
-// share, so both CLIs accept exactly the same spellings.
+// Package cliflag parses the list- and pair-valued flags of oarun's daemon
+// mode (-ring, -tenant-weights, -autoscale, -sed-speeds); oaload reads its
+// -addr member list with List too.
 package cliflag
 
 import (
@@ -20,10 +21,9 @@ func List(spec string) []string {
 	return out
 }
 
-// TenantWeights parses "gold=10,silver=1" into a weight map; flag names the
-// flag in errors (-tenant-weights on oarun, -tenants on oaload). An empty
-// spec is no weights.
-func TenantWeights(flag, spec string) (map[string]float64, error) {
+// TenantWeights parses the -tenant-weights "gold=10,silver=1" into a weight
+// map; an empty spec is no weights.
+func TenantWeights(spec string) (map[string]float64, error) {
 	if spec == "" {
 		return nil, nil
 	}
@@ -31,11 +31,11 @@ func TenantWeights(flag, spec string) (map[string]float64, error) {
 	for _, pair := range strings.Split(spec, ",") {
 		name, val, ok := strings.Cut(strings.TrimSpace(pair), "=")
 		if !ok || name == "" {
-			return nil, fmt.Errorf("bad -%s entry %q (want name=weight)", flag, pair)
+			return nil, fmt.Errorf("bad -tenant-weights entry %q (want name=weight)", pair)
 		}
 		w, err := strconv.ParseFloat(val, 64)
 		if err != nil || w <= 0 {
-			return nil, fmt.Errorf("bad -%s weight %q for tenant %q (want a positive number)", flag, val, name)
+			return nil, fmt.Errorf("bad -tenant-weights weight %q for tenant %q (want a positive number)", val, name)
 		}
 		out[name] = w
 	}

@@ -30,14 +30,14 @@ func TestTenantWeights(t *testing.T) {
 	}{
 		{"gold=10, silver=1.5", map[string]float64{"gold": 10, "silver": 1.5}, ""},
 		{"", nil, ""},
-		{"gold", nil, `bad -tenants entry "gold"`},
-		{"=3", nil, `bad -tenants entry "=3"`},
-		{"gold=10,,silver=1", nil, `bad -tenants entry ""`},
-		{"gold=heavy", nil, `bad -tenants weight "heavy" for tenant "gold"`},
-		{"gold=0", nil, `bad -tenants weight "0"`},
-		{"gold=-2", nil, `bad -tenants weight "-2"`},
+		{"gold", nil, `bad -tenant-weights entry "gold"`},
+		{"=3", nil, `bad -tenant-weights entry "=3"`},
+		{"gold=10,,silver=1", nil, `bad -tenant-weights entry ""`},
+		{"gold=heavy", nil, `bad -tenant-weights weight "heavy" for tenant "gold"`},
+		{"gold=0", nil, `bad -tenant-weights weight "0"`},
+		{"gold=-2", nil, `bad -tenant-weights weight "-2"`},
 	} {
-		got, err := TenantWeights("tenants", tc.spec)
+		got, err := TenantWeights(tc.spec)
 		if !errMatches(err, tc.wantErr) || !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("TenantWeights(%q) = %v, %v; want %v, error containing %q", tc.spec, got, err, tc.want, tc.wantErr)
 		}

@@ -1,5 +1,5 @@
 // Command oabench regenerates the paper's evaluation figures as CSV series
-// and ASCII plots, and benchmarks the evaluation engine itself.
+// and ASCII plots.
 //
 // Usage:
 //
@@ -7,14 +7,6 @@
 //	oabench -fig 8 -full             # figure 8 at full paper scale
 //	oabench -fig 7 -csv out/         # also write CSV files
 //	oabench -fig ablations           # the DESIGN.md ablation experiments
-//	oabench -fig engine              # serial-vs-parallel engine benchmark
-//	                                 # (writes BENCH_engine.json)
-//	oabench -gate BENCH_baseline.json
-//	                                 # CI bench-regression gate: compare the
-//	                                 # current BENCH_engine.json + BENCH_grid.json
-//	                                 # against the committed baseline, exit 1 on
-//	                                 # >20% throughput regression or any lost
-//	                                 # bit-identical verification
 //
 // Figure numbering follows the paper: 1 (task-duration calibration from the
 // toy coupled model), 7 (optimal groupings), 8 (single-cluster gains),
@@ -37,28 +29,14 @@ import (
 
 func main() {
 	var (
-		fig      = flag.String("fig", "all", "figure to regenerate: 1, 7, 8, 10, ablations, engine or all")
-		full     = flag.Bool("full", false, "paper-scale workload (NS=10, NM=1800, dense sweeps); slower")
-		months   = flag.Int("months", 0, "override months per scenario (0 = 60 reduced / 1800 full)")
-		step     = flag.Int("step", 0, "override resource sweep stride (0 = 5 reduced / 1 full)")
-		csvDir   = flag.String("csv", "", "directory to write CSV series into (optional)")
-		workers  = flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
-		benchOut = flag.String("bench-out", "BENCH_engine.json", "path of the engine benchmark artifact (empty = skip writing)")
-
-		gate         = flag.String("gate", "", "bench-regression gate: path of the committed BENCH_baseline.json (runs the gate instead of figures)")
-		engineJSON   = flag.String("engine-json", "BENCH_engine.json", "current engine artifact for -gate (empty = skip)")
-		gridJSON     = flag.String("grid-json", "BENCH_grid.json", "current grid load artifact for -gate (empty = skip)")
-		fairnessJSON = flag.String("fairness-json", "", "multi-tenant fairness artifact for -gate, from `oaload -tenants ...` (empty = skip fairness floors)")
-		ringJSON     = flag.String("ring-json", "", "sharded-ring artifact for -gate, from `oaload -ring ...` (empty = skip the ring floor)")
-		asJSON       = flag.String("autoscale-json", "", "elastic-fleet artifact for -gate, from `oaload -profile burst -autoscale ...` (empty = skip the autoscale bounds)")
-		tolerance    = flag.Float64("tolerance", 0, "allowed throughput regression for -gate (0 = baseline's, else 20%)")
+		fig     = flag.String("fig", "all", "figure to regenerate: 1, 7, 8, 10, ablations or all")
+		full    = flag.Bool("full", false, "paper-scale workload (NS=10, NM=1800, dense sweeps); slower")
+		months  = flag.Int("months", 0, "override months per scenario (0 = 60 reduced / 1800 full)")
+		step    = flag.Int("step", 0, "override resource sweep stride (0 = 5 reduced / 1 full)")
+		csvDir  = flag.String("csv", "", "directory to write CSV series into (optional)")
+		workers = flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
-
-	if *gate != "" {
-		runGate(*gate, *engineJSON, *gridJSON, *fairnessJSON, *ringJSON, *asJSON, *tolerance)
-		return
-	}
 
 	cfg := figures.DefaultConfig()
 	if *full {
@@ -98,12 +76,8 @@ func main() {
 		ran = true
 		runAblations(cfg, *csvDir)
 	}
-	if want("engine") {
-		ran = true
-		runEngineBench(cfg, *benchOut)
-	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "oabench: unknown figure %q (want 1, 7, 8, 10, ablations, engine or all)\n", *fig)
+		fmt.Fprintf(os.Stderr, "oabench: unknown figure %q (want 1, 7, 8, 10, ablations or all)\n", *fig)
 		os.Exit(2)
 	}
 }

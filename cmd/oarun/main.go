@@ -88,7 +88,7 @@ func main() {
 	flag.Parse()
 
 	if *daemon {
-		weights, err := cliflag.TenantWeights("tenant-weights", *tenantWts)
+		weights, err := cliflag.TenantWeights(*tenantWts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "oarun: %v\n", err)
 			os.Exit(2)

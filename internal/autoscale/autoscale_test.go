@@ -118,3 +118,91 @@ func TestElasticBurstScalesUpAndDown(t *testing.T) {
 		}
 	}
 }
+
+// TestDrainWithChunkInFlightRequeuesNothing: a scale-down that starts while
+// the spawned SeD is executing a chunk lets that chunk finish and bank — no
+// requeue — and only then deregisters the SeD. The burst test's drains land
+// after the burst, on idle SeDs, so this one drives the controller by hand:
+// the policy never acts on its own.
+func TestDrainWithChunkInFlightRequeuesNothing(t *testing.T) {
+	f, err := grid.StartFabric(grid.Config{
+		Addr:           "127.0.0.1:0",
+		Dispatchers:    2,
+		PerSeDInFlight: 2,
+		EvictAfter:     2 * time.Second,
+	}, 1, 30, 50*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Close)
+	if err := f.WaitAlive(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	ctl, err := Start(f.Sched, f.SeDs, Config{
+		Min:            1,
+		Max:            2,
+		HeartbeatEvery: 50 * time.Millisecond,
+		Sample:         10 * time.Millisecond,
+		Policy:         Policy{UpQueue: 1 << 30, UpWaitMs: 1 << 30, DownIdleTicks: 1 << 30},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ctl.Close)
+	ctl.spawnOne()
+	ctl.mu.Lock()
+	clone := ctl.spawned[0].sed
+	ctl.mu.Unlock()
+
+	// One campaign first, so both performance vectors are cached and
+	// whatever the clone holds in flight afterwards is a chunk.
+	app := core.Application{Scenarios: 30, Months: 1200}
+	client := &grid.Client{Addr: f.Sched.Addr()}
+	if _, err := client.Run(app, core.NameKnapsack); err != nil {
+		t.Fatal(err)
+	}
+	const campaigns = 8
+	results := make([]*diet.CampaignResult, campaigns)
+	errs := make([]error, campaigns)
+	var wg sync.WaitGroup
+	for i := 0; i < campaigns; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = client.Run(app, core.NameKnapsack)
+		}(i)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for clone.InFlight() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the spawned SeD never received a chunk")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	ctl.drainOne()
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("campaign %d: %v", i, err)
+		}
+	}
+
+	for ctl.Counters().ScaleDowns == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("drained SeD never deregistered: %+v", ctl.Counters())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if rq := f.Sched.Stats().Requeues; rq != 0 {
+		t.Fatalf("draining with a chunk in flight requeued %d chunks, want 0", rq)
+	}
+	v, err := grid.NewVerifier(f.Clusters, core.NameKnapsack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range results {
+		if err := v.Verify(app, res); err != nil {
+			t.Fatalf("campaign %d: %v", i, err)
+		}
+	}
+}

@@ -15,8 +15,8 @@ import (
 )
 
 // Fabric is a scheduler daemon plus an in-process SeD fleet on loopback
-// ports — the self-hosted deployment shape shared by the load injector
-// (cmd/oaload), the daemon CLI (cmd/oarun -daemon) and the end-to-end
+// ports — the self-hosted deployment shape shared by the daemon CLI
+// (cmd/oarun -daemon), the protocol demo (cmd/oagrid) and the end-to-end
 // tests.
 type Fabric struct {
 	Sched *Scheduler

@@ -14,40 +14,81 @@ import (
 	"oagrid/internal/diet"
 )
 
-// TestWFQProportionalShare: two backlogged tenants with weights 3:1 split
-// the dispatch slots 3:1 — exactly, window by window, because the virtual
-// finish tags and the name tie-break make the schedule deterministic.
+// TestWFQProportionalShare: backlogged tenants split the dispatch slots by
+// weight — over every prefix of the dispatch order, not just in aggregate,
+// because the virtual finish tags and the name tie-break make the schedule
+// deterministic. Each tenant's count after k pops stays within slack slots
+// of its entitlement k·w/Σw. Priorities order campaigns within a tenant
+// only, so the equal-tenant row, where each tenant submits at its own
+// priority, must still come out equal.
 func TestWFQProportionalShare(t *testing.T) {
-	app := core.Application{Scenarios: 1, Months: 1}
-	s := queueScheduler(Config{TenantWeights: map[string]float64{"heavy": 3, "light": 1}})
-	for i := uint64(0); i < 40; i++ {
-		tenant := "heavy"
-		if i >= 30 {
-			tenant = "light"
-		}
-		s.push(newCampaign(i+1, app, core.NameKnapsack, submitMeta{
-			labels: map[string]string{DefaultTenantKey: tenant},
-		}))
-	}
-	heavy, light := 0, 0
-	for i := 0; i < 40; i++ {
-		c := s.dequeue()
-		switch c.tenant {
-		case "heavy":
-			heavy++
-		case "light":
-			light++
-		default:
-			t.Fatalf("pop %d came from unknown tenant %q", i, c.tenant)
-		}
-		// The weighted share holds over every prefix, not just in aggregate:
-		// heavy never gets more than 3 slots ahead of its 3:1 entitlement.
-		if d := heavy - 3*light; d < -3 || d > 3 {
-			t.Fatalf("after %d pops the split is %d:%d — drifted off the 3:1 share", i+1, heavy, light)
-		}
-	}
-	if heavy != 30 || light != 10 {
-		t.Fatalf("40 pops split %d:%d, want 30:10", heavy, light)
+	for _, tc := range []struct {
+		name    string
+		weights map[string]float64
+		// submit returns the tenant and priority of submission i.
+		submit func(i int) (string, int)
+		n      int
+		slack  float64
+	}{
+		{
+			name:    "weights 3:1",
+			weights: map[string]float64{"heavy": 3, "light": 1},
+			submit: func(i int) (string, int) {
+				if i < 30 {
+					return "heavy", 0
+				}
+				return "light", 0
+			},
+			n:     40,
+			slack: 0.75,
+		},
+		{
+			// Three weight-1 tenants submitting round-robin at priorities
+			// (i%3)*5, so each tenant's campaigns carry a different priority.
+			name:    "three equal tenants, mixed priorities",
+			weights: map[string]float64{"gold": 1, "silver": 1, "bronze": 1},
+			submit: func(i int) (string, int) {
+				return []string{"gold", "silver", "bronze"}[i%3], (i % 3) * 5
+			},
+			n:     60,
+			slack: 1,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			app := core.Application{Scenarios: 1, Months: 1}
+			s := queueScheduler(Config{TenantWeights: tc.weights})
+			submitted := map[string]int{}
+			for i := 0; i < tc.n; i++ {
+				tenant, pri := tc.submit(i)
+				submitted[tenant]++
+				s.push(newCampaign(uint64(i+1), app, core.NameKnapsack, submitMeta{
+					priority: pri,
+					labels:   map[string]string{DefaultTenantKey: tenant},
+				}))
+			}
+			var total float64
+			for _, w := range tc.weights {
+				total += w
+			}
+			got := map[string]int{}
+			for k := 1; k <= tc.n; k++ {
+				c := s.dequeue()
+				if _, ok := tc.weights[c.tenant]; !ok {
+					t.Fatalf("pop %d came from unknown tenant %q", k, c.tenant)
+				}
+				got[c.tenant]++
+				for tenant, w := range tc.weights {
+					if d := float64(got[tenant]) - float64(k)*w/total; d < -tc.slack || d > tc.slack {
+						t.Fatalf("after %d pops the split is %v — %s is %+.2f slots off its share", k, got, tenant, d)
+					}
+				}
+			}
+			for tenant, n := range submitted {
+				if got[tenant] != n {
+					t.Fatalf("%d pops split %v, want %v", tc.n, got, submitted)
+				}
+			}
+		})
 	}
 }
 

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Sharded-ring smoke: start a 3-daemon ring on concrete loopback ports (the
-# member list must be known up front), drive it with oaload -ring, kill one
-# daemon mid-run, and assert the run still completes with every chunk report
-# bit-identical to serial evaluation — plus the ring gauges on the survivors'
-# /metrics: the dead peer marked down and at least one campaign adopted from
-# its WAL replica. CI runs this (.github/workflows/ci.yml), and it works
+# member list must be known up front), drive it with oaload, kill one daemon
+# mid-run, and assert the run still completes with every chunk report
+# bit-identical to serial evaluation (oaload's exit status and verification
+# line) — plus the ring gauges on the survivors' /metrics: the dead peer
+# marked down and at least one campaign adopted from its WAL replica. CI runs this (.github/workflows/ci.yml), and it works
 # identically from a checkout:
 #
 #   ./scripts/smoke_ring.sh
@@ -80,10 +80,10 @@ for i in 0 1 2; do
 done
 
 # Drive the ring, and kill daemon 2 mid-run: its streams break, its admitted
-# campaigns are re-attached by the injector's multi-addr clients and adopted
-# by the failover owners — the run must still complete and verify.
-"$workdir/oaload" -ring "$members" -campaigns 30 -rate 10 -ns 4 -months 12 \
-  -seds 2 -cprocs 30 -out "$workdir/BENCH_ring.json" >"$workdir/oaload.log" 2>&1 &
+# campaigns are re-attached by oaload's multi-addr clients and adopted by
+# the failover owners — the run must still complete and verify.
+"$workdir/oaload" -addr "$members" -campaigns 30 -rate 10 -ns 4 -months 12 \
+  >"$workdir/oaload.log" 2>&1 &
 load_pid=$!
 sleep 1.5
 victim_pid="${pids[2]}"
@@ -98,14 +98,6 @@ if ! wait "$load_pid"; then
   exit 1
 fi
 grep -q "verification: every chunk report bit-identical to serial evaluation" "$workdir/oaload.log"
-python3 -c '
-import json, sys
-rep = json.load(open(sys.argv[1]))
-assert rep["verified_bit_identical"] is True, "ring run not verified"
-assert rep["completed"] + rep.get("cancels", 0) >= rep["campaigns"], rep
-assert len(rep["ring"]) == 3, rep["ring"]
-assert rep.get("shards"), "no per-shard accounting"
-' "$workdir/BENCH_ring.json"
 
 # Survivors' /metrics: ring size 3, the victim marked dead, and its journaled
 # campaigns adopted at least once across the survivors. Adoption runs on the
