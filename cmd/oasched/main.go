@@ -4,6 +4,8 @@
 // Planning and evaluation run through the unified engine, so the model and
 // simulated columns come from the same two pluggable backends the figure
 // harness uses, and the per-heuristic evaluations run as one batched sweep.
+// The gain column is against basic, which joins the sweep even when
+// -heuristic asks for one other row.
 //
 // With -addr the configuration is submitted as a campaign to a live grid
 // scheduler daemon (oarun -daemon) instead of simulated locally, streaming
@@ -34,8 +36,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -53,54 +57,76 @@ import (
 )
 
 func main() {
+	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout)
+	cancel()
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "oasched:", err)
+		os.Exit(1)
+	}
+}
+
+func run(ctx context.Context, args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("oasched", flag.ContinueOnError)
 	var (
-		r         = flag.Int("r", 53, "processors in the cluster")
-		ns        = flag.Int("ns", 10, "scenarios (NS)")
-		nm        = flag.Int("nm", 1800, "months per scenario (NM)")
-		heuristic = flag.String("heuristic", "", "only this heuristic: basic, redistribute, all-to-main, knapsack, cpa, sequential-dags (default: the paper's four)")
-		speed     = flag.Float64("speed", 1.0, "cluster slowness factor (1.0 = reference, 1177s..1622s anchors ≈ 0.93..1.29)")
-		gantt     = flag.Bool("gantt", false, "print an ASCII Gantt chart (small workloads only)")
-		policy    = flag.String("policy", "least-advanced", "dispatch policy: least-advanced, round-robin, most-advanced")
-		workers   = flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
-		addr      = flag.String("addr", "", "grid scheduler daemon address: submit the campaign remotely instead of simulating locally")
-		attach    = flag.Uint64("attach", 0, "with -addr: reattach to a campaign the daemon already knows by ID")
-		list      = flag.Bool("list", false, "with -addr: list the daemon's campaign table instead of submitting")
-		info      = flag.Uint64("info", 0, "with -addr: print one campaign's control-plane snapshot by ID")
-		cancelID  = flag.Uint64("cancel", 0, "with -addr: cancel a campaign server-side by ID")
-		status    = flag.String("status", "", "with -list: keep only campaigns in this state (queued, running, done, failed, cancelled)")
-		labels    = flag.String("labels", "", "submit: comma-separated k=v labels for the campaign; with -list: label-subset filter")
-		priority  = flag.Int("priority", 0, "submit: admission-queue priority (higher dispatches first)")
-		deadline  = flag.Duration("deadline", 0, "submit: per-campaign deadline overriding the daemon's default (0 = daemon default)")
+		r         = fs.Int("r", 53, "processors in the cluster")
+		ns        = fs.Int("ns", 10, "scenarios (NS)")
+		nm        = fs.Int("nm", 1800, "months per scenario (NM)")
+		heuristic = fs.String("heuristic", "", "only this heuristic: basic, redistribute, all-to-main, knapsack, cpa, sequential-dags (default: the paper's four)")
+		speed     = fs.Float64("speed", 1.0, "cluster slowness factor (1.0 = reference, 1177s..1622s anchors ≈ 0.93..1.29)")
+		gantt     = fs.Bool("gantt", false, "print an ASCII Gantt chart (small workloads only)")
+		policy    = fs.String("policy", "least-advanced", "dispatch policy: least-advanced, round-robin, most-advanced")
+		workers   = fs.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
+		addr      = fs.String("addr", "", "grid scheduler daemon address: submit the campaign remotely instead of simulating locally")
+		attach    = fs.Uint64("attach", 0, "with -addr: reattach to a campaign the daemon already knows by ID")
+		list      = fs.Bool("list", false, "with -addr: list the daemon's campaign table instead of submitting")
+		info      = fs.Uint64("info", 0, "with -addr: print one campaign's control-plane snapshot by ID")
+		cancelID  = fs.Uint64("cancel", 0, "with -addr: cancel a campaign server-side by ID")
+		status    = fs.String("status", "", "with -list: keep only campaigns in this state (queued, running, done, failed, cancelled)")
+		labels    = fs.String("labels", "", "with -addr: comma-separated k=v labels for the submitted campaign; with -list: label-subset filter")
+		priority  = fs.Int("priority", 0, "with -addr: admission-queue priority (higher dispatches first)")
+		deadline  = fs.Duration("deadline", 0, "with -addr: per-campaign deadline overriding the daemon's default (0 = daemon default)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	labelSet, err := parseLabels(*labels)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	if *addr != "" && (*list || *info != 0 || *cancelID != 0) {
-		controlPlane(*addr, *list, *info, *cancelID, *status, labelSet)
-		return
+	control := *list || *info != 0 || *cancelID != 0
+	if *addr == "" {
+		switch {
+		case control:
+			return errors.New("-list, -info and -cancel need -addr: only a daemon has a campaign table")
+		case *attach != 0:
+			return errors.New("-attach needs -addr: only a daemon holds reattachable campaigns")
+		case *labels != "" || *priority != 0 || *deadline != 0:
+			return errors.New("-labels, -priority and -deadline need -addr: only a daemon campaign carries them")
+		}
 	}
-	if *list || *info != 0 || *cancelID != 0 {
-		fail(fmt.Errorf("-list, -info and -cancel need -addr: only a daemon has a campaign table"))
+	if *status != "" && !*list {
+		return errors.New("-status needs -list: it filters the campaign table")
+	}
+	if control {
+		return controlPlane(ctx, out, *addr, *list, *info, *cancelID, *status, labelSet)
 	}
 
 	app := core.Application{Scenarios: *ns, Months: *nm}
 	if err := app.Validate(); err != nil {
-		fail(err)
+		return err
 	}
-
 	if *addr != "" {
-		runRemote(*addr, *attach, app, *heuristic, *priority, labelSet, *deadline)
-		return
-	}
-	if *attach != 0 {
-		fail(fmt.Errorf("-attach needs -addr: only a daemon holds reattachable campaigns"))
+		return runRemote(ctx, out, *addr, *attach, app, *heuristic, *priority, labelSet, *deadline)
 	}
 	timing := platform.ReferenceTiming()
 	timing.Speed = *speed
 	cluster := &platform.Cluster{Name: "oasched", Procs: *r, Timing: timing}
+	t11, err := timing.MainSeconds(platform.MaxGroup)
+	if err != nil {
+		return err
+	}
 
 	var pol exec.Policy
 	switch *policy {
@@ -111,25 +137,24 @@ func main() {
 	case "most-advanced":
 		pol = exec.MostAdvanced
 	default:
-		fail(fmt.Errorf("unknown policy %q", *policy))
+		return fmt.Errorf("unknown policy %q", *policy)
 	}
 
-	var hs []core.Heuristic
-	if *heuristic == "" {
-		hs = core.All()
-	} else {
+	// basic is the gain reference, so it is always swept, first; with
+	// -heuristic only the requested row prints.
+	hs, first := core.All(), 0
+	if *heuristic != "" {
 		h, err := byName(*heuristic)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		hs = []core.Heuristic{h}
+		if hs = []core.Heuristic{core.Basic{}}; h.Name() != core.NameBasic {
+			hs, first = append(hs, h), 1
+		}
 	}
 
-	// ^C cancels the sweeps cooperatively: workers stop claiming jobs and
-	// the partial table is abandoned with a clean error.
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
-
+	// Cancelling ctx (^C) stops the sweeps cooperatively: workers stop
+	// claiming jobs and the partial table is abandoned with a clean error.
 	opts := engine.Options{Exec: exec.Options{Policy: pol, RecordTrace: *gantt}}
 	jobs := make([]engine.Job, len(hs))
 	for i, h := range hs {
@@ -137,7 +162,12 @@ func main() {
 	}
 	simulated, err := engine.SweepContext(ctx, engine.DES{}, jobs, *workers)
 	if err != nil {
-		fail(err)
+		return err
+	}
+	for _, s := range simulated {
+		if s.Err != nil {
+			return s.Err
+		}
 	}
 	// Model column: re-evaluate the simulated allocations analytically, so
 	// each heuristic plans once and both columns describe the same plan.
@@ -149,18 +179,15 @@ func main() {
 	}
 	modeled, err := engine.SweepContext(ctx, engine.Model{}, modelJobs, *workers)
 	if err != nil {
-		fail(err)
+		return err
 	}
 
-	fmt.Printf("cluster: %d processors, speed %.3f (T[11]=%.0fs)  workload: %d scenarios × %d months\n\n",
-		*r, *speed, mustMain(timing, platform.MaxGroup), *ns, *nm)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(out, "cluster: %d processors, speed %.3f (T[11]=%.0fs)  workload: %d scenarios × %d months\n\n",
+		*r, *speed, t11, *ns, *nm)
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "heuristic\tallocation\tmodel (s)\tsimulated (s)\tgain vs basic")
-	var baselineMS float64
-	for i, h := range hs {
-		if simulated[i].Err != nil {
-			fail(simulated[i].Err)
-		}
+	reference := simulated[0].Result.Makespan
+	for i := first; i < len(hs); i++ {
 		alloc, res := simulated[i].Alloc, simulated[i].Result
 		model := "-"
 		// The analytical equations are exact only for uniform groupings; show
@@ -168,24 +195,19 @@ func main() {
 		if modeled[i].Err == nil && uniform(alloc) {
 			model = fmt.Sprintf("%.0f", modeled[i].Result.Makespan)
 		}
-		if i == 0 {
-			baselineMS = res.Makespan
-		}
-		gain := 100 * (baselineMS - res.Makespan) / baselineMS
+		gain := 100 * (reference - res.Makespan) / reference
 		fmt.Fprintf(w, "%s\t%v post=%d\t%s\t%.0f\t%+.2f%%\n",
-			h.Name(), alloc.Groups, alloc.PostProcs, model, res.Makespan, gain)
+			hs[i].Name(), alloc.Groups, alloc.PostProcs, model, res.Makespan, gain)
 		if *gantt && res.Trace != nil {
+			w.Flush()
 			if len(res.Trace.Spans) > 2000 {
-				fmt.Fprintln(os.Stderr, "oasched: workload too large for a Gantt chart; shrink -ns/-nm")
+				fmt.Fprintln(out, "workload too large for a Gantt chart; shrink -ns/-nm")
 			} else {
-				w.Flush()
-				fmt.Println()
-				fmt.Print(res.Trace.Gantt(100))
-				fmt.Println()
+				fmt.Fprintf(out, "\n%s\n", res.Trace.Gantt(100))
 			}
 		}
 	}
-	w.Flush()
+	return w.Flush()
 }
 
 // parseLabels splits "k=v,k2=v2" into a label map.
@@ -207,44 +229,43 @@ func parseLabels(s string) (map[string]string, error) {
 // controlPlane serves the query/cancel verbs against a daemon: -cancel
 // first (so -cancel + -list shows the post-cancel table), then -info, then
 // -list.
-func controlPlane(addr string, list bool, info, cancelID uint64, status string, labels map[string]string) {
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
+func controlPlane(ctx context.Context, out io.Writer, addr string, list bool, info, cancelID uint64, status string, labels map[string]string) error {
 	runner, err := oagrid.Dial(ctx, addr)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	defer runner.Close()
 
 	if cancelID != 0 {
 		if err := runner.Cancel(ctx, cancelID); err != nil {
-			fail(err)
+			return err
 		}
 		ci, err := runner.Info(ctx, cancelID)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Printf("campaign %d: %s\n", cancelID, ci.Status)
+		fmt.Fprintf(out, "campaign %d: %s\n", cancelID, ci.Status)
 	}
 	if info != 0 {
 		ci, err := runner.Info(ctx, info)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		printInfos([]oagrid.CampaignInfo{*ci})
+		printInfos(out, []oagrid.CampaignInfo{*ci})
 	}
 	if list {
 		infos, err := runner.List(ctx, oagrid.ListFilter{Status: status, Labels: labels})
 		if err != nil {
-			fail(err)
+			return err
 		}
-		printInfos(infos)
+		printInfos(out, infos)
 	}
+	return nil
 }
 
 // printInfos renders campaign snapshots as the control-plane table.
-func printInfos(infos []oagrid.CampaignInfo) {
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+func printInfos(out io.Writer, infos []oagrid.CampaignInfo) {
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "id\tstatus\tprio\tns×nm\tdone\trounds\trequeues\tmakespan\theuristic\tlabels")
 	for _, ci := range infos {
 		makespan := "-"
@@ -261,7 +282,7 @@ func printInfos(infos []oagrid.CampaignInfo) {
 			ci.Rounds, ci.Requeues, makespan, ci.Heuristic, strings.Join(labels, ","))
 	}
 	w.Flush()
-	fmt.Printf("%d campaign(s)\n", len(infos))
+	fmt.Fprintf(out, "%d campaign(s)\n", len(infos))
 }
 
 // runRemote drives the configuration through a grid scheduler daemon via
@@ -269,12 +290,10 @@ func printInfos(infos []oagrid.CampaignInfo) {
 // typed events, and print the final accounting. The admission line prints
 // the campaign ID — the durable name to reattach with after a cut or a
 // daemon restart, and the handle for oasched -cancel/-info.
-func runRemote(addr string, attach uint64, app core.Application, heuristic string, priority int, labels map[string]string, deadline time.Duration) {
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
+func runRemote(ctx context.Context, out io.Writer, addr string, attach uint64, app core.Application, heuristic string, priority int, labels map[string]string, deadline time.Duration) error {
 	runner, err := oagrid.Dial(ctx, addr)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	defer runner.Close()
 
@@ -295,33 +314,34 @@ func runRemote(addr string, attach uint64, app core.Application, heuristic strin
 		h, err = runner.Run(ctx, oagrid.Campaign{Experiment: oagrid.Experiment(app), Heuristic: heuristic}, opts...)
 	}
 	if err != nil {
-		fail(err)
+		return err
 	}
 	for ev := range h.Events() {
 		switch ev := ev.(type) {
 		case oagrid.EventAdmitted:
-			fmt.Printf("campaign %d admitted at %s (reattach with -addr %s -attach %d)\n", ev.ID, addr, addr, ev.ID)
+			fmt.Fprintf(out, "campaign %d admitted at %s (reattach with -addr %s -attach %d)\n", ev.ID, addr, addr, ev.ID)
 		case oagrid.EventPlanned:
-			fmt.Printf("planned:")
+			fmt.Fprint(out, "planned:")
 			for _, share := range ev.Shares {
-				fmt.Printf("  %s×%d", share.Cluster, share.Scenarios)
+				fmt.Fprintf(out, "  %s×%d", share.Cluster, share.Scenarios)
 			}
-			fmt.Println()
+			fmt.Fprintln(out)
 		case oagrid.EventChunkDone:
-			fmt.Printf("  chunk done: %s ×%d round %d makespan %.0fs  (%d/%d scenarios)\n",
+			fmt.Fprintf(out, "  chunk done: %s ×%d round %d makespan %.0fs  (%d/%d scenarios)\n",
 				ev.Report.Cluster, ev.Report.Scenarios, ev.Report.Round, ev.Report.Makespan, ev.Done, ev.Total)
 		case oagrid.EventProgress:
 			if ev.Requeued > 0 {
-				fmt.Printf("  requeued %d scenario(s) after a cluster failure\n", ev.Requeued)
+				fmt.Fprintf(out, "  requeued %d scenario(s) after a cluster failure\n", ev.Requeued)
 			}
 		}
 	}
 	res, err := h.Wait()
 	if err != nil {
-		fail(err)
+		return err
 	}
-	fmt.Printf("campaign %d done: makespan %.0fs over %d chunk(s), %d requeue(s)\n",
+	fmt.Fprintf(out, "campaign %d done: makespan %.0fs over %d chunk(s), %d requeue(s)\n",
 		h.ID(), res.Makespan, len(res.Reports), res.Requeues)
+	return nil
 }
 
 // byName resolves the paper's heuristics plus the related-work baselines.
@@ -344,17 +364,4 @@ func uniform(al core.Allocation) bool {
 		}
 	}
 	return len(al.Groups) > 0
-}
-
-func mustMain(t platform.Timing, g int) float64 {
-	v, err := t.MainSeconds(g)
-	if err != nil {
-		fail(err)
-	}
-	return v
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "oasched:", err)
-	os.Exit(1)
 }

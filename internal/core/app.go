@@ -67,9 +67,6 @@ func (al Allocation) UsedProcs() int {
 	return n
 }
 
-// MaxConcurrentMains returns how many main tasks can run simultaneously.
-func (al Allocation) MaxConcurrentMains() int { return len(al.Groups) }
-
 // Validate checks the allocation against the application, the timing model's
 // moldable range and the cluster size.
 func (al Allocation) Validate(app Application, t platform.Timing, procs int) error {

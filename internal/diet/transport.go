@@ -3,9 +3,9 @@
 // Two shapes share one exchange (one request frame out, one response frame
 // back, under a deadline and a context):
 //
-//   - One-shot: RoundTrip, RoundTripTimeout and RoundTripContext dial, make
-//     one exchange and close. Clients use it — a client's next request may go
-//     to another daemon, and a submit must never be replayed.
+//   - One-shot: RoundTrip and RoundTripContext dial, make one exchange and
+//     close. Clients use it — a client's next request may go to another
+//     daemon, and a submit must never be replayed.
 //   - Kept-alive: a Transport keeps the connection of a finished exchange idle
 //     and hands it to the next exchange with the same peer. Daemons use it for
 //     everything they say to each other (scheduler→SeD perf and exec, SeD
@@ -83,18 +83,13 @@ func RoundTrip(addr string, req *Request) (*Response, error) {
 	if req.Version == 0 {
 		req.Version = ProtocolVersion
 	}
-	return RoundTripTimeout(addr, req, dialTimeout)
+	return RoundTripContext(context.Background(), addr, req, dialTimeout)
 }
 
-// RoundTripTimeout is RoundTrip with an explicit deadline for the whole
-// exchange.
-func RoundTripTimeout(addr string, req *Request, d time.Duration) (*Response, error) {
-	return RoundTripContext(context.Background(), addr, req, d)
-}
-
-// RoundTripContext is RoundTripTimeout under a context: cancelling ctx
-// aborts the dial and unblocks an in-flight read or write immediately. One
-// connection, one request frame out, one response frame back, closed.
+// RoundTripContext is RoundTrip with a deadline d for the whole exchange,
+// under a context: cancelling ctx aborts the dial and unblocks an in-flight
+// read or write immediately. One connection, one request frame out, one
+// response frame back, closed.
 // Decoding retains, because round-trip callers keep what they get (perf
 // vectors, chunk reports). Nothing is retried here: submit is not idempotent.
 func RoundTripContext(ctx context.Context, addr string, req *Request, d time.Duration) (*Response, error) {

@@ -16,8 +16,7 @@ import (
 
 // Fabric is a scheduler daemon plus an in-process SeD fleet on loopback
 // ports — the self-hosted deployment shape shared by the daemon CLI
-// (cmd/oarun -daemon), the protocol demo (cmd/oagrid) and the end-to-end
-// tests.
+// (cmd/oarun -daemon), examples/campaignclient and the end-to-end tests.
 type Fabric struct {
 	Sched *Scheduler
 	// SeDs holds the daemons in cluster-profile order: index 0 serves the

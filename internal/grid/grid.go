@@ -96,11 +96,8 @@ type Config struct {
 	// TenantQuota caps how many campaigns one tenant may hold in the queue
 	// at once; a submission beyond it is rejected with the retryable
 	// quota-exceeded code while other tenants keep admitting. 0 means no
-	// per-tenant cap (the global QueueCap still applies). TenantQuotas
-	// overrides it per tenant (a negative entry means unlimited for that
-	// tenant).
-	TenantQuota  int
-	TenantQuotas map[string]int
+	// per-tenant cap (the global QueueCap still applies).
+	TenantQuota int
 	// AgeAfter is the aging interval: a queued campaign's effective
 	// priority rises by one for every AgeAfter it has waited, so sustained
 	// high-priority traffic cannot starve a low-priority campaign of the
@@ -163,7 +160,7 @@ const OverflowTenant = "other"
 // lifetime (their counters are /metrics series), and the name is a
 // client-supplied label value — without a cap, a client cycling unique
 // values would grow the table and the metric cardinality without bound.
-// Operator-configured tenants (a TenantWeights or TenantQuotas entry) are
+// Operator-configured tenants (a TenantWeights entry) are
 // always tracked and do not count against the cap.
 const maxDynamicTenants = 64
 
@@ -302,12 +299,9 @@ func (s *Scheduler) tenant(name string) *tenantState {
 }
 
 // configuredTenant reports whether name is operator-declared through a
-// weight or quota entry — such tenants always get their own state.
+// weight entry — such tenants always get their own state.
 func (s *Scheduler) configuredTenant(name string) bool {
-	if _, ok := s.cfg.TenantWeights[name]; ok {
-		return true
-	}
-	_, ok := s.cfg.TenantQuotas[name]
+	_, ok := s.cfg.TenantWeights[name]
 	return ok
 }
 
@@ -325,19 +319,6 @@ func (s *Scheduler) canonicalTenant(name string) string {
 		return OverflowTenant
 	}
 	return name
-}
-
-// quotaFor is the tenant's queued-campaign cap: the per-tenant override
-// when listed (negative = unlimited), the global default otherwise, 0 = no
-// cap.
-func (s *Scheduler) quotaFor(name string) int {
-	if q, ok := s.cfg.TenantQuotas[name]; ok {
-		if q < 0 {
-			return 0
-		}
-		return q
-	}
-	return s.cfg.TenantQuota
 }
 
 // Start listens on cfg.Addr and begins serving. With a StateDir, the
@@ -768,7 +749,7 @@ func (s *Scheduler) admit(req *diet.SubmitRequest) (*campaign, *diet.SubmitRespo
 	// nothing queued, so it cannot be over quota — and a rejected submission
 	// must not leave persistent per-tenant state (and /metrics series)
 	// behind.
-	if quota := s.quotaFor(tenantName); quota > 0 {
+	if quota := s.cfg.TenantQuota; quota > 0 {
 		if t := s.tenants[tenantName]; t != nil && t.queued >= quota {
 			s.rejected++
 			t.quotaRejected++
