@@ -13,6 +13,7 @@ import (
 	"oagrid/internal/climate/field"
 	"oagrid/internal/climate/model"
 	"oagrid/internal/core"
+	"oagrid/internal/engine"
 	"oagrid/internal/exec"
 	"oagrid/internal/figures"
 	"oagrid/internal/knapsack"
@@ -215,11 +216,10 @@ func BenchmarkExecutorFullScale(b *testing.B) {
 // BenchmarkPerformanceVector measures one cluster's step-2 computation.
 func BenchmarkPerformanceVector(b *testing.B) {
 	app := core.Application{Scenarios: 10, Months: 120}
-	ref := platform.ReferenceTiming()
-	ev := exec.Evaluator(exec.Options{})
+	cl := platform.ReferenceCluster(53)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.PerformanceVector(app, ref, 53, core.Knapsack{}, ev); err != nil {
+		if _, err := engine.PerformanceVector(engine.DES{}, app, cl, core.Knapsack{}, engine.Options{}, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -228,10 +228,9 @@ func BenchmarkPerformanceVector(b *testing.B) {
 // BenchmarkRepartition measures Algorithm 1 on five clusters.
 func BenchmarkRepartition(b *testing.B) {
 	app := core.Application{Scenarios: 10, Months: 60}
-	ev := core.EstimateEvaluator()
 	var perf [][]float64
 	for _, cl := range platform.FiveClusters() {
-		vec, err := core.PerformanceVector(app, cl.Timing, 60, core.Basic{}, ev)
+		vec, err := engine.PerformanceVector(engine.Model{}, app, cl.WithProcs(60), core.Basic{}, engine.Options{}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -222,7 +222,8 @@ func TestCampaignFailedTyped(t *testing.T) {
 }
 
 // TestInvalidCampaignRejectedUpFront: malformed campaigns and unknown
-// heuristics fail at Run, not through the handle.
+// heuristics fail at Run, not through the handle; a malformed fleet fails
+// at Local.
 func TestInvalidCampaignRejectedUpFront(t *testing.T) {
 	runner, err := Local(testFleet(1))
 	if err != nil {
@@ -238,6 +239,11 @@ func TestInvalidCampaignRejectedUpFront(t *testing.T) {
 	}
 	if _, err := Local(nil); err == nil {
 		t.Fatal("Local without clusters accepted")
+	}
+	// The vector cache keys on the cluster name: a second cluster of the
+	// same name would be planned with the first one's vector.
+	if _, err := Local([]*Cluster{ReferenceCluster(11), ReferenceCluster(60)}); !errors.Is(err, ErrInvalidConfig) {
+		t.Fatalf("Local with a duplicate cluster name returned %v, want ErrInvalidConfig", err)
 	}
 }
 

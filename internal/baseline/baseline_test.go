@@ -8,6 +8,16 @@ import (
 	"oagrid/internal/platform"
 )
 
+// makespan replays al on the event-driven executor.
+func makespan(t *testing.T, app core.Application, tm platform.Timing, procs int, al core.Allocation) float64 {
+	t.Helper()
+	res, err := exec.Run(app, tm, procs, al, exec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Makespan
+}
+
 func TestCPAPlansValidAllocations(t *testing.T) {
 	app := core.Application{Scenarios: 10, Months: 24}
 	ref := platform.ReferenceTiming()
@@ -36,7 +46,6 @@ func TestCPAPlansValidAllocations(t *testing.T) {
 func TestCPAIgnoresScenarioCap(t *testing.T) {
 	app := core.Application{Scenarios: 10, Months: 24}
 	ref := platform.ReferenceTiming()
-	ev := exec.Evaluator(exec.Options{})
 	wins := 0
 	for procs := 20; procs <= 120; procs += 3 {
 		cpa, err := (CPA{}).Plan(app, ref, procs)
@@ -47,14 +56,8 @@ func TestCPAIgnoresScenarioCap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		msCPA, err := ev.Evaluate(app, ref, procs, cpa)
-		if err != nil {
-			t.Fatal(err)
-		}
-		msKnap, err := ev.Evaluate(app, ref, procs, knap)
-		if err != nil {
-			t.Fatal(err)
-		}
+		msCPA := makespan(t, app, ref, procs, cpa)
+		msKnap := makespan(t, app, ref, procs, knap)
 		// Tolerate end-of-run post-drain micro effects (a post task or two);
 		// anything bigger would be a planning defect.
 		if msKnap > msCPA+2*ref.PostSeconds() {
@@ -80,21 +83,13 @@ func TestSequentialDAGsIsWorst(t *testing.T) {
 	if len(seq.Groups) != 1 {
 		t.Fatalf("sequential baseline built %d groups", len(seq.Groups))
 	}
-	ev := exec.Evaluator(exec.Options{})
-	msSeq, err := ev.Evaluate(app, ref, procs, seq)
-	if err != nil {
-		t.Fatal(err)
-	}
+	msSeq := makespan(t, app, ref, procs, seq)
 	for _, h := range core.All() {
 		al, err := h.Plan(app, ref, procs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ms, err := ev.Evaluate(app, ref, procs, al)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ms >= msSeq {
+		if ms := makespan(t, app, ref, procs, al); ms >= msSeq {
 			t.Fatalf("%s (%g) did not beat one-DAG-at-a-time (%g)", h.Name(), ms, msSeq)
 		}
 	}

@@ -4,69 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"oagrid/internal/platform"
 )
-
-// Evaluator computes the makespan of an allocation; internal/exec provides
-// the event-driven implementation, and EstimateEvaluator an analytical one.
-// The indirection keeps core free of a dependency on the executor.
-type Evaluator interface {
-	Evaluate(app Application, t platform.Timing, procs int, alloc Allocation) (float64, error)
-}
-
-// EvaluatorFunc adapts a function to the Evaluator interface.
-type EvaluatorFunc func(app Application, t platform.Timing, procs int, alloc Allocation) (float64, error)
-
-// Evaluate implements Evaluator.
-func (f EvaluatorFunc) Evaluate(app Application, t platform.Timing, procs int, alloc Allocation) (float64, error) {
-	return f(app, t, procs, alloc)
-}
-
-// EstimateEvaluator is the analytical fallback evaluator: exact (paper
-// equations) for uniform allocations, throughput-based otherwise.
-func EstimateEvaluator() Evaluator {
-	return EvaluatorFunc(func(app Application, t platform.Timing, procs int, alloc Allocation) (float64, error) {
-		uniform := true
-		for _, g := range alloc.Groups[1:] {
-			if g != alloc.Groups[0] {
-				uniform = false
-				break
-			}
-		}
-		if uniform && len(alloc.Groups) > 0 && alloc.PostProcs == procs-len(alloc.Groups)*alloc.Groups[0] {
-			return UniformEstimate(app, t, procs, alloc.Groups[0])
-		}
-		return ThroughputEstimate(app, t, alloc)
-	})
-}
-
-// PerformanceVector computes, for one cluster, the makespan of running
-// 1, 2, …, NS scenarios with the given heuristic — the vector each cluster
-// returns in step (2)/(3) of the paper's Figure-9 protocol. Entry k−1 is the
-// makespan of k scenarios.
-func PerformanceVector(app Application, t platform.Timing, procs int, h Heuristic, ev Evaluator) ([]float64, error) {
-	if err := app.Validate(); err != nil {
-		return nil, err
-	}
-	if ev == nil {
-		ev = EstimateEvaluator()
-	}
-	vec := make([]float64, app.Scenarios)
-	for k := 1; k <= app.Scenarios; k++ {
-		sub := Application{Scenarios: k, Months: app.Months}
-		alloc, err := h.Plan(sub, t, procs)
-		if err != nil {
-			return nil, fmt.Errorf("core: performance vector at k=%d: %w", k, err)
-		}
-		ms, err := ev.Evaluate(sub, t, procs, alloc)
-		if err != nil {
-			return nil, fmt.Errorf("core: performance vector at k=%d: %w", k, err)
-		}
-		vec[k-1] = ms
-	}
-	return vec, nil
-}
 
 // RepartitionResult is the output of the scenario-to-cluster distribution.
 type RepartitionResult struct {

@@ -115,48 +115,6 @@ func TestRepartitionAssignmentConsistent(t *testing.T) {
 	}
 }
 
-func TestPerformanceVectorMonotone(t *testing.T) {
-	app := Application{Scenarios: 8, Months: 24}
-	ref := platform.ReferenceTiming()
-	for _, h := range All() {
-		vec, err := PerformanceVector(app, ref, 40, h, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", h.Name(), err)
-		}
-		if len(vec) != app.Scenarios {
-			t.Fatalf("%s: vector length %d, want %d", h.Name(), len(vec), app.Scenarios)
-		}
-		for k := 1; k < len(vec); k++ {
-			if vec[k] < vec[k-1]-1e-6 {
-				t.Errorf("%s: makespan decreases from %g (k=%d) to %g (k=%d)",
-					h.Name(), vec[k-1], k, vec[k], k+1)
-			}
-		}
-	}
-}
-
-// TestEstimateEvaluatorUniform checks the fallback evaluator dispatches
-// uniform allocations to the exact closed form.
-func TestEstimateEvaluatorUniform(t *testing.T) {
-	app := Application{Scenarios: 4, Months: 10}
-	ref := platform.ReferenceTiming()
-	al, err := (Basic{}).Plan(app, ref, 30)
-	if err != nil {
-		t.Fatalf("plan: %v", err)
-	}
-	got, err := EstimateEvaluator().Evaluate(app, ref, 30, al)
-	if err != nil {
-		t.Fatalf("evaluate: %v", err)
-	}
-	want, err := UniformEstimate(app, ref, 30, al.Groups[0])
-	if err != nil {
-		t.Fatalf("estimate: %v", err)
-	}
-	if got != want {
-		t.Fatalf("evaluator = %g, closed form = %g", got, want)
-	}
-}
-
 // TestRepartitionFavorsFastClusters mirrors the paper's conclusion ("The
 // faster, the more DAGs it has to execute"): with two clusters differing only
 // in speed, the faster one receives at least as many scenarios.
@@ -165,15 +123,23 @@ func TestRepartitionFavorsFastClusters(t *testing.T) {
 	fast := platform.ReferenceTiming()
 	slow := fast
 	slow.Speed = 1.5
-	vFast, err := PerformanceVector(app, fast, 40, Basic{}, nil)
-	if err != nil {
-		t.Fatal(err)
+	// Basic's vector under equations 1–5: entry k-1 is the modelled makespan
+	// of k scenarios at the grouping basic picks for them.
+	vector := func(tm platform.Timing) []float64 {
+		vec := make([]float64, app.Scenarios)
+		for k := range vec {
+			sub := Application{Scenarios: k + 1, Months: app.Months}
+			al, err := (Basic{}).Plan(sub, tm, 40)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if vec[k], err = UniformEstimate(sub, tm, 40, al.Groups[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return vec
 	}
-	vSlow, err := PerformanceVector(app, slow, 40, Basic{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Repartition([][]float64{vFast, vSlow})
+	res, err := Repartition([][]float64{vector(fast), vector(slow)})
 	if err != nil {
 		t.Fatal(err)
 	}

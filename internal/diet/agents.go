@@ -194,7 +194,7 @@ func PerfVector(ctx context.Context, ev engine.Evaluator, cluster *platform.Clus
 		return nil, err
 	}
 	app := core.Application{Scenarios: n, Months: months}
-	vecs, err := engine.PerformanceVectorsContext(ctx, ev, app, []*platform.Cluster{cluster}, h, opts, workers)
+	vecs, err := engine.PerformanceVectors(ctx, ev, app, []*platform.Cluster{cluster}, h, opts, workers)
 	if err != nil {
 		return nil, err
 	}

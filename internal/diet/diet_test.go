@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"oagrid/internal/core"
+	"oagrid/internal/engine"
 	"oagrid/internal/exec"
 	"oagrid/internal/platform"
 )
@@ -44,7 +45,7 @@ func TestSubmitMatchesDirectComputation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.PerformanceVector(app, cl.Timing, cl.Procs, core.Knapsack{}, exec.Evaluator(exec.Options{}))
+	want, err := engine.PerformanceVector(engine.DES{}, app, cl, core.Knapsack{}, engine.Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,13 +93,34 @@ func (Model) Evaluate(app core.Application, cluster *platform.Cluster, alloc cor
 	if cluster == nil {
 		return Result{}, errors.New("engine: nil cluster")
 	}
-	ms, err := core.EstimateEvaluator().Evaluate(app, cluster.Timing, cluster.Procs, alloc)
+	var ms float64
+	var err error
+	if uniform(alloc, cluster.Procs) {
+		ms, err = core.UniformEstimate(app, cluster.Timing, cluster.Procs, alloc.Groups[0])
+	} else {
+		// ThroughputEstimate also rejects an empty allocation.
+		ms, err = core.ThroughputEstimate(app, cluster.Timing, alloc)
+	}
 	if err != nil {
 		return Result{}, err
 	}
 	// The analytical model folds the post drain into the makespan and does
 	// not separate the last main; report the makespan for both.
 	return Result{Backend: "model", Makespan: ms, MainsDone: ms}, nil
+}
+
+// uniform reports whether alloc is the setting of the paper's equations:
+// equal groups, with every processor they leave in the post pool.
+func uniform(alloc core.Allocation, procs int) bool {
+	if len(alloc.Groups) == 0 {
+		return false
+	}
+	for _, g := range alloc.Groups[1:] {
+		if g != alloc.Groups[0] {
+			return false
+		}
+	}
+	return alloc.PostProcs == procs-len(alloc.Groups)*alloc.Groups[0]
 }
 
 // DES is the event-driven backend, the ground truth the model is validated
@@ -148,31 +169,3 @@ func EvaluateContext(ctx context.Context, ev Evaluator, app core.Application, cl
 // Default returns the backend figures and the facade use unless told
 // otherwise: the event-driven executor.
 func Default() Evaluator { return DES{} }
-
-// Backends returns the in-process backends in cost order (realrun.Backend
-// needs a working directory and is constructed explicitly).
-func Backends() []Evaluator { return []Evaluator{Model{}, DES{}} }
-
-// ByName resolves "model" or "des".
-func ByName(name string) (Evaluator, error) {
-	for _, ev := range Backends() {
-		if ev.Name() == name {
-			return ev, nil
-		}
-	}
-	return nil, errors.New("engine: unknown backend " + name)
-}
-
-// CoreEvaluator adapts a backend to the low-level core.Evaluator interface
-// (timing + processor count instead of a cluster), which the DIET middleware
-// demo and core.PerformanceVector consume.
-func CoreEvaluator(ev Evaluator, opts Options) core.Evaluator {
-	return core.EvaluatorFunc(func(app core.Application, t platform.Timing, procs int, alloc core.Allocation) (float64, error) {
-		cl := &platform.Cluster{Name: "adhoc", Procs: procs, Timing: t}
-		res, err := ev.Evaluate(app, cl, alloc, opts)
-		if err != nil {
-			return 0, err
-		}
-		return res.Makespan, nil
-	})
-}

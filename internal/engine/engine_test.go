@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"sync/atomic"
@@ -14,29 +15,53 @@ import (
 
 func testApp() core.Application { return core.Application{Scenarios: 6, Months: 12} }
 
-// TestModelBackendMatchesCoreEstimate pins the analytical backend to the
-// core-level estimate it wraps.
+// backends are the in-process evaluators, in cost order.
+var backends = []engine.Evaluator{engine.Model{}, engine.DES{}}
+
+// TestModelBackendMatchesCoreEstimate pins the analytical backend's
+// dispatch: the paper's closed form for equal groups with every other
+// processor in the post pool, the throughput bound for anything else, and an
+// error, not a panic, for an empty allocation.
 func TestModelBackendMatchesCoreEstimate(t *testing.T) {
 	app := testApp()
 	cl := platform.ReferenceCluster(40)
-	for _, h := range core.All() {
-		alloc, err := h.Plan(app, cl.Timing, cl.Procs)
+	closed := func(g int) float64 {
+		ms, err := core.UniformEstimate(app, cl.Timing, cl.Procs, g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := engine.Model{}.Evaluate(app, cl, alloc, engine.Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", h.Name(), err)
-		}
-		want, err := core.EstimateEvaluator().Evaluate(app, cl.Timing, cl.Procs, alloc)
+		return ms
+	}
+	bound := func(al core.Allocation) float64 {
+		ms, err := core.ThroughputEstimate(app, cl.Timing, al)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Makespan != want {
-			t.Errorf("%s: model backend %g, core estimate %g", h.Name(), res.Makespan, want)
-		}
-		if res.Backend != "model" {
-			t.Errorf("backend label %q", res.Backend)
+		return ms
+	}
+	mixed := core.Allocation{Groups: []int{8, 7, 7}, PostProcs: 18}
+	shortPost := core.Allocation{Groups: []int{7, 7}, PostProcs: 1}
+	for _, tc := range []struct {
+		name  string
+		alloc core.Allocation
+		want  float64 // 0: an error
+	}{
+		{"uniform", core.Allocation{Groups: []int{7, 7, 7}, PostProcs: 19}, closed(7)},
+		{"uniform-one-group", core.Allocation{Groups: []int{11}, PostProcs: 29}, closed(11)},
+		{"mixed-groups", mixed, bound(mixed)},
+		{"post-pool-not-the-rest", shortPost, bound(shortPost)},
+		{"empty", core.Allocation{}, 0},
+	} {
+		res, err := engine.Model{}.Evaluate(app, cl, tc.alloc, engine.Options{})
+		switch {
+		case tc.want == 0:
+			if err == nil {
+				t.Errorf("%s: evaluated to %g, want an error", tc.name, res.Makespan)
+			}
+		case err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case res.Makespan != tc.want || res.Backend != "model":
+			t.Errorf("%s: model backend %g (%q), core estimate %g", tc.name, res.Makespan, res.Backend, tc.want)
 		}
 	}
 }
@@ -208,16 +233,16 @@ func TestSweepPrecomputedAlloc(t *testing.T) {
 	}
 }
 
-// TestPerformanceVectorsMatchCore pins the batched vectors to the serial
-// core.PerformanceVector implementation, for both backends.
+// TestPerformanceVectorsMatchCore pins the batched vectors to a serial
+// plan-then-evaluate loop over k, for both backends.
 func TestPerformanceVectorsMatchCore(t *testing.T) {
 	app := testApp()
 	clusters := []*platform.Cluster{}
 	for _, cl := range platform.FiveClusters()[:3] {
 		clusters = append(clusters, cl.WithProcs(33))
 	}
-	for _, ev := range engine.Backends() {
-		vecs, err := engine.PerformanceVectors(ev, app, clusters, core.Knapsack{}, engine.Options{}, 3)
+	for _, ev := range backends {
+		vecs, err := engine.PerformanceVectors(context.Background(), ev, app, clusters, core.Knapsack{}, engine.Options{}, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,20 +250,48 @@ func TestPerformanceVectorsMatchCore(t *testing.T) {
 			t.Fatalf("%s: %d vectors for %d clusters", ev.Name(), len(vecs), len(clusters))
 		}
 		for ci, cl := range clusters {
-			want, err := core.PerformanceVector(app, cl.Timing, cl.Procs, core.Knapsack{},
-				engine.CoreEvaluator(ev, engine.Options{}))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for k := range want {
-				if math.Float64bits(vecs[ci][k]) != math.Float64bits(want[k]) {
-					t.Errorf("%s %s k=%d: batched %g, serial %g", ev.Name(), cl.Name, k+1, vecs[ci][k], want[k])
+			for k := 1; k <= app.Scenarios; k++ {
+				sub := core.Application{Scenarios: k, Months: app.Months}
+				alloc, err := (core.Knapsack{}).Plan(sub, cl.Timing, cl.Procs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := ev.Evaluate(sub, cl, alloc, engine.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := vecs[ci][k-1]; math.Float64bits(got) != math.Float64bits(want.Makespan) {
+					t.Errorf("%s %s k=%d: batched %g, serial %g", ev.Name(), cl.Name, k, got, want.Makespan)
 				}
 			}
 			// The paper's repartition assumes non-decreasing vectors.
 			for k := 1; k < len(vecs[ci]); k++ {
 				if vecs[ci][k] < vecs[ci][k-1] {
 					t.Errorf("%s %s: vector decreases at k=%d", ev.Name(), cl.Name, k+1)
+				}
+			}
+		}
+	}
+}
+
+// TestPerformanceVectorMonotone: the paper's repartition assumes
+// non-decreasing vectors, whatever the heuristic and backend.
+func TestPerformanceVectorMonotone(t *testing.T) {
+	app := core.Application{Scenarios: 8, Months: 24}
+	cl := platform.ReferenceCluster(40)
+	for _, ev := range backends {
+		for _, h := range core.All() {
+			vec, err := engine.PerformanceVector(ev, app, cl, h, engine.Options{}, 0)
+			if err != nil {
+				t.Fatalf("%s %s: %v", ev.Name(), h.Name(), err)
+			}
+			if len(vec) != app.Scenarios {
+				t.Fatalf("%s %s: vector length %d, want %d", ev.Name(), h.Name(), len(vec), app.Scenarios)
+			}
+			for k := 1; k < len(vec); k++ {
+				if vec[k] < vec[k-1]-1e-6 {
+					t.Errorf("%s %s: makespan decreases from %g (k=%d) to %g (k=%d)",
+						ev.Name(), h.Name(), vec[k-1], k, vec[k], k+1)
 				}
 			}
 		}
@@ -269,21 +322,5 @@ func TestMatrixInheritsBaseOptions(t *testing.T) {
 	jobs = m.Jobs()
 	if got := jobs[0].Opts.Exec; got.Policy != exec.MostAdvanced || got.Seed != 9 || got.Jitter != 0 || !got.NoIdleSteal {
 		t.Errorf("variant job options %+v", got)
-	}
-}
-
-// TestByName resolves the in-process backends.
-func TestByName(t *testing.T) {
-	for _, name := range []string{"model", "des"} {
-		ev, err := engine.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ev.Name() != name {
-			t.Errorf("ByName(%q).Name() = %q", name, ev.Name())
-		}
-	}
-	if _, err := engine.ByName("teleport"); err == nil {
-		t.Error("unknown backend resolved")
 	}
 }

@@ -271,7 +271,7 @@ func (m Matrix) Jobs() []Job {
 // makespan of k scenarios planned by h; values are bit-identical to a serial
 // plan-then-evaluate loop over k.
 func PerformanceVector(ev Evaluator, app core.Application, cluster *platform.Cluster, h core.Heuristic, opts Options, workers int) ([]float64, error) {
-	vecs, err := PerformanceVectors(ev, app, []*platform.Cluster{cluster}, h, opts, workers)
+	vecs, err := PerformanceVectors(context.Background(), ev, app, []*platform.Cluster{cluster}, h, opts, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -281,15 +281,9 @@ func PerformanceVector(ev Evaluator, app core.Application, cluster *platform.Clu
 // PerformanceVectors computes, for every cluster, the makespan of running
 // 1..NS scenarios planned by h — the per-cluster vectors of the paper's
 // Figure-9 protocol — in one batched sweep. Entry [c][k-1] is cluster c's
-// makespan for k scenarios.
-func PerformanceVectors(ev Evaluator, app core.Application, clusters []*platform.Cluster, h core.Heuristic, opts Options, workers int) ([][]float64, error) {
-	return PerformanceVectorsContext(context.Background(), ev, app, clusters, h, opts, workers)
-}
-
-// PerformanceVectorsContext is PerformanceVectors under a context: the
-// underlying sweep stops claiming jobs once ctx is done and the call returns
-// ctx's error.
-func PerformanceVectorsContext(ctx context.Context, ev Evaluator, app core.Application, clusters []*platform.Cluster, h core.Heuristic, opts Options, workers int) ([][]float64, error) {
+// makespan for k scenarios. The sweep stops claiming jobs once ctx is done
+// and the call returns ctx's error.
+func PerformanceVectors(ctx context.Context, ev Evaluator, app core.Application, clusters []*platform.Cluster, h core.Heuristic, opts Options, workers int) ([][]float64, error) {
 	if err := app.Validate(); err != nil {
 		return nil, err
 	}

@@ -68,7 +68,7 @@ func TestSweepDeterministicFigure8(t *testing.T) {
 		jobs[i].Opts.Exec.Jitter = 0.1
 		jobs[i].Opts.Exec.Seed = uint64(i)
 	}
-	for _, ev := range engine.Backends() {
+	for _, ev := range backends {
 		serial := engine.Sweep(ev, jobs, 1)
 		if err := engine.FirstError(serial); err != nil {
 			t.Fatalf("%s: %v", ev.Name(), err)

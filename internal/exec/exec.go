@@ -528,15 +528,3 @@ func (e *engine) scheduleWakeup(now float64) {
 		}
 	}
 }
-
-// Evaluator adapts the executor to the core.Evaluator interface used by the
-// performance vectors and the figure harness.
-func Evaluator(opt Options) core.Evaluator {
-	return core.EvaluatorFunc(func(app core.Application, t platform.Timing, procs int, alloc core.Allocation) (float64, error) {
-		res, err := Run(app, t, procs, alloc, opt)
-		if err != nil {
-			return 0, err
-		}
-		return res.Makespan, nil
-	})
-}

@@ -223,24 +223,6 @@ func TestRunRejectsInvalidAllocation(t *testing.T) {
 	}
 }
 
-// TestEvaluatorMatchesRun checks the core.Evaluator adapter.
-func TestEvaluatorMatchesRun(t *testing.T) {
-	app := core.Application{Scenarios: 3, Months: 5}
-	ref := platform.ReferenceTiming()
-	al := mustPlan(t, core.Redistribute{}, app, ref, 40)
-	direct, err := Run(app, ref, 40, al, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaEval, err := Evaluator(Options{}).Evaluate(app, ref, 40, al)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct.Makespan != viaEval {
-		t.Fatalf("evaluator %g != direct run %g", viaEval, direct.Makespan)
-	}
-}
-
 // TestFairnessMetric: under the least-advanced policy the spread of scenario
 // completion times is no larger than under most-advanced, which finishes
 // scenarios sequentially.

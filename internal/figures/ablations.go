@@ -50,12 +50,11 @@ func AblationKnapsackValue(cfg Config) ([]*stats.Series, error) {
 				App:       cfg.App,
 				Cluster:   cl,
 				Heuristic: h,
-				Opts:      cfg.options(),
 				PlanKey:   v.label,
 			})
 		}
 	}
-	results := engine.Sweep(cfg.evaluator(), jobs, cfg.Workers)
+	results := engine.Sweep(engine.DES{}, jobs, cfg.Workers)
 	if err := engine.FirstError(results); err != nil {
 		return nil, fmt.Errorf("figures: knapsack-value ablation: %w", err)
 	}
@@ -79,16 +78,11 @@ func AblationFairness(cfg Config) ([]*stats.Series, error) {
 		App:        cfg.App,
 		Clusters:   referenceSweep(cfg, 20),
 		Heuristics: []core.Heuristic{core.Knapsack{}},
-		Base:       cfg.options(),
 	}
 	for _, p := range policies {
-		m.Variants = append(m.Variants, engine.Variant{
-			Policy: p,
-			Jitter: cfg.Exec.Jitter,
-			Seed:   cfg.Exec.Seed,
-		})
+		m.Variants = append(m.Variants, engine.Variant{Policy: p})
 	}
-	results := engine.Sweep(cfg.evaluator(), m.Jobs(), cfg.Workers)
+	results := engine.Sweep(engine.DES{}, m.Jobs(), cfg.Workers)
 	if err := engine.FirstError(results); err != nil {
 		return nil, fmt.Errorf("figures: fairness ablation: %w", err)
 	}
@@ -112,7 +106,6 @@ func AblationModelError(cfg Config) (*stats.Series, error) {
 		App:        cfg.App,
 		Clusters:   referenceSweep(cfg, 11),
 		Heuristics: []core.Heuristic{core.Basic{}},
-		Base:       cfg.options(),
 	}
 	jobs := m.Jobs()
 	sim := engine.Sweep(engine.DES{}, jobs, cfg.Workers)
@@ -160,18 +153,13 @@ func AblationJitter(cfg Config, amplitudes []float64, seeds int) ([]*stats.Serie
 		App:        cfg.App,
 		Clusters:   referenceSweep(cfg, 20),
 		Heuristics: []core.Heuristic{core.Basic{}, core.Knapsack{}},
-		Base:       cfg.options(),
 	}
 	for _, amp := range amplitudes {
 		for seed := 0; seed < seeds; seed++ {
-			m.Variants = append(m.Variants, engine.Variant{
-				Policy: cfg.Exec.Policy,
-				Jitter: amp,
-				Seed:   uint64(seed + 1),
-			})
+			m.Variants = append(m.Variants, engine.Variant{Jitter: amp, Seed: uint64(seed + 1)})
 		}
 	}
-	results := engine.Sweep(cfg.evaluator(), m.Jobs(), cfg.Workers)
+	results := engine.Sweep(engine.DES{}, m.Jobs(), cfg.Workers)
 	if err := engine.FirstError(results); err != nil {
 		return nil, fmt.Errorf("figures: jitter ablation: %w", err)
 	}
@@ -209,9 +197,8 @@ func AblationCPA(cfg Config) ([]*stats.Series, error) {
 		App:        cfg.App,
 		Clusters:   referenceSweep(cfg, 20),
 		Heuristics: planners,
-		Base:       cfg.options(),
 	}
-	results := engine.Sweep(cfg.evaluator(), m.Jobs(), cfg.Workers)
+	results := engine.Sweep(engine.DES{}, m.Jobs(), cfg.Workers)
 	if err := engine.FirstError(results); err != nil {
 		return nil, fmt.Errorf("figures: cpa ablation: %w", err)
 	}

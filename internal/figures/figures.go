@@ -2,19 +2,22 @@
 // series: Figure 7 (optimal groupings), Figure 8 (gains of the three improved
 // heuristics on one cluster) and Figure 10 (gains on a grid of 2–5 clusters
 // with Algorithm-1 repartition), plus the ablation experiments listed in
-// DESIGN.md. Every measured point flows through internal/engine's batched
-// sweep runner, so figures parallelize across GOMAXPROCS workers while
-// staying bit-identical to a serial run. The command cmd/oabench prints
-// these series as CSV and ASCII plots; bench_test.go wraps each one in a
-// testing.B benchmark.
+// DESIGN.md. Every measured point is evaluated on the event-driven executor
+// through internal/engine's batched sweep runner, so figures parallelize
+// across GOMAXPROCS workers while staying bit-identical to a serial run;
+// Figure 10 runs each campaign through grid.Local, the campaign lifecycle
+// the scheduler daemon runs. The command cmd/oabench prints these series as
+// CSV and ASCII plots; bench_test.go wraps each one in a testing.B
+// benchmark.
 package figures
 
 import (
+	"context"
 	"fmt"
 
 	"oagrid/internal/core"
 	"oagrid/internal/engine"
-	"oagrid/internal/exec"
+	"oagrid/internal/grid"
 	"oagrid/internal/platform"
 	"oagrid/internal/stats"
 )
@@ -25,14 +28,9 @@ type Config struct {
 	// benchmarks shrink Months — gains are wave-structured and virtually
 	// independent of the chain length beyond a few dozen months.
 	App core.Application
-	// Exec tunes the executor (policy, jitter).
-	Exec exec.Options
 	// RStep is the resource-count stride of the single-cluster sweeps
 	// (Figures 7 and 8); 1 reproduces the paper's dense curves.
 	RStep int
-	// UseEstimate switches the per-cluster makespan evaluation from the
-	// event-driven executor (ground truth, slower) to the analytical model.
-	UseEstimate bool
 	// Workers sizes the sweep worker pool; 0 uses GOMAXPROCS. Results are
 	// bit-identical whatever the value.
 	Workers int
@@ -51,19 +49,6 @@ func (c Config) normalized() Config {
 		c.RStep = 1
 	}
 	return c
-}
-
-// evaluator returns the configured backend.
-func (c Config) evaluator() engine.Evaluator {
-	if c.UseEstimate {
-		return engine.Model{}
-	}
-	return engine.DES{}
-}
-
-// options lifts the executor options into engine options.
-func (c Config) options() engine.Options {
-	return engine.Options{Exec: c.Exec}
 }
 
 // rsweep returns one resized copy per resource count of the sweep, sharing
@@ -108,7 +93,6 @@ func Figure8Matrix(cfg Config) engine.Matrix {
 		App:        cfg.App,
 		Clusters:   clusters,
 		Heuristics: core.All(),
-		Base:       cfg.options(),
 	}
 }
 
@@ -121,7 +105,7 @@ func Figure8Matrix(cfg Config) engine.Matrix {
 func Figure8(cfg Config) ([]*stats.Series, error) {
 	cfg = cfg.normalized()
 	m := Figure8Matrix(cfg)
-	results := engine.Sweep(cfg.evaluator(), m.Jobs(), cfg.Workers)
+	results := engine.Sweep(engine.DES{}, m.Jobs(), cfg.Workers)
 	if err := engine.FirstError(results); err != nil {
 		return nil, fmt.Errorf("figures: figure 8: %w", err)
 	}
@@ -165,11 +149,12 @@ type GridPoint struct {
 }
 
 // Figure10 computes the grid experiment: for 2..5 clusters (prefixes of the
-// five speed profiles) with identical per-cluster resource counts, scenarios
-// are distributed with Algorithm 1 using per-cluster performance vectors
-// computed by each heuristic; the gain compares the resulting global
-// makespan against the basic-heuristic pipeline. procsSweep lists the
-// per-cluster resource counts to visit (the paper uses 11..99).
+// five speed profiles) with identical per-cluster resource counts, each
+// heuristic's campaign runs the Figure-9 pipeline the scheduler daemon runs
+// — per-cluster performance vectors, Algorithm-1 repartition, one chunk per
+// loaded cluster — and the gain compares its makespan against the basic
+// heuristic's campaign. procsSweep lists the per-cluster resource counts to
+// visit (the paper uses 11..99).
 func Figure10(cfg Config, procsSweep []int) ([]*stats.Series, []GridPoint, error) {
 	cfg = cfg.normalized()
 	profiles := platform.FiveClusters()
@@ -181,28 +166,11 @@ func Figure10(cfg Config, procsSweep []int) ([]*stats.Series, []GridPoint, error
 	var points []GridPoint
 	for k := 2; k <= len(profiles); k++ {
 		for _, procs := range procsSweep {
-			// One resized cluster set per grid point, shared by all four
-			// heuristics' vector sweeps.
-			clusters := make([]*platform.Cluster, k)
-			for i, cl := range profiles[:k] {
-				clusters[i] = cl.WithProcs(procs)
-			}
-			base, err := gridMakespan(cfg, clusters, core.Basic{})
+			pt, err := gridPoint(cfg, profiles[:k], procs)
 			if err != nil {
 				return nil, nil, fmt.Errorf("figures: figure 10 k=%d R=%d: %w", k, procs, err)
 			}
-			pt := GridPoint{
-				Clusters:        k,
-				ProcsPerCluster: procs,
-				X:               float64(k) + float64(procs)/100,
-			}
-			for i, h := range improved {
-				ms, err := gridMakespan(cfg, clusters, h)
-				if err != nil {
-					return nil, nil, fmt.Errorf("figures: figure 10 k=%d R=%d: %w", k, procs, err)
-				}
-				g := stats.GainPercent(base, ms)
-				pt.Gains = append(pt.Gains, g)
+			for i, g := range pt.Gains {
 				series[i].Add(pt.X, g)
 			}
 			points = append(points, pt)
@@ -211,17 +179,43 @@ func Figure10(cfg Config, procsSweep []int) ([]*stats.Series, []GridPoint, error
 	return series, points, nil
 }
 
-// gridMakespan runs the full Figure-9 pipeline for one heuristic: per-cluster
-// performance vectors (batched over the engine pool), Algorithm-1
-// repartition, global makespan.
-func gridMakespan(cfg Config, clusters []*platform.Cluster, h core.Heuristic) (float64, error) {
-	perf, err := engine.PerformanceVectors(cfg.evaluator(), cfg.App, clusters, h, cfg.options(), cfg.Workers)
-	if err != nil {
-		return 0, err
+// gridPoint runs one campaign per heuristic on a grid.Local over the
+// profiles resized to procs. The four campaigns share the point's Local and
+// so its vector cache, which keys on cluster name: WithProcs keeps the name,
+// so a Local shared across resource counts would hand one count's vectors to
+// another.
+func gridPoint(cfg Config, profiles []*platform.Cluster, procs int) (GridPoint, error) {
+	clusters := make([]*platform.Cluster, len(profiles))
+	for i, cl := range profiles {
+		clusters[i] = cl.WithProcs(procs)
 	}
-	res, err := core.Repartition(perf)
+	local, err := grid.NewLocal(clusters, grid.LocalConfig{Workers: cfg.Workers})
 	if err != nil {
-		return 0, err
+		return GridPoint{}, err
 	}
-	return res.Makespan, nil
+	defer local.Close()
+	makespan := func(h core.Heuristic) (float64, error) {
+		res, err := local.RunContext(context.Background(), cfg.App, h.Name(), grid.SubmitMeta{}, nil, nil)
+		if err != nil {
+			return 0, err
+		}
+		return res.Makespan, nil
+	}
+	base, err := makespan(core.Basic{})
+	if err != nil {
+		return GridPoint{}, err
+	}
+	pt := GridPoint{
+		Clusters:        len(profiles),
+		ProcsPerCluster: procs,
+		X:               float64(len(profiles)) + float64(procs)/100,
+	}
+	for _, h := range core.Improvements() {
+		ms, err := makespan(h)
+		if err != nil {
+			return GridPoint{}, err
+		}
+		pt.Gains = append(pt.Gains, stats.GainPercent(base, ms))
+	}
+	return pt, nil
 }

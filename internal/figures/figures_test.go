@@ -249,18 +249,6 @@ func TestFigure10Shape(t *testing.T) {
 	}
 }
 
-func TestFigure10EstimateMode(t *testing.T) {
-	cfg := testConfig()
-	cfg.UseEstimate = true
-	_, points, err := Figure10(cfg, []int{25, 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 8 {
-		t.Fatalf("estimate-mode figure 10 has %d points, want 8", len(points))
-	}
-}
-
 func TestAblationKnapsackValue(t *testing.T) {
 	cfg := testConfig()
 	series, err := AblationKnapsackValue(cfg)

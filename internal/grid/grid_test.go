@@ -11,6 +11,7 @@ import (
 
 	"oagrid/internal/core"
 	"oagrid/internal/diet"
+	"oagrid/internal/engine"
 	"oagrid/internal/exec"
 	"oagrid/internal/platform"
 )
@@ -79,7 +80,7 @@ func TestCampaignMatchesDirectProtocol(t *testing.T) {
 	perf := make([][]float64, len(names))
 	for i, name := range names {
 		cl := f.Clusters[name]
-		vec, err := core.PerformanceVector(app, cl.Timing, cl.Procs, core.Knapsack{}, exec.Evaluator(exec.Options{}))
+		vec, err := engine.PerformanceVector(engine.DES{}, app, cl, core.Knapsack{}, engine.Options{}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -71,17 +71,19 @@ func (f *fleet) run(ctx context.Context, t target, ids []int, months int, heuris
 func (f *fleet) lost(target, error) bool { return false }
 
 // NewLocal builds an in-process core over the given clusters, which it
-// orders by name (the daemon's tie-break order). With a StateDir the
-// journal found there is replayed first: terminal campaigns come back under
-// their original IDs, non-terminal ones resume in the background.
+// orders by name (the daemon's tie-break order). The clusters must form a
+// valid grid: names key the vector cache, so two clusters sharing one would
+// share a vector. With a StateDir the journal found there is replayed
+// first: terminal campaigns come back under their original IDs, non-terminal
+// ones resume in the background.
 func NewLocal(clusters []*platform.Cluster, cfg LocalConfig) (*Local, error) {
-	sorted := append([]*platform.Cluster(nil), clusters...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
+	g, err := platform.NewGrid(clusters...)
+	if err != nil {
+		return nil, err
+	}
+	sort.Slice(g.Clusters, func(i, j int) bool { return g.Clusters[i].Name < g.Clusters[j].Name })
 	f := &fleet{cfg: cfg}
-	for _, cl := range sorted {
-		if err := cl.Validate(); err != nil {
-			return nil, err
-		}
+	for _, cl := range g.Clusters {
 		f.targets = append(f.targets, clusterTarget{cl})
 	}
 	return newLocal(f, cfg.StateDir)

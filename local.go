@@ -17,7 +17,8 @@ import (
 // it is admitted. Clusters are ordered by name internally (the daemon's
 // tie-break order), so a Local run of a campaign is bit-identical to a Dial
 // run against a daemon serving the same cluster profiles, at default
-// options.
+// options. The clusters must form a valid grid (NewGrid), so their names
+// are distinct; ErrInvalidConfig otherwise.
 //
 // With WithStateDir, Local replays the journal found there first: terminal
 // campaigns come back attachable under their original IDs with their full
@@ -26,8 +27,8 @@ import (
 // are resumed in the background, re-running only the scenarios without a
 // completed chunk. Records live for the runner's lifetime.
 func Local(clusters []*Cluster, opts ...RunnerOption) (Runner, error) {
-	if len(clusters) == 0 {
-		return nil, fmt.Errorf("%w: Local needs at least one cluster", ErrInvalidConfig)
+	if _, err := NewGrid(clusters...); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
 	}
 	cfg := newRunnerConfig(opts)
 	if _, err := core.ByName(cfg.heuristic); err != nil {

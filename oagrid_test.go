@@ -1,7 +1,10 @@
 package oagrid
 
 import (
+	"context"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -103,6 +106,76 @@ func TestDistribute(t *testing.T) {
 	}
 }
 
+// TestDistributeMatchesLocal: Distribute runs the Figure-9 pipeline on the
+// engine, a Local campaign runs it through the scheduler's lifecycle (vector
+// cache, repartition, chunk execution). Per cluster name they must agree on
+// the share, its allocation and its makespan, and on the campaign makespan,
+// bit for bit.
+func TestDistributeMatchesLocal(t *testing.T) {
+	app := NewExperiment(10, 24)
+	for k := 2; k <= 5; k++ {
+		for _, procs := range []int{11, 25, 53, 99} {
+			clusters := FiveClusters()[:k]
+			for _, cl := range clusters {
+				cl.Procs = procs
+			}
+			grid, err := NewGrid(clusters...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runner, err := Local(clusters)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, h := range Heuristics() {
+				name := fmt.Sprintf("k=%d R=%d %s", k, procs, h.Name())
+				plan, err := Distribute(app, grid, h, Options{})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				handle, err := runner.Run(context.Background(), Campaign{Experiment: app, Heuristic: h.Name()})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				res, err := handle.Wait()
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				reports := make(map[string]ClusterReport, len(res.Reports))
+				for _, r := range res.Reports {
+					reports[r.Cluster] = r
+				}
+				loaded := 0
+				for i, cl := range plan.Clusters {
+					n := plan.Counts[i]
+					r, ok := reports[cl]
+					if n == 0 {
+						if ok {
+							t.Errorf("%s: %s ran %d scenarios, Distribute gave it none", name, cl, r.Scenarios)
+						}
+						continue
+					}
+					loaded++
+					if !ok || r.Scenarios != n || !reflect.DeepEqual(r.Allocation, plan.Allocations[i]) ||
+						math.Float64bits(r.Makespan) != math.Float64bits(plan.Vectors[i][n-1]) {
+						t.Errorf("%s: %s ran %+v, Distribute planned %d scenarios on %v in %g",
+							name, cl, r, n, plan.Allocations[i], plan.Vectors[i][n-1])
+					}
+				}
+				if len(res.Reports) != loaded {
+					t.Errorf("%s: %d reports for %d loaded clusters", name, len(res.Reports), loaded)
+				}
+				if math.Float64bits(res.Makespan) != math.Float64bits(plan.Makespan) {
+					t.Errorf("%s: Local makespan %g, Distribute %g", name, res.Makespan, plan.Makespan)
+				}
+			}
+			if err := runner.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 func TestHeuristicByName(t *testing.T) {
 	for _, name := range []string{"basic", "redistribute", "all-to-main", "knapsack"} {
 		h, err := HeuristicByName(name)
@@ -138,6 +211,11 @@ func TestEstimateMakespanErrors(t *testing.T) {
 	}
 	if _, err := Simulate(app, bad, Allocation{Groups: []int{4}}, Options{}); err == nil {
 		t.Error("Simulate accepted an invalid cluster")
+	}
+	for _, ev := range []Evaluator{ModelBackend, DESBackend} {
+		if _, err := Evaluate(ev, NewExperiment(2, 3), ReferenceCluster(20), Allocation{}, Options{}); err == nil {
+			t.Errorf("%s evaluated an empty allocation", ev.Name())
+		}
 	}
 }
 

@@ -9,8 +9,11 @@
 # (internal/grid/campaign.go) and nowhere else, so no other non-test file
 # outside internal/store may branch on a record kind, and internal/store —
 # which groups records without interpreting them — may not mention a
-# progress frame at all. Tests may forge journals. CI runs this in the lint
-# job; from a checkout:
+# progress frame at all. The Figure-9 pipeline has one home too: outside
+# tests and bench/, Algorithm 1 (core.Repartition) runs only in the
+# lifecycle's round and in Distribute, so a figure or command that wants a
+# grid makespan runs a campaign. Tests may forge journals. CI runs this in
+# the lint job; from a checkout:
 #
 #   ./scripts/check_one_lifecycle.sh
 set -euo pipefail
@@ -38,6 +41,14 @@ folds="$(grep -rnE --include='*.go' --exclude='*_test.go' '(case|==|!=) *store\.
 if [ -n "$folds" ]; then
   echo "one-lifecycle: journal records interpreted outside campaign.apply (internal/grid/campaign.go):" >&2
   echo "$folds" >&2
+  status=1
+fi
+
+repartitions="$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'core\.Repartition(' . |
+  grep -v -e '^\./internal/grid/lifecycle\.go:' -e '^\./oagrid\.go:' || true)"
+if [ -n "$repartitions" ]; then
+  echo "one-lifecycle: Algorithm 1 called outside the lifecycle's round (internal/grid/lifecycle.go) and Distribute (oagrid.go):" >&2
+  echo "$repartitions" >&2
   status=1
 fi
 
