@@ -245,6 +245,21 @@ func TestInvalidCampaignRejectedUpFront(t *testing.T) {
 	if _, err := Local([]*Cluster{ReferenceCluster(11), ReferenceCluster(60)}); !errors.Is(err, ErrInvalidConfig) {
 		t.Fatalf("Local with a duplicate cluster name returned %v, want ErrInvalidConfig", err)
 	}
+	// A factor 1+amp·(2u−1) below 0 (or NaN) would end a task before it
+	// starts, a panic in the campaign goroutine if Local accepted it.
+	for _, amp := range []float64{1.5, math.NaN()} {
+		r, err := Local(testFleet(1), WithJitter(amp, 7))
+		if errors.Is(err, ErrInvalidConfig) {
+			continue
+		}
+		if err == nil {
+			var h *Handle
+			if h, err = r.Run(context.Background(), NewCampaign(4, 12)); err == nil {
+				_, err = h.Wait()
+			}
+		}
+		t.Fatalf("Local with jitter %g returned %v, want ErrInvalidConfig", amp, err)
+	}
 }
 
 // TestHandleAbandonedSubscriberDoesNotLeak: a consumer that breaks out of

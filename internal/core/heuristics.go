@@ -255,6 +255,13 @@ func (k Knapsack) Plan(app Application, t platform.Timing, procs int) (Allocatio
 	if err != nil {
 		return Allocation{}, err
 	}
+	// One table answers every (bound, reserve) candidate below. The loop
+	// skips non-positive capacities, so those keep the planner's own error.
+	prob.Capacity = max(procs, 0)
+	table, err := knapsack.NewTable(prob)
+	if err != nil {
+		return Allocation{}, err
+	}
 	bounds := []int{app.Scenarios}
 	if !k.Literal {
 		bounds = bounds[:0]
@@ -278,12 +285,7 @@ func (k Knapsack) Plan(app Application, t platform.Timing, procs int) (Allocatio
 			if procs-reserve <= 0 {
 				continue
 			}
-			prob.MaxItems = m
-			prob.Capacity = procs - reserve
-			sol, err := knapsack.Solve(prob)
-			if err != nil {
-				return Allocation{}, err
-			}
+			sol := table.Best(procs-reserve, m)
 			if sol.Items == 0 || sol.Items > m {
 				continue
 			}

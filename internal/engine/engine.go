@@ -17,7 +17,10 @@
 //   - Model — the analytical estimate; exact (paper equations) for uniform
 //     groupings, throughput-based otherwise. Microseconds per call.
 //   - DES — the discrete-event executor; bit-for-bit deterministic given
-//     Options, including under task-duration jitter. Milliseconds per call.
+//     Options, including under task-duration jitter. About a millisecond
+//     per call at NS=10, NM=420 on 30 processors (exec's BenchmarkRun),
+//     with a fixed handful of allocations per run: the event loop
+//     allocates nothing per event.
 //   - realrun.Backend — real execution of the toy coupled model (lives in
 //     internal/realrun, which imports this package).
 //

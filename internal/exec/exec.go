@@ -16,11 +16,9 @@ package exec
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"oagrid/internal/core"
 	"oagrid/internal/platform"
-	"oagrid/internal/sim"
 	"oagrid/internal/trace"
 )
 
@@ -61,6 +59,8 @@ type Options struct {
 	// pseudo-random factor in [1−Jitter, 1+Jitter]. The perturbation of a
 	// task depends only on (Seed, scenario, month, kind), so different
 	// heuristics face identical noise — the ablation A4 relies on this.
+	// It must lie in [0, 1]: a factor below 0 would end a task before it
+	// starts (Validate).
 	Jitter float64
 	// Seed selects the jitter stream.
 	Seed uint64
@@ -85,6 +85,21 @@ type Options struct {
 	// *waiting*", §4.3) and falls back to same-instant arrivals only when no
 	// earlier one exists. See the scheduling-pathology note in EXPERIMENTS.md.
 	StickyDispatch bool
+}
+
+// Validate reports an option set Run cannot execute: a Jitter that is not a
+// finite number in [0, 1], or a failure window that does not end (a main
+// caught by it would never finish).
+func (o Options) Validate() error {
+	if !(o.Jitter >= 0 && o.Jitter <= 1) {
+		return fmt.Errorf("exec: jitter %g outside [0, 1]", o.Jitter)
+	}
+	for _, f := range o.Failures {
+		if end := f.At + f.Duration; math.IsNaN(end) || math.IsInf(end, 0) {
+			return fmt.Errorf("exec: failure window [%g, +%g] on group %d does not end", f.At, f.Duration, f.Group)
+		}
+	}
+	return nil
 }
 
 // Failure is one group outage window.
@@ -117,6 +132,7 @@ type scenarioState struct {
 	running    bool
 	finished   bool
 	readySeq   int // FIFO ticket for the round-robin policy
+	postsTaken int // posts dequeued so far: the month of the next one
 }
 
 type group struct {
@@ -140,8 +156,30 @@ func (g *group) borrowEnd() float64 {
 	return end
 }
 
-type postTask struct {
-	scenario, month int
+// eventKind says what a popped event completes.
+type eventKind uint8
+
+const (
+	mainDone eventKind = iota // scenario s's running main finished on group g
+	postDone                  // a post task finished
+	wakeUp                    // a waiting scenario became ready
+)
+
+// event is one pending completion, held by value in the engine's heap.
+type event struct {
+	at   float64
+	seq  uint64 // push order: same-time events fire first-in first-out
+	kind eventKind
+	g, s int
+}
+
+// before is the heap order: by time, then by push order. seq is unique, so
+// the order is total and every run pops the same sequence.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
 }
 
 type engine struct {
@@ -149,16 +187,25 @@ type engine struct {
 	timing  platform.Timing
 	procs   int
 	opt     Options
-	simr    *sim.Simulator
-	groups  []*group
+	groups  []group
 	postEnd []float64 // dedicated post processors: busy-until times
 	scen    []scenarioState
-	queue   []postTask // ready post tasks, FIFO from queueHead on
+	// queue holds one scenario index per ready post task, FIFO from
+	// queueHead on. A scenario's posts are queued in month order, so its
+	// next one is post(s, postsTaken): four bytes per entry, since under
+	// post-processor contention the backlog grows with the run.
+	queue []int32
 	// queueHead is the FIFO's consumed prefix: popping advances the index
 	// instead of re-slicing, so the backing array is reused once the queue
 	// drains rather than reallocated on every completion event.
 	queueHead int
 	tr        *trace.Trace
+
+	// The event loop: a binary min-heap of event values in (at, seq) order,
+	// the clock (time of the last popped event) and the push counter.
+	events []event
+	now    float64
+	seq    uint64
 
 	mainsLeft  int // mains not yet dispatched
 	postsLeft  int // posts not yet completed
@@ -174,38 +221,49 @@ type engine struct {
 
 // Run executes the allocation and returns the measured makespan.
 func Run(app core.Application, t platform.Timing, procs int, alloc core.Allocation, opt Options) (Result, error) {
+	if err := opt.Validate(); err != nil {
+		return Result{}, err
+	}
 	if err := alloc.Validate(app, t, procs); err != nil {
 		return Result{}, err
 	}
+	// One backing array holds every processor's busy-until slot: the
+	// dedicated post processors first, then each group's processors.
+	slots := make([]float64, alloc.UsedProcs())
 	e := &engine{
-		app:       app,
-		timing:    t,
-		procs:     procs,
-		opt:       opt,
-		simr:      sim.New(),
-		postEnd:   make([]float64, alloc.PostProcs),
-		scen:      make([]scenarioState, app.Scenarios),
-		mainsLeft: app.Tasks(),
-		postsLeft: app.Tasks(),
-		postDur:   t.PostSeconds(),
+		app:         app,
+		timing:      t,
+		procs:       procs,
+		opt:         opt,
+		groups:      make([]group, len(alloc.Groups)),
+		postEnd:     slots[:alloc.PostProcs:alloc.PostProcs],
+		scen:        make([]scenarioState, app.Scenarios),
+		queue:       make([]int32, 0, app.Scenarios),
+		events:      make([]event, 0, len(alloc.Groups)+procs+1),
+		mainsLeft:   app.Tasks(),
+		postsLeft:   app.Tasks(),
+		postDur:     t.PostSeconds(),
+		idleScratch: make([]*group, 0, len(alloc.Groups)),
 	}
 	if opt.RecordTrace {
 		e.tr = &trace.Trace{}
 	}
+	off := alloc.PostProcs
 	for i, size := range alloc.Groups {
 		dur, err := t.MainSeconds(size)
 		if err != nil {
 			return Result{}, err
 		}
-		e.groups = append(e.groups, &group{
+		e.groups[i] = group{
 			id:      i,
 			size:    size,
 			mainDur: dur,
-			procEnd: make([]float64, size),
-		})
+			procEnd: slots[off : off+size : off+size],
+		}
+		off += size
 	}
 	e.dispatch(0)
-	end := e.simr.Run()
+	end := e.run()
 	if e.mainsLeft != 0 || e.postsLeft != 0 {
 		return Result{}, fmt.Errorf("exec: deadlock with %d mains and %d posts outstanding", e.mainsLeft, e.postsLeft)
 	}
@@ -220,6 +278,98 @@ func Run(app core.Application, t platform.Timing, procs int, alloc core.Allocati
 		res.Utilization = e.busyAccum / (float64(procs) * end)
 	}
 	return res, nil
+}
+
+// run fires events in (at, seq) order until none remain and returns the
+// clock: the time of the last event, or 0 when none fired.
+//
+//oalint:hotpath
+func (e *engine) run() float64 {
+	for len(e.events) > 0 {
+		ev := e.pop()
+		switch ev.kind {
+		case mainDone:
+			e.finishMain(ev.at, &e.groups[ev.g], ev.s)
+		case postDone:
+			e.postsLeft--
+			e.dispatch(ev.at)
+		case wakeUp:
+			e.dispatch(ev.at)
+		}
+	}
+	return e.now
+}
+
+// push schedules ev. An event before the clock, or at a NaN or infinite
+// time, breaks an invariant: task durations are finite and non-negative
+// once Options.Validate has passed.
+//
+//oalint:hotpath
+func (e *engine) push(ev event) {
+	if ev.at < e.now || math.IsNaN(ev.at) || math.IsInf(ev.at, 0) {
+		panic(fmt.Errorf("exec: event at %g scheduled at now %g", ev.at, e.now))
+	}
+	ev.seq = e.seq
+	e.seq++
+	h := append(e.events, ev)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h[i].before(&h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	e.events = h
+}
+
+// pop removes the earliest event and advances the clock to it.
+//
+//oalint:hotpath
+func (e *engine) pop() event {
+	h := e.events
+	ev := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && h[r].before(&h[m]) {
+			m = r
+		}
+		if !h[m].before(&h[i]) {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	e.events = h
+	e.now = ev.at
+	return ev
+}
+
+// record appends one span to the trace, if one is recorded, naming its
+// resource the way trace.Validate reads it: "g3" for a main on group 3,
+// "p1" for dedicated post processor 1 (g < 0), "g3.2" for processor 2 of
+// group 3 lent to a post. Names are formatted only here, so a run without
+// RecordTrace builds none.
+func (e *engine) record(kind trace.Kind, g, proc, s, month int, start, end float64) {
+	if e.tr == nil {
+		return
+	}
+	var res string
+	switch {
+	case kind == trace.Main:
+		res = fmt.Sprintf("g%d", g)
+	case g < 0:
+		res = fmt.Sprintf("p%d", proc)
+	default:
+		res = fmt.Sprintf("g%d.%d", g, proc)
+	}
+	e.tr.Add(trace.Span{Resource: res, Kind: kind, Scenario: s, Month: month, Start: start, End: end})
 }
 
 // mainDuration returns the (possibly jittered) duration of main(s,m) on g.
@@ -250,21 +400,26 @@ func (e *engine) jitterFactor(s, m, kind int) float64 {
 // pickScenario returns the index of the ready scenario to serve, or -1.
 // Scenarios that were already waiting before now are preferred over ones
 // that became ready at this very instant (see Options.StickyDispatch).
+//
+//oalint:hotpath
 func (e *engine) pickScenario(now float64) int {
 	if !e.opt.StickyDispatch {
-		if s := e.pickAmong(func(st *scenarioState) bool { return st.readyAt < now }); s >= 0 {
+		if s := e.pickAmong(now, true); s >= 0 {
 			return s
 		}
 	}
-	return e.pickAmong(func(st *scenarioState) bool { return st.readyAt <= now })
+	return e.pickAmong(now, false)
 }
 
-// pickAmong applies the dispatch policy over the eligible ready scenarios.
-func (e *engine) pickAmong(eligible func(*scenarioState) bool) int {
+// pickAmong applies the dispatch policy over the scenarios ready at now:
+// ready strictly before now when strict, at or before now otherwise.
+//
+//oalint:hotpath
+func (e *engine) pickAmong(now float64, strict bool) int {
 	best := -1
 	for i := range e.scen {
 		st := &e.scen[i]
-		if st.finished || st.running || !eligible(st) {
+		if st.finished || st.running || st.readyAt > now || strict && st.readyAt == now {
 			continue
 		}
 		if best < 0 {
@@ -291,29 +446,33 @@ func (e *engine) pickAmong(eligible func(*scenarioState) bool) int {
 }
 
 // idleGroups returns groups without a committed main, ordered by the time
-// they went idle (the paper's "sorting the ready time of each group"). The
-// returned slice is a scratch buffer reused across dispatches — it runs once
-// per completion event, so under service traffic (thousands of concurrent
-// executor runs behind the grid daemon) the per-event allocation shows up.
+// they went idle (the paper's "sorting the ready time of each group"), ties
+// by group index. The returned slice is a scratch buffer reused across
+// dispatches, kept sorted by insertion: there are at most R groups.
+//
+//oalint:hotpath
 func (e *engine) idleGroups() []*group {
 	idle := e.idleScratch[:0]
-	for _, g := range e.groups {
-		if !g.busy {
-			idle = append(idle, g)
+	for i := range e.groups {
+		g := &e.groups[i]
+		if g.busy {
+			continue
+		}
+		// Groups arrive in index order, so moving g only past later idleSeqs
+		// keeps ties in index order.
+		idle = append(idle, g)
+		for j := len(idle) - 1; j > 0 && idle[j].idleSeq < idle[j-1].idleSeq; j-- {
+			idle[j], idle[j-1] = idle[j-1], idle[j]
 		}
 	}
 	e.idleScratch = idle
-	sort.Slice(idle, func(i, j int) bool {
-		if idle[i].idleSeq != idle[j].idleSeq {
-			return idle[i].idleSeq < idle[j].idleSeq
-		}
-		return idle[i].id < idle[j].id
-	})
 	return idle
 }
 
 // dispatch assigns ready mains to idle groups, then ready posts to free
 // processors. It is invoked after every completion event.
+//
+//oalint:hotpath
 func (e *engine) dispatch(now float64) {
 	// Phase 1: mains to idle groups.
 	if e.mainsLeft > 0 {
@@ -367,6 +526,8 @@ func (e *engine) applyFailures(gid int, start, dur float64) (s, end float64, res
 
 // startMain commits scenario s to group g at the current time; the start is
 // delayed past any borrowed post work still running on the group.
+//
+//oalint:hotpath
 func (e *engine) startMain(now float64, g *group, s int) {
 	st := &e.scen[s]
 	start := now
@@ -386,25 +547,15 @@ func (e *engine) startMain(now float64, g *group, s int) {
 	g.freeAt = end
 	e.mainsLeft--
 	e.busyAccum += dur * float64(g.size)
-	if e.tr != nil {
-		e.tr.Add(trace.Span{
-			Resource: fmt.Sprintf("g%d", g.id),
-			Kind:     trace.Main,
-			Scenario: s,
-			Month:    month,
-			Start:    start,
-			End:      end,
-		})
-	}
-	_, err := e.simr.At(end, func(t2 float64) { e.finishMain(t2, g, s, month) })
-	if err != nil {
-		panic(err) // end >= now by construction
-	}
+	e.record(trace.Main, g.id, 0, s, month, start, end)
+	e.push(event{at: end, kind: mainDone, g: g.id, s: s})
 }
 
 // finishMain handles a main-task completion: advances the scenario, enqueues
 // the post task, releases the group.
-func (e *engine) finishMain(now float64, g *group, s, month int) {
+//
+//oalint:hotpath
+func (e *engine) finishMain(now float64, g *group, s int) {
 	st := &e.scen[s]
 	st.running = false
 	st.monthsDone++
@@ -420,12 +571,14 @@ func (e *engine) finishMain(now float64, g *group, s, month int) {
 	if now > e.mainsDone {
 		e.mainsDone = now
 	}
-	e.queue = append(e.queue, postTask{scenario: s, month: month})
+	e.queue = append(e.queue, int32(s))
 	e.dispatch(now)
 }
 
 // drainPosts starts as many queued posts as free processors allow: dedicated
 // post processors first, then individual processors of idle groups.
+//
+//oalint:hotpath
 func (e *engine) drainPosts(now float64) {
 	if e.postDur <= 0 {
 		// Zero-length posts complete immediately.
@@ -435,76 +588,70 @@ func (e *engine) drainPosts(now float64) {
 		return
 	}
 	for e.queueHead < len(e.queue) {
-		res, procEnd := e.freePostSlot(now)
+		procEnd, g, proc := e.freePostSlot(now)
 		if procEnd == nil {
 			return
 		}
-		pt := e.queue[e.queueHead]
+		s := int(e.queue[e.queueHead])
+		month := e.scen[s].postsTaken
+		e.scen[s].postsTaken++
 		e.queueHead++
 		if e.queueHead == len(e.queue) {
 			e.queue = e.queue[:0]
 			e.queueHead = 0
 		}
-		dur := e.postDuration(pt.scenario, pt.month)
+		dur := e.postDuration(s, month)
 		end := now + dur
 		*procEnd = end
 		e.busyAccum += dur
-		if e.tr != nil {
-			e.tr.Add(trace.Span{
-				Resource: res,
-				Kind:     trace.Post,
-				Scenario: pt.scenario,
-				Month:    pt.month,
-				Start:    now,
-				End:      end,
-			})
-		}
-		if _, err := e.simr.At(end, func(t2 float64) {
-			e.postsLeft--
-			e.dispatch(t2)
-		}); err != nil {
-			panic(err)
-		}
+		e.record(trace.Post, g, proc, s, month, now, end)
+		e.push(event{at: end, kind: postDone})
 	}
 }
 
-// freePostSlot finds a processor free at time now for a post task. It
-// returns the resource name and a pointer to its busy-until slot, or nil.
-func (e *engine) freePostSlot(now float64) (string, *float64) {
+// freePostSlot finds a processor free at time now for a post task:
+// dedicated post processor proc (g = -1) or processor proc of idle group g.
+// It returns a pointer to the processor's busy-until slot, or nil.
+//
+//oalint:hotpath
+func (e *engine) freePostSlot(now float64) (procEnd *float64, g, proc int) {
 	for i := range e.postEnd {
 		if e.postEnd[i] <= now {
-			return fmt.Sprintf("p%d", i), &e.postEnd[i]
+			return &e.postEnd[i], -1, i
 		}
 	}
 	if e.opt.NoIdleSteal && e.mainsLeft > 0 {
 		// Strict mode: groups keep their processors for main tasks until no
 		// main remains to dispatch; the end-of-run drain still uses them.
-		return "", nil
+		return nil, 0, 0
 	}
-	for _, g := range e.groups {
-		if g.busy {
+	for gi := range e.groups {
+		grp := &e.groups[gi]
+		if grp.busy {
 			continue
 		}
 		// A group that could immediately serve a waiting main must not steal
 		// posts; dispatch() runs mains first, so reaching here means no main
 		// is ready for it right now.
-		for i := range g.procEnd {
-			if g.procEnd[i] <= now && g.freeAt <= now {
-				return fmt.Sprintf("g%d.%d", g.id, i), &g.procEnd[i]
+		for i := range grp.procEnd {
+			if grp.procEnd[i] <= now && grp.freeAt <= now {
+				return &grp.procEnd[i], gi, i
 			}
 		}
 	}
-	return "", nil
+	return nil, 0, 0
 }
 
 // scheduleWakeup arms an event at the earliest future scenario readiness so
 // idle groups re-attempt dispatch. Completions normally drive dispatch; the
 // wake-up covers the corner where a group sits idle while every unfinished
 // scenario is mid-flight.
+//
+//oalint:hotpath
 func (e *engine) scheduleWakeup(now float64) {
 	idle := false
-	for _, g := range e.groups {
-		if !g.busy {
+	for i := range e.groups {
+		if !e.groups[i].busy {
 			idle = true
 			break
 		}
@@ -523,8 +670,6 @@ func (e *engine) scheduleWakeup(now float64) {
 		}
 	}
 	if !math.IsInf(next, 1) {
-		if _, err := e.simr.At(next, e.dispatch); err != nil {
-			panic(err)
-		}
+		e.push(event{at: next, kind: wakeUp})
 	}
 }

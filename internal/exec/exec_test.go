@@ -367,3 +367,76 @@ func TestStickyDispatchPathology(t *testing.T) {
 		t.Fatalf("sticky dispatch only %.2f%% worse; the pathology should be visible", rel*100)
 	}
 }
+
+// TestRunRejectsInvalidOptions: a jitter amplitude outside [0, 1] would give
+// a task a negative (or NaN) duration and schedule its completion before it
+// starts, and an endless failure window would end a caught main at +Inf;
+// Run refuses both up front instead of panicking mid-run.
+func TestRunRejectsInvalidOptions(t *testing.T) {
+	app := core.Application{Scenarios: 4, Months: 12}
+	ref := platform.ReferenceTiming()
+	al := mustPlan(t, core.Knapsack{}, app, ref, 30)
+	for _, amp := range []float64{1.5, math.NaN(), -0.1, math.Inf(1)} {
+		opt := Options{Jitter: amp, Seed: 7}
+		if opt.Validate() == nil {
+			t.Errorf("jitter %g validated", amp)
+		}
+		if _, err := Run(app, ref, 30, al, opt); err == nil {
+			t.Errorf("jitter %g: Run returned no error", amp)
+		}
+	}
+	for _, amp := range []float64{0, 0.1, 1} {
+		if _, err := Run(app, ref, 30, al, Options{Jitter: amp, Seed: 7}); err != nil {
+			t.Errorf("jitter %g: %v", amp, err)
+		}
+	}
+	for _, f := range []Failure{{At: 100, Duration: math.Inf(1)}, {At: math.NaN(), Duration: 10}} {
+		if _, err := Run(app, ref, 30, al, Options{Failures: []Failure{f}}); err == nil {
+			t.Errorf("failure %+v: Run returned no error", f)
+		}
+	}
+}
+
+// runAllocs measures the allocations of one Run of NS=10 scenarios of nm
+// months on a knapsack allocation of 30 reference processors.
+func runAllocs(t *testing.T, nm int) float64 {
+	app := core.Application{Scenarios: 10, Months: nm}
+	ref := platform.ReferenceTiming()
+	al := mustPlan(t, core.Knapsack{}, app, ref, 30)
+	return testing.AllocsPerRun(3, func() {
+		if _, err := Run(app, ref, 30, al, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestRunAllocsBounded pins the event loop allocation-free: a run allocates
+// its per-run state once, so ten times the months cost (almost) no more
+// allocations.
+func TestRunAllocsBounded(t *testing.T) {
+	small, large := runAllocs(t, 120), runAllocs(t, 1200)
+	t.Logf("allocations per run: NM=120 %v, NM=1200 %v", small, large)
+	if large > 64 {
+		t.Errorf("NM=1200 run allocates %v times, want ≤ 64", large)
+	}
+	if large > small+12 {
+		t.Errorf("NM=1200 run allocates %v times, NM=120 %v: the loop allocates per event", large, small)
+	}
+}
+
+// BenchmarkRun is one SeD performance-vector entry's worth of executor work:
+// NS=10, NM=420, knapsack on 30 reference processors.
+func BenchmarkRun(b *testing.B) {
+	app := core.Application{Scenarios: 10, Months: 420}
+	ref := platform.ReferenceTiming()
+	al, err := core.Knapsack{}.Plan(app, ref, 30)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(app, ref, 30, al, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

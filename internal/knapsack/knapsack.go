@@ -98,32 +98,42 @@ type cell struct {
 	pick int
 }
 
-// Solve returns an optimal solution of the instance.
+// Table is a solved instance: the optimum for every capacity up to the
+// problem's Capacity and every item bound up to its MaxItems. Cell (c, n)
+// of the dynamic program depends only on cells of lower capacity or bound,
+// never on the problem's own bounds, so Best answers any smaller question
+// exactly as Solve would: a caller that asks many of one item set fills one
+// table instead of one per question.
+type Table struct {
+	items []Item
+	k     int // MaxItems + 1, the row stride of dp
+	dp    []cell
+}
+
+// NewTable fills the dynamic program of p.
 //
 // Complexity is O(Capacity × MaxItems × len(Items)) time and
 // O(Capacity × MaxItems) space; the scheduling instances (R ≤ a few hundred,
 // NS ≈ 10, 8 items) solve in microseconds.
-func Solve(p Problem) (Solution, error) {
+func NewTable(p Problem) (*Table, error) {
 	if err := p.Validate(); err != nil {
-		return Solution{}, err
+		return nil, err
 	}
-	w := p.Capacity + 1
 	k := p.MaxItems + 1
-	dp := make([]cell, w*k)
-	for i := range dp {
-		dp[i] = cell{pick: -1}
+	t := &Table{items: p.Items, k: k, dp: make([]cell, (p.Capacity+1)*k)}
+	for i := range t.dp {
+		t.dp[i] = cell{pick: -1}
 	}
-	at := func(c, n int) *cell { return &dp[c*k+n] }
 	for c := 0; c <= p.Capacity; c++ {
 		for n := 1; n <= p.MaxItems; n++ {
 			// Start from "same capacity, one fewer allowed item".
-			*at(c, n) = *at(c, n-1)
-			cur := at(c, n)
+			*t.at(c, n) = *t.at(c, n-1)
+			cur := t.at(c, n)
 			for idx, it := range p.Items {
 				if it.Cost > c {
 					continue
 				}
-				prev := at(c-it.Cost, n-1)
+				prev := t.at(c-it.Cost, n-1)
 				v := prev.value + it.Value
 				ni := prev.items + 1
 				nc := prev.cost + it.Cost
@@ -133,9 +143,17 @@ func Solve(p Problem) (Solution, error) {
 			}
 		}
 	}
-	best := at(p.Capacity, p.MaxItems)
+	return t, nil
+}
+
+func (t *Table) at(c, n int) *cell { return &t.dp[c*t.k+n] }
+
+// Best returns the optimal selection of at most maxItems items costing at
+// most capacity; both must lie within the bounds the table was filled for.
+func (t *Table) Best(capacity, maxItems int) Solution {
+	best := t.at(capacity, maxItems)
 	sol := Solution{
-		Counts: make([]int, len(p.Items)),
+		Counts: make([]int, len(t.items)),
 		Value:  best.value,
 		Cost:   best.cost,
 		Items:  best.items,
@@ -144,18 +162,27 @@ func Solve(p Problem) (Solution, error) {
 	// (c, n-1) parent was inherited by the copy step (picks only overwrite a
 	// cell when they strictly improve it), so we descend; otherwise the
 	// recorded pick belongs to this level and we follow it.
-	c, n := p.Capacity, p.MaxItems
+	c, n := capacity, maxItems
 	for n > 0 {
-		cl := at(c, n)
-		if cl.pick < 0 || *cl == *at(c, n-1) {
+		cl := t.at(c, n)
+		if cl.pick < 0 || *cl == *t.at(c, n-1) {
 			n--
 			continue
 		}
 		sol.Counts[cl.pick]++
-		c -= p.Items[cl.pick].Cost
+		c -= t.items[cl.pick].Cost
 		n--
 	}
-	return sol, nil
+	return sol
+}
+
+// Solve returns an optimal solution of the instance.
+func Solve(p Problem) (Solution, error) {
+	t, err := NewTable(p)
+	if err != nil {
+		return Solution{}, err
+	}
+	return t.Best(p.Capacity, p.MaxItems), nil
 }
 
 // SolveBrute exhaustively enumerates all selections. It is exponential and

@@ -3,6 +3,7 @@ package knapsack
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -136,6 +137,36 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 		}
 		if math.Abs(dp.Value-brute.Value) > 1e-9*(1+brute.Value) {
 			t.Fatalf("trial %d: DP value %g != brute %g (problem %+v)", trial, dp.Value, brute.Value, p)
+		}
+	}
+}
+
+// TestTableBestMatchesSolve: one table answers every smaller (capacity,
+// bound) question exactly as a fresh Solve of that instance does, counts
+// included — the reuse Knapsack.Plan relies on.
+func TestTableBestMatchesSolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 50; trial++ {
+		p := Problem{Capacity: rng.Intn(40), MaxItems: rng.Intn(10)}
+		for i := 1 + rng.Intn(6); i > 0; i-- {
+			p.Items = append(p.Items, Item{Cost: 1 + rng.Intn(9), Value: float64(1+rng.Intn(50)) / 7})
+		}
+		table, err := NewTable(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := 0; c <= p.Capacity; c++ {
+			for n := 0; n <= p.MaxItems; n++ {
+				q := p
+				q.Capacity, q.MaxItems = c, n
+				want, err := Solve(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := table.Best(c, n); !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d (c=%d, n=%d): table %+v, Solve %+v", trial, c, n, got, want)
+				}
+			}
 		}
 	}
 }

@@ -18,7 +18,8 @@ import (
 // tie-break order), so a Local run of a campaign is bit-identical to a Dial
 // run against a daemon serving the same cluster profiles, at default
 // options. The clusters must form a valid grid (NewGrid), so their names
-// are distinct; ErrInvalidConfig otherwise.
+// are distinct, and a WithJitter amplitude must be finite and in [0, 1];
+// ErrInvalidConfig otherwise.
 //
 // With WithStateDir, Local replays the journal found there first: terminal
 // campaigns come back attachable under their original IDs with their full
@@ -34,13 +35,13 @@ func Local(clusters []*Cluster, opts ...RunnerOption) (Runner, error) {
 	if _, err := core.ByName(cfg.heuristic); err != nil {
 		return nil, err
 	}
+	execOpts := exec.Options{Jitter: cfg.jitter, Seed: cfg.seed, RecordTrace: cfg.trace}
+	if err := execOpts.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
+	}
 	local, err := grid.NewLocal(clusters, grid.LocalConfig{
-		Backend: cfg.backend,
-		Options: engine.Options{Exec: exec.Options{
-			Jitter:      cfg.jitter,
-			Seed:        cfg.seed,
-			RecordTrace: cfg.trace,
-		}},
+		Backend:  cfg.backend,
+		Options:  engine.Options{Exec: execOpts},
 		Workers:  cfg.workers,
 		StateDir: cfg.stateDir,
 	})

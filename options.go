@@ -67,8 +67,9 @@ func WithWorkers(n int) RunnerOption {
 
 // WithJitter perturbs every task duration of a Local evaluation by a
 // deterministic pseudo-random factor in [1−amp, 1+amp], stream selected by
-// seed. Jittered campaigns are reproducible but no longer bit-identical to
-// a remote run. Remote runners ignore it.
+// seed. amp must be finite and in [0, 1] (Local returns ErrInvalidConfig
+// otherwise). Jittered campaigns are reproducible but no longer
+// bit-identical to a remote run. Remote runners ignore it.
 func WithJitter(amp float64, seed uint64) RunnerOption {
 	return func(cfg *runnerConfig) { cfg.jitter, cfg.seed = amp, seed }
 }
