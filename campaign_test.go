@@ -646,3 +646,85 @@ func TestLocalRecoverFullyChunkedCampaign(t *testing.T) {
 		t.Fatalf("recovered result %+v, want one report with makespan %g", res, ms)
 	}
 }
+
+// TestDialCloseReleasesConnections: a dialed runner keeps its finished
+// streams' connections open for the next campaign, and Close gives them
+// back — the process's idle-connection gauge and goroutine count return to
+// what they were before Dial (the daemon's serve loop for each kept
+// connection ends with it). A Dial whose probe fails keeps nothing either.
+func TestDialCloseReleasesConnections(t *testing.T) {
+	ctx := context.Background()
+	fabric := startTestFabric(t, 2)
+	campaign := NewCampaign(4, 12)
+	// Warm the daemon's own connections to its SeDs, so that only the
+	// runner's come and go below.
+	warm, err := Dial(ctx, fabric.Sched.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, err := warm.Run(ctx, campaign); err != nil {
+		t.Fatal(err)
+	} else if _, err := h.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	warm.Close()
+	// settled polls until the gauge and the goroutine count reach want's,
+	// or reports where they stand after five seconds.
+	settled := func(want func(idle int64, goroutines int) bool) (int64, int) {
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			runtime.GC()
+			idle, n := diet.WireStats().IdleConns, runtime.NumGoroutine()
+			if want(idle, n) || time.Now().After(deadline) {
+				return idle, n
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	// The baseline: three equal readings in a row.
+	idle, goroutines := diet.WireStats().IdleConns, runtime.NumGoroutine()
+	for same := 0; same < 3; {
+		time.Sleep(20 * time.Millisecond)
+		i, n := diet.WireStats().IdleConns, runtime.NumGoroutine()
+		if i == idle && n == goroutines {
+			same++
+		} else {
+			idle, goroutines, same = i, n, 0
+		}
+	}
+
+	runner, err := Dial(ctx, fabric.Sched.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		h, err := runner.Run(ctx, campaign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := runner.Info(ctx, h.ID()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := diet.WireStats().IdleConns; got <= idle {
+		t.Fatalf("idle connections %d with the runner open, %d before Dial: the runner kept nothing", got, idle)
+	}
+	if err := runner.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if gotIdle, got := settled(func(i int64, n int) bool { return i == idle && n <= goroutines }); gotIdle != idle || got > goroutines {
+		t.Fatalf("after Close: %d idle connections and %d goroutines, want %d and at most %d", gotIdle, got, idle, goroutines)
+	}
+
+	dead := fabric.Sched.Addr()
+	fabric.Close()
+	if _, err := Dial(ctx, dead); err == nil {
+		t.Fatal("Dial to a closed daemon succeeded")
+	}
+	if got := diet.WireStats().IdleConns; got > idle {
+		t.Fatalf("a failed Dial left %d idle connections, want at most %d", got, idle)
+	}
+}

@@ -89,6 +89,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	// end: a restarted daemon or a dead ring member forgets SeDs whose
 	// chunks are already in the results.
 	stats := &grid.Client{Addr: members[0], Addrs: members[1:]}
+	defer stats.Close()
 	before, err := stats.StatsContext(ctx)
 	if err != nil {
 		return err

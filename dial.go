@@ -9,35 +9,39 @@ import (
 	"oagrid/internal/grid"
 )
 
-// service is what a runner drives campaigns through: the five call shapes
+// service is what a runner drives campaigns through: the call shapes
 // grid.Client (a daemon, over the wire) and grid.Local (the same campaign
 // core, in-process) share, all in diet wire types — so the frame-to-event
-// mapping below is the only one.
+// mapping below is the only one. Close releases what the service holds:
+// the client's kept-alive connections, or the core and its journal.
 type service interface {
 	RunContext(ctx context.Context, app core.Application, heuristic string, meta grid.SubmitMeta, onAdmit func(uint64), onProgress func(*diet.ProgressUpdate)) (*diet.CampaignResult, error)
 	AttachContext(ctx context.Context, id uint64, onAttach func(*diet.AttachResponse), onProgress func(*diet.ProgressUpdate)) (*diet.CampaignResult, error)
 	CancelContext(ctx context.Context, id uint64) (string, error)
 	InfoContext(ctx context.Context, id uint64) (*diet.CampaignInfo, error)
 	ListCampaignsContext(ctx context.Context, filter *diet.ListCampaignsRequest) ([]diet.CampaignInfo, error)
+	Close() error
 }
 
 // runner is the one Runner implementation. It holds no campaign state: the
 // lifecycle lives behind the service, in a daemon or in the in-process core.
 type runner struct {
 	service service
-	// local is the service again when it is in-process, nil for a daemon:
-	// the core this runner owns and must close.
-	local *grid.Local
+	// local marks an in-process service, whose admission is one journal
+	// append: Run waits for it.
+	local bool
 	cfg   runnerConfig
 }
 
 // Dial builds a Runner over a live grid scheduler daemon (cmd/oarun
 // -daemon). It verifies a daemon answers before returning — ctx bounds
-// that probe. Each campaign then streams on its own connection: admission
-// verdict, per-campaign progress frames, and the final result, with the
+// that probe. Each campaign then streams its admission verdict,
+// per-campaign progress frames and final result on one connection, with the
 // frame deadline refreshed on every frame so campaigns may outlive any
-// single timeout. At default options a dialed campaign's Result is
-// bit-identical to a Local run over the same cluster profiles.
+// single timeout. The runner keeps finished streams' connections open for
+// the next campaign or control request, until Close. At default options a
+// dialed campaign's Result is bit-identical to a Local run over the same
+// cluster profiles.
 //
 // addr may list several comma-separated addresses ("a:7714,b:7714,c:7714")
 // when the daemons form a sharded ring (oarun -daemon -ring): the first is
@@ -53,6 +57,7 @@ func Dial(ctx context.Context, addr string, opts ...RunnerOption) (Runner, error
 	primary, fallbacks := splitAddrs(addr)
 	client := &grid.Client{Addr: primary, Addrs: fallbacks, Timeout: cfg.timeout}
 	if _, err := client.StatsContext(ctx); err != nil {
+		client.Close()
 		return nil, err
 	}
 	return &runner{service: client, cfg: cfg}, nil
@@ -100,7 +105,7 @@ func (r *runner) Run(ctx context.Context, c Campaign, opts ...SubmitOption) (*Ha
 	}
 	handle := newHandle(app.Scenarios)
 	meta := grid.SubmitMeta{Priority: sub.priority, Labels: sub.labels, Deadline: sub.deadline}
-	if r.local == nil {
+	if !r.local {
 		go r.run(ctx, handle, app, name, meta, nil)
 		return handle, nil
 	}
@@ -194,17 +199,12 @@ func (r *runner) Attach(ctx context.Context, id uint64) (*Handle, error) {
 	return handle, nil
 }
 
-// Close implements Runner. Remote campaigns dial their own connections, so
-// there is nothing to release. A local runner pauses the campaigns still
-// running — they stay non-terminal in the journal and resume on the next
-// open, like a daemon shutdown, and their handles resolve with
-// ErrCampaignFailed — and then releases the journal.
-func (r *runner) Close() error {
-	if r.local != nil {
-		return r.local.Close()
-	}
-	return nil
-}
+// Close implements Runner. A remote runner closes the connections it keeps
+// idle; campaigns still streaming finish on their own. A local runner
+// pauses the campaigns still running — they stay non-terminal in the
+// journal and resume on the next open, like a daemon shutdown, and their
+// handles resolve with ErrCampaignFailed — and then releases the journal.
+func (r *runner) Close() error { return r.service.Close() }
 
 func (r *runner) run(ctx context.Context, handle *Handle, app core.Application, heuristic string, meta grid.SubmitMeta, admitted chan<- struct{}) {
 	res, err := r.service.RunContext(ctx, app, heuristic, meta,

@@ -277,6 +277,17 @@ func (c *coder) flags(what string, flags ...*bool) {
 	}
 }
 
+// fixed codes a fixed-size byte array as its raw bytes.
+//
+//oalint:hotpath
+func (c *coder) fixed(v []byte, what string) {
+	if c.enc {
+		c.b = append(c.b, v...)
+	} else if p := c.take(uint32(len(v)), what); p != nil {
+		copy(v, p)
+	}
+}
+
 // str codes u32 length + bytes. Decoded strings are interned, so repeated
 // cluster, heuristic and status names cost nothing after the first sighting.
 //
@@ -394,6 +405,9 @@ func (x *SubmitRequest) wire(c *coder) {
 	c.int(&x.Priority, "submit priority")
 	c.i64((*int64)(&x.Deadline), "submit deadline")
 	c.strmap(&x.Labels, "submit labels")
+	if c.ver >= ProtocolV8 {
+		c.fixed(x.Key[:], "submit key")
+	}
 }
 
 //oalint:hotpath

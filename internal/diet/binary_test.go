@@ -24,6 +24,7 @@ func hotRequests() []*Request {
 			Wait: true, Progress: true, Priority: -3,
 			Labels:   map[string]string{"team": "ocean", "tier": "a"},
 			Deadline: 90 * time.Second,
+			Key:      SubmitKey{0x6b, 0x65, 0x79, 0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd, 0xef, 0xfe, 0xdc, 0xba, 0x98, 0x76},
 		}},
 		{Version: ProtocolVersion, Kind: KindExec, Exec: &ExecRequest{
 			ScenarioIDs: []int{0, 3, 7, 9}, Months: 12, Heuristic: "knapsack",

@@ -60,6 +60,22 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	f.Add(gobRequestPrefix)
 
+	// The v8 submit, whose key is the one field past the floor's layout:
+	// whole, cut inside the key, and a v7 payload under a v8 header (the
+	// key missing) — and the reverse (trailing key bytes).
+	v8 := hotRequests()[0]
+	v8.Version = ProtocolV8
+	if frame, err := AppendRequestFrame(nil, v8); err == nil {
+		f.Add(frame)
+		f.Add(frame[:len(frame)-5])
+		f.Add(restamp(frame, ProtocolV7))
+		v7 := hotRequests()[0]
+		v7.Version = ProtocolV7
+		if old, err := AppendRequestFrame(nil, v7); err == nil {
+			f.Add(restamp(old, ProtocolV8))
+		}
+	}
+
 	typed := func(t *testing.T, err error) {
 		if err == nil || errors.Is(err, ErrBadFrame) || errors.Is(err, ErrFrameTooLarge) {
 			return

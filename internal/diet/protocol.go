@@ -18,6 +18,7 @@
 package diet
 
 import (
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -28,8 +29,11 @@ import (
 )
 
 // Protocol versions. ProtocolFloor is the oldest version this build
-// negotiates and ProtocolVersion the newest; today both are v7, so every
-// connection speaks one layout per message. v7 carries the streamed campaign
+// negotiates and ProtocolVersion the newest. v8 adds one field, the client's
+// submission key (SubmitRequest.Key), which makes a resent submit safe and
+// so lets a client's campaign streams ride kept-alive connections; a v7
+// submit carries no key and is served one connection per campaign, as
+// before. v7 carries the streamed campaign
 // (verdict, progress frames, result on one submit-wait or attach
 // connection), the control plane (per-campaign submit options, cancel, info,
 // list-campaigns), the submit verdict's rejection Code, the scheduler-ring
@@ -47,10 +51,12 @@ import (
 // optional additions old peers ignore.
 const (
 	ProtocolV7 = 7
+	// ProtocolV8 adds SubmitRequest.Key.
+	ProtocolV8 = 8
 	// ProtocolFloor is the oldest version this build negotiates.
 	ProtocolFloor = ProtocolV7
 	// ProtocolVersion is the highest version this build speaks.
-	ProtocolVersion = ProtocolV7
+	ProtocolVersion = ProtocolV8
 )
 
 // errVersionTooOld is the verdict on a peer below ProtocolFloor. It wraps
@@ -373,6 +379,32 @@ type SubmitRequest struct {
 	// Deadline overrides the scheduler's per-campaign timeout for this one
 	// campaign (0 keeps the daemon default).
 	Deadline time.Duration
+	// Key (v8) names the submission, so that sending it twice admits it
+	// once: the scheduler answers a key it already admitted with that
+	// campaign, as an attach would. The zero key is no key — a v7 submit,
+	// served once and never resent.
+	Key SubmitKey
+}
+
+// SubmitKey is a client-minted submission key. It travels as 16 raw bytes
+// and is journaled with the admission as 32 hex digits.
+type SubmitKey [16]byte
+
+// IsZero reports whether k is the zero key, which names no submission.
+func (k SubmitKey) IsZero() bool { return k == SubmitKey{} }
+
+// MarshalText encodes k as hex: the journal's form.
+func (k SubmitKey) MarshalText() ([]byte, error) {
+	return hex.AppendEncode(nil, k[:]), nil
+}
+
+// UnmarshalText decodes MarshalText's hex.
+func (k *SubmitKey) UnmarshalText(b []byte) error {
+	if len(b) != hex.EncodedLen(len(k)) {
+		return fmt.Errorf("diet: submission key %q: want %d hex digits", b, 2*len(k))
+	}
+	_, err := hex.Decode(k[:], b)
+	return err
 }
 
 // SubmitResponse is the admission verdict. Accepted=false means the bounded

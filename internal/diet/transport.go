@@ -1,42 +1,52 @@
 // The transport: every place this package's protocol touches a socket.
 //
-// Two shapes share one exchange (one request frame out, one response frame
-// back, under a deadline and a context):
+// One exchange is one request frame out and its answer back, under a
+// per-frame deadline and a context. Most requests are answered by one frame;
+// a submit that waits for its result and an attach are streams — a verdict,
+// progress frames, a result — read one frame at a time from a Stream. Two
+// shapes share the exchange:
 //
-//   - One-shot: RoundTrip and RoundTripContext dial, make one exchange and
-//     close. Clients use it — a client's next request may go to another
-//     daemon, and a submit must never be replayed.
 //   - Kept-alive: a Transport keeps the connection of a finished exchange idle
 //     and hands it to the next exchange with the same peer. Daemons use it for
 //     everything they say to each other (scheduler→SeD perf and exec, SeD
-//     heartbeats, ring pings, segment pulls, forwards), which would otherwise
-//     pay a TCP handshake and a teardown per request.
+//     heartbeats, ring pings, segment pulls, forwards), and clients for their
+//     campaign streams and control requests, which would otherwise pay a TCP
+//     handshake and a teardown per request.
+//   - One-shot: RoundTrip and RoundTripContext dial, make one exchange and
+//     close, as does a Transport for a request that must not be sent twice
+//     (see reusable).
 //
 // Keep-alive is HTTP/1.1-style, not a multiplexer: a connection carries one
 // exchange at a time, so there are no request IDs and nothing to reorder. It
 // is negotiated per exchange in the frame header (flagKeepAlive): the
 // requester sets the bit when it would reuse the connection, the responder
-// echoes it on the answer only if it will read another request, and only an
-// answer that carried the bit lets the connection be pooled. A peer that
-// predates the bit writes zero and closes, and is served exactly as before.
+// echoes it on the exchange's last frame only if it will read another
+// request, and only a last frame that carried the bit lets the connection be
+// pooled. A peer that predates the bit writes zero and closes, and is served
+// exactly as before.
 //
 // The rules that keep reuse correct:
 //
-//   - A pool belongs to a daemon (Scheduler, SeD, ring member), never to the
-//     process: closing the daemon closes its idle connections, and it drops a
-//     peer's connections when it stops trusting the peer.
+//   - A pool belongs to its owner (a Scheduler, a SeD, a ring member, a
+//     client), never to the process: closing the owner closes its idle
+//     connections, and a daemon drops a peer's connections when it stops
+//     trusting the peer.
 //   - A requester lets a connection idle for at most maxIdleAge, a quarter of
 //     the serveIdleTimeout the responder waits, so it never writes into a
 //     connection the responder is about to close.
-//   - Only idempotent requests ride a pooled connection (see reusable). If
-//     one fails before the first byte of an answer, and not by timeout or
-//     cancellation, the peer had closed it — a restart, an idle close — and
-//     the request goes out once more on a fresh dial. A timeout is not
-//     retried: the peer is alive and silent, which is the caller's to judge.
+//   - Only requests that are safe to send twice ride a pooled connection (see
+//     reusable). If one fails before the first byte of an answer, and not by
+//     timeout or cancellation, the peer had closed it — a restart, an idle
+//     close — and the request goes out once more, to the same peer, on a
+//     fresh dial. A timeout is not retried: the peer is alive and silent,
+//     which is the caller's to judge.
 //   - A connection whose context abort fired (or may have) is closed, never
 //     pooled: its deadline lies in the past and would fail the next exchange.
-//   - A closed daemon answers nothing: Server tracks the connections it is
-//     keeping open and Close closes them.
+//     So is a stream left before its last frame.
+//   - A closed daemon takes no new request: Server tracks the connections it
+//     keeps idle between requests and Close closes them; a request already
+//     being answered — a SeD's exec, a client's campaign stream — is
+//     finished, and its connection closed after it.
 package diet
 
 import (
@@ -63,13 +73,15 @@ const (
 )
 
 // reusable reports whether req may ride a kept-alive connection — and so be
-// sent twice when that connection turns out stale. Submit is not idempotent
-// and attach streams; everything else is a pure read or evaluation, or
-// (cancel) converges.
+// sent twice when that connection turns out stale. A keyed submit is
+// answered once however often it is sent (the scheduler admits a key once),
+// an attach only reads, and everything else is a pure read or evaluation,
+// or (cancel) converges. An unkeyed submit is the one request that must not
+// be resent.
 func reusable(req *Request) bool {
 	switch req.Kind {
-	case KindSubmit, KindAttach:
-		return false
+	case KindSubmit:
+		return req.Submit != nil && !req.Submit.Key.IsZero() && req.Version >= ProtocolV8
 	case KindForward:
 		return req.Forward == nil || req.Forward.Inner == nil || reusable(req.Forward.Inner)
 	}
@@ -78,31 +90,21 @@ func reusable(req *Request) bool {
 
 // RoundTrip dials addr, sends req and decodes the single response, with the
 // protocol's default deadline, announcing this build's protocol version when
-// the caller left it unset. It is the one-shot client primitive.
+// the caller left it unset. It is the one-shot primitive.
 func RoundTrip(addr string, req *Request) (*Response, error) {
-	if req.Version == 0 {
-		req.Version = ProtocolVersion
-	}
 	return RoundTripContext(context.Background(), addr, req, dialTimeout)
 }
 
 // RoundTripContext is RoundTrip with a deadline d for the whole exchange,
 // under a context: cancelling ctx aborts the dial and unblocks an in-flight
 // read or write immediately. One connection, one request frame out, one
-// response frame back, closed.
-// Decoding retains, because round-trip callers keep what they get (perf
-// vectors, chunk reports). Nothing is retried here: submit is not idempotent.
+// response frame back, closed. Nothing is retried here.
 func RoundTripContext(ctx context.Context, addr string, req *Request, d time.Duration) (*Response, error) {
-	conn, err := dial(ctx, addr, d)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	resp, _, err := exchange(ctx, conn, addr, req, d)
-	return resp, err
+	return (*Transport)(nil).RoundTrip(ctx, addr, req, d)
 }
 
-// dial opens a counted connection to addr.
+// dial opens a counted connection to addr. Its error wraps the dialer's
+// *net.OpError (Op "dial"), which is how Unsent knows nothing was sent.
 func dial(ctx context.Context, addr string, d time.Duration) (net.Conn, error) {
 	dialer := net.Dialer{Timeout: d}
 	conn, err := dialer.DialContext(ctx, "tcp", addr)
@@ -113,20 +115,14 @@ func dial(ctx context.Context, addr string, d time.Duration) (net.Conn, error) {
 	return CountConn(conn), nil
 }
 
-// connFate is what an exchange leaves its connection fit for.
-type connFate int
-
-const (
-	// fateClose: done with, out of step, or aborted.
-	fateClose connFate = iota
-	// fateStale: the exchange failed before the first byte of an answer,
-	// and not by timeout or cancellation — on a pooled connection, the mark
-	// of a peer that had already closed it.
-	fateStale
-	// fateKeep: one whole answer read, the abort never fired, and the answer
-	// carried the keep-alive bit.
-	fateKeep
-)
+// Unsent reports whether err, from an exchange, failed before any byte of
+// the request could have reached the peer: the dial failed, and no pooled
+// connection had carried the request before it. Such a request may go to
+// another peer; any other failed one may have been read.
+func Unsent(err error) bool {
+	var op *net.OpError
+	return errors.As(err, &op) && op.Op == "dial"
+}
 
 // unanswered classifies a failed request write or response read: true when
 // no byte of an answer arrived and the failure is not a timeout. Frame-level
@@ -139,57 +135,16 @@ func unanswered(err error) bool {
 	return !errors.Is(err, ErrBadFrame) && !errors.Is(err, ErrFrameTooLarge) && !errors.Is(err, io.ErrUnexpectedEOF)
 }
 
-// exchange sends req on conn and reads its one answer, the whole of it
-// within d. Cancelling ctx forces the connection's deadline into the past,
-// which unblocks the read or write in progress; the deadline is set before
-// the abort is armed, so the abort cannot be overwritten.
-func exchange(ctx context.Context, conn net.Conn, addr string, req *Request, d time.Duration) (resp *Response, fate connFate, err error) {
-	if err := conn.SetDeadline(time.Now().Add(d)); err != nil {
-		return nil, fateClose, err
-	}
-	if ctx.Done() != nil {
-		stop := context.AfterFunc(ctx, func() { _ = conn.SetDeadline(time.Unix(1, 0)) })
-		defer func() {
-			if !stop() {
-				fate = fateClose
-			}
-		}()
-	}
-	failed := func(doing string, cause error) (*Response, connFate, error) {
-		switch {
-		case ctx.Err() != nil:
-			return nil, fateClose, ctx.Err()
-		case unanswered(cause):
-			return nil, fateStale, fmt.Errorf("diet: %s %s: %w", doing, addr, cause)
-		}
-		return nil, fateClose, fmt.Errorf("diet: %s %s: %w", doing, addr, cause)
-	}
-	if err := WriteRequestFrame(conn, req); err != nil {
-		return failed("encoding "+req.Kind+" request to", err)
-	}
-	dec := GetFrameDecoder(true)
-	defer PutFrameDecoder(dec)
-	resp, err = dec.ReadResponse(conn)
-	if err != nil {
-		return failed("decoding "+req.Kind+" response from", err)
-	}
-	if req.KeepAlive && resp.KeepAlive {
-		fate = fateKeep
-	}
-	if resp.Err != "" {
-		return nil, fate, &RemoteError{Kind: req.Kind, Msg: resp.Err}
-	}
-	return resp, fate, nil
-}
-
 // ---- the requesting side: a pool of idle connections ----------------------
 
-// Transport is one daemon's kept-alive requester: RoundTrip makes an exchange
-// on an idle connection to the peer when it holds one, dials otherwise, and
-// keeps the connection for the next exchange when the peer agrees. Safe for
-// concurrent use; each connection carries one exchange at a time, so the
-// number of open connections to a peer is the number of concurrent exchanges
-// with it, of which at most perPeer stay idle afterwards.
+// Transport is a kept-alive requester: an exchange goes out on an idle
+// connection to the peer when the transport holds one, on a fresh dial
+// otherwise, and leaves its connection for the next exchange when the peer
+// agrees. Safe for concurrent use; each connection carries one exchange at a
+// time, so the number of open connections to a peer is the number of
+// concurrent exchanges with it, of which at most perPeer stay idle
+// afterwards. A nil *Transport is the one-shot shape: every exchange dials
+// and closes.
 type Transport struct {
 	perPeer int
 	idleAge time.Duration // maxIdleAge; tests shorten it
@@ -214,34 +169,167 @@ func NewTransport(perPeer int) *Transport {
 	return &Transport{perPeer: max(perPeer, 1), idleAge: maxIdleAge, idle: make(map[string][]idleConn)}
 }
 
-// RoundTrip sends req to addr and returns its single response, like
-// RoundTripContext, on a kept-alive connection. Requests that must not be
-// sent twice (see reusable) take the one-shot path instead.
+// RoundTrip sends req to addr and returns its single response, within d and
+// under ctx, on a kept-alive connection when req is reusable. An answer
+// carrying an error payload is returned as a *RemoteError.
 func (t *Transport) RoundTrip(ctx context.Context, addr string, req *Request, d time.Duration) (*Response, error) {
-	if req.Version == 0 {
-		req.Version = ProtocolVersion
-	}
-	if !reusable(req) {
-		return RoundTripContext(ctx, addr, req, d)
-	}
-	req.KeepAlive = true
-	if conn := t.take(addr); conn != nil {
-		resp, fate, err := exchange(ctx, conn, addr, req, d)
-		t.settle(addr, conn, fate)
-		if fate != fateStale {
-			return resp, err
-		}
-		// The peer had closed the pooled connection: the request never
-		// reached a handler, so it goes out again, once, on a fresh one.
-	}
-	conn, err := dial(ctx, addr, d)
+	var st Stream
+	resp, err := t.open(ctx, addr, req, d, &st)
 	if err != nil {
 		return nil, err
 	}
-	t.dials.Add(1)
-	resp, fate, err := exchange(ctx, conn, addr, req, d)
-	t.settle(addr, conn, fate)
+	st.Close()
+	if resp.Err != "" {
+		return nil, &RemoteError{Kind: req.Kind, Msg: resp.Err}
+	}
+	return resp, nil
+}
+
+// Stream is one exchange whose answer may run to several frames: the
+// request is out and its first answer frame read (OpenStream), Next reads
+// each further one within the stream's per-frame deadline, and Close ends
+// the exchange — keeping the connection for the next one only when the last
+// frame read carried the keep-alive bit and the context never fired. Frames
+// decode retained: they outlive the stream.
+type Stream struct {
+	t    *Transport
+	addr string
+	ctx  context.Context
+	d    time.Duration
+	conn net.Conn // counted
+	dec  *FrameDecoder
+	stop func() bool // disarms the ctx abort; nil when ctx cannot end
+	ask  bool        // the request set the keep-alive bit
+	keep bool        // ...and the last frame read echoed it
+}
+
+// OpenStream sends req to addr and reads the first frame of its answer,
+// each within d and under ctx: cancelling ctx unblocks whatever read or
+// write is in progress, for the life of the stream. A reusable request rides
+// a kept-alive connection, and goes out once more on a fresh dial when the
+// pooled one turns out stale before the first byte of that frame. The frame
+// is returned as read, error payload included; the caller owns the stream
+// and must Close it.
+func (t *Transport) OpenStream(ctx context.Context, addr string, req *Request, d time.Duration) (*Stream, *Response, error) {
+	st := new(Stream)
+	resp, err := t.open(ctx, addr, req, d, st)
+	if err != nil {
+		return nil, nil, err
+	}
+	return st, resp, nil
+}
+
+// open is OpenStream into a caller-provided stream.
+func (t *Transport) open(ctx context.Context, addr string, req *Request, d time.Duration, st *Stream) (*Response, error) {
+	if req.Version == 0 {
+		req.Version = ProtocolVersion
+	}
+	req.KeepAlive = t != nil && reusable(req)
+	var staleErr error
+	if req.KeepAlive {
+		if conn := t.take(addr); conn != nil {
+			resp, stale, err := st.start(ctx, t, addr, conn, req, d)
+			if !stale {
+				return resp, err
+			}
+			// The peer had closed the pooled connection, most likely before
+			// the request reached a handler: it goes out again, once, on a
+			// fresh one.
+			staleErr = err
+		}
+	}
+	conn, err := dial(ctx, addr, d)
+	if err != nil {
+		if t != nil && ctx.Err() == nil {
+			t.Drop(addr) // the peer is gone: its idle connections are stale too
+		}
+		if staleErr != nil {
+			// The request did go out, on the stale connection: report that,
+			// so the caller cannot take it for a request never sent.
+			return nil, fmt.Errorf("%w (resending: %v)", staleErr, err)
+		}
+		return nil, err
+	}
+	if t != nil {
+		t.dials.Add(1)
+	}
+	resp, _, err := st.start(ctx, t, addr, conn, req, d)
 	return resp, err
+}
+
+// start makes the exchange's opening moves on conn: deadline, the ctx
+// abort — armed after the deadline, so the deadline cannot overwrite it —
+// the request, and the first answer frame. On failure the connection is
+// closed, and stale reports that no byte of an answer arrived and the cause
+// was neither a timeout nor ctx.
+func (st *Stream) start(ctx context.Context, t *Transport, addr string, conn net.Conn, req *Request, d time.Duration) (resp *Response, stale bool, err error) {
+	*st = Stream{t: t, addr: addr, ctx: ctx, d: d, conn: conn, ask: req.KeepAlive}
+	if err := conn.SetDeadline(time.Now().Add(d)); err != nil {
+		conn.Close()
+		return nil, false, err
+	}
+	if ctx.Done() != nil {
+		st.stop = context.AfterFunc(ctx, func() { _ = conn.SetDeadline(time.Unix(1, 0)) })
+	}
+	st.dec = GetFrameDecoder(true)
+	failed := func(doing string, cause error) (*Response, bool, error) {
+		st.keep = false
+		st.Close()
+		switch {
+		case ctx.Err() != nil:
+			return nil, false, ctx.Err()
+		case unanswered(cause):
+			return nil, true, fmt.Errorf("diet: %s %s: %w", doing, addr, cause)
+		}
+		return nil, false, fmt.Errorf("diet: %s %s: %w", doing, addr, cause)
+	}
+	if err := WriteRequestFrame(conn, req); err != nil {
+		return failed("encoding "+req.Kind+" request to", err)
+	}
+	if resp, err = st.dec.ReadResponse(conn); err != nil {
+		return failed("decoding "+req.Kind+" response from", err)
+	}
+	st.keep = st.ask && resp.KeepAlive
+	return resp, false, nil
+}
+
+// Addr is the peer the stream talks to.
+func (st *Stream) Addr() string { return st.addr }
+
+// Next reads the stream's next frame. The deadline is refreshed before the
+// read, so a stream lives as long as the peer keeps talking; ctx is checked
+// after the refresh, so a cancellation that landed before it is seen here
+// and one that lands later forces its past deadline over the refreshed one.
+func (st *Stream) Next() (*Response, error) {
+	st.keep = false
+	_ = st.conn.SetDeadline(time.Now().Add(st.d))
+	if err := st.ctx.Err(); err != nil {
+		return nil, err
+	}
+	resp, err := st.dec.ReadResponse(st.conn)
+	if err != nil {
+		if st.ctx.Err() != nil {
+			return nil, st.ctx.Err()
+		}
+		return nil, fmt.Errorf("diet: decoding response from %s: %w", st.addr, err)
+	}
+	st.keep = st.ask && resp.KeepAlive
+	return resp, st.ctx.Err()
+}
+
+// Close ends the exchange: the connection goes back to the transport's pool
+// when the last frame read carried the keep-alive bit, the ctx abort never
+// fired, and there is room; it is closed otherwise.
+func (st *Stream) Close() {
+	keep := st.keep
+	if st.stop != nil && !st.stop() {
+		keep = false
+	}
+	if !keep || st.t == nil || !st.t.pool(st.addr, st.conn) {
+		st.conn.Close()
+	}
+	PutFrameDecoder(st.dec)
+	st.dec = nil
 }
 
 // Dials counts the connections this transport opened.
@@ -279,14 +367,6 @@ func (t *Transport) setIdle(addr string, conns []idleConn) {
 		delete(t.idle, addr)
 	} else {
 		t.idle[addr] = conns
-	}
-}
-
-// settle disposes of a connection after its exchange: pooled when the
-// exchange left it fit and there is room, closed otherwise.
-func (t *Transport) settle(addr string, conn net.Conn, fate connFate) {
-	if fate != fateKeep || !t.pool(addr, conn) {
-		conn.Close()
 	}
 }
 
@@ -365,72 +445,75 @@ func (t *Transport) Close() {
 // ---- the serving side ------------------------------------------------------
 
 // Server is the serving half of the transport: the request loop of one served
-// connection, and the set of connections the daemon is currently keeping open
-// between requests, so that closing the daemon closes them. The zero value is
-// ready to use.
+// connection, and the set of connections the daemon is keeping idle between
+// requests, so that closing the daemon closes them. The zero value is ready
+// to use.
 type Server struct {
 	mu     sync.Mutex
-	kept   map[net.Conn]struct{}
+	idle   map[net.Conn]struct{}
 	closed bool
 }
 
 // ServeConn serves conn until it is done with: it reads a request
 // (negotiating its version), hands it to answer, and — when answer
-// reports that it wrote a single response carrying the keep-alive bit — reads
+// reports that it wrote its last frame carrying the keep-alive bit — reads
 // the next request on the same connection, for up to serveIdleTimeout. answer
 // writes to w, the counted connection, and owns its deadlines while it runs.
 // Requests decode into scratch: answer must be done with req when it returns.
 func (sv *Server) ServeConn(conn net.Conn, answer func(w net.Conn, req *Request, ver int) (keep bool)) {
 	defer conn.Close()
-	defer sv.untrack(conn)
+	defer sv.wake(conn) // leaves the idle set for good
 	cc := CountConn(conn)
 	dec := GetFrameDecoder(false)
 	defer PutFrameDecoder(dec)
 	_ = conn.SetDeadline(time.Now().Add(dialTimeout))
 	for {
 		req, ver, err := dec.AcceptRequest(cc)
-		if err != nil {
+		// wake fails once the daemon is closed: a request read after Close
+		// is never answered, and the peer finds the connection closed.
+		if err != nil || !sv.wake(conn) {
 			return
 		}
-		// track fails when the daemon closed while the request was being
-		// answered: the peer finds the connection closed and redials.
-		if !answer(cc, req, ver) || !sv.track(conn) {
+		if !answer(cc, req, ver) || !sv.rest(conn) {
 			return
 		}
 		_ = conn.SetDeadline(time.Now().Add(serveIdleTimeout))
 	}
 }
 
-// track registers a connection entering (or staying in) keep-alive; false
-// once the server is closed.
-func (sv *Server) track(conn net.Conn) bool {
+// rest registers a connection going idle to wait for its next request;
+// false once the server is closed.
+func (sv *Server) rest(conn net.Conn) bool {
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
 	if sv.closed {
 		return false
 	}
-	if sv.kept == nil {
-		sv.kept = make(map[net.Conn]struct{})
+	if sv.idle == nil {
+		sv.idle = make(map[net.Conn]struct{})
 	}
-	sv.kept[conn] = struct{}{}
+	sv.idle[conn] = struct{}{}
 	return true
 }
 
-func (sv *Server) untrack(conn net.Conn) {
+// wake takes a connection out of the idle set, its request about to be
+// answered; false once the server is closed.
+func (sv *Server) wake(conn net.Conn) bool {
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
-	delete(sv.kept, conn)
+	delete(sv.idle, conn)
+	return !sv.closed
 }
 
-// Close closes every kept-alive connection, idle or mid-request, and refuses
-// to keep any more: a closed daemon answers nothing on connections it had
-// kept open. Connections still on their first request finish it, as they
-// always did.
+// Close closes every idle connection and refuses to answer or keep any more:
+// a closed daemon takes no new request, on a new connection or on one it
+// had kept open. A request already being answered finishes, and its
+// connection closes after it.
 func (sv *Server) Close() {
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
 	sv.closed = true
-	for conn := range sv.kept {
+	for conn := range sv.idle {
 		conn.Close()
 	}
 }

@@ -34,10 +34,12 @@ type WireCounters struct {
 	// something other than the frame magic or stamped a version below
 	// ProtocolFloor (see FrameDecoder.AcceptRequest).
 	Refused uint64
-	// Dials counts connections opened by the transport (one-shot round trips
-	// and kept-alive Transports alike); Reused counts exchanges a Transport
-	// started on an idle connection instead of dialing. IdleConns is a gauge:
-	// connections sitting idle in Transport pools right now.
+	// Dials counts every connection the process opened to speak the
+	// protocol: the transport is its only dialer, so this covers daemons'
+	// and clients' kept-alive Transports — campaign streams included — and
+	// one-shot round trips alike. Reused counts exchanges a Transport
+	// started on an idle connection instead of dialing. IdleConns is a
+	// gauge: connections sitting idle in Transport pools right now.
 	Dials     uint64
 	Reused    uint64
 	IdleConns int64

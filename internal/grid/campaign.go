@@ -27,6 +27,10 @@ type campaign struct {
 	priority int
 	labels   map[string]string
 	deadline time.Duration
+	// key is the submission key the campaign was admitted under (zero for
+	// none); the lifecycle indexes it, so a resent submit finds the
+	// campaign instead of admitting it twice. Immutable.
+	key diet.SubmitKey
 	// tenant is the campaign's fair-queueing tenant, derived from labels at
 	// admission (and re-derived on journal replay); enqueuedAt is when its
 	// queue slot was taken. Both are immutable once the campaign is visible.
@@ -83,25 +87,33 @@ type campaign struct {
 }
 
 // progressFrame is one published (or journal-replayed) progress update,
-// serialized at most once however many subscribers receive it: every stream
-// and every Attach replay shares the one cached encoding.
+// serialized at most once per protocol version however many subscribers
+// receive it: every stream and every Attach replay at that version shares
+// the one cached encoding.
 type progressFrame struct {
-	u      diet.ProgressUpdate
-	once   sync.Once
-	enc    []byte
-	encErr error
+	u  diet.ProgressUpdate
+	mu sync.Mutex
+	// enc holds the encoding stamped with each version, at index version −
+	// ProtocolFloor; nil until a stream at that version asks for it.
+	enc [diet.ProtocolVersion - diet.ProtocolFloor + 1][]byte
 }
 
-// encoded returns the frame's wire bytes, computing them on first use.
-// ProgressUpdate has no version-gated field, which is why one encoding
-// serves every subscriber. It is stamped with the protocol floor, today the
-// only version a stream can negotiate; once a newer one exists, a stream's
-// header versions agree only with one cached encoding per version.
-func (f *progressFrame) encoded() ([]byte, error) {
-	f.once.Do(func() {
-		f.enc, f.encErr = diet.AppendResponseFrame(nil, &diet.Response{Version: diet.ProtocolFloor, Progress: &f.u})
-	})
-	return f.enc, f.encErr
+// encoded returns the frame's wire bytes stamped with version ver (one the
+// stream negotiated, so within [ProtocolFloor, ProtocolVersion]), computing
+// them on first use. A stream's every header carries its own version, so
+// each version gets its own encoding even where the payloads agree.
+func (f *progressFrame) encoded(ver int) ([]byte, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	e := &f.enc[ver-diet.ProtocolFloor]
+	if *e == nil {
+		b, err := diet.AppendResponseFrame(nil, &diet.Response{Version: ver, Progress: &f.u})
+		if err != nil {
+			return nil, err
+		}
+		*e = b
+	}
+	return *e, nil
 }
 
 // submitMeta carries a campaign's per-submit options (control plane v2).
@@ -109,6 +121,7 @@ type submitMeta struct {
 	priority int
 	labels   map[string]string
 	deadline time.Duration
+	key      diet.SubmitKey
 }
 
 // newCampaign builds a fresh campaign with every scenario remaining.
@@ -120,6 +133,7 @@ func newCampaign(id uint64, app core.Application, heuristic string, meta submitM
 		priority:  meta.priority,
 		labels:    meta.labels,
 		deadline:  meta.deadline,
+		key:       meta.key,
 		abortCh:   make(chan struct{}),
 		status:    diet.CampaignQueued,
 		remaining: make([]int, app.Scenarios),
@@ -137,7 +151,7 @@ func recoveredCampaign(rc *store.Campaign) *campaign {
 	recs := rc.Records()
 	adm := &recs[0]
 	c := newCampaign(adm.ID, core.Application{Scenarios: adm.Scenarios, Months: adm.Months}, adm.Heuristic,
-		submitMeta{priority: adm.Priority, labels: adm.Labels, deadline: adm.Deadline})
+		submitMeta{priority: adm.Priority, labels: adm.Labels, deadline: adm.Deadline, key: adm.Key})
 	for i := range recs[1:] {
 		c.apply(&recs[1+i])
 	}

@@ -2,9 +2,10 @@ package grid
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -67,6 +68,61 @@ type Client struct {
 	// long as a whole — it dies only when the daemon goes silent for Timeout
 	// (default 2m, matching the daemon's campaign timeout).
 	Timeout time.Duration
+
+	// The client's kept-alive transport and its submission-key minter, built
+	// on first use (see build), so the zero value is ready to use.
+	mu        sync.Mutex
+	tr        *diet.Transport
+	keyPrefix [8]byte
+	keySeq    uint64
+}
+
+// clientIdlePerPeer bounds the idle connections a client keeps to one
+// member: enough for the campaigns and control requests a busy client has
+// in flight at once, so a burst does not redial in steady state.
+const clientIdlePerPeer = 8
+
+// transport returns the client's kept-alive transport, building it on first
+// use.
+func (c *Client) transport() *diet.Transport {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.build()
+	return c.tr
+}
+
+// build builds the transport and draws the key prefix. Callers hold c.mu.
+func (c *Client) build() {
+	if c.tr == nil {
+		c.tr = diet.NewTransport(clientIdlePerPeer)
+		_, _ = rand.Read(c.keyPrefix[:]) // never fails (crypto/rand)
+	}
+}
+
+// mintKey returns a submission key no other submit of this client — or,
+// but for a 64-bit prefix collision, of any client — carries: the client's
+// random prefix and a counter, so minting costs no syscall.
+func (c *Client) mintKey() diet.SubmitKey {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.build()
+	c.keySeq++
+	var k diet.SubmitKey
+	copy(k[:8], c.keyPrefix[:])
+	binary.LittleEndian.PutUint64(k[8:], c.keySeq)
+	return k
+}
+
+// Close releases the connections the client keeps idle. Exchanges still in
+// flight finish on their own connections; a closed client stays usable, one
+// connection per exchange.
+func (c *Client) Close() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.tr != nil {
+		c.tr.Close()
+	}
+	return nil
 }
 
 // ---- ring routing ----------------------------------------------------------
@@ -158,22 +214,30 @@ func (c *Client) candidates(id uint64) []string {
 // forever.
 const maxRedirectHops = 3
 
-// ringRoundTrip sends a one-shot request across the client's member set: it
-// walks candidates(id), follows up to maxRedirectHops ownership redirects
-// per candidate (learning each), rotates to the next member on transport
-// failure, and stops immediately on an answered error — a shard that
-// answered authoritatively will not answer differently elsewhere. It returns
-// the response and the address that served it.
+// ringRoundTrip sends a single-answer request across the client's member
+// set, on the client's kept-alive transport: it walks candidates(id),
+// follows up to maxRedirectHops ownership redirects per candidate (learning
+// each), rotates to the next member on transport failure, and stops
+// immediately on an answered error — a shard that answered authoritatively
+// will not answer differently elsewhere. A submit rotates only when the
+// dial failed: once it was written it may have been admitted, so it is
+// never replayed on another member (the transport resends a keyed one once,
+// to the same member, when its pooled connection was stale). It returns the
+// response and the address that served it.
 func (c *Client) ringRoundTrip(ctx context.Context, id uint64, req *diet.Request) (*diet.Response, string, error) {
+	tr := c.transport()
 	var lastErr error
 	for _, addr := range c.candidates(id) {
 		target := addr
 		for hop := 0; hop <= maxRedirectHops; hop++ {
-			resp, err := diet.RoundTripContext(ctx, target, req, c.timeout())
+			resp, err := tr.RoundTrip(ctx, target, req, c.timeout())
 			if err != nil {
 				var remote *diet.RemoteError
 				if errors.As(err, &remote) || ctx.Err() != nil {
 					return nil, target, err
+				}
+				if req.Kind == diet.KindSubmit && !diet.Unsent(err) {
+					return nil, target, wireError(target, err)
 				}
 				forgetRoute(c.Addr, id)
 				lastErr = wireError(target, err)
@@ -227,76 +291,36 @@ func (c *Client) Run(app core.Application, heuristic string) (*diet.CampaignResu
 	return c.RunContext(context.Background(), app, heuristic, SubmitMeta{}, nil, nil)
 }
 
-// campaignStream is one open streaming connection: submit-wait or attach.
-type campaignStream struct {
-	addr string // the member this stream dialed (ring clients rotate)
-	conn net.Conn
-	cc   net.Conn // counted wrapper around conn
-	// dec retains what it decodes: progress frames and results outlive the
-	// stream (the dial layer republishes them as client events).
-	dec  *diet.FrameDecoder
-	stop func() bool // disarms the ctx abort
-}
-
-func (st *campaignStream) close() {
-	st.stop()
-	st.conn.Close()
-	diet.PutFrameDecoder(st.dec)
-}
-
-// openStreamAt dials one member, ties the connection to ctx — cancelling it
-// forces the deadline into the past, which unblocks a parked read or write —
-// and sends req. A stream is the one exchange that never rides the daemons'
-// kept-alive transport: a submit must not be replayed, so it gets a fresh
-// connection of its own, used once.
-func (c *Client) openStreamAt(ctx context.Context, addr string, req *diet.Request) (*campaignStream, error) {
-	dialer := net.Dialer{Timeout: c.timeout()}
-	conn, err := dialer.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("grid: dialing %s: %w", addr, err)
-	}
-	if err := conn.SetDeadline(time.Now().Add(c.timeout())); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	stop := context.AfterFunc(ctx, func() { _ = conn.SetDeadline(time.Unix(1, 0)) })
-	cc := diet.CountConn(conn)
-	st := &campaignStream{addr: addr, conn: conn, cc: cc, dec: diet.GetFrameDecoder(true), stop: stop}
-	if err := diet.WriteRequestFrame(cc, req); err != nil {
-		st.close()
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, fmt.Errorf("grid: encoding %s to %s: %w", req.Kind, addr, err)
-	}
-	return st, nil
-}
-
-// nextFrame refreshes the deadline before every decode: the stream stays
-// alive as long as the daemon keeps talking, however long the campaign. The
-// ctx check comes after the refresh: a cancellation that landed before it is
-// seen here, and one that lands later forces its past deadline over the
-// refreshed one — either way the refresh cannot re-arm a cancelled stream.
-func (c *Client) nextFrame(ctx context.Context, st *campaignStream) (*diet.Response, error) {
-	_ = st.conn.SetDeadline(time.Now().Add(c.timeout()))
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	resp, err := st.dec.ReadResponse(st.cc)
+// openStream sends a streaming request (submit-wait or attach) to one member
+// on the client's transport and reads the verdict frame. A keyed submit and
+// an attach ride a kept-alive connection, which is pooled again after the
+// result frame; an unkeyed submit gets a connection of its own.
+func (c *Client) openStream(ctx context.Context, addr string, req *diet.Request) (*diet.Stream, *diet.Response, error) {
+	st, verdict, err := c.transport().OpenStream(ctx, addr, req, c.timeout())
 	if err != nil {
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return nil, nil, ctx.Err()
 		}
-		return nil, wireError(st.addr, err)
+		return nil, nil, wireError(addr, err)
 	}
-	return resp, ctx.Err()
+	return st, verdict, nil
+}
+
+// nextFrame reads a stream's next frame; see diet.Stream.Next for how the
+// per-frame deadline and ctx interact.
+func nextFrame(st *diet.Stream) (*diet.Response, error) {
+	resp, err := st.Next()
+	if err != nil && resp == nil {
+		return nil, wireError(st.Addr(), err)
+	}
+	return resp, err
 }
 
 // streamResult consumes a verdict-acknowledged campaign stream to its end:
 // progress frames go to onProgress, the result frame closes the exchange.
-func (c *Client) streamResult(ctx context.Context, st *campaignStream, id uint64, onProgress func(*diet.ProgressUpdate)) (*diet.CampaignResult, error) {
+func streamResult(st *diet.Stream, id uint64, onProgress func(*diet.ProgressUpdate)) (*diet.CampaignResult, error) {
 	for {
-		frame, err := c.nextFrame(ctx, st)
+		frame, err := nextFrame(st)
 		if err != nil {
 			return nil, fmt.Errorf("grid: waiting for campaign %d result: %w", id, err)
 		}
@@ -310,7 +334,7 @@ func (c *Client) streamResult(ctx context.Context, st *campaignStream, id uint64
 		case frame.Result != nil:
 			return frame.Result, resultErr(frame.Result)
 		default:
-			return nil, fmt.Errorf("%w: %s sent an empty frame for campaign %d", ErrProtocol, st.addr, id)
+			return nil, fmt.Errorf("%w: %s sent an empty frame for campaign %d", ErrProtocol, st.Addr(), id)
 		}
 	}
 }
@@ -338,47 +362,44 @@ func (c *Client) RunContext(ctx context.Context, app core.Application, heuristic
 		Priority:  meta.Priority,
 		Labels:    meta.Labels,
 		Deadline:  meta.Deadline,
+		Key:       c.mintKey(),
 	}}
 	// Any ring member admits a submission (ownership is decided at ID
 	// allocation, on the daemon), so rotation happens only when the dial
-	// itself fails — once the request is on the wire the exchange is not
-	// idempotent and must not be replayed elsewhere.
-	var st *campaignStream
+	// itself fails — once the request is on the wire it may have been
+	// admitted, and it is never replayed elsewhere. Its key makes the one
+	// resend the transport may make, to the same member, safe.
+	var st *diet.Stream
+	var verdict *diet.Response
 	var err error
-	for _, addr := range c.candidates(0) {
-		st, err = c.openStreamAt(ctx, addr, req)
-		if err == nil {
+	addr := ""
+	for _, addr = range c.candidates(0) {
+		st, verdict, err = c.openStream(ctx, addr, req)
+		if err == nil || !diet.Unsent(err) || ctx.Err() != nil {
 			break
-		}
-		if ctx.Err() != nil {
-			return nil, err
 		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	defer st.close()
+	defer st.Close()
 
-	verdict, err := c.nextFrame(ctx, st)
-	if err != nil {
-		return nil, fmt.Errorf("grid: decoding admission verdict from %s: %w", st.addr, err)
-	}
 	if verdict.Err != "" {
-		return nil, fmt.Errorf("%w: submit to %s: remote error: %s", ErrProtocol, st.addr, verdict.Err)
+		return nil, fmt.Errorf("%w: submit to %s: remote error: %s", ErrProtocol, addr, verdict.Err)
 	}
 	if verdict.Submit == nil {
-		return nil, fmt.Errorf("%w: %s sent no admission verdict", ErrProtocol, st.addr)
+		return nil, fmt.Errorf("%w: %s sent no admission verdict", ErrProtocol, addr)
 	}
 	if !verdict.Submit.Accepted {
 		return nil, rejectionError(verdict.Submit)
 	}
 	// The admitting member owns the campaign: remember it so a later Attach
 	// or poll through this client goes straight there.
-	learnRoute(c.Addr, verdict.Submit.ID, st.addr)
+	learnRoute(c.Addr, verdict.Submit.ID, addr)
 	if onAdmit != nil {
 		onAdmit(verdict.Submit.ID)
 	}
-	return c.streamResult(ctx, st, verdict.Submit.ID, onProgress)
+	return streamResult(st, verdict.Submit.ID, onProgress)
 }
 
 // AttachContext reconnects to a previously admitted campaign by ID — after
@@ -427,19 +448,15 @@ func (c *Client) AttachContext(ctx context.Context, id uint64, onAttach func(*di
 // (attach is idempotent); a non-empty redirect is the member's ownership
 // answer and the caller should retry there.
 func (c *Client) attachAt(ctx context.Context, addr string, id uint64, onAttach func(*diet.AttachResponse), onProgress func(*diet.ProgressUpdate)) (res *diet.CampaignResult, redirect string, reachable bool, err error) {
-	st, err := c.openStreamAt(ctx, addr, &diet.Request{Version: diet.ProtocolVersion, Kind: diet.KindAttach, Attach: &diet.AttachRequest{
+	st, verdict, err := c.openStream(ctx, addr, &diet.Request{Version: diet.ProtocolVersion, Kind: diet.KindAttach, Attach: &diet.AttachRequest{
 		ID:       id,
 		Progress: true,
 	}})
 	if err != nil {
-		return nil, "", false, err
+		return nil, "", false, fmt.Errorf("grid: attach verdict from %s: %w", addr, err)
 	}
-	defer st.close()
+	defer st.Close()
 
-	verdict, err := c.nextFrame(ctx, st)
-	if err != nil {
-		return nil, "", false, fmt.Errorf("grid: decoding attach verdict from %s: %w", addr, err)
-	}
 	if verdict.Redirect != nil && verdict.Redirect.Owner != "" {
 		return nil, verdict.Redirect.Owner, true, nil
 	}
@@ -455,7 +472,7 @@ func (c *Client) attachAt(ctx context.Context, addr string, id uint64, onAttach 
 	if onAttach != nil {
 		onAttach(verdict.Attach)
 	}
-	res, err = c.streamResult(ctx, st, id, onProgress)
+	res, err = streamResult(st, id, onProgress)
 	return res, "", true, err
 }
 
@@ -493,6 +510,7 @@ func (c *Client) SubmitContext(ctx context.Context, app core.Application, heuris
 		Scenarios: app.Scenarios,
 		Months:    app.Months,
 		Heuristic: heuristic,
+		Key:       c.mintKey(),
 	}})
 	if err != nil {
 		return nil, err

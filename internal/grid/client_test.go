@@ -125,11 +125,14 @@ func TestClientContextCancelMidStream(t *testing.T) {
 }
 
 // submitRaw opens a raw submit-wait connection stamped with the given
-// protocol version and returns every frame the daemon streams back. Each
-// frame must be stamped with the negotiated version — min(version, the
-// daemon's) — and be byte-exact: re-encoding what it decodes to reproduces
-// the wire bytes.
-func submitRaw(t *testing.T, addr string, version int, req *diet.SubmitRequest) []*diet.Response {
+// protocol version, asking for keep-alive, and returns every frame the
+// daemon streams back and whether the daemon then read another request on
+// the connection. Each frame must be stamped with the negotiated version —
+// min(version, the daemon's) — and be byte-exact: re-encoding what it
+// decodes to reproduces the wire bytes. Only the result frame may carry the
+// keep-alive bit, and it must carry it exactly when the daemon keeps the
+// connection.
+func submitRaw(t *testing.T, addr string, version int, req *diet.SubmitRequest) (frames []*diet.Response, kept bool) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -137,16 +140,15 @@ func submitRaw(t *testing.T, addr string, version int, req *diet.SubmitRequest) 
 	}
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(30 * time.Second))
-	if err := diet.WriteRequestFrame(conn, &diet.Request{Version: version, Kind: diet.KindSubmit, Submit: req}); err != nil {
+	if err := diet.WriteRequestFrame(conn, &diet.Request{Version: version, Kind: diet.KindSubmit, Submit: req, KeepAlive: true}); err != nil {
 		t.Fatal(err)
 	}
 	negotiated := min(version, diet.ProtocolVersion)
 	dec := &diet.FrameDecoder{Retain: true}
-	var frames []*diet.Response
 	for {
 		raw := make([]byte, 12) // the fixed frame header
 		if _, err := io.ReadFull(conn, raw); err != nil {
-			return frames
+			return frames, false
 		}
 		if n := binary.LittleEndian.Uint32(raw[8:]); n <= diet.MaxFramePayload {
 			raw = append(raw, make([]byte, n)...)
@@ -169,9 +171,94 @@ func submitRaw(t *testing.T, addr string, version int, req *diet.SubmitRequest) 
 			t.Fatalf("frame %d is not byte-exact at v%d (%v):\n wire % x\nagain % x", len(frames), hdr.Version, err, raw, again)
 		}
 		frames = append(frames, resp)
-		if resp.Err != "" || resp.Result != nil {
-			return frames
+		last := resp.Err != "" || resp.Result != nil || !req.Wait
+		if resp.KeepAlive && !last {
+			t.Fatalf("frame %d carries the keep-alive bit mid-stream", len(frames)-1)
 		}
+		if last {
+			kept = readsAnother(t, conn, negotiated)
+			if kept != resp.KeepAlive {
+				t.Fatalf("last frame's keep-alive bit %v, but the daemon read another request: %v", resp.KeepAlive, kept)
+			}
+			return frames, kept
+		}
+	}
+}
+
+// readsAnother sends a stats request on conn and reports whether the daemon
+// answered it, rather than closing the connection.
+func readsAnother(t *testing.T, conn net.Conn, version int) bool {
+	t.Helper()
+	// A write into a connection the daemon closed may still succeed; the
+	// read below is the verdict.
+	_ = diet.WriteRequestFrame(conn, &diet.Request{Version: version, Kind: diet.KindStats, Stats: &diet.StatsRequest{}})
+	resp, err := (&diet.FrameDecoder{}).ReadResponse(conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("the daemon neither answered nor closed the connection after the stream")
+	}
+	return err == nil && resp.Stats != nil
+}
+
+// TestSubmitNotReplayedOnAnotherMember: a ring client's primary reads the
+// submit and closes without answering. The campaign may have been admitted
+// there, so the client must fail the submit rather than replay it on the
+// next member — which would run it twice. A primary that refuses the dial
+// is another matter: nothing was sent, so the next member admits it.
+func TestSubmitNotReplayedOnAnotherMember(t *testing.T) {
+	f := startFabric(t, testConfig(), 2)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			_, _ = (&diet.FrameDecoder{}).ReadRequest(conn)
+			conn.Close()
+		}
+	}()
+	app := core.Application{Scenarios: 2, Months: 6}
+	c := &Client{Addr: ln.Addr().String(), Addrs: []string{f.Sched.Addr()}, Timeout: 5 * time.Second}
+	defer c.Close()
+	if resp, err := c.SubmitContext(context.Background(), app, core.NameKnapsack); err == nil {
+		t.Fatalf("submit read by the primary was answered by another member: %+v", resp)
+	}
+	if _, err := c.RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil); err == nil {
+		t.Fatal("streamed submit read by the primary was answered by another member")
+	}
+	if n := len(f.Sched.table()); n != 0 {
+		t.Fatalf("the fallback admitted %d campaigns the primary had read", n)
+	}
+
+	// A primary that died after the client's last exchange with it: the
+	// submit goes out on the pooled connection, which fails, and the
+	// redial is refused. The submit may have been read before the death,
+	// so it fails too; the next one finds no connection left to the dead
+	// member, and its refused dial sends it to the fallback.
+	primary, err := Start(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c = &Client{Addr: primary.Addr(), Addrs: []string{f.Sched.Addr()}, Timeout: 5 * time.Second}
+	defer c.Close()
+	if _, err := c.StatsContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	primary.Close()
+	if resp, err := c.SubmitContext(context.Background(), app, core.NameKnapsack); err == nil {
+		t.Fatalf("submit written to a dead primary was answered by another member: %+v", resp)
+	}
+	resp, err := c.SubmitContext(context.Background(), app, core.NameKnapsack)
+	if err != nil || !resp.Accepted {
+		t.Fatalf("submit with a refused primary: %+v, %v; want the fallback to admit it", resp, err)
+	}
+	if n := len(f.Sched.table()); n != 1 {
+		t.Fatalf("the fallback holds %d campaigns, want 1", n)
 	}
 }
 
@@ -186,7 +273,7 @@ func TestProtocolVersionNegotiation(t *testing.T) {
 		return &diet.SubmitRequest{Scenarios: 6, Months: 12, Heuristic: core.NameKnapsack, Wait: true, Progress: true}
 	}
 
-	frames := submitRaw(t, f.Sched.Addr(), diet.ProtocolFloor, req())
+	frames, _ := submitRaw(t, f.Sched.Addr(), diet.ProtocolFloor, req())
 	if len(frames) < 4 { // verdict + planned + ≥1 chunk + result
 		t.Fatalf("floor client got only %d frames", len(frames))
 	}
@@ -219,7 +306,7 @@ func TestProtocolVersionNegotiation(t *testing.T) {
 	// A no-progress wait keeps the two-frame shape.
 	noProg := req()
 	noProg.Progress = false
-	frames = submitRaw(t, f.Sched.Addr(), diet.ProtocolFloor, noProg)
+	frames, _ = submitRaw(t, f.Sched.Addr(), diet.ProtocolFloor, noProg)
 	if len(frames) != 2 {
 		t.Fatalf("no-progress wait got %d frames, want 2", len(frames))
 	}

@@ -73,19 +73,23 @@ func TestCampaignQueueOrder(t *testing.T) {
 // queued never dispatches — the dispatcher pops the corpse and skips it —
 // and later traffic keeps flowing.
 func TestSchedulerCancelQueuedCampaign(t *testing.T) {
-	// One dispatcher and a long occupant keep the victim queued while the
-	// cancel lands.
-	f := startFabric(t, Config{
-		Addr:        "127.0.0.1:0",
-		Dispatchers: 1,
-		EvictAfter:  2 * time.Second,
-	}, 2)
+	// One dispatcher, held by an occupant whose chunk is parked at the gate
+	// SeD, keeps the victim queued while the cancel lands.
+	s, err := Start(Config{Addr: "127.0.0.1:0", Dispatchers: 1, EvictAfter: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	g := startGateSeD(t, s.Addr())
+	waitAliveAddr(t, s.Addr(), 1, 10*time.Second)
 
-	c := &Client{Addr: f.Sched.Addr(), Timeout: time.Minute}
+	c := &Client{Addr: s.Addr(), Timeout: time.Minute}
+	defer c.Close()
 	occupant, err := c.Submit(core.Application{Scenarios: 6, Months: 120}, core.NameKnapsack)
 	if err != nil {
 		t.Fatal(err)
 	}
+	g.nextExec(t) // the occupant holds the only dispatcher until released
 	victim, err := c.Submit(core.Application{Scenarios: 6, Months: 120}, core.NameKnapsack)
 	if err != nil {
 		t.Fatal(err)
@@ -107,6 +111,8 @@ func TestSchedulerCancelQueuedCampaign(t *testing.T) {
 	}
 
 	// The occupant and fresh traffic still complete.
+	g.release <- struct{}{} // the occupant's chunk
+	g.release <- struct{}{} // the fresh campaign's
 	for _, id := range []uint64{occupant.ID} {
 		deadline := time.Now().Add(60 * time.Second)
 		for {
@@ -129,7 +135,7 @@ func TestSchedulerCancelQueuedCampaign(t *testing.T) {
 	if _, err := c.Run(core.Application{Scenarios: 2, Months: 6}, core.NameKnapsack); err != nil {
 		t.Fatalf("daemon unhealthy after queued cancel: %v", err)
 	}
-	stats := f.Sched.Stats()
+	stats := s.Stats()
 	if stats.Cancelled != 1 {
 		t.Fatalf("stats report %d cancelled campaigns, want 1", stats.Cancelled)
 	}

@@ -255,6 +255,10 @@ type Scheduler struct {
 	metricsHook atomic.Pointer[func(io.Writer)]
 
 	// The fields below are guarded by the lifecycle's mu.
+	//
+	// keyed wakes the duplicates byKey parks whenever a keyed admission
+	// settles, into the table or out of the key index; its L is &mu.
+	keyed   sync.Cond
 	tenants map[string]*tenantState
 	// dynamicTenants counts the tenant entries created for unconfigured
 	// names — the population maxDynamicTenants bounds.
@@ -343,6 +347,7 @@ func Start(cfg Config) (*Scheduler, error) {
 	}
 	s.exec = s
 	s.onSettle = s.countOutcome
+	s.keyed.L = &s.mu
 	var recovered []*campaign
 	if cfg.StateDir != "" {
 		var err error
@@ -421,9 +426,10 @@ func (s *Scheduler) SetMetricsHook(hook func(io.Writer)) {
 	s.metricsHook.Store(&hook)
 }
 
-// Close stops the daemon: the listener and the connections kept open for
-// SeDs and ring peers close, queued and running campaigns fail with a
-// shutdown error, and the worker goroutines drain. With a state dir the
+// Close stops the daemon: the listener and the connections kept idle for
+// SeDs, ring peers and clients close, no request read afterwards is
+// answered, open campaign streams end with a shutdown error, queued and
+// running campaigns fail with one, and the worker goroutines drain. With a state dir the
 // shutdown failures are not journaled as terminal — a scheduler restarted on
 // the same directory re-admits and finishes them.
 func (s *Scheduler) Close() error {
@@ -723,11 +729,26 @@ func (s *Scheduler) Stats() diet.StatsResponse {
 	return out
 }
 
+// byKey returns the campaign admitted under key, nil when there is none. An
+// admission under key whose record is still being journaled is in the key
+// index but not yet in the table; byKey waits it out, so a duplicate never
+// admits a second campaign beside it. Callers hold mu.
+func (s *Scheduler) byKey(key diet.SubmitKey) *campaign {
+	for {
+		c := s.keys[key]
+		if c == nil || s.campaigns[c.id] == c {
+			return c
+		}
+		s.keyed.Wait()
+	}
+}
+
 // admit applies admission control and enqueues a campaign. A malformed
 // request returns an error (a protocol-level failure the client must not
 // retry); a full queue or an exhausted tenant quota returns a nil campaign
 // with Accepted=false and the matching reject code (a transient verdict
-// worth retrying).
+// worth retrying). A key admitted before returns that campaign, accepted,
+// whatever the queue holds now: a resent submission is the same one.
 func (s *Scheduler) admit(req *diet.SubmitRequest) (*campaign, *diet.SubmitResponse, error) {
 	app := core.Application{Scenarios: req.Scenarios, Months: req.Months}
 	if err := app.Validate(); err != nil {
@@ -738,6 +759,11 @@ func (s *Scheduler) admit(req *diet.SubmitRequest) (*campaign, *diet.SubmitRespo
 	}
 	tenantName := s.tenantName(req.Labels)
 	s.mu.Lock()
+	if c := s.byKey(req.Key); c != nil {
+		depth := s.queueLen
+		s.mu.Unlock()
+		return c, &diet.SubmitResponse{ID: c.id, Accepted: true, QueueDepth: depth}, nil
+	}
 	if s.queueLen >= s.cfg.QueueCap {
 		s.rejected++
 		depth := s.queueLen
@@ -771,6 +797,7 @@ func (s *Scheduler) admit(req *diet.SubmitRequest) (*campaign, *diet.SubmitRespo
 		priority: req.Priority,
 		labels:   req.Labels,
 		deadline: req.Deadline,
+		key:      req.Key,
 	})
 	c.tenant = tenantName
 	c.enqueuedAt = time.Now()
@@ -784,6 +811,7 @@ func (s *Scheduler) admit(req *diet.SubmitRequest) (*campaign, *diet.SubmitRespo
 	t.queued++
 	t.admitted++
 	depth := s.queueLen
+	s.index(c)
 	s.mu.Unlock()
 	// The admission record must be durable before the verdict goes out: an
 	// ID the client holds has to survive a crash, or Attach after a restart
@@ -800,12 +828,15 @@ func (s *Scheduler) admit(req *diet.SubmitRequest) (*campaign, *diet.SubmitRespo
 		s.rejected++
 		t.queued--
 		t.admitted--
+		s.unindex(c)
+		s.keyed.Broadcast()
 		s.mu.Unlock()
 		return nil, nil, fmt.Errorf("grid: journaling admission: %w", err)
 	}
 	s.mu.Lock()
-	s.campaigns[c.id] = c
+	s.install(c)
 	s.enqueue(c)
+	s.keyed.Broadcast()
 	s.mu.Unlock()
 	s.tokens <- struct{}{} // cannot block: queueLen never exceeds cap(tokens) here
 	return c, &diet.SubmitResponse{ID: c.id, Accepted: true, QueueDepth: depth}, nil

@@ -21,9 +21,18 @@ func patientConfig() Config {
 	return cfg
 }
 
+// runVerified runs one campaign on a client of its own and verifies it.
 func runVerified(t *testing.T, f *Fabric, app core.Application) *diet.CampaignResult {
 	t.Helper()
-	res, err := (&Client{Addr: f.Sched.Addr()}).Run(app, core.NameKnapsack)
+	c := &Client{Addr: f.Sched.Addr()}
+	defer c.Close()
+	return runVerifiedOn(t, f, c, app)
+}
+
+// runVerifiedOn runs one campaign on c and verifies its result.
+func runVerifiedOn(t *testing.T, f *Fabric, c *Client, app core.Application) *diet.CampaignResult {
+	t.Helper()
+	res, err := c.Run(app, core.NameKnapsack)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,18 +40,27 @@ func runVerified(t *testing.T, f *Fabric, app core.Application) *diet.CampaignRe
 	return res
 }
 
-// TestDialsIndependentOfCampaignCount: on a 3-SeD fabric the scheduler's dial
-// count has no term in the number of campaigns — it is bounded by the idle
-// cap per SeD — and heartbeats ride one connection per SeD.
+// TestDialsIndependentOfCampaignCount: on a 3-SeD fabric no dial count has a
+// term in the number of campaigns. The scheduler's is bounded by the idle
+// cap per SeD; a client's campaign streams and control requests ride its
+// kept-alive connections, so 200 campaigns and 200 Info calls through one
+// client cost the whole process at most the client's idle cap in dials; and
+// heartbeats ride one connection per SeD.
 func TestDialsIndependentOfCampaignCount(t *testing.T) {
 	cfg := patientConfig()
 	f := startFabric(t, cfg, 3)
 	app := core.Application{Scenarios: 4, Months: 12}
-	runVerified(t, f, app) // every SeD dialled at least once: vectors
+	c := &Client{Addr: f.Sched.Addr()}
+	defer c.Close()
+	runVerifiedOn(t, f, c, app) // every SeD dialled at least once: vectors
 	before, reusedBefore := f.Sched.transport.Dials(), f.Sched.transport.Reused()
+	wireBefore := diet.WireStats()
 	const campaigns = 200
 	for i := 0; i < campaigns; i++ {
-		runVerified(t, f, app)
+		res := runVerifiedOn(t, f, c, app)
+		if _, err := c.InfoContext(context.Background(), res.ID); err != nil {
+			t.Fatal(err)
+		}
 	}
 	dials, reused := f.Sched.transport.Dials()-before, f.Sched.transport.Reused()-reusedBefore
 	if limit := uint64(3 * cfg.PerSeDInFlight); dials > limit {
@@ -50,6 +68,10 @@ func TestDialsIndependentOfCampaignCount(t *testing.T) {
 	}
 	if reused < campaigns {
 		t.Fatalf("%d campaigns reused a connection %d times, want at least one exec each", campaigns, reused)
+	}
+	if d := diet.WireStats().Dials - wireBefore.Dials; d > clientIdlePerPeer {
+		t.Fatalf("%d campaigns and %d Info calls through one client cost the process %d dials, want at most %d",
+			campaigns, campaigns, d, clientIdlePerPeer)
 	}
 
 	// With no campaign running only heartbeats touch the wire: over five

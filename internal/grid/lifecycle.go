@@ -85,6 +85,11 @@ type lifecycle struct {
 	// and SeD tables too: one lock, never held across a journal append.
 	mu        sync.Mutex
 	campaigns map[uint64]*campaign
+	// keys indexes the table's keyed campaigns by submission key. A live
+	// admission enters it before its record is journaled and the table
+	// after, so a resent submit that races the journal write finds it
+	// there and waits (Scheduler.byKey).
+	keys      map[diet.SubmitKey]*campaign
 	doneOrder []uint64
 	nextID    uint64
 	requeues  uint64
@@ -128,7 +133,7 @@ func (k *lifecycle) recover(dir string, tenantKey string) ([]*campaign, error) {
 	for _, rc := range recovered {
 		c := recoveredCampaign(rc)
 		c.tenant = tenantOf(c.labels, tenantKey)
-		k.campaigns[c.id] = c
+		k.install(c)
 		if rc.Terminal() {
 			k.retire(c)
 		} else {
@@ -166,6 +171,7 @@ func (k *lifecycle) journalAdmission(c *campaign) error {
 		Priority:  c.priority,
 		Labels:    c.labels,
 		Deadline:  c.deadline,
+		Key:       c.key,
 	})
 }
 
@@ -209,6 +215,37 @@ func (k *lifecycle) retainedIDs() []uint64 {
 	return ids
 }
 
+// install puts c in the campaign table and its submission key in the key
+// index: the one way into the table for a live admission, a recovered
+// campaign and an adopted one, so the three rebuild the index alike. An
+// entry leaves the index when retention prunes its campaign from the table
+// (retire). Callers hold mu.
+func (k *lifecycle) install(c *campaign) {
+	k.campaigns[c.id] = c
+	k.index(c)
+}
+
+// index files c under its key, unless it has none or the key already names
+// a campaign. Callers hold mu.
+func (k *lifecycle) index(c *campaign) {
+	if c.key.IsZero() {
+		return
+	}
+	if k.keys == nil {
+		k.keys = make(map[diet.SubmitKey]*campaign)
+	}
+	if k.keys[c.key] == nil {
+		k.keys[c.key] = c
+	}
+}
+
+// unindex drops c's key entry if it is c's. Callers hold mu.
+func (k *lifecycle) unindex(c *campaign) {
+	if !c.key.IsZero() && k.keys[c.key] == c {
+		delete(k.keys, c.key)
+	}
+}
+
 // lookup returns a campaign by ID.
 func (k *lifecycle) lookup(id uint64) *campaign {
 	k.mu.Lock()
@@ -221,6 +258,9 @@ func (k *lifecycle) lookup(id uint64) *campaign {
 func (k *lifecycle) retire(c *campaign) {
 	k.doneOrder = append(k.doneOrder, c.id)
 	for len(k.doneOrder) > k.keepFinished {
+		if old := k.campaigns[k.doneOrder[0]]; old != nil {
+			k.unindex(old)
+		}
 		delete(k.campaigns, k.doneOrder[0])
 		k.doneOrder = k.doneOrder[1:]
 	}

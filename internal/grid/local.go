@@ -150,7 +150,7 @@ func (l *Local) RunContext(ctx context.Context, app core.Application, heuristic 
 	sub := c.subscribe()
 	defer c.unsubscribe(sub)
 	l.mu.Lock()
-	l.campaigns[id] = c
+	l.install(c)
 	l.mu.Unlock()
 	l.launch(c)
 	if onAdmit != nil {

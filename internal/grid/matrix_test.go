@@ -41,7 +41,10 @@ func sameCampaignOutcome(t *testing.T, tag string, got, want *diet.CampaignResul
 // every version the daemon negotiates, and one from the future, and demands
 // each pairing negotiates min(peer, daemon), streams every frame at that
 // version byte-exact (submitRaw checks both) and produces a campaign
-// bit-identical to the current client's.
+// bit-identical to the current client's. Every peer sends a key and asks for
+// keep-alive: a v7 frame has no room for the key, so a v7 submit is
+// unkeyed and its connection closes after the result, while from v8 on the
+// daemon reads the next request on it.
 func TestCrossVersionMatrix(t *testing.T) {
 	app := core.Application{Scenarios: 6, Months: 12}
 	cur := startFabric(t, testConfig(), 3)
@@ -53,10 +56,13 @@ func TestCrossVersionMatrix(t *testing.T) {
 
 	for v := diet.ProtocolFloor; v <= diet.ProtocolVersion+1; v++ {
 		tag := fmt.Sprintf("v%d peer vs current daemon", v)
-		frames := submitRaw(t, cur.Sched.Addr(), v, &diet.SubmitRequest{
+		frames, kept := submitRaw(t, cur.Sched.Addr(), v, &diet.SubmitRequest{
 			Scenarios: app.Scenarios, Months: app.Months, Heuristic: core.NameKnapsack,
-			Wait: true, Progress: true,
+			Wait: true, Progress: true, Key: diet.SubmitKey{byte(v), 0x6d},
 		})
+		if want := v >= diet.ProtocolV8; kept != want {
+			t.Fatalf("%s: connection kept after the result: %v, want %v", tag, kept, want)
+		}
 		final := frames[len(frames)-1]
 		if final.Result == nil || final.Result.Status != diet.CampaignDone {
 			t.Fatalf("%s: campaign did not complete: %+v", tag, final)

@@ -345,8 +345,8 @@ func TestRingRefusesIncompatiblePeer(t *testing.T) {
 	verifyReports(t, f, app, core.NameKnapsack, res)
 	resp, err := diet.RoundTrip(cur.Addr(), &diet.Request{Kind: diet.KindRingPing,
 		Ring: &diet.RingPingRequest{From: oldAddr, Members: []string{cur.Addr(), oldAddr}}})
-	if err != nil || resp.Ring == nil || !resp.Ring.Accepted || resp.Ring.Version != diet.ProtocolV7 {
-		t.Fatalf("ring ping answered %+v, %v; want accepted at v7", resp, err)
+	if err != nil || resp.Ring == nil || !resp.Ring.Accepted || resp.Ring.Version != diet.ProtocolVersion {
+		t.Fatalf("ring ping answered %+v, %v; want accepted at v%d", resp, err, diet.ProtocolVersion)
 	}
 }
 

@@ -30,21 +30,35 @@ func (s *Scheduler) acceptLoop() {
 type sender struct {
 	conn net.Conn // counted (diet.CountConn)
 	ver  int
-	// keep marks a single-answer request whose sender asked for keep-alive:
-	// the answer echoes the bit and the connection reads another request.
-	keep bool
+	// keep marks a request whose sender asked for keep-alive and may have
+	// it: its last frame echoes the bit and the connection reads another
+	// request. kept records that the last frame went out so.
+	keep, kept bool
 }
 
+// send writes the exchange's last frame: the one answer of a single-answer
+// request, or a stream's result. Only a frame written whole keeps the
+// connection.
 func (b *sender) send(resp *diet.Response) error {
-	resp.Version, resp.KeepAlive = b.ver, b.keep
+	err := b.write(resp, b.keep)
+	b.kept = b.keep && err == nil
+	return err
+}
+
+// open writes a stream's verdict: more frames follow, so it never carries
+// the keep-alive bit.
+func (b *sender) open(resp *diet.Response) error { return b.write(resp, false) }
+
+func (b *sender) write(resp *diet.Response, keep bool) error {
+	resp.Version, resp.KeepAlive = b.ver, keep
 	_ = b.conn.SetDeadline(time.Now().Add(frameTimeout))
 	return diet.WriteResponseFrame(b.conn, resp)
 }
 
-// sendProgress writes a published frame's cached encoding instead of
-// re-encoding it per subscriber.
+// sendProgress writes a published frame's cached encoding, at the
+// connection's version, instead of re-encoding it per subscriber.
 func (b *sender) sendProgress(f *progressFrame) error {
-	enc, err := f.encoded()
+	enc, err := f.encoded(b.ver)
 	if err != nil {
 		return err
 	}
@@ -52,17 +66,20 @@ func (b *sender) sendProgress(f *progressFrame) error {
 	return diet.WriteRawFrame(b.conn, enc)
 }
 
-// serveConn serves the request a connection opens with, and — for a daemon
-// peer that asked to keep the connection (a SeD's heartbeats, a ring
-// member's pings, pulls and forwards) — the requests that follow it. The
-// streaming kinds answer with more than one frame and always end their
-// connection. Peers below the protocol floor — no frame magic, or a version
-// under diet.ProtocolFloor — are refused by AcceptRequest.
+// serveConn serves the request a connection opens with, and — for a peer
+// that asked to keep the connection (a SeD's heartbeats, a ring member's
+// pings, pulls and forwards, a client's control requests and campaign
+// streams) — the requests that follow it. A stream is kept only past its
+// result frame, and an unkeyed (v7) submit never is: it is the one request
+// a client must not resend, so it gets a connection to itself. Peers below
+// the protocol floor — no frame magic, or a version under
+// diet.ProtocolFloor — are refused by AcceptRequest.
 func (s *Scheduler) serveConn(conn net.Conn) {
 	s.srv.ServeConn(conn, func(w net.Conn, req *diet.Request, ver int) bool {
-		send := &sender{conn: w, ver: ver, keep: req.KeepAlive && req.Kind != diet.KindSubmit && req.Kind != diet.KindAttach}
+		resendable := req.Kind != diet.KindSubmit || (req.Submit != nil && !req.Submit.Key.IsZero())
+		send := &sender{conn: w, ver: ver, keep: req.KeepAlive && resendable}
 		s.dispatch(send, req)
-		return send.keep
+		return send.kept
 	})
 }
 
@@ -103,7 +120,9 @@ func (s *Scheduler) dispatch(send *sender, req *diet.Request) {
 // connection deadline, so a stream stays alive exactly as long as its
 // campaign — and a client gone mid-stream fails a frame write, which
 // releases this goroutine without touching the dispatcher that runs the
-// campaign.
+// campaign. A submission whose key was admitted before is answered with
+// that campaign (see admit): its ID in an accepted verdict, then its
+// history and live stream, as serveAttach would.
 func (s *Scheduler) serveSubmit(send *sender, req *diet.SubmitRequest) {
 	if req == nil {
 		_ = send.send(&diet.Response{Err: "submit: empty payload"})
@@ -116,19 +135,20 @@ func (s *Scheduler) serveSubmit(send *sender, req *diet.SubmitRequest) {
 		_ = send.send(&diet.Response{Err: err.Error()})
 		return
 	}
+	if c == nil || !req.Wait {
+		_ = send.send(&diet.Response{Submit: verdict})
+		return
+	}
 	// Subscribe before acknowledging admission: the dispatcher may pop the
 	// campaign immediately, and a subscription taken later would race the
 	// first planned frame (the history replay makes even that race benign,
 	// but late frames would reorder around the verdict).
 	var sub chan *progressFrame
-	if c != nil && req.Wait && req.Progress {
+	if req.Progress {
 		sub = c.subscribe()
 		defer c.unsubscribe(sub)
 	}
-	if err := send.send(&diet.Response{Submit: verdict}); err != nil {
-		return
-	}
-	if c == nil || !req.Wait {
+	if err := send.open(&diet.Response{Submit: verdict}); err != nil {
 		return
 	}
 	s.streamCampaign(send, c, sub)
@@ -158,7 +178,7 @@ func (s *Scheduler) serveAttach(send *sender, req *diet.AttachRequest) {
 		defer c.unsubscribe(sub)
 	}
 	snap := c.snapshot()
-	if err := send.send(&diet.Response{Attach: &diet.AttachResponse{
+	if err := send.open(&diet.Response{Attach: &diet.AttachResponse{
 		ID:     c.id,
 		Found:  true,
 		Status: snap.Status,
@@ -172,8 +192,16 @@ func (s *Scheduler) serveAttach(send *sender, req *diet.AttachRequest) {
 
 // streamCampaign pumps a campaign's progress frames into send until the
 // campaign ends, then closes the stream with the result. sub may be nil
-// (a wait without progress): the loop then only waits for completion.
+// (a wait without progress): the loop then only waits for completion. Once
+// the scheduler is shutting down, a stream's last frame is the shutdown
+// error, even when the campaign finished meanwhile — a race whose outcome
+// would otherwise be the select's coin flip; the client reattaches for the
+// result, which the journal keeps.
 func (s *Scheduler) streamCampaign(send *sender, c *campaign, sub chan *progressFrame) {
+	shutdown := func() {
+		send.keep = false // the stream ends without its result: close
+		_ = send.send(&diet.Response{Err: shutdownMsg})
+	}
 	for {
 		select {
 		case f := <-sub: // nil sub: never ready, plain wait
@@ -189,10 +217,15 @@ func (s *Scheduler) streamCampaign(send *sender, c *campaign, sub chan *progress
 					return
 				}
 			}
-			_ = send.send(&diet.Response{Result: c.snapshot()})
+			select {
+			case <-s.done:
+				shutdown()
+			default:
+				_ = send.send(&diet.Response{Result: c.snapshot()})
+			}
 			return
 		case <-s.done:
-			_ = send.send(&diet.Response{Err: shutdownMsg})
+			shutdown()
 			return
 		}
 	}

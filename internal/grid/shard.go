@@ -358,7 +358,7 @@ func (s *Scheduler) adoptCampaign(rc *store.Campaign) bool {
 		s.mu.Unlock()
 		return false
 	}
-	s.campaigns[c.id] = c
+	s.install(c)
 	if rc.Terminal() {
 		s.retire(c)
 	}

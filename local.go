@@ -48,5 +48,5 @@ func Local(clusters []*Cluster, opts ...RunnerOption) (Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &runner{service: local, local: local, cfg: cfg}, nil
+	return &runner{service: local, local: true, cfg: cfg}, nil
 }
