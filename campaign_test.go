@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -424,6 +425,60 @@ func assertSameResult(t *testing.T, want, got *CampaignResult) {
 			math.Float64bits(w.Makespan) != math.Float64bits(g.Makespan) ||
 			w.Allocation.String() != g.Allocation.String() {
 			t.Fatalf("report %d = %+v, want %+v", i, g, w)
+		}
+	}
+}
+
+// TestLocalReportAllocationIsCallersOwn: a Local runner plans each shape
+// once and shares the plan with every later chunk of the shape, so the
+// allocations it reports must be copies. A caller that scribbles over every
+// reported allocation — on the events and on the result — changes nothing
+// about the next campaign of the shape.
+func TestLocalReportAllocationIsCallersOwn(t *testing.T) {
+	runner, err := Local(testFleet(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runner.Close()
+	campaign := NewCampaign(10, 24)
+	run := func() *CampaignResult {
+		t.Helper()
+		h, err := runner.Run(context.Background(), campaign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var chunks []ClusterReport
+		for ev := range h.Events() {
+			if ev, ok := ev.(EventChunkDone); ok {
+				chunks = append(chunks, ev.Report)
+			}
+		}
+		res, err := h.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(chunks) == 0 {
+			t.Fatal("no chunk events")
+		}
+		want := *res
+		want.Reports = make([]ClusterReport, len(res.Reports))
+		for i, rep := range res.Reports {
+			rep.Allocation.Groups = append([]int(nil), rep.Allocation.Groups...)
+			want.Reports[i] = rep
+		}
+		for _, rep := range append(chunks, res.Reports...) {
+			for j := range rep.Allocation.Groups {
+				rep.Allocation.Groups[j] = 1
+			}
+		}
+		return &want
+	}
+	first := run()
+	second := run()
+	assertSameResult(t, first, second)
+	for i := range first.Reports {
+		if !reflect.DeepEqual(first.Reports[i].Allocation, second.Reports[i].Allocation) {
+			t.Fatalf("report %d allocation %+v, first run %+v", i, second.Reports[i].Allocation, first.Reports[i].Allocation)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package oagrid
 
 import (
 	"context"
+	"slices"
 	"strings"
 
 	"oagrid/internal/core"
@@ -280,13 +281,17 @@ func progressEvents(u *diet.ProgressUpdate) []Event {
 
 // reportFromWire maps one chunk report onto the public shape. The full
 // backend Result travels neither wire nor journal: it is set only on a
-// report the in-process core evaluated in this process.
+// report the in-process core evaluated in this process. Under Local the
+// allocation is the fleet's cached plan, shared with every later chunk of
+// the shape, so the caller gets its own copy of Groups.
 func reportFromWire(rep diet.ExecResponse) ClusterReport {
+	alloc := rep.Allocation
+	alloc.Groups = slices.Clone(alloc.Groups)
 	return ClusterReport{
 		Cluster:    rep.Cluster,
 		Scenarios:  rep.Scenarios,
 		Makespan:   rep.Makespan,
-		Allocation: rep.Allocation,
+		Allocation: alloc,
 		Round:      rep.Round,
 		Result:     rep.Result,
 	}

@@ -394,11 +394,7 @@ func (k Knapsack) problem(app Application, t platform.Timing, procs int) (knapsa
 		if k.Value != nil {
 			v = k.Value(g, tg)
 		}
-		items = append(items, knapsack.Item{
-			Name:  fmt.Sprintf("group-%d", g),
-			Cost:  g,
-			Value: v,
-		})
+		items = append(items, knapsack.Item{Cost: g, Value: v})
 		sizes = append(sizes, g)
 	}
 	return knapsack.Problem{

@@ -20,7 +20,11 @@ import (
 type SeD struct {
 	cluster *platform.Cluster
 	opts    exec.Options
-	ln      net.Listener
+	// plans holds every plan the daemon made for its cluster: PerfVector
+	// fills it and ExecChunk reads it, so step 6 replans nothing step 2
+	// planned. It lives as long as the daemon, like the cluster it keys on.
+	plans *engine.Plans
+	ln    net.Listener
 	// srv tracks the connections the daemon keeps open for the scheduler;
 	// transport keeps the one its heartbeats ride.
 	srv       Server
@@ -68,7 +72,7 @@ func StartSeDSpeed(addr string, cluster *platform.Cluster, opts exec.Options, sp
 	if err != nil {
 		return nil, fmt.Errorf("diet: SeD %s listen: %w", cluster.Name, err)
 	}
-	s := &SeD{cluster: cluster, opts: opts, ln: ln, speed: speed, transport: NewTransport(1)}
+	s := &SeD{cluster: cluster, opts: opts, plans: engine.NewPlans(), ln: ln, speed: speed, transport: NewTransport(1)}
 	go s.srv.serve(ln, s.handle)
 	return s, nil
 }
@@ -184,17 +188,20 @@ func (s *SeD) handle(req *Request) *Response {
 
 // PerfVector is protocol step 2 on one cluster: the makespans of 1..n
 // scenarios of the given length, planned by the named heuristic and
-// evaluated on ev as one batched sweep (the plan cache and memoized timing
-// are shared across the k values; the sweep is bit-identical to a serial
-// loop whatever the worker count). A SeD answers KindPerf with it and the
-// in-process campaign executor calls it directly, so the two cannot drift.
-func PerfVector(ctx context.Context, ev engine.Evaluator, cluster *platform.Cluster, n, months int, heuristic string, opts engine.Options, workers int) ([]float64, error) {
+// evaluated on ev as one batched sweep (memoized timing shared across the k
+// values; the sweep is bit-identical to a serial loop whatever the worker
+// count). Every plan it makes lands in plans, the cache of whoever owns the
+// cluster — a SeD, or grid's in-process fleet — so the chunks the vector
+// leads to plan nothing in ExecChunk. A SeD answers KindPerf with it and
+// the in-process campaign executor calls it directly, so the two cannot
+// drift.
+func PerfVector(ctx context.Context, ev engine.Evaluator, cluster *platform.Cluster, n, months int, heuristic string, opts engine.Options, workers int, plans *engine.Plans) ([]float64, error) {
 	h, err := core.ByName(heuristic)
 	if err != nil {
 		return nil, err
 	}
 	app := core.Application{Scenarios: n, Months: months}
-	vecs, err := engine.PerformanceVectors(ctx, ev, app, []*platform.Cluster{cluster}, h, opts, workers)
+	vecs, err := engine.PerformanceVectors(ctx, ev, app, []*platform.Cluster{cluster}, h, opts, workers, plans)
 	if err != nil {
 		return nil, err
 	}
@@ -202,17 +209,16 @@ func PerfVector(ctx context.Context, ev engine.Evaluator, cluster *platform.Clus
 }
 
 // ExecChunk is protocol step 6 on one cluster: plan the chunk's scenarios
-// with the named heuristic and evaluate the plan on ev. The backend's full
-// report comes back beside the wire-shaped one because it never travels
-// the wire: a SeD drops it, the in-process executor hangs it on
-// ExecResponse.Result.
-func ExecChunk(ctx context.Context, ev engine.Evaluator, cluster *platform.Cluster, ids []int, months int, heuristic string, opts engine.Options) (ExecResponse, engine.Result, error) {
-	h, err := core.ByName(heuristic)
-	if err != nil {
-		return ExecResponse{}, engine.Result{}, err
-	}
+// with the named heuristic and evaluate the plan on ev. The plan comes from
+// plans, the cluster owner's cache, when PerfVector (or an earlier chunk)
+// planned the shape before; the evaluation always runs. The returned
+// Allocation may be shared with the cache and must not be mutated. The
+// backend's full report comes back beside the wire-shaped one because it
+// never travels the wire: a SeD drops it, the in-process executor hangs it
+// on ExecResponse.Result.
+func ExecChunk(ctx context.Context, ev engine.Evaluator, cluster *platform.Cluster, ids []int, months int, heuristic string, opts engine.Options, plans *engine.Plans) (ExecResponse, engine.Result, error) {
 	app := core.Application{Scenarios: len(ids), Months: months}
-	alloc, err := h.Plan(app, cluster.Timing, cluster.Procs)
+	alloc, err := plans.Plan(cluster, app, heuristic)
 	if err != nil {
 		return ExecResponse{}, engine.Result{}, err
 	}
@@ -232,7 +238,7 @@ func (s *SeD) handlePerf(req *PerfRequest) *Response {
 	if req == nil {
 		return &Response{Err: "perf: empty payload"}
 	}
-	vec, err := PerfVector(context.Background(), engine.DES{}, s.cluster, req.Scenarios, req.Months, req.Heuristic, engine.Options{Exec: s.opts}, 0)
+	vec, err := PerfVector(context.Background(), engine.DES{}, s.cluster, req.Scenarios, req.Months, req.Heuristic, engine.Options{Exec: s.opts}, 0, s.plans)
 	if err != nil {
 		return &Response{Err: err.Error()}
 	}
@@ -262,7 +268,7 @@ func (s *SeD) handleExec(req *ExecRequest) *Response {
 	if len(req.ScenarioIDs) == 0 {
 		return &Response{Exec: &ExecResponse{Cluster: s.cluster.Name}}
 	}
-	resp, _, err := ExecChunk(context.Background(), engine.DES{}, s.cluster, req.ScenarioIDs, req.Months, req.Heuristic, engine.Options{Exec: s.opts})
+	resp, _, err := ExecChunk(context.Background(), engine.DES{}, s.cluster, req.ScenarioIDs, req.Months, req.Heuristic, engine.Options{Exec: s.opts}, s.plans)
 	if err != nil {
 		return &Response{Err: err.Error()}
 	}

@@ -1,6 +1,7 @@
 package diet
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -122,5 +123,48 @@ func TestSeDRejectsUnsupportedKind(t *testing.T) {
 	var remote *RemoteError
 	if _, err := RoundTrip(sed.Addr(), &Request{Kind: KindStats, Stats: &StatsRequest{}}); !errors.As(err, &remote) {
 		t.Fatalf("SeD answered a scheduler request: %v", err)
+	}
+}
+
+// execChunkAllocs is the allocation count of one warm ExecChunk — ten
+// scenarios of nm months on a 30-processor reference cluster, whose shape
+// PerfVector planned before — and of the bare executor run it wraps.
+func execChunkAllocs(t *testing.T, nm int) (chunk, run float64) {
+	cl := platform.ReferenceCluster(30)
+	ids := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	plans := engine.NewPlans()
+	if _, err := PerfVector(context.Background(), engine.DES{}, cl, len(ids), nm, core.NameKnapsack, engine.Options{}, 1, plans); err != nil {
+		t.Fatal(err)
+	}
+	chunk = testing.AllocsPerRun(3, func() {
+		if _, _, err := ExecChunk(context.Background(), engine.DES{}, cl, ids, nm, core.NameKnapsack, engine.Options{}, plans); err != nil {
+			t.Fatal(err)
+		}
+	})
+	app := core.Application{Scenarios: len(ids), Months: nm}
+	alloc, err := core.Knapsack{}.Plan(app, cl.Timing, cl.Procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run = testing.AllocsPerRun(3, func() {
+		if _, err := exec.Run(app, cl.Timing, cl.Procs, alloc, exec.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	return chunk, run
+}
+
+// TestExecChunkAllocsBounded: a chunk whose shape its owner planned before
+// allocates only its executor run (exec's TestRunAllocsBounded pins that at
+// ≤ 64, flat in NM) — no plan, no name lookup.
+func TestExecChunkAllocsBounded(t *testing.T) {
+	small, _ := execChunkAllocs(t, 120)
+	large, run := execChunkAllocs(t, 1200)
+	t.Logf("allocations per warm chunk: NM=120 %v, NM=1200 %v (its executor run %v)", small, large, run)
+	if large > run+2 || large > 64+2 {
+		t.Errorf("NM=1200 warm chunk allocates %v times, its run %v: want ≤ run+2 and ≤ 66", large, run)
+	}
+	if large > small+12 {
+		t.Errorf("NM=1200 warm chunk allocates %v times, NM=120 %v: not flat in NM", large, small)
 	}
 }

@@ -60,9 +60,10 @@ func (m *MemoTiming) PostSeconds() float64 { return m.post }
 // Range implements platform.Timing.
 func (m *MemoTiming) Range() (int, int) { return m.lo, m.hi }
 
-// planKey identifies one planning problem inside a sweep. The cluster enters
-// by pointer identity: jobs that should share a plan must share the *Cluster
-// (Matrix and PerformanceVectors arrange this).
+// planKey identifies one planning problem. The cluster enters by pointer
+// identity: callers that should share a plan must share the *Cluster
+// (Matrix and PerformanceVectors arrange this inside a sweep; a SeD and
+// grid's in-process fleet hold one *Cluster per target for their lifetime).
 type planKey struct {
 	cluster           *platform.Cluster
 	scenarios, months int
@@ -70,35 +71,86 @@ type planKey struct {
 	heuristic         string
 }
 
-// planEntry is a single-flight cache slot: the first goroutine to claim the
-// key runs the heuristic, every other waits on the Once and reuses the plan.
+// planEntry is a single-flight cache slot: the goroutine that inserts it
+// plans and closes ready; every other caller of the key waits on ready and
+// reuses the plan.
 type planEntry struct {
-	once  sync.Once
+	ready chan struct{}
 	alloc core.Allocation
 	err   error
 }
 
-// planCache memoizes heuristic plans for the lifetime of one Sweep call.
-// Planning is pure — a (heuristic, app, cluster) triple always yields the
-// same allocation — so a sweep matrix that revisits the triple across
-// policies, jitter amplitudes and seeds plans it exactly once.
-type planCache struct {
+// maxPlans bounds a Plans. The busiest benchmark workload inserts at most
+// NS=10 entries per distinct NM per SeD, and it never draws more than 602
+// distinct NMs in one process (599 novel plus 3 popular), so 6,020 keys at
+// most: it never reaches the bound.
+const maxPlans = 1 << 13
+
+// Plans memoizes heuristic plans. Planning is pure — a (heuristic, app,
+// cluster) triple always yields the same allocation — so whoever owns a
+// cluster plans each shape on it once: a sweep across its policies, jitter
+// amplitudes and seeds, and a SeD (or grid's in-process fleet) across every
+// campaign it serves, where PerfVector fills the cache and ExecChunk reads
+// it. Plans made on a memoized timing equal those made on the raw one bit
+// for bit (MemoTiming tabulates the same values), so the two share entries.
+//
+// There is no invalidation path. An owner's clusters are immutable for its
+// lifetime; a SeD whose capability changes is a new SeD process with a new
+// cache, and the scheduler already drops its vectors when it re-registers.
+// A Plans holds at most maxPlans entries and starts over empty when full:
+// every entry can be recomputed, so dropping entries is always safe.
+//
+// A cached Allocation is shared by every caller that gets it and must never
+// be mutated; a copy that leaves the process's ownership (a public report)
+// clones Groups first.
+type Plans struct {
 	mu sync.Mutex
 	m  map[planKey]*planEntry
 }
 
-func newPlanCache() *planCache {
-	return &planCache{m: make(map[planKey]*planEntry)}
+// NewPlans returns an empty cache.
+func NewPlans() *Plans { return &Plans{m: make(map[planKey]*planEntry)} }
+
+// Plan returns the allocation the heuristic named heuristic gives app's
+// scenarios on all of cluster's processors, planned on cluster.Timing. A
+// shape planned before — by Plan or by a sweep over p — costs one map
+// lookup: the name is resolved only on a miss.
+//
+//oalint:hotpath
+func (p *Plans) Plan(cluster *platform.Cluster, app core.Application, heuristic string) (core.Allocation, error) {
+	return p.plan(planKey{
+		cluster:   cluster,
+		scenarios: app.Scenarios,
+		months:    app.Months,
+		procs:     cluster.Procs,
+		heuristic: heuristic,
+	}, nil, app, cluster.Timing)
 }
 
-func (c *planCache) plan(key planKey, h core.Heuristic, app core.Application, t platform.Timing) (core.Allocation, error) {
-	c.mu.Lock()
-	e := c.m[key]
-	if e == nil {
-		e = &planEntry{}
-		c.m[key] = e
+// plan returns key's allocation from the cache or runs the planner once. h
+// nil resolves key.heuristic by name on a miss.
+//
+//oalint:hotpath
+func (p *Plans) plan(key planKey, h core.Heuristic, app core.Application, t platform.Timing) (core.Allocation, error) {
+	p.mu.Lock()
+	e := p.m[key]
+	if e != nil {
+		p.mu.Unlock()
+		<-e.ready
+		return e.alloc, e.err
 	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.alloc, e.err = h.Plan(app, t, key.procs) })
+	if len(p.m) >= maxPlans {
+		p.m = make(map[planKey]*planEntry)
+	}
+	e = &planEntry{ready: make(chan struct{})}
+	p.m[key] = e
+	p.mu.Unlock()
+	defer close(e.ready)
+	if h == nil {
+		h, e.err = core.ByName(key.heuristic)
+	}
+	if e.err == nil {
+		e.alloc, e.err = h.Plan(app, t, key.procs)
+	}
 	return e.alloc, e.err
 }

@@ -29,6 +29,13 @@
 // jobs carry their own deterministic seeds and results are collected by job
 // index, never by arrival order.
 //
+// Plans is the plan cache, and its owner decides how long a plan lives. A
+// Sweep plans through a cache of its own that ends with the call. A SeD
+// (internal/diet) and grid's in-process fleet each own one for the life of
+// their clusters: PerformanceVectors fills it while computing a vector, and
+// every chunk of a shape planned before reads its plan instead of running
+// the heuristic again. Only planning is cached — every evaluation runs.
+//
 //oalint:deterministic
 package engine
 

@@ -242,7 +242,7 @@ func TestPerformanceVectorsMatchCore(t *testing.T) {
 		clusters = append(clusters, cl.WithProcs(33))
 	}
 	for _, ev := range backends {
-		vecs, err := engine.PerformanceVectors(context.Background(), ev, app, clusters, core.Knapsack{}, engine.Options{}, 3)
+		vecs, err := engine.PerformanceVectors(context.Background(), ev, app, clusters, core.Knapsack{}, engine.Options{}, 3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -75,6 +75,12 @@ func Sweep(ev Evaluator, jobs []Job, workers int) []JobResult {
 // results that are present are exactly the results a serial run would have
 // produced for those indices.
 func SweepContext(ctx context.Context, ev Evaluator, jobs []Job, workers int) ([]JobResult, error) {
+	return sweep(ctx, ev, jobs, workers, nil)
+}
+
+// sweep is SweepContext planning through plans; nil gives the sweep a cache
+// of its own.
+func sweep(ctx context.Context, ev Evaluator, jobs []Job, workers int, plans *Plans) ([]JobResult, error) {
 	results := make([]JobResult, len(jobs))
 	if len(jobs) == 0 {
 		return results, ctx.Err()
@@ -114,7 +120,9 @@ func SweepContext(ctx context.Context, ev Evaluator, jobs []Job, workers int) ([
 		prep[cl] = prepared{cluster: &cp}
 	}
 
-	cache := newPlanCache()
+	if plans == nil {
+		plans = NewPlans()
+	}
 	run := func(j Job) JobResult {
 		if j.Cluster == nil {
 			return JobResult{Err: errors.New("engine: job without a cluster")}
@@ -137,7 +145,7 @@ func SweepContext(ctx context.Context, ev Evaluator, jobs []Job, workers int) ([
 				heuristic: name,
 			}
 			var err error
-			alloc, err = cache.plan(key, j.Heuristic, j.App, p.cluster.Timing)
+			alloc, err = plans.plan(key, j.Heuristic, j.App, p.cluster.Timing)
 			if err != nil {
 				return JobResult{Err: err}
 			}
@@ -267,11 +275,11 @@ func (m Matrix) Jobs() []Job {
 }
 
 // PerformanceVector computes one cluster's vector through the batched sweep
-// runner — the form a SeD answers a perf request with. Entry k-1 is the
-// makespan of k scenarios planned by h; values are bit-identical to a serial
+// runner, planning through a cache of its own. Entry k-1 is the makespan of
+// k scenarios planned by h; values are bit-identical to a serial
 // plan-then-evaluate loop over k.
 func PerformanceVector(ev Evaluator, app core.Application, cluster *platform.Cluster, h core.Heuristic, opts Options, workers int) ([]float64, error) {
-	vecs, err := PerformanceVectors(context.Background(), ev, app, []*platform.Cluster{cluster}, h, opts, workers)
+	vecs, err := PerformanceVectors(context.Background(), ev, app, []*platform.Cluster{cluster}, h, opts, workers, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -281,9 +289,11 @@ func PerformanceVector(ev Evaluator, app core.Application, cluster *platform.Clu
 // PerformanceVectors computes, for every cluster, the makespan of running
 // 1..NS scenarios planned by h — the per-cluster vectors of the paper's
 // Figure-9 protocol — in one batched sweep. Entry [c][k-1] is cluster c's
-// makespan for k scenarios. The sweep stops claiming jobs once ctx is done
-// and the call returns ctx's error.
-func PerformanceVectors(ctx context.Context, ev Evaluator, app core.Application, clusters []*platform.Cluster, h core.Heuristic, opts Options, workers int) ([][]float64, error) {
+// makespan for k scenarios. The sweep plans through plans, so the owner of
+// the clusters keeps every plan for the chunks it will execute; nil plans
+// through a cache that lives for this call only. The sweep stops claiming
+// jobs once ctx is done and the call returns ctx's error.
+func PerformanceVectors(ctx context.Context, ev Evaluator, app core.Application, clusters []*platform.Cluster, h core.Heuristic, opts Options, workers int, plans *Plans) ([][]float64, error) {
 	if err := app.Validate(); err != nil {
 		return nil, err
 	}
@@ -301,7 +311,7 @@ func PerformanceVectors(ctx context.Context, ev Evaluator, app core.Application,
 			})
 		}
 	}
-	results, err := SweepContext(ctx, ev, jobs, workers)
+	results, err := sweep(ctx, ev, jobs, workers, plans)
 	if err != nil {
 		return nil, err
 	}

@@ -54,6 +54,13 @@ type vecKey struct {
 	heuristic string
 }
 
+// maxVectors bounds one target's vector cache: a target that already holds
+// that many (months, heuristic) vectors starts over empty before it caches
+// another. Every vector can be fetched again, so dropping them is always
+// safe. The busiest benchmark workload draws 602 distinct NMs in one
+// process at most, so it never reaches the bound.
+const maxVectors = 1 << 10
+
 // shutdownMsg is the failure reason of a campaign this process stopped
 // serving without ending it.
 const shutdownMsg = "grid: scheduler shut down"
@@ -93,8 +100,9 @@ type lifecycle struct {
 	doneOrder []uint64
 	nextID    uint64
 	requeues  uint64
-	// vectors is the performance-vector cache, by target name. A target
-	// whose capability changes is invalidated by name (Scheduler.register).
+	// vectors is the performance-vector cache, by target name, each
+	// target's map bounded by maxVectors. A target whose capability changes
+	// is invalidated by name (Scheduler.register).
 	vectors map[string]map[vecKey][]float64
 }
 
@@ -298,6 +306,9 @@ func (k *lifecycle) vector(ctx context.Context, t target, n, months int, heurist
 	}
 	k.mu.Lock()
 	cached := k.vectors[name]
+	if _, ok := cached[key]; !ok && len(cached) >= maxVectors {
+		cached = nil
+	}
 	if cached == nil {
 		cached = make(map[vecKey][]float64)
 		k.vectors[name] = cached

@@ -16,6 +16,7 @@ import (
 
 	"oagrid/internal/core"
 	"oagrid/internal/diet"
+	"oagrid/internal/engine"
 	"oagrid/internal/platform"
 	"oagrid/internal/store"
 )
@@ -62,7 +63,7 @@ func (e *scriptedExec) run(ctx context.Context, t target, ids []int, months int,
 
 func newScriptedLocal(t *testing.T, n int, gated bool, stateDir string) (*Local, *scriptedExec) {
 	t.Helper()
-	f := &fleet{}
+	f := &fleet{plans: engine.NewPlans()}
 	for _, cl := range testClusters(n) {
 		f.targets = append(f.targets, clusterTarget{cl})
 	}
@@ -332,6 +333,63 @@ func TestLocalVectorCache(t *testing.T) {
 	}
 	if _, _ = run(core.Application{Scenarios: 3, Months: 12}); e.perfs.Load() != 2*n {
 		t.Fatalf("a new months value evaluated %d vectors, want %d", e.perfs.Load()-n, n)
+	}
+}
+
+// vectorStub answers every perf request with a vector that names its
+// months, and counts the requests per months value.
+type vectorStub struct {
+	executor
+	perfs map[int]int
+}
+
+func (v *vectorStub) perf(_ context.Context, _ target, n, months int, _ string) ([]float64, error) {
+	v.perfs[months]++
+	vec := make([]float64, n)
+	for k := range vec {
+		vec[k] = float64(months*100 + k)
+	}
+	return vec, nil
+}
+
+// TestVectorCacheBounded: a long-lived core fed 10,000 distinct NMs keeps at
+// most maxVectors vectors per target, and an NM asked for all along is
+// still served right — and almost always from the cache.
+func TestVectorCacheBounded(t *testing.T) {
+	const distinct, popular, every = 10000, 12, 5
+	stub := &vectorStub{perfs: make(map[int]int)}
+	k := &lifecycle{exec: stub, vectors: make(map[string]map[vecKey][]float64)}
+	targets := []target{clusterTarget{platform.ReferenceCluster(30)}, clusterTarget{platform.ReferenceCluster(60)}}
+	targets[1].(clusterTarget).cl.Name = "other"
+	ask := func(tg target, months int) {
+		t.Helper()
+		vec, err := k.vector(context.Background(), tg, 4, months, core.NameKnapsack)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range vec {
+			if v != float64(months*100+i) {
+				t.Fatalf("NM=%d: vector %v is not its own", months, vec)
+			}
+		}
+	}
+	for m := 1; m <= distinct; m++ {
+		for _, tg := range targets {
+			ask(tg, popular+m)
+			if m%every == 0 {
+				ask(tg, popular)
+			}
+		}
+	}
+	for name, cached := range k.vectors {
+		if len(cached) > maxVectors {
+			t.Fatalf("target %s holds %d vectors, cap %d", name, len(cached), maxVectors)
+		}
+	}
+	t.Logf("popular NM fetched %d times for %d targets × %d asks", stub.perfs[popular], len(targets), distinct/every)
+	// The popular NM misses once per target, then once per reset at most.
+	if got, most := stub.perfs[popular], len(targets)*(1+distinct/(maxVectors-1)); got > most {
+		t.Fatalf("popular NM fetched %d times, want ≤ %d", got, most)
 	}
 }
 

@@ -46,6 +46,10 @@ type Local struct {
 type fleet struct {
 	targets []target // cluster-name order
 	cfg     LocalConfig
+	// plans is the fleet's plan cache, shared by its clusters as a SeD's is
+	// by its one: perf fills it, run reads it. The clusters are fixed for
+	// the fleet's lifetime, so nothing ever invalidates an entry.
+	plans *engine.Plans
 }
 
 // clusterTarget is one in-process cluster as a round's target.
@@ -56,11 +60,11 @@ func (t clusterTarget) cluster() string { return t.cl.Name }
 func (f *fleet) lease() ([]target, func()) { return f.targets, func() {} }
 
 func (f *fleet) perf(ctx context.Context, t target, n, months int, heuristic string) ([]float64, error) {
-	return diet.PerfVector(ctx, f.cfg.Backend, t.(clusterTarget).cl, n, months, heuristic, f.cfg.Options, f.cfg.Workers)
+	return diet.PerfVector(ctx, f.cfg.Backend, t.(clusterTarget).cl, n, months, heuristic, f.cfg.Options, f.cfg.Workers, f.plans)
 }
 
 func (f *fleet) run(ctx context.Context, t target, ids []int, months int, heuristic string) (*diet.ExecResponse, error) {
-	resp, res, err := diet.ExecChunk(ctx, f.cfg.Backend, t.(clusterTarget).cl, ids, months, heuristic, f.cfg.Options)
+	resp, res, err := diet.ExecChunk(ctx, f.cfg.Backend, t.(clusterTarget).cl, ids, months, heuristic, f.cfg.Options, f.plans)
 	if err != nil {
 		return nil, err
 	}
@@ -82,7 +86,7 @@ func NewLocal(clusters []*platform.Cluster, cfg LocalConfig) (*Local, error) {
 		return nil, err
 	}
 	sort.Slice(g.Clusters, func(i, j int) bool { return g.Clusters[i].Name < g.Clusters[j].Name })
-	f := &fleet{cfg: cfg}
+	f := &fleet{cfg: cfg, plans: engine.NewPlans()}
 	for _, cl := range g.Clusters {
 		f.targets = append(f.targets, clusterTarget{cl})
 	}

@@ -26,7 +26,6 @@ import (
 
 // Item is one selectable item with unlimited copies available.
 type Item struct {
-	Name  string
 	Cost  int
 	Value float64
 }
@@ -60,10 +59,10 @@ func (p *Problem) Validate() error {
 	}
 	for i, it := range p.Items {
 		if it.Cost <= 0 {
-			return fmt.Errorf("knapsack: item %d (%s) has non-positive cost %d", i, it.Name, it.Cost)
+			return fmt.Errorf("knapsack: item %d has non-positive cost %d", i, it.Cost)
 		}
 		if it.Value < 0 || math.IsNaN(it.Value) || math.IsInf(it.Value, 0) {
-			return fmt.Errorf("knapsack: item %d (%s) has invalid value %g", i, it.Name, it.Value)
+			return fmt.Errorf("knapsack: item %d (cost %d) has invalid value %g", i, it.Cost, it.Value)
 		}
 	}
 	return nil

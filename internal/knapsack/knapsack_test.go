@@ -11,8 +11,8 @@ import (
 func TestSolveHandChecked(t *testing.T) {
 	p := Problem{
 		Items: []Item{
-			{Name: "a", Cost: 4, Value: 1},
-			{Name: "b", Cost: 7, Value: 2},
+			{Cost: 4, Value: 1},
+			{Cost: 7, Value: 2},
 		},
 		Capacity: 15,
 		MaxItems: 3,
@@ -32,7 +32,7 @@ func TestSolveHandChecked(t *testing.T) {
 
 func TestCardinalityBinds(t *testing.T) {
 	p := Problem{
-		Items:    []Item{{Name: "a", Cost: 1, Value: 1}},
+		Items:    []Item{{Cost: 1, Value: 1}},
 		Capacity: 100,
 		MaxItems: 5,
 	}

@@ -229,7 +229,7 @@ func Distribute(app Experiment, grid *Grid, h Heuristic, opt Options) (*GridPlan
 	}
 	// One batched sweep computes every cluster's performance vector over the
 	// engine worker pool.
-	vecs, err := engine.PerformanceVectors(context.Background(), DESBackend, app, grid.Clusters, h, engine.Options{Exec: opt}, 0)
+	vecs, err := engine.PerformanceVectors(context.Background(), DESBackend, app, grid.Clusters, h, engine.Options{Exec: opt}, 0, nil)
 	if err != nil {
 		return nil, fmt.Errorf("oagrid: %w", err)
 	}
