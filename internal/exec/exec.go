@@ -10,12 +10,18 @@
 // validated against, and the evaluator used to build the performance vectors
 // of the grid repartition.
 //
+// A run's state lives in an engine taken from a package-level pool and fully
+// reset before use, so a warm run allocates nothing that grows with the
+// allocation or the months, and its Result is bit-identical to that of a
+// fresh engine whatever the previous run left behind.
+//
 //oalint:deterministic
 package exec
 
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"oagrid/internal/core"
 	"oagrid/internal/platform"
@@ -182,12 +188,16 @@ func (a *event) before(b *event) bool {
 	return a.seq < b.seq
 }
 
+// engine is one run's state. Engines are pooled (enginePool): every slice
+// keeps its backing array, at its high-water mark, from one run to the next,
+// and reset rebuilds every other field.
 type engine struct {
-	app     core.Application
-	timing  platform.Timing
-	procs   int
-	opt     Options
-	groups  []group
+	app    core.Application
+	opt    Options
+	groups []group
+	// slots holds every processor's busy-until time: the dedicated post
+	// processors (postEnd) first, then each group's processors (procEnd).
+	slots   []float64
 	postEnd []float64 // dedicated post processors: busy-until times
 	scen    []scenarioState
 	// queue holds one scenario index per ready post task, FIFO from
@@ -196,8 +206,10 @@ type engine struct {
 	// post-processor contention the backlog grows with the run.
 	queue []int32
 	// queueHead is the FIFO's consumed prefix: popping advances the index
-	// instead of re-slicing, so the backing array is reused once the queue
-	// drains rather than reallocated on every completion event.
+	// instead of re-slicing. The backing array outlives the run: it is
+	// rewound when the queue drains and at the next run's reset, so a
+	// backlog reallocates only past the largest one a pooled engine has
+	// held.
 	queueHead int
 	tr        *trace.Trace
 
@@ -219,7 +231,15 @@ type engine struct {
 	idleScratch []*group // reused by idleGroups across dispatches
 }
 
-// Run executes the allocation and returns the measured makespan.
+// enginePool holds engines between runs; reset makes a pooled engine
+// indistinguishable from a new one.
+var enginePool = sync.Pool{New: func() any { return new(engine) }}
+
+// Run executes the allocation and returns the measured makespan. Its state
+// comes from enginePool and goes back to it: the Result, Trace included,
+// never aliases pooled memory.
+//
+//oalint:hotpath
 func Run(app core.Application, t platform.Timing, procs int, alloc core.Allocation, opt Options) (Result, error) {
 	if err := opt.Validate(); err != nil {
 		return Result{}, err
@@ -227,27 +247,20 @@ func Run(app core.Application, t platform.Timing, procs int, alloc core.Allocati
 	if err := alloc.Validate(app, t, procs); err != nil {
 		return Result{}, err
 	}
-	// One backing array holds every processor's busy-until slot: the
-	// dedicated post processors first, then each group's processors.
-	slots := make([]float64, alloc.UsedProcs())
-	e := &engine{
-		app:         app,
-		timing:      t,
-		procs:       procs,
-		opt:         opt,
-		groups:      make([]group, len(alloc.Groups)),
-		postEnd:     slots[:alloc.PostProcs:alloc.PostProcs],
-		scen:        make([]scenarioState, app.Scenarios),
-		queue:       make([]int32, 0, app.Scenarios),
-		events:      make([]event, 0, len(alloc.Groups)+procs+1),
-		mainsLeft:   app.Tasks(),
-		postsLeft:   app.Tasks(),
-		postDur:     t.PostSeconds(),
-		idleScratch: make([]*group, 0, len(alloc.Groups)),
-	}
-	if opt.RecordTrace {
-		e.tr = &trace.Trace{}
-	}
+	e := enginePool.Get().(*engine)
+	res, err := e.exec(app, t, procs, alloc, opt)
+	// Drop what the caller owns (the failure windows, the returned trace)
+	// so the idle engine pins nothing of theirs.
+	e.opt, e.tr = Options{}, nil
+	enginePool.Put(e)
+	return res, err
+}
+
+// exec resets e for one run of the allocation and runs it.
+//
+//oalint:hotpath
+func (e *engine) exec(app core.Application, t platform.Timing, procs int, alloc core.Allocation, opt Options) (Result, error) {
+	e.reset(app, t, alloc, opt)
 	off := alloc.PostProcs
 	for i, size := range alloc.Groups {
 		dur, err := t.MainSeconds(size)
@@ -258,7 +271,7 @@ func Run(app core.Application, t platform.Timing, procs int, alloc core.Allocati
 			id:      i,
 			size:    size,
 			mainDur: dur,
-			procEnd: slots[off : off+size : off+size],
+			procEnd: e.slots[off : off+size : off+size],
 		}
 		off += size
 	}
@@ -278,6 +291,45 @@ func Run(app core.Application, t platform.Timing, procs int, alloc core.Allocati
 		res.Utilization = e.busyAccum / (float64(procs) * end)
 	}
 	return res, nil
+}
+
+// reset readies e for a run: every field a run reads is rebuilt from the
+// arguments or zeroed, and only the slices' backing arrays survive, cleared.
+// The groups are filled by exec.
+//
+//oalint:hotpath
+func (e *engine) reset(app core.Application, t platform.Timing, alloc core.Allocation, opt Options) {
+	slots := resize(e.slots, alloc.UsedProcs())
+	groups := resize(e.groups, len(alloc.Groups))
+	*e = engine{
+		app:         app,
+		opt:         opt,
+		groups:      groups,
+		slots:       slots,
+		postEnd:     slots[:alloc.PostProcs:alloc.PostProcs],
+		scen:        resize(e.scen, app.Scenarios),
+		queue:       e.queue[:0],
+		events:      e.events[:0],
+		mainsLeft:   app.Tasks(),
+		postsLeft:   app.Tasks(),
+		postDur:     t.PostSeconds(),
+		idleScratch: resize(e.idleScratch, len(groups))[:0],
+	}
+	if opt.RecordTrace {
+		e.tr = &trace.Trace{}
+	}
+}
+
+// resize returns s with length n and every element zero, reusing its
+// backing array when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		//oalint:allow hotpath a pooled engine grows past its high-water mark once
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // run fires events in (at, seq) order until none remain and returns the
@@ -311,6 +363,7 @@ func (e *engine) push(ev event) {
 	}
 	ev.seq = e.seq
 	e.seq++
+	//oalint:allow hotpath the pooled heap grows only past its high-water mark
 	h := append(e.events, ev)
 	for i := len(h) - 1; i > 0; {
 		p := (i - 1) / 2
@@ -571,6 +624,7 @@ func (e *engine) finishMain(now float64, g *group, s int) {
 	if now > e.mainsDone {
 		e.mainsDone = now
 	}
+	//oalint:allow hotpath the pooled FIFO grows only past its high-water backlog
 	e.queue = append(e.queue, int32(s))
 	e.dispatch(now)
 }

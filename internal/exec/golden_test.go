@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"oagrid/internal/core"
@@ -41,13 +43,40 @@ var goldenVariants = []struct {
 	{"trace", Options{RecordTrace: true}},
 }
 
+// goldenRun is one line of runs.golden: a labelled Run.
+type goldenRun struct {
+	label  string
+	app    core.Application
+	timing platform.Timing
+	procs  int
+	alloc  core.Allocation
+	opt    Options
+}
+
+// line runs r and formats its golden line.
+func (r goldenRun) line() (string, error) {
+	res, err := Run(r.app, r.timing, r.procs, r.alloc, r.opt)
+	if err != nil {
+		return "", fmt.Errorf("%s: %v", r.label, err)
+	}
+	return fmt.Sprintf("%s %016x %016x %016x %016x %d %016x\n", r.label,
+		math.Float64bits(res.Makespan), math.Float64bits(res.MainsDone),
+		math.Float64bits(res.BusyProcSeconds), math.Float64bits(res.Utilization),
+		res.RestartedMains, traceDigest(res.Trace)), nil
+}
+
 // TestRunsGolden runs the five FiveClusters profiles × R∈{11,30,53} × the
 // four heuristics × NM∈{1,12,121} at NS=4 under every golden variant and
 // compares each Result with testdata/runs.golden: Makespan, MainsDone,
 // BusyProcSeconds and Utilization as Float64bits hex, RestartedMains, and
 // an FNV-64a digest of the trace spans (0 without a trace).
+//
+// It then replays the same runs in a seeded shuffled order on four
+// goroutines, so pooled engines pass from large, traced, jittered and
+// failure-injected runs to small ones across goroutines: a reset that leaves
+// any state behind changes a line.
 func TestRunsGolden(t *testing.T) {
-	var b bytes.Buffer
+	var runs []goldenRun
 	for _, cl := range platform.FiveClusters() {
 		for _, procs := range []int{11, 30, 53} {
 			for _, h := range core.All() {
@@ -55,21 +84,49 @@ func TestRunsGolden(t *testing.T) {
 					app := core.Application{Scenarios: 4, Months: nm}
 					al := mustPlan(t, h, app, cl.Timing, procs)
 					for _, v := range goldenVariants {
-						res, err := Run(app, cl.Timing, procs, al, v.opt)
-						if err != nil {
-							t.Fatalf("%s R=%d %s NM=%d %s: %v", cl.Name, procs, h.Name(), nm, v.name, err)
-						}
-						fmt.Fprintf(&b, "%s R=%d %s NM=%d %s %016x %016x %016x %016x %d %016x\n",
-							cl.Name, procs, h.Name(), nm, v.name,
-							math.Float64bits(res.Makespan), math.Float64bits(res.MainsDone),
-							math.Float64bits(res.BusyProcSeconds), math.Float64bits(res.Utilization),
-							res.RestartedMains, traceDigest(res.Trace))
+						label := fmt.Sprintf("%s R=%d %s NM=%d %s", cl.Name, procs, h.Name(), nm, v.name)
+						runs = append(runs, goldenRun{label, app, cl.Timing, procs, al, v.opt})
 					}
 				}
 			}
 		}
 	}
+	lines := make([]string, len(runs))
+	var b bytes.Buffer
+	for i, r := range runs {
+		l, err := r.line()
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines[i] = l
+		b.WriteString(l)
+	}
 	checkGolden(t, b.Bytes())
+
+	order := rand.New(rand.NewPCG(1, 2)).Perm(len(runs))
+	const workers = 4
+	replay := make([]string, len(runs))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := w; k < len(order); k += workers {
+				l, err := runs[order[k]].line()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				replay[order[k]] = l
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range lines {
+		if replay[i] != lines[i] {
+			t.Fatalf("shuffled replay, runs.golden line %d:\n got  %s want %s", i+1, replay[i], lines[i])
+		}
+	}
 }
 
 // traceDigest hashes every span of tr in order; a nil trace digests to 0.
