@@ -1,6 +1,7 @@
 package autoscale
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -64,7 +65,7 @@ func TestElasticBurstScalesUpAndDown(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = client.Run(app, core.NameKnapsack)
+			results[i], errs[i] = client.RunContext(context.Background(), app, core.NameKnapsack, grid.SubmitMeta{}, nil, nil)
 		}(i)
 	}
 	wg.Wait()
@@ -158,7 +159,7 @@ func TestDrainWithChunkInFlightRequeuesNothing(t *testing.T) {
 	// whatever the clone holds in flight afterwards is a chunk.
 	app := core.Application{Scenarios: 30, Months: 1200}
 	client := &grid.Client{Addr: f.Sched.Addr()}
-	if _, err := client.Run(app, core.NameKnapsack); err != nil {
+	if _, err := client.RunContext(context.Background(), app, core.NameKnapsack, grid.SubmitMeta{}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	const campaigns = 8
@@ -169,7 +170,7 @@ func TestDrainWithChunkInFlightRequeuesNothing(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = client.Run(app, core.NameKnapsack)
+			results[i], errs[i] = client.RunContext(context.Background(), app, core.NameKnapsack, grid.SubmitMeta{}, nil, nil)
 		}(i)
 	}
 	deadline := time.Now().Add(10 * time.Second)

@@ -214,48 +214,67 @@ func (c *Client) candidates(id uint64) []string {
 // forever.
 const maxRedirectHops = 3
 
-// ringRoundTrip sends a single-answer request across the client's member
-// set, on the client's kept-alive transport: it walks candidates(id),
-// follows up to maxRedirectHops ownership redirects per candidate (learning
-// each), rotates to the next member on transport failure, and stops
-// immediately on an answered error — a shard that answered authoritatively
-// will not answer differently elsewhere. A submit rotates only when the
-// dial failed: once it was written it may have been admitted, so it is
-// never replayed on another member (the transport resends a keyed one once,
-// to the same member, when its pooled connection was stale). It returns the
-// response and the address that served it.
-func (c *Client) ringRoundTrip(ctx context.Context, id uint64, req *diet.Request) (*diet.Response, string, error) {
-	tr := c.transport()
+// walk is the client's one ring walk: every exchange reaches the members
+// through it. It walks candidates(id), calls try on each, follows up to
+// maxRedirectHops ownership redirects per candidate (learning each), and
+// learns the member that served a successful exchange. It rotates to the
+// next member only while try reports the member did not answer — a shard
+// that answered, even with an error, will not answer differently elsewhere
+// — and wraps exhaustion in ErrUnreachable. try returns the member's
+// redirect ("" for none), whether the member answered, and its error.
+func (c *Client) walk(ctx context.Context, id uint64, kind string, try func(addr string) (redirect string, answered bool, err error)) error {
 	var lastErr error
 	for _, addr := range c.candidates(id) {
 		target := addr
 		for hop := 0; hop <= maxRedirectHops; hop++ {
-			resp, err := tr.RoundTrip(ctx, target, req, c.timeout())
-			if err != nil {
-				var remote *diet.RemoteError
-				if errors.As(err, &remote) || ctx.Err() != nil {
-					return nil, target, err
-				}
-				if req.Kind == diet.KindSubmit && !diet.Unsent(err) {
-					return nil, target, wireError(target, err)
-				}
-				forgetRoute(c.Addr, id)
-				lastErr = wireError(target, err)
-				break // transport failure: rotate to the next member
-			}
-			if resp.Redirect != nil && resp.Redirect.Owner != "" && resp.Redirect.Owner != target {
-				learnRoute(c.Addr, id, resp.Redirect.Owner)
-				target = resp.Redirect.Owner
+			redirect, answered, err := try(target)
+			if redirect != "" && redirect != target {
+				learnRoute(c.Addr, id, redirect)
+				target = redirect
 				continue
 			}
-			learnRoute(c.Addr, id, target)
-			return resp, target, nil
+			if err == nil {
+				learnRoute(c.Addr, id, target)
+				return nil
+			}
+			if answered || ctx.Err() != nil {
+				return err
+			}
+			forgetRoute(c.Addr, id)
+			lastErr = err
+			break // member unreachable: rotate
 		}
 	}
 	if lastErr == nil {
-		return nil, "", fmt.Errorf("%w: no member answered %s for campaign %d", ErrUnreachable, req.Kind, id)
+		return fmt.Errorf("%w: no member answered %s for campaign %d", ErrUnreachable, kind, id)
 	}
-	return nil, "", fmt.Errorf("%w: %s for campaign %d: %w", ErrUnreachable, req.Kind, id, lastErr)
+	return fmt.Errorf("%w: %s for campaign %d: %w", ErrUnreachable, kind, id, lastErr)
+}
+
+// ringRoundTrip sends a single-answer request through walk, on the client's
+// kept-alive transport: a transport failure rotates, an answered error
+// (*diet.RemoteError) ends the walk. It returns the response and the address
+// that served it; both are meaningless when the error is not nil.
+func (c *Client) ringRoundTrip(ctx context.Context, id uint64, req *diet.Request) (*diet.Response, string, error) {
+	tr := c.transport()
+	var resp *diet.Response
+	servedBy := ""
+	err := c.walk(ctx, id, req.Kind, func(addr string) (string, bool, error) {
+		r, err := tr.RoundTrip(ctx, addr, req, c.timeout())
+		if err != nil {
+			var remote *diet.RemoteError
+			if errors.As(err, &remote) {
+				return "", true, err
+			}
+			return "", false, wireError(addr, err)
+		}
+		resp, servedBy = r, addr
+		if r.Redirect != nil {
+			return r.Redirect.Owner, true, nil
+		}
+		return "", true, nil
+	})
+	return resp, servedBy, err
 }
 
 // wireError types a failed exchange: an answer that is not a well-formed
@@ -285,16 +304,10 @@ type SubmitMeta struct {
 	Deadline time.Duration
 }
 
-// Run submits a campaign and streams until its result arrives on the same
-// connection; see RunContext.
-func (c *Client) Run(app core.Application, heuristic string) (*diet.CampaignResult, error) {
-	return c.RunContext(context.Background(), app, heuristic, SubmitMeta{}, nil, nil)
-}
-
 // openStream sends a streaming request (submit-wait or attach) to one member
-// on the client's transport and reads the verdict frame. A keyed submit and
-// an attach ride a kept-alive connection, which is pooled again after the
-// result frame; an unkeyed submit gets a connection of its own.
+// on the client's transport and reads the verdict frame. Both ride a
+// kept-alive connection (the submit is always keyed), which is pooled again
+// after the result frame.
 func (c *Client) openStream(ctx context.Context, addr string, req *diet.Request) (*diet.Stream, *diet.Response, error) {
 	st, verdict, err := c.transport().OpenStream(ctx, addr, req, c.timeout())
 	if err != nil {
@@ -365,20 +378,19 @@ func (c *Client) RunContext(ctx context.Context, app core.Application, heuristic
 		Key:       c.mintKey(),
 	}}
 	// Any ring member admits a submission (ownership is decided at ID
-	// allocation, on the daemon), so rotation happens only when the dial
+	// allocation, on the daemon), so the walk rotates only when the dial
 	// itself fails — once the request is on the wire it may have been
 	// admitted, and it is never replayed elsewhere. Its key makes the one
 	// resend the transport may make, to the same member, safe.
 	var st *diet.Stream
 	var verdict *diet.Response
-	var err error
 	addr := ""
-	for _, addr = range c.candidates(0) {
-		st, verdict, err = c.openStream(ctx, addr, req)
-		if err == nil || !diet.Unsent(err) || ctx.Err() != nil {
-			break
-		}
-	}
+	err := c.walk(ctx, 0, diet.KindSubmit, func(a string) (string, bool, error) {
+		var err error
+		st, verdict, err = c.openStream(ctx, a, req)
+		addr = a
+		return "", err == nil || !diet.Unsent(err), err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -409,37 +421,12 @@ func (c *Client) RunContext(ctx context.Context, app core.Application, heuristic
 // delivered to onAttach when non-nil. An ID the daemon does not know
 // returns an error wrapping ErrUnknownCampaign.
 func (c *Client) AttachContext(ctx context.Context, id uint64, onAttach func(*diet.AttachResponse), onProgress func(*diet.ProgressUpdate)) (*diet.CampaignResult, error) {
-	var lastErr error
-	for _, addr := range c.candidates(id) {
-		target := addr
-		for hop := 0; hop <= maxRedirectHops; hop++ {
-			res, redirect, reachable, err := c.attachAt(ctx, target, id, onAttach, onProgress)
-			if redirect != "" && redirect != target {
-				learnRoute(c.Addr, id, redirect)
-				target = redirect
-				continue
-			}
-			if err == nil || reachable {
-				// Answered — successfully or authoritatively (unknown ID,
-				// protocol violation, stream lost mid-result): another member
-				// cannot do better, so stop rotating.
-				if err == nil {
-					learnRoute(c.Addr, id, target)
-				}
-				return res, err
-			}
-			if ctx.Err() != nil {
-				return nil, err
-			}
-			forgetRoute(c.Addr, id)
-			lastErr = err
-			break // member unreachable: rotate
-		}
-	}
-	if lastErr == nil {
-		return nil, fmt.Errorf("%w: no member answered attach for campaign %d", ErrUnreachable, id)
-	}
-	return nil, fmt.Errorf("%w: attach for campaign %d: %w", ErrUnreachable, id, lastErr)
+	var res *diet.CampaignResult
+	err := c.walk(ctx, id, diet.KindAttach, func(addr string) (redirect string, reachable bool, err error) {
+		res, redirect, reachable, err = c.attachAt(ctx, addr, id, onAttach, onProgress)
+		return redirect, reachable, err
+	})
+	return res, err
 }
 
 // attachAt runs one attach exchange against one member. reachable reports
@@ -476,55 +463,6 @@ func (c *Client) attachAt(ctx context.Context, addr string, id uint64, onAttach 
 	return res, "", true, err
 }
 
-// RunRetry is Run with admission-control backoff: a rejected submission is
-// retried every pause until accepted or the deadline passes. It returns the
-// result and how many rejections were absorbed. (Context-aware callers sit
-// on the public oagrid Runner surface and bring their own retry loop.)
-func (c *Client) RunRetry(app core.Application, heuristic string, pause time.Duration, deadline time.Time) (*diet.CampaignResult, int, error) {
-	if pause <= 0 {
-		pause = 10 * time.Millisecond
-	}
-	rejected := 0
-	for {
-		res, err := c.Run(app, heuristic)
-		if !errors.Is(err, ErrRejected) {
-			return res, rejected, err
-		}
-		rejected++
-		if time.Now().Add(pause).After(deadline) {
-			return nil, rejected, err
-		}
-		time.Sleep(pause)
-	}
-}
-
-// Submit enqueues a campaign without waiting; poll with Result.
-func (c *Client) Submit(app core.Application, heuristic string) (*diet.SubmitResponse, error) {
-	return c.SubmitContext(context.Background(), app, heuristic)
-}
-
-// SubmitContext enqueues a campaign without waiting (the async half of the
-// protocol); poll with ResultContext.
-func (c *Client) SubmitContext(ctx context.Context, app core.Application, heuristic string) (*diet.SubmitResponse, error) {
-	resp, servedBy, err := c.ringRoundTrip(ctx, 0, &diet.Request{Version: diet.ProtocolVersion, Kind: diet.KindSubmit, Submit: &diet.SubmitRequest{
-		Scenarios: app.Scenarios,
-		Months:    app.Months,
-		Heuristic: heuristic,
-		Key:       c.mintKey(),
-	}})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Submit == nil {
-		return nil, fmt.Errorf("%w: %s sent no admission verdict", ErrProtocol, servedBy)
-	}
-	if !resp.Submit.Accepted {
-		return resp.Submit, rejectionError(resp.Submit)
-	}
-	learnRoute(c.Addr, resp.Submit.ID, servedBy)
-	return resp.Submit, nil
-}
-
 // rejectionError maps an admission rejection to its typed sentinel: the
 // quota code gets ErrQuotaExceeded (which itself wraps ErrRejected), every
 // other rejection — including a pre-quota daemon's codeless one — the plain
@@ -534,28 +472,6 @@ func rejectionError(v *diet.SubmitResponse) error {
 		return fmt.Errorf("%w: %s (queue depth %d)", ErrQuotaExceeded, v.Reason, v.QueueDepth)
 	}
 	return fmt.Errorf("%w: %s (queue depth %d)", ErrRejected, v.Reason, v.QueueDepth)
-}
-
-// Result polls a campaign's current state by ID.
-func (c *Client) Result(id uint64) (*diet.CampaignResult, error) {
-	return c.ResultContext(context.Background(), id)
-}
-
-// ResultContext polls a campaign's current state by ID.
-func (c *Client) ResultContext(ctx context.Context, id uint64) (*diet.CampaignResult, error) {
-	resp, servedBy, err := c.ringRoundTrip(ctx, id, &diet.Request{Version: diet.ProtocolVersion, Kind: diet.KindResult, Result: &diet.ResultRequest{ID: id}})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Result == nil {
-		return nil, fmt.Errorf("%w: %s sent no result for campaign %d", ErrProtocol, servedBy, id)
-	}
-	return resp.Result, nil
-}
-
-// Stats fetches the daemon's gauges.
-func (c *Client) Stats() (*diet.StatsResponse, error) {
-	return c.StatsContext(context.Background())
 }
 
 // StatsContext fetches the daemon's gauges.

@@ -14,6 +14,41 @@ import (
 	"oagrid/internal/diet"
 )
 
+// submit starts a campaign on a RunContext stream of its own and returns
+// the admitted ID once the verdict arrives, or the stream's error when the
+// verdict refuses (a rejection wraps ErrRejected) or no verdict came. The
+// stream keeps running in the background; t.Cleanup cancels and drains it,
+// so no goroutine outlives the test. Poll the ID with InfoContext, or
+// AttachContext for the final result.
+func submit(t *testing.T, c *Client, app core.Application, heuristic string) (uint64, error) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	admitted := make(chan uint64, 1)
+	finished := make(chan struct{})
+	var runErr error
+	go func() {
+		defer close(finished)
+		_, runErr = c.RunContext(ctx, app, heuristic, SubmitMeta{}, func(id uint64) { admitted <- id }, nil)
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-finished
+	})
+	select {
+	case id := <-admitted:
+		return id, nil
+	case <-finished:
+		// onAdmit runs before the stream ends: a campaign that finished
+		// this fast still has its ID waiting.
+		select {
+		case id := <-admitted:
+			return id, nil
+		default:
+			return 0, runErr
+		}
+	}
+}
+
 // fakeDaemon accepts one submit-wait connection and plays a scripted frame
 // sequence with a fixed pause between frames, standing in for a daemon
 // whose campaign runs much longer than any single frame timeout.
@@ -146,29 +181,9 @@ func submitRaw(t *testing.T, addr string, version int, req *diet.SubmitRequest) 
 	negotiated := min(version, diet.ProtocolVersion)
 	dec := &diet.FrameDecoder{Retain: true}
 	for {
-		raw := make([]byte, 12) // the fixed frame header
-		if _, err := io.ReadFull(conn, raw); err != nil {
+		resp, ok := readRawFrame(t, conn, dec, negotiated, len(frames))
+		if !ok {
 			return frames, false
-		}
-		if n := binary.LittleEndian.Uint32(raw[8:]); n <= diet.MaxFramePayload {
-			raw = append(raw, make([]byte, n)...)
-			if _, err := io.ReadFull(conn, raw[12:]); err != nil {
-				t.Fatalf("frame %d: reading %d-byte payload: %v", len(frames), n, err)
-			}
-		}
-		hdr, payload, err := diet.ParseFrame(raw)
-		if err != nil {
-			t.Fatalf("frame %d: %v", len(frames), err)
-		}
-		if int(hdr.Version) != negotiated {
-			t.Fatalf("frame %d stamped v%d on a stream negotiated at v%d", len(frames), hdr.Version, negotiated)
-		}
-		resp, err := dec.DecodeResponseFrame(hdr, payload)
-		if err != nil {
-			t.Fatalf("frame %d: %v", len(frames), err)
-		}
-		if again, err := diet.AppendResponseFrame(nil, resp); err != nil || !bytes.Equal(again, raw) {
-			t.Fatalf("frame %d is not byte-exact at v%d (%v):\n wire % x\nagain % x", len(frames), hdr.Version, err, raw, again)
 		}
 		frames = append(frames, resp)
 		last := resp.Err != "" || resp.Result != nil || !req.Wait
@@ -183,6 +198,61 @@ func submitRaw(t *testing.T, addr string, version int, req *diet.SubmitRequest) 
 			return frames, kept
 		}
 	}
+}
+
+// readRawFrame reads frame n of a raw exchange and checks that it is stamped
+// with the negotiated version and byte-exact: re-encoding what it decodes to
+// reproduces the wire bytes. ok is false when the connection ended before a
+// frame header.
+func readRawFrame(t *testing.T, conn net.Conn, dec *diet.FrameDecoder, negotiated, n int) (resp *diet.Response, ok bool) {
+	t.Helper()
+	raw := make([]byte, 12) // the fixed frame header
+	if _, err := io.ReadFull(conn, raw); err != nil {
+		return nil, false
+	}
+	if size := binary.LittleEndian.Uint32(raw[8:]); size <= diet.MaxFramePayload {
+		raw = append(raw, make([]byte, size)...)
+		if _, err := io.ReadFull(conn, raw[12:]); err != nil {
+			t.Fatalf("frame %d: reading %d-byte payload: %v", n, size, err)
+		}
+	}
+	hdr, payload, err := diet.ParseFrame(raw)
+	if err != nil {
+		t.Fatalf("frame %d: %v", n, err)
+	}
+	if int(hdr.Version) != negotiated {
+		t.Fatalf("frame %d stamped v%d on a stream negotiated at v%d", n, hdr.Version, negotiated)
+	}
+	resp, err = dec.DecodeResponseFrame(hdr, payload)
+	if err != nil {
+		t.Fatalf("frame %d: %v", n, err)
+	}
+	if again, err := diet.AppendResponseFrame(nil, resp); err != nil || !bytes.Equal(again, raw) {
+		t.Fatalf("frame %d is not byte-exact at v%d (%v):\n wire % x\nagain % x", n, hdr.Version, err, raw, again)
+	}
+	return resp, true
+}
+
+// pollRaw sends one unstreamed KindResult poll stamped with the given
+// protocol version and returns the daemon's one answer, checked like every
+// frame of submitRaw. No client sends this kind any more; peers at v7 and
+// v8 may, so the daemon keeps answering it.
+func pollRaw(t *testing.T, addr string, version int, id uint64) *diet.Response {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(30 * time.Second))
+	if err := diet.WriteRequestFrame(conn, &diet.Request{Version: version, Kind: diet.KindResult, Result: &diet.ResultRequest{ID: id}}); err != nil {
+		t.Fatal(err)
+	}
+	resp, ok := readRawFrame(t, conn, &diet.FrameDecoder{Retain: true}, min(version, diet.ProtocolVersion), 0)
+	if !ok {
+		t.Fatalf("v%d result poll for campaign %d: connection closed without an answer", version, id)
+	}
+	return resp
 }
 
 // readsAnother sends a stats request on conn and reports whether the daemon
@@ -225,11 +295,8 @@ func TestSubmitNotReplayedOnAnotherMember(t *testing.T) {
 	app := core.Application{Scenarios: 2, Months: 6}
 	c := &Client{Addr: ln.Addr().String(), Addrs: []string{f.Sched.Addr()}, Timeout: 5 * time.Second}
 	defer c.Close()
-	if resp, err := c.SubmitContext(context.Background(), app, core.NameKnapsack); err == nil {
-		t.Fatalf("submit read by the primary was answered by another member: %+v", resp)
-	}
-	if _, err := c.RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil); err == nil {
-		t.Fatal("streamed submit read by the primary was answered by another member")
+	if res, err := c.RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil); err == nil {
+		t.Fatalf("submit read by the primary was answered by another member: %+v", res)
 	}
 	if n := len(f.Sched.table()); n != 0 {
 		t.Fatalf("the fallback admitted %d campaigns the primary had read", n)
@@ -250,15 +317,55 @@ func TestSubmitNotReplayedOnAnotherMember(t *testing.T) {
 		t.Fatal(err)
 	}
 	primary.Close()
-	if resp, err := c.SubmitContext(context.Background(), app, core.NameKnapsack); err == nil {
-		t.Fatalf("submit written to a dead primary was answered by another member: %+v", resp)
+	if res, err := c.RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil); err == nil {
+		t.Fatalf("submit written to a dead primary was answered by another member: %+v", res)
 	}
-	resp, err := c.SubmitContext(context.Background(), app, core.NameKnapsack)
-	if err != nil || !resp.Accepted {
-		t.Fatalf("submit with a refused primary: %+v, %v; want the fallback to admit it", resp, err)
+	res, err := c.RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil)
+	if err != nil || res.Status != diet.CampaignDone {
+		t.Fatalf("submit with a refused primary: %+v, %v; want the fallback to admit and run it", res, err)
 	}
 	if n := len(f.Sched.table()); n != 1 {
 		t.Fatalf("the fallback holds %d campaigns, want 1", n)
+	}
+}
+
+// closedAddr returns a loopback address nothing listens on any more: a
+// dial there is refused.
+func closedAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	return addr
+}
+
+// TestUnreachableIsTyped: when every member refuses the dial, each client
+// exchange — the campaign stream included — reports ErrUnreachable, so a
+// caller can tell "nobody answered" from an answer.
+func TestUnreachableIsTyped(t *testing.T) {
+	c := &Client{Addr: closedAddr(t), Addrs: []string{closedAddr(t)}, Timeout: 5 * time.Second}
+	defer c.Close()
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"RunContext", func() error {
+			_, err := c.RunContext(ctx, core.Application{Scenarios: 2, Months: 6}, core.NameKnapsack, SubmitMeta{}, nil, nil)
+			return err
+		}},
+		{"AttachContext", func() error { _, err := c.AttachContext(ctx, 7, nil, nil); return err }},
+		{"InfoContext", func() error { _, err := c.InfoContext(ctx, 7); return err }},
+		{"CancelContext", func() error { _, err := c.CancelContext(ctx, 7); return err }},
+		{"ListCampaignsContext", func() error { _, err := c.ListCampaignsContext(ctx, nil); return err }},
+		{"StatsContext", func() error { _, err := c.StatsContext(ctx); return err }},
+	} {
+		if err := tc.call(); !errors.Is(err, ErrUnreachable) {
+			t.Errorf("%s with every member down: %v, want ErrUnreachable", tc.name, err)
+		}
 	}
 }
 

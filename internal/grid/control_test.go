@@ -85,24 +85,24 @@ func TestSchedulerCancelQueuedCampaign(t *testing.T) {
 
 	c := &Client{Addr: s.Addr(), Timeout: time.Minute}
 	defer c.Close()
-	occupant, err := c.Submit(core.Application{Scenarios: 6, Months: 120}, core.NameKnapsack)
+	occupant, err := submit(t, c, core.Application{Scenarios: 6, Months: 120}, core.NameKnapsack)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.nextExec(t) // the occupant holds the only dispatcher until released
-	victim, err := c.Submit(core.Application{Scenarios: 6, Months: 120}, core.NameKnapsack)
+	victim, err := submit(t, c, core.Application{Scenarios: 6, Months: 120}, core.NameKnapsack)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	status, err := c.CancelContext(context.Background(), victim.ID)
+	status, err := c.CancelContext(context.Background(), victim)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if status != diet.CampaignCancelled {
 		t.Fatalf("cancel verdict %q, want cancelled", status)
 	}
-	info, err := c.InfoContext(context.Background(), victim.ID)
+	info, err := c.InfoContext(context.Background(), victim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,26 +113,16 @@ func TestSchedulerCancelQueuedCampaign(t *testing.T) {
 	// The occupant and fresh traffic still complete.
 	g.release <- struct{}{} // the occupant's chunk
 	g.release <- struct{}{} // the fresh campaign's
-	for _, id := range []uint64{occupant.ID} {
-		deadline := time.Now().Add(60 * time.Second)
-		for {
-			res, err := c.Result(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Status == diet.CampaignDone {
-				break
-			}
-			if res.Status == diet.CampaignFailed || res.Status == diet.CampaignCancelled {
-				t.Fatalf("occupant ended %q: %s", res.Status, res.Err)
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("occupant stuck in %q", res.Status)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	res, err := c.AttachContext(ctx, occupant, nil, nil)
+	if ctx.Err() != nil {
+		t.Fatalf("occupant stuck: %v", err)
 	}
-	if _, err := c.Run(core.Application{Scenarios: 2, Months: 6}, core.NameKnapsack); err != nil {
+	if err != nil || res.Status != diet.CampaignDone {
+		t.Fatalf("occupant ended %+v: %v", res, err)
+	}
+	if _, err := c.RunContext(context.Background(), core.Application{Scenarios: 2, Months: 6}, core.NameKnapsack, SubmitMeta{}, nil, nil); err != nil {
 		t.Fatalf("daemon unhealthy after queued cancel: %v", err)
 	}
 	stats := s.Stats()
@@ -257,7 +247,7 @@ func TestPriorityOrdersAdmission(t *testing.T) {
 
 	c := &Client{Addr: s.Addr(), Timeout: time.Minute}
 	// Campaigns are told apart by NS: occupant 3, low 4, high 5.
-	occupant, err := c.Submit(core.Application{Scenarios: 3, Months: 6}, core.NameKnapsack)
+	occupant, err := submit(t, c, core.Application{Scenarios: 3, Months: 6}, core.NameKnapsack)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +255,7 @@ func TestPriorityOrdersAdmission(t *testing.T) {
 		t.Fatalf("occupant dispatched %d scenarios, want 3", n)
 	}
 	// The dispatcher is now parked on the occupant's chunk; these two queue.
-	low, err := c.SubmitContext(context.Background(), core.Application{Scenarios: 4, Months: 6}, core.NameKnapsack)
+	low, err := submit(t, c, core.Application{Scenarios: 4, Months: 6}, core.NameKnapsack)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +282,7 @@ func TestPriorityOrdersAdmission(t *testing.T) {
 	}
 	g.release <- struct{}{}
 
-	for _, id := range []uint64{occupant.ID, low.ID, high.ID} {
+	for _, id := range []uint64{occupant, low, high.ID} {
 		waitStatus(t, c, id, diet.CampaignDone)
 	}
 	// The submit options round-tripped into the control-plane view.
@@ -368,7 +358,7 @@ func TestCancelDiscardsInFlightChunk(t *testing.T) {
 		t.Fatalf("cancelled campaign info %+v, want cancelled with nothing done", info)
 	}
 	// The daemon still serves new work through the same gate.
-	verdict, err := c.SubmitContext(context.Background(), core.Application{Scenarios: 2, Months: 6}, core.NameKnapsack)
+	fresh, err := submit(t, c, core.Application{Scenarios: 2, Months: 6}, core.NameKnapsack)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +366,7 @@ func TestCancelDiscardsInFlightChunk(t *testing.T) {
 		t.Fatalf("post-cancel campaign dispatched %d scenarios, want 2", n)
 	}
 	g.release <- struct{}{}
-	waitStatus(t, c, verdict.ID, diet.CampaignDone)
+	waitStatus(t, c, fresh, diet.CampaignDone)
 }
 
 // TestCancelSurvivesKillDashNine is the control plane's acceptance
@@ -403,11 +393,10 @@ func TestCancelSurvivesKillDashNine(t *testing.T) {
 
 	c := &Client{Addr: addr, Timeout: 30 * time.Second}
 	// Big enough that the cancel lands mid-evaluation, not after the fact.
-	verdict, err := c.SubmitContext(context.Background(), core.Application{Scenarios: 10, Months: 1800}, core.NameKnapsack)
+	id, err := submit(t, c, core.Application{Scenarios: 10, Months: 1800}, core.NameKnapsack)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := verdict.ID
 
 	// Wait until the campaign is actually running — cancel mid-round, with
 	// chunks in flight.
@@ -467,7 +456,7 @@ func TestCancelSurvivesKillDashNine(t *testing.T) {
 	}
 
 	// And the daemon still serves new work bit-identically.
-	res, err := c.Run(core.Application{Scenarios: 4, Months: 12}, core.NameKnapsack)
+	res, err := c.RunContext(context.Background(), core.Application{Scenarios: 4, Months: 12}, core.NameKnapsack, SubmitMeta{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

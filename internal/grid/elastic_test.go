@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -65,7 +66,7 @@ func TestSpeedAwarePlacement(t *testing.T) {
 	sched, clusters := startSpeedPair(t, 0.5)
 	app := core.Application{Scenarios: 30, Months: 12}
 	client := &Client{Addr: sched.Addr()}
-	res, err := client.Run(app, core.NameKnapsack)
+	res, err := client.RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestSpeedAwarePlacement(t *testing.T) {
 
 	// Determinism across runs: the same campaign on the same fleet lands on
 	// the identical placement and bitwise-equal makespan.
-	res2, err := client.Run(app, core.NameKnapsack)
+	res2, err := client.RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -63,7 +64,7 @@ func TestCampaignMatchesDirectProtocol(t *testing.T) {
 	f := startFabric(t, testConfig(), 3)
 	app := core.Application{Scenarios: 6, Months: 24}
 	client := &Client{Addr: f.Sched.Addr()}
-	res, err := client.Run(app, core.NameKnapsack)
+	res, err := client.RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,8 +145,14 @@ func TestConcurrentCampaignsWithSeDFailure(t *testing.T) {
 			if i == campaigns/3 {
 				kill()
 			}
+			// Back off and resubmit while the admission queue is full.
 			client := &Client{Addr: f.Sched.Addr()}
-			res, _, err := client.RunRetry(app, core.NameKnapsack, 5*time.Millisecond, time.Now().Add(60*time.Second))
+			deadline := time.Now().Add(60 * time.Second)
+			res, err := client.RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil)
+			for errors.Is(err, ErrRejected) && time.Now().Before(deadline) {
+				time.Sleep(5 * time.Millisecond)
+				res, err = client.RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil)
+			}
 			results <- outcome{res: res, err: err}
 		}(i)
 	}
@@ -192,7 +199,7 @@ func TestAdmissionControlBoundsQueue(t *testing.T) {
 	client := &Client{Addr: sched.Addr()}
 	app := core.Application{Scenarios: 2, Months: 2}
 
-	if _, err := client.Submit(app, core.NameBasic); err != nil {
+	if _, err := submit(t, client, app, core.NameBasic); err != nil {
 		t.Fatal(err)
 	}
 	// Let the lone dispatcher take the head campaign off the queue.
@@ -204,11 +211,11 @@ func TestAdmissionControlBoundsQueue(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	for i := 0; i < cfg.QueueCap; i++ {
-		if _, err := client.Submit(app, core.NameBasic); err != nil {
+		if _, err := submit(t, client, app, core.NameBasic); err != nil {
 			t.Fatalf("submission %d rejected with queue not full: %v", i, err)
 		}
 	}
-	_, err = client.Submit(app, core.NameBasic)
+	_, err = submit(t, client, app, core.NameBasic)
 	if !errors.Is(err, ErrRejected) {
 		t.Fatalf("submission beyond QueueCap not rejected: %v", err)
 	}
@@ -224,14 +231,14 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	defer sched.Close()
 	client := &Client{Addr: sched.Addr()}
-	if _, err := client.Submit(core.Application{}, core.NameBasic); err == nil {
+	if _, err := submit(t, client, core.Application{}, core.NameBasic); err == nil {
 		t.Fatal("invalid application accepted")
 	}
-	if _, err := client.Submit(core.Application{Scenarios: 1, Months: 1}, "nope"); err == nil {
+	if _, err := submit(t, client, core.Application{Scenarios: 1, Months: 1}, "nope"); err == nil {
 		t.Fatal("unknown heuristic accepted")
 	}
-	if _, err := client.Result(999); err == nil {
-		t.Fatal("unknown campaign id answered")
+	if _, err := client.InfoContext(context.Background(), 999); !errors.Is(err, ErrUnknownCampaign) {
+		t.Fatalf("unknown campaign id answered: %v", err)
 	}
 }
 
@@ -263,41 +270,45 @@ func TestHeartbeatEvictionAndRejoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	app := core.Application{Scenarios: 2, Months: 6}
-	res, err := (&Client{Addr: f.Sched.Addr()}).Run(app, core.NameKnapsack)
+	res, err := (&Client{Addr: f.Sched.Addr()}).RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	verifyReports(t, f, app, core.NameKnapsack, res)
 }
 
-// TestResultPolling covers the non-streaming path: submit without wait,
-// poll until done.
+// TestResultPolling covers the polling path: submit, poll the campaign's
+// status by ID until done, then fetch the result by ID.
 func TestResultPolling(t *testing.T) {
 	f := startFabric(t, testConfig(), 2)
 	client := &Client{Addr: f.Sched.Addr()}
 	app := core.Application{Scenarios: 3, Months: 6}
-	sub, err := client.Submit(app, core.NameRedistribute)
+	id, err := submit(t, client, app, core.NameRedistribute)
 	if err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		res, err := client.Result(sub.ID)
+		info, err := client.InfoContext(context.Background(), id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Status == diet.CampaignDone {
-			verifyReports(t, f, app, core.NameRedistribute, res)
-			return
+		if info.Status == diet.CampaignDone {
+			break
 		}
-		if res.Status == diet.CampaignFailed {
-			t.Fatalf("campaign failed: %s", res.Err)
+		if info.Status == diet.CampaignFailed {
+			t.Fatalf("campaign failed: %s", info.Err)
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("campaign stuck in %q", res.Status)
+			t.Fatalf("campaign stuck in %q", info.Status)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	res, err := client.AttachContext(context.Background(), id, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifyReports(t, f, app, core.NameRedistribute, res)
 }
 
 // TestPerfVectorCacheWarms: the second identical campaign must not trigger
@@ -310,14 +321,14 @@ func TestPerfVectorTruncation(t *testing.T) {
 	client := &Client{Addr: f.Sched.Addr()}
 	// Big campaign first fills the cache with a long vector...
 	big := core.Application{Scenarios: 5, Months: 6}
-	resBig, err := client.Run(big, core.NameKnapsack)
+	resBig, err := client.RunContext(context.Background(), big, core.NameKnapsack, SubmitMeta{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	verifyReports(t, f, big, core.NameKnapsack, resBig)
 	// ...the smaller one must reuse its prefix and still match serial runs.
 	small := core.Application{Scenarios: 2, Months: 6}
-	resSmall, err := client.Run(small, core.NameKnapsack)
+	resSmall, err := client.RunContext(context.Background(), small, core.NameKnapsack, SubmitMeta{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +346,7 @@ func TestSchedulerShutdownFailsWaiters(t *testing.T) {
 	client := &Client{Addr: sched.Addr(), Timeout: 10 * time.Second}
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := client.Run(core.Application{Scenarios: 1, Months: 1}, core.NameBasic)
+		_, err := client.RunContext(context.Background(), core.Application{Scenarios: 1, Months: 1}, core.NameBasic, SubmitMeta{}, nil, nil)
 		errCh <- err
 	}()
 	// Wait for the campaign to be running, then pull the plug.
@@ -370,7 +381,7 @@ func TestStatsTracksQueueHighWater(t *testing.T) {
 	defer sched.Close()
 	client := &Client{Addr: sched.Addr()}
 	for i := 0; i < 5; i++ {
-		if _, err := client.Submit(core.Application{Scenarios: 1, Months: 1}, core.NameBasic); err != nil {
+		if _, err := submit(t, client, core.Application{Scenarios: 1, Months: 1}, core.NameBasic); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -379,7 +390,7 @@ func TestStatsTracksQueueHighWater(t *testing.T) {
 	}
 }
 
-func ExampleClient_Run() {
+func ExampleClient_RunContext() {
 	sched, _ := Start(Config{Addr: "127.0.0.1:0"})
 	defer sched.Close()
 	cl := platform.ReferenceCluster(30)
@@ -388,7 +399,7 @@ func ExampleClient_Run() {
 	sed.StartHeartbeats(sched.Addr(), 100*time.Millisecond)
 
 	client := &Client{Addr: sched.Addr()}
-	res, err := client.Run(core.Application{Scenarios: 2, Months: 6}, core.NameKnapsack)
+	res, err := client.RunContext(context.Background(), core.Application{Scenarios: 2, Months: 6}, core.NameKnapsack, SubmitMeta{}, nil, nil)
 	if err != nil {
 		fmt.Println("error:", err)
 		return

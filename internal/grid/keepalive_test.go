@@ -32,7 +32,7 @@ func runVerified(t *testing.T, f *Fabric, app core.Application) *diet.CampaignRe
 // runVerifiedOn runs one campaign on c and verifies its result.
 func runVerifiedOn(t *testing.T, f *Fabric, c *Client, app core.Application) *diet.CampaignResult {
 	t.Helper()
-	res, err := c.Run(app, core.NameKnapsack)
+	res, err := c.RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestCancelledExchangeNotPooled(t *testing.T) {
 	run := func() error {
 		errc := make(chan error, 1)
 		go func() {
-			_, err := c.Run(app, core.NameKnapsack)
+			_, err := c.RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil)
 			errc <- err
 		}()
 		g.nextExec(t)

@@ -167,7 +167,7 @@ func runBoth(t *testing.T, app core.Application, n int) (daemonRes, localRes *di
 	if err := f.WaitAlive(n, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	daemonRes, err = (&Client{Addr: f.Sched.Addr()}).Run(app, core.NameKnapsack)
+	daemonRes, err = (&Client{Addr: f.Sched.Addr()}).RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil)
 	f.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -411,12 +411,12 @@ func TestRoundsCountsRoundsStarted(t *testing.T) {
 		g := startGateSeD(t, s.Addr())
 		waitAliveAddr(t, s.Addr(), 1, 10*time.Second)
 		c := &Client{Addr: s.Addr(), Timeout: time.Minute}
-		verdict, err := c.SubmitContext(ctx, app, core.NameKnapsack)
+		id, err := submit(t, c, app, core.NameKnapsack)
 		if err != nil {
 			t.Fatal(err)
 		}
 		g.nextExec(t) // the round's one chunk is parked at the gate
-		info, err := c.InfoContext(ctx, verdict.ID)
+		info, err := c.InfoContext(ctx, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -427,7 +427,7 @@ func TestRoundsCountsRoundsStarted(t *testing.T) {
 			t.Fatalf("journal replays %d rounds mid-round, want 1", rc.Rounds)
 		}
 		g.release <- struct{}{}
-		waitStatus(t, c, verdict.ID, diet.CampaignDone)
+		waitStatus(t, c, id, diet.CampaignDone)
 		s.Close()
 
 		s2, err := Start(cfg)
@@ -435,7 +435,7 @@ func TestRoundsCountsRoundsStarted(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s2.Close()
-		if info := s2.CampaignInfo(verdict.ID); !info.Found || info.Rounds != 1 {
+		if info := s2.CampaignInfo(id); !info.Found || info.Rounds != 1 {
 			t.Fatalf("info after restart %+v, want Rounds == 1", info)
 		}
 	})
@@ -526,7 +526,7 @@ func TestWALErrorsCounted(t *testing.T) {
 	g := startGateSeD(t, s.Addr())
 	waitAliveAddr(t, s.Addr(), 1, 10*time.Second)
 	c := &Client{Addr: s.Addr(), Timeout: time.Minute}
-	verdict, err := c.SubmitContext(context.Background(), core.Application{Scenarios: 4, Months: 6}, core.NameKnapsack)
+	id, err := submit(t, c, core.Application{Scenarios: 4, Months: 6}, core.NameKnapsack)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +540,7 @@ func TestWALErrorsCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.release <- struct{}{}
-	waitStatus(t, c, verdict.ID, diet.CampaignDone)
+	waitStatus(t, c, id, diet.CampaignDone)
 	if got := s.walErrors.Load(); got < 2 {
 		t.Fatalf("%d journal errors counted, want the chunk and the terminal record", got)
 	}
@@ -557,7 +557,7 @@ func TestWALErrorsCounted(t *testing.T) {
 		t.Fatalf("/metrics does not export the two journal errors:\n%s", body)
 	}
 	// The admission record is the exception: it keeps returning its error.
-	if _, err := c.SubmitContext(context.Background(), core.Application{Scenarios: 2, Months: 6}, core.NameKnapsack); err == nil {
+	if _, err := submit(t, c, core.Application{Scenarios: 2, Months: 6}, core.NameKnapsack); err == nil {
 		t.Fatal("an admission that could not be journaled was acknowledged")
 	}
 }

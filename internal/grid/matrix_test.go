@@ -44,7 +44,9 @@ func sameCampaignOutcome(t *testing.T, tag string, got, want *diet.CampaignResul
 // bit-identical to the current client's. Every peer sends a key and asks for
 // keep-alive: a v7 frame has no room for the key, so a v7 submit is
 // unkeyed and its connection closes after the result, while from v8 on the
-// daemon reads the next request on it.
+// daemon reads the next request on it. Each peer then polls the campaign
+// with an unstreamed KindResult at its version, the wire half no client
+// sends any more.
 func TestCrossVersionMatrix(t *testing.T) {
 	app := core.Application{Scenarios: 6, Months: 12}
 	cur := startFabric(t, testConfig(), 3)
@@ -71,6 +73,18 @@ func TestCrossVersionMatrix(t *testing.T) {
 			t.Fatalf("%s: negotiated %d (verdict), %d (result), want %d", tag, frames[0].Version, final.Version, n)
 		}
 		sameCampaignOutcome(t, tag, final.Result, want)
+
+		// The unstreamed poll of the same campaign, at the same version: a
+		// done snapshot with the same outcome, and an error payload for an
+		// ID the daemon never issued.
+		poll := pollRaw(t, cur.Sched.Addr(), v, final.Result.ID)
+		if poll.Result == nil || poll.Result.Status != diet.CampaignDone {
+			t.Fatalf("%s: result poll answered %+v, want a done snapshot", tag, poll)
+		}
+		sameCampaignOutcome(t, tag+" (result poll)", poll.Result, want)
+		if unknown := pollRaw(t, cur.Sched.Addr(), v, 1<<40); unknown.Err == "" || unknown.Result != nil {
+			t.Fatalf("%s: result poll for an unknown campaign answered %+v, want an error payload", tag, unknown)
+		}
 	}
 }
 
@@ -175,7 +189,7 @@ func TestDaemonRefusesPreV4Peers(t *testing.T) {
 	}
 
 	app := core.Application{Scenarios: 3, Months: 8}
-	res, err := (&Client{Addr: f.Sched.Addr()}).Run(app, core.NameKnapsack)
+	res, err := (&Client{Addr: f.Sched.Addr()}).RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil)
 	if err != nil {
 		t.Fatalf("submit after the refused peers: %v", err)
 	}

@@ -104,7 +104,7 @@ func waitAliveAddr(t *testing.T, addr string, n int, timeout time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
-		if stats, err := (&Client{Addr: addr, Timeout: time.Second}).Stats(); err == nil {
+		if stats, err := (&Client{Addr: addr, Timeout: time.Second}).StatsContext(context.Background()); err == nil {
 			alive := 0
 			for _, sd := range stats.SeDs {
 				if sd.Alive {
@@ -251,7 +251,7 @@ func TestCrashRecoveryKillDashNine(t *testing.T) {
 	}
 
 	// The restarted daemon serves fresh campaigns too.
-	res, err := client.Run(app, core.NameKnapsack)
+	res, err := client.RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestSchedulerRestartResumesCampaigns(t *testing.T) {
 	// Campaign A runs to completion before the restart.
 	client := &Client{Addr: addr}
 	appA := core.Application{Scenarios: 4, Months: 12}
-	resA, err := client.Run(appA, core.NameKnapsack)
+	resA, err := client.RunContext(context.Background(), appA, core.NameKnapsack, SubmitMeta{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestSchedulerRestartResumesCampaigns(t *testing.T) {
 		sed.Close()
 	}
 	appB := core.Application{Scenarios: 5, Months: 6}
-	subB, err := client.Submit(appB, core.NameKnapsack)
+	idB, err := submit(t, client, appB, core.NameKnapsack)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestSchedulerRestartResumesCampaigns(t *testing.T) {
 		t.Fatal(err)
 	}
 	var frames []diet.ProgressUpdate
-	resB, err := client2.AttachContext(context.Background(), subB.ID, nil, func(u *diet.ProgressUpdate) {
+	resB, err := client2.AttachContext(context.Background(), idB, nil, func(u *diet.ProgressUpdate) {
 		frames = append(frames, *u)
 	})
 	if err != nil {
@@ -360,7 +360,7 @@ func TestSchedulerRestartResumesCampaigns(t *testing.T) {
 	}
 
 	// Campaign A's terminal state survived the restart bit for bit.
-	gotA, err := client2.Result(resA.ID)
+	gotA, err := client2.AttachContext(context.Background(), resA.ID, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +501,7 @@ func TestRequeuedRoundMakespanSummed(t *testing.T) {
 	waitAliveAddr(t, sched.Addr(), 2, 5*time.Second)
 
 	app := core.Application{Scenarios: 6, Months: 12}
-	res, err := (&Client{Addr: sched.Addr()}).Run(app, core.NameKnapsack)
+	res, err := (&Client{Addr: sched.Addr()}).RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -589,46 +589,53 @@ func TestCampaignMakespanAccounting(t *testing.T) {
 	}
 }
 
-// TestPollSnapshotProgress covers the poll-path progress fix: Submit
-// without Wait, then Result, must see Done/Total move before the terminal
-// state instead of a bare "running".
+// TestPollSnapshotProgress covers the poll-path progress fix: polling a
+// campaign by ID must see Done/Total move before the terminal state
+// instead of a bare "running", and the final result must carry them too.
 func TestPollSnapshotProgress(t *testing.T) {
 	f := startFabric(t, testConfig(), 2)
 	client := &Client{Addr: f.Sched.Addr()}
 	app := core.Application{Scenarios: 6, Months: 12}
-	sub, err := client.Submit(app, core.NameKnapsack)
+	id, err := submit(t, client, app, core.NameKnapsack)
 	if err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	lastDone := 0
 	for {
-		res, err := client.Result(sub.ID)
+		info, err := client.InfoContext(context.Background(), id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Total != app.Scenarios {
-			t.Fatalf("snapshot Total = %d, want %d (status %s)", res.Total, app.Scenarios, res.Status)
+		if info.Total != app.Scenarios {
+			t.Fatalf("snapshot Total = %d, want %d (status %s)", info.Total, app.Scenarios, info.Status)
 		}
-		if res.Done < lastDone {
-			t.Fatalf("snapshot Done went backwards: %d after %d", res.Done, lastDone)
+		if info.Done < lastDone {
+			t.Fatalf("snapshot Done went backwards: %d after %d", info.Done, lastDone)
 		}
-		lastDone = res.Done
-		if res.Status == diet.CampaignDone {
-			if res.Done != app.Scenarios {
-				t.Fatalf("terminal snapshot Done = %d, want %d", res.Done, app.Scenarios)
+		lastDone = info.Done
+		if info.Status == diet.CampaignDone {
+			if info.Done != app.Scenarios {
+				t.Fatalf("terminal snapshot Done = %d, want %d", info.Done, app.Scenarios)
 			}
-			verifyReports(t, f, app, core.NameKnapsack, res)
-			return
+			break
 		}
-		if res.Status == diet.CampaignFailed {
-			t.Fatalf("campaign failed: %s", res.Err)
+		if info.Status == diet.CampaignFailed {
+			t.Fatalf("campaign failed: %s", info.Err)
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("campaign stuck in %q", res.Status)
+			t.Fatalf("campaign stuck in %q", info.Status)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+	res, err := client.AttachContext(context.Background(), id, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Done != app.Scenarios || res.Total != app.Scenarios {
+		t.Fatalf("terminal result Done/Total = %d/%d, want %d", res.Done, res.Total, app.Scenarios)
+	}
+	verifyReports(t, f, app, core.NameKnapsack, res)
 }
 
 // TestAttachReplayAfterManyRequeues drives a campaign far past the
@@ -655,7 +662,7 @@ func TestAttachReplayAfterManyRequeues(t *testing.T) {
 
 	app := core.Application{Scenarios: 1, Months: 6}
 	client := &Client{Addr: sched.Addr(), Timeout: 60 * time.Second}
-	sub, err := client.Submit(app, core.NameKnapsack)
+	id, err := submit(t, client, app, core.NameKnapsack)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -665,18 +672,18 @@ func TestAttachReplayAfterManyRequeues(t *testing.T) {
 	// the replay guarantee is the same either way).
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		res, err := client.Result(sub.ID)
+		info, err := client.InfoContext(context.Background(), id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Requeues >= failures/2 || res.Status == diet.CampaignDone {
+		if info.Requeues >= failures/2 || info.Status == diet.CampaignDone {
 			break
 		}
-		if res.Status == diet.CampaignFailed {
-			t.Fatalf("campaign failed: %s", res.Err)
+		if info.Status == diet.CampaignFailed {
+			t.Fatalf("campaign failed: %s", info.Err)
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("campaign never churned: %+v", res)
+			t.Fatalf("campaign never churned: %+v", info)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -685,7 +692,7 @@ func TestAttachReplayAfterManyRequeues(t *testing.T) {
 		t.Helper()
 		var frames []diet.ProgressUpdate
 		var verdict *diet.AttachResponse
-		res, err := client.AttachContext(context.Background(), sub.ID,
+		res, err := client.AttachContext(context.Background(), id,
 			func(v *diet.AttachResponse) { verdict = v },
 			func(u *diet.ProgressUpdate) { frames = append(frames, *u) })
 		if err != nil {
@@ -753,17 +760,17 @@ func TestRestartPrunesBeyondKeepFinished(t *testing.T) {
 
 	app := core.Application{Scenarios: 2, Months: 6}
 	client := &Client{Addr: sched1.Addr()}
-	resA, err := client.Run(app, core.NameKnapsack)
+	resA, err := client.RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resB, err := client.Run(app, core.NameKnapsack)
+	resB, err := client.RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// KeepFinished=1: campaign A is pruned the moment B finishes.
-	if _, err := client.Result(resA.ID); err == nil {
-		t.Fatalf("campaign %d pollable past the retention cap", resA.ID)
+	if _, err := client.InfoContext(context.Background(), resA.ID); !errors.Is(err, ErrUnknownCampaign) {
+		t.Fatalf("campaign %d pollable past the retention cap: %v", resA.ID, err)
 	}
 	if err := sched1.Close(); err != nil {
 		t.Fatal(err)
@@ -783,7 +790,7 @@ func TestRestartPrunesBeyondKeepFinished(t *testing.T) {
 		t.Fatalf("pruned campaign %d resurrected by replay: %v", resA.ID, err)
 	}
 	// ...while the retained one is still there, bit for bit.
-	gotB, err := client2.Result(resB.ID)
+	gotB, err := client2.AttachContext(context.Background(), resB.ID, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,7 +116,7 @@ func TestRingFailoverBitIdentical(t *testing.T) {
 	// application bit-identical to this, wherever it runs.
 	app := core.Application{Scenarios: 4, Months: 12}
 	ref := startFabric(t, testConfig(), 2)
-	want, err := (&Client{Addr: ref.Sched.Addr(), Timeout: 60 * time.Second}).Run(app, core.NameKnapsack)
+	want, err := (&Client{Addr: ref.Sched.Addr(), Timeout: 60 * time.Second}).RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,14 +127,11 @@ func TestRingFailoverBitIdentical(t *testing.T) {
 	ids := make([]uint64, campaigns)
 	for i := 0; i < campaigns; i++ {
 		c := &Client{Addr: addrs[i%3], Timeout: 30 * time.Second}
-		sub, err := c.Submit(app, core.NameKnapsack)
-		if err != nil {
+		id, err := submit(t, c, app, core.NameKnapsack)
+		if err != nil { // a rejection included: it wraps ErrRejected
 			t.Fatalf("submit %d via %s: %v", i, addrs[i%3], err)
 		}
-		if !sub.Accepted {
-			t.Fatalf("submit %d rejected: %s", i, sub.Reason)
-		}
-		ids[i] = sub.ID
+		ids[i] = id
 	}
 	// Shard-minted IDs must be home-owned by their minting shard.
 	sm0 := members[0].sched.shardManager()
@@ -338,7 +335,7 @@ func TestRingRefusesIncompatiblePeer(t *testing.T) {
 	}
 
 	app := core.Application{Scenarios: 4, Months: 12}
-	res, err := (&Client{Addr: cur.Addr(), Timeout: 30 * time.Second}).Run(app, core.NameKnapsack)
+	res, err := (&Client{Addr: cur.Addr(), Timeout: 30 * time.Second}).RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil)
 	if err != nil {
 		t.Fatalf("ring member with a sub-floor peer stopped serving: %v", err)
 	}
