@@ -11,12 +11,12 @@
 // of coder primitive calls, each of which appends the field when the coder
 // encodes and reads it when the coder decodes. The encoder and the decoder
 // are the same code run in two directions, so they cannot drift apart; the
-// exported entry points only map envelopes to frame kinds. The layouts are
-// pinned from outside by committed bytes: testdata/frames holds every hot
-// frame at every negotiated version (TestGoldenFrames), every field of every
-// wire type is non-zero in at least one of them (TestGoldenFramesComplete),
-// and CI refuses an edit to a file that is already committed
-// (scripts/check_sealed_frames.sh).
+// exported entry points only map envelopes to frame kinds. The layouts, and
+// the cold kinds' JSON envelopes, are pinned from outside by committed bytes:
+// testdata/frames holds every kind's frame at every negotiated version
+// (TestGoldenFrames), every field of every payload type is non-zero in at
+// least one of them (TestGoldenFramesComplete), and CI refuses an edit to a
+// file that is already committed (scripts/check_sealed_frames.sh).
 //
 // Frame layout (all integers little-endian):
 //
@@ -81,7 +81,6 @@ const (
 	fkPerfReq      = 0x03
 	fkHeartbeatReq = 0x04
 	fkAttachReq    = 0x05
-	fkResultReq    = 0x06
 	// fkJSONReq wraps the full Request envelope as JSON: the escape hatch
 	// for cold request kinds (stats, cancel, info, the ring kinds, ...).
 	fkJSONReq = 0x1F
@@ -405,9 +404,7 @@ func (x *SubmitRequest) wire(c *coder) {
 	c.int(&x.Priority, "submit priority")
 	c.i64((*int64)(&x.Deadline), "submit deadline")
 	c.strmap(&x.Labels, "submit labels")
-	if c.ver >= ProtocolV8 {
-		c.fixed(x.Key[:], "submit key")
-	}
+	c.fixed(x.Key[:], "submit key")
 }
 
 //oalint:hotpath
@@ -441,9 +438,6 @@ func (x *AttachRequest) wire(c *coder) {
 }
 
 //oalint:hotpath
-func (x *ResultRequest) wire(c *coder) { c.u64(&x.ID, "result id") }
-
-//oalint:hotpath
 func (x *SubmitResponse) wire(c *coder) {
 	c.u64(&x.ID, "submit id")
 	c.bool(&x.Accepted, "submit accepted")
@@ -470,9 +464,6 @@ func (x *PerfResponse) wire(c *coder) {
 	c.int(&x.Procs, "perf procs")
 	c.floats(&x.Vector, "perf vector")
 }
-
-//oalint:hotpath
-func (x *HeartbeatResponse) wire(c *coder) { c.bool(&x.OK, "heartbeat ok") }
 
 //oalint:hotpath
 func (x *AttachResponse) wire(c *coder) {
@@ -583,9 +574,6 @@ func AppendRequestFrame(buf []byte, req *Request) ([]byte, error) {
 	case req.Kind == KindAttach && req.Attach != nil:
 		req.Attach.wire(&c)
 		return c.finish(fkAttachReq)
-	case req.Kind == KindResult && req.Result != nil:
-		req.Result.wire(&c)
-		return c.finish(fkResultReq)
 	}
 	data, err := json.Marshal(req)
 	if err != nil {
@@ -616,8 +604,7 @@ func AppendResponseFrame(buf []byte, resp *Response) ([]byte, error) {
 	case resp.Perf != nil:
 		resp.Perf.wire(&c)
 		return c.finish(fkPerfResp)
-	case resp.Heartbeat != nil:
-		resp.Heartbeat.wire(&c)
+	case resp.Heartbeat != nil: // an acknowledgement: no payload
 		return c.finish(fkHeartbeatResp)
 	case resp.Attach != nil:
 		resp.Attach.wire(&c)
@@ -670,12 +657,10 @@ type FrameDecoder struct {
 	perfReq   PerfRequest
 	hbReq     HeartbeatRequest
 	attachReq AttachRequest
-	resultReq ResultRequest
 
 	submitResp SubmitResponse
 	execResp   ExecResponse
 	perfResp   PerfResponse
-	hbResp     HeartbeatResponse
 	attachResp AttachResponse
 	progress   ProgressUpdate
 	result     CampaignResult
@@ -779,9 +764,6 @@ func (d *FrameDecoder) DecodeRequestFrame(hdr FrameHeader, b []byte) (*Request, 
 	case fkAttachReq:
 		req.Kind, req.Attach = KindAttach, fresh(d, &d.attachReq)
 		req.Attach.wire(&c)
-	case fkResultReq:
-		req.Kind, req.Result = KindResult, fresh(d, &d.resultReq)
-		req.Result.wire(&c)
 	case fkJSONReq:
 		env := &Request{}
 		if err := json.Unmarshal(b, env); err != nil {
@@ -824,8 +806,7 @@ func (d *FrameDecoder) DecodeResponseFrame(hdr FrameHeader, b []byte) (*Response
 		resp.Perf = fresh(d, &d.perfResp)
 		resp.Perf.wire(&c)
 	case fkHeartbeatResp:
-		resp.Heartbeat = fresh(d, &d.hbResp)
-		resp.Heartbeat.wire(&c)
+		resp.Heartbeat = &HeartbeatResponse{}
 	case fkAttachResp:
 		resp.Attach = fresh(d, &d.attachResp)
 		resp.Attach.wire(&c)

@@ -37,7 +37,6 @@ func hotRequests() []*Request {
 			Cluster: "grelon", Addr: "127.0.0.1:9998", Procs: 120, InFlight: 1, Speed: 0.5, Draining: true,
 		}},
 		{Version: ProtocolVersion, Kind: KindAttach, Attach: &AttachRequest{ID: 42, Progress: true}},
-		{Version: ProtocolVersion, Kind: KindResult, Result: &ResultRequest{ID: 7}},
 	}
 }
 
@@ -53,7 +52,7 @@ func hotResponses() []*Response {
 		{Version: ProtocolVersion, Submit: &SubmitResponse{Accepted: false, Reason: "tenant quota exhausted", QueueDepth: 7, Code: RejectQuota}},
 		{Version: ProtocolVersion, Exec: &exec},
 		{Version: ProtocolVersion, Perf: &PerfResponse{Cluster: "grelon", Procs: 120, Vector: []float64{1.5, 2.25, math.Pi}}},
-		{Version: ProtocolVersion, Heartbeat: &HeartbeatResponse{OK: true}},
+		{Version: ProtocolVersion, Heartbeat: &HeartbeatResponse{}},
 		{Version: ProtocolVersion, Attach: &AttachResponse{ID: 4, Found: true, Status: CampaignRunning, Done: 2, Total: 10}},
 		{Version: ProtocolVersion, Progress: &ProgressUpdate{
 			ID: 4, Stage: StagePlanned, Done: 2, Total: 10, Requeued: 1,
@@ -72,20 +71,50 @@ func hotResponses() []*Response {
 	}
 }
 
-// coldEnvelopes exercises the JSON fallback frames.
+// coldEnvelopes covers every cold kind, which travels as a JSON envelope
+// frame. Between them the fixtures set every field of every cold payload
+// type (TestGoldenFramesComplete insists).
 func coldEnvelopes() ([]*Request, []*Response) {
+	info := CampaignInfo{
+		ID: 3, Found: true, Status: CampaignRunning, Priority: -2,
+		Labels: map[string]string{"team": "ocean", "tier": "a"}, Heuristic: "knapsack",
+		Scenarios: 10, Months: 12, Done: 4, Total: 10, Rounds: 2, Requeues: 1,
+		Makespan: 1234.5625, Err: "grid: lost a SeD", Tenant: "ocean", QueuePos: 1, WaitMs: 8.5,
+	}
 	reqs := []*Request{
-		{Version: ProtocolVersion, Kind: KindStats, Stats: &StatsRequest{}},
+		{Version: ProtocolVersion, Kind: KindStats, Stats: &StatsRequest{Local: true}},
 		{Version: ProtocolVersion, Kind: KindCancel, Cancel: &CancelRequest{ID: 12}},
-		{Version: ProtocolVersion, Kind: KindListCampaigns, ListCampaigns: &ListCampaignsRequest{
-			Status: CampaignDone, Labels: map[string]string{"team": "ocean"},
-		}},
 		{Version: ProtocolVersion, Kind: KindInfo, Info: &InfoRequest{ID: 3}},
+		{Version: ProtocolVersion, Kind: KindListCampaigns, ListCampaigns: &ListCampaignsRequest{
+			Status: CampaignDone, Labels: map[string]string{"team": "ocean"}, Local: true,
+		}},
+		{Version: ProtocolVersion, Kind: KindRingPing, Ring: &RingPingRequest{}},
+		{Version: ProtocolVersion, Kind: KindSegment, Segment: &SegmentRequest{Generation: 3, Offset: 4096}},
 	}
 	resps := []*Response{
-		{Version: ProtocolVersion, Stats: &StatsResponse{QueueDepth: 1, Completed: 5}},
+		{Version: ProtocolVersion, Stats: &StatsResponse{
+			QueueDepth: 2, MaxQueueDepth: 9, Running: 1, Completed: 5, Failed: 1,
+			Cancelled: 2, Rejected: 3, Requeues: 4, Evicted: 1,
+			SeDs: []SeDStatus{{
+				Cluster: "grillon", Addr: "127.0.0.1:9999", Procs: 56, Alive: true, InFlight: 2,
+				Outstanding: 1, SinceBeat: 1500 * time.Millisecond, Speed: 0.5, Draining: true, Leases: 1,
+			}},
+			Tenants: []TenantStatus{{
+				Tenant: "ocean", Weight: 2, Queued: 1, Running: 1, Admitted: 7, Completed: 4,
+				Failed: 1, Cancelled: 1, QuotaRejected: 3, WaitCount: 5, WaitSumMs: 12.5, WaitMaxMs: 6.25,
+			}},
+			OldestWaitMs: 3.75,
+		}},
 		{Version: ProtocolVersion, Cancel: &CancelResponse{ID: 12, Found: true, Status: CampaignCancelled}},
-		{Version: ProtocolVersion, Info: &CampaignInfo{ID: 3, Found: true, Status: CampaignRunning}},
+		{Version: ProtocolVersion, Info: &info},
+		{Version: ProtocolVersion, ListCampaigns: &ListCampaignsResponse{Campaigns: []CampaignInfo{
+			info, {ID: 5, Found: true, Status: CampaignQueued, Heuristic: "basic", Scenarios: 2, Months: 6, Total: 2},
+		}}},
+		{Version: ProtocolVersion, Redirect: &RedirectInfo{ID: 42, Owner: "127.0.0.1:7742"}},
+		{Version: ProtocolVersion, Ring: &RingPingResponse{}},
+		{Version: ProtocolVersion, Segment: &SegmentResponse{
+			Generation: 3, Offset: 4096, Data: []byte("{\"kind\":\"admitted\"}\n"), Reset: true,
+		}},
 	}
 	return reqs, resps
 }
@@ -362,7 +391,7 @@ func restamp(frame []byte, ver byte) []byte {
 	return out
 }
 
-// TestSubFloorRefused pins the protocol floor. A frame stamped v0-v6 is
+// TestSubFloorRefused pins the protocol floor. A frame stamped below it is
 // malformed wherever it is parsed, and a served connection opening with one
 // — in the header or inside the JSON envelope — gets exactly one error frame
 // naming the minimum and is counted; a peer without the frame magic is

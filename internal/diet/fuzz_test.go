@@ -10,27 +10,18 @@ import (
 // header parse, then request AND response payload decode under both
 // ownership modes — and demands it never panics, never accepts an
 // oversized length prefix with anything but ErrFrameTooLarge, and only
-// ever fails with the package's typed errors. Seed corpus: every valid
-// hot-kind and cold-envelope frame, plus classic corruptions.
+// ever fails with the package's typed errors. Seed corpus: every golden
+// fixture, hot and cold, plus classic corruptions.
 func FuzzDecodeFrame(f *testing.F) {
-	for _, req := range hotRequests() {
-		if frame, err := AppendRequestFrame(nil, req); err == nil {
-			f.Add(frame)
+	for _, g := range goldenFrames() {
+		var frame []byte
+		var err error
+		if g.req != nil {
+			frame, err = AppendRequestFrame(nil, g.req)
+		} else {
+			frame, err = AppendResponseFrame(nil, g.resp)
 		}
-	}
-	for _, resp := range hotResponses() {
-		if frame, err := AppendResponseFrame(nil, resp); err == nil {
-			f.Add(frame)
-		}
-	}
-	cr, cresp := coldEnvelopes()
-	for _, req := range cr {
-		if frame, err := AppendRequestFrame(nil, req); err == nil {
-			f.Add(frame)
-		}
-	}
-	for _, resp := range cresp {
-		if frame, err := AppendResponseFrame(nil, resp); err == nil {
+		if err == nil {
 			f.Add(frame)
 		}
 	}
@@ -60,20 +51,15 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	f.Add(gobRequestPrefix)
 
-	// The v8 submit, whose key is the one field past the floor's layout:
-	// whole, cut inside the key, and a v7 payload under a v8 header (the
-	// key missing) — and the reverse (trailing key bytes).
-	v8 := hotRequests()[0]
-	v8.Version = ProtocolV8
-	if frame, err := AppendRequestFrame(nil, v8); err == nil {
-		f.Add(frame)
+	// The submit cut inside its key, its last field; and restamped one
+	// version below the floor, which must fail as below the floor.
+	if frame, err := AppendRequestFrame(nil, hotRequests()[0]); err == nil {
 		f.Add(frame[:len(frame)-5])
-		f.Add(restamp(frame, ProtocolV7))
-		v7 := hotRequests()[0]
-		v7.Version = ProtocolV7
-		if old, err := AppendRequestFrame(nil, v7); err == nil {
-			f.Add(restamp(old, ProtocolV8))
+		old := restamp(frame, ProtocolFloor-1)
+		if _, _, err := ParseFrame(old); !errors.Is(err, errVersionTooOld) {
+			f.Fatalf("submit restamped v%d: got %v, want the below-the-floor error", ProtocolFloor-1, err)
 		}
+		f.Add(old)
 	}
 
 	typed := func(t *testing.T, err error) {

@@ -4,9 +4,6 @@ import (
 	"bytes"
 	"encoding/hex"
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,28 +11,29 @@ import (
 	"testing"
 )
 
-// goldenFrame is one hot fixture stamped with one negotiated version.
+// goldenFrame is one fixture stamped with one negotiated version.
 type goldenFrame struct {
 	name string
 	req  *Request
 	resp *Response
 }
 
-// goldenFrames lists every hotRequests/hotResponses fixture at every
-// negotiated version this build speaks. The submit fixture carries a single
-// label here: Labels is encoded in map-iteration order, so two labels have
-// no stable bytes.
+// goldenFrames lists every fixture — the hot layouts and the cold JSON
+// envelopes — at every negotiated version this build speaks. The submit
+// fixture carries a single label here: Labels is encoded in map-iteration
+// order, so two labels have no stable bytes.
 func goldenFrames() []goldenFrame {
 	var out []goldenFrame
 	for ver := ProtocolFloor; ver <= ProtocolVersion; ver++ {
-		for i, req := range hotRequests() {
+		coldReqs, coldResps := coldEnvelopes()
+		for i, req := range append(hotRequests(), coldReqs...) {
 			req.Version = ver
 			if req.Submit != nil {
 				req.Submit.Labels = map[string]string{"team": "ocean"}
 			}
 			out = append(out, goldenFrame{name: fmt.Sprintf("req%02d-%s.v%d.hex", i, req.Kind, ver), req: req})
 		}
-		for i, resp := range hotResponses() {
+		for i, resp := range append(hotResponses(), coldResps...) {
 			resp.Version = ver
 			out = append(out, goldenFrame{name: fmt.Sprintf("resp%02d-%s.v%d.hex", i, respName(resp), ver), resp: resp})
 		}
@@ -43,33 +41,25 @@ func goldenFrames() []goldenFrame {
 	return out
 }
 
-// respName labels a response fixture's file by the payload it carries.
+// respName labels a response fixture's file by the payload it carries: the
+// envelope's first non-zero field after Version, lower-cased.
 func respName(r *Response) string {
-	switch {
-	case r.Err != "":
-		return "err"
-	case r.Submit != nil:
-		return "submit"
-	case r.Exec != nil:
-		return "exec"
-	case r.Perf != nil:
-		return "perf"
-	case r.Heartbeat != nil:
-		return "heartbeat"
-	case r.Attach != nil:
-		return "attach"
-	case r.Progress != nil:
-		return "progress"
-	default:
-		return "result"
+	v := reflect.ValueOf(r).Elem()
+	for i := 1; i < v.NumField(); i++ {
+		if !v.Field(i).IsZero() {
+			return strings.ToLower(v.Type().Field(i).Name)
+		}
 	}
+	return "empty"
 }
 
 // TestGoldenFrames compares the codec to committed bytes. Every other codec
 // test round-trips through the same build, so a layout change the encoder
-// and decoder agree on passes them all; this one does not. For each hot
-// fixture at each negotiable version, encoding must equal the committed
-// frame, and decoding the committed frame then re-encoding must reproduce it.
+// and decoder agree on passes them all; this one does not. For each fixture
+// at each negotiable version, encoding must equal the committed frame, and
+// decoding the committed frame then re-encoding must reproduce it. Every
+// file under testdata/frames must be some fixture's, so a frame left behind
+// by a floor raise, or a mistyped name, cannot sit there unjudged.
 //
 // The files under testdata/frames are the wire. Each was written once, by
 // the codec of the commit that added it, and is never regenerated: a codec
@@ -79,9 +69,23 @@ func respName(r *Response) string {
 // fixtures covering every field, so no layout change can miss them.
 func TestGoldenFrames(t *testing.T) {
 	frames := goldenFrames()
+	coldReqs, coldResps := coldEnvelopes()
 	versions := ProtocolVersion - ProtocolFloor + 1
-	if want := versions * (len(hotRequests()) + len(hotResponses())); len(frames) != want {
+	if want := versions * (len(hotRequests()) + len(hotResponses()) + len(coldReqs) + len(coldResps)); len(frames) != want {
 		t.Fatalf("%d golden fixtures, want %d", len(frames), want)
+	}
+	named := map[string]bool{}
+	for _, g := range frames {
+		named[g.name] = true
+	}
+	files, err := os.ReadDir(filepath.Join("testdata", "frames"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if !named[f.Name()] {
+			t.Errorf("testdata/frames/%s is no fixture's frame", f.Name())
+		}
 	}
 	for _, g := range frames {
 		text, err := os.ReadFile(filepath.Join("testdata", "frames", g.name))
@@ -128,89 +132,67 @@ func TestGoldenFrames(t *testing.T) {
 }
 
 // TestGoldenFramesComplete makes the golden frames the whole judge of the
-// layouts: every type with a wire method must appear in a golden fixture,
-// and every field of it — and of the structs it nests — must be non-zero in
-// at least one. So a field added to a layout, gated or not, lands in some
-// committed frame: TestGoldenFrames catches it moving a sealed version's
+// wire: every payload type an envelope carries must appear in a golden
+// fixture, and every field of it — and of the structs it nests — must be
+// non-zero in at least one. So a field added to a hot layout, gated or not,
+// lands in some committed frame, and so does a field renamed or added on a
+// cold JSON envelope: TestGoldenFrames catches it moving a sealed version's
 // bytes, and the new version's frames pin where it goes. Fields tagged
 // json:"-" live only in memory, cross no wire, and are exempt.
 func TestGoldenFramesComplete(t *testing.T) {
-	wired := wireTypes(t)
-	if len(wired) == 0 {
-		t.Fatal("found no wire methods in the package source")
-	}
-	// set[T] holds the fields of wire type T (or a struct one nests) seen
+	// set[T] holds the fields of payload type T (or a struct one nests) seen
 	// non-zero; a key at all means T appeared.
 	set := map[reflect.Type]map[string]bool{}
-	var walk func(v reflect.Value, inWire bool)
-	walk = func(v reflect.Value, inWire bool) {
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
 		switch v.Kind() {
 		case reflect.Pointer:
 			if !v.IsNil() {
-				walk(v.Elem(), inWire)
+				walk(v.Elem())
 			}
 		case reflect.Slice:
 			for i := 0; i < v.Len(); i++ {
-				walk(v.Index(i), inWire)
+				walk(v.Index(i))
 			}
 		case reflect.Struct:
 			typ := v.Type()
-			if inWire = inWire || wired[typ.Name()]; inWire && set[typ] == nil {
+			if set[typ] == nil {
 				set[typ] = map[string]bool{}
 			}
 			for i := 0; i < typ.NumField(); i++ {
-				if inWire && !v.Field(i).IsZero() {
+				if !v.Field(i).IsZero() {
 					set[typ][typ.Field(i).Name] = true
 				}
-				walk(v.Field(i), inWire)
+				walk(v.Field(i))
 			}
 		}
 	}
+	// The envelopes themselves are not judged: each frame carries one
+	// payload.
+	envelope := func(v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			walk(v.Field(i))
+		}
+	}
 	for _, g := range goldenFrames() {
-		walk(reflect.ValueOf(g.req), false)
-		walk(reflect.ValueOf(g.resp), false)
+		if g.req != nil {
+			envelope(reflect.ValueOf(g.req).Elem())
+		} else {
+			envelope(reflect.ValueOf(g.resp).Elem())
+		}
+	}
+	for _, env := range []reflect.Type{reflect.TypeFor[Request](), reflect.TypeFor[Response]()} {
+		for i := 0; i < env.NumField(); i++ {
+			if f := env.Field(i); f.Type.Kind() == reflect.Pointer && set[f.Type.Elem()] == nil {
+				t.Errorf("%s.%s: no golden fixture carries a %s", env.Name(), f.Name, f.Type.Elem())
+			}
+		}
 	}
 	for typ, nonZero := range set {
-		delete(wired, typ.Name())
 		for i := 0; i < typ.NumField(); i++ {
 			if f := typ.Field(i); f.Tag.Get("json") != "-" && !nonZero[f.Name] {
 				t.Errorf("%s.%s is zero in every golden fixture: add a fixture that sets it", typ, f.Name)
 			}
 		}
 	}
-	for name := range wired {
-		t.Errorf("%s has a wire method but no golden fixture", name)
-	}
-}
-
-// wireTypes names the receiver types of the package's wire methods, read
-// from its non-test source so a new wire type cannot go unnoticed.
-func wireTypes(t *testing.T) map[string]bool {
-	t.Helper()
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, ".", func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := map[string]bool{}
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Recv == nil || fn.Name.Name != "wire" {
-					continue
-				}
-				recv := fn.Recv.List[0].Type
-				if star, ok := recv.(*ast.StarExpr); ok {
-					recv = star.X
-				}
-				if id, ok := recv.(*ast.Ident); ok {
-					out[id.Name] = true
-				}
-			}
-		}
-	}
-	return out
 }

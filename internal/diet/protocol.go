@@ -29,34 +29,30 @@ import (
 )
 
 // Protocol versions. ProtocolFloor is the oldest version this build
-// negotiates and ProtocolVersion the newest. v8 adds one field, the client's
-// submission key (SubmitRequest.Key), which makes a resent submit safe and
-// so lets a client's campaign streams ride kept-alive connections; a v7
-// submit carries no key and is served one connection per campaign, as
-// before. v7 carries the streamed campaign
-// (verdict, progress frames, result on one submit-wait or attach
-// connection), the control plane (per-campaign submit options, cancel, info,
-// list-campaigns), the submit verdict's rejection Code, the scheduler-ring
-// kinds, and the elastic-fleet heartbeat fields (Speed, Draining). Older
-// versions are retired: a peer that opens a connection with anything but the
-// frame magic is closed, and a frame or envelope stamped below the floor is
-// answered with one error frame naming the minimum.
+// negotiates and ProtocolVersion the newest; both are v9. v9 carries the
+// streamed campaign (verdict, progress frames, result on one submit-wait or
+// attach connection) under a client-minted submission key
+// (SubmitRequest.Key), the control plane (per-campaign submit options,
+// cancel, info, list-campaigns), the submit verdict's rejection Code, the
+// scheduler-ring kinds, and the elastic-fleet heartbeat fields (Speed,
+// Draining). Older versions are retired: a peer that opens a connection with
+// anything but the frame magic is closed, and a frame or envelope stamped
+// below the floor is answered with one error frame naming the minimum.
 //
 // Negotiation is min(client, server) above the floor: the client states its
 // version in the Request, the server answers every frame with the effective
 // version, and features above the effective version stay off the wire. A
 // field added in a later version goes at the end of its layout behind
 // `if c.ver >= ProtocolVN` (see binary.go), because decoders reject trailing
-// payload bytes; on the JSON cold-kind envelope new fields are plain
-// optional additions old peers ignore.
+// payload bytes. The JSON cold-kind envelope has no gates: a field added
+// there changes the sealed frames of the versions already spoken, so a cold
+// kind gains a field only with a layout of its own.
 const (
-	ProtocolV7 = 7
-	// ProtocolV8 adds SubmitRequest.Key.
-	ProtocolV8 = 8
+	ProtocolV9 = 9
 	// ProtocolFloor is the oldest version this build negotiates.
-	ProtocolFloor = ProtocolV7
+	ProtocolFloor = ProtocolV9
 	// ProtocolVersion is the highest version this build speaks.
-	ProtocolVersion = ProtocolV8
+	ProtocolVersion = ProtocolV9
 )
 
 // errVersionTooOld is the verdict on a peer below ProtocolFloor. It wraps
@@ -82,7 +78,6 @@ const (
 	// Online-scheduler kinds (served by internal/grid.Scheduler).
 	KindHeartbeat = "heartbeat"
 	KindSubmit    = "submit"
-	KindResult    = "result"
 	KindStats     = "stats"
 	// KindAttach reconnects to a previously admitted campaign by ID and
 	// streams like a submit-wait connection: verdict, replayed + live
@@ -97,27 +92,13 @@ const (
 	KindInfo          = "info"
 	KindListCampaigns = "list-campaigns"
 
-	// Scheduler-ring kinds. KindForward wraps another request in a
-	// daemon-to-daemon envelope so a shard can ask a peer for its own view
-	// (the list/stats fan-out); KindRedirect is the response telling a
-	// client which shard owns a campaign; KindRingPing is the ring
-	// membership handshake and liveness beacon; KindSegment pulls a peer's
-	// campaign-journal bytes for failover replay.
-	KindForward  = "ring-forward"
+	// Scheduler-ring kinds. KindRedirect is the response telling a client
+	// which shard owns a campaign; KindRingPing is the ring liveness beacon;
+	// KindSegment pulls a peer's campaign-journal bytes for failover replay.
 	KindRedirect = "ring-redirect"
 	KindRingPing = "ring-ping"
 	KindSegment  = "ring-segment"
 )
-
-// RingKind reports whether kind is one of the daemon-to-daemon ring kinds —
-// the set a forwarded envelope may not carry.
-func RingKind(kind string) bool {
-	switch kind {
-	case KindForward, KindRingPing, KindSegment:
-		return true
-	}
-	return false
-}
 
 // Request is the envelope a connection opens with — and, on a kept-alive
 // connection (see transport.go), carries again after each single answer.
@@ -130,7 +111,6 @@ type Request struct {
 	Exec      *ExecRequest
 	Heartbeat *HeartbeatRequest
 	Submit    *SubmitRequest
-	Result    *ResultRequest
 	Stats     *StatsRequest
 	Attach    *AttachRequest
 
@@ -140,7 +120,6 @@ type Request struct {
 	ListCampaigns *ListCampaignsRequest
 
 	// Scheduler ring.
-	Forward *ForwardRequest  `json:",omitempty"`
 	Ring    *RingPingRequest `json:",omitempty"`
 	Segment *SegmentRequest  `json:",omitempty"`
 
@@ -185,20 +164,6 @@ type Response struct {
 	KeepAlive bool `json:"-"`
 }
 
-// ForwardRequest is the daemon-to-daemon envelope of the scheduler ring: a
-// shard wraps a one-shot request (stats, list) and sends it to a peer, which
-// answers from its own table. A forwarded request is always served locally
-// by the receiver — Forward never nests, so a stale ownership view cannot
-// loop a request around the ring. The response to a KindForward request is
-// the inner response itself.
-type ForwardRequest struct {
-	// From is the forwarding shard's advertised ring address.
-	From string
-	// Inner is the original client request. Its own Forward field must be
-	// nil.
-	Inner *Request
-}
-
 // RedirectInfo is the ring's client routing answer: a shard that receives a
 // request for a campaign another shard owns answers a single KindRedirect
 // response. The client re-issues the request against Owner and remembers the
@@ -211,33 +176,19 @@ type RedirectInfo struct {
 	Owner string
 }
 
-// RingPingRequest is the ring membership handshake and liveness beacon.
-// From identifies the pinging shard; Members is its
-// configured member list, letting peers cross-check that both sides were
-// started with the same ring.
-type RingPingRequest struct {
-	From    string
-	Members []string
-}
+// RingPingRequest is the ring liveness beacon. A member that answers it is
+// alive; a peer below the protocol floor fails to decode the answer and so
+// never is.
+type RingPingRequest struct{}
 
-// RingPingResponse is the handshake answer. Version is the negotiated
-// version. Accepted is always true: it stays on the wire because earlier v7
-// builds refuse a peer whose answer lacks it, and no build reads it any more
-// — a peer below the floor fails to decode and is simply never alive.
-type RingPingResponse struct {
-	Accepted bool
-	Version  int
-	// Owned counts campaigns the responding shard currently owns — a cheap
-	// liveness payload the shard gauges surface.
-	Owned int
-}
+// RingPingResponse is the beacon's answer.
+type RingPingResponse struct{}
 
 // SegmentRequest pulls a peer's campaign-journal bytes for failover
 // replay. Generation names the journal incarnation the puller has
 // seen (journals change generation when rotated or compacted); Offset is
 // the byte position after the puller's last pull within that generation.
 type SegmentRequest struct {
-	From       string
 	Generation uint64
 	Offset     int64
 }
@@ -355,7 +306,7 @@ type HeartbeatRequest struct {
 }
 
 // HeartbeatResponse acknowledges a heartbeat.
-type HeartbeatResponse struct{ OK bool }
+type HeartbeatResponse struct{}
 
 // SubmitRequest asks the scheduler to run one simulation campaign: a full
 // Figure-9 protocol round (performance vectors, repartition, execution)
@@ -379,10 +330,10 @@ type SubmitRequest struct {
 	// Deadline overrides the scheduler's per-campaign timeout for this one
 	// campaign (0 keeps the daemon default).
 	Deadline time.Duration
-	// Key (v8) names the submission, so that sending it twice admits it
-	// once: the scheduler answers a key it already admitted with that
-	// campaign, as an attach would. The zero key is no key — a v7 submit,
-	// served once and never resent.
+	// Key names the submission, so that sending it twice admits it once:
+	// the scheduler answers a key it already admitted with that campaign, as
+	// an attach would. The scheduler refuses the zero key, which names no
+	// submission.
 	Key SubmitKey
 }
 
@@ -429,9 +380,6 @@ const (
 	RejectQueueFull = "queue-full"
 	RejectQuota     = "quota-exceeded"
 )
-
-// ResultRequest polls a campaign by ID.
-type ResultRequest struct{ ID uint64 }
 
 // AttachRequest reconnects to a campaign by ID — after a network cut, a
 // client restart, or a scheduler restart that replayed its journal. The
@@ -535,6 +483,8 @@ type CampaignInfo struct {
 type ListCampaignsRequest struct {
 	Status string
 	Labels map[string]string
+	// Local asks a ring member to answer from its own table, not fan out.
+	Local bool
 }
 
 // ListCampaignsResponse carries the matching campaigns in ascending ID
@@ -556,8 +506,7 @@ func LabelsMatch(got, want map[string]string) bool {
 	return true
 }
 
-// CampaignResult is the terminal (or in-flight, when polled) state of one
-// campaign. Reports carries one ExecResponse per dispatched chunk; a cluster
+// CampaignResult is the terminal state of one campaign. Reports carries one ExecResponse per dispatched chunk; a cluster
 // appears more than once when work was requeued onto it after a failure.
 type CampaignResult struct {
 	ID       uint64
@@ -566,9 +515,8 @@ type CampaignResult struct {
 	Reports  []ExecResponse
 	// Requeues counts chunks that had to be re-dispatched after a SeD died.
 	Requeues int
-	// Done and Total count scenarios with a finished chunk report, so a
-	// polling client (Submit without Wait, then Result) sees progress before
-	// the terminal state, not just "running".
+	// Done and Total count scenarios with a finished chunk report: a failed
+	// or cancelled campaign ends with Done below Total.
 	Done  int
 	Total int
 	Err   string
@@ -610,7 +558,10 @@ type ProgressUpdate struct {
 }
 
 // StatsRequest asks the scheduler for its gauges.
-type StatsRequest struct{}
+type StatsRequest struct {
+	// Local asks a ring member to answer from its own gauges, not fan out.
+	Local bool
+}
 
 // SeDStatus is one entry of the scheduler's daemon table.
 type SeDStatus struct {

@@ -9,12 +9,11 @@
 //   - Kept-alive: a Transport keeps the connection of a finished exchange idle
 //     and hands it to the next exchange with the same peer. Daemons use it for
 //     everything they say to each other (scheduler→SeD perf and exec, SeD
-//     heartbeats, ring pings, segment pulls, forwards), and clients for their
-//     campaign streams and control requests, which would otherwise pay a TCP
-//     handshake and a teardown per request.
+//     heartbeats, ring pings, segment pulls, a ring member's local stats and
+//     lists), and clients for their campaign streams and control requests,
+//     which would otherwise pay a TCP handshake and a teardown per request.
 //   - One-shot: RoundTrip and RoundTripContext dial, make one exchange and
-//     close, as does a Transport for a request that must not be sent twice
-//     (see reusable).
+//     close.
 //
 // Keep-alive is HTTP/1.1-style, not a multiplexer: a connection carries one
 // exchange at a time, so there are no request IDs and nothing to reorder. It
@@ -34,11 +33,12 @@
 //   - A requester lets a connection idle for at most maxIdleAge, a quarter of
 //     the serveIdleTimeout the responder waits, so it never writes into a
 //     connection the responder is about to close.
-//   - Only requests that are safe to send twice ride a pooled connection (see
-//     reusable). If one fails before the first byte of an answer, and not by
-//     timeout or cancellation, the peer had closed it — a restart, an idle
-//     close — and the request goes out once more, to the same peer, on a
-//     fresh dial. A timeout is not retried: the peer is alive and silent,
+//   - Every request is safe to send twice: a submit carries its key (the
+//     scheduler admits a key once), an attach only reads, and everything else
+//     is a pure read or evaluation, or (cancel) converges. So a request that
+//     fails on a pooled connection before the first byte of an answer, and
+//     not by timeout or cancellation — the peer had closed it: a restart, an
+//     idle close — goes out once more, to the same peer, on a fresh dial. A timeout is not retried: the peer is alive and silent,
 //     which is the caller's to judge.
 //   - A connection whose context abort fired (or may have) is closed, never
 //     pooled: its deadline lies in the past and would fail the next exchange.
@@ -71,22 +71,6 @@ const (
 	// discarding it.
 	maxIdleAge = serveIdleTimeout / 4
 )
-
-// reusable reports whether req may ride a kept-alive connection — and so be
-// sent twice when that connection turns out stale. A keyed submit is
-// answered once however often it is sent (the scheduler admits a key once),
-// an attach only reads, and everything else is a pure read or evaluation,
-// or (cancel) converges. An unkeyed submit is the one request that must not
-// be resent.
-func reusable(req *Request) bool {
-	switch req.Kind {
-	case KindSubmit:
-		return req.Submit != nil && !req.Submit.Key.IsZero() && req.Version >= ProtocolV8
-	case KindForward:
-		return req.Forward == nil || req.Forward.Inner == nil || reusable(req.Forward.Inner)
-	}
-	return true
-}
 
 // RoundTrip dials addr, sends req and decodes the single response, with the
 // protocol's default deadline, announcing this build's protocol version when
@@ -170,7 +154,7 @@ func NewTransport(perPeer int) *Transport {
 }
 
 // RoundTrip sends req to addr and returns its single response, within d and
-// under ctx, on a kept-alive connection when req is reusable. An answer
+// under ctx, on a kept-alive connection. An answer
 // carrying an error payload is returned as a *RemoteError.
 func (t *Transport) RoundTrip(ctx context.Context, addr string, req *Request, d time.Duration) (*Response, error) {
 	var st Stream
@@ -205,8 +189,8 @@ type Stream struct {
 
 // OpenStream sends req to addr and reads the first frame of its answer,
 // each within d and under ctx: cancelling ctx unblocks whatever read or
-// write is in progress, for the life of the stream. A reusable request rides
-// a kept-alive connection, and goes out once more on a fresh dial when the
+// write is in progress, for the life of the stream. The request rides a
+// kept-alive connection, and goes out once more on a fresh dial when the
 // pooled one turns out stale before the first byte of that frame. The frame
 // is returned as read, error payload included; the caller owns the stream
 // and must Close it.
@@ -224,7 +208,7 @@ func (t *Transport) open(ctx context.Context, addr string, req *Request, d time.
 	if req.Version == 0 {
 		req.Version = ProtocolVersion
 	}
-	req.KeepAlive = t != nil && reusable(req)
+	req.KeepAlive = t != nil
 	var staleErr error
 	if req.KeepAlive {
 		if conn := t.take(addr); conn != nil {

@@ -233,28 +233,6 @@ func readRawFrame(t *testing.T, conn net.Conn, dec *diet.FrameDecoder, negotiate
 	return resp, true
 }
 
-// pollRaw sends one unstreamed KindResult poll stamped with the given
-// protocol version and returns the daemon's one answer, checked like every
-// frame of submitRaw. No client sends this kind any more; peers at v7 and
-// v8 may, so the daemon keeps answering it.
-func pollRaw(t *testing.T, addr string, version int, id uint64) *diet.Response {
-	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(30 * time.Second))
-	if err := diet.WriteRequestFrame(conn, &diet.Request{Version: version, Kind: diet.KindResult, Result: &diet.ResultRequest{ID: id}}); err != nil {
-		t.Fatal(err)
-	}
-	resp, ok := readRawFrame(t, conn, &diet.FrameDecoder{Retain: true}, min(version, diet.ProtocolVersion), 0)
-	if !ok {
-		t.Fatalf("v%d result poll for campaign %d: connection closed without an answer", version, id)
-	}
-	return resp
-}
-
 // readsAnother sends a stats request on conn and reports whether the daemon
 // answered it, rather than closing the connection.
 func readsAnother(t *testing.T, conn net.Conn, version int) bool {
@@ -377,7 +355,7 @@ func TestUnreachableIsTyped(t *testing.T) {
 func TestProtocolVersionNegotiation(t *testing.T) {
 	f := startFabric(t, testConfig(), 3)
 	req := func() *diet.SubmitRequest {
-		return &diet.SubmitRequest{Scenarios: 6, Months: 12, Heuristic: core.NameKnapsack, Wait: true, Progress: true}
+		return &diet.SubmitRequest{Scenarios: 6, Months: 12, Heuristic: core.NameKnapsack, Wait: true, Progress: true, Key: newKey()}
 	}
 
 	frames, _ := submitRaw(t, f.Sched.Addr(), diet.ProtocolFloor, req())

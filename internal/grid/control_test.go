@@ -261,7 +261,7 @@ func TestPriorityOrdersAdmission(t *testing.T) {
 	}
 	highReq := &diet.Request{Version: diet.ProtocolVersion, Kind: diet.KindSubmit, Submit: &diet.SubmitRequest{
 		Scenarios: 5, Months: 6, Heuristic: core.NameKnapsack, Priority: 9,
-		Labels: map[string]string{"tier": "gold"},
+		Labels: map[string]string{"tier": "gold"}, Key: newKey(),
 	}}
 	resp, err := diet.RoundTrip(s.Addr(), highReq)
 	if err != nil {

@@ -159,7 +159,7 @@ func submitTenant(t *testing.T, addr string, ns, months, pri int, tenant string)
 	t.Helper()
 	resp, err := diet.RoundTrip(addr, &diet.Request{Version: diet.ProtocolVersion, Kind: diet.KindSubmit, Submit: &diet.SubmitRequest{
 		Scenarios: ns, Months: months, Heuristic: core.NameKnapsack, Priority: pri,
-		Labels: map[string]string{DefaultTenantKey: tenant},
+		Labels: map[string]string{DefaultTenantKey: tenant}, Key: newKey(),
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -343,7 +343,7 @@ func TestTenantTableBounded(t *testing.T) {
 		t.Helper()
 		_, verdict, err := s.admit(&diet.SubmitRequest{
 			Scenarios: 1, Months: 1, Heuristic: core.NameKnapsack,
-			Labels: map[string]string{DefaultTenantKey: tenant},
+			Labels: map[string]string{DefaultTenantKey: tenant}, Key: newKey(),
 		})
 		if err != nil {
 			t.Fatal(err)

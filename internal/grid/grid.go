@@ -21,7 +21,7 @@
 // SeD performs goes through internal/engine's batched sweep, which keeps
 // results bit-identical to a serial run.
 //
-// The scheduler speaks the internal/diet binary-frame protocol (v7) over
+// The scheduler speaks the internal/diet binary-frame protocol (v9) over
 // TCP; SeDs join by heartbeat.
 //
 // The life of a campaign around that round — admission record, journal,
@@ -744,12 +744,15 @@ func (s *Scheduler) byKey(key diet.SubmitKey) *campaign {
 }
 
 // admit applies admission control and enqueues a campaign. A malformed
-// request returns an error (a protocol-level failure the client must not
-// retry); a full queue or an exhausted tenant quota returns a nil campaign
-// with Accepted=false and the matching reject code (a transient verdict
-// worth retrying). A key admitted before returns that campaign, accepted,
+// request — the zero key among them — returns an error (a protocol-level
+// failure the client must not retry); a full queue or an exhausted tenant
+// quota returns a nil campaign with Accepted=false and the matching reject
+// code (a transient verdict worth retrying). A key admitted before returns that campaign, accepted,
 // whatever the queue holds now: a resent submission is the same one.
 func (s *Scheduler) admit(req *diet.SubmitRequest) (*campaign, *diet.SubmitResponse, error) {
+	if req.Key.IsZero() {
+		return nil, nil, errors.New("grid: submit carries no submission key")
+	}
 	app := core.Application{Scenarios: req.Scenarios, Months: req.Months}
 	if err := app.Validate(); err != nil {
 		return nil, nil, err

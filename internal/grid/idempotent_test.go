@@ -2,11 +2,14 @@ package grid
 
 import (
 	"context"
+	"crypto/rand"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,6 +19,32 @@ import (
 	"oagrid/internal/diet"
 	"oagrid/internal/store"
 )
+
+// newKey mints a random submission key for a raw submit: the scheduler
+// refuses one without a key.
+func newKey() diet.SubmitKey {
+	var k diet.SubmitKey
+	_, _ = rand.Read(k[:]) // never fails (crypto/rand)
+	return k
+}
+
+// TestZeroKeySubmitRefused: a submit without a key is malformed. Plain or
+// waiting, it gets an error payload, not a verdict, and admits nothing.
+func TestZeroKeySubmitRefused(t *testing.T) {
+	f := startFabric(t, testConfig(), 1)
+	for _, wait := range []bool{false, true} {
+		_, err := diet.RoundTrip(f.Sched.Addr(), &diet.Request{Kind: diet.KindSubmit, Submit: &diet.SubmitRequest{
+			Scenarios: 2, Months: 6, Heuristic: core.NameKnapsack, Wait: wait,
+		}})
+		var remote *diet.RemoteError
+		if !errors.As(err, &remote) || !strings.Contains(remote.Msg, "no submission key") {
+			t.Fatalf("wait=%v: zero-key submit answered %v, want an error payload naming the missing key", wait, err)
+		}
+	}
+	if n := len(f.Sched.table()); n != 0 {
+		t.Fatalf("zero-key submits admitted %d campaigns", n)
+	}
+}
 
 // frameProxy relays client connections to a backend scheduler, passing the
 // backend's answers on frame by frame. Armed, it cuts the next connection

@@ -230,7 +230,7 @@ func (s *Scheduler) writeRingMetrics(mw *metricsWriter, sm *shardManager) {
 	mw.sample("oagrid_ring_redirects_total", float64(sm.redirected.Load()))
 	mw.family("oagrid_ring_fanouts_total", "counter", "List/stats requests fanned out over the alive peer set.")
 	mw.sample("oagrid_ring_fanouts_total", float64(sm.fanouts.Load()))
-	mw.family("oagrid_ring_served_total", "counter", "Forwarded requests served here on a peer's behalf.")
+	mw.family("oagrid_ring_served_total", "counter", "Local stats and list requests served here on a peer's behalf.")
 	mw.sample("oagrid_ring_served_total", float64(sm.served.Load()))
 	mw.family("oagrid_ring_adopted_total", "counter", "Campaigns adopted from dead peers' WAL replicas.")
 	mw.sample("oagrid_ring_adopted_total", float64(sm.adopted.Load()))

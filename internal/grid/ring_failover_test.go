@@ -1,11 +1,14 @@
 package grid
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -205,7 +208,9 @@ func TestRingFailoverBitIdentical(t *testing.T) {
 		t.Fatalf("survivors adopted %d campaigns, want 2", adopted)
 	}
 
-	// Fan-out views: any surviving member answers for the whole ring.
+	// Fan-out views: any surviving member answers for the whole ring, each
+	// asking the other survivor for its Local view.
+	served := ringServed(t, members[1].sched) + ringServed(t, members[2].sched)
 	infos, err := mc.ListCampaignsContext(context.Background(), &diet.ListCampaignsRequest{})
 	if err != nil {
 		t.Fatal(err)
@@ -227,6 +232,9 @@ func TestRingFailoverBitIdentical(t *testing.T) {
 	if stats.Completed != campaigns {
 		t.Fatalf("ring-wide stats count %d completed, want %d", stats.Completed, campaigns)
 	}
+	if got := ringServed(t, members[1].sched) + ringServed(t, members[2].sched) - served; got != 2 {
+		t.Fatalf("survivors served %v local views for one list and one stats fan-out, want 2", got)
+	}
 
 	// Fresh work still flows through the survivors.
 	res, err := mc.RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil)
@@ -237,9 +245,9 @@ func TestRingFailoverBitIdentical(t *testing.T) {
 }
 
 // subFloorPeer is a fake ring peer of self from before the protocol floor:
-// it answers every request with a well-formed frame stamped v6 — a ping
-// saying accepted, a segment shipping a finished campaign homed on the peer
-// — and counts the requests of each kind it saw. It returns its address and
+// it answers every request with a well-formed frame stamped one version below
+// it — a ping answer, a segment shipping a finished campaign homed on the
+// peer — and counts the requests of each kind it saw. It returns its address and
 // that campaign's ID.
 func subFloorPeer(t *testing.T, self string) (string, uint64, func(kind string) int) {
 	t.Helper()
@@ -280,12 +288,12 @@ func subFloorPeer(t *testing.T, self string) (string, uint64, func(kind string) 
 					resp := &diet.Response{KeepAlive: req.KeepAlive, Err: "unsupported"}
 					switch req.Kind {
 					case diet.KindRingPing:
-						resp.Err, resp.Ring = "", &diet.RingPingResponse{Accepted: true, Version: 6}
+						resp.Err, resp.Ring = "", &diet.RingPingResponse{}
 					case diet.KindSegment:
 						resp.Err, resp.Segment = "", &diet.SegmentResponse{Generation: 1, Offset: int64(len(journal)), Data: journal, Reset: true}
 					}
 					frame, _ := diet.AppendResponseFrame(nil, resp)
-					frame[4] = 6 // the header's version byte
+					frame[4] = diet.ProtocolFloor - 1 // the header's version byte
 					if _, err := conn.Write(frame); err != nil {
 						return
 					}
@@ -304,8 +312,8 @@ func subFloorPeer(t *testing.T, self string) (string, uint64, func(kind string) 
 // exchange with frames stamped below the protocol floor never counts that
 // peer alive — its pings fail to decode — so the peer is never an owner and
 // its journal is never adopted, however well-formed, and the ring keeps
-// serving campaigns bit-identically. The member's own ping answer still
-// says Accepted at v7, which the previous build's members read.
+// serving campaigns bit-identically. The member itself still answers a ping,
+// at the current version.
 func TestRingRefusesIncompatiblePeer(t *testing.T) {
 	cfg := testConfig()
 	cfg.StateDir = t.TempDir()
@@ -340,10 +348,9 @@ func TestRingRefusesIncompatiblePeer(t *testing.T) {
 		t.Fatalf("ring member with a sub-floor peer stopped serving: %v", err)
 	}
 	verifyReports(t, f, app, core.NameKnapsack, res)
-	resp, err := diet.RoundTrip(cur.Addr(), &diet.Request{Kind: diet.KindRingPing,
-		Ring: &diet.RingPingRequest{From: oldAddr, Members: []string{cur.Addr(), oldAddr}}})
-	if err != nil || resp.Ring == nil || !resp.Ring.Accepted || resp.Ring.Version != diet.ProtocolVersion {
-		t.Fatalf("ring ping answered %+v, %v; want accepted at v%d", resp, err, diet.ProtocolVersion)
+	resp, err := diet.RoundTrip(cur.Addr(), &diet.Request{Kind: diet.KindRingPing, Ring: &diet.RingPingRequest{}})
+	if err != nil || resp.Ring == nil || resp.Version != diet.ProtocolVersion {
+		t.Fatalf("ring ping answered %+v, %v; want a ping answer at v%d", resp, err, diet.ProtocolVersion)
 	}
 }
 
@@ -453,7 +460,7 @@ func TestDeadRingPeerConnectionsDropped(t *testing.T) {
 
 	// Two exchanges at once make the survivor keep two connections to the
 	// victim (testConfig's PerSeDInFlight).
-	ping := &diet.Request{Kind: diet.KindRingPing, Ring: &diet.RingPingRequest{From: addrs[1], Members: addrs}}
+	ping := &diet.Request{Kind: diet.KindRingPing, Ring: &diet.RingPingRequest{}}
 	for attempt := 0; sm.transport.Dials() < 2; attempt++ {
 		if attempt == 200 {
 			t.Fatalf("the survivor opened %d connections to its peer, want 2", sm.transport.Dials())
@@ -494,5 +501,53 @@ func TestDeadRingPeerConnectionsDropped(t *testing.T) {
 	idle := reflect.ValueOf(sm.transport).Elem().FieldByName("idle")
 	if conns := idle.MapIndex(reflect.ValueOf(victim)); conns.IsValid() {
 		t.Fatalf("%d connection(s) still kept to the dead peer", conns.Len())
+	}
+}
+
+// ringServed reads oagrid_ring_served_total off s's /metrics page.
+func ringServed(t *testing.T, s *Scheduler) float64 {
+	t.Helper()
+	var page bytes.Buffer
+	s.writeMetrics(&page)
+	for _, line := range strings.Split(page.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "oagrid_ring_served_total "); ok {
+			n, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	t.Fatal("no oagrid_ring_served_total on /metrics")
+	return 0
+}
+
+// TestMergeStatsKeepsEveryField: a ring-wide Stats folds in every field a
+// member reports. Merging a member whose every field is non-zero into an
+// empty snapshot must leave every field non-zero, so a field added to
+// StatsResponse without a merge rule fails here.
+func TestMergeStatsKeepsEveryField(t *testing.T) {
+	var src, dst diet.StatsResponse
+	v := reflect.ValueOf(&src).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(3)
+		case reflect.Uint64:
+			f.SetUint(3)
+		case reflect.Float64:
+			f.SetFloat(3)
+		case reflect.Slice:
+			f.Set(reflect.MakeSlice(f.Type(), 1, 1))
+		default:
+			t.Fatalf("StatsResponse.%s: no non-zero value for a %s", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	mergeStats(&dst, &src)
+	got := reflect.ValueOf(dst)
+	for i := 0; i < got.NumField(); i++ {
+		if got.Field(i).IsZero() {
+			t.Errorf("StatsResponse.%s is lost by the ring-wide merge", got.Type().Field(i).Name)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package grid
 
 import (
-	"fmt"
 	"sort"
 
 	"oagrid/internal/diet"
@@ -9,27 +8,9 @@ import (
 
 // ---- ring request serving --------------------------------------------------
 //
-// The wire side of the scheduler ring. Three daemon-to-daemon kinds are
-// served here — the membership ping, the WAL segment pull, and the
-// forwarded-request envelope — plus the ownership routing that decides, per
-// client request, whether this shard serves it, redirects the client to the
-// owner, or fans it out.
-
-// serveRingPing answers the ring membership handshake. Every daemon answers
-// — membership needs no prior ring state on the responder. Accepted is
-// always true: the previous build's members refuse a peer whose answer says
-// otherwise, and a peer below the protocol floor never decodes the answer at
-// all.
-func (s *Scheduler) serveRingPing(ver int) *diet.Response {
-	s.mu.Lock()
-	owned := len(s.campaigns)
-	s.mu.Unlock()
-	return &diet.Response{Ring: &diet.RingPingResponse{
-		Accepted: true,
-		Version:  ver,
-		Owned:    owned,
-	}}
-}
+// The wire side of the scheduler ring: the WAL segment pull a peer tails,
+// and the ownership routing that decides, per client request, whether this
+// shard serves it, redirects the client to the owner, or fans it out.
 
 // serveSegment ships acknowledged journal bytes to a ring peer tailing this
 // shard's WAL for failover replay.
@@ -52,29 +33,6 @@ func (s *Scheduler) serveSegment(req *diet.SegmentRequest) *diet.Response {
 	}}
 }
 
-// serveForward unwraps a daemon-to-daemon envelope and serves the inner
-// request locally, whatever this shard's ownership view says — the sender
-// already resolved ownership, and refusing to recurse is what keeps a stale
-// view from looping a request around the ring. Only one-shot kinds travel
-// forwarded; streaming kinds (submit-wait, attach) redirect instead.
-func (s *Scheduler) serveForward(req *diet.ForwardRequest) *diet.Response {
-	if req == nil || req.Inner == nil {
-		return &diet.Response{Err: "ring-forward: empty payload"}
-	}
-	inner := req.Inner
-	if inner.Forward != nil || diet.RingKind(inner.Kind) {
-		return &diet.Response{Err: "grid: ring-forward cannot nest ring kinds"}
-	}
-	switch inner.Kind {
-	case diet.KindSubmit, diet.KindAttach:
-		return &diet.Response{Err: fmt.Sprintf("grid: ring-forward cannot carry streaming kind %q", inner.Kind)}
-	}
-	if sm := s.shardManager(); sm != nil {
-		sm.served.Add(1)
-	}
-	return s.handle(inner)
-}
-
 // ringCampaignID extracts the campaign ID a request is about, for the kinds
 // the ring routes by ownership. Submit is deliberately absent: submissions
 // are always admitted by the shard that received them (the allocator mints
@@ -90,10 +48,6 @@ func ringCampaignID(req *diet.Request) (uint64, bool) {
 		if req.Info != nil {
 			return req.Info.ID, true
 		}
-	case diet.KindResult:
-		if req.Result != nil {
-			return req.Result.ID, true
-		}
 	case diet.KindAttach:
 		if req.Attach != nil {
 			return req.Attach.ID, true
@@ -105,14 +59,20 @@ func ringCampaignID(req *diet.Request) (uint64, bool) {
 // routeRing applies ring ownership to one client request. It reports true
 // when the request was fully answered here (fanned out or redirected); false
 // means the caller should serve it locally — either this shard owns the
-// campaign, already holds it (adopted from a dead peer), or the kind does
-// not route.
+// campaign, already holds it (adopted from a dead peer), the request is a
+// peer's Local stats or list, or the kind does not route. A Local request is
+// never fanned out again, so a stale ownership view cannot loop it around
+// the ring.
 func (s *Scheduler) routeRing(sm *shardManager, send *sender, req *diet.Request) bool {
-	switch req.Kind {
-	case diet.KindStats:
+	switch {
+	case req.Kind == diet.KindStats && req.Stats != nil && req.Stats.Local,
+		req.Kind == diet.KindListCampaigns && req.ListCampaigns != nil && req.ListCampaigns.Local:
+		sm.served.Add(1)
+		return false
+	case req.Kind == diet.KindStats:
 		_ = send.send(s.fanoutStats(sm))
 		return true
-	case diet.KindListCampaigns:
+	case req.Kind == diet.KindListCampaigns:
 		_ = send.send(s.fanoutList(sm, req.ListCampaigns))
 		return true
 	}
@@ -131,20 +91,11 @@ func (s *Scheduler) routeRing(sm *shardManager, send *sender, req *diet.Request)
 	return true
 }
 
-// forwardTo wraps inner in the daemon-to-daemon envelope and round-trips it
-// to peer p.
-func (sm *shardManager) forwardTo(p string, inner *diet.Request) (*diet.Response, error) {
-	return sm.call(p, &diet.Request{
-		Kind:    diet.KindForward,
-		Forward: &diet.ForwardRequest{From: sm.ring.Self(), Inner: inner},
-	})
-}
-
 // fanoutStats merges this shard's gauges with every alive peer's into one
-// ring-wide snapshot: counters sum, the queue high-water mark takes the max,
-// SeD tables concatenate, and tenants merge by name. A peer that fails the
-// exchange is simply skipped — a partial snapshot from the survivors beats
-// no snapshot.
+// ring-wide snapshot: counters sum, the queue high-water mark and the oldest
+// queue wait take the max, SeD tables concatenate, and tenants merge by
+// name. A peer that fails the exchange is simply skipped — a partial
+// snapshot from the survivors beats no snapshot.
 func (s *Scheduler) fanoutStats(sm *shardManager) *diet.Response {
 	sm.fanouts.Add(1)
 	total := s.Stats()
@@ -152,7 +103,7 @@ func (s *Scheduler) fanoutStats(sm *shardManager) *diet.Response {
 		if !sm.members.Alive(p) {
 			continue
 		}
-		resp, err := sm.forwardTo(p, &diet.Request{Version: diet.ProtocolVersion, Kind: diet.KindStats, Stats: &diet.StatsRequest{}})
+		resp, err := sm.call(p, &diet.Request{Kind: diet.KindStats, Stats: &diet.StatsRequest{Local: true}})
 		if err != nil || resp.Stats == nil {
 			continue
 		}
@@ -175,6 +126,7 @@ func mergeStats(dst *diet.StatsResponse, src *diet.StatsResponse) {
 	dst.Evicted += src.Evicted
 	dst.SeDs = append(dst.SeDs, src.SeDs...)
 	dst.Tenants = mergeTenants(dst.Tenants, src.Tenants)
+	dst.OldestWaitMs = max(dst.OldestWaitMs, src.OldestWaitMs)
 }
 
 // mergeTenants folds two per-tenant breakdowns by tenant name: gauges and
@@ -225,6 +177,8 @@ func (s *Scheduler) fanoutList(sm *shardManager, filter *diet.ListCampaignsReque
 	}
 	sm.fanouts.Add(1)
 	all := s.ListCampaigns(filter)
+	local := *filter
+	local.Local = true
 	seen := make(map[uint64]bool, len(all))
 	for _, ci := range all {
 		seen[ci.ID] = true
@@ -233,7 +187,7 @@ func (s *Scheduler) fanoutList(sm *shardManager, filter *diet.ListCampaignsReque
 		if !sm.members.Alive(p) {
 			continue
 		}
-		resp, err := sm.forwardTo(p, &diet.Request{Version: diet.ProtocolVersion, Kind: diet.KindListCampaigns, ListCampaigns: filter})
+		resp, err := sm.call(p, &diet.Request{Kind: diet.KindListCampaigns, ListCampaigns: &local})
 		if err != nil || resp.ListCampaigns == nil {
 			continue
 		}

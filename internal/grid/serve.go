@@ -68,16 +68,13 @@ func (b *sender) sendProgress(f *progressFrame) error {
 
 // serveConn serves the request a connection opens with, and — for a peer
 // that asked to keep the connection (a SeD's heartbeats, a ring member's
-// pings, pulls and forwards, a client's control requests and campaign
-// streams) — the requests that follow it. A stream is kept only past its
-// result frame, and an unkeyed (v7) submit never is: it is the one request
-// a client must not resend, so it gets a connection to itself. Peers below
-// the protocol floor — no frame magic, or a version under
-// diet.ProtocolFloor — are refused by AcceptRequest.
+// pings, pulls and local stats and lists, a client's control requests and
+// campaign streams) — the requests that follow it. A stream is kept only
+// past its result frame. Peers below the protocol floor — no frame magic, or
+// a version under diet.ProtocolFloor — are refused by AcceptRequest.
 func (s *Scheduler) serveConn(conn net.Conn) {
 	s.srv.ServeConn(conn, func(w net.Conn, req *diet.Request, ver int) bool {
-		resendable := req.Kind != diet.KindSubmit || (req.Submit != nil && !req.Submit.Key.IsZero())
-		send := &sender{conn: w, ver: ver, keep: req.KeepAlive && resendable}
+		send := &sender{conn: w, ver: ver, keep: req.KeepAlive}
 		s.dispatch(send, req)
 		return send.kept
 	})
@@ -90,10 +87,9 @@ func (s *Scheduler) serveConn(conn net.Conn) {
 func (s *Scheduler) dispatch(send *sender, req *diet.Request) {
 	switch req.Kind {
 	case diet.KindRingPing:
-		_ = send.send(s.serveRingPing(send.ver))
-		return
-	case diet.KindForward:
-		_ = send.send(s.serveForward(req.Forward))
+		// Every daemon answers: liveness needs no ring state on the
+		// responder.
+		_ = send.send(&diet.Response{Ring: &diet.RingPingResponse{}})
 		return
 	case diet.KindSegment:
 		_ = send.send(s.serveSegment(req.Segment))
@@ -240,16 +236,7 @@ func (s *Scheduler) handle(req *diet.Request) *diet.Response {
 		}
 		hb := req.Heartbeat
 		s.register(diet.SeDInfo{Cluster: hb.Cluster, Addr: hb.Addr, Procs: hb.Procs}, hb.InFlight, hb.Speed, hb.Draining)
-		return &diet.Response{Heartbeat: &diet.HeartbeatResponse{OK: true}}
-	case diet.KindResult:
-		if req.Result == nil {
-			return &diet.Response{Err: "result: empty payload"}
-		}
-		c := s.lookup(req.Result.ID)
-		if c == nil {
-			return &diet.Response{Err: fmt.Sprintf("grid: unknown campaign %d", req.Result.ID)}
-		}
-		return &diet.Response{Result: c.snapshot()}
+		return &diet.Response{Heartbeat: &diet.HeartbeatResponse{}}
 	case diet.KindStats:
 		stats := s.Stats()
 		return &diet.Response{Stats: &stats}

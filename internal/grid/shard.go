@@ -16,7 +16,7 @@ import (
 )
 
 // ringCallTimeout bounds one shard-to-shard exchange: a ring ping, a WAL
-// segment pull, or a forwarded fan-out request. Ring peers are other
+// segment pull, or a fan-out's local stats or list. Ring peers are other
 // daemons on the same deployment, so the transport default is generous
 // enough.
 const ringCallTimeout = 5 * time.Second
@@ -32,7 +32,7 @@ type shardManager struct {
 	members *ring.Members
 	hbEvery time.Duration
 	// transport keeps the connections to ring peers: pings and segment pulls
-	// from the loop, forwards and fan-outs from serving goroutines.
+	// from the loop, fan-outs from serving goroutines.
 	transport *diet.Transport
 
 	stop chan struct{}
@@ -41,7 +41,7 @@ type shardManager struct {
 	// Shard gauges, exposed on /metrics.
 	redirected atomic.Uint64 // clients pointed at the owner to retry direct
 	fanouts    atomic.Uint64 // list/stats fan-outs over the alive peer set
-	served     atomic.Uint64 // forwarded requests served on a peer's behalf
+	served     atomic.Uint64 // local stats and lists served on a peer's behalf
 	adopted    atomic.Uint64 // campaigns adopted from dead peers' replicas
 
 	mu    sync.Mutex
@@ -229,14 +229,11 @@ func (sm *shardManager) tick() {
 	}
 }
 
-// ping runs the ring handshake against one peer and folds the outcome into
-// the liveness view. A peer answering below the protocol floor fails to
-// decode, which is a failed ping like any other.
+// ping beacons one peer and folds the outcome into the liveness view. A
+// peer answering below the protocol floor fails to decode, which is a failed
+// ping like any other.
 func (sm *shardManager) ping(p string) {
-	resp, err := sm.call(p, &diet.Request{
-		Kind: diet.KindRingPing,
-		Ring: &diet.RingPingRequest{From: sm.ring.Self(), Members: sm.ring.Members()},
-	})
+	resp, err := sm.call(p, &diet.Request{Kind: diet.KindRingPing, Ring: &diet.RingPingRequest{}})
 	sm.members.ObservePing(p, err == nil && resp.Ring != nil)
 }
 
@@ -258,7 +255,7 @@ func (sm *shardManager) pull(p string) {
 	for i := 0; i < maxPullsPerTick; i++ {
 		resp, err := sm.call(p, &diet.Request{
 			Kind:    diet.KindSegment,
-			Segment: &diet.SegmentRequest{From: sm.ring.Self(), Generation: tail.gen, Offset: tail.off},
+			Segment: &diet.SegmentRequest{Generation: tail.gen, Offset: tail.off},
 		})
 		if err != nil || resp.Segment == nil {
 			return

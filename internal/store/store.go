@@ -65,10 +65,11 @@ type Record struct {
 	Priority  int               `json:"priority,omitempty"`
 	Labels    map[string]string `json:"labels,omitempty"`
 	Deadline  time.Duration     `json:"deadline,omitempty"`
-	// Key is the submission key (protocol v8) the campaign was admitted
-	// under, zero for an unkeyed submit: replay rebuilds the scheduler's
-	// key index from it, so a submit resent across a restart still finds
-	// its campaign. A zero key is left out of the line.
+	// Key is the submission key the campaign was admitted under, zero for
+	// a Local run's campaign and in journals written before keys: replay
+	// rebuilds the scheduler's key index from it, so a submit resent across
+	// a restart still finds its campaign. A zero key is left out of the
+	// line.
 	Key diet.SubmitKey `json:"key,omitzero"`
 
 	// Planned.
