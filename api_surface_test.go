@@ -2,10 +2,12 @@ package oagrid
 
 import (
 	"bytes"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/printer"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -24,9 +26,11 @@ import (
 const apiGolden = "testdata/api_surface.golden"
 
 // TestAPISurfaceGolden renders every exported declaration of the package
-// (comment-free, sorted) and compares it against the committed snapshot.
+// (comment-free, sorted), then every module type those declarations reach
+// through aliases, fields and signatures, and compares it against the
+// committed snapshot.
 func TestAPISurfaceGolden(t *testing.T) {
-	got := renderAPISurface(t)
+	got := renderAPISurface(t) + renderReachable(loadModule(t))
 	if os.Getenv("UPDATE_API_SURFACE") != "" {
 		if err := os.MkdirAll(filepath.Dir(apiGolden), 0o755); err != nil {
 			t.Fatal(err)
@@ -140,6 +144,46 @@ func renderAPISurface(t *testing.T) string {
 	}
 	sort.Strings(blocks)
 	return strings.Join(blocks, "\n\n") + "\n"
+}
+
+// renderReachable prints, for each module type reachable from the package's
+// exported declarations, its exported fields and its exported method set:
+// what a caller of oagrid can name or call through an alias such as Grid.
+func renderReachable(m *loadedModule) string {
+	var b strings.Builder
+	for _, named := range m.rootReachable() {
+		fmt.Fprintf(&b, "\ntype %s", typeName(named))
+		switch u := named.Underlying().(type) {
+		case *types.Struct:
+			b.WriteString(" struct\n")
+			for i := 0; i < u.NumFields(); i++ {
+				if f := u.Field(i); f.Exported() {
+					fmt.Fprintf(&b, "\t%s %s\n", f.Name(), typeName(f.Type()))
+				}
+			}
+		case *types.Interface:
+			b.WriteString(" interface\n")
+		default:
+			fmt.Fprintf(&b, " %s\n", typeName(u))
+		}
+		ms := types.NewMethodSet(types.NewPointer(named))
+		if types.IsInterface(named) {
+			ms = types.NewMethodSet(named)
+		}
+		for i := 0; i < ms.Len(); i++ {
+			fn := ms.At(i).Obj().(*types.Func)
+			if !fn.Exported() {
+				continue
+			}
+			sig := fn.Type().(*types.Signature)
+			recv := ""
+			if r := sig.Recv(); r != nil && !types.IsInterface(named) {
+				recv = "(" + typeName(r.Type()) + ") "
+			}
+			fmt.Fprintf(&b, "\tfunc %s%s%s\n", recv, fn.Name(), strings.TrimPrefix(typeName(sig), "func"))
+		}
+	}
+	return b.String()
 }
 
 // stripUnexportedFields removes unexported struct fields from a type
