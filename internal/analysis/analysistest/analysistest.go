@@ -15,7 +15,6 @@ package analysistest
 
 import (
 	"fmt"
-	"go/token"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -111,7 +110,3 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 		t.Errorf("%s", m)
 	}
 }
-
-// Position is a convenience re-export so fixture helpers can format
-// positions consistently (kept tiny; analysistest is test-only code).
-func Position(fset *token.FileSet, pos token.Pos) string { return fset.Position(pos).String() }

@@ -121,9 +121,6 @@ func qsat(t float64) float64 {
 	return 0.012 * math.Exp(0.06*(t-288))
 }
 
-// Steps returns the number of integration steps taken so far.
-func (m *Model) Steps() int { return m.steps }
-
 // Name implements the coupler component contract.
 func (m *Model) Name() string { return "arpege" }
 

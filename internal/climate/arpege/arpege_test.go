@@ -82,8 +82,8 @@ func TestStabilityAndPhysicalRange(t *testing.T) {
 	if qmin < -1e-12 {
 		t.Fatalf("negative humidity %g", qmin)
 	}
-	if m.Steps() != 30*StepsPerDay {
-		t.Fatalf("Steps = %d", m.Steps())
+	if m.steps != 30*StepsPerDay {
+		t.Fatalf("steps = %d", m.steps)
 	}
 }
 

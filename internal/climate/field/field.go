@@ -104,17 +104,6 @@ func (f *Field) CopyInto(src *Field) error {
 	return nil
 }
 
-// AddScaled adds s·src cell-wise; grids must match.
-func (f *Field) AddScaled(src *Field, s float64) error {
-	if src.Grid != f.Grid {
-		return fmt.Errorf("field: grid mismatch in AddScaled")
-	}
-	for i := range f.Data {
-		f.Data[i] += s * src.Data[i]
-	}
-	return nil
-}
-
 // Stats returns the min, max and unweighted mean of the field.
 func (f *Field) Stats() (min, max, mean float64) {
 	if len(f.Data) == 0 {

@@ -71,15 +71,6 @@ func TestCopySemantics(t *testing.T) {
 	if err := g.CopyInto(other); err == nil {
 		t.Fatal("grid mismatch accepted")
 	}
-	if err := g.AddScaled(f, 2); err != nil {
-		t.Fatal(err)
-	}
-	if g.At(0, 0) != 3 {
-		t.Fatalf("AddScaled result %g, want 3", g.At(0, 0))
-	}
-	if err := g.AddScaled(other, 1); err == nil {
-		t.Fatal("AddScaled grid mismatch accepted")
-	}
 }
 
 func TestRegionMean(t *testing.T) {

@@ -110,9 +110,6 @@ func contains(xs []string, want string) bool {
 	return false
 }
 
-// Periods returns how many coupling periods have completed.
-func (c *Coupler) Periods() int { return c.periods }
-
 // Run executes n coupling periods: every period, all components advance
 // concurrently by their configured internal steps, then the coupler performs
 // every exchange in declaration order.

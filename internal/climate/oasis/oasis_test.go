@@ -94,8 +94,8 @@ func TestRunExchangesAndAdvances(t *testing.T) {
 	if err := c.Run(5); err != nil {
 		t.Fatal(err)
 	}
-	if c.Periods() != 5 {
-		t.Fatalf("Periods = %d", c.Periods())
+	if c.periods != 5 {
+		t.Fatalf("periods = %d", c.periods)
 	}
 	if got := a.advanced.Load(); got != 15 {
 		t.Fatalf("component a advanced %d steps, want 15", got)
@@ -251,8 +251,8 @@ func TestSplitRunEquivalence(t *testing.T) {
 	if err := cOnce.Run(5); err != nil {
 		t.Fatal(err)
 	}
-	if cSplit.Periods() != cOnce.Periods() {
-		t.Fatalf("period counts differ: %d vs %d", cSplit.Periods(), cOnce.Periods())
+	if cSplit.periods != cOnce.periods {
+		t.Fatalf("period counts differ: %d vs %d", cSplit.periods, cOnce.periods)
 	}
 	for i := range oSplit.SST.Data {
 		if oSplit.SST.Data[i] != oOnce.SST.Data[i] {

@@ -79,9 +79,6 @@ func New(cfg Config) (*Model, error) {
 	return m, nil
 }
 
-// Steps returns the number of integration steps taken.
-func (m *Model) Steps() int { return m.steps }
-
 // Name implements the coupler component contract.
 func (m *Model) Name() string { return "opa" }
 

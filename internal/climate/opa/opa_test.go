@@ -33,8 +33,8 @@ func TestStability(t *testing.T) {
 	if min < freezeK-3-1e-9 || max > 310+1e-9 {
 		t.Fatalf("SST range [%g,%g] outside envelope", min, max)
 	}
-	if m.Steps() != 30*StepsPerDay {
-		t.Fatalf("Steps = %d", m.Steps())
+	if m.steps != 30*StepsPerDay {
+		t.Fatalf("steps = %d", m.steps)
 	}
 }
 

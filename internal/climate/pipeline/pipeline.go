@@ -343,19 +343,3 @@ func RunMonth(cfg Config, month int) (*model.Diagnostics, TaskTiming, error) {
 	}
 	return diag, tt, nil
 }
-
-// RunScenario chains months 0..months-1 of one scenario.
-func RunScenario(cfg Config, months int) ([]*model.Diagnostics, error) {
-	if months <= 0 {
-		return nil, fmt.Errorf("pipeline: need at least one month")
-	}
-	var out []*model.Diagnostics
-	for m := 0; m < months; m++ {
-		d, _, err := RunMonth(cfg, m)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: month %d: %w", m, err)
-		}
-		out = append(out, d)
-	}
-	return out, nil
-}

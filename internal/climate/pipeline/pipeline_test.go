@@ -126,14 +126,12 @@ func TestCompressionShrinks(t *testing.T) {
 	}
 }
 
-func TestRunScenarioChains(t *testing.T) {
+func TestMonthsChainIntoSeries(t *testing.T) {
 	cfg := fastConfig(t)
-	diags, err := RunScenario(cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 3 {
-		t.Fatalf("got %d months, want 3", len(diags))
+	for m := 0; m < 3; m++ {
+		if _, _, err := RunMonth(cfg, m); err != nil {
+			t.Fatalf("month %d: %v", m, err)
+		}
 	}
 	// The series file accumulates all three months.
 	f, err := os.Open(SeriesPath(cfg.Dir()))
@@ -151,9 +149,6 @@ func TestRunScenarioChains(t *testing.T) {
 		if !months[m] {
 			t.Errorf("series lacks month %s", m)
 		}
-	}
-	if _, err := RunScenario(cfg, 0); err == nil {
-		t.Fatal("zero months accepted")
 	}
 }
 

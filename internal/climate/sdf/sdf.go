@@ -17,7 +17,6 @@ package sdf
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -156,6 +155,3 @@ func Find(records []Record, name string) (Record, error) {
 	}
 	return Record{}, fmt.Errorf("sdf: no record named %q", name)
 }
-
-// ErrTruncated wraps short reads for callers that want to distinguish them.
-var ErrTruncated = errors.New("sdf: truncated stream")

@@ -34,7 +34,6 @@ type Model struct {
 	disch  *field.Field // exported discharge at ocean mouth cells
 
 	totalIn, totalOut float64
-	steps             int
 }
 
 // New derives flow directions from the synthetic elevation model.
@@ -136,12 +135,6 @@ func (m *Model) deriveFlow(elev *field.Field) error {
 	return nil
 }
 
-// Steps returns the number of routing steps taken.
-func (m *Model) Steps() int { return m.steps }
-
-// LandCells returns the number of routed land cells.
-func (m *Model) LandCells() int { return len(m.order) }
-
 // Name implements the coupler component contract.
 func (m *Model) Name() string { return "trip" }
 
@@ -203,18 +196,8 @@ func (m *Model) Advance(n int) error {
 				m.Storage.Data[to] += out
 			}
 		}
-		m.steps++
 	}
 	return nil
-}
-
-// Balance returns total inflow, total outflow and current storage; the
-// conservation invariant is in = out + storage.
-func (m *Model) Balance() (in, out, stored float64) {
-	for _, idx := range m.order {
-		stored += m.Storage.Data[idx]
-	}
-	return m.totalIn, m.totalOut, stored
 }
 
 // CouplingGrid implements oasis.GridProvider.

@@ -18,7 +18,7 @@ func newModel(t *testing.T) *Model {
 
 func TestFlowNetworkAcyclic(t *testing.T) {
 	m := newModel(t)
-	if m.LandCells() == 0 {
+	if len(m.order) == 0 {
 		t.Fatal("no land cells routed")
 	}
 	// Every land cell's flow target is either ocean, off-grid (-1) or
@@ -31,8 +31,8 @@ func TestFlowNetworkAcyclic(t *testing.T) {
 			land++
 		}
 	}
-	if m.LandCells() != land {
-		t.Fatalf("routed %d of %d land cells", m.LandCells(), land)
+	if len(m.order) != land {
+		t.Fatalf("routed %d of %d land cells", len(m.order), land)
 	}
 }
 
@@ -55,7 +55,7 @@ func TestWaterConservation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	in, out, stored := m.Balance()
+	in, out, stored := balance(m)
 	if in <= 0 {
 		t.Fatal("no water entered the network")
 	}
@@ -114,11 +114,11 @@ func TestStorageDrainsWithoutForcing(t *testing.T) {
 	if err := m.Import("runoff", runoff); err != nil {
 		t.Fatal(err)
 	}
-	_, _, before := m.Balance()
+	_, _, before := balance(m)
 	if err := m.Advance(30); err != nil {
 		t.Fatal(err)
 	}
-	_, _, after := m.Balance()
+	_, _, after := balance(m)
 	if after >= before {
 		t.Fatalf("storage did not drain: %g → %g", before, after)
 	}
@@ -160,8 +160,17 @@ func TestNegativeRunoffClamped(t *testing.T) {
 	if err := m.Advance(2); err != nil {
 		t.Fatal(err)
 	}
-	in, _, stored := m.Balance()
+	in, _, stored := balance(m)
 	if in != 0 || stored < 0 {
 		t.Fatalf("negative runoff leaked: in=%g stored=%g", in, stored)
 	}
+}
+
+// balance returns total inflow, total outflow and current storage; the
+// conservation invariant is in = out + storage.
+func balance(m *Model) (in, out, stored float64) {
+	for _, idx := range m.order {
+		stored += m.Storage.Data[idx]
+	}
+	return m.totalIn, m.totalOut, stored
 }

@@ -84,61 +84,3 @@ func Repartition(perf [][]float64) (RepartitionResult, error) {
 	}
 	return res, nil
 }
-
-// OptimalRepartition finds the distribution minimizing the global makespan by
-// dynamic programming over (cluster prefix, scenarios placed). It is the
-// reference the greedy Algorithm 1 is checked against.
-func OptimalRepartition(perf [][]float64) (RepartitionResult, error) {
-	ns, err := validatePerf(perf)
-	if err != nil {
-		return RepartitionResult{}, err
-	}
-	n := len(perf)
-	const inf = math.MaxFloat64
-	// best[c][k]: minimal max-makespan placing k scenarios on clusters 0..c.
-	best := make([][]float64, n)
-	choice := make([][]int, n)
-	for c := 0; c < n; c++ {
-		best[c] = make([]float64, ns+1)
-		choice[c] = make([]int, ns+1)
-		for k := 0; k <= ns; k++ {
-			if c == 0 {
-				if k == 0 {
-					best[c][k] = 0
-				} else {
-					best[c][k] = perf[0][k-1]
-					choice[c][k] = k
-				}
-				continue
-			}
-			best[c][k] = inf
-			for take := 0; take <= k; take++ {
-				own := 0.0
-				if take > 0 {
-					own = perf[c][take-1]
-				}
-				v := math.Max(own, best[c-1][k-take])
-				if v < best[c][k] {
-					best[c][k] = v
-					choice[c][k] = take
-				}
-			}
-		}
-	}
-	res := RepartitionResult{
-		Counts:     make([]int, n),
-		Assignment: make([]int, 0, ns),
-		Makespan:   best[n-1][ns],
-	}
-	k := ns
-	for c := n - 1; c >= 0; c-- {
-		res.Counts[c] = choice[c][k]
-		k -= choice[c][k]
-	}
-	for c := 0; c < n; c++ {
-		for i := 0; i < res.Counts[c]; i++ {
-			res.Assignment = append(res.Assignment, c)
-		}
-	}
-	return res, nil
-}

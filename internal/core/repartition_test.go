@@ -29,9 +29,9 @@ func TestRepartitionHandExample(t *testing.T) {
 	if res.Makespan != 30 {
 		t.Fatalf("makespan = %g, want 30", res.Makespan)
 	}
-	opt, err := OptimalRepartition(perf)
+	opt, err := optimalRepartition(perf)
 	if err != nil {
-		t.Fatalf("OptimalRepartition: %v", err)
+		t.Fatalf("optimalRepartition: %v", err)
 	}
 	if opt.Makespan != 30 {
 		t.Fatalf("optimal makespan = %g, want 30", opt.Makespan)
@@ -78,7 +78,7 @@ func TestRepartitionOptimal(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: greedy: %v", trial, err)
 		}
-		opt, err := OptimalRepartition(perf)
+		opt, err := optimalRepartition(perf)
 		if err != nil {
 			t.Fatalf("trial %d: optimal: %v", trial, err)
 		}
@@ -146,4 +146,62 @@ func TestRepartitionFavorsFastClusters(t *testing.T) {
 	if res.Counts[0] < res.Counts[1] {
 		t.Fatalf("fast cluster got %d scenarios, slow got %d", res.Counts[0], res.Counts[1])
 	}
+}
+
+// optimalRepartition finds the distribution minimizing the global makespan by
+// dynamic programming over (cluster prefix, scenarios placed). It is the
+// reference the greedy Algorithm 1 is checked against.
+func optimalRepartition(perf [][]float64) (RepartitionResult, error) {
+	ns, err := validatePerf(perf)
+	if err != nil {
+		return RepartitionResult{}, err
+	}
+	n := len(perf)
+	const inf = math.MaxFloat64
+	// best[c][k]: minimal max-makespan placing k scenarios on clusters 0..c.
+	best := make([][]float64, n)
+	choice := make([][]int, n)
+	for c := 0; c < n; c++ {
+		best[c] = make([]float64, ns+1)
+		choice[c] = make([]int, ns+1)
+		for k := 0; k <= ns; k++ {
+			if c == 0 {
+				if k == 0 {
+					best[c][k] = 0
+				} else {
+					best[c][k] = perf[0][k-1]
+					choice[c][k] = k
+				}
+				continue
+			}
+			best[c][k] = inf
+			for take := 0; take <= k; take++ {
+				own := 0.0
+				if take > 0 {
+					own = perf[c][take-1]
+				}
+				v := math.Max(own, best[c-1][k-take])
+				if v < best[c][k] {
+					best[c][k] = v
+					choice[c][k] = take
+				}
+			}
+		}
+	}
+	res := RepartitionResult{
+		Counts:     make([]int, n),
+		Assignment: make([]int, 0, ns),
+		Makespan:   best[n-1][ns],
+	}
+	k := ns
+	for c := n - 1; c >= 0; c-- {
+		res.Counts[c] = choice[c][k]
+		k -= choice[c][k]
+	}
+	for c := 0; c < n; c++ {
+		for i := 0; i < res.Counts[c]; i++ {
+			res.Assignment = append(res.Assignment, c)
+		}
+	}
+	return res, nil
 }

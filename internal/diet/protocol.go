@@ -92,10 +92,10 @@ const (
 	KindInfo          = "info"
 	KindListCampaigns = "list-campaigns"
 
-	// Scheduler-ring kinds. KindRedirect is the response telling a client
-	// which shard owns a campaign; KindRingPing is the ring liveness beacon;
+	// Scheduler-ring kinds. KindRingPing is the ring liveness beacon;
 	// KindSegment pulls a peer's campaign-journal bytes for failover replay.
-	KindRedirect = "ring-redirect"
+	// A shard tells a client which shard owns a campaign in the answer to
+	// the client's own request, as Response.Redirect.
 	KindRingPing = "ring-ping"
 	KindSegment  = "ring-segment"
 )
@@ -165,9 +165,10 @@ type Response struct {
 }
 
 // RedirectInfo is the ring's client routing answer: a shard that receives a
-// request for a campaign another shard owns answers a single KindRedirect
-// response. The client re-issues the request against Owner and remembers the
-// mapping, so steady-state traffic goes direct.
+// request for a campaign another shard owns answers it with a single
+// response that carries only Redirect. The client re-issues the request
+// against Owner and remembers the mapping, so steady-state traffic goes
+// direct.
 type RedirectInfo struct {
 	// ID is the campaign the redirect is about (0 for request kinds that
 	// carry no campaign).

@@ -111,37 +111,29 @@ func TestAmdahlSaturation(t *testing.T) {
 }
 
 func TestTableTiming(t *testing.T) {
-	tbl, err := Tabulate(ReferenceTiming())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.Validate(); err != nil {
-		t.Fatalf("tabulated table invalid: %v", err)
-	}
 	ref := ReferenceTiming()
+	tbl := Table{Main: map[int]float64{}, Post: ref.PostSeconds()}
 	for g := MinGroup; g <= MaxGroup; g++ {
-		want, _ := ref.MainSeconds(g)
-		got, err := tbl.MainSeconds(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("table T(%d)=%g, want %g", g, got, want)
-		}
+		tbl.Main[g], _ = ref.MainSeconds(g)
+	}
+	if err := (&Cluster{Name: "t", Procs: 8, Timing: tbl}).Validate(); err != nil {
+		t.Fatalf("table of the reference timing invalid: %v", err)
+	}
+	if lo, hi := tbl.Range(); lo != MinGroup || hi != MaxGroup {
+		t.Fatalf("table range [%d,%d], want [%d,%d]", lo, hi, MinGroup, MaxGroup)
 	}
 	if _, err := tbl.MainSeconds(99); err == nil {
 		t.Error("expected error for missing entry")
 	}
-	hole := Table{Main: map[int]float64{4: 10, 6: 8}, Post: 1}
-	if err := hole.Validate(); err == nil {
-		t.Error("expected error for non-contiguous table")
-	}
-	if err := (Table{}).Validate(); err == nil {
-		t.Error("expected error for empty table")
-	}
-	neg := Table{Main: map[int]float64{4: -1}, Post: 1}
-	if err := neg.Validate(); err == nil {
-		t.Error("expected error for negative duration")
+	for name, bad := range map[string]Table{
+		"non-contiguous":    {Main: map[int]float64{4: 10, 6: 8}, Post: 1},
+		"empty":             {},
+		"negative duration": {Main: map[int]float64{4: -1}, Post: 1},
+		"negative post":     {Main: map[int]float64{4: 10}, Post: -1},
+	} {
+		if err := (&Cluster{Name: "t", Procs: 8, Timing: bad}).Validate(); err == nil {
+			t.Errorf("expected error for %s table", name)
+		}
 	}
 }
 
@@ -212,7 +204,7 @@ func TestLinkTransfer(t *testing.T) {
 	}
 	// The 120 MB restart on a gigabit-class link stays near one second.
 	ref := ReferenceCluster(8)
-	if s := ref.Link.TransferSeconds(RestartBytes); s < 0.1 || s > 10 {
+	if s := ref.Link.TransferSeconds(120 << 20); s < 0.1 || s > 10 {
 		t.Fatalf("restart staging %g s implausible", s)
 	}
 }

@@ -10,7 +10,6 @@
 package platform
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -32,12 +31,6 @@ const (
 	PreSeconds  = 2.0    // caif (1 s) + mp (1 s), fused into the main task
 	PcrSeconds  = 1260.0 // process_coupled_run on the reference grouping
 	PostSeconds = 180.0  // cof (60 s) + emi (60 s) + cd (60 s)
-
-	// RestartBytes is the data exchanged between two consecutive monthly
-	// simulations of one scenario (120 MB, paper §2). Scenarios stay on one
-	// cluster, so this volume never crosses cluster boundaries; the paper
-	// folds intra-cluster staging into task durations and so do we.
-	RestartBytes = 120 << 20
 )
 
 // Timing yields the durations of the two fused tasks of the simplified
@@ -147,7 +140,7 @@ func (t Table) MainSeconds(g int) (float64, error) {
 func (t Table) PostSeconds() float64 { return t.Post }
 
 // Range implements Timing. It returns the contiguous range covered by the
-// table; a non-contiguous table is reported by Validate.
+// table; Cluster.Validate reports a non-contiguous one.
 func (t Table) Range() (int, int) {
 	lo, hi := math.MaxInt32, 0
 	for g := range t.Main {
@@ -162,40 +155,4 @@ func (t Table) Range() (int, int) {
 		return 0, -1
 	}
 	return lo, hi
-}
-
-// Validate checks the table is non-empty, contiguous and positive.
-func (t Table) Validate() error {
-	lo, hi := t.Range()
-	if hi < lo {
-		return errors.New("platform: empty timing table")
-	}
-	for g := lo; g <= hi; g++ {
-		s, ok := t.Main[g]
-		if !ok {
-			return fmt.Errorf("platform: timing table has a hole at group size %d", g)
-		}
-		if s <= 0 {
-			return fmt.Errorf("platform: non-positive main duration %g at group size %d", s, g)
-		}
-	}
-	if t.Post < 0 {
-		return fmt.Errorf("platform: negative post duration %g", t.Post)
-	}
-	return nil
-}
-
-// Tabulate converts any timing model into an explicit Table, the form the
-// knapsack heuristic and the DIET servers exchange.
-func Tabulate(tm Timing) (Table, error) {
-	lo, hi := tm.Range()
-	tbl := Table{Main: make(map[int]float64, hi-lo+1), Post: tm.PostSeconds()}
-	for g := lo; g <= hi; g++ {
-		s, err := tm.MainSeconds(g)
-		if err != nil {
-			return Table{}, err
-		}
-		tbl.Main[g] = s
-	}
-	return tbl, nil
 }

@@ -4,15 +4,10 @@
 package stats
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
-
-// ErrEmpty is returned by aggregations that need at least one sample.
-var ErrEmpty = errors.New("stats: empty sample set")
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -40,48 +35,6 @@ func StdDev(xs []float64) float64 {
 		sum += d * d
 	}
 	return math.Sqrt(sum / float64(len(xs)))
-}
-
-// Min returns the smallest value in xs.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Max returns the largest value in xs.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Median returns the median of xs without modifying it.
-func Median(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2], nil
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2, nil
 }
 
 // GainPercent returns the relative improvement of improved over baseline in
@@ -119,24 +72,6 @@ func (s *Series) Add(x float64, samples ...float64) {
 		StdDev:  StdDev(samples),
 		Samples: append([]float64(nil), samples...),
 	})
-}
-
-// Ys returns the means of the series in order.
-func (s *Series) Ys() []float64 {
-	ys := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		ys[i] = p.Mean
-	}
-	return ys
-}
-
-// Xs returns the x positions of the series in order.
-func (s *Series) Xs() []float64 {
-	xs := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		xs[i] = p.X
-	}
-	return xs
 }
 
 // CSV renders the series as "x,mean,stddev" lines with a header, the format

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -17,33 +18,6 @@ func TestMeanStdDev(t *testing.T) {
 	}
 	if Mean(nil) != 0 || StdDev(nil) != 0 || StdDev([]float64{3}) != 0 {
 		t.Fatal("empty/singleton aggregates should be 0")
-	}
-}
-
-func TestMinMaxMedian(t *testing.T) {
-	xs := []float64{3, 1, 4, 1, 5}
-	if v, err := Min(xs); err != nil || v != 1 {
-		t.Fatalf("Min = %g, %v", v, err)
-	}
-	if v, err := Max(xs); err != nil || v != 5 {
-		t.Fatalf("Max = %g, %v", v, err)
-	}
-	if v, err := Median(xs); err != nil || v != 3 {
-		t.Fatalf("Median = %g, %v", v, err)
-	}
-	if v, err := Median([]float64{1, 2, 3, 4}); err != nil || v != 2.5 {
-		t.Fatalf("even Median = %g, %v", v, err)
-	}
-	if _, err := Min(nil); err == nil {
-		t.Fatal("expected ErrEmpty")
-	}
-	// Median must not mutate its input.
-	orig := []float64{9, 1, 5}
-	if _, err := Median(orig); err != nil {
-		t.Fatal(err)
-	}
-	if orig[0] != 9 || orig[1] != 1 || orig[2] != 5 {
-		t.Fatalf("Median mutated input: %v", orig)
 	}
 }
 
@@ -70,11 +44,8 @@ func TestSeries(t *testing.T) {
 	if s.Points[0].Mean != 2 {
 		t.Fatalf("mean = %g, want 2", s.Points[0].Mean)
 	}
-	if got := s.Xs(); got[0] != 20 || got[1] != 40 {
-		t.Fatalf("Xs = %v", got)
-	}
-	if got := s.Ys(); got[0] != 2 || got[1] != 4 {
-		t.Fatalf("Ys = %v", got)
+	if s.Points[1].X != 40 || s.Points[1].Mean != 4 {
+		t.Fatalf("second point = %+v, want x 40 mean 4", s.Points[1])
 	}
 	csv := s.CSV()
 	if !strings.Contains(csv, "# gain1") || !strings.Contains(csv, "20,2,") {
@@ -115,8 +86,7 @@ func TestMeanBounds(t *testing.T) {
 			return true
 		}
 		m := Mean(xs)
-		lo, _ := Min(xs)
-		hi, _ := Max(xs)
+		lo, hi := slices.Min(xs), slices.Max(xs)
 		return m >= lo-1e-9 && m <= hi+1e-9 && StdDev(xs) >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

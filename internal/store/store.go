@@ -257,9 +257,6 @@ func Open(dir string) (*Store, map[uint64]*Campaign, error) {
 	return &Store{f: f, path: path, off: good, mirror: mirror, gen: uint64(time.Now().UnixNano())}, campaigns, nil
 }
 
-// Path returns the journal's file path.
-func (s *Store) Path() string { return s.path }
-
 // Size returns the live journal segment's acknowledged byte length — the
 // WAL-size gauge exported by the scheduler's /metrics endpoint. Rotation
 // shrinks it.

@@ -380,7 +380,7 @@ func TestOnlineRotation(t *testing.T) {
 
 	// Bounded: the live segment holds at most the retained campaigns plus
 	// one threshold's worth of growth since the last rotation.
-	fi, err := os.Stat(st.Path())
+	fi, err := os.Stat(st.path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,7 +159,8 @@ func typeCheckModule() (*loadedModule, error) {
 
 // inTest reports whether pos lies in a _test.go file.
 func (m *loadedModule) inTest(pos token.Pos) bool {
-	return strings.HasSuffix(m.fset.File(pos).Name(), "_test.go")
+	f := m.fset.File(pos)
+	return f != nil && strings.HasSuffix(f.Name(), "_test.go")
 }
 
 // inModule reports whether pkg is one of the module's packages.
