@@ -200,10 +200,7 @@ func TestDialRunnerCancellation(t *testing.T) {
 // TestCampaignFailedTyped: a daemon with no live SeD fails the campaign at
 // its deadline, and the failure surfaces as ErrCampaignFailed.
 func TestCampaignFailedTyped(t *testing.T) {
-	sched, err := grid.Start(grid.Config{
-		Addr:            "127.0.0.1:0",
-		CampaignTimeout: 200 * time.Millisecond,
-	})
+	sched, err := grid.Start(grid.Config{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +210,7 @@ func TestCampaignFailedTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := runner.Run(context.Background(), NewCampaign(2, 6))
+	h, err := runner.Run(context.Background(), NewCampaign(2, 6), WithDeadline(200*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,7 +106,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	})
 	fs.StringVar(&cfg.MetricsAddr, "metrics", "", "daemon /metrics listen address, Prometheus text format (empty = off; 127.0.0.1:0 for an ephemeral port)")
-	fs.StringVar(&cfg.TenantKey, "tenant-key", grid.DefaultTenantKey, "label key that names a campaign's fair-queueing tenant")
 	fs.Func("tenant-weights", "weighted-fair-queueing weights as name=weight[,name=weight...]; unlisted tenants weigh 1", func(s string) (err error) {
 		cfg.TenantWeights, err = cliflag.TenantWeights(s)
 		return err
@@ -219,10 +218,6 @@ func runDaemon(ctx context.Context, out io.Writer, cfg grid.Config, as autoscale
 	}
 	var ctl *autoscale.Controller
 	if as.Max > 0 {
-		// Sample at the heartbeat interval: fleet state changes no faster than
-		// heartbeats land, and a -hb tuned for a fast-moving fabric should
-		// make the scaler react at the same pace.
-		as.Sample = as.HeartbeatEvery
 		if ctl, err = autoscale.Start(sched, fabric.SeDs, as); err != nil {
 			return err
 		}

@@ -20,16 +20,13 @@ import (
 type Config struct {
 	// Min and Max bound the fleet. Max <= Min disables scaling up.
 	Min, Max int
-	// HeartbeatEvery is the spawned SeDs' heartbeat interval (default 1s).
+	// HeartbeatEvery is the spawned SeDs' heartbeat interval (default 1s),
+	// and the controller's sampling interval: fleet state changes no faster
+	// than heartbeats land.
 	HeartbeatEvery time.Duration
-	// Sample is the controller's observation interval (default 250ms).
-	Sample time.Duration
 	// Speeds are relative speed factors cycled across spawned SeDs (1.0 =
 	// reference, 0.5 = twice as slow). Nil spawns reference-speed daemons.
 	Speeds []float64
-	// Policy holds the hysteresis thresholds; its Min/Max are overwritten
-	// from the fields above.
-	Policy Policy
 }
 
 // member is one controller-owned SeD.
@@ -56,7 +53,7 @@ type Counters struct {
 }
 
 // Controller owns the elastic part of a scheduler's SeD fleet. It samples
-// the scheduler, asks the Policy for a verdict, and spawns or drains clone
+// the scheduler, asks the policy for a verdict, and spawns or drains clone
 // SeDs. Spawned daemons serve clones of the base fleet's cluster profiles
 // named "<base>#<seq>" — same timing, same processors — so the serial
 // verifier replays their chunks through the base profile and bit-identity
@@ -64,7 +61,7 @@ type Counters struct {
 type Controller struct {
 	sched  *grid.Scheduler
 	cfg    Config
-	policy Policy
+	policy policy
 
 	// prototypes are the base fleet's profiles, cycled for spawns.
 	prototypes []*platform.Cluster
@@ -92,6 +89,17 @@ type Controller struct {
 // controller also installs the scheduler's metrics hook, adding the
 // oagrid_autoscale_* families to /metrics.
 func Start(sched *grid.Scheduler, base []*diet.SeD, cfg Config) (*Controller, error) {
+	c, err := attach(sched, base, cfg)
+	if err != nil {
+		return nil, err
+	}
+	c.wg.Add(1)
+	go c.run()
+	return c, nil
+}
+
+// attach is Start without the sampler loop.
+func attach(sched *grid.Scheduler, base []*diet.SeD, cfg Config) (*Controller, error) {
 	if len(base) == 0 {
 		return nil, fmt.Errorf("autoscale: need at least one base SeD to clone profiles from")
 	}
@@ -104,25 +112,18 @@ func Start(sched *grid.Scheduler, base []*diet.SeD, cfg Config) (*Controller, er
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = time.Second
 	}
-	if cfg.Sample <= 0 {
-		cfg.Sample = 250 * time.Millisecond
-	}
 	c := &Controller{
 		sched:    sched,
 		cfg:      cfg,
-		policy:   cfg.Policy,
+		policy:   policy{min: cfg.Min, max: cfg.Max},
 		done:     make(chan struct{}),
 		baseSize: len(base),
 	}
-	c.policy.Min = cfg.Min
-	c.policy.Max = cfg.Max
 	for _, sed := range base {
 		c.prototypes = append(c.prototypes, sed.Cluster())
 	}
 	c.fleetSize.Store(int64(len(base)))
 	sched.SetMetricsHook(c.writeMetrics)
-	c.wg.Add(1)
-	go c.run()
 	return c, nil
 }
 
@@ -156,7 +157,7 @@ func (c *Controller) Counters() Counters {
 // run is the sampler loop: observe, reap finished drains, decide, act.
 func (c *Controller) run() {
 	defer c.wg.Done()
-	t := time.NewTicker(c.cfg.Sample)
+	t := time.NewTicker(c.cfg.HeartbeatEvery)
 	defer t.Stop()
 	for {
 		select {
@@ -174,7 +175,7 @@ func (c *Controller) run() {
 		for _, sd := range st.SeDs {
 			sig.Outstanding += sd.Outstanding
 		}
-		switch c.policy.Decide(sig) {
+		switch c.policy.decide(sig) {
 		case 1:
 			c.spawnOne()
 		case -1:

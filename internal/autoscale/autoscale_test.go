@@ -18,13 +18,11 @@ import (
 // burst drains the fleet shrinks back to Min with the clones deregistered.
 func TestElasticBurstScalesUpAndDown(t *testing.T) {
 	cfg := grid.Config{
-		Addr:            "127.0.0.1:0",
-		QueueCap:        256,
-		Dispatchers:     2,
-		PerSeDInFlight:  2,
-		EvictAfter:      2 * time.Second,
-		RetryEvery:      10 * time.Millisecond,
-		CampaignTimeout: 90 * time.Second,
+		Addr:           "127.0.0.1:0",
+		QueueCap:       256,
+		Dispatchers:    2,
+		PerSeDInFlight: 2,
+		EvictAfter:     2 * time.Second,
 	}
 	f, err := grid.StartFabric(cfg, 1, 30, 50*time.Millisecond)
 	if err != nil {
@@ -38,15 +36,8 @@ func TestElasticBurstScalesUpAndDown(t *testing.T) {
 	ctl, err := Start(f.Sched, f.SeDs, Config{
 		Min:            1,
 		Max:            3,
-		HeartbeatEvery: 50 * time.Millisecond,
-		Sample:         10 * time.Millisecond,
+		HeartbeatEvery: 10 * time.Millisecond,
 		Speeds:         []float64{1.0, 0.5},
-		Policy: Policy{
-			UpQueue:       2,
-			UpWaitMs:      200,
-			DownIdleTicks: 4,
-			CoolDownTicks: 1,
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +45,7 @@ func TestElasticBurstScalesUpAndDown(t *testing.T) {
 	t.Cleanup(ctl.Close)
 
 	// The burst: enough concurrent campaigns that two dispatchers keep a
-	// visible queue for many 10ms samples.
+	// queue of upQueue or more for several 10ms samples.
 	const campaigns = 24
 	app := core.Application{Scenarios: 30, Months: 60}
 	client := &grid.Client{Addr: f.Sched.Addr()}
@@ -124,7 +115,8 @@ func TestElasticBurstScalesUpAndDown(t *testing.T) {
 // the spawned SeD is executing a chunk lets that chunk finish and bank — no
 // requeue — and only then deregisters the SeD. The burst test's drains land
 // after the burst, on idle SeDs, so this one drives the controller by hand:
-// the policy never acts on its own.
+// it has no sampler loop, so the policy never acts on its own, and the test
+// reaps the drained SeD itself.
 func TestDrainWithChunkInFlightRequeuesNothing(t *testing.T) {
 	f, err := grid.StartFabric(grid.Config{
 		Addr:           "127.0.0.1:0",
@@ -139,12 +131,10 @@ func TestDrainWithChunkInFlightRequeuesNothing(t *testing.T) {
 	if err := f.WaitAlive(1, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	ctl, err := Start(f.Sched, f.SeDs, Config{
+	ctl, err := attach(f.Sched, f.SeDs, Config{
 		Min:            1,
 		Max:            2,
 		HeartbeatEvery: 50 * time.Millisecond,
-		Sample:         10 * time.Millisecond,
-		Policy:         Policy{UpQueue: 1 << 30, UpWaitMs: 1 << 30, DownIdleTicks: 1 << 30},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -193,6 +183,8 @@ func TestDrainWithChunkInFlightRequeuesNothing(t *testing.T) {
 			t.Fatalf("drained SeD never deregistered: %+v", ctl.Counters())
 		}
 		time.Sleep(10 * time.Millisecond)
+		st := f.Sched.Stats()
+		ctl.reapDrained(&st)
 	}
 	if rq := f.Sched.Stats().Requeues; rq != 0 {
 		t.Fatalf("draining with a chunk in flight requeued %d chunks, want 0", rq)

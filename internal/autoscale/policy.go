@@ -24,87 +24,54 @@ type Signals struct {
 	Outstanding int
 }
 
-// Policy is the hysteresis scaling policy: scale up under sustained queue
+// The hysteresis thresholds.
+const (
+	// upQueue is the queue depth at which the policy wants another SeD.
+	upQueue = 4
+	// upWaitMs is the oldest wait, in milliseconds, that counts as pressure
+	// even with a shallow queue.
+	upWaitMs = 500
+	// downIdleTicks is how many consecutive calm samples must pass before
+	// a scale-down. Hysteresis: one idle instant between bursts must not
+	// shed capacity.
+	downIdleTicks = 8
+	// coolDownTicks is how many samples after any action the policy stays
+	// quiet, so one burst scales in steps instead of jumping straight to
+	// max and oscillating.
+	coolDownTicks = 4
+	// downOutstanding is the most open requests the fleet may hold while
+	// still counting as calm: a trickle of work should not pin an
+	// over-provisioned fleet forever.
+	downOutstanding = 2
+)
+
+// policy is the hysteresis scaling policy: scale up under sustained queue
 // or wait pressure, scale down only after the system has stayed calm for a
 // run of consecutive samples, and never act twice within the cool-down
-// window. The zero value of each threshold picks the default. Decide
-// mutates internal counters and is not safe for concurrent use — the
-// controller calls it from its single sampler goroutine.
-type Policy struct {
-	// Min and Max bound the fleet size. Decide never proposes a fleet
-	// below Min or above Max.
-	Min, Max int
-	// UpQueue is the queue depth at which the policy wants another SeD
-	// (default 4).
-	UpQueue int
-	// UpWaitMs is the oldest-wait threshold in milliseconds that counts as
-	// pressure even with a shallow queue (default 500).
-	UpWaitMs float64
-	// DownIdleTicks is how many consecutive calm samples must pass before
-	// a scale-down (default 8). Hysteresis: one idle instant between
-	// bursts must not shed capacity.
-	DownIdleTicks int
-	// CoolDownTicks is how many samples after any action the policy stays
-	// quiet (default 4), so one burst scales in steps instead of jumping
-	// straight to Max and oscillating.
-	CoolDownTicks int
-	// DownOutstanding is the most open requests the fleet may hold while
-	// still counting as calm (default 2): a trickle of work should not pin
-	// an over-provisioned fleet forever. Set -1 to demand a fully idle
-	// fleet before any scale-down.
-	DownOutstanding int
+// window. decide mutates internal counters and is not safe for concurrent
+// use — the controller calls it from its single sampler goroutine.
+type policy struct {
+	// min and max bound the fleet size. decide never proposes a fleet
+	// below min or above max.
+	min, max int
 
-	normalized bool
-	cooldown   int
-	calm       int
+	cooldown int
+	calm     int
 }
 
-// defaults fills unset thresholds in place, once: the -1 spellings must
-// not be re-normalized on the next tick.
-func (p *Policy) defaults() {
-	if p.normalized {
-		return
-	}
-	p.normalized = true
-	if p.Min < 1 {
-		p.Min = 1
-	}
-	if p.Max < p.Min {
-		p.Max = p.Min
-	}
-	if p.UpQueue <= 0 {
-		p.UpQueue = 4
-	}
-	if p.UpWaitMs <= 0 {
-		p.UpWaitMs = 500
-	}
-	if p.DownIdleTicks <= 0 {
-		p.DownIdleTicks = 8
-	}
-	if p.CoolDownTicks <= 0 {
-		p.CoolDownTicks = 4
-	}
-	if p.DownOutstanding < 0 {
-		p.DownOutstanding = 0
-	} else if p.DownOutstanding == 0 {
-		p.DownOutstanding = 2
-	}
-}
-
-// Decide folds one observation into the policy state and returns the
+// decide folds one observation into the policy state and returns the
 // action: +1 to spawn a SeD, -1 to drain one, 0 to hold.
-func (p *Policy) Decide(sig Signals) int {
-	p.defaults()
+func (p *policy) decide(sig Signals) int {
 	coolingDown := p.cooldown > 0
 	if coolingDown {
 		p.cooldown--
 	}
-	pressure := sig.QueueDepth >= p.UpQueue || sig.OldestWaitMs >= p.UpWaitMs
-	calm := sig.QueueDepth == 0 && sig.Outstanding <= p.DownOutstanding
+	pressure := sig.QueueDepth >= upQueue || sig.OldestWaitMs >= upWaitMs
+	calm := sig.QueueDepth == 0 && sig.Outstanding <= downOutstanding
 	if pressure {
 		p.calm = 0
-		if sig.FleetSize < p.Max && !coolingDown {
-			p.cooldown = p.CoolDownTicks
+		if sig.FleetSize < p.max && !coolingDown {
+			p.cooldown = coolDownTicks
 			return 1
 		}
 		return 0
@@ -114,8 +81,8 @@ func (p *Policy) Decide(sig Signals) int {
 		return 0
 	}
 	p.calm++
-	if sig.FleetSize > p.Min && p.calm >= p.DownIdleTicks && !coolingDown {
-		p.cooldown = p.CoolDownTicks
+	if sig.FleetSize > p.min && p.calm >= downIdleTicks && !coolingDown {
+		p.cooldown = coolDownTicks
 		p.calm = 0
 		return -1
 	}

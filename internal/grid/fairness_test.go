@@ -63,7 +63,7 @@ func TestWFQProportionalShare(t *testing.T) {
 				submitted[tenant]++
 				s.push(newCampaign(uint64(i+1), app, core.NameKnapsack, submitMeta{
 					priority: pri,
-					labels:   map[string]string{DefaultTenantKey: tenant},
+					labels:   map[string]string{tenantKey: tenant},
 				}))
 			}
 			var total float64
@@ -100,7 +100,7 @@ func TestWFQIdleTenantBanksNoCredit(t *testing.T) {
 	s := queueScheduler(Config{})
 	mk := func(id uint64, tenant string) *campaign {
 		return newCampaign(id, app, core.NameKnapsack, submitMeta{
-			labels: map[string]string{DefaultTenantKey: tenant},
+			labels: map[string]string{tenantKey: tenant},
 		})
 	}
 	// Tenant a is served alone for a while; b is idle the whole time.
@@ -128,28 +128,18 @@ func TestWFQIdleTenantBanksNoCredit(t *testing.T) {
 
 // TestAgingLiftsStarvedPriority: within one tenant, a long-waiting
 // low-priority campaign overtakes a fresher high-priority one once its age
-// boost exceeds the priority gap — and with aging disabled it never does.
+// boost exceeds the priority gap.
 func TestAgingLiftsStarvedPriority(t *testing.T) {
 	app := core.Application{Scenarios: 1, Months: 1}
 
-	s := queueScheduler(Config{AgeAfter: time.Second})
+	s := queueScheduler(Config{})
 	old := newCampaign(1, app, core.NameKnapsack, submitMeta{priority: 0})
-	old.enqueuedAt = time.Now().Add(-time.Hour) // 3600 aging boosts banked
+	old.enqueuedAt = time.Now().Add(-time.Hour) // 360 aging boosts banked
 	fresh := newCampaign(2, app, core.NameKnapsack, submitMeta{priority: 9})
 	s.push(fresh)
 	s.push(old)
 	if c := s.dequeue(); c.id != old.id {
 		t.Fatalf("aged priority-0 campaign lost to a fresh priority-9 one (popped %d)", c.id)
-	}
-
-	s = queueScheduler(Config{AgeAfter: -1}) // aging disabled
-	old = newCampaign(1, app, core.NameKnapsack, submitMeta{priority: 0})
-	old.enqueuedAt = time.Now().Add(-time.Hour)
-	fresh = newCampaign(2, app, core.NameKnapsack, submitMeta{priority: 9})
-	s.push(fresh)
-	s.push(old)
-	if c := s.dequeue(); c.id != fresh.id {
-		t.Fatalf("with aging disabled, priority 9 should pop first (popped %d)", c.id)
 	}
 }
 
@@ -159,7 +149,7 @@ func submitTenant(t *testing.T, addr string, ns, months, pri int, tenant string)
 	t.Helper()
 	resp, err := diet.RoundTrip(addr, &diet.Request{Version: diet.ProtocolVersion, Kind: diet.KindSubmit, Submit: &diet.SubmitRequest{
 		Scenarios: ns, Months: months, Heuristic: core.NameKnapsack, Priority: pri,
-		Labels: map[string]string{DefaultTenantKey: tenant}, Key: newKey(),
+		Labels: map[string]string{tenantKey: tenant}, Key: newKey(),
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -343,7 +333,7 @@ func TestTenantTableBounded(t *testing.T) {
 		t.Helper()
 		_, verdict, err := s.admit(&diet.SubmitRequest{
 			Scenarios: 1, Months: 1, Heuristic: core.NameKnapsack,
-			Labels: map[string]string{DefaultTenantKey: tenant}, Key: newKey(),
+			Labels: map[string]string{tenantKey: tenant}, Key: newKey(),
 		})
 		if err != nil {
 			t.Fatal(err)

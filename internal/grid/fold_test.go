@@ -259,7 +259,7 @@ func newFoldLocal(t *testing.T, dir string) (*Local, *foldExec) {
 func recoverStates(t *testing.T, dir string) map[uint64]foldState {
 	t.Helper()
 	k := &lifecycle{keepFinished: 16, campaigns: make(map[uint64]*campaign)}
-	live, err := k.recover(dir, DefaultTenantKey)
+	live, err := k.recover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

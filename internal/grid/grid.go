@@ -65,15 +65,6 @@ type Config struct {
 	// EvictAfter is the heartbeat deadline: a SeD silent for longer is
 	// marked dead and excluded from new dispatches (default 3s).
 	EvictAfter time.Duration
-	// RetryEvery paces campaign retries while no SeD is alive
-	// (default 25ms).
-	RetryEvery time.Duration
-	// CampaignTimeout bounds one campaign end to end, including requeues
-	// (default 2m).
-	CampaignTimeout time.Duration
-	// KeepFinished caps how many finished campaigns stay pollable before
-	// the oldest are forgotten (default 4096).
-	KeepFinished int
 	// StateDir, when non-empty, makes the scheduler durable: every campaign
 	// transition is journaled to an append-only WAL under the directory
 	// before it is acknowledged, and a scheduler restarted on the same
@@ -82,12 +73,6 @@ type Config struct {
 	// re-admitted with their unfinished scenarios requeued. Empty keeps the
 	// scheduler purely in-memory.
 	StateDir string
-	// TenantKey is the label key that names a campaign's fair-queueing
-	// tenant (default "team"). Campaigns without the label share the
-	// DefaultTenant. The tenant table is bounded: beyond
-	// maxDynamicTenants distinct unconfigured names, new ones fold into
-	// the OverflowTenant (see canonicalTenant).
-	TenantKey string
 	// TenantWeights assigns fair-queueing weights by tenant name. Dispatch
 	// is virtual-time weighted-fair: over any contended stretch a tenant
 	// receives dispatch slots proportional to its weight. Unlisted tenants
@@ -98,18 +83,15 @@ type Config struct {
 	// quota-exceeded code while other tenants keep admitting. 0 means no
 	// per-tenant cap (the global QueueCap still applies).
 	TenantQuota int
-	// AgeAfter is the aging interval: a queued campaign's effective
-	// priority rises by one for every AgeAfter it has waited, so sustained
-	// high-priority traffic cannot starve a low-priority campaign of the
-	// same tenant forever. 0 picks the default (10s); negative disables
-	// aging. Aging reorders only the admission queue — never a dispatched
-	// campaign's results.
-	AgeAfter time.Duration
 	// MetricsAddr, when non-empty, serves a Prometheus text-format
 	// /metrics endpoint on the address ("127.0.0.1:0" for an ephemeral
 	// port): queue and per-tenant gauges, SeD utilization, WAL size and
 	// wire-level byte counters.
 	MetricsAddr string
+
+	// keepFinished, when positive, replaces the maxFinished retention cap
+	// (a test shrinks it to watch pruning).
+	keepFinished int
 }
 
 func (c Config) withDefaults() Config {
@@ -125,27 +107,34 @@ func (c Config) withDefaults() Config {
 	if c.EvictAfter <= 0 {
 		c.EvictAfter = 3 * time.Second
 	}
-	if c.RetryEvery <= 0 {
-		c.RetryEvery = 25 * time.Millisecond
-	}
-	if c.CampaignTimeout <= 0 {
-		c.CampaignTimeout = 2 * time.Minute
-	}
-	if c.KeepFinished <= 0 {
-		c.KeepFinished = 4096
-	}
-	if c.TenantKey == "" {
-		c.TenantKey = DefaultTenantKey
-	}
-	if c.AgeAfter == 0 {
-		c.AgeAfter = 10 * time.Second
+	if c.keepFinished <= 0 {
+		c.keepFinished = maxFinished
 	}
 	return c
 }
 
-// DefaultTenantKey is the label key that names a campaign's tenant unless
-// Config.TenantKey overrides it.
-const DefaultTenantKey = "team"
+const (
+	// retryEvery paces a campaign's retries while no SeD is alive.
+	retryEvery = 25 * time.Millisecond
+	// campaignTimeout bounds a daemon's campaign that carries no deadline
+	// of its own, end to end, requeues included.
+	campaignTimeout = 2 * time.Minute
+	// maxFinished caps how many finished campaigns stay pollable before
+	// the oldest are forgotten.
+	maxFinished = 4096
+	// ageAfter is the aging interval: a queued campaign's effective
+	// priority rises by one for every ageAfter it has waited, so sustained
+	// high-priority traffic cannot starve a low-priority campaign of the
+	// same tenant forever. Aging reorders only the admission queue — never
+	// a dispatched campaign's results.
+	ageAfter = 10 * time.Second
+	// tenantKey is the label key that names a campaign's fair-queueing
+	// tenant. Campaigns without the label share the DefaultTenant. The
+	// tenant table is bounded: beyond maxDynamicTenants distinct
+	// unconfigured names, new ones fold into the OverflowTenant (see
+	// canonicalTenant).
+	tenantKey = "team"
+)
 
 // DefaultTenant is the tenant of campaigns that carry no tenant label.
 const DefaultTenant = "default"
@@ -279,7 +268,7 @@ type Scheduler struct {
 
 // tenantName resolves a campaign's tenant from its labels.
 func (s *Scheduler) tenantName(labels map[string]string) string {
-	return tenantOf(labels, s.cfg.TenantKey)
+	return tenantOf(labels)
 }
 
 // tenant returns (creating on first use) a tenant's state. Callers hold
@@ -333,9 +322,8 @@ func Start(cfg Config) (*Scheduler, error) {
 
 	s := &Scheduler{
 		lifecycle: lifecycle{
-			keepFinished: cfg.KeepFinished,
-			timeout:      cfg.CampaignTimeout,
-			retryEvery:   cfg.RetryEvery,
+			keepFinished: cfg.keepFinished,
+			timeout:      campaignTimeout,
 			campaigns:    make(map[uint64]*campaign),
 			vectors:      make(map[string]map[vecKey][]float64),
 		},
@@ -351,7 +339,7 @@ func Start(cfg Config) (*Scheduler, error) {
 	var recovered []*campaign
 	if cfg.StateDir != "" {
 		var err error
-		if recovered, err = s.recover(cfg.StateDir, cfg.TenantKey); err != nil {
+		if recovered, err = s.recover(cfg.StateDir); err != nil {
 			return nil, err
 		}
 	}
@@ -891,14 +879,11 @@ func (s *Scheduler) enqueue(c *campaign) {
 }
 
 // effPriority is a queued campaign's dispatch priority at now: its submit
-// priority plus one aging boost per AgeAfter waited. Aging bounds
+// priority plus one aging boost per ageAfter waited. Aging bounds
 // within-tenant starvation — a priority-0 campaign under a sustained
 // priority-P stream dispatches after at most P aging intervals.
 func (s *Scheduler) effPriority(c *campaign, now time.Time) int {
-	if s.cfg.AgeAfter <= 0 {
-		return c.priority
-	}
-	return c.priority + int(now.Sub(c.enqueuedAt)/s.cfg.AgeAfter)
+	return c.priority + int(now.Sub(c.enqueuedAt)/ageAfter)
 }
 
 // dequeue runs the weighted-fair pick after a token was consumed: among

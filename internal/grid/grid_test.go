@@ -18,16 +18,14 @@ import (
 )
 
 // testConfig is sized for loopback tests: tight heartbeats so eviction fires
-// within test patience, generous campaign timeout so loaded CI boxes pass.
+// within test patience.
 func testConfig() Config {
 	return Config{
-		Addr:            "127.0.0.1:0",
-		QueueCap:        64,
-		Dispatchers:     4,
-		PerSeDInFlight:  2,
-		EvictAfter:      400 * time.Millisecond,
-		RetryEvery:      10 * time.Millisecond,
-		CampaignTimeout: 90 * time.Second,
+		Addr:           "127.0.0.1:0",
+		QueueCap:       64,
+		Dispatchers:    4,
+		PerSeDInFlight: 2,
+		EvictAfter:     400 * time.Millisecond,
 	}
 }
 

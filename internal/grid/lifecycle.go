@@ -82,8 +82,6 @@ type lifecycle struct {
 	// timeout bounds a campaign that carries no deadline of its own; zero
 	// leaves it unbounded.
 	timeout time.Duration
-	// retryEvery paces a campaign's retries while a lease comes back empty.
-	retryEvery time.Duration
 	// onSettle, when set, is told each campaign's terminal status by the
 	// path that won its terminal claim, with mu held.
 	onSettle func(c *campaign, status string)
@@ -106,10 +104,9 @@ type lifecycle struct {
 	vectors map[string]map[vecKey][]float64
 }
 
-// tenantOf resolves a campaign's tenant from its labels under the given
-// label key.
-func tenantOf(labels map[string]string, key string) string {
-	if name := labels[key]; name != "" {
+// tenantOf resolves a campaign's tenant from its labels.
+func tenantOf(labels map[string]string) string {
+	if name := labels[tenantKey]; name != "" {
 		return name
 	}
 	return DefaultTenant
@@ -125,11 +122,11 @@ const rotateBytes = 4 << 20
 // table: terminal campaigns come back under their original IDs, the
 // retention cap is applied, and the journal is compacted down to what
 // survived and armed for online rotation. Tenants are re-derived from the
-// journaled labels under tenantKey. It returns the non-terminal campaigns in
+// journaled labels. It returns the non-terminal campaigns in
 // admission order for the caller to re-admit. It must run before anything
 // can append: a campaign admitted while the table is still filling would be
 // missing from the compaction's retention set.
-func (k *lifecycle) recover(dir string, tenantKey string) ([]*campaign, error) {
+func (k *lifecycle) recover(dir string) ([]*campaign, error) {
 	st, byID, err := store.Open(dir)
 	if err != nil {
 		return nil, err
@@ -140,7 +137,7 @@ func (k *lifecycle) recover(dir string, tenantKey string) ([]*campaign, error) {
 	var live []*campaign
 	for _, rc := range recovered {
 		c := recoveredCampaign(rc)
-		c.tenant = tenantOf(c.labels, tenantKey)
+		c.tenant = tenantOf(c.labels)
 		k.install(c)
 		if rc.Terminal() {
 			k.retire(c)
@@ -560,7 +557,7 @@ func (k *lifecycle) runRound(abortCtx context.Context, c *campaign, pause <-chan
 			return false
 		case <-c.abortCh:
 			return false
-		case <-time.After(k.retryEvery):
+		case <-time.After(retryEvery):
 		}
 		return true
 	}

@@ -97,15 +97,14 @@ func NewLocal(clusters []*platform.Cluster, cfg LocalConfig) (*Local, error) {
 // Retention and journal rotation run at the daemon's defaults: a long-lived
 // embedder must not accumulate every campaign ever, in memory or on disk.
 func newLocal(exec executor, stateDir string) (*Local, error) {
-	defaults := Config{}.withDefaults()
 	l := &Local{lifecycle: lifecycle{
 		exec:         exec,
-		keepFinished: defaults.KeepFinished,
+		keepFinished: maxFinished,
 		campaigns:    make(map[uint64]*campaign),
 		vectors:      make(map[string]map[vecKey][]float64),
 	}}
 	if stateDir != "" {
-		recovered, err := l.recover(stateDir, defaults.TenantKey)
+		recovered, err := l.recover(stateDir)
 		if err != nil {
 			return nil, err
 		}
@@ -146,7 +145,7 @@ func (l *Local) RunContext(ctx context.Context, app core.Application, heuristic 
 	id := l.nextID
 	l.mu.Unlock()
 	c := newCampaign(id, app, heuristic, submitMeta{priority: meta.Priority, labels: meta.Labels, deadline: meta.Deadline})
-	c.tenant = tenantOf(meta.Labels, DefaultTenantKey)
+	c.tenant = tenantOf(meta.Labels)
 	c.status = diet.CampaignRunning // nothing queues here
 	if err := l.journalAdmission(c); err != nil {
 		return nil, fmt.Errorf("grid: journaling admission: %w", err)

@@ -44,13 +44,11 @@ func TestMain(m *testing.M) {
 // prints its address and serves until killed. It never returns.
 func runDaemonChild() {
 	s, err := Start(Config{
-		Addr:            os.Getenv(daemonAddrEnv),
-		StateDir:        os.Getenv(daemonStateEnv),
-		Dispatchers:     2,
-		PerSeDInFlight:  2,
-		EvictAfter:      2 * time.Second,
-		RetryEvery:      10 * time.Millisecond,
-		CampaignTimeout: 90 * time.Second,
+		Addr:           os.Getenv(daemonAddrEnv),
+		StateDir:       os.Getenv(daemonStateEnv),
+		Dispatchers:    2,
+		PerSeDInFlight: 2,
+		EvictAfter:     2 * time.Second,
 	})
 	if err != nil {
 		fmt.Println("CHILD_ERR", err)
@@ -648,7 +646,6 @@ func TestAttachReplayAfterManyRequeues(t *testing.T) {
 
 	cfg := testConfig()
 	cfg.EvictAfter = 5 * time.Second
-	cfg.RetryEvery = 5 * time.Millisecond
 	sched, err := Start(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -743,7 +740,7 @@ func TestRestartPrunesBeyondKeepFinished(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig()
 	cfg.StateDir = dir
-	cfg.KeepFinished = 1
+	cfg.keepFinished = 1
 	sched1, err := Start(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -768,7 +765,7 @@ func TestRestartPrunesBeyondKeepFinished(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// KeepFinished=1: campaign A is pruned the moment B finishes.
+	// keepFinished=1: campaign A is pruned the moment B finishes.
 	if _, err := client.InfoContext(context.Background(), resA.ID); !errors.Is(err, ErrUnknownCampaign) {
 		t.Fatalf("campaign %d pollable past the retention cap: %v", resA.ID, err)
 	}
@@ -778,7 +775,7 @@ func TestRestartPrunesBeyondKeepFinished(t *testing.T) {
 
 	cfg2 := testConfig()
 	cfg2.StateDir = dir
-	cfg2.KeepFinished = 1
+	cfg2.keepFinished = 1
 	sched2, err := Start(cfg2)
 	if err != nil {
 		t.Fatal(err)
