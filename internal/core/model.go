@@ -18,7 +18,10 @@ import (
 //     the final wave(s) run after the mains on all R processors
 //     (equations 2–5, split on R2 = 0 and on nbused = nbtasks mod nbmax).
 //
-// The function returns the modeled makespan in seconds.
+// The function returns the modeled makespan in seconds. Every product is
+// rounded by an explicit float64 conversion before it is added to, so no
+// GOARCH fuses the two into one multiply-add and the estimates, which Basic's
+// group choice minimises, are bit-identical everywhere.
 func UniformEstimate(app Application, t platform.Timing, procs, group int) (float64, error) {
 	if err := app.Validate(); err != nil {
 		return 0, err
@@ -39,7 +42,7 @@ func UniformEstimate(app Application, t platform.Timing, procs, group int) (floa
 	r2 := procs - nbmax*group
 	n := ceilDiv(nbtasks, nbmax)
 	nbused := nbtasks % nbmax
-	msMulti := float64(n) * tg // equation (1)
+	msMulti := float64(float64(n) * tg) // equation (1)
 	if tp <= 0 {
 		return msMulti, nil
 	}
@@ -50,13 +53,13 @@ func UniformEstimate(app Application, t platform.Timing, procs, group int) (floa
 		if nbused == 0 {
 			// Equation (2): no processor is free until the mains finish; all
 			// posts run at the end on the full cluster.
-			return msMulti + float64(ceilDiv(nbtasks, procs))*tp, nil
+			return msMulti + float64(float64(ceilDiv(nbtasks, procs))*tp), nil
 		}
 		// Equation (3): the last, incomplete wave leaves Rleft processors
 		// idle; they absorb ⌊TG/TP⌋ posts each, the remainder runs at the end.
 		rleft := procs - nbused*group
 		remPost := nbused + maxInt(0, nbtasks-nbused-ratio*rleft)
-		return msMulti + float64(ceilDiv(remPost, procs))*tp, nil
+		return msMulti + float64(float64(ceilDiv(remPost, procs))*tp), nil
 	}
 
 	// R2 > 0: each complete wave generates nbmax posts while the R2 reserved
@@ -66,7 +69,7 @@ func UniformEstimate(app Application, t platform.Timing, procs, group int) (floa
 		// Equation (4): overflow from the first n−1 waves plus the final
 		// wave's posts run at the end.
 		noverpass := maxInt(0, (n-1)*(nbmax-npossible))
-		return msMulti + float64(ceilDiv(noverpass+nbmax, procs))*tp, nil
+		return msMulti + float64(float64(ceilDiv(noverpass+nbmax, procs))*tp), nil
 	}
 	// Equation (5): overflow from the first n−2 complete waves, plus the last
 	// complete wave's nbmax posts, lands on the processors freed during the
@@ -76,7 +79,7 @@ func UniformEstimate(app Application, t platform.Timing, procs, group int) (floa
 	novertot := noverpass + nbmax
 	rleft := procs - group*nbused
 	remPost := nbused + maxInt(0, novertot-ratio*rleft)
-	return msMulti + float64(ceilDiv(remPost, procs))*tp, nil
+	return msMulti + float64(float64(ceilDiv(remPost, procs))*tp), nil
 }
 
 // PostAtEndEstimate models the makespan when no processor is reserved for
@@ -98,9 +101,9 @@ func PostAtEndEstimate(app Application, t platform.Timing, procs, group int) (fl
 		nbmax = app.Scenarios
 	}
 	nbtasks := app.Tasks()
-	ms := float64(ceilDiv(nbtasks, nbmax)) * tg
+	ms := float64(float64(ceilDiv(nbtasks, nbmax)) * tg)
 	if tp := t.PostSeconds(); tp > 0 {
-		ms += float64(ceilDiv(nbtasks, procs)) * tp
+		ms += float64(float64(ceilDiv(nbtasks, procs)) * tp)
 	}
 	return ms, nil
 }

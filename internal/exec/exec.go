@@ -435,7 +435,10 @@ func (e *engine) postDuration(s, m int) float64 {
 	return e.postDur * e.jitterFactor(s, m, 1)
 }
 
-// jitterFactor derives the deterministic perturbation of one task.
+// jitterFactor derives the deterministic perturbation of one task. Each
+// float64 conversion rounds a product (the compiler turns the division into
+// one), so no GOARCH fuses it into a multiply-add: the factor is
+// bit-identical on every architecture.
 func (e *engine) jitterFactor(s, m, kind int) float64 {
 	if e.opt.Jitter <= 0 {
 		return 1
@@ -446,8 +449,8 @@ func (e *engine) jitterFactor(s, m, kind int) float64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	x ^= x >> 31
-	u := float64(x>>11) / float64(1<<53) // uniform in [0,1)
-	return 1 + e.opt.Jitter*(2*u-1)
+	u := float64(float64(x>>11) / float64(1<<53)) // uniform in [0,1)
+	return 1 + float64(e.opt.Jitter*(float64(2*u)-1))
 }
 
 // pickScenario returns the index of the ready scenario to serve, or -1.
@@ -599,7 +602,7 @@ func (e *engine) startMain(now float64, g *group, s int) {
 	g.busy = true
 	g.freeAt = end
 	e.mainsLeft--
-	e.busyAccum += dur * float64(g.size)
+	e.busyAccum += float64(dur * float64(g.size)) // rounded: never a fused multiply-add
 	e.record(trace.Main, g.id, 0, s, month, start, end)
 	e.push(event{at: end, kind: mainDone, g: g.id, s: s})
 }

@@ -52,15 +52,17 @@ const benchmarkJitter = 0.035
 
 // kink returns a deterministic perturbation factor in [1-a, 1+a] for one
 // (cluster, group) entry, using a splitmix64 hash so profiles are stable
-// across runs.
+// across runs. The float64 conversions round each product, so no GOARCH
+// fuses one into a multiply-add and the profiles are bit-identical on every
+// architecture.
 func kink(cluster, g int, a float64) float64 {
 	x := uint64(cluster)<<32 ^ uint64(g)
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	x ^= x >> 31
-	u := float64(x>>11) / float64(1<<53)
-	return 1 + a*(2*u-1)
+	u := float64(float64(x>>11) / float64(1<<53))
+	return 1 + float64(a*(float64(2*u)-1))
 }
 
 // benchmarkTable builds a cluster's measured-style timing table: the
