@@ -2,6 +2,8 @@ package oagrid
 
 import (
 	"go/types"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -43,10 +45,15 @@ func TestNoTestOnlyExports(t *testing.T) {
 		reachable[objectKey(named.Obj())] = true
 	}
 
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var found []string
 	report := func(obj types.Object) {
 		if !m.inTest(obj.Pos()) && !used[objectKey(obj)] {
-			found = append(found, m.fset.Position(obj.Pos()).String()+": "+objectKey(obj))
+			at, _ := filepath.Rel(wd, m.fset.Position(obj.Pos()).String())
+			found = append(found, at+": "+objectKey(obj))
 		}
 	}
 	for _, p := range m.pkgs {
@@ -78,7 +85,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 	sort.Strings(found)
 	for _, f := range found {
-		t.Errorf("%s is exported, but only its own package's tests use it", f)
+		t.Errorf("%s is exported, but nothing outside its own package's tests uses it", f)
 	}
 }
 

@@ -16,8 +16,9 @@ type Cluster struct {
 	Timing Timing
 
 	// Link describes intra-cluster data staging. The scheduling model folds
-	// staging into task durations (paper §4.1); the link is used by the
-	// middleware demo to annotate restart-transfer costs.
+	// staging into task durations (paper §4.1), so no schedule reads it;
+	// Link.TransferSeconds prices a transfer, such as a scenario's 120 MB
+	// monthly restart, for a caller that wants the cost.
 	Link Link
 }
 
