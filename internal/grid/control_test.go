@@ -30,7 +30,7 @@ func queueScheduler(cfg Config) *Scheduler {
 // admission control.
 func (s *Scheduler) push(c *campaign) {
 	if c.tenant == "" {
-		c.tenant = s.tenantName(c.labels)
+		c.tenant = tenantOf(c.labels)
 	}
 	if c.enqueuedAt.IsZero() {
 		c.enqueuedAt = time.Now()

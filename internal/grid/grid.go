@@ -266,11 +266,6 @@ type Scheduler struct {
 	evicted   uint64
 }
 
-// tenantName resolves a campaign's tenant from its labels.
-func (s *Scheduler) tenantName(labels map[string]string) string {
-	return tenantOf(labels)
-}
-
 // tenant returns (creating on first use) a tenant's state. Callers hold
 // s.mu and pass canonical names only (see canonicalTenant). Tenant entries
 // persist for the scheduler's lifetime: their counters are the /metrics
@@ -748,7 +743,7 @@ func (s *Scheduler) admit(req *diet.SubmitRequest) (*campaign, *diet.SubmitRespo
 	if _, err := core.ByName(req.Heuristic); err != nil {
 		return nil, nil, err
 	}
-	tenantName := s.tenantName(req.Labels)
+	tenantName := tenantOf(req.Labels)
 	s.mu.Lock()
 	if c := s.byKey(req.Key); c != nil {
 		depth := s.queueLen

@@ -349,7 +349,7 @@ func (s *Scheduler) adoptCampaign(rc *store.Campaign) bool {
 		}
 	}
 	c := recoveredCampaign(rc)
-	c.tenant = s.tenantName(c.labels)
+	c.tenant = tenantOf(c.labels)
 	s.mu.Lock()
 	if s.campaigns[c.id] != nil {
 		s.mu.Unlock()
