@@ -32,7 +32,7 @@ func StdDev(xs []float64) float64 {
 	sum := 0.0
 	for _, x := range xs {
 		d := x - m
-		sum += d * d
+		sum += float64(d * d) // rounded: never a fused multiply-add
 	}
 	return math.Sqrt(sum / float64(len(xs)))
 }

@@ -4,8 +4,9 @@
 # does not, so an unrounded product on the result path makes a campaign's
 # numbers depend on the GOARCH that computed them. Only an explicit
 # conversion, float64(x*y) + z, forbids the fusion. This cross-compiles the
-# result-path packages and fails on any fused instruction in their assembly.
-# -S is scoped to oagrid/internal/... because package math fuses on purpose.
+# result-path packages and the figures' statistics, with the module packages
+# they import, and fails on any fused instruction in their assembly. -S is
+# scoped to oagrid/internal/... because package math fuses on purpose.
 # The compiler's output is replayed from the build cache, so a warm run sees
 # it too. CI runs this in the lint job; from a checkout:
 #
@@ -13,7 +14,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-pkgs=(./internal/exec ./internal/core ./internal/platform ./internal/engine ./internal/knapsack)
+pkgs=(./internal/exec ./internal/core ./internal/platform ./internal/engine ./internal/knapsack ./internal/stats)
 status=0
 for arch in arm64 ppc64le; do
   asm="$(GOARCH="$arch" go build -gcflags='oagrid/internal/...=-S' "${pkgs[@]}" 2>&1)"
