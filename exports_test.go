@@ -33,12 +33,13 @@ func TestNoTestOnlyExports(t *testing.T) {
 		}
 	}
 	ifaces := map[string]bool{"Error() (string)": true}
+	seen := map[*types.Package]bool{}
 	for _, p := range m.pkgs {
 		note(p.info, p.path)
 		if p.xinfo != nil {
 			note(p.xinfo, p.path)
 		}
-		m.interfaceMethods(p.types, ifaces, map[*types.Package]bool{})
+		m.interfaceMethods(p.types, ifaces, seen)
 	}
 	reachable := map[string]bool{}
 	for _, named := range m.rootReachable() {

@@ -47,7 +47,7 @@ func TestElasticBurstScalesUpAndDown(t *testing.T) {
 	// The burst: enough concurrent campaigns that two dispatchers keep a
 	// queue of upQueue or more for several 10ms samples.
 	const campaigns = 24
-	app := core.Application{Scenarios: 30, Months: 60}
+	app := core.Application{Scenarios: 30, Months: 600}
 	client := &grid.Client{Addr: f.Sched.Addr()}
 	results := make([]*diet.CampaignResult, campaigns)
 	errs := make([]error, campaigns)
