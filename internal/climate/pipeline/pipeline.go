@@ -9,9 +9,9 @@
 //	                 emi  (extract_minimum_information, regional means)
 //	                 cd   (compress_diags, gzip)
 //
-// RunMonth chains the six tasks; RunScenario chains months through the
-// restart files, reproducing the 1D-mesh structure the scheduler operates
-// on.
+// RunMonth chains the six tasks; consecutive months of a scenario chain
+// through the restart files, reproducing the 1D-mesh structure the
+// scheduler operates on.
 package pipeline
 
 import (
