@@ -10,7 +10,7 @@ import (
 
 // TestMirrorHeapPerCampaign measures what the store keeps in memory per
 // journaled campaign — the mirror rotation rewrites the file from — against
-// what the campaign costs on disk: KeepFinished (4096) small campaigns of
+// what the campaign costs on disk: the retention cap (4096) small campaigns of
 // six records each, appended the way a live daemon appends them. The mirror
 // holds the file's own bytes, so it must stay within 1.3× of them (decoded
 // records, which it used to hold, cost 3.2×).
