@@ -126,7 +126,9 @@ func TestCompressionShrinks(t *testing.T) {
 	}
 }
 
-func TestMonthsChainIntoSeries(t *testing.T) {
+// A scenario is months 0..n-1 run in order; their diagnostics chain into
+// one series file.
+func TestRunScenarioChains(t *testing.T) {
 	cfg := fastConfig(t)
 	for m := 0; m < 3; m++ {
 		if _, _, err := RunMonth(cfg, m); err != nil {
