@@ -50,9 +50,11 @@ func (CPA) Plan(app core.Application, t platform.Timing, procs int) (core.Alloca
 		}
 		tp := t.PostSeconds()
 		// Critical path: one chain of NM mains plus a trailing post.
-		cp := float64(app.Months)*tg + tp
+		// Each product is rounded before its sum, so no GOARCH fuses it
+		// into a multiply-add.
+		cp := float64(float64(app.Months)*tg) + tp
 		// Average area: total processor-seconds over the cluster.
-		area := (float64(app.Tasks())*(tg*float64(g)) + float64(app.Tasks())*tp) / float64(procs)
+		area := (float64(float64(app.Tasks())*(tg*float64(g))) + float64(float64(app.Tasks())*tp)) / float64(procs)
 		return math.Max(cp, area), nil
 	}
 	g := lo
