@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Elastic-fleet smoke: start a real oarun daemon with -autoscale 1:5 and one
 # base SeD, drive oaload against it over the wire faster than one SeD keeps
-# up with, and assert via /metrics that the fleet scaled up to at least 4
-# SeDs, spawned each within 2s, drained back to the base fleet afterwards,
-# and never requeued a chunk. oaload also verifies every campaign
+# up with, and assert via /metrics that the queue stayed deep enough to judge
+# (else it fails as "load too light to judge"), that the fleet scaled up to
+# at least 4 SeDs, spawned each within 2s, drained back to the base fleet
+# afterwards, and never requeued a chunk. oaload also verifies every campaign
 # bit-identical client-side, replaying each chunk serially. CI runs this
 # (.github/workflows/ci.yml), and it works identically from a checkout:
 #
@@ -73,21 +74,24 @@ fi
 grep -q '^autoscale: elastic fleet 1\.\.5' "$workdir/daemon.log"
 echo "smoke: daemon on $addr, metrics on $metrics_addr"
 
-# Record the peak fleet size /metrics reports while the load runs: the
-# scale-UP witness has to be sampled live, the fleet is back down by the end.
-: >"$workdir/fleet_sizes.txt"
+# Record the fleet size and the queue depth /metrics reports while the load
+# runs, one "fleet queue" line per sample: the scale-UP witness has to be
+# sampled live, the fleet is back down by the end.
+: >"$workdir/samples.txt"
 (
   while :; do
     curl -fsS "http://$metrics_addr/metrics" 2>/dev/null |
-      sed -n 's/^oagrid_autoscale_fleet_size //p' >>"$workdir/fleet_sizes.txt" || true
+      awk '$1 == "oagrid_autoscale_fleet_size" { f = $2 } $1 == "oagrid_queue_depth" { q = $2 }
+        END { if (f != "" && q != "") print f, q }' >>"$workdir/samples.txt" || true
     sleep 0.05
   done
 ) &
 sampler_pid=$!
 
 # The load: one uniform rate, well past what the base SeD serves, so the
-# queue builds and the controller spawns.
-"$workdir/oaload" -addr "$addr" -campaigns 400 -rate 300 -ns 30 -months 180 \
+# queue builds and the controller spawns. Its size is in months, so a
+# faster executor shrinks it; the precondition below says when it has.
+"$workdir/oaload" -addr "$addr" -campaigns 400 -rate 300 -ns 30 -months 1080 \
   >"$workdir/load.log" 2>&1
 grep -q 'verification: every chunk report bit-identical' "$workdir/load.log"
 
@@ -95,7 +99,19 @@ kill "$sampler_pid" 2>/dev/null || true
 wait "$sampler_pid" 2>/dev/null || true
 sampler_pid=""
 
-peak="$(sort -n "$workdir/fleet_sizes.txt" | tail -n1)"
+# Precondition: the policy scales up at a queue depth of 4 (upQueue in
+# internal/autoscale), one step per 5 of its 100ms ticks, so reaching 4
+# SeDs takes three steps and at least 1 s of pressure. Unless /metrics saw
+# the queue that deep for 20 samples (>= 1 s at the 50ms sampling pace),
+# the load, not the autoscaler, is what a low peak would measure.
+deep="$(awk '$2 >= 4' "$workdir/samples.txt" | wc -l)"
+if [ "$deep" -lt 20 ]; then
+  echo "smoke: load too light to judge: queue depth >= 4 in $deep of $(wc -l <"$workdir/samples.txt") /metrics samples, want >= 20" >&2
+  exit 1
+fi
+echo "smoke: queue depth >= 4 in $deep /metrics samples"
+
+peak="$(awk '{ print $1 }' "$workdir/samples.txt" | sort -n | tail -n1)"
 if [ -z "$peak" ] || [ "$peak" -lt 4 ]; then
   echo "smoke: /metrics never showed the fleet scaling up (peak ${peak:-none}, want >= 4)" >&2
   exit 1
