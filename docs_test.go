@@ -12,7 +12,7 @@ import (
 
 // docsChecked are the documents whose names of tests, scripts, packages and
 // CLI flags must stay true as the code moves under them.
-var docsChecked = []string{"README.md", ".claude/skills/verify/SKILL.md"}
+var docsChecked = []string{"README.md", ".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml"}
 
 var (
 	docTestRe   = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)

@@ -34,12 +34,12 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 	ifaces := map[string]bool{"Error() (string)": true}
 	seen := map[*types.Package]bool{}
-	for _, p := range m.pkgs {
-		note(p.info, p.path)
-		if p.xinfo != nil {
-			note(p.xinfo, p.path)
+	for _, p := range m.Pkgs {
+		note(p.Info, p.Path)
+		if p.XInfo != nil {
+			note(p.XInfo, p.Path)
 		}
-		m.interfaceMethods(p.types, ifaces, seen)
+		m.interfaceMethods(p.Types, ifaces, seen)
 	}
 	reachable := map[string]bool{}
 	for _, named := range m.rootReachable() {
@@ -53,16 +53,16 @@ func TestNoTestOnlyExports(t *testing.T) {
 	var found []string
 	report := func(obj types.Object) {
 		if !m.inTest(obj.Pos()) && !used[objectKey(obj)] {
-			at, _ := filepath.Rel(wd, m.fset.Position(obj.Pos()).String())
+			at, _ := filepath.Rel(wd, m.Fset.Position(obj.Pos()).String())
 			found = append(found, at+": "+objectKey(obj))
 		}
 	}
-	for _, p := range m.pkgs {
-		rel := strings.TrimPrefix(p.path, "oagrid/")
+	for _, p := range m.Pkgs {
+		rel := strings.TrimPrefix(p.Path, "oagrid/")
 		if !strings.HasPrefix(rel, "internal/") && !strings.HasPrefix(rel, "cmd/") {
 			continue
 		}
-		scope := p.types.Scope()
+		scope := p.Types.Scope()
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
 			if obj.Exported() {

@@ -7,8 +7,9 @@
 // upstream API should the dependency ever become available.
 //
 // The analyzers themselves live in subpackages (deterministic, hotpath,
-// typederr); cmd/oalint is the multichecker driver and
-// analysistest is the golden-fixture harness.
+// typederr). Load is the one loader: the root package's TestAnalyzers runs
+// every analyzer over the module with it, and analysistest, the
+// golden-fixture harness, loads each fixture with it.
 package analysis
 
 import (

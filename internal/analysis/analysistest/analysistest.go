@@ -15,6 +15,7 @@ package analysistest
 
 import (
 	"fmt"
+	"go/token"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -32,18 +33,29 @@ type key struct {
 	line int
 }
 
-// Run loads the fixture package in dir and applies a to it, comparing
-// diagnostics against the fixture's want comments.
-func Run(t *testing.T, dir string, a *analysis.Analyzer) {
+// Load loads the one fixture package in dir through analysis.Load, so a
+// fixture has its real import path.
+func Load(t *testing.T, dir string) (*token.FileSet, *analysis.Package) {
 	t.Helper()
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		t.Fatalf("analysistest: %v", err)
 	}
-	pkg, err := analysis.NewLoader().LoadDir(abs, "fixture/"+filepath.Base(abs))
+	m, err := analysis.Load(abs)
 	if err != nil {
 		t.Fatalf("analysistest: loading %s: %v", dir, err)
 	}
+	if len(m.Pkgs) != 1 {
+		t.Fatalf("analysistest: %s holds %d packages, want 1", dir, len(m.Pkgs))
+	}
+	return m.Fset, m.Pkgs[0]
+}
+
+// Run loads the fixture package in dir and applies a to it, comparing
+// diagnostics against the fixture's want comments.
+func Run(t *testing.T, dir string, a *analysis.Analyzer) {
+	t.Helper()
+	fset, pkg := Load(t, dir)
 
 	// Collect the expectations.
 	wants := map[key][]*regexp.Regexp{}
@@ -54,7 +66,7 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 				if !ok {
 					continue
 				}
-				pos := pkg.Fset.Position(c.Pos())
+				pos := fset.Position(c.Pos())
 				k := key{file: pos.Filename, line: pos.Line}
 				for _, q := range wantRe.FindAllString(rest, -1) {
 					expr := strings.Trim(q, "`")
@@ -73,7 +85,7 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 
 	// Run the analyzer.
 	var got []analysis.Diagnostic
-	if err := analysis.Run(a, pkg, func(d analysis.Diagnostic) { got = append(got, d) }); err != nil {
+	if err := analysis.Run(a, fset, pkg, func(d analysis.Diagnostic) { got = append(got, d) }); err != nil {
 		t.Fatalf("analysistest: running %s on %s: %v", a.Name, dir, err)
 	}
 
@@ -83,7 +95,7 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 		matched[k] = make([]bool, len(res))
 	}
 	for _, d := range got {
-		pos := pkg.Fset.Position(d.Pos)
+		pos := fset.Position(d.Pos)
 		k := key{file: pos.Filename, line: pos.Line}
 		ok := false
 		for i, re := range wants[k] {

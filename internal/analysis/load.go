@@ -1,217 +1,170 @@
 package analysis
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
 )
 
-// Package is one loaded, parsed and type-checked package, ready to run
-// analyzers over.
+// Module is the set of packages one Load call named, type-checked from
+// source against the compiler's export data of everything they import (the
+// output of `go list -export -deps`), so no dependency is type-checked
+// twice and the standard library is never type-checked at all.
+type Module struct {
+	Fset *token.FileSet
+	Pkgs []*Package // sorted by import path
+}
+
+// Package is one loaded package. Files are its build-selected non-test
+// files, the ones go build compiles and the analyzers judge. Types and Info
+// cover them and the package's in-package _test.go files. XInfo records the
+// uses of its external test package, if it has one. The import lists are go
+// list's.
 type Package struct {
-	Dir   string
-	Path  string
-	Fset  *token.FileSet
-	Files []*ast.File
-	Types *types.Package
-	Info  *types.Info
+	Path                               string
+	Files                              []*ast.File
+	Types                              *types.Package
+	Info                               *types.Info
+	XInfo                              *types.Info
+	Imports, TestImports, XTestImports []string
 }
 
-// Loader parses and type-checks packages with the standard library's
-// source importer, sharing one file set and one import cache across every
-// loaded package. It analyzes the build-selected non-test files of each
-// package — the same file set go build compiles.
-//
-// The source importer resolves module-internal import paths through the go
-// command, which is cwd-sensitive: callers must run with the working
-// directory inside the module (cmd/oalint chdirs to the module root).
-type Loader struct {
-	fset *token.FileSet
-	imp  types.ImporterFrom
+type listedPkg struct {
+	ImportPath, Dir, Export            string
+	GoFiles, TestGoFiles, XTestGoFiles []string
+	Imports, TestImports, XTestImports []string
+	DepOnly                            bool
 }
 
-// NewLoader builds a loader with a fresh file set and import cache.
-func NewLoader() *Loader {
-	fset := token.NewFileSet()
-	return &Loader{
-		fset: fset,
-		imp:  importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-	}
-}
-
-// ModuleRoot walks up from dir to the enclosing go.mod directory.
-func ModuleRoot(dir string) (string, error) {
-	dir, err := filepath.Abs(dir)
+// goList runs `go list -export -deps -json` over patterns in the current
+// directory.
+func goList(patterns ...string) ([]listedPkg, error) {
+	cmd := exec.Command("go", append([]string{"list", "-export", "-deps",
+		"-json=ImportPath,Dir,Export,GoFiles,TestGoFiles,XTestGoFiles,Imports,TestImports,XTestImports,DepOnly"}, patterns...)...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
 	if err != nil {
-		return "", err
+		return nil, fmt.Errorf("go list %s: %v\n%s", strings.Join(patterns, " "), err, stderr.Bytes())
 	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("oalint: no go.mod above %s", dir)
-		}
-		dir = parent
-	}
-}
-
-// modulePath reads the module path from root's go.mod.
-func modulePath(root string) (string, error) {
-	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return "", err
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
-			return strings.TrimSpace(rest), nil
-		}
-	}
-	return "", fmt.Errorf("oalint: no module directive in %s/go.mod", root)
-}
-
-// Expand resolves package patterns against the module rooted at root: the
-// "dir/..." form walks recursively (skipping testdata, hidden and
-// underscore directories), anything else names one directory. Directories
-// without buildable Go files are silently dropped, mirroring go list.
-func Expand(root string, patterns []string) ([]string, error) {
-	var dirs []string
-	seen := map[string]bool{}
-	add := func(dir string) {
-		if dir != "" && !seen[dir] {
-			seen[dir] = true
-			dirs = append(dirs, dir)
-		}
-	}
-	for _, pat := range patterns {
-		rec := false
-		if rest, ok := strings.CutSuffix(pat, "/..."); ok {
-			rec, pat = true, rest
-		} else if pat == "..." {
-			rec, pat = true, "."
-		}
-		dir := pat
-		if !filepath.IsAbs(dir) {
-			dir = filepath.Join(root, dir)
-		}
-		if !rec {
-			add(dir)
-			continue
-		}
-		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if !d.IsDir() {
-				return nil
-			}
-			name := d.Name()
-			if path != dir && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			add(path)
-			return nil
-		})
-		if err != nil {
+	var pkgs []listedPkg
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p listedPkg
+		if err := dec.Decode(&p); err != nil {
 			return nil, err
 		}
-	}
-	sort.Strings(dirs)
-	return dirs, nil
-}
-
-// Load type-checks the packages under the given patterns (relative to the
-// module root containing dir) and returns them in deterministic path order.
-func (l *Loader) Load(dir string, patterns []string) ([]*Package, error) {
-	root, err := ModuleRoot(dir)
-	if err != nil {
-		return nil, err
-	}
-	mod, err := modulePath(root)
-	if err != nil {
-		return nil, err
-	}
-	dirs, err := Expand(root, patterns)
-	if err != nil {
-		return nil, err
-	}
-	var pkgs []*Package
-	for _, d := range dirs {
-		rel, err := filepath.Rel(root, d)
-		if err != nil {
-			return nil, err
-		}
-		path := mod
-		if rel != "." {
-			path = mod + "/" + filepath.ToSlash(rel)
-		}
-		pkg, err := l.LoadDir(d, path)
-		if err != nil {
-			if _, ok := err.(*build.NoGoError); ok {
-				continue
-			}
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
+		pkgs = append(pkgs, p)
 	}
 	return pkgs, nil
 }
 
-// LoadDir parses and type-checks the single package in dir under the given
-// import path. It returns *build.NoGoError when dir holds no buildable Go
-// files.
-func (l *Loader) LoadDir(dir, path string) (*Package, error) {
-	bp, err := build.ImportDir(dir, 0)
+// Load parses and type-checks the packages that the go-style patterns name
+// (relative to the current directory, which must lie inside the module),
+// tests included. Comments are kept, for the //oalint: directives.
+func Load(patterns ...string) (*Module, error) {
+	listed, err := goList(patterns...)
 	if err != nil {
 		return nil, err
 	}
-	var files []*ast.File
-	for _, name := range bp.GoFiles {
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+	exports := map[string]string{}
+	var mine []listedPkg
+	for _, p := range listed {
+		exports[p.ImportPath] = p.Export
+		if !p.DepOnly {
+			mine = append(mine, p)
+		}
+	}
+	// Tests may import packages the build does not.
+	var missing []string
+	for _, p := range mine {
+		for _, imp := range append(p.TestImports, p.XTestImports...) {
+			if _, ok := exports[imp]; !ok && imp != "C" {
+				exports[imp] = ""
+				missing = append(missing, imp)
+			}
+		}
+	}
+	if len(missing) > 0 {
+		more, err := goList(missing...)
 		if err != nil {
 			return nil, err
 		}
-		files = append(files, f)
+		for _, p := range more {
+			exports[p.ImportPath] = p.Export
+		}
 	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
+
+	m := &Module{Fset: token.NewFileSet()}
+	imp := importer.ForCompiler(m.Fset, "gc", func(path string) (io.ReadCloser, error) {
+		if exports[path] == "" {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(exports[path])
+	})
+	parse := func(dir string, names []string) ([]*ast.File, error) {
+		var files []*ast.File
+		for _, name := range names {
+			f, err := parser.ParseFile(m.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, f)
+		}
+		return files, nil
 	}
-	var typeErrs []string
-	conf := types.Config{
-		Importer: l.imp,
-		Error: func(err error) {
-			typeErrs = append(typeErrs, err.Error())
-		},
+	for _, p := range mine {
+		lp := &Package{Path: p.ImportPath, Imports: p.Imports, TestImports: p.TestImports, XTestImports: p.XTestImports}
+		if lp.Files, err = parse(p.Dir, p.GoFiles); err != nil {
+			return nil, err
+		}
+		tests, err := parse(p.Dir, p.TestGoFiles)
+		if err != nil {
+			return nil, err
+		}
+		lp.Info = &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+			Implicits:  map[ast.Node]types.Object{},
+		}
+		files := append(append([]*ast.File(nil), lp.Files...), tests...)
+		if lp.Types, err = (&types.Config{Importer: imp}).Check(p.ImportPath, m.Fset, files, lp.Info); err != nil {
+			return nil, err
+		}
+		if len(p.XTestGoFiles) > 0 {
+			xfiles, err := parse(p.Dir, p.XTestGoFiles)
+			if err != nil {
+				return nil, err
+			}
+			lp.XInfo = &types.Info{Uses: map[*ast.Ident]types.Object{}}
+			if _, err := (&types.Config{Importer: imp}).Check(p.ImportPath+"_test", m.Fset, xfiles, lp.XInfo); err != nil {
+				return nil, err
+			}
+		}
+		m.Pkgs = append(m.Pkgs, lp)
 	}
-	tpkg, err := conf.Check(path, l.fset, files, info)
-	if len(typeErrs) > 0 {
-		return nil, fmt.Errorf("oalint: type-checking %s:\n\t%s", path, strings.Join(typeErrs, "\n\t"))
-	}
-	if err != nil {
-		return nil, fmt.Errorf("oalint: type-checking %s: %w", path, err)
-	}
-	return &Package{Dir: dir, Path: path, Fset: l.fset, Files: files, Types: tpkg, Info: info}, nil
+	sort.Slice(m.Pkgs, func(i, j int) bool { return m.Pkgs[i].Path < m.Pkgs[j].Path })
+	return m, nil
 }
 
-// Run applies one analyzer to one loaded package, sending non-suppressed
-// diagnostics to report.
-func Run(a *Analyzer, pkg *Package, report func(Diagnostic)) error {
+// Run applies one analyzer to the non-test files of one loaded package,
+// sending non-suppressed diagnostics to report.
+func Run(a *Analyzer, fset *token.FileSet, pkg *Package, report func(Diagnostic)) error {
 	pass := &Pass{
 		Analyzer:  a,
-		Fset:      pkg.Fset,
+		Fset:      fset,
 		Files:     pkg.Files,
 		Pkg:       pkg.Types,
 		TypesInfo: pkg.Info,

@@ -1,13 +1,15 @@
 package typederr_test
 
 import (
-	"path/filepath"
 	"testing"
 
 	"oagrid/internal/analysis"
 	"oagrid/internal/analysis/analysistest"
 	"oagrid/internal/analysis/typederr"
 )
+
+// fixture is the import path prefix of the fixture packages.
+const fixture = "oagrid/internal/analysis/typederr/testdata/src/"
 
 // withCover swaps the coverage table to point at a fixture package.
 func withCover(t *testing.T, cover map[string]string) {
@@ -18,12 +20,12 @@ func withCover(t *testing.T, cover map[string]string) {
 }
 
 func TestClientReceiverCover(t *testing.T) {
-	withCover(t, map[string]string{"fixture/typed": "Client"})
+	withCover(t, map[string]string{fixture + "typed": "Client"})
 	analysistest.Run(t, "testdata/src/typed", typederr.Analyzer)
 }
 
 func TestWholePackageCover(t *testing.T) {
-	withCover(t, map[string]string{"fixture/typedall": ""})
+	withCover(t, map[string]string{fixture + "typedall": ""})
 	analysistest.Run(t, "testdata/src/typedall", typederr.Analyzer)
 }
 
@@ -32,16 +34,9 @@ func TestUncoveredPackageIsSkipped(t *testing.T) {
 	// The typed fixture is full of violations; with no cover entry for its
 	// path the analyzer must stay silent. The want-comment harness cannot
 	// express "expect nothing despite the comments", so run directly.
-	abs, err := filepath.Abs("testdata/src/typed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := analysis.NewLoader().LoadDir(abs, "fixture/typed")
-	if err != nil {
-		t.Fatalf("loading fixture: %v", err)
-	}
+	fset, pkg := analysistest.Load(t, "testdata/src/typed")
 	var got []analysis.Diagnostic
-	if err := analysis.Run(typederr.Analyzer, pkg, func(d analysis.Diagnostic) { got = append(got, d) }); err != nil {
+	if err := analysis.Run(typederr.Analyzer, fset, pkg, func(d analysis.Diagnostic) { got = append(got, d) }); err != nil {
 		t.Fatalf("running typederr: %v", err)
 	}
 	if len(got) != 0 {

@@ -1,48 +1,23 @@
 package oagrid
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"io"
-	"os"
-	"os/exec"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+
+	"oagrid/internal/analysis"
 )
 
-// loadedModule is every package of the module type-checked from source,
-// tests included, against the compiler's export data of its imports (the
-// output of `go list -export -deps`). It is loaded once per test binary and
-// shared by the API golden and the test-only-exports guard.
+// loadedModule is every package of the module, tests included, loaded once
+// per test binary by analysis.Load and shared by the API golden and the
+// structural guards.
 type loadedModule struct {
-	fset *token.FileSet
-	pkgs []*loadedPkg // sorted by import path
-	root *loadedPkg
-}
-
-// loadedPkg is one package of the module. types and info cover its own
-// files and its in-package tests; xinfo covers its external test package,
-// if it has one.
-type loadedPkg struct {
-	path  string
-	types *types.Package
-	info  *types.Info
-	xinfo *types.Info
-}
-
-type listedPkg struct {
-	ImportPath, Dir, Export            string
-	GoFiles, TestGoFiles, XTestGoFiles []string
-	TestImports, XTestImports          []string
-	DepOnly                            bool
+	*analysis.Module
+	root *analysis.Package
 }
 
 var (
@@ -54,112 +29,31 @@ var (
 // loadModule returns the type-checked module, failing t if it cannot load.
 func loadModule(t *testing.T) *loadedModule {
 	t.Helper()
-	moduleOnce.Do(func() { module, moduleErr = typeCheckModule() })
+	moduleOnce.Do(func() {
+		m, err := analysis.Load("./...")
+		if err != nil {
+			moduleErr = err
+			return
+		}
+		module = &loadedModule{Module: m}
+		for _, p := range m.Pkgs {
+			if p.Path == "oagrid" {
+				module.root = p
+			}
+		}
+		if module.root == nil {
+			moduleErr = fmt.Errorf("go list ./... did not list package oagrid")
+		}
+	})
 	if moduleErr != nil {
 		t.Fatal(moduleErr)
 	}
 	return module
 }
 
-// goList runs `go list -export -deps -json` over args.
-func goList(args ...string) ([]listedPkg, error) {
-	cmd := exec.Command("go", append([]string{"list", "-export", "-deps",
-		"-json=ImportPath,Dir,Export,GoFiles,TestGoFiles,XTestGoFiles,TestImports,XTestImports,DepOnly"}, args...)...)
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("go list %s: %v\n%s", strings.Join(args, " "), err, stderr.Bytes())
-	}
-	var pkgs []listedPkg
-	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
-		var p listedPkg
-		if err := dec.Decode(&p); err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, p)
-	}
-	return pkgs, nil
-}
-
-func typeCheckModule() (*loadedModule, error) {
-	listed, err := goList("./...")
-	if err != nil {
-		return nil, err
-	}
-	exports := map[string]string{}
-	var mine []listedPkg
-	for _, p := range listed {
-		exports[p.ImportPath] = p.Export
-		if !p.DepOnly {
-			mine = append(mine, p)
-		}
-	}
-	// Tests may import packages the build does not.
-	var missing []string
-	for _, p := range mine {
-		for _, imp := range append(p.TestImports, p.XTestImports...) {
-			if _, ok := exports[imp]; !ok && imp != "C" {
-				exports[imp] = ""
-				missing = append(missing, imp)
-			}
-		}
-	}
-	if len(missing) > 0 {
-		more, err := goList(missing...)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range more {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-
-	m := &loadedModule{fset: token.NewFileSet()}
-	imp := importer.ForCompiler(m.fset, "gc", func(path string) (io.ReadCloser, error) {
-		if exports[path] == "" {
-			return nil, fmt.Errorf("no export data for %s", path)
-		}
-		return os.Open(exports[path])
-	})
-	check := func(path, dir string, names []string) (*types.Package, *types.Info, error) {
-		var files []*ast.File
-		for _, name := range names {
-			f, err := parser.ParseFile(m.fset, dir+"/"+name, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return nil, nil, err
-			}
-			files = append(files, f)
-		}
-		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
-		pkg, err := (&types.Config{Importer: imp}).Check(path, m.fset, files, info)
-		return pkg, info, err
-	}
-	for _, p := range mine {
-		lp := &loadedPkg{path: p.ImportPath}
-		if lp.types, lp.info, err = check(p.ImportPath, p.Dir, append(p.GoFiles, p.TestGoFiles...)); err != nil {
-			return nil, err
-		}
-		if len(p.XTestGoFiles) > 0 {
-			if _, lp.xinfo, err = check(p.ImportPath+"_test", p.Dir, p.XTestGoFiles); err != nil {
-				return nil, err
-			}
-		}
-		m.pkgs = append(m.pkgs, lp)
-		if p.ImportPath == "oagrid" {
-			m.root = lp
-		}
-	}
-	sort.Slice(m.pkgs, func(i, j int) bool { return m.pkgs[i].path < m.pkgs[j].path })
-	if m.root == nil {
-		return nil, fmt.Errorf("go list ./... did not list package oagrid")
-	}
-	return m, nil
-}
-
 // inTest reports whether pos lies in a _test.go file.
 func (m *loadedModule) inTest(pos token.Pos) bool {
-	f := m.fset.File(pos)
+	f := m.Fset.File(pos)
 	return f != nil && strings.HasSuffix(f.Name(), "_test.go")
 }
 
@@ -184,7 +78,7 @@ func (m *loadedModule) rootReachable() []*types.Named {
 				return
 			}
 			seen[obj] = true
-			if obj.Pkg() != m.root.types {
+			if obj.Pkg() != m.root.Types {
 				out = append(out, t.Origin())
 			}
 			for i := 0; i < t.TypeArgs().Len(); i++ {
@@ -227,7 +121,7 @@ func (m *loadedModule) rootReachable() []*types.Named {
 			}
 		}
 	}
-	scope := m.root.types.Scope()
+	scope := m.root.Types.Scope()
 	for _, name := range scope.Names() {
 		if obj := scope.Lookup(name); obj.Exported() && !m.inTest(obj.Pos()) {
 			walk(obj.Type())
